@@ -2,12 +2,13 @@
 //!
 //! The paper measures a single client; the [`ComplexObjectStore`] trait
 //! mirrors that with `&mut self` everywhere. Serving N clients from one
-//! buffer pool needs a `&self` read path instead — this module provides it:
+//! buffer pool needs a `&self` read path instead — this module declares it:
 //!
 //! * [`ConcurrentObjectStore`] extends [`ComplexObjectStore`] with `&self`
 //!   retrieval/navigation operations (`shared_get_by_oid`,
 //!   `shared_children_of`, `shared_root_records`) that N threads can call
-//!   concurrently over one store;
+//!   concurrently over one store (implemented once for all five models,
+//!   beside the `&mut` surface, in `store.rs`);
 //! * [`make_shared_store`] builds any of the five storage models over a
 //!   lock-striped [`SharedBufferPool`](starfish_pagestore::SharedBufferPool)
 //!   with K shards.
@@ -43,11 +44,13 @@ use std::sync::{Condvar, Mutex};
 /// A storage model whose retrieval/navigation surface can be shared across
 /// threads (`&self`), on top of the usual exclusive surface.
 ///
-/// Implementations exist for every model built by [`make_shared_store`];
-/// the `&self` methods answer exactly like their `&mut` counterparts
+/// Every model built by [`make_shared_store`] implements it; the `&self`
+/// methods answer exactly like their `&mut` counterparts
 /// ([`ComplexObjectStore::get_by_oid`], [`ComplexObjectStore::children_of`],
-/// [`ComplexObjectStore::root_records`]) and count fixes identically — they
-/// run the same code over a cloned handle to the same shared pool.
+/// [`ComplexObjectStore::root_records`]) and count fixes identically. That
+/// holds by construction: both traits are implemented once, in `store.rs`,
+/// and each pair of methods calls the same model access path — the `&mut`
+/// one with the store's pool, the `&self` one with a cloned handle to it.
 pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
     /// Query 1a retrieval by OID, callable from N threads concurrently.
     fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple>;

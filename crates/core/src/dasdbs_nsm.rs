@@ -17,11 +17,11 @@
 //! kept memory-resident here exactly as the paper keeps it (its accesses are
 //! not counted — §5.1 excludes the address tables from the I/O counts).
 
-use crate::object_file::{ObjAddr, ObjectFile};
-use crate::placement::{self, ObjectHeat, PlacementStats, ReorgReport};
+use crate::object_file::ObjectFile;
+use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
-    apply_station_proj, avg, key_of_oid, per_object, ComplexObjectStore, ObjRef, RelationInfo,
-    RootPatch,
+    apply_station_proj, avg, key_of_oid, per_object, station_tuple, ObjRef, RelationInfo, RootPatch,
 };
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
@@ -29,12 +29,8 @@ use starfish_nf2::{
     decode, encode, encode_with_layout, AttrDef, AttrType, Key, Oid, Projection, RelSchema, Tuple,
     Value,
 };
-use starfish_pagestore::{
-    BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
-    SharedPoolHandle, SimDisk,
-};
+use starfish_pagestore::{BufferPool, HeapFile, PageCache, PageId, Rid, SimDisk};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
 /// Schema of the flat `DASDBS-NSM-Station` relation.
 pub fn dnsm_station_schema() -> RelSchema {
@@ -126,6 +122,28 @@ pub fn dnsm_sightseeing_schema() -> RelSchema {
     )
 }
 
+/// The DASDBS-NSM store, generic over the buffer pool it runs on (see
+/// [`Store`]).
+pub type DasdbsNsmStore<P = BufferPool> = Store<DasdbsNsmModel, P>;
+
+/// Layout and access paths of DASDBS-NSM.
+pub struct DasdbsNsmModel;
+
+impl DasdbsNsmStore {
+    /// Creates an empty DASDBS-NSM store.
+    pub fn new(config: StoreConfig) -> Self {
+        let pool = config.buffer.build(SimDisk::new());
+        Self::with_pool(&config, pool)
+    }
+}
+
+impl<P: PageCache> DasdbsNsmStore<P> {
+    /// Creates an empty DASDBS-NSM store over an externally built pool.
+    pub fn with_pool(_config: &StoreConfig, pool: P) -> Self {
+        Store::over(DasdbsNsmModel, pool)
+    }
+}
+
 /// The transformation-table entry: the addresses of the (up to) four tuples
 /// that together store one object. Ordinals index the [`ObjectFile`]s.
 #[derive(Clone, Copy, Debug)]
@@ -139,7 +157,7 @@ struct TransEntry {
 /// them. Bundled behind one `Arc` so the adaptive-placement pass can build
 /// a fresh copy off to the side and publish it atomically (racing readers
 /// keep their old `Arc`; the old extents stay on disk, merely orphaned).
-struct DnsmState {
+pub struct DnsmState {
     station: HeapFile,
     platform: ObjectFile,
     connection: ObjectFile,
@@ -147,764 +165,424 @@ struct DnsmState {
     /// The transformation table: `key → tuple addresses` (memory-resident,
     /// uncounted, exactly like the paper's).
     trans: HashMap<Key, TransEntry>,
-}
-
-/// The DASDBS-NSM store, generic over the buffer pool it runs on
-/// ([`BufferPool`] by default; [`SharedPoolHandle`] for concurrent serving
-/// via [`crate::make_shared_store`]).
-pub struct DasdbsNsmStore<P: PageCache = BufferPool> {
-    pool: P,
-    /// Snapshot-swapped by `reorganize`; every op clones the `Arc` out once
-    /// and works against that consistent placement.
-    state: RwLock<Option<Arc<DnsmState>>>,
-    refs: Vec<ObjRef>,
+    /// Encoded bytes of the root relation, fixed at load.
     station_bytes: u64,
 }
 
-/// Immutable borrows of everything the DASDBS-NSM read paths need besides
-/// the pool (see [`NsmParts`](crate::nsm) for the idea).
-struct DnsmParts<'a> {
-    station: &'a HeapFile,
-    platform: &'a ObjectFile,
-    connection: &'a ObjectFile,
-    sightseeing: &'a ObjectFile,
-    trans: &'a HashMap<Key, TransEntry>,
-}
-
-impl DnsmParts<'_> {
+impl DnsmState {
     fn entry(&self, key: Key) -> Result<TransEntry> {
         self.trans
             .get(&key)
             .copied()
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {key}"),
-            })
-    }
-}
-
-/// Builds [`DnsmParts`] over one placement snapshot.
-fn dnsm_parts(state: &DnsmState) -> DnsmParts<'_> {
-    DnsmParts {
-        station: &state.station,
-        platform: &state.platform,
-        connection: &state.connection,
-        sightseeing: &state.sightseeing,
-        trans: &state.trans,
-    }
-}
-
-/// Reads and reassembles one full object through the transformation table:
-/// four addressed tuple reads (the paper's query-1a path).
-fn materialize_in(parts: &DnsmParts<'_>, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
-    let e = parts.entry(key)?;
-    let root_bytes = parts.station.read(pool, e.station)?;
-    let root = decode(&root_bytes, &dnsm_station_schema())?;
-    let p_bytes = parts.platform.read_full(pool, e.ordinal)?;
-    let platforms = decode(&p_bytes, &dnsm_platform_schema())?;
-    let c_bytes = parts.connection.read_full(pool, e.ordinal)?;
-    let connections = decode(&c_bytes, &dnsm_connection_schema())?;
-    let s_bytes = parts.sightseeing.read_full(pool, e.ordinal)?;
-    let seeings = decode(&s_bytes, &dnsm_sightseeing_schema())?;
-    Ok(DasdbsNsmStore::<BufferPool>::assemble(
-        &root,
-        &platforms,
-        &connections,
-        &seeings,
-    ))
-}
-
-/// Query 1b: "only the root tuple of the object is selected based on a
-/// value selection, whereupon we use the addresses in the index table to
-/// retrieve all other data by address" (§4) — the one key-lookup primitive
-/// behind both surfaces.
-fn get_by_key_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    key: Key,
-    proj: &Projection,
-) -> Result<Tuple> {
-    let mut found = false;
-    parts.station.scan(pool, |_, bytes| {
-        if let Ok(t) = decode(bytes, &dnsm_station_schema()) {
-            if t.attr(0).and_then(Value::as_int) == Some(key) {
-                found = true;
-            }
-        }
-    })?;
-    if !found {
-        return Err(CoreError::NotFound {
-            what: format!("key {key}"),
-        });
-    }
-    let t = materialize_in(parts, pool, key)?;
-    Ok(apply_station_proj(t, proj))
-}
-
-/// Full scan: materialize every object through the transformation table in
-/// `refs` (OID) order — the one scan primitive behind both surfaces.
-fn scan_all_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    for r in refs {
-        let t = materialize_in(parts, pool, r.key)?;
-        f(&t);
-    }
-    Ok(())
-}
-
-/// The DASDBS-NSM navigation step: one nested connection tuple per ref.
-fn children_of_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let schema = dnsm_connection_schema();
-    let mut out = Vec::new();
-    for r in refs {
-        let e = parts.entry(r.key)?;
-        let bytes = parts.connection.read_full(pool, e.ordinal)?;
-        let t = decode(&bytes, &schema)?;
-        if let Some(Value::Rel(groups)) = t.attr(1) {
-            for g in groups {
-                if let Some(Value::Rel(cs)) = g.attr(1) {
-                    for c in cs {
-                        out.push(ObjRef {
-                            key: c.attr(1).and_then(Value::as_int).unwrap_or(0),
-                            oid: c.attr(2).and_then(Value::as_link).unwrap_or(Oid(0)),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The DASDBS-NSM root update over `refs` — shared by the exclusive
-/// (`&mut`) and concurrent (`&self`) surfaces. "With DASDBS-NSM only small
-/// root tuples in the DASDBS-NSM-Station relation are updated, of which
-/// there are many on a single page" (§5.3): each read-modify-write runs
-/// under an exclusive latch on the root tuple's page so concurrent writers
-/// sharing a page serialize without lost updates.
-fn update_roots_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    let schema = dnsm_station_schema();
-    for r in refs {
-        let e = parts.entry(r.key)?;
-        let res = pool.with_latched(&[e.station.page], LatchMode::Exclusive, |pool| {
-            let bytes = parts.station.read(pool, e.station)?;
-            let mut t = decode(&bytes, &schema)?;
-            let old = t.values[3].as_str().map(str::len).unwrap_or(0);
-            if old != patch.new_name.len() {
-                return Err(CoreError::Store(
-                    starfish_pagestore::StoreError::SizeChanged {
-                        old,
-                        new: patch.new_name.len(),
-                    },
-                ));
-            }
-            t.values[3] = Value::Str(patch.new_name.clone());
-            Ok(parts
-                .station
-                .update(pool, e.station, &encode(&t, &schema)?)?)
-        });
-        // Each root RMW is one op: commit (durable on WAL pools) or drop
-        // its buffered images.
-        match res {
-            Ok(()) => pool.log_commit()?,
-            Err(e) => {
-                pool.log_abort();
-                return Err(e);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The DASDBS-NSM root-record read: one addressed root tuple per ref.
-fn root_records_in(
-    parts: &DnsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let schema = dnsm_station_schema();
-    refs.iter()
-        .map(|r| {
-            let e = parts.entry(r.key)?;
-            let bytes = parts.station.read(pool, e.station)?;
-            let t = decode(&bytes, &schema)?;
-            Ok(Tuple::new(vec![
-                t.values[0].clone(),
-                t.values[1].clone(),
-                t.values[2].clone(),
-                t.values[3].clone(),
-                Value::Rel(vec![]),
-                Value::Rel(vec![]),
-            ]))
-        })
-        .collect()
-}
-
-impl DasdbsNsmStore {
-    /// Creates an empty DASDBS-NSM store.
-    pub fn new(config: StoreConfig) -> Self {
-        let pool = config.buffer.build(SimDisk::new());
-        Self::with_pool(&config, pool)
-    }
-}
-
-impl<P: PageCache> DasdbsNsmStore<P> {
-    /// Creates an empty DASDBS-NSM store over an externally built pool.
-    pub fn with_pool(_config: &StoreConfig, pool: P) -> Self {
-        DasdbsNsmStore {
-            pool,
-            state: RwLock::new(None),
-            refs: Vec::new(),
-            station_bytes: 0,
-        }
+            .ok_or_else(|| CoreError::no_such_key(key))
     }
 
-    /// The current placement snapshot (cheap `Arc` clone), or the
-    /// empty-database error.
-    fn state(&self) -> Result<Arc<DnsmState>> {
-        placement::read_lock(&self.state)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
-    }
-
-    /// Builds the per-relation nested tuples for one station.
-    fn nested_tuples(s: &Station) -> (Tuple, Tuple, Tuple, Tuple) {
-        let root = Tuple::new(vec![
-            Value::Int(s.key),
-            Value::Int(s.platforms.len() as i32),
-            Value::Int(s.sightseeings.len() as i32),
-            Value::Str(s.name.clone()),
-        ]);
-        let platforms = Tuple::new(vec![
-            Value::Int(s.key),
-            Value::Rel(
-                s.platforms
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        Tuple::new(vec![
-                            Value::Int(i as i32),
-                            Value::Int(p.platform_nr),
-                            Value::Int(p.no_line),
-                            Value::Int(p.ticket_code),
-                            Value::Str(p.information.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ]);
-        let connections = Tuple::new(vec![
-            Value::Int(s.key),
-            Value::Rel(
-                s.platforms
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        Tuple::new(vec![
-                            Value::Int(i as i32),
-                            Value::Rel(
-                                p.connections
-                                    .iter()
-                                    .map(|c| {
-                                        Tuple::new(vec![
-                                            Value::Int(c.line_nr),
-                                            Value::Int(c.key_connection),
-                                            Value::Link(c.oid_connection),
-                                            Value::Str(c.departure_times.clone()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ]);
-        let sightseeings = Tuple::new(vec![
-            Value::Int(s.key),
-            Value::Rel(
-                s.sightseeings
-                    .iter()
-                    .map(|g| {
-                        Tuple::new(vec![
-                            Value::Int(g.seeing_nr),
-                            Value::Str(g.description.clone()),
-                            Value::Str(g.location.clone()),
-                            Value::Str(g.history.clone()),
-                            Value::Str(g.remarks.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ]);
-        (root, platforms, connections, sightseeings)
-    }
-
-    /// Reassembles the original nested `Station` tuple from the four
-    /// relation tuples (the join, executed in memory with the addresses from
-    /// the transformation table "to efficiently support the join execution").
-    fn assemble(root: &Tuple, platforms: &Tuple, connections: &Tuple, seeings: &Tuple) -> Tuple {
-        let mut conns_by_parent: HashMap<i32, Vec<Tuple>> = HashMap::new();
-        if let Some(Value::Rel(groups)) = connections.attr(1) {
-            for g in groups {
-                let parent = g.attr(0).and_then(Value::as_int).unwrap_or(0);
-                if let Some(Value::Rel(cs)) = g.attr(1) {
-                    conns_by_parent
-                        .entry(parent)
-                        .or_default()
-                        .extend(cs.iter().cloned());
-                }
-            }
-        }
-        let platform_tuples: Vec<Tuple> = platforms
-            .attr(1)
-            .and_then(Value::as_rel)
-            .unwrap_or(&[])
-            .iter()
-            .map(|p| {
-                let own = p.attr(0).and_then(Value::as_int).unwrap_or(0);
-                let mut vals = p.values[1..].to_vec();
-                vals.push(Value::Rel(conns_by_parent.remove(&own).unwrap_or_default()));
-                Tuple::new(vals)
-            })
-            .collect();
-        let seeing_tuples: Vec<Tuple> = seeings
-            .attr(1)
-            .and_then(Value::as_rel)
-            .unwrap_or(&[])
-            .to_vec();
-        Tuple::new(vec![
-            root.values[0].clone(),
-            root.values[1].clone(),
-            root.values[2].clone(),
-            root.values[3].clone(),
-            Value::Rel(platform_tuples),
-            Value::Rel(seeing_tuples),
-        ])
+    /// The three nested relations in schema order.
+    fn nested(&self) -> [&ObjectFile; 3] {
+        [&self.platform, &self.connection, &self.sightseeing]
     }
 
     /// Reads and reassembles one full object through the transformation
     /// table: four addressed tuple reads (the paper's query-1a path).
-    fn materialize(&mut self, key: Key) -> Result<Tuple> {
-        let state = self.state()?;
-        materialize_in(&dnsm_parts(&state), &mut self.pool, key)
+    fn materialize(&self, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
+        let e = self.entry(key)?;
+        let root_bytes = self.station.read(pool, e.station)?;
+        let root = decode(&root_bytes, &dnsm_station_schema())?;
+        let p_bytes = self.platform.read_full(pool, e.ordinal)?;
+        let platforms = decode(&p_bytes, &dnsm_platform_schema())?;
+        let c_bytes = self.connection.read_full(pool, e.ordinal)?;
+        let connections = decode(&c_bytes, &dnsm_connection_schema())?;
+        let s_bytes = self.sightseeing.read_full(pool, e.ordinal)?;
+        let seeings = decode(&s_bytes, &dnsm_sightseeing_schema())?;
+        Ok(assemble(&root, &platforms, &connections, &seeings))
     }
 }
 
-/// Per-object heat from the memory-resident transformation table alone: no
-/// I/O, the addresses already name every page each object touches. Packed
-/// cost: page-sharing tuples at their relation's current density, spanned
-/// tuples keeping their extents.
-fn dnsm_object_heats(
-    state: &DnsmState,
-    refs: &[ObjRef],
-    heat: &HashMap<PageId, u64>,
-) -> Result<Vec<ObjectHeat>> {
-    let st_density = if refs.is_empty() {
-        0.0
-    } else {
-        f64::from(state.station.page_count()) / refs.len() as f64
-    };
-    let files = [&state.platform, &state.connection, &state.sightseeing];
-    let heap_shares: Vec<f64> = files
-        .iter()
-        .map(|f| {
-            let residents = f.heap_resident_count();
-            if residents > 0 {
-                f64::from(f.heap_pages()) / residents as f64
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    refs.iter()
-        .enumerate()
-        .map(|(ord, r)| {
-            let e = state
-                .trans
-                .get(&r.key)
-                .copied()
-                .ok_or_else(|| CoreError::NotFound {
-                    what: format!("key {}", r.key),
-                })?;
-            let mut pages = vec![e.station.page];
-            let mut packed = st_density;
-            for (f, share) in files.iter().zip(&heap_shares) {
-                pages.extend(f.latch_pages_of(e.ordinal)?);
-                packed += match f.addr(e.ordinal)? {
-                    ObjAddr::Heap(_) => *share,
-                    ObjAddr::Spanned(rec) => f64::from(rec.total_pages()),
-                };
-            }
-            Ok(ObjectHeat::new(ord, pages, heat, packed))
-        })
-        .collect()
+/// Builds the per-relation nested tuples for one station.
+fn nested_tuples(s: &Station) -> (Tuple, Tuple, Tuple, Tuple) {
+    let root = Tuple::new(vec![
+        Value::Int(s.key),
+        Value::Int(s.platforms.len() as i32),
+        Value::Int(s.sightseeings.len() as i32),
+        Value::Str(s.name.clone()),
+    ]);
+    let platforms = Tuple::new(vec![
+        Value::Int(s.key),
+        Value::Rel(
+            s.platforms
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    Tuple::new(vec![
+                        Value::Int(i as i32),
+                        Value::Int(p.platform_nr),
+                        Value::Int(p.no_line),
+                        Value::Int(p.ticket_code),
+                        Value::Str(p.information.clone()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    let connections = Tuple::new(vec![
+        Value::Int(s.key),
+        Value::Rel(
+            s.platforms
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    Tuple::new(vec![
+                        Value::Int(i as i32),
+                        Value::Rel(
+                            p.connections
+                                .iter()
+                                .map(|c| {
+                                    Tuple::new(vec![
+                                        Value::Int(c.line_nr),
+                                        Value::Int(c.key_connection),
+                                        Value::Link(c.oid_connection),
+                                        Value::Str(c.departure_times.clone()),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    let sightseeings = Tuple::new(vec![
+        Value::Int(s.key),
+        Value::Rel(
+            s.sightseeings
+                .iter()
+                .map(|g| {
+                    Tuple::new(vec![
+                        Value::Int(g.seeing_nr),
+                        Value::Str(g.description.clone()),
+                        Value::Str(g.location.clone()),
+                        Value::Str(g.history.clone()),
+                        Value::Str(g.remarks.clone()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    (root, platforms, connections, sightseeings)
 }
 
-/// The adaptive-placement rewrite: materializes every object's four tuples
-/// through the transformation table (counted reads), bulk-loads fresh
-/// extents with the hot set first, and rebuilds the table. The object
-/// files restore ordinal addressing afterwards, so old ordinals — and the
-/// `TransEntry` values racing readers hold — stay valid; the old extents
-/// stay on disk, orphaned.
-fn rebuild_dnsm(
-    state: &DnsmState,
-    refs: &[ObjRef],
-    pool: &mut impl PageCache,
-) -> Result<(DnsmState, ReorgReport)> {
-    let heat = placement::heat_map(pool.page_heat());
-    let objs = dnsm_object_heats(state, refs, &heat)?;
-    let ranking = placement::rank(&objs);
-    let before = pool.snapshot();
-    let mut st_recs = Vec::with_capacity(refs.len());
-    let mut pl_objs = Vec::with_capacity(refs.len());
-    let mut co_objs = Vec::with_capacity(refs.len());
-    let mut se_objs = Vec::with_capacity(refs.len());
-    for &ord in &ranking.order {
-        let e = state.trans[&refs[ord].key];
-        st_recs.push(state.station.read(pool, e.station)?);
-        for (file, schema, out) in [
-            (&state.platform, dnsm_platform_schema(), &mut pl_objs),
-            (&state.connection, dnsm_connection_schema(), &mut co_objs),
-            (&state.sightseeing, dnsm_sightseeing_schema(), &mut se_objs),
-        ] {
-            let bytes = file.read_full(pool, e.ordinal)?;
-            out.push(encode_with_layout(&decode(&bytes, &schema)?, &schema)?);
+/// Reassembles the original nested `Station` tuple from the four relation
+/// tuples (the join, executed in memory with the addresses from the
+/// transformation table "to efficiently support the join execution").
+fn assemble(root: &Tuple, platforms: &Tuple, connections: &Tuple, seeings: &Tuple) -> Tuple {
+    let mut conns_by_parent: HashMap<i32, Vec<Tuple>> = HashMap::new();
+    if let Some(Value::Rel(groups)) = connections.attr(1) {
+        for g in groups {
+            let parent = g.attr(0).and_then(Value::as_int).unwrap_or(0);
+            if let Some(Value::Rel(cs)) = g.attr(1) {
+                conns_by_parent
+                    .entry(parent)
+                    .or_default()
+                    .extend(cs.iter().cloned());
+            }
         }
     }
-    let (st, st_rids) = HeapFile::bulk_load(pool, "DASDBS-NSM-Station", &st_recs)?;
-    let mut pl = ObjectFile::bulk_load(pool, "DASDBS-NSM-Platform", &pl_objs)?;
-    let mut co = ObjectFile::bulk_load(pool, "DASDBS-NSM-Connection", &co_objs)?;
-    let mut se = ObjectFile::bulk_load(pool, "DASDBS-NSM-Sightseeing", &se_objs)?;
-    pl.restore_input_order(&ranking.order);
-    co.restore_input_order(&ranking.order);
-    se.restore_input_order(&ranking.order);
-    // Position i of the bulk load holds the object of (old) ordinal
-    // `order[i]`; the object files restored ordinal addressing above, so
-    // every entry keeps its old ordinal and only the station RID changes.
-    let trans: HashMap<Key, TransEntry> = ranking
-        .order
+    let platform_tuples: Vec<Tuple> = platforms
+        .attr(1)
+        .and_then(Value::as_rel)
+        .unwrap_or(&[])
         .iter()
-        .zip(&st_rids)
-        .map(|(&ord, rid)| {
-            (
-                refs[ord].key,
-                TransEntry {
-                    station: *rid,
-                    ordinal: ord,
-                },
-            )
+        .map(|p| {
+            let own = p.attr(0).and_then(Value::as_int).unwrap_or(0);
+            let mut vals = p.values[1..].to_vec();
+            vals.push(Value::Rel(conns_by_parent.remove(&own).unwrap_or_default()));
+            Tuple::new(vals)
         })
         .collect();
-    pool.flush_all()?;
-    let spent = pool.snapshot() - before;
-    let hot_after = {
-        let mut pages: Vec<Vec<PageId>> = Vec::new();
-        for &ord in ranking.hot_ordinals() {
-            let mut ps = vec![trans[&refs[ord].key].station.page];
-            ps.extend(pl.latch_pages_of(ord)?);
-            ps.extend(co.latch_pages_of(ord)?);
-            ps.extend(se.latch_pages_of(ord)?);
-            pages.push(ps);
-        }
-        placement::distinct_pages(pages.iter().map(Vec::as_slice))
-    };
-    let report = ReorgReport {
-        objects: refs.len(),
-        moved: ranking
-            .order
-            .iter()
-            .enumerate()
-            .filter(|&(i, &ord)| i != ord)
-            .count(),
-        heat_total: ranking.stats.heat_total,
-        hot_objects: ranking.stats.hot_objects,
-        hot_pages_before: ranking.stats.hot_pages,
-        hot_pages_after: hot_after,
-        pages_read: spent.pages_read,
-        pages_written: spent.pages_written,
-    };
-    Ok((
-        DnsmState {
-            station: st,
-            platform: pl,
-            connection: co,
-            sightseeing: se,
-            trans,
-        },
-        report,
-    ))
+    let seeing_tuples: Vec<Tuple> = seeings
+        .attr(1)
+        .and_then(Value::as_rel)
+        .unwrap_or(&[])
+        .to_vec();
+    station_tuple(root, platform_tuples, seeing_tuples)
 }
 
-impl<P: PageCache> ComplexObjectStore for DasdbsNsmStore<P> {
-    fn model(&self) -> ModelKind {
+impl Model for DasdbsNsmModel {
+    type Placement = DnsmState;
+
+    fn kind(&self) -> ModelKind {
         ModelKind::DasdbsNsm
     }
 
-    fn load(&mut self, stations: &[Station]) -> Result<Vec<ObjRef>> {
+    fn load(&self, pool: &mut impl PageCache, stations: &[Station]) -> Result<DnsmState> {
         let mut st_recs = Vec::with_capacity(stations.len());
         let mut pl_objs = Vec::with_capacity(stations.len());
         let mut co_objs = Vec::with_capacity(stations.len());
         let mut se_objs = Vec::with_capacity(stations.len());
-        self.refs.clear();
-        for (i, s) in stations.iter().enumerate() {
-            self.refs.push(ObjRef {
-                oid: Oid(i as u32),
-                key: s.key,
-            });
-            let (root, platforms, connections, seeings) = Self::nested_tuples(s);
+        for s in stations {
+            let (root, platforms, connections, seeings) = nested_tuples(s);
             st_recs.push(encode(&root, &dnsm_station_schema())?);
             pl_objs.push(encode_with_layout(&platforms, &dnsm_platform_schema())?);
             co_objs.push(encode_with_layout(&connections, &dnsm_connection_schema())?);
             se_objs.push(encode_with_layout(&seeings, &dnsm_sightseeing_schema())?);
         }
-        self.station_bytes = st_recs.iter().map(|r| r.len() as u64).sum();
-        let (st, st_rids) = HeapFile::bulk_load(&mut self.pool, "DASDBS-NSM-Station", &st_recs)?;
-        let pl = ObjectFile::bulk_load(&mut self.pool, "DASDBS-NSM-Platform", &pl_objs)?;
-        let co = ObjectFile::bulk_load(&mut self.pool, "DASDBS-NSM-Connection", &co_objs)?;
-        let se = ObjectFile::bulk_load(&mut self.pool, "DASDBS-NSM-Sightseeing", &se_objs)?;
-        let trans = stations
-            .iter()
-            .enumerate()
-            .zip(&st_rids)
-            .map(|((i, s), rid)| {
-                (
-                    s.key,
-                    TransEntry {
-                        station: *rid,
-                        ordinal: i,
-                    },
-                )
-            })
-            .collect();
-        *placement::write_lock(&self.state) = Some(Arc::new(DnsmState {
-            station: st,
-            platform: pl,
-            connection: co,
-            sightseeing: se,
-            trans,
-        }));
-        self.pool.clear_cache()?;
-        self.pool.reset_stats();
-        Ok(self.refs.clone())
+        let (station, st_rids) = HeapFile::bulk_load(pool, "DASDBS-NSM-Station", &st_recs)?;
+        Ok(DnsmState {
+            station,
+            platform: ObjectFile::bulk_load(pool, "DASDBS-NSM-Platform", &pl_objs)?,
+            connection: ObjectFile::bulk_load(pool, "DASDBS-NSM-Connection", &co_objs)?,
+            sightseeing: ObjectFile::bulk_load(pool, "DASDBS-NSM-Sightseeing", &se_objs)?,
+            trans: (stations.iter().zip(st_rids).enumerate())
+                .map(|(ordinal, (s, station))| (s.key, TransEntry { station, ordinal }))
+                .collect(),
+            station_bytes: st_recs.iter().map(|r| r.len() as u64).sum(),
+        })
     }
 
-    fn object_count(&self) -> usize {
-        self.refs.len()
-    }
-
-    fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let key = key_of_oid(&self.refs, oid)?;
-        let t = self.materialize(key)?;
+    fn get_by_oid(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        oid: Oid,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        let t = at.materialize(pool, key_of_oid(objects, oid)?)?;
         Ok(apply_station_proj(t, proj))
     }
 
-    fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let state = self.state()?;
-        get_by_key_in(&dnsm_parts(&state), &mut self.pool, key, proj)
+    /// "Only the root tuple of the object is selected based on a value
+    /// selection, whereupon we use the addresses in the index table to
+    /// retrieve all other data by address" (§4).
+    fn get_by_key(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        key: Key,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        let mut found = false;
+        at.station.scan(pool, |_, bytes| {
+            if let Ok(t) = decode(bytes, &dnsm_station_schema()) {
+                if t.attr(0).and_then(Value::as_int) == Some(key) {
+                    found = true;
+                }
+            }
+        })?;
+        if !found {
+            return Err(CoreError::no_such_key(key));
+        }
+        Ok(apply_station_proj(at.materialize(pool, key)?, proj))
     }
 
-    fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let refs = self.refs.clone();
-        let state = self.state()?;
-        scan_all_in(&dnsm_parts(&state), &mut self.pool, &refs, f)
+    /// Materializes every object through the transformation table in
+    /// `objects` (OID) order.
+    fn scan_all(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<()> {
+        for r in objects {
+            f(&at.materialize(pool, r.key)?);
+        }
+        Ok(())
     }
 
-    fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let state = self.state()?;
-        children_of_in(&dnsm_parts(&state), &mut self.pool, refs)
-    }
-
-    fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let state = self.state()?;
-        root_records_in(&dnsm_parts(&state), &mut self.pool, refs)
-    }
-
-    fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        // The replace-tuple path on the root relation only (§5.3).
-        let state = self.state()?;
-        update_roots_in(&dnsm_parts(&state), &mut self.pool, refs, patch)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.pool.flush_all().map_err(Into::into)
-    }
-
-    fn clear_cache(&mut self) -> Result<()> {
-        self.pool.clear_cache().map_err(Into::into)
-    }
-
-    fn reset_stats(&mut self) {
-        self.pool.reset_stats();
-    }
-
-    fn snapshot(&self) -> IoSnapshot {
-        self.pool.snapshot()
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        self.pool.buffer_stats()
-    }
-
-    fn relation_info(&self) -> Vec<RelationInfo> {
-        let Ok(state) = self.state() else {
-            return Vec::new();
-        };
-        let objects = self.refs.len();
+    /// One nested connection tuple per ref.
+    fn children_of(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<ObjRef>> {
+        let schema = dnsm_connection_schema();
         let mut out = Vec::new();
-        {
-            let s_tuple = avg(self.station_bytes, objects as u64)
-                + starfish_pagestore::SLOT_ENTRY_SIZE as f64;
-            out.push(RelationInfo {
-                name: "DASDBS-NSM-Station".into(),
-                tuples_per_object: 1.0,
-                total_tuples: objects as u64,
-                avg_tuple_bytes: s_tuple,
-                k: Some((starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / s_tuple) as u32),
-                p: None,
-                m: state.station.page_count(),
-            });
+        for r in refs {
+            let e = at.entry(r.key)?;
+            let bytes = at.connection.read_full(pool, e.ordinal)?;
+            let t = decode(&bytes, &schema)?;
+            if let Some(Value::Rel(groups)) = t.attr(1) {
+                for g in groups {
+                    if let Some(Value::Rel(cs)) = g.attr(1) {
+                        for c in cs {
+                            out.push(ObjRef {
+                                key: c.attr(1).and_then(Value::as_int).unwrap_or(0),
+                                oid: c.attr(2).and_then(Value::as_link).unwrap_or(Oid(0)),
+                            });
+                        }
+                    }
+                }
+            }
         }
-        for file in [&state.platform, &state.connection, &state.sightseeing] {
-            out.push(RelationInfo {
-                name: file.name().to_string(),
-                tuples_per_object: per_object(file.len() as u64, objects),
-                total_tuples: file.len() as u64,
-                avg_tuple_bytes: file.avg_stored_bytes(),
-                k: if file.heap_resident_count() == file.len() && !file.is_empty() {
-                    Some(
-                        (starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / file.avg_stored_bytes())
-                            as u32,
-                    )
-                } else {
-                    None
-                },
-                p: file.avg_spanned_pages(),
-                m: file.total_pages(),
-            });
+        Ok(out)
+    }
+
+    /// One addressed root tuple per ref.
+    fn root_records(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<Tuple>> {
+        let schema = dnsm_station_schema();
+        refs.iter()
+            .map(|r| {
+                let bytes = at.station.read(pool, at.entry(r.key)?.station)?;
+                Ok(station_tuple(&decode(&bytes, &schema)?, vec![], vec![]))
+            })
+            .collect()
+    }
+
+    /// The replace-tuple path on the root relation only: "with DASDBS-NSM
+    /// only small root tuples in the DASDBS-NSM-Station relation are
+    /// updated" (§5.3).
+    fn update_roots(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let schema = dnsm_station_schema();
+        for r in refs {
+            let rid = at.entry(r.key)?.station;
+            patch_root_name(&at.station, &schema, pool, rid, patch)?;
         }
+        Ok(())
+    }
+
+    fn relation_info(&self, at: &DnsmState, objects: usize) -> Vec<RelationInfo> {
+        let s_tuple =
+            avg(at.station_bytes, objects as u64) + starfish_pagestore::SLOT_ENTRY_SIZE as f64;
+        let mut out = vec![RelationInfo {
+            name: "DASDBS-NSM-Station".into(),
+            tuples_per_object: 1.0,
+            total_tuples: objects as u64,
+            avg_tuple_bytes: s_tuple,
+            k: Some((starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / s_tuple) as u32),
+            p: None,
+            m: at.station.page_count(),
+        }];
+        out.extend(at.nested().map(|file| RelationInfo {
+            name: file.name().to_string(),
+            tuples_per_object: per_object(file.len() as u64, objects),
+            total_tuples: file.len() as u64,
+            avg_tuple_bytes: file.avg_stored_bytes(),
+            k: file.tuples_per_page(),
+            p: file.avg_spanned_pages(),
+            m: file.total_pages(),
+        }));
         out
     }
 
-    fn database_pages(&self) -> u32 {
-        self.pool.database_pages()
+    /// From the memory-resident transformation table alone: no I/O, the
+    /// addresses already name every page each object touches. Packed cost:
+    /// page-sharing tuples at their relation's current density, spanned
+    /// tuples keeping their extents.
+    fn object_heats(
+        &self,
+        at: &DnsmState,
+        _pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        heat: &HashMap<PageId, u64>,
+    ) -> Result<Vec<ObjectHeat>> {
+        let st_density = if objects.is_empty() {
+            0.0
+        } else {
+            f64::from(at.station.page_count()) / objects.len() as f64
+        };
+        let files = at.nested();
+        let costs = files.map(ObjectFile::packed_costs);
+        objects
+            .iter()
+            .enumerate()
+            .map(|(ord, r)| {
+                let e = at.entry(r.key)?;
+                let mut pages = vec![e.station.page];
+                let mut packed = st_density;
+                for (f, cost) in files.iter().zip(&costs) {
+                    pages.extend(f.latch_pages_of(e.ordinal)?);
+                    packed += cost[e.ordinal];
+                }
+                Ok(ObjectHeat::new(ord, pages, heat, packed))
+            })
+            .collect()
     }
 
-    fn disk_checksum(&self) -> u64 {
-        self.pool.disk_checksum()
-    }
-
-    fn placement_stats(&mut self) -> Result<PlacementStats> {
-        // The transformation table names every page: metadata only, no I/O.
-        let state = self.state()?;
-        let heat = placement::heat_map(self.pool.page_heat());
-        Ok(placement::rank(&dnsm_object_heats(&state, &self.refs, &heat)?).stats)
-    }
-
-    fn reorganize(&mut self) -> Result<ReorgReport> {
-        let state = self.state()?;
-        let (new_state, report) = rebuild_dnsm(&state, &self.refs, &mut self.pool)?;
-        *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-        Ok(report)
-    }
-}
-
-impl DasdbsNsmStore<SharedPoolHandle> {
-    /// State snapshot plus a cloned pool handle, for `&self` read paths.
-    fn parts_and_handle(&self) -> Result<(Arc<DnsmState>, SharedPoolHandle)> {
-        Ok((self.state()?, self.pool.clone()))
-    }
-}
-
-impl crate::ConcurrentObjectStore for DasdbsNsmStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let key = key_of_oid(&self.refs, oid)?;
-        let (state, mut pool) = self.parts_and_handle()?;
-        let t = materialize_in(&dnsm_parts(&state), &mut pool, key)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        get_by_key_in(&dnsm_parts(&state), &mut pool, key, proj)
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        scan_all_in(&dnsm_parts(&state), &mut pool, &self.refs, f)
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        children_of_in(&dnsm_parts(&state), &mut pool, refs)
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        root_records_in(&dnsm_parts(&state), &mut pool, refs)
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        update_roots_in(&dnsm_parts(&state), &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        // Copy + swap under the writer gate: no root update can slip in
-        // between materializing an object and publishing its new home.
-        // Readers race on the old snapshot (addressed reads are plain fixes
-        // and pass the gate); the pass takes no exclusive latch group (see
-        // the trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_state, report) = rebuild_dnsm(&state, &self.refs, &mut pool)?;
-            *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-            Ok(report)
-        })
+    /// Materializes every object's four tuples through the transformation
+    /// table (counted reads), bulk-loads fresh extents with the hot set
+    /// first, and rebuilds the table. The object files restore ordinal
+    /// addressing afterwards, so old ordinals — and the `TransEntry` values
+    /// racing readers hold — stay valid; the old extents stay on disk,
+    /// orphaned.
+    fn rebuild(
+        &self,
+        at: &DnsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+    ) -> Result<(DnsmState, ReorgReport)> {
+        let before = pool.snapshot();
+        let heat = placement::heat_map(pool.page_heat());
+        let ranking = placement::rank(&self.object_heats(at, pool, objects, &heat)?);
+        let schemas = [
+            dnsm_platform_schema(),
+            dnsm_connection_schema(),
+            dnsm_sightseeing_schema(),
+        ];
+        let mut st_recs = Vec::with_capacity(objects.len());
+        let mut nested: [Vec<_>; 3] = Default::default();
+        for &ord in &ranking.order {
+            let e = at.trans[&objects[ord].key];
+            st_recs.push(at.station.read(pool, e.station)?);
+            for ((file, schema), out) in at.nested().iter().zip(&schemas).zip(&mut nested) {
+                let bytes = file.read_full(pool, e.ordinal)?;
+                out.push(encode_with_layout(&decode(&bytes, schema)?, schema)?);
+            }
+        }
+        let (station, st_rids) = HeapFile::bulk_load(pool, "DASDBS-NSM-Station", &st_recs)?;
+        let mut platform = ObjectFile::bulk_load(pool, "DASDBS-NSM-Platform", &nested[0])?;
+        let mut connection = ObjectFile::bulk_load(pool, "DASDBS-NSM-Connection", &nested[1])?;
+        let mut sightseeing = ObjectFile::bulk_load(pool, "DASDBS-NSM-Sightseeing", &nested[2])?;
+        for file in [&mut platform, &mut connection, &mut sightseeing] {
+            file.restore_input_order(&ranking.order);
+        }
+        // Position i of the bulk load holds the object of (old) ordinal
+        // `order[i]`; the object files restored ordinal addressing above, so
+        // every entry keeps its old ordinal and only the station RID changes.
+        let trans = (ranking.order.iter().zip(st_rids))
+            .map(|(&ordinal, station)| (objects[ordinal].key, TransEntry { station, ordinal }))
+            .collect();
+        pool.flush_all()?;
+        let new = DnsmState {
+            station,
+            platform,
+            connection,
+            sightseeing,
+            trans,
+            station_bytes: at.station_bytes,
+        };
+        let mut hot_pages: Vec<Vec<PageId>> = Vec::new();
+        for &ord in ranking.hot_ordinals() {
+            let mut ps = vec![new.trans[&objects[ord].key].station.page];
+            for file in new.nested() {
+                ps.extend(file.latch_pages_of(ord)?);
+            }
+            hot_pages.push(ps);
+        }
+        let report = ranking.report(
+            placement::distinct_pages(hot_pages.iter().map(Vec::as_slice)),
+            pool.snapshot() - before,
+        );
+        Ok((new, report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComplexObjectStore;
     use starfish_nf2::station::{attr, Connection, Platform, Sightseeing};
 
     fn station(key: i32, n_seeing: usize, children: &[(Key, u32)]) -> Station {
@@ -974,7 +652,7 @@ mod tests {
         let t = s.get_by_key(22, &Projection::All).unwrap();
         assert_eq!(Station::from_tuple(&t).unwrap(), db()[2]);
         let snap = s.snapshot();
-        let root_m = s.state().unwrap().station.page_count() as u64;
+        let root_m = s.placement().unwrap().station.page_count() as u64;
         // Scan of the root relation + a handful of addressed reads.
         assert!(snap.pages_read >= root_m);
         assert!(snap.pages_read <= root_m + 8);
@@ -1006,7 +684,12 @@ mod tests {
         let mut s = make();
         s.clear_cache().unwrap();
         s.reset_stats();
-        let refs: Vec<ObjRef> = s.refs.clone();
+        let refs: Vec<ObjRef> = (db().iter().enumerate())
+            .map(|(i, st)| ObjRef {
+                oid: Oid(i as u32),
+                key: st.key,
+            })
+            .collect();
         let recs = s.root_records(&refs).unwrap();
         assert_eq!(recs.len(), 4);
         // All 4 root tuples share the single station page here.

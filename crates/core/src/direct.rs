@@ -15,42 +15,36 @@
 //!   also allocates a one-page *page pool* whose pages are written per
 //!   operation — the write-amplification anomaly of §5.3.
 
-use crate::object_file::{ObjAddr, ObjectFile, ReadPayload};
-use crate::placement::{self, PlacementStats, ReorgReport};
-use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
+use crate::object_file::{ObjectFile, ReadPayload};
+use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::store::{commit_or_abort, Model, Store};
+use crate::traits::{ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
     decode, decode_projected, encode_with_layout, Key, Oid, Projection, RelSchema, Tuple, Value,
 };
-use starfish_pagestore::{
-    BufferPool, BufferStats, IoSnapshot, LatchMode, PageCache, PageId, SharedPoolHandle, SimDisk,
-};
+use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
-/// Shared implementation of the two direct storage models, generic over the
-/// buffer pool it runs on: [`BufferPool`] (the default — every original
-/// paper measurement) or [`SharedPoolHandle`] (the thread-shareable pool
-/// behind [`crate::make_shared_store`], which also unlocks the `&self`
-/// concurrent read surface of [`crate::ConcurrentObjectStore`]).
-pub struct DirectStore<P: PageCache = BufferPool> {
+/// The two direct storage models, generic over the buffer pool they run on
+/// (see [`Store`]).
+pub type DirectStore<P = BufferPool> = Store<DirectModel, P>;
+
+/// Layout and access paths of DSM and DASDBS-DSM.
+pub struct DirectModel {
     /// `false` = DSM, `true` = DASDBS-DSM (header-guided partial reads).
     partial: bool,
-    pool: P,
     schema: RelSchema,
-    /// The current placement, snapshot-swapped by [`reorganize`]
-    /// (`ComplexObjectStore::reorganize`): every operation clones the `Arc`
-    /// out once, so concurrent readers keep a consistent old placement
-    /// (whose extents stay valid on disk) while a reorganization publishes
-    /// a new one.
-    file: RwLock<Option<Arc<ObjectFile>>>,
-    refs: Vec<ObjRef>,
-    key_to_ord: HashMap<Key, usize>,
-    /// Scratch extent for DASDBS-DSM's `change attribute` page pool.
-    scratch: Option<PageId>,
     /// Sub-tuple-aligned data pages (the wasteful DASDBS layout).
     aligned: bool,
+}
+
+/// The direct models' placement: the one object file, plus the scratch
+/// extent DASDBS-DSM's `change attribute` page pool writes to.
+pub struct DirectPlacement {
+    file: ObjectFile,
+    scratch: Option<PageId>,
 }
 
 impl DirectStore {
@@ -61,162 +55,26 @@ impl DirectStore {
     }
 }
 
-/// Ordinal of `oid` in a store of `n_objects` objects.
-fn ord_of(n_objects: usize, oid: Oid) -> Result<usize> {
+impl<P: PageCache> DirectStore<P> {
+    /// Creates an empty direct store over an externally built pool.
+    pub fn with_pool(partial: bool, config: &StoreConfig, pool: P) -> Self {
+        let model = DirectModel {
+            partial,
+            schema: starfish_nf2::station::station_schema(),
+            aligned: config.aligned_subtuples,
+        };
+        Store::over(model, pool)
+    }
+}
+
+/// Ordinal of `oid` in `file`.
+fn ord_of(file: &ObjectFile, oid: Oid) -> Result<usize> {
     let ord = oid.0 as usize;
-    if ord < n_objects {
+    if ord < file.len() {
         Ok(ord)
     } else {
-        Err(CoreError::NotFound {
-            what: format!("object {oid}"),
-        })
+        Err(CoreError::no_such_object(oid))
     }
-}
-
-/// Reads object `ord` under `proj` using the model's access path — the one
-/// read primitive both the exclusive (`&mut`) and the concurrent (`&self`,
-/// over a cloned shared-pool handle) surfaces are built from.
-///
-/// Spanned (multi-page) objects are read under a **shared group latch** over
-/// their extent, so a concurrent writer replacing the object can never
-/// expose a torn mix of old and new pages; heap residents are single-page
-/// and atomic under the pool's shard mutex already. On the exclusive
-/// [`BufferPool`] the latch is a counted no-op, keeping serial and shared
-/// measurements identical.
-fn read_object_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    proj: &Projection,
-) -> Result<Tuple> {
-    match file.spanned_latch_pages_of(ord)? {
-        Some(pages) => pool.with_latched(&pages, LatchMode::Shared, |pool| {
-            read_object_unlatched(partial, file, schema, pool, ord, proj)
-        }),
-        None => read_object_unlatched(partial, file, schema, pool, ord, proj),
-    }
-}
-
-/// [`read_object_in`] without the latch scope — also the body writers run
-/// inside their own exclusive latch (shared-inside-own-exclusive nests).
-fn read_object_unlatched(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    proj: &Projection,
-) -> Result<Tuple> {
-    if partial && !proj.is_all() {
-        match file.read_projected(pool, ord, |l| proj.byte_ranges(l))? {
-            ReadPayload::Full(bytes) => {
-                let t = decode(&bytes, schema)?;
-                Ok(proj.apply(&t, schema))
-            }
-            ReadPayload::Sparse(bytes, layout) => {
-                Ok(decode_projected(&bytes, schema, &layout, proj)?)
-            }
-        }
-    } else {
-        // DSM (or a full-projection read): materialize everything.
-        let bytes = file.read_full(pool, ord)?;
-        let t = decode(&bytes, schema)?;
-        Ok(if proj.is_all() {
-            t
-        } else {
-            proj.apply(&t, schema)
-        })
-    }
-}
-
-/// The navigation step over the direct layout: children references of each
-/// of `refs`, in order, duplicates preserved.
-fn children_of_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let proj = proj_navigation();
-    let mut out = Vec::new();
-    for r in refs {
-        let ord = ord_of(n_objects, r.oid)?;
-        let t = read_object_in(partial, file, schema, pool, ord, &proj)?;
-        out.extend(
-            child_refs(&t)
-                .into_iter()
-                .map(|(key, oid)| ObjRef { oid, key }),
-        );
-    }
-    Ok(out)
-}
-
-/// Value selection without an index: set-oriented scan materializing every
-/// object, keeping the last key match (Table 3: query 1b costs the whole
-/// relation) — the one key-lookup primitive behind both surfaces.
-fn get_by_key_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    key: Key,
-    proj: &Projection,
-) -> Result<Tuple> {
-    let mut found = None;
-    for ord in 0..n_objects {
-        let t = read_object_in(partial, file, schema, pool, ord, &Projection::All)?;
-        if t.attr(attr::KEY).and_then(Value::as_int) == Some(key) {
-            found = Some(t);
-        }
-    }
-    let t = found.ok_or_else(|| CoreError::NotFound {
-        what: format!("key {key}"),
-    })?;
-    Ok(if proj.is_all() {
-        t
-    } else {
-        proj.apply(&t, schema)
-    })
-}
-
-/// Full scan in OID order, materializing every object — the one scan
-/// primitive behind both surfaces.
-fn scan_all_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    for ord in 0..n_objects {
-        let t = read_object_in(partial, file, schema, pool, ord, &Projection::All)?;
-        f(&t);
-    }
-    Ok(())
-}
-
-/// The root records (atomic attributes) of `refs`.
-fn root_records_in(
-    partial: bool,
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    n_objects: usize,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let proj = proj_root_record();
-    refs.iter()
-        .map(|r| {
-            let ord = ord_of(n_objects, r.oid)?;
-            read_object_in(partial, file, schema, pool, ord, &proj)
-        })
-        .collect()
 }
 
 /// Encodes a replacement for an encoded `Str` attribute region. The new
@@ -228,274 +86,144 @@ fn encode_name(new_name: &str) -> Vec<u8> {
     v
 }
 
-/// DSM update path: replace the entire nested tuple, read-modify-write
-/// under one **exclusive group latch** over the object's pages so disjoint
-/// objects update in parallel while readers of this object wait.
-fn replace_tuple_in(
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    ord: usize,
-    patch: &RootPatch,
-) -> Result<()> {
-    let pages = file.latch_pages_of(ord)?;
-    let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-        let full = read_object_in(false, file, schema, pool, ord, &Projection::All)?;
-        let mut station = Station::from_tuple(&full)?;
-        if station.name.len() != patch.new_name.len() {
-            return Err(CoreError::Store(
-                starfish_pagestore::StoreError::SizeChanged {
-                    old: station.name.len(),
-                    new: patch.new_name.len(),
-                },
-            ));
-        }
-        station.name = patch.new_name.clone();
-        let (bytes, layout) = encode_with_layout(&station.to_tuple(), schema)?;
-        file.rewrite_full(pool, ord, &bytes, &layout)
-    });
-    // The op boundary: make the update durable (WAL pools flush or group-
-    // commit here; everything else no-ops), or drop its buffered images.
-    match res {
-        Ok(v) => {
-            pool.log_commit()?;
-            Ok(v)
-        }
-        Err(e) => {
-            pool.log_abort();
-            Err(e)
+impl DirectModel {
+    /// Reads object `ord` under `proj` using the model's access path — the
+    /// one read primitive every retrieval is built from.
+    ///
+    /// Spanned (multi-page) objects are read under a **shared group latch**
+    /// over their extent, so a concurrent writer replacing the object can
+    /// never expose a torn mix of old and new pages; heap residents are
+    /// single-page and atomic under the pool's shard mutex already. On the
+    /// exclusive [`BufferPool`] the latch is a counted no-op, keeping serial
+    /// and shared measurements identical.
+    fn read_object(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        match file.spanned_latch_pages_of(ord)? {
+            Some(pages) => pool.with_latched(&pages, LatchMode::Shared, |pool| {
+                self.read_object_unlatched(file, pool, ord, proj)
+            }),
+            None => self.read_object_unlatched(file, pool, ord, proj),
         }
     }
-}
 
-/// DASDBS-DSM update path: `change attribute` on `Name` + page-pool write,
-/// under one exclusive group latch over the object's pages.
-fn change_attribute_in(
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    scratch: PageId,
-    ord: usize,
-    patch: &RootPatch,
-) -> Result<()> {
-    let pages = file.latch_pages_of(ord)?;
-    let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-        let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
-        let layout = match file.read_projected(pool, ord, |l| name_proj.byte_ranges(l))? {
-            ReadPayload::Sparse(bytes, layout) => {
-                // Validate length via the stored attribute range.
-                let range = layout.attrs[attr::NAME].range();
-                let old_len = (range.end - range.start) as usize - 2;
-                if old_len != patch.new_name.len() {
-                    return Err(CoreError::Store(
-                        starfish_pagestore::StoreError::SizeChanged {
-                            old: old_len,
-                            new: patch.new_name.len(),
-                        },
-                    ));
+    /// [`read_object`](Self::read_object) without the latch scope — also
+    /// the body writers run inside their own exclusive latch
+    /// (shared-inside-own-exclusive nests).
+    fn read_object_unlatched(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        if self.partial && !proj.is_all() {
+            match file.read_projected(pool, ord, |l| proj.byte_ranges(l))? {
+                ReadPayload::Full(bytes) => {
+                    let t = decode(&bytes, &self.schema)?;
+                    Ok(proj.apply(&t, &self.schema))
                 }
-                let _ = bytes;
-                layout
-            }
-            ReadPayload::Full(bytes) => {
-                // Heap resident: recompute the layout from the decoded tuple.
-                let t = decode(&bytes, schema)?;
-                let name = t
-                    .attr(attr::NAME)
-                    .and_then(Value::as_str)
-                    .unwrap_or_default();
-                if name.len() != patch.new_name.len() {
-                    return Err(CoreError::Store(
-                        starfish_pagestore::StoreError::SizeChanged {
-                            old: name.len(),
-                            new: patch.new_name.len(),
-                        },
-                    ));
+                ReadPayload::Sparse(bytes, layout) => {
+                    Ok(decode_projected(&bytes, &self.schema, &layout, proj)?)
                 }
-                let (_, layout) = encode_with_layout(&t, schema)?;
-                layout
             }
-        };
-        let range = layout.attrs[attr::NAME].range();
-        file.patch_range(pool, ord, range, &encode_name(&patch.new_name))?;
-        // The page pool: every change-attribute operation allocates a pool
-        // "of which all pages are written ... even though the page pool is
-        // only a single page in size" (§5.3).
-        pool.write_pool_pages(scratch, 1)?;
-        Ok(())
-    });
-    match res {
-        Ok(v) => {
-            pool.log_commit()?;
-            Ok(v)
-        }
-        Err(e) => {
-            pool.log_abort();
-            Err(e)
-        }
-    }
-}
-
-/// Immutable borrows of everything the direct models' update path needs
-/// besides the pool — the write-side analogue of `NsmParts`.
-struct DirectUpdateParts<'a> {
-    /// `true` = DASDBS-DSM (`change attribute`), `false` = DSM (replace).
-    partial: bool,
-    file: &'a ObjectFile,
-    schema: &'a RelSchema,
-    n_objects: usize,
-    /// DASDBS-DSM's page-pool scratch extent.
-    scratch: Option<PageId>,
-}
-
-/// The direct models' root update over `refs` — the one write primitive
-/// both the exclusive (`&mut`) and the concurrent (`&self`) surfaces run.
-fn update_roots_in(
-    parts: &DirectUpdateParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    for r in refs {
-        let ord = ord_of(parts.n_objects, r.oid)?;
-        if parts.partial {
-            // "With DASDBS-DSM ... we cannot replace the entire tuple
-            // since for each tuple only those pages are retrieved that
-            // are actually needed. Therefore the update has been
-            // implemented as a 'change attribute' operation" (§5.3).
-            change_attribute_in(
-                parts.file,
-                parts.schema,
-                pool,
-                parts.scratch.expect("allocated at load"),
-                ord,
-                patch,
-            )?;
         } else {
-            replace_tuple_in(parts.file, parts.schema, pool, ord, patch)?;
-        }
-    }
-    Ok(())
-}
-
-impl<P: PageCache> DirectStore<P> {
-    /// Creates an empty direct store over an externally built pool.
-    pub fn with_pool(partial: bool, config: &StoreConfig, pool: P) -> Self {
-        DirectStore {
-            partial,
-            pool,
-            schema: starfish_nf2::station::station_schema(),
-            file: RwLock::new(None),
-            refs: Vec::new(),
-            key_to_ord: HashMap::new(),
-            scratch: None,
-            aligned: config.aligned_subtuples,
-        }
-    }
-
-    /// The current placement snapshot (cheap `Arc` clone).
-    fn file(&self) -> Result<Arc<ObjectFile>> {
-        placement::read_lock(&self.file)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
+            // DSM (or a full-projection read): materialize everything.
+            let bytes = file.read_full(pool, ord)?;
+            let t = decode(&bytes, &self.schema)?;
+            Ok(if proj.is_all() {
+                t
+            } else {
+                proj.apply(&t, &self.schema)
             })
+        }
     }
 
-    fn ord_of_oid(&self, oid: Oid) -> Result<usize> {
-        ord_of(self.refs.len(), oid)
+    /// DSM update path: replace the entire nested tuple, read-modify-write
+    /// under one **exclusive group latch** over the object's pages so
+    /// disjoint objects update in parallel while readers of this object
+    /// wait.
+    fn replace_tuple(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        ord: usize,
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let pages = file.latch_pages_of(ord)?;
+        let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
+            let full = self.read_object(file, pool, ord, &Projection::All)?;
+            let mut station = Station::from_tuple(&full)?;
+            if station.name.len() != patch.new_name.len() {
+                return Err(CoreError::size_changed(
+                    station.name.len(),
+                    patch.new_name.len(),
+                ));
+            }
+            station.name = patch.new_name.clone();
+            let (bytes, layout) = encode_with_layout(&station.to_tuple(), &self.schema)?;
+            file.rewrite_full(pool, ord, &bytes, &layout)
+        });
+        commit_or_abort(pool, res)
     }
 
-    /// Reads object `ord` under `proj` using the model's access path.
-    fn read_object(&mut self, ord: usize, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        read_object_in(self.partial, &file, &self.schema, &mut self.pool, ord, proj)
+    /// DASDBS-DSM update path: `change attribute` on `Name` + page-pool
+    /// write, under one exclusive group latch over the object's pages.
+    /// "With DASDBS-DSM ... we cannot replace the entire tuple since for
+    /// each tuple only those pages are retrieved that are actually needed.
+    /// Therefore the update has been implemented as a 'change attribute'
+    /// operation" (§5.3).
+    fn change_attribute(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        scratch: PageId,
+        ord: usize,
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let pages = file.latch_pages_of(ord)?;
+        let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
+            let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
+            let (old_len, layout) =
+                match file.read_projected(pool, ord, |l| name_proj.byte_ranges(l))? {
+                    ReadPayload::Sparse(_, layout) => {
+                        // Validate length via the stored attribute range.
+                        let range = layout.attrs[attr::NAME].range();
+                        ((range.end - range.start) as usize - 2, layout)
+                    }
+                    ReadPayload::Full(bytes) => {
+                        // Heap resident: recompute the layout from the decoded tuple.
+                        let t = decode(&bytes, &self.schema)?;
+                        let name = t
+                            .attr(attr::NAME)
+                            .and_then(Value::as_str)
+                            .unwrap_or_default();
+                        (name.len(), encode_with_layout(&t, &self.schema)?.1)
+                    }
+                };
+            if old_len != patch.new_name.len() {
+                return Err(CoreError::size_changed(old_len, patch.new_name.len()));
+            }
+            let range = layout.attrs[attr::NAME].range();
+            file.patch_range(pool, ord, range, &encode_name(&patch.new_name))?;
+            // The page pool: every change-attribute operation allocates a pool
+            // "of which all pages are written ... even though the page pool is
+            // only a single page in size" (§5.3).
+            pool.write_pool_pages(scratch, 1)?;
+            Ok(())
+        });
+        commit_or_abort(pool, res)
     }
 }
 
-/// Per-object placement facts for the direct layout: the object's extent
-/// (or shared heap page) plus its packed-cost estimate — heap residents
-/// cost their current share of a heap page, spanned residents their extent.
-fn direct_object_heats(
-    file: &ObjectFile,
-    heat: &HashMap<starfish_pagestore::PageId, u64>,
-) -> Result<Vec<placement::ObjectHeat>> {
-    let residents = file.heap_resident_count();
-    let heap_share = if residents > 0 {
-        f64::from(file.heap_pages()) / residents as f64
-    } else {
-        0.0
-    };
-    (0..file.len())
-        .map(|ord| {
-            let packed = match file.addr(ord)? {
-                ObjAddr::Heap(_) => heap_share,
-                ObjAddr::Spanned(rec) => f64::from(rec.total_pages()),
-            };
-            Ok(placement::ObjectHeat::new(
-                ord,
-                file.latch_pages_of(ord)?,
-                heat,
-                packed,
-            ))
-        })
-        .collect()
-}
+impl Model for DirectModel {
+    type Placement = DirectPlacement;
 
-/// The heat-ranked rewrite for the direct layout: materialize every object
-/// (counted reads), bulk-load a fresh file with objects in heat order
-/// (counted writes via the flush), and restore ordinal addressing so OIDs
-/// keep their meaning. The old extents are simply orphaned on disk —
-/// concurrent readers holding the old snapshot stay correct.
-fn rebuild_direct(
-    file: &ObjectFile,
-    schema: &RelSchema,
-    pool: &mut impl PageCache,
-    aligned: bool,
-) -> Result<(ObjectFile, ReorgReport)> {
-    let heat = placement::heat_map(pool.page_heat());
-    let objs = direct_object_heats(file, &heat)?;
-    let ranking = placement::rank(&objs);
-    let before = pool.snapshot();
-    let mut payloads = Vec::with_capacity(file.len());
-    for &ord in &ranking.order {
-        let bytes = file.read_full(pool, ord)?;
-        let t = decode(&bytes, schema)?;
-        payloads.push(encode_with_layout(&t, schema)?);
-    }
-    let mut new_file =
-        ObjectFile::bulk_load_opts(pool, file.name().to_string(), &payloads, aligned)?;
-    new_file.restore_input_order(&ranking.order);
-    pool.flush_all()?;
-    let spent = pool.snapshot() - before;
-    let hot_after = {
-        let pages: Vec<Vec<_>> = ranking
-            .hot_ordinals()
-            .iter()
-            .map(|&ord| new_file.latch_pages_of(ord))
-            .collect::<Result<_>>()?;
-        placement::distinct_pages(pages.iter().map(Vec::as_slice))
-    };
-    let report = ReorgReport {
-        objects: file.len(),
-        moved: ranking
-            .order
-            .iter()
-            .enumerate()
-            .filter(|&(i, &ord)| i != ord)
-            .count(),
-        heat_total: ranking.stats.heat_total,
-        hot_objects: ranking.stats.hot_objects,
-        hot_pages_before: ranking.stats.hot_pages,
-        hot_pages_after: hot_after,
-        pages_read: spent.pages_read,
-        pages_written: spent.pages_written,
-    };
-    Ok((new_file, report))
-}
-
-impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
-    fn model(&self) -> ModelKind {
+    fn kind(&self) -> ModelKind {
         if self.partial {
             ModelKind::DasdbsDsm
         } else {
@@ -503,290 +231,201 @@ impl<P: PageCache> ComplexObjectStore for DirectStore<P> {
         }
     }
 
-    fn load(&mut self, stations: &[Station]) -> Result<Vec<ObjRef>> {
-        let mut payloads = Vec::with_capacity(stations.len());
-        self.refs.clear();
-        self.key_to_ord.clear();
-        for (i, s) in stations.iter().enumerate() {
-            payloads.push(encode_with_layout(&s.to_tuple(), &self.schema)?);
-            self.refs.push(ObjRef {
-                oid: Oid(i as u32),
-                key: s.key,
-            });
-            self.key_to_ord.insert(s.key, i);
-        }
+    fn load(&self, pool: &mut impl PageCache, stations: &[Station]) -> Result<DirectPlacement> {
+        let payloads = stations
+            .iter()
+            .map(|s| Ok(encode_with_layout(&s.to_tuple(), &self.schema)?))
+            .collect::<Result<Vec<_>>>()?;
         let name = if self.partial {
             "DASDBS-DSM-Station"
         } else {
             "DSM-Station"
         };
-        *placement::write_lock(&self.file) = Some(Arc::new(ObjectFile::bulk_load_opts(
-            &mut self.pool,
-            name,
-            &payloads,
-            self.aligned,
-        )?));
-        if self.partial {
-            self.scratch = Some(self.pool.alloc_extent(1));
+        Ok(DirectPlacement {
+            file: ObjectFile::bulk_load_opts(pool, name, &payloads, self.aligned)?,
+            scratch: self.partial.then(|| pool.alloc_extent(1)),
+        })
+    }
+
+    fn get_by_oid(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        _objects: &[ObjRef],
+        oid: Oid,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        self.read_object(&at.file, pool, ord_of(&at.file, oid)?, proj)
+    }
+
+    /// Value selection without an index: set-oriented scan materializing
+    /// every object, keeping the last key match (Table 3: query 1b costs
+    /// the whole relation).
+    fn get_by_key(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        key: Key,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        let mut found = None;
+        for ord in 0..at.file.len() {
+            let t = self.read_object(&at.file, pool, ord, &Projection::All)?;
+            if t.attr(attr::KEY).and_then(Value::as_int) == Some(key) {
+                found = Some(t);
+            }
         }
-        self.pool.clear_cache()?;
-        self.pool.reset_stats();
-        Ok(self.refs.clone())
+        let t = found.ok_or_else(|| CoreError::no_such_key(key))?;
+        Ok(if proj.is_all() {
+            t
+        } else {
+            proj.apply(&t, &self.schema)
+        })
     }
 
-    fn object_count(&self) -> usize {
-        self.refs.len()
+    fn scan_all(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        _objects: &[ObjRef],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<()> {
+        for ord in 0..at.file.len() {
+            f(&self.read_object(&at.file, pool, ord, &Projection::All)?);
+        }
+        Ok(())
     }
 
-    fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let ord = self.ord_of_oid(oid)?;
-        self.file()?;
-        self.read_object(ord, proj)
+    fn children_of(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<ObjRef>> {
+        let proj = proj_navigation();
+        let mut out = Vec::new();
+        for r in refs {
+            let t = self.read_object(&at.file, pool, ord_of(&at.file, r.oid)?, &proj)?;
+            out.extend(
+                child_refs(&t)
+                    .into_iter()
+                    .map(|(key, oid)| ObjRef { oid, key }),
+            );
+        }
+        Ok(out)
     }
 
-    fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        get_by_key_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            key,
-            proj,
-        )
+    fn root_records(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<Tuple>> {
+        let proj = proj_root_record();
+        refs.iter()
+            .map(|r| self.read_object(&at.file, pool, ord_of(&at.file, r.oid)?, &proj))
+            .collect()
     }
 
-    fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let file = self.file()?;
-        scan_all_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            f,
-        )
+    fn update_roots(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+        patch: &RootPatch,
+    ) -> Result<()> {
+        for r in refs {
+            let ord = ord_of(&at.file, r.oid)?;
+            match at.scratch {
+                Some(scratch) => self.change_attribute(&at.file, pool, scratch, ord, patch)?,
+                None => self.replace_tuple(&at.file, pool, ord, patch)?,
+            }
+        }
+        Ok(())
     }
 
-    fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let file = self.file()?;
-        children_of_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let file = self.file()?;
-        root_records_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut self.pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let file = self.file()?;
-        let parts = DirectUpdateParts {
-            partial: self.partial,
-            file: &file,
-            schema: &self.schema,
-            n_objects: self.refs.len(),
-            scratch: self.scratch,
-        };
-        update_roots_in(&parts, &mut self.pool, refs, patch)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.pool.flush_all().map_err(Into::into)
-    }
-
-    fn clear_cache(&mut self) -> Result<()> {
-        self.pool.clear_cache().map_err(Into::into)
-    }
-
-    fn reset_stats(&mut self) {
-        self.pool.reset_stats();
-    }
-
-    fn snapshot(&self) -> IoSnapshot {
-        self.pool.snapshot()
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        self.pool.buffer_stats()
-    }
-
-    fn relation_info(&self) -> Vec<RelationInfo> {
-        let Ok(file) = self.file() else {
-            return Vec::new();
-        };
+    fn relation_info(&self, at: &DirectPlacement, _objects: usize) -> Vec<RelationInfo> {
+        let file = &at.file;
         let total = file.len() as u64;
         vec![RelationInfo {
             name: file.name().to_string(),
             tuples_per_object: 1.0,
             total_tuples: total,
             avg_tuple_bytes: file.avg_stored_bytes(),
-            k: if file.heap_resident_count() == file.len() && total > 0 {
-                Some(
-                    (starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / file.avg_stored_bytes())
-                        as u32,
-                )
-            } else {
-                None
-            },
+            k: file.tuples_per_page(),
             p: file.avg_spanned_pages(),
             m: file.total_pages(),
         }]
     }
 
-    fn database_pages(&self) -> u32 {
-        self.pool.database_pages()
+    /// Each object's extent (or shared heap page) plus its packed-cost
+    /// estimate.
+    fn object_heats(
+        &self,
+        at: &DirectPlacement,
+        _pool: &mut impl PageCache,
+        _objects: &[ObjRef],
+        heat: &HashMap<PageId, u64>,
+    ) -> Result<Vec<ObjectHeat>> {
+        let file = &at.file;
+        (file.packed_costs().into_iter().enumerate())
+            .map(|(ord, packed)| {
+                Ok(ObjectHeat::new(
+                    ord,
+                    file.latch_pages_of(ord)?,
+                    heat,
+                    packed,
+                ))
+            })
+            .collect()
     }
 
-    fn disk_checksum(&self) -> u64 {
-        self.pool.disk_checksum()
-    }
-
-    fn placement_stats(&mut self) -> Result<PlacementStats> {
-        let file = self.file()?;
-        let heat = placement::heat_map(self.pool.page_heat());
-        Ok(placement::rank(&direct_object_heats(&file, &heat)?).stats)
-    }
-
-    fn reorganize(&mut self) -> Result<ReorgReport> {
-        let file = self.file()?;
-        let (new_file, report) = rebuild_direct(&file, &self.schema, &mut self.pool, self.aligned)?;
-        *placement::write_lock(&self.file) = Some(Arc::new(new_file));
-        Ok(report)
-    }
-}
-
-impl crate::ConcurrentObjectStore for DirectStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        let ord = self.ord_of_oid(oid)?;
-        let mut pool = self.pool.clone();
-        read_object_in(self.partial, &file, &self.schema, &mut pool, ord, proj)
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        get_by_key_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            key,
-            proj,
-        )
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        scan_all_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            f,
-        )
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        children_of_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        root_records_in(
-            self.partial,
-            &file,
-            &self.schema,
-            &mut pool,
-            self.refs.len(),
-            refs,
-        )
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let file = self.file()?;
-        let parts = DirectUpdateParts {
-            partial: self.partial,
-            file: &file,
-            schema: &self.schema,
-            n_objects: self.refs.len(),
-            scratch: self.scratch,
+    /// Materialize every object (counted reads), bulk-load a fresh file
+    /// with objects in heat order (counted writes via the flush), and
+    /// restore ordinal addressing so OIDs keep their meaning. The old
+    /// extents are simply orphaned on disk — concurrent readers holding the
+    /// old snapshot stay correct.
+    fn rebuild(
+        &self,
+        at: &DirectPlacement,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+    ) -> Result<(DirectPlacement, ReorgReport)> {
+        let file = &at.file;
+        let before = pool.snapshot();
+        let heat = placement::heat_map(pool.page_heat());
+        let ranking = placement::rank(&self.object_heats(at, pool, objects, &heat)?);
+        let mut payloads = Vec::with_capacity(file.len());
+        for &ord in &ranking.order {
+            let bytes = file.read_full(pool, ord)?;
+            let t = decode(&bytes, &self.schema)?;
+            payloads.push(encode_with_layout(&t, &self.schema)?);
+        }
+        let mut new_file =
+            ObjectFile::bulk_load_opts(pool, file.name().to_string(), &payloads, self.aligned)?;
+        new_file.restore_input_order(&ranking.order);
+        pool.flush_all()?;
+        let hot_pages: Vec<Vec<_>> = ranking
+            .hot_ordinals()
+            .iter()
+            .map(|&ord| new_file.latch_pages_of(ord))
+            .collect::<Result<_>>()?;
+        let report = ranking.report(
+            placement::distinct_pages(hot_pages.iter().map(Vec::as_slice)),
+            pool.snapshot() - before,
+        );
+        let new = DirectPlacement {
+            file: new_file,
+            scratch: at.scratch,
         };
-        let mut pool = self.pool.clone();
-        update_roots_in(&parts, &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let file = self.file()?;
-        let mut pool = self.pool.clone();
-        // The whole copy + swap runs with writers quiesced, so no update
-        // can slip between reading an object and publishing its new home.
-        // Readers keep racing on the old snapshot (shared latches and
-        // plain fixes pass the gate); the pass itself takes no exclusive
-        // latch group (see the trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_file, report) = rebuild_direct(&file, &self.schema, &mut pool, self.aligned)?;
-            *placement::write_lock(&self.file) = Some(Arc::new(new_file));
-            Ok(report)
-        })
+        Ok((new, report))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComplexObjectStore;
     use starfish_nf2::station::{Connection, Platform, Sightseeing};
 
     fn station(key: i32, n_seeing: usize, children: &[(Key, u32)]) -> Station {

@@ -1,4 +1,4 @@
-use starfish_nf2::Nf2Error;
+use starfish_nf2::{Key, Nf2Error, Oid};
 use starfish_pagestore::StoreError;
 use std::fmt;
 
@@ -23,6 +23,28 @@ pub enum CoreError {
         /// Human-readable description of the missing object.
         what: String,
     },
+}
+
+impl CoreError {
+    /// No object has key `key`.
+    pub(crate) fn no_such_key(key: Key) -> Self {
+        CoreError::NotFound {
+            what: format!("key {key}"),
+        }
+    }
+
+    /// No object has OID `oid`.
+    pub(crate) fn no_such_object(oid: Oid) -> Self {
+        CoreError::NotFound {
+            what: format!("object {oid}"),
+        }
+    }
+
+    /// A root patch would change the stored `Name`'s length (updates are
+    /// structure-preserving, §2.2).
+    pub(crate) fn size_changed(old: usize, new: usize) -> Self {
+        CoreError::Store(StoreError::SizeChanged { old, new })
+    }
 }
 
 impl fmt::Display for CoreError {

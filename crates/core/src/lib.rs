@@ -15,6 +15,13 @@
 //! they differ exactly where the paper says they do — in which pages they
 //! touch. The substrate ([`starfish_pagestore`]) counts pages, I/O calls and
 //! buffer fixes.
+//!
+//! The code is cut the same way. `direct.rs`, `nsm.rs` and `dasdbs_nsm.rs`
+//! each hold one model's layout and access paths and nothing else; the one
+//! generic store in `store.rs` owns the pool and the loaded refs and
+//! implements [`ComplexObjectStore`] once (any pool) and
+//! [`ConcurrentObjectStore`] once (the shared pool) over them.
+//! [`DirectStore`], [`NsmStore`] and [`DasdbsNsmStore`] are aliases of it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,6 +34,7 @@ mod nsm;
 mod object_file;
 mod partitioned;
 mod placement;
+mod store;
 mod traits;
 
 pub use concurrent::{

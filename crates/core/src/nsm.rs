@@ -18,22 +18,18 @@
 //! memory-resident map `key → RIDs` lets NSM read a page "then and only then
 //! if a tuple it stores is requested" (§4).
 
-use crate::placement::{self, ObjectHeat, PlacementStats, ReorgReport};
+use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
-    apply_station_proj, avg, key_of_oid, per_object, ComplexObjectStore, ObjRef, RelationInfo,
-    RootPatch,
+    apply_station_proj, avg, key_of_oid, per_object, station_tuple, ObjRef, RelationInfo, RootPatch,
 };
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
 use starfish_nf2::{
     decode, encode, AttrDef, AttrType, Key, Oid, Projection, RelSchema, Tuple, Value,
 };
-use starfish_pagestore::{
-    BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
-    SharedPoolHandle, SimDisk,
-};
+use starfish_pagestore::{BufferPool, HeapFile, PageCache, PageId, Rid, SimDisk};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
 
 /// Flat schema of `NSM-Station`.
 pub fn nsm_station_schema() -> RelSchema {
@@ -93,73 +89,14 @@ pub fn nsm_sightseeing_schema() -> RelSchema {
     )
 }
 
-/// Per-object RIDs kept by the NSM+index variant.
-#[derive(Clone, Debug, Default)]
-struct ObjRids {
-    station: Option<Rid>,
-    platforms: Vec<Rid>,
-    connections: Vec<Rid>,
-    sightseeings: Vec<Rid>,
-}
-
-struct RelationBytes {
-    total_bytes: u64,
-    count: u64,
-}
-
-/// Everything a reorganization replaces in one shot: the four heap files
-/// plus the address tables that point into them. Bundled behind one
-/// `Arc` so the adaptive-placement pass can build a fresh copy off to the
-/// side and publish it atomically (racing readers keep their old `Arc`;
-/// the old extents stay on disk, merely orphaned).
-struct NsmState {
-    station: HeapFile,
-    platform: HeapFile,
-    connection: HeapFile,
-    sightseeing: HeapFile,
-    /// Memory-resident addresses of root tuples, kept so updates can write
-    /// back the tuples just read without a second scan (matching the paper's
-    /// measured query-3 overheads); never used for *read* paths in pure NSM.
-    station_rids: HashMap<Key, Rid>,
-    /// NSM+index only: `key → RIDs of all the object's tuples`.
-    index: HashMap<Key, ObjRids>,
-}
-
 /// The NSM store (pure or indexed), generic over the buffer pool it runs
-/// on ([`BufferPool`] by default; [`SharedPoolHandle`] for concurrent
-/// serving via [`crate::make_shared_store`]).
-pub struct NsmStore<P: PageCache = BufferPool> {
-    indexed: bool,
-    pool: P,
-    /// Snapshot-swapped by `reorganize`; every op clones the `Arc` out once
-    /// and works against that consistent placement.
-    state: RwLock<Option<Arc<NsmState>>>,
-    refs: Vec<ObjRef>,
-    sizes: Vec<RelationBytes>,
-}
+/// on (see [`Store`]).
+pub type NsmStore<P = BufferPool> = Store<NsmModel, P>;
 
-/// Immutable borrows of everything the NSM read paths need besides the
-/// pool — split out so the same code serves the exclusive (`&mut self`)
-/// and concurrent (`&self` plus a cloned pool handle) surfaces.
-struct NsmParts<'a> {
+/// Layout and access paths of NSM.
+pub struct NsmModel {
+    /// `true` = the NSM+index variant.
     indexed: bool,
-    station: &'a HeapFile,
-    platform: &'a HeapFile,
-    connection: &'a HeapFile,
-    sightseeing: &'a HeapFile,
-    index: &'a HashMap<Key, ObjRids>,
-}
-
-/// Builds [`NsmParts`] over one placement snapshot.
-fn nsm_parts(indexed: bool, state: &NsmState) -> NsmParts<'_> {
-    NsmParts {
-        indexed,
-        station: &state.station,
-        platform: &state.platform,
-        connection: &state.connection,
-        sightseeing: &state.sightseeing,
-        index: &state.index,
-    }
 }
 
 impl NsmStore {
@@ -173,77 +110,113 @@ impl NsmStore {
 impl<P: PageCache> NsmStore<P> {
     /// Creates an empty NSM store over an externally built pool.
     pub fn with_pool(indexed: bool, _config: &StoreConfig, pool: P) -> Self {
-        NsmStore {
-            indexed,
-            pool,
-            state: RwLock::new(None),
-            refs: Vec::new(),
-            sizes: Vec::new(),
-        }
-    }
-
-    /// The current placement snapshot (cheap `Arc` clone), or the
-    /// empty-database error.
-    fn state(&self) -> Result<Arc<NsmState>> {
-        placement::read_lock(&self.state)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
+        Store::over(NsmModel { indexed }, pool)
     }
 }
 
-/// The NSM root update over `refs` — the one write primitive both the
-/// exclusive (`&mut`) and the concurrent (`&self`) surfaces run. Each root
-/// record's read-modify-write happens under an **exclusive latch** on its
-/// page, so concurrent writers on root records sharing a page serialize and
-/// never lose updates (root tuples are small — "there are many on a single
-/// page", §5.3).
-fn update_roots_in(
-    station: &HeapFile,
-    station_rids: &HashMap<Key, Rid>,
+/// Per-object RIDs kept by the NSM+index variant.
+#[derive(Clone, Debug, Default)]
+struct ObjRids {
+    station: Option<Rid>,
+    platforms: Vec<Rid>,
+    connections: Vec<Rid>,
+    sightseeings: Vec<Rid>,
+}
+
+#[derive(Clone, Copy)]
+struct RelationBytes {
+    total_bytes: u64,
+    count: u64,
+}
+
+/// Everything a reorganization replaces in one shot: the four heap files
+/// plus the address tables that point into them. Bundled behind one
+/// `Arc` so the adaptive-placement pass can build a fresh copy off to the
+/// side and publish it atomically (racing readers keep their old `Arc`;
+/// the old extents stay on disk, merely orphaned).
+pub struct NsmState {
+    station: HeapFile,
+    platform: HeapFile,
+    connection: HeapFile,
+    sightseeing: HeapFile,
+    /// Memory-resident addresses of root tuples, kept so updates can write
+    /// back the tuples just read without a second scan (matching the paper's
+    /// measured query-3 overheads); never used for *read* paths in pure NSM.
+    station_rids: HashMap<Key, Rid>,
+    /// NSM+index only: `key → RIDs of all the object's tuples`.
+    index: HashMap<Key, ObjRids>,
+    /// Encoded bytes and tuple count per relation, fixed at load.
+    sizes: [RelationBytes; 4],
+}
+
+impl NsmState {
+    /// The four relations in schema order.
+    fn files(&self) -> [&HeapFile; 4] {
+        [
+            &self.station,
+            &self.platform,
+            &self.connection,
+            &self.sightseeing,
+        ]
+    }
+
+    /// Assembles a state from freshly bulk-loaded relations, (re)building
+    /// the address tables from per-relation `(owner key, RID)` pairs — the
+    /// one constructor behind `load` and the reorganization pass, so the
+    /// two can never drift. The index stays empty for pure NSM.
+    fn new(
+        indexed: bool,
+        loaded: [(HeapFile, Vec<Rid>); 4],
+        owners: [&[Key]; 4],
+        sizes: [RelationBytes; 4],
+    ) -> NsmState {
+        fn pairs<'a>(keys: &'a [Key], rids: &'a [Rid]) -> impl Iterator<Item = (Key, Rid)> + 'a {
+            keys.iter().copied().zip(rids.iter().copied())
+        }
+        let [(station, st_rids), (platform, pl_rids), (connection, co_rids), (sightseeing, se_rids)] =
+            loaded;
+        let mut index: HashMap<Key, ObjRids> = HashMap::new();
+        if indexed {
+            for (k, rid) in pairs(owners[0], &st_rids) {
+                index.entry(k).or_default().station = Some(rid);
+            }
+            for (k, rid) in pairs(owners[1], &pl_rids) {
+                index.entry(k).or_default().platforms.push(rid);
+            }
+            for (k, rid) in pairs(owners[2], &co_rids) {
+                index.entry(k).or_default().connections.push(rid);
+            }
+            for (k, rid) in pairs(owners[3], &se_rids) {
+                index.entry(k).or_default().sightseeings.push(rid);
+            }
+        }
+        NsmState {
+            station,
+            platform,
+            connection,
+            sightseeing,
+            station_rids: pairs(owners[0], &st_rids).collect(),
+            index,
+            sizes,
+        }
+    }
+}
+
+/// Bulk-loads the four relations in schema order.
+fn bulk_load_relations(
     pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-) -> Result<()> {
-    let schema = nsm_station_schema();
-    for r in refs {
-        let rid = *station_rids
-            .get(&r.key)
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {}", r.key),
-            })?;
-        let res = pool.with_latched(&[rid.page], LatchMode::Exclusive, |pool| {
-            let bytes = station.read(pool, rid)?;
-            let mut t = decode(&bytes, &schema)?;
-            let old = t.values[3].as_str().map(str::len).unwrap_or(0);
-            if old != patch.new_name.len() {
-                return Err(CoreError::Store(
-                    starfish_pagestore::StoreError::SizeChanged {
-                        old,
-                        new: patch.new_name.len(),
-                    },
-                ));
-            }
-            t.values[3] = Value::Str(patch.new_name.clone());
-            Ok(station.update(pool, rid, &encode(&t, &schema)?)?)
-        });
-        // Each root RMW is one op: commit (durable on WAL pools) or drop
-        // its buffered images.
-        match res {
-            Ok(()) => pool.log_commit()?,
-            Err(e) => {
-                pool.log_abort();
-                return Err(e);
-            }
-        }
-    }
-    Ok(())
+    recs: &[Vec<Vec<u8>>; 4],
+) -> Result<[(HeapFile, Vec<Rid>); 4]> {
+    Ok([
+        HeapFile::bulk_load(pool, "NSM-Station", &recs[0])?,
+        HeapFile::bulk_load(pool, "NSM-Platform", &recs[1])?,
+        HeapFile::bulk_load(pool, "NSM-Connection", &recs[2])?,
+        HeapFile::bulk_load(pool, "NSM-Sightseeing", &recs[3])?,
+    ])
 }
 
-/// Assembles the nested `Station` tuple for `key` from flat parts.
+/// Assembles the nested `Station` tuple from flat parts.
 fn assemble(
-    key: Key,
     station: &Tuple,
     platforms: &[Tuple],
     connections: &[Tuple],
@@ -271,15 +244,7 @@ fn assemble(
         .iter()
         .map(|s| Tuple::new(s.values[1..].to_vec()))
         .collect();
-    let _ = key;
-    Tuple::new(vec![
-        station.values[0].clone(),
-        station.values[1].clone(),
-        station.values[2].clone(),
-        station.values[3].clone(),
-        Value::Rel(platform_tuples),
-        Value::Rel(seeing_tuples),
-    ])
+    station_tuple(station, platform_tuples, seeing_tuples)
 }
 
 /// Scans a relation, decoding tuples whose `RootKey` (attribute 0) is in
@@ -328,208 +293,68 @@ fn read_rids(
         .collect()
 }
 
-impl<P: PageCache> NsmStore<P> {
+impl NsmModel {
     /// Materializes one full object by key: pure NSM scans all relations,
     /// NSM+index reads the root by scan/index depending on `root_by_scan`
     /// and the sub-tuples by RID.
-    fn materialize(&mut self, key: Key, root_by_scan: bool) -> Result<Tuple> {
-        let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        materialize_in(&parts, &mut self.pool, key, root_by_scan)
-    }
-}
-
-/// [`NsmStore::materialize`] over explicit parts and pool — the shape both
-/// the exclusive and the concurrent surfaces share.
-fn materialize_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    key: Key,
-    root_by_scan: bool,
-) -> Result<Tuple> {
-    let station_schema = nsm_station_schema();
-    let root = if root_by_scan {
-        let keys: HashSet<Key> = [key].into();
-        let found = scan_matching(pool, parts.station, &station_schema, &keys)?;
-        found
-            .get(&key)
-            .and_then(|v| v.first())
-            .cloned()
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {key}"),
-            })?
-    } else {
-        let rid = parts
-            .index
-            .get(&key)
-            .and_then(|r| r.station)
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {key}"),
-            })?;
-        let bytes = parts.station.read(pool, rid)?;
-        decode(&bytes, &station_schema)?
-    };
-    let (platforms, connections, sightseeings) = if parts.indexed {
-        let rids = parts.index.get(&key).cloned().unwrap_or_default();
-        (
-            read_rids(
-                pool,
-                parts.platform,
-                &nsm_platform_schema(),
-                &rids.platforms,
-            )?,
-            read_rids(
-                pool,
-                parts.connection,
-                &nsm_connection_schema(),
-                &rids.connections,
-            )?,
-            read_rids(
-                pool,
-                parts.sightseeing,
-                &nsm_sightseeing_schema(),
-                &rids.sightseeings,
-            )?,
-        )
-    } else {
-        let keys: HashSet<Key> = [key].into();
-        let mut p = scan_matching(pool, parts.platform, &nsm_platform_schema(), &keys)?;
-        let mut c = scan_matching(pool, parts.connection, &nsm_connection_schema(), &keys)?;
-        let mut s = scan_matching(pool, parts.sightseeing, &nsm_sightseeing_schema(), &keys)?;
-        (
-            p.remove(&key).unwrap_or_default(),
-            c.remove(&key).unwrap_or_default(),
-            s.remove(&key).unwrap_or_default(),
-        )
-    };
-    Ok(assemble(
-        key,
-        &root,
-        &platforms,
-        &connections,
-        &sightseeings,
-    ))
-}
-
-/// The NSM full scan over explicit parts and pool: one set-oriented pass
-/// over each of the four relations, objects reassembled in `refs` (OID)
-/// order — the one scan primitive both surfaces run.
-fn scan_all_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-    f: &mut dyn FnMut(&Tuple),
-) -> Result<()> {
-    let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-    let roots = scan_matching(pool, parts.station, &nsm_station_schema(), &keys)?;
-    let mut platforms = scan_matching(pool, parts.platform, &nsm_platform_schema(), &keys)?;
-    let mut connections = scan_matching(pool, parts.connection, &nsm_connection_schema(), &keys)?;
-    let mut sightseeings =
-        scan_matching(pool, parts.sightseeing, &nsm_sightseeing_schema(), &keys)?;
-    for r in refs {
-        let root =
-            roots
-                .get(&r.key)
+    fn materialize(
+        &self,
+        state: &NsmState,
+        pool: &mut impl PageCache,
+        key: Key,
+        root_by_scan: bool,
+    ) -> Result<Tuple> {
+        let station_schema = nsm_station_schema();
+        let keys = || HashSet::from([key]);
+        let root = if root_by_scan {
+            let found = scan_matching(pool, &state.station, &station_schema, &keys())?;
+            found
+                .get(&key)
                 .and_then(|v| v.first())
-                .ok_or_else(|| CoreError::NotFound {
-                    what: format!("key {}", r.key),
-                })?;
-        let t = assemble(
-            r.key,
-            root,
-            &platforms.remove(&r.key).unwrap_or_default(),
-            &connections.remove(&r.key).unwrap_or_default(),
-            &sightseeings.remove(&r.key).unwrap_or_default(),
-        );
-        f(&t);
-    }
-    Ok(())
-}
-
-/// The NSM navigation step over explicit parts and pool.
-fn children_of_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<ObjRef>> {
-    let schema = nsm_connection_schema();
-    let to_ref = |c: &Tuple| ObjRef {
-        key: c.attr(3).and_then(Value::as_int).unwrap_or(0),
-        oid: c.attr(4).and_then(Value::as_link).unwrap_or(Oid(0)),
-    };
-    if parts.indexed {
-        let mut out = Vec::new();
-        for r in refs {
-            let rids = parts
+                .cloned()
+                .ok_or_else(|| CoreError::no_such_key(key))?
+        } else {
+            let rid = state
                 .index
-                .get(&r.key)
-                .map(|x| x.connections.clone())
-                .unwrap_or_default();
-            let tuples = read_rids(pool, parts.connection, &schema, &rids)?;
-            out.extend(tuples.iter().map(to_ref));
-        }
-        Ok(out)
-    } else {
-        // One set-oriented scan of NSM-Connection for the whole ref set.
-        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-        let mut by_key = scan_matching(pool, parts.connection, &schema, &keys)?;
-        // Preserve per-ref order (and duplicate refs duplicate output).
-        let mut out = Vec::new();
-        for r in refs {
-            if let Some(ts) = by_key.get(&r.key) {
-                out.extend(ts.iter().map(to_ref));
-            }
-        }
-        let _ = by_key.drain();
-        Ok(out)
-    }
-}
-
-/// The NSM root-record read over explicit parts and pool.
-fn root_records_in(
-    parts: &NsmParts<'_>,
-    pool: &mut impl PageCache,
-    refs: &[ObjRef],
-) -> Result<Vec<Tuple>> {
-    let schema = nsm_station_schema();
-    let to_root = |t: &Tuple| {
-        Tuple::new(vec![
-            t.values[0].clone(),
-            t.values[1].clone(),
-            t.values[2].clone(),
-            t.values[3].clone(),
-            Value::Rel(vec![]),
-            Value::Rel(vec![]),
-        ])
-    };
-    if parts.indexed {
-        refs.iter()
-            .map(|r| {
-                let rid = parts
-                    .index
-                    .get(&r.key)
-                    .and_then(|x| x.station)
-                    .ok_or_else(|| CoreError::NotFound {
-                        what: format!("key {}", r.key),
-                    })?;
-                let bytes = parts.station.read(pool, rid)?;
-                Ok(to_root(&decode(&bytes, &schema)?))
-            })
-            .collect()
-    } else {
-        let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-        let by_key = scan_matching(pool, parts.station, &schema, &keys)?;
-        refs.iter()
-            .map(|r| {
-                by_key
-                    .get(&r.key)
-                    .and_then(|v| v.first())
-                    .map(to_root)
-                    .ok_or_else(|| CoreError::NotFound {
-                        what: format!("key {}", r.key),
-                    })
-            })
-            .collect()
+                .get(&key)
+                .and_then(|r| r.station)
+                .ok_or_else(|| CoreError::no_such_key(key))?;
+            decode(&state.station.read(pool, rid)?, &station_schema)?
+        };
+        let (platforms, connections, sightseeings) = if self.indexed {
+            let rids = state.index.get(&key).cloned().unwrap_or_default();
+            (
+                read_rids(
+                    pool,
+                    &state.platform,
+                    &nsm_platform_schema(),
+                    &rids.platforms,
+                )?,
+                read_rids(
+                    pool,
+                    &state.connection,
+                    &nsm_connection_schema(),
+                    &rids.connections,
+                )?,
+                read_rids(
+                    pool,
+                    &state.sightseeing,
+                    &nsm_sightseeing_schema(),
+                    &rids.sightseeings,
+                )?,
+            )
+        } else {
+            let keys = keys();
+            let mut p = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
+            let mut c = scan_matching(pool, &state.connection, &nsm_connection_schema(), &keys)?;
+            let mut s = scan_matching(pool, &state.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+            (
+                p.remove(&key).unwrap_or_default(),
+                c.remove(&key).unwrap_or_default(),
+                s.remove(&key).unwrap_or_default(),
+            )
+        };
+        Ok(assemble(&root, &platforms, &connections, &sightseeings))
     }
 }
 
@@ -552,32 +377,6 @@ fn root_key_offset(bytes: &[u8]) -> Result<usize> {
             detail: "flat tuple too short".into(),
         }))?;
     Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
-}
-
-/// Rebuilds the NSM+index map from per-relation `(owner key, RID)` pairs —
-/// shared by `load` and the reorganization pass so the two can never drift.
-/// Empty for pure NSM.
-fn build_index(
-    indexed: bool,
-    owners: [&Vec<Key>; 4],
-    rids: [&Vec<Rid>; 4],
-) -> HashMap<Key, ObjRids> {
-    let mut index: HashMap<Key, ObjRids> = HashMap::new();
-    if indexed {
-        for (k, rid) in owners[0].iter().zip(rids[0]) {
-            index.entry(*k).or_default().station = Some(*rid);
-        }
-        for (k, rid) in owners[1].iter().zip(rids[1]) {
-            index.entry(*k).or_default().platforms.push(*rid);
-        }
-        for (k, rid) in owners[2].iter().zip(rids[2]) {
-            index.entry(*k).or_default().connections.push(*rid);
-        }
-        for (k, rid) in owners[3].iter().zip(rids[3]) {
-            index.entry(*k).or_default().sightseeings.push(*rid);
-        }
-    }
-    index
 }
 
 /// One relation's raw records grouped per root key (encounter order within
@@ -610,18 +409,22 @@ fn scan_grouped(pool: &mut impl PageCache, file: &HeapFile) -> Result<GroupedRel
     }
 }
 
+/// [`scan_grouped`] over all four relations, in schema order.
+fn scan_all_grouped(pool: &mut impl PageCache, state: &NsmState) -> Result<[GroupedRelation; 4]> {
+    let mut groups: [GroupedRelation; 4] = Default::default();
+    for (g, f) in groups.iter_mut().zip(state.files()) {
+        *g = scan_grouped(pool, f)?;
+    }
+    Ok(groups)
+}
+
 /// Current pages-per-tuple density of each relation — what one tuple costs
 /// inside a packed region (`1/k` of a page for these page-sharing tuples).
-fn densities(state: &NsmState, sizes: &[RelationBytes]) -> [f64; 4] {
-    let files = [
-        &state.station,
-        &state.platform,
-        &state.connection,
-        &state.sightseeing,
-    ];
-    std::array::from_fn(|i| match sizes.get(i) {
-        Some(sz) if sz.count > 0 => files[i].page_count() as f64 / sz.count as f64,
-        _ => 0.0,
+fn densities(state: &NsmState) -> [f64; 4] {
+    let files = state.files();
+    std::array::from_fn(|i| match state.sizes[i].count {
+        0 => 0.0,
+        count => files[i].page_count() as f64 / count as f64,
     })
 }
 
@@ -630,9 +433,9 @@ fn densities(state: &NsmState, sizes: &[RelationBytes]) -> [f64; 4] {
 fn object_heats_indexed(
     state: &NsmState,
     refs: &[ObjRef],
-    dens: [f64; 4],
     heat: &HashMap<PageId, u64>,
 ) -> Vec<ObjectHeat> {
+    let dens = densities(state);
     refs.iter()
         .enumerate()
         .map(|(ord, r)| {
@@ -654,11 +457,12 @@ fn object_heats_indexed(
 /// Per-object heat from grouped relation scans (pure NSM has no addresses,
 /// so locating tuples costs the usual counted relation scans).
 fn object_heats_grouped(
+    state: &NsmState,
     groups: &[GroupedRelation; 4],
     refs: &[ObjRef],
-    dens: [f64; 4],
     heat: &HashMap<PageId, u64>,
 ) -> Vec<ObjectHeat> {
+    let dens = densities(state);
     refs.iter()
         .enumerate()
         .map(|(ord, r)| {
@@ -675,108 +479,10 @@ fn object_heats_grouped(
         .collect()
 }
 
-/// The adaptive-placement rewrite: scans all four relations (counted I/O),
-/// ranks objects by tracked heat, bulk-loads fresh extents with the hot set
-/// first, and rebuilds the address tables. Logically invisible — within an
-/// object every record keeps its encounter order, so grouped answers are
-/// bit-for-bit what they were; only the page placement changes. The old
-/// extents stay on disk, orphaned, so concurrent readers holding the old
-/// [`NsmState`] snapshot stay correct.
-fn rebuild_nsm(
-    indexed: bool,
-    state: &NsmState,
-    refs: &[ObjRef],
-    sizes: &[RelationBytes],
-    pool: &mut impl PageCache,
-) -> Result<(NsmState, ReorgReport)> {
-    let before = pool.snapshot();
-    let heat = placement::heat_map(pool.page_heat());
-    let dens = densities(state, sizes);
-    let files = [
-        &state.station,
-        &state.platform,
-        &state.connection,
-        &state.sightseeing,
-    ];
-    let mut groups: [GroupedRelation; 4] = Default::default();
-    for (g, f) in groups.iter_mut().zip(files) {
-        *g = scan_grouped(pool, f)?;
-    }
-    let heats = object_heats_grouped(&groups, refs, dens, &heat);
-    let ranking = placement::rank(&heats);
+impl Model for NsmModel {
+    type Placement = NsmState;
 
-    // Re-emit every relation with whole objects in heat order.
-    let mut recs: [Vec<Vec<u8>>; 4] = Default::default();
-    let mut owners: [Vec<Key>; 4] = Default::default();
-    for &ord in &ranking.order {
-        let key = refs[ord].key;
-        for ((g, out), own) in groups.iter().zip(recs.iter_mut()).zip(owners.iter_mut()) {
-            if let Some(rs) = g.recs.get(&key) {
-                out.extend(rs.iter().cloned());
-                own.extend(std::iter::repeat_n(key, rs.len()));
-            }
-        }
-    }
-    let (st, st_rids) = HeapFile::bulk_load(pool, "NSM-Station", &recs[0])?;
-    let (pl, pl_rids) = HeapFile::bulk_load(pool, "NSM-Platform", &recs[1])?;
-    let (co, co_rids) = HeapFile::bulk_load(pool, "NSM-Connection", &recs[2])?;
-    let (se, se_rids) = HeapFile::bulk_load(pool, "NSM-Sightseeing", &recs[3])?;
-    pool.flush_all()?;
-    let spent = pool.snapshot() - before;
-
-    let new_rids = [&st_rids, &pl_rids, &co_rids, &se_rids];
-    let mut pages_after: HashMap<Key, Vec<PageId>> = HashMap::new();
-    for (own, rids) in owners.iter().zip(new_rids) {
-        for (k, rid) in own.iter().zip(rids) {
-            pages_after.entry(*k).or_default().push(rid.page);
-        }
-    }
-    let hot_pages_after = placement::distinct_pages(ranking.hot_ordinals().iter().map(|&o| {
-        pages_after
-            .get(&refs[o].key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }));
-    let report = ReorgReport {
-        objects: refs.len(),
-        moved: ranking
-            .order
-            .iter()
-            .enumerate()
-            .filter(|&(i, &o)| i != o)
-            .count(),
-        heat_total: ranking.stats.heat_total,
-        hot_objects: ranking.stats.hot_objects,
-        hot_pages_before: ranking.stats.hot_pages,
-        hot_pages_after,
-        pages_read: spent.pages_read,
-        pages_written: spent.pages_written,
-    };
-    let station_rids: HashMap<Key, Rid> = owners[0]
-        .iter()
-        .zip(&st_rids)
-        .map(|(k, r)| (*k, *r))
-        .collect();
-    let index = build_index(
-        indexed,
-        [&owners[0], &owners[1], &owners[2], &owners[3]],
-        [&st_rids, &pl_rids, &co_rids, &se_rids],
-    );
-    Ok((
-        NsmState {
-            station: st,
-            platform: pl,
-            connection: co,
-            sightseeing: se,
-            station_rids,
-            index,
-        },
-        report,
-    ))
-}
-
-impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
-    fn model(&self) -> ModelKind {
+    fn kind(&self) -> ModelKind {
         if self.indexed {
             ModelKind::NsmIndexed
         } else {
@@ -784,113 +490,97 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
         }
     }
 
-    fn load(&mut self, stations: &[Station]) -> Result<Vec<ObjRef>> {
-        let mut st_recs = Vec::new();
-        let mut pl_recs = Vec::new();
-        let mut co_recs = Vec::new();
-        let mut se_recs = Vec::new();
+    fn load(&self, pool: &mut impl PageCache, stations: &[Station]) -> Result<NsmState> {
+        let schemas = [
+            nsm_station_schema(),
+            nsm_platform_schema(),
+            nsm_connection_schema(),
+            nsm_sightseeing_schema(),
+        ];
+        let mut recs: [Vec<Vec<u8>>; 4] = Default::default();
         // Bookkeeping to map bulk-load RIDs back to objects.
-        let mut pl_owner: Vec<Key> = Vec::new();
-        let mut co_owner: Vec<Key> = Vec::new();
-        let mut se_owner: Vec<Key> = Vec::new();
-        self.refs.clear();
-        for (i, s) in stations.iter().enumerate() {
-            self.refs.push(ObjRef {
-                oid: Oid(i as u32),
-                key: s.key,
-            });
-            st_recs.push(encode(
-                &Tuple::new(vec![
-                    Value::Int(s.key),
+        let mut owners: [Vec<Key>; 4] = Default::default();
+        let mut emit = |rel: usize, key: Key, values: Vec<Value>| -> Result<()> {
+            owners[rel].push(key);
+            recs[rel].push(encode(&Tuple::new(values), &schemas[rel])?);
+            Ok(())
+        };
+        for s in stations {
+            let root_key = Value::Int(s.key);
+            emit(
+                0,
+                s.key,
+                vec![
+                    root_key.clone(),
                     Value::Int(s.platforms.len() as i32),
                     Value::Int(s.sightseeings.len() as i32),
                     Value::Str(s.name.clone()),
-                ]),
-                &nsm_station_schema(),
-            )?);
+                ],
+            )?;
             for (pi, p) in s.platforms.iter().enumerate() {
-                pl_owner.push(s.key);
-                pl_recs.push(encode(
-                    &Tuple::new(vec![
-                        Value::Int(s.key),
+                emit(
+                    1,
+                    s.key,
+                    vec![
+                        root_key.clone(),
                         Value::Int(pi as i32),
                         Value::Int(p.platform_nr),
                         Value::Int(p.no_line),
                         Value::Int(p.ticket_code),
                         Value::Str(p.information.clone()),
-                    ]),
-                    &nsm_platform_schema(),
-                )?);
+                    ],
+                )?;
                 for c in &p.connections {
-                    co_owner.push(s.key);
-                    co_recs.push(encode(
-                        &Tuple::new(vec![
-                            Value::Int(s.key),
+                    emit(
+                        2,
+                        s.key,
+                        vec![
+                            root_key.clone(),
                             Value::Int(pi as i32),
                             Value::Int(c.line_nr),
                             Value::Int(c.key_connection),
                             Value::Link(c.oid_connection),
                             Value::Str(c.departure_times.clone()),
-                        ]),
-                        &nsm_connection_schema(),
-                    )?);
+                        ],
+                    )?;
                 }
             }
             for g in &s.sightseeings {
-                se_owner.push(s.key);
-                se_recs.push(encode(
-                    &Tuple::new(vec![
-                        Value::Int(s.key),
+                emit(
+                    3,
+                    s.key,
+                    vec![
+                        root_key.clone(),
                         Value::Int(g.seeing_nr),
                         Value::Str(g.description.clone()),
                         Value::Str(g.location.clone()),
                         Value::Str(g.history.clone()),
                         Value::Str(g.remarks.clone()),
-                    ]),
-                    &nsm_sightseeing_schema(),
-                )?);
+                    ],
+                )?;
             }
         }
-        let (st, st_rids) = HeapFile::bulk_load(&mut self.pool, "NSM-Station", &st_recs)?;
-        let (pl, pl_rids) = HeapFile::bulk_load(&mut self.pool, "NSM-Platform", &pl_recs)?;
-        let (co, co_rids) = HeapFile::bulk_load(&mut self.pool, "NSM-Connection", &co_recs)?;
-        let (se, se_rids) = HeapFile::bulk_load(&mut self.pool, "NSM-Sightseeing", &se_recs)?;
-        let station_rids: HashMap<Key, Rid> = stations
-            .iter()
-            .zip(&st_rids)
-            .map(|(s, r)| (s.key, *r))
-            .collect();
-        let owner_keys: Vec<Key> = stations.iter().map(|s| s.key).collect();
-        let index = build_index(
+        let sizes = std::array::from_fn(|i| RelationBytes {
+            total_bytes: recs[i].iter().map(|r| r.len() as u64).sum(),
+            count: recs[i].len() as u64,
+        });
+        let loaded = bulk_load_relations(pool, &recs)?;
+        Ok(NsmState::new(
             self.indexed,
-            [&owner_keys, &pl_owner, &co_owner, &se_owner],
-            [&st_rids, &pl_rids, &co_rids, &se_rids],
-        );
-        self.sizes = [&st_recs, &pl_recs, &co_recs, &se_recs]
-            .iter()
-            .map(|recs| RelationBytes {
-                total_bytes: recs.iter().map(|r| r.len() as u64).sum(),
-                count: recs.len() as u64,
-            })
-            .collect();
-        *placement::write_lock(&self.state) = Some(Arc::new(NsmState {
-            station: st,
-            platform: pl,
-            connection: co,
-            sightseeing: se,
-            station_rids,
-            index,
-        }));
-        self.pool.clear_cache()?;
-        self.pool.reset_stats();
-        Ok(self.refs.clone())
+            loaded,
+            owners.each_ref().map(Vec::as_slice),
+            sizes,
+        ))
     }
 
-    fn object_count(&self) -> usize {
-        self.refs.len()
-    }
-
-    fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
+    fn get_by_oid(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        oid: Oid,
+        proj: &Projection,
+    ) -> Result<Tuple> {
         if !self.indexed {
             // "With NSM we have no identifiers, so query 1a is not relevant."
             return Err(CoreError::Unsupported {
@@ -898,82 +588,140 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
                 op: "access by OID (query 1a)",
             });
         }
-        let key = key_of_oid(&self.refs, oid)?;
-        let t = self.materialize(key, false)?;
+        let t = self.materialize(at, pool, key_of_oid(objects, oid)?, false)?;
         Ok(apply_station_proj(t, proj))
     }
 
-    fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        // Value selection: the root relation is always scanned; the
-        // sub-relations are scanned (pure) or read by RID (indexed).
-        let t = self.materialize(key, true)?;
+    /// Value selection: the root relation is always scanned; the
+    /// sub-relations are scanned (pure) or read by RID (indexed).
+    fn get_by_key(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        key: Key,
+        proj: &Projection,
+    ) -> Result<Tuple> {
+        let t = self.materialize(at, pool, key, true)?;
         Ok(apply_station_proj(t, proj))
     }
 
-    fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let refs = self.refs.clone();
-        let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        scan_all_in(&parts, &mut self.pool, &refs, f)
+    /// One set-oriented pass over each of the four relations, objects
+    /// reassembled in `objects` (OID) order.
+    fn scan_all(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        f: &mut dyn FnMut(&Tuple),
+    ) -> Result<()> {
+        let keys: HashSet<Key> = objects.iter().map(|r| r.key).collect();
+        let roots = scan_matching(pool, &at.station, &nsm_station_schema(), &keys)?;
+        let mut platforms = scan_matching(pool, &at.platform, &nsm_platform_schema(), &keys)?;
+        let mut connections = scan_matching(pool, &at.connection, &nsm_connection_schema(), &keys)?;
+        let mut sightseeings =
+            scan_matching(pool, &at.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+        for r in objects {
+            let root = roots
+                .get(&r.key)
+                .and_then(|v| v.first())
+                .ok_or_else(|| CoreError::no_such_key(r.key))?;
+            let t = assemble(
+                root,
+                &platforms.remove(&r.key).unwrap_or_default(),
+                &connections.remove(&r.key).unwrap_or_default(),
+                &sightseeings.remove(&r.key).unwrap_or_default(),
+            );
+            f(&t);
+        }
+        Ok(())
     }
 
-    fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        children_of_in(&parts, &mut self.pool, refs)
-    }
-
-    fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let state = self.state()?;
-        let parts = nsm_parts(self.indexed, &state);
-        root_records_in(&parts, &mut self.pool, refs)
-    }
-
-    fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let state = self.state()?;
-        update_roots_in(
-            &state.station,
-            &state.station_rids,
-            &mut self.pool,
-            refs,
-            patch,
-        )
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.pool.flush_all().map_err(Into::into)
-    }
-
-    fn clear_cache(&mut self) -> Result<()> {
-        self.pool.clear_cache().map_err(Into::into)
-    }
-
-    fn reset_stats(&mut self) {
-        self.pool.reset_stats();
-    }
-
-    fn snapshot(&self) -> IoSnapshot {
-        self.pool.snapshot()
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        self.pool.buffer_stats()
-    }
-
-    fn relation_info(&self) -> Vec<RelationInfo> {
-        let Ok(state) = self.state() else {
-            return Vec::new();
+    fn children_of(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<ObjRef>> {
+        let schema = nsm_connection_schema();
+        let to_ref = |c: &Tuple| ObjRef {
+            key: c.attr(3).and_then(Value::as_int).unwrap_or(0),
+            oid: c.attr(4).and_then(Value::as_link).unwrap_or(Oid(0)),
         };
-        let files = [
-            &state.station,
-            &state.platform,
-            &state.connection,
-            &state.sightseeing,
-        ];
-        let objects = self.refs.len();
-        files
-            .iter()
-            .zip(&self.sizes)
+        let mut out = Vec::new();
+        if self.indexed {
+            for r in refs {
+                let rids = at.index.get(&r.key).map(|x| x.connections.as_slice());
+                let tuples = read_rids(pool, &at.connection, &schema, rids.unwrap_or(&[]))?;
+                out.extend(tuples.iter().map(to_ref));
+            }
+        } else {
+            // One set-oriented scan of NSM-Connection for the whole ref set.
+            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let by_key = scan_matching(pool, &at.connection, &schema, &keys)?;
+            // Preserve per-ref order (and duplicate refs duplicate output).
+            for r in refs {
+                if let Some(ts) = by_key.get(&r.key) {
+                    out.extend(ts.iter().map(to_ref));
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    fn root_records(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+    ) -> Result<Vec<Tuple>> {
+        let schema = nsm_station_schema();
+        if self.indexed {
+            refs.iter()
+                .map(|r| {
+                    let rid = at
+                        .index
+                        .get(&r.key)
+                        .and_then(|x| x.station)
+                        .ok_or_else(|| CoreError::no_such_key(r.key))?;
+                    let t = decode(&at.station.read(pool, rid)?, &schema)?;
+                    Ok(station_tuple(&t, vec![], vec![]))
+                })
+                .collect()
+        } else {
+            let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
+            let by_key = scan_matching(pool, &at.station, &schema, &keys)?;
+            refs.iter()
+                .map(|r| {
+                    by_key
+                        .get(&r.key)
+                        .and_then(|v| v.first())
+                        .map(|t| station_tuple(t, vec![], vec![]))
+                        .ok_or_else(|| CoreError::no_such_key(r.key))
+                })
+                .collect()
+        }
+    }
+
+    fn update_roots(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        refs: &[ObjRef],
+        patch: &RootPatch,
+    ) -> Result<()> {
+        let schema = nsm_station_schema();
+        for r in refs {
+            let rid = *at
+                .station_rids
+                .get(&r.key)
+                .ok_or_else(|| CoreError::no_such_key(r.key))?;
+            patch_root_name(&at.station, &schema, pool, rid, patch)?;
+        }
+        Ok(())
+    }
+
+    fn relation_info(&self, at: &NsmState, objects: usize) -> Vec<RelationInfo> {
+        (at.files().iter().zip(&at.sizes))
             .map(|(f, sz)| {
                 let s_tuple =
                     avg(sz.total_bytes, sz.count) + starfish_pagestore::SLOT_ENTRY_SIZE as f64;
@@ -982,11 +730,8 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
                     tuples_per_object: per_object(sz.count, objects),
                     total_tuples: sz.count,
                     avg_tuple_bytes: s_tuple,
-                    k: if sz.count > 0 {
-                        Some((starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / s_tuple) as u32)
-                    } else {
-                        None
-                    },
+                    k: (sz.count > 0)
+                        .then(|| (starfish_pagestore::EFFECTIVE_PAGE_SIZE as f64 / s_tuple) as u32),
                     p: None,
                     m: f.page_count(),
                 }
@@ -994,149 +739,83 @@ impl<P: PageCache> ComplexObjectStore for NsmStore<P> {
             .collect()
     }
 
-    fn database_pages(&self) -> u32 {
-        self.pool.database_pages()
-    }
-
-    fn disk_checksum(&self) -> u64 {
-        self.pool.disk_checksum()
-    }
-
-    fn placement_stats(&mut self) -> Result<PlacementStats> {
-        let state = self.state()?;
-        let heat = placement::heat_map(self.pool.page_heat());
-        let dens = densities(&state, &self.sizes);
-        let heats = if self.indexed {
+    fn object_heats(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+        heat: &HashMap<PageId, u64>,
+    ) -> Result<Vec<ObjectHeat>> {
+        Ok(if self.indexed {
             // The memory-resident index names every page: metadata only.
-            object_heats_indexed(&state, &self.refs, dens, &heat)
+            object_heats_indexed(at, objects, heat)
         } else {
             // Pure NSM has no addresses: locating tuples costs the usual
             // counted relation scans.
-            let files = [
-                &state.station,
-                &state.platform,
-                &state.connection,
-                &state.sightseeing,
-            ];
-            let mut groups: [GroupedRelation; 4] = Default::default();
-            for (g, f) in groups.iter_mut().zip(files) {
-                *g = scan_grouped(&mut self.pool, f)?;
-            }
-            object_heats_grouped(&groups, &self.refs, dens, &heat)
-        };
-        Ok(placement::rank(&heats).stats)
-    }
-
-    fn reorganize(&mut self) -> Result<ReorgReport> {
-        let state = self.state()?;
-        let (new_state, report) = rebuild_nsm(
-            self.indexed,
-            &state,
-            &self.refs,
-            &self.sizes,
-            &mut self.pool,
-        )?;
-        *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-        Ok(report)
-    }
-}
-
-impl NsmStore<SharedPoolHandle> {
-    /// State snapshot plus a cloned pool handle, for `&self` read paths.
-    fn parts_and_handle(&self) -> Result<(Arc<NsmState>, SharedPoolHandle)> {
-        Ok((self.state()?, self.pool.clone()))
-    }
-}
-
-impl crate::ConcurrentObjectStore for NsmStore<SharedPoolHandle> {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        if !self.indexed {
-            // "With NSM we have no identifiers, so query 1a is not relevant."
-            return Err(CoreError::Unsupported {
-                model: "NSM",
-                op: "access by OID (query 1a)",
-            });
-        }
-        let key = key_of_oid(&self.refs, oid)?;
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        let t = materialize_in(&parts, &mut pool, key, false)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        let t = materialize_in(&parts, &mut pool, key, true)?;
-        Ok(apply_station_proj(t, proj))
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        scan_all_in(&parts, &mut pool, &self.refs, f)
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        children_of_in(&parts, &mut pool, refs)
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        let parts = nsm_parts(self.indexed, &state);
-        root_records_in(&parts, &mut pool, refs)
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        update_roots_in(&state.station, &state.station_rids, &mut pool, refs, patch)
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        self.pool.pool().flush_all().map_err(Into::into)
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        self.pool.pool().clear_cache().map_err(Into::into)
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        self.pool.pool().shard_stats()
-    }
-
-    fn simulate_crash(&self) {
-        self.pool.pool().crash_volatile()
-    }
-
-    fn recover(&self) -> Result<usize> {
-        self.pool.pool().recover().map_err(Into::into)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let (state, mut pool) = self.parts_and_handle()?;
-        // Copy + swap under the writer gate: no root update can slip in
-        // between scanning a relation and publishing its new extents.
-        // Readers race on the old snapshot (scans are plain fixes and pass
-        // the gate); the pass takes no exclusive latch group (see the
-        // trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new_state, report) =
-                rebuild_nsm(self.indexed, &state, &self.refs, &self.sizes, &mut pool)?;
-            *placement::write_lock(&self.state) = Some(Arc::new(new_state));
-            Ok(report)
+            object_heats_grouped(at, &scan_all_grouped(pool, at)?, objects, heat)
         })
+    }
+
+    /// Scans all four relations (counted I/O), ranks objects by tracked
+    /// heat, bulk-loads fresh extents with the hot set first, and rebuilds
+    /// the address tables. Logically invisible — within an object every
+    /// record keeps its encounter order, so grouped answers are bit-for-bit
+    /// what they were; only the page placement changes. The old extents
+    /// stay on disk, orphaned, so concurrent readers holding the old
+    /// [`NsmState`] snapshot stay correct.
+    fn rebuild(
+        &self,
+        at: &NsmState,
+        pool: &mut impl PageCache,
+        objects: &[ObjRef],
+    ) -> Result<(NsmState, ReorgReport)> {
+        let before = pool.snapshot();
+        let heat = placement::heat_map(pool.page_heat());
+        let groups = scan_all_grouped(pool, at)?;
+        let ranking = placement::rank(&object_heats_grouped(at, &groups, objects, &heat));
+
+        // Re-emit every relation with whole objects in heat order.
+        let mut recs: [Vec<Vec<u8>>; 4] = Default::default();
+        let mut owners: [Vec<Key>; 4] = Default::default();
+        for &ord in &ranking.order {
+            let key = objects[ord].key;
+            for ((g, out), own) in groups.iter().zip(recs.iter_mut()).zip(owners.iter_mut()) {
+                if let Some(rs) = g.recs.get(&key) {
+                    out.extend(rs.iter().cloned());
+                    own.extend(std::iter::repeat_n(key, rs.len()));
+                }
+            }
+        }
+        let loaded = bulk_load_relations(pool, &recs)?;
+        pool.flush_all()?;
+        let spent = pool.snapshot() - before;
+
+        let mut pages_after: HashMap<Key, Vec<PageId>> = HashMap::new();
+        for (own, (_, rids)) in owners.iter().zip(&loaded) {
+            for (k, rid) in own.iter().zip(rids) {
+                pages_after.entry(*k).or_default().push(rid.page);
+            }
+        }
+        let hot_pages_after = placement::distinct_pages(ranking.hot_ordinals().iter().map(|&o| {
+            pages_after
+                .get(&objects[o].key)
+                .map(Vec::as_slice)
+                .unwrap_or(&[])
+        }));
+        let new = NsmState::new(
+            self.indexed,
+            loaded,
+            owners.each_ref().map(Vec::as_slice),
+            at.sizes,
+        );
+        Ok((new, ranking.report(hot_pages_after, spent)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ComplexObjectStore;
     use starfish_nf2::station::{attr, Connection, Platform, Sightseeing};
 
     fn station(key: i32, children: &[(Key, u32)]) -> Station {
@@ -1271,7 +950,7 @@ mod tests {
             key: 10,
         }])
         .unwrap();
-        let m = s.state().unwrap().connection.page_count() as u64;
+        let m = s.placement().unwrap().connection.page_count() as u64;
         let snap = s.snapshot();
         assert_eq!(snap.pages_read, m, "whole connection relation scanned");
         assert_eq!(snap.fixes, m);
@@ -1287,7 +966,7 @@ mod tests {
             key: 10,
         }])
         .unwrap();
-        let m = s.state().unwrap().connection.page_count() as u64;
+        let m = s.placement().unwrap().connection.page_count() as u64;
         let snap = s.snapshot();
         assert!(snap.pages_read <= m);
         assert!(snap.pages_read >= 1);

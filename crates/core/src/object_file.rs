@@ -259,6 +259,32 @@ impl ObjectFile {
         (self.total_encoded + self.total_header + slot_bytes) as f64 / self.addrs.len() as f64
     }
 
+    /// Tuples per page (Table 2's `k`) — defined only when every object
+    /// shares heap pages.
+    pub(crate) fn tuples_per_page(&self) -> Option<u32> {
+        (!self.is_empty() && self.heap_resident_count() == self.len())
+            .then(|| (EFFECTIVE_PAGE_SIZE as f64 / self.avg_stored_bytes()) as u32)
+    }
+
+    /// What each object (in ordinal order) would cost inside a packed hot
+    /// region: heap residents their current share of a heap page, spanned
+    /// residents their extent.
+    pub(crate) fn packed_costs(&self) -> Vec<f64> {
+        let residents = self.heap_resident_count();
+        let heap_share = if residents > 0 {
+            f64::from(self.heap_pages()) / residents as f64
+        } else {
+            0.0
+        };
+        self.addrs
+            .iter()
+            .map(|a| match a {
+                ObjAddr::Heap(_) => heap_share,
+                ObjAddr::Spanned(rec) => f64::from(rec.total_pages()),
+            })
+            .collect()
+    }
+
     /// Average pages per object among spanned residents (measured `p`).
     pub fn avg_spanned_pages(&self) -> Option<f64> {
         if self.spanned_count == 0 {

@@ -18,7 +18,7 @@
 //! [`ReorgReport`], so callers (the harness's cost-model trigger) can weigh
 //! spend against the predicted win.
 
-use starfish_pagestore::PageId;
+use starfish_pagestore::{IoSnapshot, PageId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -69,7 +69,9 @@ pub struct ReorgReport {
 }
 
 /// One object's placement facts: where it lives and how hot it is.
-pub(crate) struct ObjectHeat {
+/// (`pub` only because [`Model`](crate::store::Model) names it; not
+/// re-exported.)
+pub struct ObjectHeat {
     /// Ordinal (OID) of the object.
     pub ord: usize,
     /// Summed heat of the distinct pages the object's tuples occupy.
@@ -115,6 +117,24 @@ impl HeatRanking {
     /// Ordinals of the hot set (the ranked prefix).
     pub(crate) fn hot_ordinals(&self) -> &[usize] {
         &self.order[..self.stats.hot_objects]
+    }
+
+    /// The report of a pass that placed objects in this order: the hot set
+    /// now spans `hot_pages_after` distinct pages, and the pass itself
+    /// `spent` these counted I/Os.
+    pub(crate) fn report(&self, hot_pages_after: u32, spent: IoSnapshot) -> ReorgReport {
+        ReorgReport {
+            objects: self.order.len(),
+            moved: (self.order.iter().enumerate())
+                .filter(|&(i, &ord)| i != ord)
+                .count(),
+            heat_total: self.stats.heat_total,
+            hot_objects: self.stats.hot_objects,
+            hot_pages_before: self.stats.hot_pages,
+            hot_pages_after,
+            pages_read: spent.pages_read,
+            pages_written: spent.pages_written,
+        }
     }
 }
 

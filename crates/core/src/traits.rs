@@ -1,7 +1,7 @@
 use crate::placement::{PlacementStats, ReorgReport};
 use crate::{ModelKind, Result};
 use starfish_nf2::station::Station;
-use starfish_nf2::{Key, Oid, Projection, Tuple};
+use starfish_nf2::{Key, Oid, Projection, Tuple, Value};
 use starfish_pagestore::{BufferStats, IoSnapshot};
 
 /// A reference to a complex object: its OID (physical handle) and its key
@@ -159,14 +159,11 @@ pub trait ComplexObjectStore {
 }
 
 /// Resolves an OID to its logical key via the loaded refs (OIDs are dense
-/// ordinals) — shared by the exclusive and concurrent read surfaces so the
-/// two can never drift.
+/// ordinals).
 pub(crate) fn key_of_oid(refs: &[ObjRef], oid: Oid) -> crate::Result<Key> {
     refs.get(oid.0 as usize)
         .map(|r| r.key)
-        .ok_or_else(|| crate::CoreError::NotFound {
-            what: format!("object {oid}"),
-        })
+        .ok_or_else(|| crate::CoreError::no_such_object(oid))
 }
 
 /// Applies `proj` to a fully materialized station tuple (identity for the
@@ -177,6 +174,17 @@ pub(crate) fn apply_station_proj(t: Tuple, proj: &Projection) -> Tuple {
     } else {
         proj.apply(&t, &starfish_nf2::station::station_schema())
     }
+}
+
+/// The nested `Station` tuple of a normalized model's flat root tuple
+/// (`Key`, `NoPlatform`, `NoSeeing`, `Name` lead it) and the object's
+/// reassembled sub-relations — with both empty, the object's root record.
+pub(crate) fn station_tuple(root: &Tuple, platforms: Vec<Tuple>, seeings: Vec<Tuple>) -> Tuple {
+    let mut values = Vec::with_capacity(6);
+    values.extend_from_slice(&root.values[..4]);
+    values.push(Value::Rel(platforms));
+    values.push(Value::Rel(seeings));
+    Tuple::new(values)
 }
 
 /// Computes `tuples_per_object`, guarding the empty database.

@@ -75,69 +75,45 @@ impl HarnessConfig {
     }
 }
 
-/// Parses the `--threads` argument out of a CLI argument list.
-///
-/// Returns `Ok(None)` when the flag is absent (callers sweep the default
-/// client counts), `Ok(Some(n))` for a valid `--threads n`, and `Err` with
-/// a user-facing message for a missing, non-numeric or **zero** value —
-/// zero clients cannot serve anything, and letting it through used to
-/// reach `SharedBufferPool::new(_, _, 0)`'s "need at least one shard"
-/// panic deep in the stack instead of a clean CLI error.
+/// Parses the positive-integer value of `flag` out of a CLI argument list:
+/// `Ok(None)` when the flag is absent, `Ok(Some(n))` for a valid
+/// `<flag> n`, and `Err` with a user-facing message (`what` names the
+/// value) when it is missing, non-numeric or **zero**.
+fn parse_positive(
+    args: &[String],
+    flag: &str,
+    what: &str,
+) -> std::result::Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let needs = format!("{flag} needs {what} >= 1");
+    match args.get(i + 1).map(|s| s.parse::<usize>()) {
+        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
+        Some(Ok(_)) => Err(format!("{needs} (got 0)")),
+        Some(Err(_)) => Err(format!("{needs} (got '{}')", args[i + 1])),
+        None => Err(needs),
+    }
+}
+
+/// Parses `--threads n` (absent: callers sweep the default client counts).
+/// Zero is a clean CLI error: zero clients cannot serve anything, and
+/// letting it through used to reach `SharedBufferPool::new(_, _, 0)`'s
+/// "need at least one shard" panic deep in the stack.
 pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--threads needs a client count >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--threads needs a client count >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--threads needs a client count >= 1".into()),
-    }
+    parse_positive(args, "--threads", "a client count")
 }
 
-/// Parses the `--nodes` argument out of a CLI argument list.
-///
-/// Returns `Ok(None)` when the flag is absent (workload runs use the
-/// single-store surfaces), `Ok(Some(n))` for a valid `--nodes n`, and
-/// `Err` with a user-facing message for a missing, non-numeric or
-/// **zero** value — a zero-node cluster can own no object.
+/// Parses `--nodes n` (absent: workload runs use the single-store
+/// surfaces). A zero-node cluster can own no object.
 pub fn parse_nodes(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--nodes") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--nodes needs a node count >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--nodes needs a node count >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--nodes needs a node count >= 1".into()),
-    }
+    parse_positive(args, "--nodes", "a node count")
 }
 
-/// Parses the `--queue-depth` argument out of a CLI argument list.
-///
-/// Returns `Ok(None)` when the flag is absent (the concurrency experiment
-/// sweeps up to its default depth cap), `Ok(Some(n))` for a valid
-/// `--queue-depth n`, and `Err` with a user-facing message for a missing,
-/// non-numeric or **zero** value — a zero-depth queue can hold no request.
+/// Parses `--queue-depth n` (absent: the concurrency experiment sweeps up
+/// to its default depth cap). A zero-depth queue can hold no request.
 pub fn parse_queue_depth(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == "--queue-depth") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(0)) => Err("--queue-depth needs a depth >= 1 (got 0)".into()),
-        Some(_) => Err(format!(
-            "--queue-depth needs a depth >= 1 (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--queue-depth needs a depth >= 1".into()),
-    }
+    parse_positive(args, "--queue-depth", "a depth")
 }
 
 /// Parses the `--fsync` argument out of a CLI argument list.
@@ -303,6 +279,31 @@ pub struct WorkloadRow {
     pub updates: u64,
 }
 
+impl WorkloadRow {
+    /// The row of `model`'s `outcome` — the one place a plan outcome
+    /// becomes a report row, whichever surface ran the plan.
+    fn new(model: ModelKind, outcome: PlanOutcome) -> WorkloadRow {
+        match outcome {
+            PlanOutcome::Measured(run) => WorkloadRow {
+                model,
+                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
+                units: run.units,
+                nav_seen: run.nav_seen,
+                scanned: run.scanned,
+                updates: run.updates_applied,
+            },
+            PlanOutcome::Unsupported => WorkloadRow {
+                model,
+                cell: None,
+                units: 0,
+                nav_seen: Vec::new(),
+                scanned: 0,
+                updates: 0,
+            },
+        }
+    }
+}
+
 /// Runs a declarative [`WorkloadSpec`] serially against every model in
 /// `models` over an already-generated dataset, under the usual measurement
 /// protocol (cold start, disconnect flush, per-unit normalization).
@@ -315,25 +316,8 @@ pub fn measure_workload_on(
     let mut out = Vec::with_capacity(models.len());
     for &kind in models {
         let (mut store, runner) = load_store(kind, db, config)?;
-        let row = match runner.executor().run(store.as_mut(), spec)? {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        let outcome = runner.executor().run(store.as_mut(), spec)?;
+        out.push(WorkloadRow::new(kind, outcome));
     }
     Ok(out)
 }
@@ -365,25 +349,7 @@ pub fn measure_workload_concurrent_on(
         let run = runner
             .executor()
             .run_concurrent(store.as_mut(), spec, threads)?;
-        let row = match run.outcome {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        out.push(WorkloadRow::new(kind, run.outcome));
     }
     Ok(out)
 }
@@ -419,25 +385,7 @@ pub fn measure_workload_cluster_on(
         let refs = cluster.load(db)?;
         let exec = Executor::new(refs, config.query_seed);
         let run = exec.run_cluster(&mut cluster, spec, clients, workers_per_node)?;
-        let row = match run.run.outcome {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model: kind,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model: kind,
-                cell: None,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
-        };
-        out.push(row);
+        out.push(WorkloadRow::new(kind, run.run.outcome));
     }
     Ok(out)
 }

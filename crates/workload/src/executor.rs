@@ -238,78 +238,10 @@ impl Surface for SerialSurface<'_> {
     }
 }
 
-/// The two shareable (`&self`-callable) execution targets a dealt unit can
-/// stream over: a [`ConcurrentObjectStore`] called directly, or a
-/// [`ClusterRouter`] that dispatches every op to its owning node's worker
-/// pool through the ticket surface.
+/// The shared [`Surface`]: direct `&self` calls into one
+/// [`ConcurrentObjectStore`] (the single-pool protocol). `Copy`, like
+/// [`RoutedSurface`], so every dealt unit streams over its own handle.
 #[derive(Clone, Copy)]
-enum ExecTarget<'a> {
-    /// Direct calls into one shared store (the single-pool protocol).
-    Shared(&'a dyn ConcurrentObjectStore),
-    /// Routed dispatch onto per-node reactors (the cluster protocol).
-    Routed(&'a ClusterRouter<'a>),
-}
-
-impl<'a> ExecTarget<'a> {
-    fn surface(self) -> TargetSurface<'a> {
-        match self {
-            ExecTarget::Shared(s) => TargetSurface::Shared(SharedSurface(s)),
-            ExecTarget::Routed(r) => TargetSurface::Routed(RoutedSurface(r)),
-        }
-    }
-}
-
-/// The [`Surface`] for either [`ExecTarget`] flavour.
-enum TargetSurface<'a> {
-    Shared(SharedSurface<'a>),
-    Routed(RoutedSurface<'a>),
-}
-
-impl Surface for TargetSurface<'_> {
-    fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        match self {
-            TargetSurface::Shared(s) => s.get_by_oid(r, proj),
-            TargetSurface::Routed(s) => s.get_by_oid(r, proj),
-        }
-    }
-    fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        match self {
-            TargetSurface::Shared(s) => s.get_by_key(r, proj),
-            TargetSurface::Routed(s) => s.get_by_key(r, proj),
-        }
-    }
-    fn scan_count(&mut self) -> Result<u64> {
-        match self {
-            TargetSurface::Shared(s) => s.scan_count(),
-            TargetSurface::Routed(s) => s.scan_count(),
-        }
-    }
-    fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        match self {
-            TargetSurface::Shared(s) => s.children_of(refs),
-            TargetSurface::Routed(s) => s.children_of(refs),
-        }
-    }
-    fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        match self {
-            TargetSurface::Shared(s) => s.root_records(refs),
-            TargetSurface::Routed(s) => s.root_records(refs),
-        }
-    }
-    fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        match self {
-            TargetSurface::Shared(s) => s.update_roots(refs, patch),
-            TargetSurface::Routed(s) => s.update_roots(refs, patch),
-        }
-    }
-    fn clear_cache(&mut self) -> Result<()> {
-        match self {
-            TargetSurface::Shared(s) => s.clear_cache(),
-            TargetSurface::Routed(s) => s.clear_cache(),
-        }
-    }
-}
-
 struct SharedSurface<'a>(&'a dyn ConcurrentObjectStore);
 
 impl Surface for SharedSurface<'_> {
@@ -353,6 +285,7 @@ fn routed_mismatch(what: &str, got: &QueryResponse) -> CoreError {
 /// submission order rebuilds the serial answer — so dealt units stream
 /// over a cluster exactly like they stream over one shared store, while
 /// the per-node worker pools overlap execution across nodes.
+#[derive(Clone, Copy)]
 struct RoutedSurface<'a>(&'a ClusterRouter<'a>);
 
 impl Surface for RoutedSurface<'_> {
@@ -932,10 +865,10 @@ struct UnitRun<'a> {
     record: bool,
 }
 
-/// Runs one dealt unit over a shareable target (direct shared store or
+/// Runs one dealt unit over a shareable surface (direct shared store or
 /// routed cluster dispatch).
-fn run_unit(
-    target: ExecTarget<'_>,
+fn run_unit<S: Surface>(
+    mut surf: S,
     refs: &[ObjRef],
     spec: &WorkloadSpec,
     run: UnitRun<'_>,
@@ -962,7 +895,6 @@ fn run_unit(
         depth,
         ..Ctx::default()
     };
-    let mut surf = target.surface();
     let mut picks = PickSource::Tape(&mut tape);
     let mut mode = if record {
         Mode::Record {
@@ -1092,9 +1024,9 @@ impl Executor {
     /// and the planning pass on the coordinator, dealt units round-robin
     /// across `threads`, outcomes merged back in plan order. `Ok(None)` is
     /// the paper's "not relevant" marker (an op the model cannot execute).
-    fn exec_shared(
+    fn exec_shared<S: Surface + Copy + Sync>(
         &self,
-        target: ExecTarget<'_>,
+        surf: S,
         spec: &WorkloadSpec,
         threads: usize,
         record: bool,
@@ -1128,7 +1060,7 @@ impl Executor {
                         init,
                         record,
                     };
-                    match run_unit(target, &self.refs, spec, unit) {
+                    match run_unit(surf, &self.refs, spec, unit) {
                         Ok(o) => vec![o],
                         Err(CoreError::Unsupported { .. }) => return Ok(None),
                         Err(e) => return Err(e),
@@ -1140,7 +1072,7 @@ impl Executor {
                     let units = &ps.units;
                     let exec_one = |i: usize| {
                         run_unit(
-                            target,
+                            surf,
                             &self.refs,
                             spec,
                             UnitRun {
@@ -1234,7 +1166,7 @@ impl Executor {
         store.reset_stats();
         let before = store.snapshot();
 
-        let exec = match self.exec_shared(ExecTarget::Shared(&*store), spec, threads, true)? {
+        let exec = match self.exec_shared(SharedSurface(&*store), spec, threads, true)? {
             Some(exec) => exec,
             // The model does not support an op of the plan (query 1a
             // under pure NSM) — the paper's "not relevant" marker.
@@ -1312,7 +1244,7 @@ impl Executor {
         let before = cluster.snapshot();
 
         let served = with_cluster_router(&*cluster, workers_per_node, |router| {
-            let exec = match self.exec_shared(ExecTarget::Routed(router), spec, clients, true)? {
+            let exec = match self.exec_shared(RoutedSurface(router), spec, clients, true)? {
                 Some(exec) => exec,
                 None => return Ok(None),
             };
@@ -1405,7 +1337,7 @@ impl Executor {
         let before = store.snapshot();
 
         let exec = self
-            .exec_shared(ExecTarget::Shared(&*store), spec, threads, false)?
+            .exec_shared(SharedSurface(&*store), spec, threads, false)?
             .ok_or(CoreError::Unsupported {
                 model: "plan executor",
                 op: "mixed-stream execution of an op the storage model rejects",
