@@ -29,17 +29,13 @@ fn main() {
     let mut c: Criterion = common::criterion();
     let schema = station_schema();
     let tuple = sample_station().to_tuple();
-    let (bytes, layout) = encode_with_layout(&tuple, &schema).unwrap();
+    let (bytes, _) = encode_with_layout(&tuple, &schema).unwrap();
 
     c.bench_function("nf2/encode_with_layout", |b| {
         b.iter(|| black_box(encode_with_layout(&tuple, &schema).unwrap()))
     });
     c.bench_function("nf2/decode_full", |b| {
         b.iter(|| black_box(decode(&bytes, &schema).unwrap()))
-    });
-    c.bench_function("nf2/projection_byte_ranges", |b| {
-        let proj = starfish_nf2::station::proj_navigation();
-        b.iter(|| black_box(proj.byte_ranges(&layout)))
     });
     c.bench_function("nf2/projection_apply", |b| {
         let proj = Projection::atomics(&schema);

@@ -21,13 +21,14 @@ use crate::object_file::ObjectFile;
 use crate::placement::{self, ObjectHeat, ReorgReport};
 use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
-    apply_station_proj, avg, key_of_oid, per_object, station_tuple, ObjRef, RelationInfo, RootPatch,
+    apply_station_proj, avg, key_of_oid, peek_int, per_object, station_tuple, ObjRef, RelationInfo,
+    RootPatch, CONNECTION, PLATFORM, SIGHTSEEING, STATION,
 };
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
 use starfish_nf2::{
-    decode, encode, encode_with_layout, AttrDef, AttrType, Key, Oid, Projection, RelSchema, Tuple,
-    Value,
+    decode, decode_projected_at, encode, encode_with_layout, AttrDef, AttrType, Key, Oid,
+    Projection, RelSchema, Tuple, Value,
 };
 use starfish_pagestore::{BufferPool, HeapFile, PageCache, PageId, Rid, SimDisk};
 use std::collections::HashMap;
@@ -127,7 +128,14 @@ pub fn dnsm_sightseeing_schema() -> RelSchema {
 pub type DasdbsNsmStore<P = BufferPool> = Store<DasdbsNsmModel, P>;
 
 /// Layout and access paths of DASDBS-NSM.
-pub struct DasdbsNsmModel;
+pub struct DasdbsNsmModel {
+    /// The schemas of the four relations in schema order (station,
+    /// platform, connection, sightseeing), built once.
+    schemas: [RelSchema; 4],
+    /// What navigation needs of a nested connection tuple:
+    /// `KeyConnection` and `OidConnection` of every connection.
+    navigation: Projection,
+}
 
 impl DasdbsNsmStore {
     /// Creates an empty DASDBS-NSM store.
@@ -140,7 +148,22 @@ impl DasdbsNsmStore {
 impl<P: PageCache> DasdbsNsmStore<P> {
     /// Creates an empty DASDBS-NSM store over an externally built pool.
     pub fn with_pool(_config: &StoreConfig, pool: P) -> Self {
-        Store::over(DasdbsNsmModel, pool)
+        let model = DasdbsNsmModel {
+            schemas: [
+                dnsm_station_schema(),
+                dnsm_platform_schema(),
+                dnsm_connection_schema(),
+                dnsm_sightseeing_schema(),
+            ],
+            navigation: Projection::Attrs(vec![(
+                1,
+                Projection::Attrs(vec![(
+                    1,
+                    Projection::Attrs(vec![(1, Projection::All), (2, Projection::All)]),
+                )]),
+            )]),
+        };
+        Store::over(model, pool)
     }
 }
 
@@ -181,19 +204,21 @@ impl DnsmState {
     fn nested(&self) -> [&ObjectFile; 3] {
         [&self.platform, &self.connection, &self.sightseeing]
     }
+}
 
+impl DasdbsNsmModel {
     /// Reads and reassembles one full object through the transformation
     /// table: four addressed tuple reads (the paper's query-1a path).
-    fn materialize(&self, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
-        let e = self.entry(key)?;
-        let root_bytes = self.station.read(pool, e.station)?;
-        let root = decode(&root_bytes, &dnsm_station_schema())?;
-        let p_bytes = self.platform.read_full(pool, e.ordinal)?;
-        let platforms = decode(&p_bytes, &dnsm_platform_schema())?;
-        let c_bytes = self.connection.read_full(pool, e.ordinal)?;
-        let connections = decode(&c_bytes, &dnsm_connection_schema())?;
-        let s_bytes = self.sightseeing.read_full(pool, e.ordinal)?;
-        let seeings = decode(&s_bytes, &dnsm_sightseeing_schema())?;
+    fn materialize(&self, at: &DnsmState, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
+        let e = at.entry(key)?;
+        let root_bytes = at.station.read(pool, e.station)?;
+        let root = decode(&root_bytes, &self.schemas[STATION])?;
+        let p_bytes = at.platform.read_full(pool, e.ordinal)?;
+        let platforms = decode(&p_bytes, &self.schemas[PLATFORM])?;
+        let c_bytes = at.connection.read_full(pool, e.ordinal)?;
+        let connections = decode(&c_bytes, &self.schemas[CONNECTION])?;
+        let s_bytes = at.sightseeing.read_full(pool, e.ordinal)?;
+        let seeings = decode(&s_bytes, &self.schemas[SIGHTSEEING])?;
         Ok(assemble(&root, &platforms, &connections, &seeings))
     }
 }
@@ -321,10 +346,10 @@ impl Model for DasdbsNsmModel {
         let mut se_objs = Vec::with_capacity(stations.len());
         for s in stations {
             let (root, platforms, connections, seeings) = nested_tuples(s);
-            st_recs.push(encode(&root, &dnsm_station_schema())?);
-            pl_objs.push(encode_with_layout(&platforms, &dnsm_platform_schema())?);
-            co_objs.push(encode_with_layout(&connections, &dnsm_connection_schema())?);
-            se_objs.push(encode_with_layout(&seeings, &dnsm_sightseeing_schema())?);
+            st_recs.push(encode(&root, &self.schemas[STATION])?);
+            pl_objs.push(encode_with_layout(&platforms, &self.schemas[PLATFORM])?);
+            co_objs.push(encode_with_layout(&connections, &self.schemas[CONNECTION])?);
+            se_objs.push(encode_with_layout(&seeings, &self.schemas[SIGHTSEEING])?);
         }
         let (station, st_rids) = HeapFile::bulk_load(pool, "DASDBS-NSM-Station", &st_recs)?;
         Ok(DnsmState {
@@ -347,7 +372,7 @@ impl Model for DasdbsNsmModel {
         oid: Oid,
         proj: &Projection,
     ) -> Result<Tuple> {
-        let t = at.materialize(pool, key_of_oid(objects, oid)?)?;
+        let t = self.materialize(at, pool, key_of_oid(objects, oid)?)?;
         Ok(apply_station_proj(t, proj))
     }
 
@@ -363,16 +388,12 @@ impl Model for DasdbsNsmModel {
     ) -> Result<Tuple> {
         let mut found = false;
         at.station.scan(pool, |_, bytes| {
-            if let Ok(t) = decode(bytes, &dnsm_station_schema()) {
-                if t.attr(0).and_then(Value::as_int) == Some(key) {
-                    found = true;
-                }
-            }
+            found |= peek_int(bytes, 0).is_ok_and(|k| k == key);
         })?;
         if !found {
             return Err(CoreError::no_such_key(key));
         }
-        Ok(apply_station_proj(at.materialize(pool, key)?, proj))
+        Ok(apply_station_proj(self.materialize(at, pool, key)?, proj))
     }
 
     /// Materializes every object through the transformation table in
@@ -385,24 +406,24 @@ impl Model for DasdbsNsmModel {
         f: &mut dyn FnMut(&Tuple),
     ) -> Result<()> {
         for r in objects {
-            f(&at.materialize(pool, r.key)?);
+            f(&self.materialize(at, pool, r.key)?);
         }
         Ok(())
     }
 
-    /// One nested connection tuple per ref.
+    /// One nested connection tuple per ref, of which only the child
+    /// references are decoded.
     fn children_of(
         &self,
         at: &DnsmState,
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<ObjRef>> {
-        let schema = dnsm_connection_schema();
         let mut out = Vec::new();
         for r in refs {
             let e = at.entry(r.key)?;
             let bytes = at.connection.read_full(pool, e.ordinal)?;
-            let t = decode(&bytes, &schema)?;
+            let t = decode_projected_at(&bytes, &self.schemas[CONNECTION], 0, &self.navigation)?;
             if let Some(Value::Rel(groups)) = t.attr(1) {
                 for g in groups {
                     if let Some(Value::Rel(cs)) = g.attr(1) {
@@ -426,11 +447,11 @@ impl Model for DasdbsNsmModel {
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<Tuple>> {
-        let schema = dnsm_station_schema();
+        let schema = &self.schemas[STATION];
         refs.iter()
             .map(|r| {
                 let bytes = at.station.read(pool, at.entry(r.key)?.station)?;
-                Ok(station_tuple(&decode(&bytes, &schema)?, vec![], vec![]))
+                Ok(station_tuple(&decode(&bytes, schema)?, vec![], vec![]))
             })
             .collect()
     }
@@ -445,10 +466,9 @@ impl Model for DasdbsNsmModel {
         refs: &[ObjRef],
         patch: &RootPatch,
     ) -> Result<()> {
-        let schema = dnsm_station_schema();
         for r in refs {
             let rid = at.entry(r.key)?.station;
-            patch_root_name(&at.station, &schema, pool, rid, patch)?;
+            patch_root_name(&at.station, &self.schemas[STATION], pool, rid, patch)?;
         }
         Ok(())
     }
@@ -526,17 +546,13 @@ impl Model for DasdbsNsmModel {
         let before = pool.snapshot();
         let heat = placement::heat_map(pool.page_heat());
         let ranking = placement::rank(&self.object_heats(at, pool, objects, &heat)?);
-        let schemas = [
-            dnsm_platform_schema(),
-            dnsm_connection_schema(),
-            dnsm_sightseeing_schema(),
-        ];
+        let schemas = &self.schemas[PLATFORM..];
         let mut st_recs = Vec::with_capacity(objects.len());
         let mut nested: [Vec<_>; 3] = Default::default();
         for &ord in &ranking.order {
             let e = at.trans[&objects[ord].key];
             st_recs.push(at.station.read(pool, e.station)?);
-            for ((file, schema), out) in at.nested().iter().zip(&schemas).zip(&mut nested) {
+            for ((file, schema), out) in at.nested().iter().zip(schemas).zip(&mut nested) {
                 let bytes = file.read_full(pool, e.ordinal)?;
                 out.push(encode_with_layout(&decode(&bytes, schema)?, schema)?);
             }

@@ -4,8 +4,8 @@
 //! share slotted pages, large objects get a private extent of header
 //! (structure) pages plus data pages. They differ only in the access path:
 //!
-//! * **DSM** always materializes the *whole* object — every page of the
-//!   extent is read no matter how little of the object a query needs, and
+//! * **DSM** always *reads* the whole object — every page of the extent is
+//!   fixed no matter how little of the object a query needs (§3.1) — and
 //!   updates replace the entire nested tuple (all pages dirtied).
 //! * **DASDBS-DSM** first reads the object header, then fetches **only the
 //!   data pages containing the projected attributes** ("from the set of
@@ -14,15 +14,22 @@
 //!   `change attribute` operation, which patches the covering page(s) but
 //!   also allocates a one-page *page pool* whose pages are written per
 //!   operation — the write-amplification anomaly of §5.3.
+//!
+//! What is read and what is *decoded* are separate: from the bytes its
+//! access path fetched, either model decodes only what the query projects
+//! ([`decode_projected_at`] walks the encoding's own directory), so CPU and
+//! allocation follow the answer while pages, calls and fixes follow the
+//! paper.
 
-use crate::object_file::{ObjectFile, ReadPayload};
+use crate::object_file::ObjectFile;
 use crate::placement::{self, ObjectHeat, ReorgReport};
 use crate::store::{commit_or_abort, Model, Store};
-use crate::traits::{ObjRef, RelationInfo, RootPatch};
+use crate::traits::{peek_int, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
-    decode, decode_projected, encode_with_layout, Key, Oid, Projection, RelSchema, Tuple, Value,
+    attr_offset, decode, decode_attr, decode_projected_at, encode_with_layout, AttrType, Key, Oid,
+    Projection, RelSchema, Tuple,
 };
 use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
@@ -38,6 +45,9 @@ pub struct DirectModel {
     schema: RelSchema,
     /// Sub-tuple-aligned data pages (the wasteful DASDBS layout).
     aligned: bool,
+    /// [`proj_navigation`] and [`proj_root_record`], built once.
+    navigation: Projection,
+    root_record: Projection,
 }
 
 /// The direct models' placement: the one object file, plus the scratch
@@ -62,6 +72,8 @@ impl<P: PageCache> DirectStore<P> {
             partial,
             schema: starfish_nf2::station::station_schema(),
             aligned: config.aligned_subtuples,
+            navigation: proj_navigation(),
+            root_record: proj_root_record(),
         };
         Store::over(model, pool)
     }
@@ -87,15 +99,42 @@ fn encode_name(new_name: &str) -> Vec<u8> {
 }
 
 impl DirectModel {
-    /// Reads object `ord` under `proj` using the model's access path — the
-    /// one read primitive every retrieval is built from.
+    /// Reads the bytes of object `ord` that `proj` needs using the model's
+    /// access path — the one read primitive every retrieval is built from.
+    /// The buffer is full-length and valid at least where
+    /// [`decode_projected_at`] reads under `proj`.
     ///
     /// Spanned (multi-page) objects are read under a **shared group latch**
     /// over their extent, so a concurrent writer replacing the object can
     /// never expose a torn mix of old and new pages; heap residents are
     /// single-page and atomic under the pool's shard mutex already. On the
     /// exclusive [`BufferPool`] the latch is a counted no-op, keeping serial
-    /// and shared measurements identical.
+    /// and shared measurements identical. DSM's writer calls this inside its
+    /// own exclusive latch (shared-inside-own-exclusive nests).
+    fn read_bytes(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+    ) -> Result<Vec<u8>> {
+        let read = |pool: &mut _| {
+            if self.partial && !proj.is_all() {
+                file.read_projected(pool, ord, proj)
+            } else {
+                // DSM (or a full-projection read): every page of the object.
+                file.read_full(pool, ord)
+            }
+        };
+        match file.spanned_latch_pages_of(ord)? {
+            Some(pages) => pool.with_latched(&pages, LatchMode::Shared, read),
+            None => read(pool),
+        }
+    }
+
+    /// Reads object `ord` under `proj`: [`read_bytes`](Self::read_bytes),
+    /// then — outside the latch, the bytes are a private copy — the
+    /// directory walk that decodes the projection and nothing else.
     fn read_object(
         &self,
         file: &ObjectFile,
@@ -103,44 +142,8 @@ impl DirectModel {
         ord: usize,
         proj: &Projection,
     ) -> Result<Tuple> {
-        match file.spanned_latch_pages_of(ord)? {
-            Some(pages) => pool.with_latched(&pages, LatchMode::Shared, |pool| {
-                self.read_object_unlatched(file, pool, ord, proj)
-            }),
-            None => self.read_object_unlatched(file, pool, ord, proj),
-        }
-    }
-
-    /// [`read_object`](Self::read_object) without the latch scope — also
-    /// the body writers run inside their own exclusive latch
-    /// (shared-inside-own-exclusive nests).
-    fn read_object_unlatched(
-        &self,
-        file: &ObjectFile,
-        pool: &mut impl PageCache,
-        ord: usize,
-        proj: &Projection,
-    ) -> Result<Tuple> {
-        if self.partial && !proj.is_all() {
-            match file.read_projected(pool, ord, |l| proj.byte_ranges(l))? {
-                ReadPayload::Full(bytes) => {
-                    let t = decode(&bytes, &self.schema)?;
-                    Ok(proj.apply(&t, &self.schema))
-                }
-                ReadPayload::Sparse(bytes, layout) => {
-                    Ok(decode_projected(&bytes, &self.schema, &layout, proj)?)
-                }
-            }
-        } else {
-            // DSM (or a full-projection read): materialize everything.
-            let bytes = file.read_full(pool, ord)?;
-            let t = decode(&bytes, &self.schema)?;
-            Ok(if proj.is_all() {
-                t
-            } else {
-                proj.apply(&t, &self.schema)
-            })
-        }
+        let bytes = self.read_bytes(file, pool, ord, proj)?;
+        Ok(decode_projected_at(&bytes, &self.schema, 0, proj)?)
     }
 
     /// DSM update path: replace the entire nested tuple, read-modify-write
@@ -188,28 +191,17 @@ impl DirectModel {
         let pages = file.latch_pages_of(ord)?;
         let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
             let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
-            let (old_len, layout) =
-                match file.read_projected(pool, ord, |l| name_proj.byte_ranges(l))? {
-                    ReadPayload::Sparse(_, layout) => {
-                        // Validate length via the stored attribute range.
-                        let range = layout.attrs[attr::NAME].range();
-                        ((range.end - range.start) as usize - 2, layout)
-                    }
-                    ReadPayload::Full(bytes) => {
-                        // Heap resident: recompute the layout from the decoded tuple.
-                        let t = decode(&bytes, &self.schema)?;
-                        let name = t
-                            .attr(attr::NAME)
-                            .and_then(Value::as_str)
-                            .unwrap_or_default();
-                        (name.len(), encode_with_layout(&t, &self.schema)?.1)
-                    }
-                };
+            let bytes = file.read_projected(pool, ord, &name_proj)?;
+            // The object's own directory says where `Name` is stored.
+            let at = attr_offset(&bytes, 0, attr::NAME)?;
+            let old = decode_attr(&bytes, &AttrType::Str, at)?;
+            let old_len = old.as_str().map_or(0, str::len);
             if old_len != patch.new_name.len() {
                 return Err(CoreError::size_changed(old_len, patch.new_name.len()));
             }
-            let range = layout.attrs[attr::NAME].range();
-            file.patch_range(pool, ord, range, &encode_name(&patch.new_name))?;
+            let name = encode_name(&patch.new_name);
+            let at = at as u32;
+            file.patch_range(pool, ord, at..at + name.len() as u32, &name)?;
             // The page pool: every change-attribute operation allocates a pool
             // "of which all pages are written ... even though the page pool is
             // only a single page in size" (§5.3).
@@ -258,9 +250,9 @@ impl Model for DirectModel {
         self.read_object(&at.file, pool, ord_of(&at.file, oid)?, proj)
     }
 
-    /// Value selection without an index: set-oriented scan materializing
-    /// every object, keeping the last key match (Table 3: query 1b costs
-    /// the whole relation).
+    /// Value selection without an index: set-oriented scan reading every
+    /// object (Table 3: query 1b costs the whole relation), peeking each
+    /// one's `Key` and materializing only the last match.
     fn get_by_key(
         &self,
         at: &DirectPlacement,
@@ -270,17 +262,13 @@ impl Model for DirectModel {
     ) -> Result<Tuple> {
         let mut found = None;
         for ord in 0..at.file.len() {
-            let t = self.read_object(&at.file, pool, ord, &Projection::All)?;
-            if t.attr(attr::KEY).and_then(Value::as_int) == Some(key) {
-                found = Some(t);
+            let bytes = self.read_bytes(&at.file, pool, ord, &Projection::All)?;
+            if peek_int(&bytes, attr::KEY)? == key {
+                found = Some(bytes);
             }
         }
-        let t = found.ok_or_else(|| CoreError::no_such_key(key))?;
-        Ok(if proj.is_all() {
-            t
-        } else {
-            proj.apply(&t, &self.schema)
-        })
+        let bytes = found.ok_or_else(|| CoreError::no_such_key(key))?;
+        Ok(decode_projected_at(&bytes, &self.schema, 0, proj)?)
     }
 
     fn scan_all(
@@ -302,10 +290,10 @@ impl Model for DirectModel {
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<ObjRef>> {
-        let proj = proj_navigation();
         let mut out = Vec::new();
         for r in refs {
-            let t = self.read_object(&at.file, pool, ord_of(&at.file, r.oid)?, &proj)?;
+            let ord = ord_of(&at.file, r.oid)?;
+            let t = self.read_object(&at.file, pool, ord, &self.navigation)?;
             out.extend(
                 child_refs(&t)
                     .into_iter()
@@ -321,9 +309,11 @@ impl Model for DirectModel {
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<Tuple>> {
-        let proj = proj_root_record();
         refs.iter()
-            .map(|r| self.read_object(&at.file, pool, ord_of(&at.file, r.oid)?, &proj))
+            .map(|r| {
+                let ord = ord_of(&at.file, r.oid)?;
+                self.read_object(&at.file, pool, ord, &self.root_record)
+            })
             .collect()
     }
 

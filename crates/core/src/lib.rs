@@ -45,7 +45,7 @@ pub use dasdbs_nsm::DasdbsNsmStore;
 pub use direct::DirectStore;
 pub use error::CoreError;
 pub use nsm::NsmStore;
-pub use object_file::{subtuple_page_plan, ObjAddr, ObjectFile, ReadPayload};
+pub use object_file::{subtuple_page_plan, ObjAddr, ObjectFile};
 pub use partitioned::{
     with_cluster_router, ClusterRouter, ClusterTicket, PartitionedStore, Placement,
 };

@@ -21,7 +21,8 @@
 use crate::placement::{self, ObjectHeat, ReorgReport};
 use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
-    apply_station_proj, avg, key_of_oid, per_object, station_tuple, ObjRef, RelationInfo, RootPatch,
+    apply_station_proj, avg, key_of_oid, peek_attr, peek_int, per_object, station_tuple, ObjRef,
+    RelationInfo, RootPatch, CONNECTION, PLATFORM, SIGHTSEEING, STATION,
 };
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
@@ -97,6 +98,9 @@ pub type NsmStore<P = BufferPool> = Store<NsmModel, P>;
 pub struct NsmModel {
     /// `true` = the NSM+index variant.
     indexed: bool,
+    /// The flat schemas of the four relations in schema order (station,
+    /// platform, connection, sightseeing), built once.
+    schemas: [RelSchema; 4],
 }
 
 impl NsmStore {
@@ -110,7 +114,13 @@ impl NsmStore {
 impl<P: PageCache> NsmStore<P> {
     /// Creates an empty NSM store over an externally built pool.
     pub fn with_pool(indexed: bool, _config: &StoreConfig, pool: P) -> Self {
-        Store::over(NsmModel { indexed }, pool)
+        let schemas = [
+            nsm_station_schema(),
+            nsm_platform_schema(),
+            nsm_connection_schema(),
+            nsm_sightseeing_schema(),
+        ];
+        Store::over(NsmModel { indexed, schemas }, pool)
     }
 }
 
@@ -247,25 +257,25 @@ fn assemble(
     station_tuple(station, platform_tuples, seeing_tuples)
 }
 
-/// Scans a relation, decoding tuples whose `RootKey` (attribute 0) is in
-/// `keys`, grouped per key in encounter order. Always reads the whole
-/// relation (set-oriented selection).
-fn scan_matching(
+/// Scans a relation, extracting (with `extract`) the tuples whose `RootKey`
+/// (attribute 0) is in `keys`, grouped per key in encounter order. Always
+/// reads the whole relation (set-oriented selection).
+fn scan_matching<T>(
     pool: &mut impl PageCache,
     file: &HeapFile,
-    schema: &RelSchema,
     keys: &HashSet<Key>,
-) -> Result<HashMap<Key, Vec<Tuple>>> {
-    let mut out: HashMap<Key, Vec<Tuple>> = HashMap::new();
+    extract: impl Fn(&[u8]) -> Result<T>,
+) -> Result<HashMap<Key, Vec<T>>> {
+    let mut out: HashMap<Key, Vec<T>> = HashMap::new();
     let mut err = None;
     file.scan(pool, |_, bytes| {
         if err.is_some() {
             return;
         }
-        match peek_root_key(bytes) {
-            Ok(k) if keys.contains(&k) => match decode(bytes, schema) {
+        match peek_int(bytes, 0) {
+            Ok(k) if keys.contains(&k) => match extract(bytes) {
                 Ok(t) => out.entry(k).or_default().push(t),
-                Err(e) => err = Some(CoreError::from(e)),
+                Err(e) => err = Some(e),
             },
             Ok(_) => {}
             Err(e) => err = Some(e),
@@ -275,6 +285,16 @@ fn scan_matching(
         Some(e) => Err(e),
         None => Ok(out),
     }
+}
+
+/// [`scan_matching`] decoding whole tuples against `schema`.
+fn scan_tuples(
+    pool: &mut impl PageCache,
+    file: &HeapFile,
+    schema: &RelSchema,
+    keys: &HashSet<Key>,
+) -> Result<HashMap<Key, Vec<Tuple>>> {
+    scan_matching(pool, file, keys, |bytes| Ok(decode(bytes, schema)?))
 }
 
 /// Reads tuples by RID (NSM+index path): a page is fixed iff a tuple on
@@ -293,6 +313,18 @@ fn read_rids(
         .collect()
 }
 
+/// The child reference a flat `NSM-Connection` tuple carries:
+/// `KeyConnection` and `OidConnection` read at their directory offsets, so
+/// `DepartureTimes` is never decoded and nothing is allocated.
+fn connection_ref(bytes: &[u8]) -> Result<ObjRef> {
+    Ok(ObjRef {
+        key: peek_int(bytes, 3)?,
+        oid: peek_attr(bytes, 4, &AttrType::Link)?
+            .as_link()
+            .expect("decode_attr(Link) yields Link"),
+    })
+}
+
 impl NsmModel {
     /// Materializes one full object by key: pure NSM scans all relations,
     /// NSM+index reads the root by scan/index depending on `root_by_scan`
@@ -304,10 +336,10 @@ impl NsmModel {
         key: Key,
         root_by_scan: bool,
     ) -> Result<Tuple> {
-        let station_schema = nsm_station_schema();
-        let keys = || HashSet::from([key]);
+        let schemas = &self.schemas;
+        let keys = HashSet::from([key]);
         let root = if root_by_scan {
-            let found = scan_matching(pool, &state.station, &station_schema, &keys())?;
+            let found = scan_tuples(pool, &state.station, &schemas[STATION], &keys)?;
             found
                 .get(&key)
                 .and_then(|v| v.first())
@@ -319,35 +351,29 @@ impl NsmModel {
                 .get(&key)
                 .and_then(|r| r.station)
                 .ok_or_else(|| CoreError::no_such_key(key))?;
-            decode(&state.station.read(pool, rid)?, &station_schema)?
+            decode(&state.station.read(pool, rid)?, &schemas[STATION])?
         };
         let (platforms, connections, sightseeings) = if self.indexed {
             let rids = state.index.get(&key).cloned().unwrap_or_default();
             (
-                read_rids(
-                    pool,
-                    &state.platform,
-                    &nsm_platform_schema(),
-                    &rids.platforms,
-                )?,
+                read_rids(pool, &state.platform, &schemas[PLATFORM], &rids.platforms)?,
                 read_rids(
                     pool,
                     &state.connection,
-                    &nsm_connection_schema(),
+                    &schemas[CONNECTION],
                     &rids.connections,
                 )?,
                 read_rids(
                     pool,
                     &state.sightseeing,
-                    &nsm_sightseeing_schema(),
+                    &schemas[SIGHTSEEING],
                     &rids.sightseeings,
                 )?,
             )
         } else {
-            let keys = keys();
-            let mut p = scan_matching(pool, &state.platform, &nsm_platform_schema(), &keys)?;
-            let mut c = scan_matching(pool, &state.connection, &nsm_connection_schema(), &keys)?;
-            let mut s = scan_matching(pool, &state.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+            let mut p = scan_tuples(pool, &state.platform, &schemas[PLATFORM], &keys)?;
+            let mut c = scan_tuples(pool, &state.connection, &schemas[CONNECTION], &keys)?;
+            let mut s = scan_tuples(pool, &state.sightseeing, &schemas[SIGHTSEEING], &keys)?;
             (
                 p.remove(&key).unwrap_or_default(),
                 c.remove(&key).unwrap_or_default(),
@@ -356,27 +382,6 @@ impl NsmModel {
         };
         Ok(assemble(&root, &platforms, &connections, &sightseeings))
     }
-}
-
-/// Decodes attribute 0 (`Key`/`RootKey`, always an INT at a fixed offset) of
-/// a flat NSM tuple without decoding the rest.
-fn peek_root_key(bytes: &[u8]) -> Result<Key> {
-    match starfish_nf2::decode_attr(bytes, &AttrType::Int, root_key_offset(bytes)?)? {
-        Value::Int(k) => Ok(k),
-        _ => unreachable!("decode_attr(Int) yields Int"),
-    }
-}
-
-fn root_key_offset(bytes: &[u8]) -> Result<usize> {
-    // Attribute offsets start right after the 20-byte tuple header; offset 0
-    // entry is little-endian u32 relative to the tuple start.
-    let raw = bytes
-        .get(20..24)
-        .ok_or(CoreError::Nf2(starfish_nf2::Nf2Error::Corrupt {
-            offset: 20,
-            detail: "flat tuple too short".into(),
-        }))?;
-    Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
 }
 
 /// One relation's raw records grouped per root key (encounter order within
@@ -395,7 +400,7 @@ fn scan_grouped(pool: &mut impl PageCache, file: &HeapFile) -> Result<GroupedRel
         if err.is_some() {
             return;
         }
-        match peek_root_key(bytes) {
+        match peek_int(bytes, 0) {
             Ok(k) => {
                 g.recs.entry(k).or_default().push(bytes.to_vec());
                 g.pages.entry(k).or_default().push(rid.page);
@@ -491,12 +496,7 @@ impl Model for NsmModel {
     }
 
     fn load(&self, pool: &mut impl PageCache, stations: &[Station]) -> Result<NsmState> {
-        let schemas = [
-            nsm_station_schema(),
-            nsm_platform_schema(),
-            nsm_connection_schema(),
-            nsm_sightseeing_schema(),
-        ];
+        let schemas = &self.schemas;
         let mut recs: [Vec<Vec<u8>>; 4] = Default::default();
         // Bookkeeping to map bulk-load RIDs back to objects.
         let mut owners: [Vec<Key>; 4] = Default::default();
@@ -615,11 +615,11 @@ impl Model for NsmModel {
         f: &mut dyn FnMut(&Tuple),
     ) -> Result<()> {
         let keys: HashSet<Key> = objects.iter().map(|r| r.key).collect();
-        let roots = scan_matching(pool, &at.station, &nsm_station_schema(), &keys)?;
-        let mut platforms = scan_matching(pool, &at.platform, &nsm_platform_schema(), &keys)?;
-        let mut connections = scan_matching(pool, &at.connection, &nsm_connection_schema(), &keys)?;
-        let mut sightseeings =
-            scan_matching(pool, &at.sightseeing, &nsm_sightseeing_schema(), &keys)?;
+        let schemas = &self.schemas;
+        let roots = scan_tuples(pool, &at.station, &schemas[STATION], &keys)?;
+        let mut platforms = scan_tuples(pool, &at.platform, &schemas[PLATFORM], &keys)?;
+        let mut connections = scan_tuples(pool, &at.connection, &schemas[CONNECTION], &keys)?;
+        let mut sightseeings = scan_tuples(pool, &at.sightseeing, &schemas[SIGHTSEEING], &keys)?;
         for r in objects {
             let root = roots
                 .get(&r.key)
@@ -642,26 +642,22 @@ impl Model for NsmModel {
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<ObjRef>> {
-        let schema = nsm_connection_schema();
-        let to_ref = |c: &Tuple| ObjRef {
-            key: c.attr(3).and_then(Value::as_int).unwrap_or(0),
-            oid: c.attr(4).and_then(Value::as_link).unwrap_or(Oid(0)),
-        };
         let mut out = Vec::new();
         if self.indexed {
             for r in refs {
                 let rids = at.index.get(&r.key).map(|x| x.connections.as_slice());
-                let tuples = read_rids(pool, &at.connection, &schema, rids.unwrap_or(&[]))?;
-                out.extend(tuples.iter().map(to_ref));
+                for rid in rids.unwrap_or(&[]) {
+                    out.push(at.connection.with_record(pool, *rid, connection_ref)??);
+                }
             }
         } else {
             // One set-oriented scan of NSM-Connection for the whole ref set.
             let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-            let by_key = scan_matching(pool, &at.connection, &schema, &keys)?;
+            let by_key = scan_matching(pool, &at.connection, &keys, connection_ref)?;
             // Preserve per-ref order (and duplicate refs duplicate output).
             for r in refs {
-                if let Some(ts) = by_key.get(&r.key) {
-                    out.extend(ts.iter().map(to_ref));
+                if let Some(children) = by_key.get(&r.key) {
+                    out.extend_from_slice(children);
                 }
             }
         }
@@ -674,7 +670,7 @@ impl Model for NsmModel {
         pool: &mut impl PageCache,
         refs: &[ObjRef],
     ) -> Result<Vec<Tuple>> {
-        let schema = nsm_station_schema();
+        let schema = &self.schemas[STATION];
         if self.indexed {
             refs.iter()
                 .map(|r| {
@@ -683,13 +679,13 @@ impl Model for NsmModel {
                         .get(&r.key)
                         .and_then(|x| x.station)
                         .ok_or_else(|| CoreError::no_such_key(r.key))?;
-                    let t = decode(&at.station.read(pool, rid)?, &schema)?;
+                    let t = decode(&at.station.read(pool, rid)?, schema)?;
                     Ok(station_tuple(&t, vec![], vec![]))
                 })
                 .collect()
         } else {
             let keys: HashSet<Key> = refs.iter().map(|r| r.key).collect();
-            let by_key = scan_matching(pool, &at.station, &schema, &keys)?;
+            let by_key = scan_tuples(pool, &at.station, schema, &keys)?;
             refs.iter()
                 .map(|r| {
                     by_key
@@ -709,13 +705,12 @@ impl Model for NsmModel {
         refs: &[ObjRef],
         patch: &RootPatch,
     ) -> Result<()> {
-        let schema = nsm_station_schema();
         for r in refs {
             let rid = *at
                 .station_rids
                 .get(&r.key)
                 .ok_or_else(|| CoreError::no_such_key(r.key))?;
-            patch_root_name(&at.station, &schema, pool, rid, patch)?;
+            patch_root_name(&at.station, &self.schemas[STATION], pool, rid, patch)?;
         }
         Ok(())
     }

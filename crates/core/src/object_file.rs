@@ -8,7 +8,7 @@
 //! (whose nested `Sightseeing` tuples can exceed a page).
 
 use crate::{CoreError, Result};
-use starfish_nf2::TupleLayout;
+use starfish_nf2::{Projection, TupleLayout};
 use starfish_pagestore::{
     HeapFile, PageCache, PageId, Rid, SpannedRecord, SpannedStore, EFFECTIVE_PAGE_SIZE,
     SLOT_ENTRY_SIZE,
@@ -32,16 +32,6 @@ impl ObjAddr {
             ObjAddr::Spanned(r) => r.total_pages(),
         }
     }
-}
-
-/// What a read returned.
-#[derive(Clone, Debug)]
-pub enum ReadPayload {
-    /// The full encoded object (heap residents and whole-object reads).
-    Full(Vec<u8>),
-    /// A sparse buffer (only the requested ranges are valid) plus the
-    /// object's layout, as recovered from its header pages.
-    Sparse(Vec<u8>, TupleLayout),
 }
 
 /// A sequence of objects stored heap-or-spanned, addressed by ordinal.
@@ -319,30 +309,30 @@ impl ObjectFile {
         }
     }
 
-    /// Reads only the pages needed for the byte ranges selected by
-    /// `ranges_of` (the DASDBS-DSM access path): header pages first to
-    /// recover the layout, then the covering data pages.
+    /// Reads only the pages `proj` needs (the DASDBS-DSM access path):
+    /// header pages first, whose serialized layout gives the byte ranges,
+    /// then the covering data pages. Returns a full-length buffer valid at
+    /// least in those ranges — what [`starfish_nf2::decode_projected_at`]
+    /// reads under `proj`.
     ///
-    /// Heap residents return [`ReadPayload::Full`] — they occupy one shared
-    /// page, so there is nothing to save (§5.3: small objects "do not have
-    /// separate header and data pages any longer").
+    /// Heap residents come back whole — they occupy one shared page, so
+    /// there is nothing to save (§5.3: small objects "do not have separate
+    /// header and data pages any longer").
     pub fn read_projected(
         &self,
         pool: &mut impl PageCache,
         ord: usize,
-        ranges_of: impl FnOnce(&TupleLayout) -> Vec<Range<u32>>,
-    ) -> Result<ReadPayload> {
+        proj: &Projection,
+    ) -> Result<Vec<u8>> {
         match self.addr(ord)? {
-            ObjAddr::Heap(rid) => Ok(ReadPayload::Full(self.heap.read(pool, rid)?)),
+            ObjAddr::Heap(rid) => Ok(self.heap.read(pool, rid)?),
             ObjAddr::Spanned(rec) => {
                 let header = SpannedStore::read_header(pool, &rec)?;
-                let layout = TupleLayout::from_bytes(&header)?;
-                let ranges = ranges_of(&layout);
-                let sparse = match self.plan_of(ord) {
+                let ranges = proj.byte_ranges_from_bytes(&header)?;
+                Ok(match self.plan_of(ord) {
                     Some(plan) => SpannedStore::read_data_ranges_mapped(pool, &rec, plan, &ranges)?,
                     None => SpannedStore::read_data_ranges(pool, &rec, &ranges)?,
-                };
-                Ok(ReadPayload::Sparse(sparse, layout))
+                })
             }
         }
     }
@@ -564,28 +554,18 @@ mod tests {
 
         p.clear_cache().unwrap();
         p.reset_stats();
-        let payload = f
-            .read_projected(&mut p, 0, |l| proj_root_record().byte_ranges(l))
-            .unwrap();
+        let sparse = f.read_projected(&mut p, 0, &proj_root_record()).unwrap();
         let proj_pages = p.snapshot().pages_read;
         assert!(
             proj_pages < full_pages,
             "projection must fetch fewer pages ({proj_pages} vs {full_pages})"
         );
-        // The sparse payload decodes the root record correctly.
-        match payload {
-            ReadPayload::Sparse(bytes, layout) => {
-                let t = starfish_nf2::decode_projected(
-                    &bytes,
-                    &station_schema(),
-                    &layout,
-                    &proj_root_record(),
-                )
+        // The sparse buffer decodes the root record correctly.
+        assert_eq!(sparse.len(), objs[0].0.len());
+        let t =
+            starfish_nf2::decode_projected_at(&sparse, &station_schema(), 0, &proj_root_record())
                 .unwrap();
-                assert_eq!(t.attr(0).unwrap().as_int(), Some(7));
-            }
-            ReadPayload::Full(_) => panic!("large object must come back sparse"),
-        }
+        assert_eq!(t.attr(0).unwrap().as_int(), Some(7));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use crate::placement::{PlacementStats, ReorgReport};
 use crate::{ModelKind, Result};
 use starfish_nf2::station::Station;
-use starfish_nf2::{Key, Oid, Projection, Tuple, Value};
+use starfish_nf2::{AttrType, Key, Oid, Projection, Tuple, Value};
 use starfish_pagestore::{BufferStats, IoSnapshot};
 
 /// A reference to a complex object: its OID (physical handle) and its key
@@ -165,6 +165,30 @@ pub(crate) fn key_of_oid(refs: &[ObjRef], oid: Oid) -> crate::Result<Key> {
         .map(|r| r.key)
         .ok_or_else(|| crate::CoreError::no_such_object(oid))
 }
+
+/// Decodes attribute `attr` (of type `ty`) of the tuple encoded in `bytes`
+/// at the offset the tuple's own directory gives, touching nothing else.
+/// For `INT`/`LINK` attributes this allocates nothing, so it is safe inside
+/// a page closure.
+pub(crate) fn peek_attr(bytes: &[u8], attr: usize, ty: &AttrType) -> Result<Value> {
+    let at = starfish_nf2::attr_offset(bytes, 0, attr)?;
+    Ok(starfish_nf2::decode_attr(bytes, ty, at)?)
+}
+
+/// [`peek_attr`] of an `INT` attribute (the keys and counters).
+pub(crate) fn peek_int(bytes: &[u8], attr: usize) -> Result<i32> {
+    Ok(peek_attr(bytes, attr, &AttrType::Int)?
+        .as_int()
+        .expect("decode_attr(Int) yields Int"))
+}
+
+/// Indices of the four relations of the normalized models in schema order:
+/// every per-relation array of `nsm.rs` and `dasdbs_nsm.rs` is indexed by
+/// them.
+pub(crate) const STATION: usize = 0;
+pub(crate) const PLATFORM: usize = 1;
+pub(crate) const CONNECTION: usize = 2;
+pub(crate) const SIGHTSEEING: usize = 3;
 
 /// Applies `proj` to a fully materialized station tuple (identity for the
 /// full projection) — the common tail of every retrieval path.

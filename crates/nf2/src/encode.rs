@@ -23,8 +23,28 @@
 //!               u32 × count sub-tuple offsets (relative to REL start),
 //!               sub-tuple encodings (recursive)
 //! ```
+//!
+//! # Projected decoding is a directory walk
+//!
+//! [`decode_projected_at`] is *the* projected decoder ([`decode_projected`]
+//! is the same walk started at a layout's `start`). At each tuple it enters
+//! it checks magic, version and arity exactly as [`decode`] does, then reads
+//! the offset-table entries of the projected attributes only; for a
+//! relation-valued attribute with a sub-projection it reads the count and
+//! the address table and recurses into each sub-tuple. It therefore reads
+//! precisely the bytes [`Projection::byte_ranges`] names, allocates only
+//! what it returns, and needs no [`TupleLayout`].
+//!
+//! What that validates: [`Projection::All`] decodes — and so validates —
+//! every byte of the (sub-)tuple it covers. A narrower projection validates
+//! the directories it enters and the values it returns, and nothing else:
+//! corruption in an attribute the projection drops goes unseen, as it
+//! always has on a sparse buffer where those bytes were never fetched.
+//! Decode errors are built lazily (`ok_or_else`): a successful decode
+//! allocates nothing but its result.
 
 use crate::layout::{AttrLayout, TupleLayout};
+use crate::path::neutral_value;
 use crate::{overhead, AttrType, Nf2Error, Oid, Projection, RelSchema, Result, Tuple, Value};
 
 const MAGIC: u16 = 0x4E32;
@@ -147,6 +167,19 @@ pub fn decode(bytes: &[u8], schema: &RelSchema) -> Result<Tuple> {
 
 /// Decodes a tuple encoded at absolute offset `start` of `bytes`.
 pub fn decode_tuple_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<Tuple> {
+    check_header(bytes, schema, start)?;
+    let mut values = Vec::with_capacity(schema.arity());
+    for (i, def) in schema.attrs.iter().enumerate() {
+        let at = directory_entry(bytes, start, i)?;
+        values.push(decode_attr(bytes, &def.ty, at)?);
+    }
+    Ok(Tuple::new(values))
+}
+
+/// Checks the header of the tuple at `start`: magic, version, and an
+/// attribute count equal to `schema`'s arity — what every decoder verifies
+/// of each tuple it enters before trusting that tuple's offset table.
+fn check_header(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()> {
     let magic = get_u16(bytes, start)?;
     if magic != MAGIC {
         return Err(Nf2Error::Corrupt {
@@ -171,112 +204,160 @@ pub fn decode_tuple_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result
             ),
         });
     }
-    let mut values = Vec::with_capacity(nattrs);
-    for (i, def) in schema.attrs.iter().enumerate() {
-        let rel_off = get_u32(bytes, start + overhead::TUPLE_HEADER + 4 * i)? as usize;
-        values.push(decode_attr(bytes, &def.ty, start + rel_off)?);
+    Ok(())
+}
+
+/// Absolute offset of attribute `attr` of the tuple at `start`, read from
+/// the tuple's offset table. The caller has checked `attr` against the
+/// tuple's arity.
+fn directory_entry(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
+    let rel = get_u32(
+        bytes,
+        start + overhead::TUPLE_HEADER + overhead::PER_ATTR * attr,
+    )?;
+    Ok(start.saturating_add(rel as usize))
+}
+
+/// Absolute offset of attribute `attr` of the tuple encoded at `start`,
+/// read from the tuple's own directory — the address at which
+/// [`decode_attr`] decodes that attribute without touching any other.
+///
+/// Only the attribute count is consulted (an `attr` beyond it is
+/// [`Nf2Error::BadProjection`]); magic and version are the business of the
+/// decoders that take a schema.
+pub fn attr_offset(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
+    let nattrs = get_u16(bytes, start.saturating_add(4))? as usize;
+    if attr >= nattrs {
+        return Err(Nf2Error::BadProjection {
+            attr,
+            available: nattrs,
+        });
     }
-    Ok(Tuple::new(values))
+    directory_entry(bytes, start, attr)
 }
 
 /// Decodes a single attribute value of type `ty` at absolute offset `start`.
 ///
-/// This is the primitive the DASDBS models use for *partial* object reads:
-/// combined with a stored [`TupleLayout`], any attribute can be decoded
-/// without touching (or having fetched) the rest of the object.
+/// This is the primitive of *partial* object reads: at the offset the
+/// tuple's directory gives (see [`attr_offset`]), any attribute can be
+/// decoded without touching (or having fetched) the rest of the object.
 pub fn decode_attr(bytes: &[u8], ty: &AttrType, start: usize) -> Result<Value> {
     match ty {
         AttrType::Int => Ok(Value::Int(get_u32(bytes, start)? as i32)),
         AttrType::Link => Ok(Value::Link(Oid(get_u32(bytes, start)?))),
         AttrType::Str => {
             let len = get_u16(bytes, start)? as usize;
-            let s = bytes
-                .get(start + 2..start + 2 + len)
-                .ok_or(Nf2Error::Corrupt {
-                    offset: start,
-                    detail: format!("string of length {len} truncated"),
+            let s =
+                get(bytes, start.saturating_add(overhead::PER_STRING), len).ok_or_else(|| {
+                    Nf2Error::Corrupt {
+                        offset: start,
+                        detail: format!("string of length {len} truncated"),
+                    }
                 })?;
             let s = std::str::from_utf8(s).map_err(|e| Nf2Error::Corrupt {
-                offset: start + 2,
+                offset: start + overhead::PER_STRING,
                 detail: format!("invalid utf-8: {e}"),
             })?;
             Ok(Value::Str(s.to_owned()))
         }
-        AttrType::Rel(sub) => {
-            let count = get_u32(bytes, start)? as usize;
-            let mut ts = Vec::with_capacity(count);
-            for i in 0..count {
-                let off = get_u32(bytes, start + overhead::SUBREL_HEADER + 4 * i)? as usize;
-                ts.push(decode_tuple_at(bytes, sub, start + off)?);
-            }
-            Ok(Value::Rel(ts))
-        }
+        AttrType::Rel(sub) => decode_rel(bytes, start, |at| decode_tuple_at(bytes, sub, at)),
     }
 }
 
-/// Decodes only the projected parts of an encoded object, using its layout.
-///
-/// `bytes` must contain valid data at least in the byte ranges
-/// `projection.byte_ranges(layout)` — everything else may be unfetched
-/// (zero-filled) without affecting the result. Unprojected attributes are
-/// filled with neutral placeholders, as in [`Projection::apply`].
+/// Decodes the sub-relation at `start`: its count, then each sub-tuple
+/// through `tuple_at` at the offset the address table gives.
+fn decode_rel(
+    bytes: &[u8],
+    start: usize,
+    mut tuple_at: impl FnMut(usize) -> Result<Tuple>,
+) -> Result<Value> {
+    let count = get_u32(bytes, start)? as usize;
+    let table = start.saturating_add(overhead::SUBREL_HEADER);
+    // The count comes straight from the bytes: before reserving for it,
+    // bound it by the address-table entries the buffer can still hold.
+    if count > bytes.len().saturating_sub(table) / overhead::PER_SUBTUPLE {
+        return Err(Nf2Error::Corrupt {
+            offset: start,
+            detail: format!("sub-relation of {count} tuples truncated"),
+        });
+    }
+    let mut ts = Vec::with_capacity(count);
+    for i in 0..count {
+        let off = get_u32(bytes, table + overhead::PER_SUBTUPLE * i)? as usize;
+        ts.push(tuple_at(start.saturating_add(off))?);
+    }
+    Ok(Value::Rel(ts))
+}
+
+/// Decodes only the projected parts of the object whose encoding starts at
+/// `layout.start` — [`decode_projected_at`] for callers that hold the
+/// object's [`TupleLayout`].
 pub fn decode_projected(
     bytes: &[u8],
     schema: &RelSchema,
     layout: &TupleLayout,
     projection: &Projection,
 ) -> Result<Tuple> {
-    match projection {
-        Projection::All => decode_tuple_at(bytes, schema, layout.start as usize),
-        Projection::Attrs(attrs) => {
-            let mut values: Vec<Value> = schema
-                .attrs
-                .iter()
-                .map(|a| match &a.ty {
-                    AttrType::Int => Value::Int(0),
-                    AttrType::Str => Value::Str(String::new()),
-                    AttrType::Link => Value::Link(Oid(0)),
-                    AttrType::Rel(_) => Value::Rel(Vec::new()),
-                })
-                .collect();
-            for (i, sub) in attrs {
-                let (Some(def), Some(al)) = (schema.attrs.get(*i), layout.attrs.get(*i)) else {
-                    return Err(Nf2Error::BadProjection {
-                        attr: *i,
-                        available: schema.arity().min(layout.attrs.len()),
-                    });
-                };
-                values[*i] = match &def.ty {
-                    AttrType::Rel(s) if !sub.is_all() => {
-                        let mut ts = Vec::with_capacity(al.tuples.len());
-                        for tl in &al.tuples {
-                            ts.push(decode_projected(bytes, s, tl, sub)?);
-                        }
-                        Value::Rel(ts)
-                    }
-                    ty => decode_attr(bytes, ty, al.start as usize)?,
-                };
+    decode_projected_at(bytes, schema, layout.start as usize, projection)
+}
+
+/// Decodes only the projected parts of the tuple encoded at absolute offset
+/// `start`, by walking the encoding's own directory.
+///
+/// `bytes` must contain valid data at least in the byte ranges
+/// [`Projection::byte_ranges`] gives for the object — everything else may
+/// be unfetched (zero-filled) without affecting the result. Unprojected
+/// attributes are filled with neutral placeholders, as in
+/// [`Projection::apply`]. See the [module docs](self) for what a projected
+/// read validates.
+pub fn decode_projected_at(
+    bytes: &[u8],
+    schema: &RelSchema,
+    start: usize,
+    projection: &Projection,
+) -> Result<Tuple> {
+    let Projection::Attrs(attrs) = projection else {
+        return decode_tuple_at(bytes, schema, start);
+    };
+    check_header(bytes, schema, start)?;
+    let mut values: Vec<Value> = schema.attrs.iter().map(|a| neutral_value(&a.ty)).collect();
+    for (i, sub) in attrs {
+        let def = schema
+            .attrs
+            .get(*i)
+            .ok_or_else(|| Nf2Error::BadProjection {
+                attr: *i,
+                available: schema.arity(),
+            })?;
+        let at = directory_entry(bytes, start, *i)?;
+        values[*i] = match &def.ty {
+            AttrType::Rel(s) if !sub.is_all() => {
+                decode_rel(bytes, at, |t| decode_projected_at(bytes, s, t, sub))?
             }
-            Ok(Tuple::new(values))
-        }
+            ty => decode_attr(bytes, ty, at)?,
+        };
     }
+    Ok(Tuple::new(values))
+}
+
+/// `len` bytes at `at`, or `None` past the end of `bytes`.
+fn get(bytes: &[u8], at: usize, len: usize) -> Option<&[u8]> {
+    bytes.get(at..at.checked_add(len)?)
 }
 
 fn get_u16(bytes: &[u8], at: usize) -> Result<u16> {
-    bytes
-        .get(at..at + 2)
+    get(bytes, at, 2)
         .map(|s| u16::from_le_bytes(s.try_into().expect("2-byte slice")))
-        .ok_or(Nf2Error::Corrupt {
+        .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u16)".into(),
         })
 }
 
 fn get_u32(bytes: &[u8], at: usize) -> Result<u32> {
-    bytes
-        .get(at..at + 4)
+    get(bytes, at, 4)
         .map(|s| u32::from_le_bytes(s.try_into().expect("4-byte slice")))
-        .ok_or(Nf2Error::Corrupt {
+        .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u32)".into(),
         })

@@ -86,23 +86,21 @@ impl TupleLayout {
 
     /// Deserializes a layout previously produced by [`TupleLayout::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let layout = Self::read(bytes, &mut pos)?;
-        Ok(layout)
+        Self::read(&mut LayoutReader::new(bytes))
     }
 
-    fn read(bytes: &[u8], pos: &mut usize) -> Result<Self> {
-        let start = read_u32(bytes, pos)?;
-        let len = read_u32(bytes, pos)?;
-        let nattrs = read_u16(bytes, pos)? as usize;
+    fn read(r: &mut LayoutReader) -> Result<Self> {
+        let start = r.u32()?;
+        let len = r.u32()?;
+        let nattrs = r.attr_count()?;
         let mut attrs = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            let a_start = read_u32(bytes, pos)?;
-            let a_len = read_u32(bytes, pos)?;
-            let ntuples = read_u32(bytes, pos)? as usize;
+            let a_start = r.u32()?;
+            let a_len = r.u32()?;
+            let ntuples = r.tuple_count()?;
             let mut tuples = Vec::with_capacity(ntuples);
             for _ in 0..ntuples {
-                tuples.push(Self::read(bytes, pos)?);
+                tuples.push(Self::read(r)?);
             }
             attrs.push(AttrLayout {
                 start: a_start,
@@ -121,22 +119,98 @@ impl AttrLayout {
     }
 }
 
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let s = bytes.get(*pos..*pos + 4).ok_or(Nf2Error::Corrupt {
-        offset: *pos,
-        detail: "truncated layout (u32)".into(),
-    })?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
+/// Serialized size of a tuple layout without attributes: start, len and
+/// attribute count.
+const MIN_TUPLE_BYTES: usize = 4 + 4 + 2;
+/// Serialized size of an attribute layout without sub-tuples: start, len
+/// and tuple count.
+const MIN_ATTR_BYTES: usize = 4 + 4 + 4;
+
+/// Sequential reader over [`TupleLayout::to_bytes`] output: what
+/// [`TupleLayout::from_bytes`] builds the tree with, and what
+/// [`crate::Projection::byte_ranges_from_bytes`] walks without building it.
+pub(crate) struct LayoutReader<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next unread byte.
+    pub(crate) pos: usize,
 }
 
-fn read_u16(bytes: &[u8], pos: &mut usize) -> Result<u16> {
-    let s = bytes.get(*pos..*pos + 2).ok_or(Nf2Error::Corrupt {
-        offset: *pos,
-        detail: "truncated layout (u16)".into(),
-    })?;
-    *pos += 2;
-    Ok(u16::from_le_bytes(s.try_into().expect("2-byte slice")))
+impl<'a> LayoutReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        LayoutReader { bytes, pos: 0 }
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let s = self
+            .pos
+            .checked_add(N)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or_else(|| Nf2Error::Corrupt {
+                offset: self.pos,
+                detail: format!("truncated layout (u{})", 8 * N),
+            })?;
+        self.pos += N;
+        Ok(s.try_into().expect("N-byte slice"))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    /// The next `u32` without consuming it.
+    pub(crate) fn peek_u32(&mut self) -> Result<u32> {
+        let at = self.pos;
+        let v = self.u32();
+        self.pos = at;
+        v
+    }
+
+    /// A count read from the bytes, bounded by how many items of at least
+    /// `min_bytes` each the rest of the buffer can hold — so a corrupt
+    /// count is an error, never a reservation.
+    fn bounded(&self, count: usize, min_bytes: usize) -> Result<usize> {
+        if count > self.bytes.len().saturating_sub(self.pos) / min_bytes {
+            return Err(Nf2Error::Corrupt {
+                offset: self.pos,
+                detail: format!("layout count {count} exceeds the remaining bytes"),
+            });
+        }
+        Ok(count)
+    }
+
+    /// The attribute count that ends a tuple's fixed part.
+    pub(crate) fn attr_count(&mut self) -> Result<usize> {
+        let n = u16::from_le_bytes(self.take()?) as usize;
+        self.bounded(n, MIN_ATTR_BYTES)
+    }
+
+    /// The sub-tuple count that ends an attribute's fixed part.
+    pub(crate) fn tuple_count(&mut self) -> Result<usize> {
+        let n = self.u32()? as usize;
+        self.bounded(n, MIN_TUPLE_BYTES)
+    }
+
+    /// Advances past `ntuples` serialized tuple layouts, reading only
+    /// their counts.
+    pub(crate) fn skip_tuples(&mut self, ntuples: usize) -> Result<()> {
+        for _ in 0..ntuples {
+            self.pos = self.pos.saturating_add(8); // start + len
+            let nattrs = self.attr_count()?;
+            self.skip_attrs(nattrs)?;
+        }
+        Ok(())
+    }
+
+    /// Advances past `nattrs` serialized attribute layouts (the rest of a
+    /// tuple whose fixed part has been read).
+    pub(crate) fn skip_attrs(&mut self, nattrs: usize) -> Result<()> {
+        for _ in 0..nattrs {
+            self.pos = self.pos.saturating_add(8); // start + len
+            let ntuples = self.tuple_count()?;
+            self.skip_tuples(ntuples)?;
+        }
+        Ok(())
+    }
 }
 
 /// Merges overlapping or adjacent byte ranges into a minimal sorted set.

@@ -52,7 +52,8 @@ pub mod station;
 mod value;
 
 pub use encode::{
-    decode, decode_attr, decode_projected, decode_tuple_at, encode, encode_with_layout, encoded_len,
+    attr_offset, decode, decode_attr, decode_projected, decode_projected_at, decode_tuple_at,
+    encode, encode_with_layout, encoded_len,
 };
 pub use error::Nf2Error;
 pub use layout::{AttrLayout, TupleLayout};

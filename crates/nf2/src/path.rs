@@ -1,4 +1,4 @@
-use crate::layout::merge_ranges;
+use crate::layout::{merge_ranges, LayoutReader};
 use crate::{AttrType, Nf2Error, RelSchema, Result, Tuple, TupleLayout, Value};
 use std::ops::Range;
 
@@ -43,10 +43,13 @@ impl Projection {
             Projection::All => Ok(()),
             Projection::Attrs(attrs) => {
                 for (i, sub) in attrs {
-                    let def = schema.attrs.get(*i).ok_or(Nf2Error::BadProjection {
-                        attr: *i,
-                        available: schema.arity(),
-                    })?;
+                    let def = schema
+                        .attrs
+                        .get(*i)
+                        .ok_or_else(|| Nf2Error::BadProjection {
+                            attr: *i,
+                            available: schema.arity(),
+                        })?;
                     match (&def.ty, sub) {
                         (AttrType::Rel(s), p) => p.validate(s)?,
                         (_, Projection::All) => {}
@@ -70,6 +73,11 @@ impl Projection {
     /// visited (sub-)tuple is always included, as is each visited
     /// sub-relation's header — exactly the structure a DASDBS object header
     /// walk would touch. Ranges are merged and sorted.
+    ///
+    /// This is the reference statement of the range rule: the stores read
+    /// through [`Projection::byte_ranges_from_bytes`], and the tests
+    /// (`tests/prop_walker.rs`) hold that cursor to this function. A change
+    /// to the rule is made in both.
     pub fn byte_ranges(&self, layout: &TupleLayout) -> Vec<Range<u32>> {
         let mut ranges = Vec::new();
         self.collect_ranges(layout, &mut ranges);
@@ -102,6 +110,58 @@ impl Projection {
         }
     }
 
+    /// [`Projection::byte_ranges`] computed straight from a serialized
+    /// layout ([`TupleLayout::to_bytes`] output, i.e. the content of an
+    /// object's header pages) without building the tree: unprojected
+    /// subtrees are skipped by advancing the read position only. Returns
+    /// exactly `self.byte_ranges(&TupleLayout::from_bytes(layout)?)`.
+    pub fn byte_ranges_from_bytes(&self, layout: &[u8]) -> Result<Vec<Range<u32>>> {
+        let mut ranges = Vec::new();
+        self.collect_serialized(&mut LayoutReader::new(layout), &mut ranges)?;
+        Ok(merge_ranges(ranges))
+    }
+
+    /// [`Projection::collect_ranges`] over the serialized tuple layout at
+    /// the reader's position, which it leaves just past that tuple.
+    fn collect_serialized(&self, r: &mut LayoutReader, out: &mut Vec<Range<u32>>) -> Result<()> {
+        let start = r.u32()?;
+        let end = start.saturating_add(r.u32()?);
+        let nattrs = r.attr_count()?;
+        let Projection::Attrs(attrs) = self else {
+            out.push(start..end);
+            return r.skip_attrs(nattrs);
+        };
+        // The header range ends at the first attribute, whose start is next.
+        out.push(start..if nattrs == 0 { end } else { r.peek_u32()? });
+        for k in 0..nattrs {
+            let a_start = r.u32()?;
+            let a_end = a_start.saturating_add(r.u32()?);
+            let ntuples = r.tuple_count()?;
+            let first_tuple = r.pos;
+            let mut walked = false;
+            for (_, sub) in attrs.iter().filter(|(i, _)| *i == k) {
+                // A repeated index walks the same sub-tuples again.
+                r.pos = first_tuple;
+                walked = true;
+                if sub.is_all() || ntuples == 0 {
+                    out.push(a_start..a_end);
+                    r.skip_tuples(ntuples)?;
+                } else {
+                    // Sub-relation header + address table, up to the first
+                    // sub-tuple (whose start is next), then each sub-tuple.
+                    out.push(a_start..r.peek_u32()?);
+                    for _ in 0..ntuples {
+                        sub.collect_serialized(r, out)?;
+                    }
+                }
+            }
+            if !walked {
+                r.skip_tuples(ntuples)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Applies the projection to a decoded tuple, replacing unprojected
     /// attributes with neutral placeholders (`0`, `""`, empty relation).
     ///
@@ -131,7 +191,7 @@ impl Projection {
     }
 }
 
-fn neutral_value(ty: &AttrType) -> Value {
+pub(crate) fn neutral_value(ty: &AttrType) -> Value {
     match ty {
         AttrType::Int => Value::Int(0),
         AttrType::Str => Value::Str(String::new()),

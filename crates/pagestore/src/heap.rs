@@ -33,13 +33,19 @@ impl HeapFile {
     /// greedily in order (the DASDBS clustering the cost model's Equations
     /// 6/7 assume). Returns the file and the RID of every record, in input
     /// order.
+    ///
+    /// One page fix per record, as for every later access to a record: the
+    /// page boundaries are planned from the record lengths, so no page is
+    /// asked whether the next record fits, and a page is formatted under
+    /// the fix of the first record it takes.
     pub fn bulk_load(
         pool: &mut impl PageCache,
         name: impl Into<String>,
         records: &[Vec<u8>],
     ) -> Result<(HeapFile, Vec<Rid>)> {
-        // Plan page boundaries first so one contiguous extent can be
-        // allocated up front.
+        // Plan the page of every record first so one contiguous extent can
+        // be allocated up front.
+        let mut page_of = Vec::with_capacity(records.len());
         let mut pages_needed = 0u32;
         let mut free = 0usize;
         for rec in records {
@@ -55,31 +61,28 @@ impl HeapFile {
                 free = crate::EFFECTIVE_PAGE_SIZE;
             }
             free -= need;
+            page_of.push(pages_needed - 1);
         }
         let first = pool.alloc_extent(pages_needed.max(1));
-        let mut file = HeapFile {
+        let file = HeapFile {
             name: name.into(),
             pages: (0..pages_needed.max(1)).map(|i| first.offset(i)).collect(),
         };
-        for pid in &file.pages {
-            pool.with_page_mut(*pid, slotted::init)?;
+        if records.is_empty() {
+            pool.with_page_mut(first, slotted::init)?;
         }
-        let mut rids = Vec::with_capacity(records.len());
-        let mut page_idx = 0usize;
-        for rec in records {
-            let pid = file.pages[page_idx];
-            let fits = pool.with_page(pid, |p| slotted::fits(p, rec.len()))?;
-            let pid = if fits {
-                pid
-            } else {
-                page_idx += 1;
-                file.pages[page_idx]
-            };
-            let slot = pool.with_page_mut(pid, |p| slotted::insert(p, rec))??;
-            rids.push(Rid { page: pid, slot });
+        let mut rids: Vec<Rid> = Vec::with_capacity(records.len());
+        for (rec, idx) in records.iter().zip(page_of) {
+            let page = first.offset(idx);
+            let opens_page = rids.last().is_none_or(|r| r.page != page);
+            let slot = pool.with_page_mut(page, |p| {
+                if opens_page {
+                    slotted::init(p);
+                }
+                slotted::insert(p, rec)
+            })??;
+            rids.push(Rid { page, slot });
         }
-        debug_assert_eq!(page_idx + 1, file.pages.len().max(1));
-        file.pages.truncate((page_idx + 1).max(1));
         Ok((file, rids))
     }
 
@@ -100,7 +103,21 @@ impl HeapFile {
 
     /// Reads the record at `rid` into a fresh vector (one page fix).
     pub fn read(&self, pool: &mut impl PageCache, rid: Rid) -> Result<Vec<u8>> {
-        pool.with_page(rid.page, |p| slotted::read(p, rid.slot, |b| b.to_vec()))?
+        self.with_record(pool, rid, <[u8]>::to_vec)
+    }
+
+    /// Passes the record at `rid` to `f` in place (one page fix, no copy).
+    ///
+    /// `f` runs while the page is fixed — on a shared pool, under its
+    /// shard's mutex — so it must stay short: extract fixed-size fields
+    /// there, copy out with [`HeapFile::read`] for anything heavier.
+    pub fn with_record<R>(
+        &self,
+        pool: &mut impl PageCache,
+        rid: Rid,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        pool.with_page(rid.page, |p| slotted::read(p, rid.slot, f))?
     }
 
     /// Overwrites the record at `rid` with a same-sized body (one page fix,
@@ -178,6 +195,13 @@ mod tests {
             11
         );
         assert_eq!(rids.iter().filter(|r| r.page == file.pages()[2]).count(), 3);
+    }
+
+    #[test]
+    fn bulk_load_fixes_once_per_record() {
+        let mut p = pool();
+        HeapFile::bulk_load(&mut p, "conn", &records(25, 166)).unwrap();
+        assert_eq!(p.snapshot().fixes, 25, "no fit probe, no format pass");
     }
 
     #[test]

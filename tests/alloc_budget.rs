@@ -1,0 +1,147 @@
+//! An allocation budget for the read path.
+//!
+//! The read path must allocate in proportion to what it *returns*. Two
+//! budgets pin that, counted by a test-only global allocator (the system
+//! allocator underneath, one counter per thread so parallel tests do not
+//! see each other):
+//!
+//! * a successful `decode` performs no more allocations than the `String`s
+//!   and `Vec`s of the tuple it returns — in particular none for error
+//!   values that are never raised;
+//! * DSM `children_of` on a buffer-resident object allocates O(children),
+//!   whatever the size of the `Sightseeing` relation it reads past.
+
+use starfish::core::{ComplexObjectStore, DirectStore, ObjRef, StoreConfig};
+use starfish::nf2::station::{station_schema, Connection, Platform, Sightseeing, Station};
+use starfish::nf2::{decode, encode, Oid, Tuple, Value};
+use starfish::prelude::DatasetParams;
+use starfish::workload::generate;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates (const-initialised `Cell`, no destructor) nor
+// unwinds (`try_with` tolerates a thread that is tearing down).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations for `realloc` are passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) this thread performs while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+/// Heap blocks a decoded tuple owns: its value vector, every non-empty
+/// string and every non-empty relation vector, recursively.
+fn owned_blocks(t: &Tuple) -> u64 {
+    let inner: u64 = (t.values.iter())
+        .map(|v| match v {
+            Value::Str(s) => u64::from(!s.is_empty()),
+            Value::Rel(ts) => u64::from(!ts.is_empty()) + ts.iter().map(owned_blocks).sum::<u64>(),
+            _ => 0,
+        })
+        .sum();
+    u64::from(!t.values.is_empty()) + inner
+}
+
+#[test]
+fn decode_allocates_only_what_it_returns() {
+    let schema = station_schema();
+    let stations = generate(&DatasetParams {
+        n_objects: 40,
+        seed: 1993,
+        ..Default::default()
+    });
+    for s in &stations {
+        let bytes = encode(&s.to_tuple(), &schema).unwrap();
+        let (n, t) = allocations(|| decode(&bytes, &schema).unwrap());
+        let returned = owned_blocks(&t);
+        assert!(
+            n <= returned + 4,
+            "decode of station {} allocated {n} times to return {returned} blocks",
+            s.key
+        );
+    }
+}
+
+/// A station with two children and `n_seeing` sightseeings of ≈400 bytes.
+fn station(key: i32, n_seeing: usize) -> Station {
+    Station {
+        key,
+        name: format!("{key:0100}"),
+        platforms: vec![Platform {
+            platform_nr: 1,
+            no_line: 2,
+            ticket_code: 9,
+            information: "i".repeat(100),
+            connections: (0..2)
+                .map(|c| Connection {
+                    line_nr: c,
+                    key_connection: 100 + c,
+                    oid_connection: Oid(c as u32),
+                    departure_times: "t".repeat(100),
+                })
+                .collect(),
+        }],
+        sightseeings: (0..n_seeing)
+            .map(|i| Sightseeing {
+                seeing_nr: i as i32,
+                description: "d".repeat(100),
+                location: "l".repeat(100),
+                history: "h".repeat(100),
+                remarks: "r".repeat(100),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn dsm_navigation_allocates_per_child_not_per_sightseeing() {
+    let mut store = DirectStore::new(false, StoreConfig::default());
+    let refs = store.load(&[station(100, 5), station(101, 40)]).unwrap();
+    let count = |store: &mut DirectStore, r: ObjRef| {
+        store.children_of(&[r]).unwrap(); // make the object buffer-resident
+        let (n, children) = allocations(|| store.children_of(&[r]).unwrap());
+        assert_eq!(children.len(), 2);
+        n
+    };
+    let small = count(&mut store, refs[0]);
+    let large = count(&mut store, refs[1]);
+    // Eight times the sightseeings, the same two children: the header and
+    // data buffers grow, the number of allocations does not.
+    assert_eq!(
+        small, large,
+        "allocations must not depend on the Sightseeing count"
+    );
+    assert!(
+        small <= 24,
+        "navigating to 2 children allocated {small} times"
+    );
+}
