@@ -7,7 +7,7 @@
 use criterion::Criterion;
 use starfish_core::{make_store, ComplexObjectStore, ModelKind, StoreConfig};
 use starfish_harness::runner::HarnessConfig;
-use starfish_workload::{generate, DatasetParams, QueryRunner};
+use starfish_workload::{generate, DatasetParams, Executor};
 
 /// Bench scale: large enough to preserve the paper's DB ≫ buffer regime,
 /// small enough that a full `cargo bench` stays in minutes.
@@ -24,25 +24,25 @@ pub fn criterion() -> Criterion {
         .configure_from_args()
 }
 
-/// Builds a loaded store + runner at bench scale.
-pub fn loaded(kind: ModelKind) -> (Box<dyn ComplexObjectStore>, QueryRunner) {
+/// Builds a loaded store + executor at bench scale.
+pub fn loaded(kind: ModelKind) -> (Box<dyn ComplexObjectStore>, Executor) {
     let config = bench_config();
     let db = generate(&config.dataset());
     let mut store = make_store(kind, StoreConfig::with_buffer_pages(config.buffer_pages));
     let refs = store.load(&db).expect("load");
-    (store, QueryRunner::new(refs, config.query_seed))
+    (store, Executor::new(refs, config.query_seed))
 }
 
-/// Builds a loaded store + runner for explicit dataset parameters.
+/// Builds a loaded store + executor for explicit dataset parameters.
 pub fn loaded_with(
     kind: ModelKind,
     params: &DatasetParams,
-) -> (Box<dyn ComplexObjectStore>, QueryRunner) {
+) -> (Box<dyn ComplexObjectStore>, Executor) {
     let config = bench_config();
     let db = generate(params);
     let mut store = make_store(kind, StoreConfig::with_buffer_pages(config.buffer_pages));
     let refs = store.load(&db).expect("load");
-    (store, QueryRunner::new(refs, config.query_seed))
+    (store, Executor::new(refs, config.query_seed))
 }
 
 /// Prints a regenerated report to stderr, once, before timing starts.

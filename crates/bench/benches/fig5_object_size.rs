@@ -5,8 +5,8 @@ mod common;
 
 use criterion::Criterion;
 use starfish_core::ModelKind;
-use starfish_cost::QueryId;
 use starfish_harness::experiments::fig5;
+use starfish_workload::WorkloadSpec;
 use std::hint::black_box;
 
 fn main() {
@@ -17,9 +17,9 @@ fn main() {
     for max_s in fig5::SIGHTSEEING_MAXIMA {
         let params = config.dataset().with_max_sightseeing(max_s);
         for kind in [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm] {
-            let (mut store, runner) = common::loaded_with(kind, &params);
+            let (mut store, exec) = common::loaded_with(kind, &params);
             c.bench_function(&format!("fig5/{kind}/maxSee={max_s}/q2b"), |b| {
-                b.iter(|| black_box(runner.run(store.as_mut(), QueryId::Q2b).unwrap()))
+                b.iter(|| black_box(exec.run(store.as_mut(), &WorkloadSpec::q2b()).unwrap()))
             });
         }
     }

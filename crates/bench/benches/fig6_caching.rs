@@ -5,8 +5,8 @@ mod common;
 
 use criterion::Criterion;
 use starfish_core::ModelKind;
-use starfish_cost::QueryId;
 use starfish_harness::experiments::fig6;
+use starfish_workload::WorkloadSpec;
 use std::hint::black_box;
 
 fn main() {
@@ -19,9 +19,9 @@ fn main() {
     for n in endpoints {
         let params = config.dataset().with_objects(n);
         for kind in [ModelKind::Dsm, ModelKind::DasdbsNsm] {
-            let (mut store, runner) = common::loaded_with(kind, &params);
+            let (mut store, exec) = common::loaded_with(kind, &params);
             c.bench_function(&format!("fig6/{kind}/{n}_objects/q2b"), |b| {
-                b.iter(|| black_box(runner.run(store.as_mut(), QueryId::Q2b).unwrap()))
+                b.iter(|| black_box(exec.run(store.as_mut(), &WorkloadSpec::q2b()).unwrap()))
             });
         }
     }

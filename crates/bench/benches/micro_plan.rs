@@ -7,11 +7,10 @@
 //! relative overhead: no physical I/O to hide behind).
 //!
 //! * `plan/hardcoded_2b` — the pre-redesign query-2b measurement loop,
-//!   hand-written against the store traits (the old `QueryRunner::run`
-//!   body, protocol included).
-//! * `plan/executor_2b` — the same protocol through
-//!   `QueryRunner::run` (now spec-built and interpreter-driven). The two
-//!   must be within measurement noise of each other.
+//!   hand-written against the store traits (protocol included).
+//! * `plan/executor_2b` — the same protocol through `Executor::run`
+//!   (spec-built and interpreter-driven). The two must be within
+//!   measurement noise of each other.
 //! * `plan/spec_build_2b` — constructing the spec value alone (the cost
 //!   `WorkloadSpec::for_query` adds per run).
 
@@ -21,7 +20,7 @@ use criterion::Criterion;
 use starfish_core::{make_store, ComplexObjectStore, ModelKind, ObjRef, StoreConfig};
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
-use starfish_workload::{generate, DatasetParams, QueryRunner, WorkloadSpec};
+use starfish_workload::{generate, DatasetParams, Executor, WorkloadSpec};
 use std::hint::black_box;
 
 use rand::rngs::StdRng;
@@ -74,8 +73,8 @@ fn main() {
 
     c.bench_function("plan/executor_2b", |b| {
         let (_db, mut store, refs) = setup();
-        let runner = QueryRunner::new(refs, SEED);
-        b.iter(|| black_box(runner.run(store.as_mut(), QueryId::Q2b).unwrap()))
+        let exec = Executor::new(refs, SEED);
+        b.iter(|| black_box(exec.run(store.as_mut(), &WorkloadSpec::q2b()).unwrap()))
     });
 
     c.bench_function("plan/spec_build_2b", |b| {

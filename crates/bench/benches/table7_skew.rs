@@ -4,9 +4,8 @@
 mod common;
 
 use criterion::Criterion;
-use starfish_cost::QueryId;
 use starfish_harness::experiments::table7;
-use starfish_workload::DatasetParams;
+use starfish_workload::{DatasetParams, WorkloadSpec};
 use std::hint::black_box;
 
 fn main() {
@@ -22,9 +21,9 @@ fn main() {
     };
     for (label, params) in [("default", &default_params), ("skew", &skew_params)] {
         for kind in table7::TABLE7_MODELS {
-            let (mut store, runner) = common::loaded_with(kind, params);
+            let (mut store, exec) = common::loaded_with(kind, params);
             c.bench_function(&format!("table7/{kind}/{label}/q2b"), |b| {
-                b.iter(|| black_box(runner.run(store.as_mut(), QueryId::Q2b).unwrap()))
+                b.iter(|| black_box(exec.run(store.as_mut(), &WorkloadSpec::q2b()).unwrap()))
             });
         }
     }

@@ -124,7 +124,7 @@ pub fn dnsm_sightseeing_schema() -> RelSchema {
 }
 
 /// The DASDBS-NSM store, generic over the buffer pool it runs on (see
-/// [`Store`]).
+/// `Store` in `store.rs`).
 pub type DasdbsNsmStore<P = BufferPool> = Store<DasdbsNsmModel, P>;
 
 /// Layout and access paths of DASDBS-NSM.

@@ -35,7 +35,7 @@ use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
 
 /// The two direct storage models, generic over the buffer pool they run on
-/// (see [`Store`]).
+/// (see `Store` in `store.rs`).
 pub type DirectStore<P = BufferPool> = Store<DirectModel, P>;
 
 /// Layout and access paths of DSM and DASDBS-DSM.

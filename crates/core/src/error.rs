@@ -23,6 +23,12 @@ pub enum CoreError {
         /// Human-readable description of the missing object.
         what: String,
     },
+    /// A job queued on a cluster node panicked on its worker. The worker
+    /// survives and the job's waiter gets this instead of hanging.
+    WorkerPanicked {
+        /// The node whose worker ran the job.
+        node: usize,
+    },
 }
 
 impl CoreError {
@@ -56,6 +62,9 @@ impl fmt::Display for CoreError {
                 write!(f, "{model} does not support {op}")
             }
             CoreError::NotFound { what } => write!(f, "not found: {what}"),
+            CoreError::WorkerPanicked { node } => {
+                write!(f, "a job panicked on a worker of node {node}")
+            }
         }
     }
 }

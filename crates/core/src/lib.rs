@@ -37,18 +37,13 @@ mod placement;
 mod store;
 mod traits;
 
-pub use concurrent::{
-    make_shared_store, with_reactor, ConcurrentObjectStore, QueryRequest, QueryResponse, Reactor,
-    Ticket,
-};
+pub use concurrent::{make_shared_store, ConcurrentObjectStore};
 pub use dasdbs_nsm::DasdbsNsmStore;
 pub use direct::DirectStore;
 pub use error::CoreError;
 pub use nsm::NsmStore;
 pub use object_file::{subtuple_page_plan, ObjAddr, ObjectFile};
-pub use partitioned::{
-    with_cluster_router, ClusterRouter, ClusterTicket, PartitionedStore, Placement,
-};
+pub use partitioned::{with_cluster_router, ClusterRouter, PartitionedStore, Pending, Placement};
 pub use placement::{PlacementStats, ReorgReport};
 pub use traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 

@@ -91,7 +91,7 @@ pub fn nsm_sightseeing_schema() -> RelSchema {
 }
 
 /// The NSM store (pure or indexed), generic over the buffer pool it runs
-/// on (see [`Store`]).
+/// on (see `Store` in `store.rs`).
 pub type NsmStore<P = BufferPool> = Store<NsmModel, P>;
 
 /// Layout and access paths of NSM.

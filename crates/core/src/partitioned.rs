@@ -29,25 +29,27 @@
 //!   flushes) fan out and merge in ascending node order, so answers are
 //!   deterministic.
 //!
-//! [`with_cluster_router`] adds the serving topology on top: one
-//! [`Reactor`] worker pool **per node**, with [`ClusterRouter`] mapping
-//! each request to its owning node's queue by [`PartitionedStore::node_of`]
-//! — the shared-nothing analogue of the single-store reactor. Lock order is
-//! unchanged (gate → shards ascending → disk → log, per node); the router
-//! and reactor mutexes are client-side and are never held across a store
-//! call, so they sit outside (above) the per-node order and cannot
-//! participate in a cycle.
+//! [`with_cluster_router`] adds the serving topology on top: one job
+//! queue and one pool of scoped worker threads **per node**. The whole
+//! protocol is [`ClusterRouter::on_node`] — run this closure against node
+//! *n*'s store on one of its workers and hand back its typed result
+//! ([`Pending`]) — so a routed op is the `shared_*` call it is on a single
+//! store, made on the owner's worker; [`ClusterRouter::owner`] names that
+//! node. Lock order is unchanged (gate → shards ascending → disk → log,
+//! per node); the queue and result-slot mutexes are client-side and are
+//! never held across a store call (a worker pops a job, releases the
+//! queue, then runs it), so they sit outside (above) the per-node order
+//! and cannot participate in a cycle.
 
-use crate::concurrent::{
-    make_shared_store, ConcurrentObjectStore, QueryRequest, QueryResponse, Reactor, ShutdownGuard,
-    Ticket,
-};
+use crate::concurrent::{make_shared_store, ConcurrentObjectStore};
 use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
 use starfish_nf2::{Key, Oid, Projection, Tuple};
 use starfish_pagestore::{BufferStats, IoSnapshot};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Object-to-node placement policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,7 +79,7 @@ impl Placement {
 
 /// A shared-nothing cluster of single-model stores with whole-object
 /// placement. Each node serves concurrently from its own sharded pool; see
-/// the [module docs](self).
+/// the `partitioned` module docs.
 pub struct PartitionedStore {
     kind: ModelKind,
     placement: Placement,
@@ -158,6 +160,14 @@ impl PartitionedStore {
                 self.locate.len().saturating_sub(1),
             ),
         }
+    }
+
+    /// A global catalog (uncounted, like the paper's address tables)
+    /// routes a value selection to the owning node; the node still pays
+    /// its model's local lookup cost.
+    fn node_of_key(&self, key: Key) -> Result<usize> {
+        let global = self.key_to_global.get(&key);
+        Ok(self.locate[*global.ok_or_else(|| CoreError::no_such_key(key))?].0)
     }
 
     fn local(&self, r: &ObjRef) -> Result<(usize, ObjRef)> {
@@ -300,17 +310,7 @@ impl ConcurrentObjectStore for PartitionedStore {
     }
 
     fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        // A global catalog (uncounted, like the paper's address tables)
-        // routes the value selection to the owning node; the node still
-        // pays its model's local lookup cost.
-        let global = *self
-            .key_to_global
-            .get(&key)
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {key}"),
-            })?;
-        let (node, _) = self.locate[global];
-        self.nodes[node].shared_get_by_key(key, proj)
+        self.nodes[self.node_of_key(key)?].shared_get_by_key(key, proj)
     }
 
     fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
@@ -402,170 +402,199 @@ impl ConcurrentObjectStore for PartitionedStore {
 }
 
 // ---------------------------------------------------------------------------
-// The cluster router: per-node reactor pools behind one dispatch surface
+// The cluster router: per-node job queues served by scoped worker threads
 // ---------------------------------------------------------------------------
 
-/// A completion token from [`ClusterRouter::submit`]-style calls: which
-/// node's reactor holds the completion, plus its local ticket.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ClusterTicket {
-    node: usize,
-    ticket: Ticket,
+/// One unit of work queued on a node: it runs against that node's store on
+/// one of the node's workers and deposits its own typed result.
+type Job<'a> = Box<dyn FnOnce(&dyn ConcurrentObjectStore) + Send + 'a>;
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl ClusterTicket {
-    /// The node whose reactor will complete this request.
-    pub fn node(&self) -> usize {
-        self.node
+struct QueueState<'a> {
+    jobs: VecDeque<Job<'a>>,
+    /// High-water mark of queued (not yet executing) jobs — the
+    /// client-side analogue of the I/O engine's `max_queue_depth`.
+    max_depth: u64,
+    shutdown: bool,
+}
+
+/// One node's submission queue and the store its workers serve.
+struct NodeQueue<'a> {
+    store: &'a dyn ConcurrentObjectStore,
+    state: Mutex<QueueState<'a>>,
+    /// Workers park here for new jobs (or shutdown).
+    work_cond: Condvar,
+}
+
+impl<'a> NodeQueue<'a> {
+    fn new(store: &'a dyn ConcurrentObjectStore) -> Self {
+        NodeQueue {
+            store,
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                max_depth: 0,
+                shutdown: false,
+            }),
+            work_cond: Condvar::new(),
+        }
+    }
+
+    fn push(&self, job: Job<'a>) {
+        let mut st = lock(&self.state);
+        st.jobs.push_back(job);
+        st.max_depth = st.max_depth.max(st.jobs.len() as u64);
+        drop(st);
+        self.work_cond.notify_one();
+    }
+
+    /// Worker loop: drain jobs until shutdown *and* an empty queue — work
+    /// queued before shutdown always runs. The queue mutex is released
+    /// before the job touches the store.
+    fn worker(&self) {
+        loop {
+            let job = {
+                let mut st = lock(&self.state);
+                loop {
+                    if let Some(job) = st.jobs.pop_front() {
+                        break job;
+                    }
+                    if st.shutdown {
+                        return;
+                    }
+                    st = self.work_cond.wait(st).unwrap_or_else(|e| e.into_inner());
+                }
+            };
+            job(self.store);
+        }
     }
 }
 
-/// The routed request-dispatch front-end over a [`PartitionedStore`]: one
-/// [`Reactor`] (with its own worker pool) per node, requests mapped to
-/// their owning node by [`PartitionedStore::node_of`] and translated into
-/// node-local refs on the way in. Cross-node operations (scans, flushes,
-/// grouped updates) fan out one ticket per node; waiting on the returned
-/// tickets in order merges completions in ascending node order, which
-/// keeps the answers deterministic.
+/// Signals shutdown on every queue even if the client closure panics, so
+/// scoped workers never park forever on the work condvar.
+struct ShutdownGuard<'r, 'a>(&'r [NodeQueue<'a>]);
+
+impl Drop for ShutdownGuard<'_, '_> {
+    fn drop(&mut self) {
+        for q in self.0 {
+            lock(&q.state).shutdown = true;
+            q.work_cond.notify_all();
+        }
+    }
+}
+
+struct Slot<T> {
+    result: Mutex<Option<Result<T>>>,
+    ready: Condvar,
+}
+
+/// The typed result of a job handed to [`ClusterRouter::on_node`], redeemed
+/// by [`wait`](Pending::wait). Dropping it abandons the result; the job
+/// still runs.
+#[must_use = "a queued job's result (and its error) is only seen by waiting on it"]
+pub struct Pending<T>(Arc<Slot<T>>);
+
+impl<T> Pending<T> {
+    /// Blocks until the job has run on one of its node's workers and
+    /// returns what it returned — or [`CoreError::WorkerPanicked`] if it
+    /// panicked (the worker survives and keeps serving its queue).
+    pub fn wait(self) -> Result<T> {
+        let mut result = lock(&self.0.result);
+        loop {
+            if let Some(r) = result.take() {
+                return r;
+            }
+            result = self.0.ready.wait(result).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
+/// The routed dispatch front-end over a [`PartitionedStore`]: one job
+/// queue (with its own worker pool) per node. [`on_node`](Self::on_node)
+/// is the whole protocol — a closure runs against a node's store on one of
+/// that node's workers; [`owner`](Self::owner) and
+/// [`owner_of_key`](Self::owner_of_key) say which node that is. Callers
+/// fan an op out by queueing every job before the first wait; waiting in
+/// submission order (ascending node order for cross-node ops) merges the
+/// results deterministically.
 ///
 /// Built by [`with_cluster_router`], which owns the worker lifetimes.
 pub struct ClusterRouter<'a> {
     cluster: &'a PartitionedStore,
-    reactors: Vec<Reactor<'a>>,
+    queues: Vec<NodeQueue<'a>>,
 }
 
-impl ClusterRouter<'_> {
-    /// Number of nodes (= per-node reactors).
+impl<'a> ClusterRouter<'a> {
+    /// Number of nodes (= job queues).
     pub fn node_count(&self) -> usize {
-        self.reactors.len()
+        self.queues.len()
     }
 
-    /// Submits a query-1a retrieval to the owning node.
-    pub fn submit_get_by_oid(&self, oid: Oid, proj: Projection) -> Result<ClusterTicket> {
-        let (node, local) = self.cluster.local(&ObjRef { oid, key: 0 })?;
-        Ok(self.submit_to(
-            node,
-            QueryRequest::GetByOid {
-                oid: local.oid,
-                proj,
-            },
-        ))
+    /// The node owning `r` and `r`'s node-local ref there. Navigation
+    /// answers are **global** refs (connection OIDs live in the global
+    /// space), so each hop's output routes through here again.
+    pub fn owner(&self, r: ObjRef) -> Result<(usize, ObjRef)> {
+        self.cluster.local(&r)
     }
 
-    /// Submits a query-1b retrieval to the owning node (global catalog
-    /// lookup, like [`PartitionedStore::get_by_key`]).
-    pub fn submit_get_by_key(&self, key: Key, proj: Projection) -> Result<ClusterTicket> {
-        let global = *self
-            .cluster
-            .key_to_global
-            .get(&key)
-            .ok_or_else(|| CoreError::NotFound {
-                what: format!("key {key}"),
-            })?;
-        let (node, _) = self.cluster.locate[global];
-        Ok(self.submit_to(node, QueryRequest::GetByKey { key, proj }))
+    /// The node owning the object with root key `key` (the global catalog
+    /// lookup of [`PartitionedStore::get_by_key`]; keys are not translated).
+    pub fn owner_of_key(&self, key: Key) -> Result<usize> {
+        self.cluster.node_of_key(key)
     }
 
-    /// Submits one navigation step for `r` to its owning node. The
-    /// completed [`QueryResponse::Refs`] are **global** refs (connection
-    /// OIDs live in the global space), directly submittable for the next
-    /// hop.
-    pub fn submit_children_of(&self, r: ObjRef) -> Result<ClusterTicket> {
-        let (node, local) = self.cluster.local(&r)?;
-        Ok(self.submit_to(node, QueryRequest::ChildrenOf { refs: vec![local] }))
-    }
-
-    /// Submits the root-record fetch for `r` to its owning node.
-    pub fn submit_root_record(&self, r: ObjRef) -> Result<ClusterTicket> {
-        let (node, local) = self.cluster.local(&r)?;
-        Ok(self.submit_to(node, QueryRequest::RootRecords { refs: vec![local] }))
-    }
-
-    /// Groups `refs` by owning node (preserving relative order) and
-    /// submits one `UpdateRoots` per involved node. Wait on every returned
-    /// ticket before depending on the patch.
-    pub fn submit_update_roots(
+    /// Queues `job` on `node` (`< node_count()`) and returns at once: one
+    /// of the node's workers runs it against the node's store, and the
+    /// returned [`Pending`] hands its result to whoever waits. A job must
+    /// own what it captures — it may outlive the caller's stack frame.
+    pub fn on_node<T: Send + 'a>(
         &self,
-        refs: &[ObjRef],
-        patch: &RootPatch,
-    ) -> Result<Vec<ClusterTicket>> {
-        let mut per_node: Vec<Vec<ObjRef>> = vec![Vec::new(); self.reactors.len()];
-        for r in refs {
-            let (node, local) = self.cluster.local(r)?;
-            per_node[node].push(local);
-        }
-        Ok(per_node
-            .into_iter()
-            .enumerate()
-            .filter(|(_, refs)| !refs.is_empty())
-            .map(|(node, refs)| {
-                self.submit_to(
-                    node,
-                    QueryRequest::UpdateRoots {
-                        refs,
-                        patch: patch.clone(),
-                    },
-                )
-            })
-            .collect())
-    }
-
-    /// Fans a full scan out to every node (one ticket per node, ascending
-    /// node order). Each completes with its node-local
-    /// [`QueryResponse::ScanCount`]; the cluster count is their sum.
-    pub fn submit_scan_all(&self) -> Vec<ClusterTicket> {
-        (0..self.reactors.len())
-            .map(|node| self.submit_to(node, QueryRequest::ScanAll))
-            .collect()
-    }
-
-    /// Fans a disconnect flush out to every node, ascending node order.
-    pub fn submit_flush(&self) -> Vec<ClusterTicket> {
-        (0..self.reactors.len())
-            .map(|node| self.submit_to(node, QueryRequest::Flush))
-            .collect()
+        node: usize,
+        job: impl FnOnce(&dyn ConcurrentObjectStore) -> Result<T> + Send + 'a,
+    ) -> Pending<T> {
+        let slot = Arc::new(Slot {
+            result: Mutex::new(None),
+            ready: Condvar::new(),
+        });
+        let done = Arc::clone(&slot);
+        self.queues[node].push(Box::new(move |store| {
+            let result = catch_unwind(AssertUnwindSafe(|| job(store)))
+                .unwrap_or(Err(CoreError::WorkerPanicked { node }));
+            *lock(&done.result) = Some(result);
+            done.ready.notify_one();
+        }));
+        Pending(slot)
     }
 
     /// Cold restart across the cluster, bypassing the queues: each node's
-    /// pool quiesces its own writers, so this is safe while requests are
-    /// in flight — they just go cold.
+    /// pool quiesces its own writers, so this is safe while jobs are in
+    /// flight — they just go cold.
     pub fn clear_cache_all(&self) -> Result<()> {
         self.cluster.shared_clear_cache()
     }
 
-    /// Redeems `t` if completed (`None` while queued or executing).
-    pub fn poll_complete(&self, t: ClusterTicket) -> Option<Result<QueryResponse>> {
-        self.reactors[t.node].poll_complete(t.ticket)
-    }
-
-    /// Blocks until `t` completes and redeems it.
-    pub fn wait(&self, t: ClusterTicket) -> Result<QueryResponse> {
-        self.reactors[t.node].wait(t.ticket)
-    }
-
-    /// Per-node submission-queue high-water marks (ascending node order) —
-    /// how far clients ran ahead of each node's worker pool.
+    /// Per-node queue high-water marks (ascending node order) — how far
+    /// clients ran ahead of each node's worker pool. Scheduling-dependent
+    /// under contention, like the engine's `max_queue_depth`.
     pub fn queue_high_water(&self) -> Vec<u64> {
-        self.reactors.iter().map(|r| r.queue_high_water()).collect()
-    }
-
-    fn submit_to(&self, node: usize, req: QueryRequest) -> ClusterTicket {
-        ClusterTicket {
-            node,
-            ticket: self.reactors[node].submit(req),
-        }
+        self.queues
+            .iter()
+            .map(|q| lock(&q.state).max_depth)
+            .collect()
     }
 }
 
 /// Runs `f` against a [`ClusterRouter`] serving `cluster` with
-/// `workers_per_node` event-loop threads **per node** (at least one each).
-/// Requests still queued when `f` returns are drained before teardown;
-/// unredeemed completions are dropped.
+/// `workers_per_node` worker threads **per node** (at least one each).
+/// Jobs still queued when `f` returns are run before teardown; results
+/// nobody waited for are dropped.
 ///
 /// ```
 /// use starfish_core::{
 ///     with_cluster_router, ComplexObjectStore, ModelKind, PartitionedStore, Placement,
-///     QueryResponse, StoreConfig,
+///     StoreConfig,
 /// };
 /// use starfish_nf2::{station::Station, Projection};
 ///
@@ -577,10 +606,12 @@ impl ClusterRouter<'_> {
 ///     .collect();
 /// let refs = cluster.load(&db)?;
 /// let answer = with_cluster_router(&cluster, 2, |router| {
-///     let t = router.submit_get_by_oid(refs[3].oid, Projection::All)?;
-///     router.wait(t)
+///     let (node, local) = router.owner(refs[3])?;
+///     router
+///         .on_node(node, move |store| store.shared_get_by_oid(local.oid, &Projection::All))
+///         .wait()
 /// })?;
-/// assert!(matches!(answer, QueryResponse::Tuple(_)));
+/// assert_eq!(Station::from_tuple(&answer).unwrap(), db[3]);
 /// # Ok::<(), starfish_core::CoreError>(())
 /// ```
 pub fn with_cluster_router<R>(
@@ -590,22 +621,20 @@ pub fn with_cluster_router<R>(
 ) -> R {
     let router = ClusterRouter {
         cluster,
-        reactors: cluster
+        queues: cluster
             .nodes
             .iter()
-            .map(|n| Reactor::new(n.as_ref()))
+            .map(|n| NodeQueue::new(n.as_ref()))
             .collect(),
     };
     std::thread::scope(|s| {
-        for r in &router.reactors {
+        for q in &router.queues {
             for _ in 0..workers_per_node.max(1) {
-                s.spawn(move || r.worker());
+                s.spawn(move || q.worker());
             }
         }
-        let guards: Vec<_> = router.reactors.iter().map(ShutdownGuard).collect();
-        let out = f(&router);
-        drop(guards);
-        out
+        let _shutdown = ShutdownGuard(&router.queues);
+        f(&router)
     })
 }
 
@@ -811,9 +840,10 @@ mod tests {
         assert_eq!(n, 10);
     }
 
-    /// Routed dispatch: answers come back from the owning nodes, global
-    /// refs stay valid across hops, fan-outs merge deterministically, and
-    /// the per-node queue high-water is populated.
+    /// Routed dispatch: answers come back from the owning nodes whatever
+    /// order they are waited in, global refs stay valid across hops,
+    /// fan-outs merge deterministically, and the per-node queue high-water
+    /// is populated.
     #[test]
     fn router_matches_serial_cluster() {
         let mut part = cluster(ModelKind::DasdbsNsm, 3);
@@ -825,36 +855,51 @@ mod tests {
             .collect();
         with_cluster_router(&part, 2, |router| {
             assert_eq!(router.node_count(), 3);
-            // Retrieval by OID, many in flight at once.
-            let tickets: Vec<ClusterTicket> = refs
+            // Retrieval by OID, many in flight at once, redeemed out of
+            // submission order.
+            let pending: Vec<Pending<Tuple>> = refs
                 .iter()
-                .map(|r| router.submit_get_by_oid(r.oid, Projection::All).unwrap())
+                .map(|r| {
+                    let (node, local) = router.owner(*r).unwrap();
+                    assert_eq!(node, part.node_of(r.oid).unwrap());
+                    router.on_node(node, move |s| {
+                        s.shared_get_by_oid(local.oid, &Projection::All)
+                    })
+                })
                 .collect();
-            for (t, want) in tickets.into_iter().zip(&want_tuples) {
-                assert_eq!(router.wait(t).unwrap(), QueryResponse::Tuple(want.clone()));
+            for (p, want) in pending.into_iter().zip(&want_tuples).rev() {
+                assert_eq!(&p.wait().unwrap(), want);
             }
-            // Navigation: per-ref tickets waited in input order rebuild the
+            // By key: the catalog names the owner, the key is not translated.
+            let node = router.owner_of_key(refs[4].key).unwrap();
+            let key = refs[4].key;
+            let by_key = router.on_node(node, move |s| s.shared_get_by_key(key, &Projection::All));
+            assert_eq!(by_key.wait().unwrap(), want_tuples[4]);
+            // Navigation: per-ref jobs waited in input order rebuild the
             // serial answer; the refs that come back are global.
-            let mut got = Vec::new();
-            let hops: Vec<ClusterTicket> = refs
+            let hops: Vec<Pending<Vec<ObjRef>>> = refs
                 .iter()
-                .map(|r| router.submit_children_of(*r).unwrap())
+                .map(|r| {
+                    let (node, local) = router.owner(*r).unwrap();
+                    router.on_node(node, move |s| s.shared_children_of(&[local]))
+                })
                 .collect();
-            for t in hops {
-                match router.wait(t).unwrap() {
-                    QueryResponse::Refs(r) => got.extend(r),
-                    other => panic!("unexpected response {other:?}"),
-                }
+            let mut got = Vec::new();
+            for p in hops {
+                got.extend(p.wait().unwrap());
             }
             assert_eq!(got, want_children);
             // Cross-node scan fan-out sums to the cluster count.
-            let mut scanned = 0usize;
-            for t in router.submit_scan_all() {
-                match router.wait(t).unwrap() {
-                    QueryResponse::ScanCount(n) => scanned += n,
-                    other => panic!("unexpected response {other:?}"),
-                }
-            }
+            let scans: Vec<Pending<usize>> = (0..router.node_count())
+                .map(|node| {
+                    router.on_node(node, |s| {
+                        let mut n = 0usize;
+                        s.shared_scan_all(&mut |_| n += 1)?;
+                        Ok(n)
+                    })
+                })
+                .collect();
+            let scanned: usize = scans.into_iter().map(|p| p.wait().unwrap()).sum();
             assert_eq!(scanned, 10);
             let hw = router.queue_high_water();
             assert_eq!(hw.len(), 3);
@@ -862,40 +907,143 @@ mod tests {
         });
     }
 
-    /// Routed updates group by owning node, persist, and survive a flush —
-    /// and an out-of-range submission fails fast with the shaped error.
+    /// Routed updates persist and survive a flush; a failing job completes
+    /// its waiter with the error and the queue keeps serving; an
+    /// out-of-range ref fails fast with the shaped error.
     #[test]
     fn router_updates_and_errors() {
         let mut part = cluster(ModelKind::DasdbsNsm, 4);
         let refs = part.refs.clone();
-        let new_name = "Y".repeat(100);
+        let patch = RootPatch {
+            new_name: "Y".repeat(100),
+        };
         with_cluster_router(&part, 1, |router| {
-            let tickets = router
-                .submit_update_roots(
-                    &refs[..6],
-                    &RootPatch {
-                        new_name: new_name.clone(),
-                    },
-                )
-                .unwrap();
-            assert!(tickets.len() >= 2, "6 round-robin refs span >= 2 nodes");
-            for t in tickets {
-                assert_eq!(router.wait(t).unwrap(), QueryResponse::Done);
+            // Group by owning node, one update job per involved node.
+            let mut per_node = vec![Vec::new(); router.node_count()];
+            for r in &refs[..6] {
+                let (node, local) = router.owner(*r).unwrap();
+                per_node[node].push(local);
             }
-            for t in router.submit_flush() {
-                assert_eq!(router.wait(t).unwrap(), QueryResponse::Done);
+            assert!(
+                per_node.iter().filter(|l| !l.is_empty()).count() >= 2,
+                "6 round-robin refs span >= 2 nodes"
+            );
+            let updates: Vec<Pending<()>> = per_node
+                .into_iter()
+                .enumerate()
+                .map(|(node, locals)| {
+                    let patch = patch.clone();
+                    router.on_node(node, move |s| s.shared_update_roots(&locals, &patch))
+                })
+                .collect();
+            for p in updates {
+                p.wait().unwrap();
             }
-            let err = router.submit_children_of(ObjRef {
+            for node in 0..router.node_count() {
+                router.on_node(node, |s| s.shared_flush()).wait().unwrap();
+            }
+            // Errors surface through the waiter, and the node keeps serving.
+            let bad = router.on_node(0, |s| s.shared_get_by_key(9999, &Projection::All));
+            assert!(matches!(bad.wait(), Err(CoreError::NotFound { .. })));
+            let (node, local) = router.owner(refs[0]).unwrap();
+            let good = router.on_node(node, move |s| s.shared_root_records(&[local]));
+            assert_eq!(good.wait().unwrap().len(), 1);
+            let unknown = ObjRef {
                 oid: Oid(99),
                 key: 0,
-            });
-            assert!(err.is_err());
+            };
+            let msg = router.owner(unknown).unwrap_err().to_string();
+            assert!(
+                msg.contains("object #99") && msg.contains("4 nodes"),
+                "{msg}"
+            );
+            assert!(router.owner_of_key(9999).is_err());
         });
         part.clear_cache().unwrap();
         for r in &refs[..6] {
             let t = part.get_by_oid(r.oid, &Projection::All).unwrap();
-            assert_eq!(Station::from_tuple(&t).unwrap().name, new_name);
+            assert_eq!(Station::from_tuple(&t).unwrap().name, patch.new_name);
         }
+    }
+
+    /// A job that panics completes its waiter with an error instead of
+    /// hanging it, and the (only) worker of that node survives to serve the
+    /// next job.
+    #[test]
+    fn panicking_job_errs_its_waiter_and_spares_the_worker() {
+        let part = cluster(ModelKind::DasdbsNsm, 2);
+        with_cluster_router(&part, 1, |router| {
+            let boom: Pending<()> = router.on_node(1, |_| panic!("job panics on purpose"));
+            let after = router.on_node(1, |s| Ok(s.object_count()));
+            assert_eq!(boom.wait(), Err(CoreError::WorkerPanicked { node: 1 }));
+            assert_eq!(after.wait(), Ok(5));
+        });
+    }
+
+    /// Jobs still queued when the client closure returns run before
+    /// teardown, even though nobody waits for them.
+    #[test]
+    fn queued_jobs_are_drained_before_teardown() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let part = cluster(ModelKind::DasdbsNsm, 2);
+        let ran = Arc::new(AtomicUsize::new(0));
+        with_cluster_router(&part, 1, |router| {
+            for i in 0..40 {
+                let ran = Arc::clone(&ran);
+                let _abandoned = router.on_node(i % 2, move |_| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                });
+            }
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 40);
+    }
+
+    /// A panicking client closure still shuts every worker down: the scope
+    /// joins instead of parking forever, and the panic reaches the caller.
+    #[test]
+    fn panicking_client_still_shuts_the_workers_down() {
+        let part = cluster(ModelKind::DasdbsNsm, 3);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            with_cluster_router(&part, 2, |router| {
+                router.on_node(0, |s| s.shared_flush()).wait().unwrap();
+                panic!("client panics on purpose");
+            })
+        }));
+        assert!(caught.is_err());
+    }
+
+    /// Routed serving queues a whole fan-out before the first wait: with
+    /// the node's only worker held busy, every job of a 3-parent step is
+    /// in the queue at once.
+    #[test]
+    fn fan_out_is_queued_before_the_first_wait() {
+        use std::sync::mpsc;
+        let part = cluster(ModelKind::DasdbsNsm, 1);
+        let refs = part.refs.clone();
+        with_cluster_router(&part, 1, |router| {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let gate = router.on_node(0, move |_| {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Ok(())
+            });
+            started_rx.recv().unwrap();
+            let hops: Vec<_> = refs[..3]
+                .iter()
+                .map(|r| {
+                    let (node, local) = router.owner(*r).unwrap();
+                    router.on_node(node, move |s| s.shared_children_of(&[local]))
+                })
+                .collect();
+            assert_eq!(router.queue_high_water(), vec![3]);
+            release_tx.send(()).unwrap();
+            gate.wait().unwrap();
+            for p in hops {
+                assert_eq!(p.wait().unwrap().len(), 2);
+            }
+        });
     }
 
     /// A concurrently-served cluster (N shards per node) leaves every node

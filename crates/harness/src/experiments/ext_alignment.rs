@@ -13,7 +13,7 @@ use crate::runner::HarnessConfig;
 use crate::Result;
 use starfish_core::{make_store, ModelKind, StoreConfig};
 use starfish_cost::QueryId;
-use starfish_workload::{generate, QueryOutcome, QueryRunner};
+use starfish_workload::{generate, Executor, WorkloadSpec};
 
 /// Models affected by direct-layout alignment.
 pub const MODELS: [ModelKind; 2] = [ModelKind::Dsm, ModelKind::DasdbsDsm];
@@ -37,12 +37,11 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
             };
             let mut store = make_store(kind, store_config);
             let refs = store.load(&db)?;
-            let runner = QueryRunner::new(refs, config.query_seed);
+            let exec = Executor::new(refs, config.query_seed);
             let mut cells = Vec::new();
             for q in QUERIES {
-                let QueryOutcome::Measured(m) = runner.run(store.as_mut(), q)? else {
-                    unreachable!("direct models support all queries");
-                };
+                let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;
+                let m = outcome.run().expect("direct models support all queries");
                 cells.push(m.pages_per_unit());
             }
             q1a[mi][li] = cells[0];

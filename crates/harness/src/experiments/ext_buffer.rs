@@ -22,8 +22,7 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{load_store, HarnessConfig};
 use crate::Result;
 use starfish_core::{ModelKind, PolicyKind};
-use starfish_cost::QueryId;
-use starfish_workload::{generate, QueryOutcome};
+use starfish_workload::{generate, WorkloadSpec};
 
 /// Models swept.
 pub const MODELS: [ModelKind; 3] = [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm];
@@ -48,8 +47,9 @@ fn measure_cell(
         policy,
         ..*config
     };
-    let (mut store, runner) = load_store(kind, db, &cfg)?;
-    let QueryOutcome::Measured(m) = runner.run(store.as_mut(), QueryId::Q2b)? else {
+    let (mut store, exec) = load_store(kind, db, &cfg)?;
+    let outcome = exec.run(store.as_mut(), &WorkloadSpec::q2b())?;
+    let Some(m) = outcome.run() else {
         return Ok(None);
     };
     let bs = store.buffer_stats();

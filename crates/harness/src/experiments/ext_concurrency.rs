@@ -9,7 +9,7 @@
 //! anchor): query 2b with 1/2/4/8 client threads sharing one
 //! `SharedBufferPool` (shard count = client count), for every storage
 //! model × replacement policy. The one-client LRU row is checked
-//! cell-for-cell against the serial `QueryRunner` measurement (same seed ⇒
+//! cell-for-cell against the serial `Executor::run` measurement (same seed ⇒
 //! identical counters) — the acceptance gate for the shared pool.
 //!
 //! **Mixed-workload matrix** (new with the concurrent write path): the
@@ -49,8 +49,7 @@ use crate::Result;
 use starfish_core::{
     make_shared_store, ConcurrentObjectStore, IoEngineConfig, ModelKind, PolicyKind, StoreConfig,
 };
-use starfish_cost::QueryId;
-use starfish_workload::{generate, MixKind, QueryOutcome, QueryRunner};
+use starfish_workload::{generate, Executor, MixKind, PlanOutcome, WorkloadSpec};
 
 /// Client counts swept by default.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -100,25 +99,25 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
     let fresh_store = |kind: ModelKind,
                        policy: PolicyKind,
                        shards: usize|
-     -> Result<(Box<dyn ConcurrentObjectStore>, QueryRunner)> {
+     -> Result<(Box<dyn ConcurrentObjectStore>, Executor)> {
         let mut store = make_shared_store(
             kind,
             StoreConfig::with_buffer_pages(config.buffer_pages).policy(policy),
             shards,
         );
         let refs = store.load(&db)?;
-        let runner = QueryRunner::new(refs, config.query_seed);
-        Ok((store, runner))
+        Ok((store, Executor::new(refs, config.query_seed)))
     };
+    let q2b = WorkloadSpec::q2b();
 
     // ---- Part 1: the read-only 2b sweep, model × policy × clients -------
     for kind in ModelKind::all() {
         // Serial anchor (regular BufferPool store, the paper's pipeline).
         let serial = if want_anchor {
-            let (mut serial_store, serial_runner) = load_store(kind, &db, &anchor_config)?;
-            match serial_runner.run(serial_store.as_mut(), QueryId::Q2b)? {
-                QueryOutcome::Measured(m) => Some(m),
-                QueryOutcome::Unsupported => unreachable!("query 2b is supported everywhere"),
+            let (mut serial_store, serial_exec) = load_store(kind, &db, &anchor_config)?;
+            match serial_exec.run(serial_store.as_mut(), &q2b)? {
+                PlanOutcome::Measured(m) => Some(m),
+                PlanOutcome::Unsupported => unreachable!("query 2b is supported everywhere"),
             }
         } else {
             None
@@ -128,12 +127,9 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
             let mut base_fixes: Option<u64> = None;
             for &n in threads {
                 let n = n.max(1);
-                let (mut store, runner) = fresh_store(kind, policy, n)?;
-                let run = runner.run_concurrent(store.as_mut(), QueryId::Q2b, n)?;
-                let m = match run.outcome {
-                    QueryOutcome::Measured(m) => m,
-                    QueryOutcome::Unsupported => unreachable!("2b supported"),
-                };
+                let (mut store, exec) = fresh_store(kind, policy, n)?;
+                let run = exec.run_concurrent(store.as_mut(), &q2b, n)?;
+                let m = run.outcome.run().expect("2b supported");
                 // Fixes are access counts: identical across clients.
                 match base_fixes {
                     None => base_fixes = Some(m.snapshot.fixes),
@@ -145,7 +141,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                 // One client under LRU must reproduce the serial pipeline
                 // exactly — physical reads included.
                 if n == 1 && policy == PolicyKind::Lru {
-                    if let Some(serial) = serial {
+                    if let Some(serial) = &serial {
                         serial_checked = true;
                         if m != serial {
                             serial_mismatch.push(format!("{kind}: {m:?} vs serial {serial:?}"));
@@ -192,8 +188,8 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
             let mut base_fixes: Option<u64> = None;
             for &n in threads {
                 let n = n.max(1);
-                let (mut store, runner) = fresh_store(kind, config.policy, n)?;
-                let run = runner.run_mixed(store.as_mut(), mix, n)?;
+                let (mut store, exec) = fresh_store(kind, config.policy, n)?;
+                let run = exec.run_stream(store.as_mut(), &WorkloadSpec::mixed(mix), n)?;
                 match base_fixes {
                     None => base_fixes = Some(run.snapshot.fixes),
                     Some(want) if want != run.snapshot.fixes => {
@@ -260,12 +256,9 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                 d,
             );
             let refs = store.load(&db)?;
-            let runner = QueryRunner::new(refs, config.query_seed);
-            let run = runner.run_concurrent(store.as_mut(), QueryId::Q2b, d)?;
-            let m = match run.outcome {
-                QueryOutcome::Measured(m) => m,
-                QueryOutcome::Unsupported => unreachable!("2b supported"),
-            };
+            let exec = Executor::new(refs, config.query_seed);
+            let run = exec.run_concurrent(store.as_mut(), &q2b, d)?;
+            let m = run.outcome.run().expect("2b supported");
             let qps = run.units_per_sec();
             let speedup = match base_qps {
                 None => {
@@ -344,7 +337,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
          pipeline"
             .to_string()
     } else if serial_mismatch.is_empty() {
-        "1-client LRU rows verified identical to the serial QueryRunner \
+        "1-client LRU rows verified identical to the serial Executor::run \
          measurement, counter for counter — the shared pool reproduces the \
          paper's single-client numbers exactly"
             .to_string()

@@ -14,10 +14,10 @@
 //!
 //! **Part 2 — the scale-out serving sweep** (new with the routed
 //! dispatch front-end): query 3b served through `Executor::run_cluster`
-//! — every node a sharded `ConcurrentObjectStore` behind its own reactor,
+//! — every node a sharded `ConcurrentObjectStore` behind its own job queue,
 //! ops routed to their owning node, updates and the disconnect flush
 //! fanned out deterministically — across models × replacement policies ×
-//! node counts × reactor workers per node, under 64 and 256 simulated
+//! node counts × queue workers per node, under 64 and 256 simulated
 //! clients. Reported per cell: queries/s and the speedup over the first
 //! worker count (wall-clock, hardware-dependent), the per-node
 //! buffer-fix imbalance (the part-1 §5.5 metrics applied to the serving
@@ -47,10 +47,7 @@ use starfish_core::{
     StoreConfig,
 };
 use starfish_cost::QueryId;
-use starfish_workload::{
-    generate, DatasetParams, Executor, PlanOutcome, PlanRun, QueryOutcome, QueryRunner,
-    WorkloadSpec,
-};
+use starfish_workload::{generate, DatasetParams, Executor, PlanOutcome, PlanRun, WorkloadSpec};
 
 /// Cluster size of the part-1 distribution study.
 pub const NODES: usize = 8;
@@ -168,8 +165,8 @@ fn run_clustered(
         StoreConfig::with_buffer_pages(per_node_buffer),
     );
     let refs = store.load(&db)?;
-    let runner = QueryRunner::new(refs, config.query_seed);
-    let QueryOutcome::Measured(m) = runner.run(&mut store, QueryId::Q2b)? else {
+    let exec = Executor::new(refs, config.query_seed);
+    let PlanOutcome::Measured(m) = exec.run(&mut store, &WorkloadSpec::q2b())? else {
         unreachable!("query 2b is supported everywhere");
     };
     let per_node: Vec<u64> = store
@@ -459,7 +456,7 @@ const BASELINE_NODES: [usize; 2] = [1, 3];
 const BASELINE_WORKERS: [usize; 2] = [1, 4];
 
 /// The deterministic cluster fingerprint behind `BENCH_cluster.json`:
-/// query 3b served at [`BASELINE_CLIENTS`] clients across a nodes ×
+/// query 3b served at `BASELINE_CLIENTS` clients across a nodes ×
 /// workers grid, emitting only scheduling-independent columns — units,
 /// total fixes, update count, navigation footprint, per-node fixes and
 /// per-node disk checksums. Rows of the same (model, nodes) must be

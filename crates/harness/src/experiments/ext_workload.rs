@@ -248,7 +248,7 @@ pub fn report_for_spec_concurrent(
 /// drift scenarios. Without `nodes` each cell serves the spec from the
 /// shared surface (`threads[i]` clients over `threads[i]` shards); with
 /// `--nodes N` each cell serves it from a routed N-node cluster
-/// (`threads[i]` clients, `threads[i]` reactor workers per node). The
+/// (`threads[i]` clients, `threads[i]` queue workers per node). The
 /// model-invariant shape (units, per-hop navigation, scanned and update
 /// counts) must agree across **every** cell — policy, client count and
 /// cluster shape may move physical I/O only.

@@ -9,7 +9,7 @@ use crate::runner::{load_store, HarnessConfig, MeasuredCell};
 use crate::Result;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
-use starfish_workload::{generate, DatasetStats, QueryOutcome};
+use starfish_workload::{generate, DatasetStats, WorkloadSpec};
 
 /// The sightseeing maxima the paper sweeps.
 pub const SIGHTSEEING_MAXIMA: [u32; 3] = [0, 15, 30];
@@ -40,17 +40,10 @@ pub fn sweep(config: &HarnessConfig) -> Result<Fig5Data> {
         let db = generate(&params);
         avg[si] = DatasetStats::compute(&db).avg_sightseeings;
         for (mi, &model) in FIG5_MODELS.iter().enumerate() {
-            let (mut store, runner) = load_store(model, &db, config)?;
+            let (mut store, exec) = load_store(model, &db, config)?;
             for (qi, &q) in FIG5_QUERIES.iter().enumerate() {
-                if let QueryOutcome::Measured(m) = runner.run(store.as_mut(), q)? {
-                    cells[qi][mi][si] = Some(MeasuredCell {
-                        reads: m.reads_per_unit(),
-                        writes: m.writes_per_unit(),
-                        pages: m.pages_per_unit(),
-                        calls: m.calls_per_unit(),
-                        fixes: m.fixes_per_unit(),
-                    });
-                }
+                let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;
+                cells[qi][mi][si] = MeasuredCell::of(&outcome);
             }
         }
     }

@@ -9,7 +9,7 @@ use crate::runner::{load_store, HarnessConfig};
 use crate::Result;
 use starfish_core::ModelKind;
 use starfish_cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
-use starfish_workload::{generate, QueryOutcome};
+use starfish_workload::{generate, WorkloadSpec};
 
 /// Models plotted in Figure 6.
 pub const FIG6_MODELS: [(ModelKind, ModelVariant); 3] = [
@@ -49,11 +49,9 @@ pub fn sweep(config: &HarnessConfig) -> Result<Vec<(ModelKind, Vec<Fig6Point>)>>
         for &n in &sizes {
             let params = config.dataset().with_objects(n);
             let db = generate(&params);
-            let (mut store, runner) = load_store(kind, &db, config)?;
-            let measured = match runner.run(store.as_mut(), QueryId::Q2b)? {
-                QueryOutcome::Measured(m) => m.pages_per_unit(),
-                QueryOutcome::Unsupported => f64::NAN,
-            };
+            let (mut store, exec) = load_store(kind, &db, config)?;
+            let outcome = exec.run(store.as_mut(), &WorkloadSpec::q2b())?;
+            let measured = outcome.run().map_or(f64::NAN, |m| m.pages_per_unit());
             let inputs = EstimatorInputs::new(params.profile());
             let best = estimate(variant, QueryId::Q2b, &inputs)
                 .expect("2b")

@@ -7,8 +7,7 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{load_store, HarnessConfig};
 use crate::Result;
 use starfish_core::ModelKind;
-use starfish_cost::QueryId;
-use starfish_workload::{generate, DatasetParams, DatasetStats, QueryOutcome};
+use starfish_workload::{generate, DatasetParams, DatasetStats, WorkloadSpec};
 
 /// Models compared under skew (as in Figure 5, NSM is dropped).
 pub const TABLE7_MODELS: [ModelKind; 3] =
@@ -39,13 +38,13 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         let db = generate(params);
         let mut per_model = Vec::new();
         for &kind in &TABLE7_MODELS {
-            let (mut store, runner) = load_store(kind, &db, config)?;
-            match runner.run(store.as_mut(), QueryId::Q2b)? {
-                QueryOutcome::Measured(m) => {
-                    per_model.push((m.pages_per_unit(), m.calls_per_unit(), m.fixes_per_unit()))
-                }
-                QueryOutcome::Unsupported => per_model.push((f64::NAN, f64::NAN, f64::NAN)),
-            }
+            let (mut store, exec) = load_store(kind, &db, config)?;
+            per_model.push(
+                match exec.run(store.as_mut(), &WorkloadSpec::q2b())?.run() {
+                    Some(m) => (m.pages_per_unit(), m.calls_per_unit(), m.fixes_per_unit()),
+                    None => (f64::NAN, f64::NAN, f64::NAN),
+                },
+            );
         }
         cells.push(per_model);
     }

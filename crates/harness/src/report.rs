@@ -137,7 +137,7 @@ impl ExperimentReport {
 impl ExperimentReport {
     /// Renders the report as a self-contained JSON object. The structure is
     /// emitted by hand (it is one flat object); string escaping is the
-    /// local [`json_str`], and the `serde` derives remain available for
+    /// local `json_str`, and the `serde` derives remain available for
     /// downstream serializers.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");

@@ -10,8 +10,7 @@ use starfish_core::{
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
 use starfish_workload::{
-    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, QueryOutcome, QueryRunner,
-    WorkloadSpec,
+    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, WorkloadSpec,
 };
 
 /// Configuration for the experiment harness.
@@ -148,17 +147,19 @@ pub struct MeasuredCell {
 }
 
 impl MeasuredCell {
-    /// The one place counter deltas become per-unit ratios — shared by the
-    /// query grid, the single-query sweeps and the workload measurements.
-    pub fn per_unit(snapshot: &starfish_core::IoSnapshot, units: u64) -> MeasuredCell {
-        let per = |v: u64| v as f64 / units.max(1) as f64;
-        MeasuredCell {
-            reads: per(snapshot.pages_read),
-            writes: per(snapshot.pages_written),
-            pages: per(snapshot.pages_io()),
-            calls: per(snapshot.io_calls()),
-            fixes: per(snapshot.fixes),
-        }
+    /// The cell of a plan outcome — its run's per-unit ratios
+    /// ([`starfish_workload::PlanRun`] is the one place counter deltas are
+    /// divided by units), `None` where the model does not support an op of
+    /// the plan. Shared by the query grid, the single-query sweeps and the
+    /// workload measurements.
+    pub fn of(outcome: &PlanOutcome) -> Option<MeasuredCell> {
+        outcome.run().map(|run| MeasuredCell {
+            reads: run.reads_per_unit(),
+            writes: run.writes_per_unit(),
+            pages: run.pages_per_unit(),
+            calls: run.calls_per_unit(),
+            fixes: run.fixes_per_unit(),
+        })
     }
 }
 
@@ -184,19 +185,19 @@ impl MeasuredGrid {
     }
 }
 
-/// Builds a store of `kind`, loads `db`, and returns it with its runner.
+/// Builds a store of `kind`, loads `db`, and returns it with the executor
+/// over its objects.
 pub fn load_store(
     kind: ModelKind,
     db: &[Station],
     config: &HarnessConfig,
-) -> Result<(Box<dyn ComplexObjectStore>, QueryRunner)> {
+) -> Result<(Box<dyn ComplexObjectStore>, Executor)> {
     let mut store = make_store(
         kind,
         StoreConfig::with_buffer_pages(config.buffer_pages).policy(config.policy),
     );
     let refs = store.load(db)?;
-    let runner = QueryRunner::new(refs, config.query_seed);
-    Ok((store, runner))
+    Ok((store, Executor::new(refs, config.query_seed)))
 }
 
 /// Runs every query of the benchmark against every model in `models` on the
@@ -220,13 +221,11 @@ pub fn measure_grid_on(
     let stats = DatasetStats::compute(db);
     let mut rows = Vec::with_capacity(models.len());
     for &kind in models {
-        let (mut store, runner) = load_store(kind, db, config)?;
+        let (mut store, exec) = load_store(kind, db, config)?;
         let mut cells: [Option<MeasuredCell>; 7] = Default::default();
         for (i, q) in QueryId::all().into_iter().enumerate() {
-            cells[i] = match runner.run(store.as_mut(), q)? {
-                QueryOutcome::Measured(m) => Some(MeasuredCell::per_unit(&m.snapshot, m.units)),
-                QueryOutcome::Unsupported => None,
-            };
+            let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;
+            cells[i] = MeasuredCell::of(&outcome);
         }
         rows.push((kind, cells));
     }
@@ -245,17 +244,13 @@ pub fn measure_query(
     models: &[ModelKind],
     query: QueryId,
 ) -> Result<Vec<(ModelKind, Option<MeasuredCell>)>> {
-    let db = generate(params);
-    let mut out = Vec::with_capacity(models.len());
-    for &kind in models {
-        let (mut store, runner) = load_store(kind, &db, config)?;
-        let cell = match runner.run(store.as_mut(), query)? {
-            QueryOutcome::Measured(m) => Some(MeasuredCell::per_unit(&m.snapshot, m.units)),
-            QueryOutcome::Unsupported => None,
-        };
-        out.push((kind, cell));
-    }
-    Ok(out)
+    let rows = measure_workload_on(
+        &generate(params),
+        config,
+        models,
+        &WorkloadSpec::for_query(query),
+    )?;
+    Ok(rows.into_iter().map(|r| (r.model, r.cell)).collect())
 }
 
 /// One model's measurement of a declarative workload spec: the per-unit
@@ -283,10 +278,11 @@ impl WorkloadRow {
     /// The row of `model`'s `outcome` — the one place a plan outcome
     /// becomes a report row, whichever surface ran the plan.
     fn new(model: ModelKind, outcome: PlanOutcome) -> WorkloadRow {
+        let cell = MeasuredCell::of(&outcome);
         match outcome {
             PlanOutcome::Measured(run) => WorkloadRow {
                 model,
-                cell: Some(MeasuredCell::per_unit(&run.snapshot, run.units)),
+                cell,
                 units: run.units,
                 nav_seen: run.nav_seen,
                 scanned: run.scanned,
@@ -294,7 +290,7 @@ impl WorkloadRow {
             },
             PlanOutcome::Unsupported => WorkloadRow {
                 model,
-                cell: None,
+                cell,
                 units: 0,
                 nav_seen: Vec::new(),
                 scanned: 0,
@@ -315,9 +311,8 @@ pub fn measure_workload_on(
 ) -> Result<Vec<WorkloadRow>> {
     let mut out = Vec::with_capacity(models.len());
     for &kind in models {
-        let (mut store, runner) = load_store(kind, db, config)?;
-        let outcome = runner.executor().run(store.as_mut(), spec)?;
-        out.push(WorkloadRow::new(kind, outcome));
+        let (mut store, exec) = load_store(kind, db, config)?;
+        out.push(WorkloadRow::new(kind, exec.run(store.as_mut(), spec)?));
     }
     Ok(out)
 }
@@ -345,10 +340,8 @@ pub fn measure_workload_concurrent_on(
             threads,
         );
         let refs = store.load(db)?;
-        let runner = QueryRunner::new(refs, config.query_seed);
-        let run = runner
-            .executor()
-            .run_concurrent(store.as_mut(), spec, threads)?;
+        let exec = Executor::new(refs, config.query_seed);
+        let run = exec.run_concurrent(store.as_mut(), spec, threads)?;
         out.push(WorkloadRow::new(kind, run.outcome));
     }
     Ok(out)
@@ -358,7 +351,7 @@ pub fn measure_workload_concurrent_on(
 /// plan on a [`PartitionedStore`] of `nodes` nodes (round-robin
 /// whole-object placement, a proportional buffer share per node,
 /// `workers_per_node` lock-striped shards each) served by
-/// `workers_per_node` reactor workers per node and `clients` client
+/// `workers_per_node` queue workers per node and `clients` client
 /// threads ([`Executor::run_cluster`]). Answers, fix counts and per-node
 /// disk bytes are (clients × workers)-invariant — the routed analogue of
 /// the shared surface's thread-count invariance.

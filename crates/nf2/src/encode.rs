@@ -308,7 +308,7 @@ pub fn decode_projected(
 /// [`Projection::byte_ranges`] gives for the object — everything else may
 /// be unfetched (zero-filled) without affecting the result. Unprojected
 /// attributes are filled with neutral placeholders, as in
-/// [`Projection::apply`]. See the [module docs](self) for what a projected
+/// [`Projection::apply`]. See the `encode` module docs for what a projected
 /// read validates.
 pub fn decode_projected_at(
     bytes: &[u8],

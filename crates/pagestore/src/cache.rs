@@ -22,7 +22,7 @@ use crate::{BufferPool, PageId, PolicyKind, Result, PAGE_SIZE};
 
 /// The buffer-pool operations the storage layers need.
 ///
-/// See the [module docs](self) for why this exists. Implementations must
+/// See the `cache` module docs for why this exists. Implementations must
 /// preserve the accounting contract of [`BufferPool`]: every
 /// [`with_page`](PageCache::with_page) / [`with_page_mut`](PageCache::with_page_mut)
 /// is one counted fix (hit or miss); [`prefetch_run`](PageCache::prefetch_run)

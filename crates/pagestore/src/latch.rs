@@ -21,7 +21,7 @@
 //!   [`ThreadId`]; taken by *writers* for the whole read-modify-write of an
 //!   object (its heap page, or its entire spanned extent).
 //!
-//! Latch state lives in a per-shard side table ([`LatchTable`]), **not** in
+//! Latch state lives in a per-shard side table (`LatchTable`), **not** in
 //! the frames: a latched page may be evicted and reloaded without losing its
 //! latch. That keeps latching completely invisible to the replacement
 //! policy and to the physical I/O counters — which is what lets a one-shard,

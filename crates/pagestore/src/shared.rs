@@ -252,7 +252,7 @@ struct GateState {
 }
 
 /// A thread-safe buffer pool sharded by `PageId` hash into K lock-striped
-/// shards. See the [module docs](self) for the design and its invariants.
+/// shards. See the `shared` module docs for the design and its invariants.
 ///
 /// All methods take `&self`; share the pool across threads through
 /// [`SharedPoolHandle`] (an `Arc` wrapper that also implements
@@ -522,7 +522,7 @@ impl SharedBufferPool {
     /// lock; concurrent fixes to other shards proceed in parallel. Waits
     /// for a conflicting foreign exclusive latch. With the batched read
     /// engine enabled, a miss parks on a completion token instead of
-    /// reading under the shard mutex (see [`Self::fix_in_shard`]).
+    /// reading under the shard mutex (see `fix_in_shard`).
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
         let (st, slot) = self.fix_in_shard(pid, false)?;
         Ok(f(&st.core.frame(slot).data))

@@ -1,11 +1,14 @@
 //! The streaming plan executor: one interpreter behind every run mode.
 //!
 //! [`Executor`] interprets a [`WorkloadSpec`] against a store. The same op
-//! semantics (one `match` in [`exec_linear`]) back three entry points:
+//! semantics (one `match` in [`exec_linear`]) and the same measurement
+//! frame ([`measured`]: cold start — buffer emptied, prior dirty pages
+//! flushed *before* the counters reset —, run, "database disconnect" flush
+//! — counted, as in the paper's write numbers —, counter delta, per-unit
+//! normalization) back four entry points:
 //!
 //! * [`Executor::run`] — the serial measurement protocol of the paper
-//!   (§5.1): cold start, stream the ops against the `&mut` surface, flush
-//!   deferred writes at "database disconnect", snapshot the counter deltas.
+//!   (§5.1): the ops stream against the `&mut` surface, updates inline.
 //! * [`Executor::run_concurrent`] — the multi-client measurement protocol:
 //!   a planning pass walks the plan with the spec's RNG and pre-draws every
 //!   pick onto per-unit tapes (the *identical* selections the serial run
@@ -16,7 +19,14 @@
 //!   per-unit observations are merged back in plan order, and
 //!   `update_roots` ops are **deferred**: applied after the read phase, per
 //!   unit in plan order, partitioned by object across the same N threads
-//!   (so writers never race on an object).
+//!   (so writers never race on an object). With one thread over one shard
+//!   the whole [`PlanRun`] — physical reads included — equals the serial
+//!   run's (`tests/concurrent_differential.rs`,
+//!   `tests/concurrent_writer_differential.rs`).
+//! * [`Executor::run_cluster`] — the same protocol over a
+//!   [`PartitionedStore`]: the surface runs each op as a job on a worker
+//!   of the owning node (`RoutedSurface`), nothing else differs
+//!   (`tests/cluster_differential.rs`).
 //! * [`Executor::run_stream`] — the mixed read/write throughput protocol:
 //!   same dealing, but updates run **inline** in the serving threads
 //!   (requests race by design; per-page latches keep every observation
@@ -30,13 +40,13 @@
 //! interleaving (and therefore physical I/O and latch waits), never the
 //! answers or the fix totals.
 
-use crate::plan::{Drift, Op, PatchSpec, WorkloadSpec, STREAM_STRIDE};
+use crate::plan::{Drift, NormUnit, Op, PatchSpec, WorkloadSpec, STREAM_STRIDE};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use starfish_core::{
     with_cluster_router, ClusterRouter, ComplexObjectStore, ConcurrentObjectStore, CoreError,
-    ObjRef, PartitionedStore, QueryResponse, RootPatch,
+    ObjRef, PartitionedStore, Pending, RootPatch,
 };
 use starfish_nf2::{Oid, Tuple};
 use starfish_pagestore::IoSnapshot;
@@ -66,9 +76,39 @@ pub struct PlanRun {
 
 impl PlanRun {
     /// Objects seen at navigation hop `d` (0 where the plan never got
-    /// that deep).
+    /// that deep): hop 0 is the paper's "children", hop 1 its
+    /// "grand-children".
     pub fn nav_hop(&self, d: usize) -> u64 {
         self.nav_seen.get(d).copied().unwrap_or(0)
+    }
+
+    fn per_unit(&self, total: u64) -> f64 {
+        total as f64 / self.units.max(1) as f64
+    }
+
+    /// Pages read+written per unit (the paper's headline `X_IO_pages`).
+    pub fn pages_per_unit(&self) -> f64 {
+        self.per_unit(self.snapshot.pages_io())
+    }
+
+    /// Pages read per unit.
+    pub fn reads_per_unit(&self) -> f64 {
+        self.per_unit(self.snapshot.pages_read)
+    }
+
+    /// Pages written per unit.
+    pub fn writes_per_unit(&self) -> f64 {
+        self.per_unit(self.snapshot.pages_written)
+    }
+
+    /// I/O calls per unit (Table 5).
+    pub fn calls_per_unit(&self) -> f64 {
+        self.per_unit(self.snapshot.io_calls())
+    }
+
+    /// Buffer fixes per unit (Table 6).
+    pub fn fixes_per_unit(&self) -> f64 {
+        self.per_unit(self.snapshot.fixes)
     }
 }
 
@@ -124,6 +164,19 @@ pub struct ConcurrentPlanRun {
     pub threads: usize,
 }
 
+impl ConcurrentPlanRun {
+    /// Units served per second of the concurrent read phase (0 when
+    /// unsupported).
+    pub fn units_per_sec(&self) -> f64 {
+        let secs = self.elapsed.as_secs_f64();
+        let units = self.outcome.run().map_or(0, |r| r.units);
+        if secs <= 0.0 {
+            return 0.0;
+        }
+        units as f64 / secs
+    }
+}
+
 /// The result of one routed cluster serving run ([`Executor::run_cluster`]):
 /// the usual concurrent measurement plus the router-level serving metrics.
 #[derive(Clone, Debug)]
@@ -131,24 +184,16 @@ pub struct ClusterRun {
     /// Counters, observations and read-phase wall-clock — exactly the
     /// [`Executor::run_concurrent`] shape (`threads` is the client count).
     pub run: ConcurrentPlanRun,
-    /// Reactor worker threads serving each node.
+    /// Worker threads that served each node's job queue.
     pub workers_per_node: usize,
-    /// Per-node submission-queue high-water marks, ascending node order.
+    /// Per-node job-queue high-water marks, ascending node order.
     pub queue_high_water: Vec<u64>,
 }
 
 impl ClusterRun {
     /// Units served per second of the concurrent read phase.
     pub fn units_per_sec(&self) -> f64 {
-        let secs = self.run.elapsed.as_secs_f64();
-        let units = match &self.run.outcome {
-            PlanOutcome::Measured(r) => r.units,
-            PlanOutcome::Unsupported => 0,
-        };
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        units as f64 / secs
+        self.run.units_per_sec()
     }
 }
 
@@ -201,6 +246,18 @@ trait Surface {
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>>;
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()>;
     fn clear_cache(&mut self) -> Result<()>;
+    /// Database disconnect: deferred writes reach the disk and count.
+    fn flush(&mut self) -> Result<()>;
+    /// One unit's deferred update, applied after the concurrent read phase
+    /// while its `threads` clients are idle.
+    fn apply_deferred(
+        &mut self,
+        refs: &[ObjRef],
+        patch: &RootPatch,
+        _threads: usize,
+    ) -> Result<()> {
+        self.update_roots(refs, patch)
+    }
 }
 
 fn proj_of(op: &Op) -> starfish_nf2::Projection {
@@ -236,6 +293,9 @@ impl Surface for SerialSurface<'_> {
     fn clear_cache(&mut self) -> Result<()> {
         self.0.clear_cache()
     }
+    fn flush(&mut self) -> Result<()> {
+        self.0.flush()
+    }
 }
 
 /// The shared [`Surface`]: direct `&self` calls into one
@@ -252,9 +312,7 @@ impl Surface for SharedSurface<'_> {
         self.0.shared_get_by_key(r.key, &proj_of(proj))
     }
     fn scan_count(&mut self) -> Result<u64> {
-        let mut n = 0u64;
-        self.0.shared_scan_all(&mut |_| n += 1)?;
-        Ok(n)
+        shared_scan_count(self.0)
     }
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
         self.0.shared_children_of(refs)
@@ -268,95 +326,124 @@ impl Surface for SharedSurface<'_> {
     fn clear_cache(&mut self) -> Result<()> {
         self.0.shared_clear_cache()
     }
-}
-
-/// Completion-type mismatch guard for the routed surface — unreachable by
-/// construction (each submit pairs with exactly one response shape), kept
-/// as an error instead of a panic so a router bug cannot take down a
-/// worker pool.
-fn routed_mismatch(what: &str, got: &QueryResponse) -> CoreError {
-    CoreError::NotFound {
-        what: format!("router protocol violation: {what} completed with {got:?}"),
+    /// The shared flush quiesces writers through the pool's gate.
+    fn flush(&mut self) -> Result<()> {
+        self.0.shared_flush()
+    }
+    /// N threads over disjoint object partitions through the latched
+    /// `&self` write surface. Every occurrence carries the same per-unit
+    /// patch, so the final bytes are partition-order-independent.
+    fn apply_deferred(&mut self, refs: &[ObjRef], patch: &RootPatch, threads: usize) -> Result<()> {
+        apply_updates_concurrent(self.0, refs, patch, threads)
     }
 }
 
-/// The routed [`Surface`]: every op becomes one ticket (or one per ref /
-/// per node) on the owning node's reactor, and waiting on the tickets in
-/// submission order rebuilds the serial answer — so dealt units stream
-/// over a cluster exactly like they stream over one shared store, while
-/// the per-node worker pools overlap execution across nodes.
-#[derive(Clone, Copy)]
-struct RoutedSurface<'a>(&'a ClusterRouter<'a>);
+fn shared_scan_count(store: &dyn ConcurrentObjectStore) -> Result<u64> {
+    let mut n = 0u64;
+    store.shared_scan_all(&mut |_| n += 1)?;
+    Ok(n)
+}
 
-impl Surface for RoutedSurface<'_> {
-    fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        let t = self.0.submit_get_by_oid(r.oid, proj_of(proj))?;
-        match self.0.wait(t)? {
-            QueryResponse::Tuple(tup) => Ok(tup),
-            other => Err(routed_mismatch("get_by_oid", &other)),
+/// The routed [`Surface`]: every op is the `shared_*` call it is on one
+/// store, made on a worker of the owning node ([`ClusterRouter::on_node`])
+/// — one job per ref, or one per node for cross-node ops, all queued
+/// before the first wait. Waiting in submission order rebuilds the serial
+/// answer, so dealt units stream over a cluster exactly like they stream
+/// over one shared store, while the per-node worker pools overlap
+/// execution across nodes.
+#[derive(Clone, Copy)]
+struct RoutedSurface<'r, 'a>(&'r ClusterRouter<'a>);
+
+impl RoutedSurface<'_, '_> {
+    /// One job per ref on its owner, all in flight at once; waiting in
+    /// input order preserves the serial answer order (navigation answers
+    /// are global refs, so the next hop routes directly).
+    fn per_ref<T: Send + 'static>(
+        &self,
+        refs: &[ObjRef],
+        op: fn(&dyn ConcurrentObjectStore, &[ObjRef]) -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
+        let pending: Vec<Pending<Vec<T>>> = refs
+            .iter()
+            .map(|r| {
+                let (node, local) = self.0.owner(*r)?;
+                Ok(self.0.on_node(node, move |s| op(s, &[local])))
+            })
+            .collect::<Result<_>>()?;
+        let mut out = Vec::new();
+        for p in pending {
+            out.extend(p.wait()?);
         }
+        Ok(out)
+    }
+
+    /// One job on every node, waited in ascending node order — the
+    /// deterministic cross-node merge.
+    fn per_node<T: Send + 'static>(
+        &self,
+        op: fn(&dyn ConcurrentObjectStore) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let pending: Vec<Pending<T>> = (0..self.0.node_count())
+            .map(|node| self.0.on_node(node, op))
+            .collect();
+        pending.into_iter().map(Pending::wait).collect()
+    }
+}
+
+impl Surface for RoutedSurface<'_, '_> {
+    fn get_by_oid(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
+        let (node, local) = self.0.owner(r)?;
+        let proj = proj_of(proj);
+        let job = self
+            .0
+            .on_node(node, move |s| s.shared_get_by_oid(local.oid, &proj));
+        job.wait()
     }
     fn get_by_key(&mut self, r: ObjRef, proj: &Op) -> Result<Tuple> {
-        let t = self.0.submit_get_by_key(r.key, proj_of(proj))?;
-        match self.0.wait(t)? {
-            QueryResponse::Tuple(tup) => Ok(tup),
-            other => Err(routed_mismatch("get_by_key", &other)),
-        }
+        let node = self.0.owner_of_key(r.key)?;
+        let proj = proj_of(proj);
+        let job = self
+            .0
+            .on_node(node, move |s| s.shared_get_by_key(r.key, &proj));
+        job.wait()
     }
     fn scan_count(&mut self) -> Result<u64> {
-        // Fan out to every node; waiting in ascending node order merges
-        // deterministically.
-        let mut n = 0u64;
-        for t in self.0.submit_scan_all() {
-            match self.0.wait(t)? {
-                QueryResponse::ScanCount(k) => n += k as u64,
-                other => return Err(routed_mismatch("scan_all", &other)),
-            }
-        }
-        Ok(n)
+        Ok(self.per_node(shared_scan_count)?.iter().sum())
     }
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        // One ticket per parent, all in flight at once; waiting in input
-        // order preserves the serial answer order (responses are global
-        // refs, so the next hop routes directly).
-        let tickets: Vec<_> = refs
-            .iter()
-            .map(|r| self.0.submit_children_of(*r))
-            .collect::<Result<_>>()?;
-        let mut out = Vec::new();
-        for t in tickets {
-            match self.0.wait(t)? {
-                QueryResponse::Refs(r) => out.extend(r),
-                other => return Err(routed_mismatch("children_of", &other)),
-            }
-        }
-        Ok(out)
+        self.per_ref(refs, |s, r| s.shared_children_of(r))
     }
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let tickets: Vec<_> = refs
-            .iter()
-            .map(|r| self.0.submit_root_record(*r))
-            .collect::<Result<_>>()?;
-        let mut out = Vec::new();
-        for t in tickets {
-            match self.0.wait(t)? {
-                QueryResponse::Tuples(ts) => out.extend(ts),
-                other => return Err(routed_mismatch("root_records", &other)),
-            }
-        }
-        Ok(out)
+        self.per_ref(refs, |s, r| s.shared_root_records(r))
     }
+    /// Groups `refs` by owning node (preserving relative order), one job
+    /// per involved node: the nodes apply their partitions in parallel,
+    /// and waiting out every job before returning keeps same-object
+    /// updates of successive units in unit order.
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        for t in self.0.submit_update_roots(refs, patch)? {
-            match self.0.wait(t)? {
-                QueryResponse::Done => {}
-                other => return Err(routed_mismatch("update_roots", &other)),
-            }
+        let mut per_node: Vec<Vec<ObjRef>> = vec![Vec::new(); self.0.node_count()];
+        for r in refs {
+            let (node, local) = self.0.owner(*r)?;
+            per_node[node].push(local);
         }
-        Ok(())
+        let pending: Vec<Pending<()>> = per_node
+            .into_iter()
+            .enumerate()
+            .filter(|(_, locals)| !locals.is_empty())
+            .map(|(node, locals)| {
+                let patch = patch.clone();
+                self.0
+                    .on_node(node, move |s| s.shared_update_roots(&locals, &patch))
+            })
+            .collect();
+        pending.into_iter().try_for_each(Pending::wait)
     }
     fn clear_cache(&mut self) -> Result<()> {
         self.0.clear_cache_all()
+    }
+    /// Database disconnect through every node's queue.
+    fn flush(&mut self) -> Result<()> {
+        self.per_node(|s| s.shared_flush()).map(drop)
     }
 }
 
@@ -441,11 +528,17 @@ fn draw_for_op(refs: &[ObjRef], rng: &mut StdRng, op: &Op, loop_nr: u64) -> Resu
         } => Ok(vec![pick_skewed(
             refs, rng, *hot, *pct_hot, *drift, loop_nr,
         )?]),
-        Op::Phase { every, picks } => {
-            let active = &picks[((loop_nr / (*every).max(1)) as usize) % picks.len().max(1)];
+        // `ops` is a public field and only `from_json` validates, so a
+        // hand-built phase can be empty or hold a non-pick op.
+        Op::Phase { every, picks } if !picks.is_empty() => {
+            let active = &picks[((loop_nr / (*every).max(1)) as usize) % picks.len()];
             draw_for_op(refs, rng, active, loop_nr)
         }
-        _ => unreachable!("draw_for_op is only called for pick-like ops"),
+        other => Err(CoreError::NotFound {
+            what: format!(
+                "a pick to draw (pick_random / pick_skewed / a non-empty phase) in {other:?}"
+            ),
+        }),
     }
 }
 
@@ -985,48 +1078,48 @@ impl Executor {
         spec: &WorkloadSpec,
     ) -> Result<PlanOutcome> {
         let mut rng = self.spec_rng(spec);
-        store.clear_cache()?;
-        store.reset_stats();
-        let before = store.snapshot();
-
-        let mut ctx = Ctx::default();
-        let mut surf = SerialSurface(store);
-        let mut picks = PickSource::Rng(&mut rng);
-        match exec_linear(
-            &self.refs,
-            spec,
-            &mut surf,
-            &mut picks,
-            &mut ctx,
-            &mut Mode::Inline,
-            &spec.ops,
-        ) {
-            Ok(()) => {}
-            // The model cannot execute an op of the plan — the paper's
-            // "not relevant" marker (query 1a under pure NSM).
-            Err(CoreError::Unsupported { .. }) => return Ok(PlanOutcome::Unsupported),
-            Err(e) => return Err(e),
-        }
-
-        // Database disconnect: deferred writes reach the disk and count.
-        store.flush()?;
-        let snapshot = store.snapshot() - before;
-        Ok(PlanOutcome::Measured(PlanRun {
-            snapshot,
-            units: spec.unit.resolve_units(&ctx),
-            nav_seen: ctx.nav_seen,
-            scanned: ctx.scanned,
-            updates_applied: ctx.updates,
-        }))
+        let (ctx, snapshot) = measured(store, |store| {
+            let mut ctx = Ctx::default();
+            let mut surf = SerialSurface(store);
+            let mut picks = PickSource::Rng(&mut rng);
+            let streamed = exec_linear(
+                &self.refs,
+                spec,
+                &mut surf,
+                &mut picks,
+                &mut ctx,
+                &mut Mode::Inline,
+                &spec.ops,
+            );
+            match streamed {
+                Ok(()) => surf.flush().map(|()| Some(ctx)),
+                Err(CoreError::Unsupported { .. }) => Ok(None),
+                Err(e) => Err(e),
+            }
+        })?;
+        Ok(match ctx {
+            Some(ctx) => PlanOutcome::Measured(PlanRun {
+                snapshot,
+                units: spec.unit.resolve(ctx.top_iters, ctx.scanned),
+                nav_seen: ctx.nav_seen,
+                scanned: ctx.scanned,
+                updates_applied: ctx.updates,
+            }),
+            None => PlanOutcome::Unsupported,
+        })
     }
 
-    /// Walks the plan's segments over the shared surface: serial segments
-    /// and the planning pass on the coordinator, dealt units round-robin
-    /// across `threads`, outcomes merged back in plan order. `Ok(None)` is
-    /// the paper's "not relevant" marker (an op the model cannot execute).
-    fn exec_shared<S: Surface + Copy + Sync>(
+    /// The multi-client protocol between cold start and snapshot. Read
+    /// phase: walks the plan's segments over the shared surface — serial
+    /// segments and the planning pass on the coordinator, dealt units
+    /// round-robin across `threads`, outcomes merged back in plan order.
+    /// Then each unit's deferred updates in plan order (none when `record`
+    /// is off — the stream applied them inline), then the disconnect
+    /// flush. `Ok(None)` is the paper's "not relevant" marker (an op the
+    /// model cannot execute).
+    fn serve<S: Surface + Copy + Sync>(
         &self,
-        surf: S,
+        mut surf: S,
         spec: &WorkloadSpec,
         threads: usize,
         record: bool,
@@ -1146,11 +1239,19 @@ impl Executor {
             }
         }
         agg.elapsed = t0.elapsed();
+
+        for (sel, patch, loop_nr) in &agg.deferred {
+            let patch = RootPatch {
+                new_name: patch.materialize(*loop_nr),
+            };
+            surf.apply_deferred(sel, &patch, threads)?;
+        }
+        surf.flush()?;
         Ok(Some(agg))
     }
 
     /// Runs `spec` with `threads` client threads sharing `store` under the
-    /// measurement protocol. See the [module docs](self) for the execution
+    /// measurement protocol. See the `executor` module docs for the execution
     /// model. Top-level loop iterations are dealt to threads whole — scans,
     /// key selections and nested loops included; the only rejected shape is
     /// a loop whose body consumes the previous iteration's selection before
@@ -1162,72 +1263,24 @@ impl Executor {
         threads: usize,
     ) -> Result<ConcurrentPlanRun> {
         let threads = threads.max(1);
-        store.clear_cache()?;
-        store.reset_stats();
-        let before = store.snapshot();
-
-        let exec = match self.exec_shared(SharedSurface(&*store), spec, threads, true)? {
-            Some(exec) => exec,
-            // The model does not support an op of the plan (query 1a
-            // under pure NSM) — the paper's "not relevant" marker.
-            None => {
-                return Ok(ConcurrentPlanRun {
-                    outcome: PlanOutcome::Unsupported,
-                    observations: Vec::new(),
-                    elapsed: Duration::ZERO,
-                    threads,
-                })
-            }
-        };
-
-        // Deferred write phase: each unit's updates, in plan order, applied
-        // by N threads over disjoint object partitions through the latched
-        // `&self` write surface. Every occurrence carries the same per-unit
-        // patch, so the final bytes are partition-order-independent.
-        let mut updates_applied = 0u64;
-        for (sel, patch, loop_nr) in &exec.deferred {
-            let patch = RootPatch {
-                new_name: patch.materialize(*loop_nr),
-            };
-            apply_updates_concurrent(&*store, sel, &patch, threads)?;
-            updates_applied += 1;
-        }
-
-        // Database disconnect: deferred writes reach the disk and count
-        // (the shared flush quiesces writers through the pool's gate).
-        store.shared_flush()?;
-        let snapshot = store.snapshot() - before;
-        let units = match spec.unit {
-            crate::plan::NormUnit::Loops => exec.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => exec.scanned.max(1),
-        };
-        Ok(ConcurrentPlanRun {
-            outcome: PlanOutcome::Measured(PlanRun {
-                snapshot,
-                units,
-                nav_seen: exec.nav_seen,
-                scanned: exec.scanned,
-                updates_applied,
-            }),
-            observations: exec.observations,
-            elapsed: exec.elapsed,
-            threads,
-        })
+        let (exec, snapshot) = measured(store, |store| {
+            self.serve(SharedSurface(&*store), spec, threads, true)
+        })?;
+        Ok(ConcurrentPlanRun::new(spec, exec, snapshot, threads))
     }
 
     /// Runs `spec` against a [`PartitionedStore`] through the routed
     /// dispatch front-end: `clients` client threads deal units exactly like
-    /// [`run_concurrent`](Self::run_concurrent), but every op is submitted
-    /// as a ticket to its owning node's reactor and served by
-    /// `workers_per_node` worker threads per node
-    /// ([`with_cluster_router`]). The measurement protocol is unchanged
-    /// (cold start, read phase, deferred updates in plan order, disconnect
-    /// flush), so:
+    /// [`run_concurrent`](Self::run_concurrent), but every op runs as a job
+    /// on its owning node's queue, served by `workers_per_node` worker
+    /// threads per node (at least one; [`with_cluster_router`]). The
+    /// measurement protocol is the same code (cold start, read phase,
+    /// deferred updates in plan order, disconnect flush), so:
     ///
     /// * answers, fix totals and per-node disk bytes are invariant across
     ///   `clients` × `workers_per_node`, and equal to a serially-driven
     ///   cluster's;
-    /// * with 1 node × 1 worker × 1 client the whole `Measurement` replays
+    /// * with 1 node × 1 worker × 1 client the whole [`PlanRun`] replays
     ///   the serial run counter for counter (read-only plans; plans with
     ///   updates defer them like `run_concurrent`, which can move physical
     ///   write timing but never the final bytes).
@@ -1239,77 +1292,15 @@ impl Executor {
         workers_per_node: usize,
     ) -> Result<ClusterRun> {
         let clients = clients.max(1);
-        cluster.clear_cache()?;
-        cluster.reset_stats();
-        let before = cluster.snapshot();
-
-        let served = with_cluster_router(&*cluster, workers_per_node, |router| {
-            let exec = match self.exec_shared(RoutedSurface(router), spec, clients, true)? {
-                Some(exec) => exec,
-                None => return Ok(None),
-            };
-
-            // Deferred write phase: each unit's updates in plan order.
-            // Waiting out every node's ticket before the next unit keeps
-            // same-object updates in unit order; within a unit the
-            // involved nodes apply their partitions in parallel.
-            let mut updates_applied = 0u64;
-            for (sel, patch, loop_nr) in &exec.deferred {
-                let patch = RootPatch {
-                    new_name: patch.materialize(*loop_nr),
-                };
-                for t in router.submit_update_roots(sel, &patch)? {
-                    match router.wait(t)? {
-                        QueryResponse::Done => {}
-                        other => return Err(routed_mismatch("update_roots", &other)),
-                    }
-                }
-                updates_applied += 1;
-            }
-
-            // Database disconnect through every node's queue.
-            for t in router.submit_flush() {
-                match router.wait(t)? {
-                    QueryResponse::Done => {}
-                    other => return Err(routed_mismatch("flush", &other)),
-                }
-            }
-            Ok(Some((exec, updates_applied, router.queue_high_water())))
+        let workers_per_node = workers_per_node.max(1);
+        let ((exec, queue_high_water), snapshot) = measured(cluster, |cluster| {
+            with_cluster_router(cluster, workers_per_node, |router| {
+                let exec = self.serve(RoutedSurface(router), spec, clients, true)?;
+                Ok((exec, router.queue_high_water()))
+            })
         })?;
-
-        let Some((exec, updates_applied, queue_high_water)) = served else {
-            // The model does not support an op of the plan — the paper's
-            // "not relevant" marker.
-            return Ok(ClusterRun {
-                run: ConcurrentPlanRun {
-                    outcome: PlanOutcome::Unsupported,
-                    observations: Vec::new(),
-                    elapsed: Duration::ZERO,
-                    threads: clients,
-                },
-                workers_per_node,
-                queue_high_water: vec![0; cluster.node_count()],
-            });
-        };
-
-        let snapshot = cluster.snapshot() - before;
-        let units = match spec.unit {
-            crate::plan::NormUnit::Loops => exec.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => exec.scanned.max(1),
-        };
         Ok(ClusterRun {
-            run: ConcurrentPlanRun {
-                outcome: PlanOutcome::Measured(PlanRun {
-                    snapshot,
-                    units,
-                    nav_seen: exec.nav_seen,
-                    scanned: exec.scanned,
-                    updates_applied,
-                }),
-                observations: exec.observations,
-                elapsed: exec.elapsed,
-                threads: clients,
-            },
+            run: ConcurrentPlanRun::new(spec, exec, snapshot, clients),
             workers_per_node,
             queue_high_water,
         })
@@ -1332,46 +1323,91 @@ impl Executor {
         threads: usize,
     ) -> Result<MixedRun> {
         let threads = threads.max(1);
-        store.clear_cache()?;
-        store.reset_stats();
-        let before = store.snapshot();
-
-        let exec = self
-            .exec_shared(SharedSurface(&*store), spec, threads, false)?
-            .ok_or(CoreError::Unsupported {
-                model: "plan executor",
-                op: "mixed-stream execution of an op the storage model rejects",
-            })?;
-
-        store.shared_flush()?;
+        let (exec, snapshot) = measured(store, |store| {
+            self.serve(SharedSurface(&*store), spec, threads, false)
+        })?;
+        let exec = exec.ok_or(CoreError::Unsupported {
+            model: "plan executor",
+            op: "mixed-stream execution of an op the storage model rejects",
+        })?;
         Ok(MixedRun {
             requests: exec.requests,
             updates: exec.updates,
             elapsed: exec.elapsed,
             threads,
-            snapshot: store.snapshot() - before,
+            snapshot,
         })
     }
 }
 
-impl crate::plan::NormUnit {
-    fn resolve_units(self, ctx: &Ctx) -> u64 {
+/// The frame every run mode measures in: cold start (buffer emptied, prior
+/// dirty pages flushed *before* the counters reset), `body` — which ends
+/// with its own disconnect flush —, counter delta.
+fn measured<C: ComplexObjectStore + ?Sized, T>(
+    store: &mut C,
+    body: impl FnOnce(&mut C) -> Result<T>,
+) -> Result<(T, IoSnapshot)> {
+    store.clear_cache()?;
+    store.reset_stats();
+    let before = store.snapshot();
+    let out = body(store)?;
+    Ok((out, store.snapshot() - before))
+}
+
+impl ConcurrentPlanRun {
+    /// The multi-client result shape; `None` is the paper's "not relevant"
+    /// marker (the model does not support an op of the plan — query 1a
+    /// under pure NSM).
+    fn new(
+        spec: &WorkloadSpec,
+        exec: Option<SharedExec>,
+        snapshot: IoSnapshot,
+        threads: usize,
+    ) -> ConcurrentPlanRun {
+        let Some(exec) = exec else {
+            return ConcurrentPlanRun {
+                outcome: PlanOutcome::Unsupported,
+                observations: Vec::new(),
+                elapsed: Duration::ZERO,
+                threads,
+            };
+        };
+        ConcurrentPlanRun {
+            outcome: PlanOutcome::Measured(PlanRun {
+                snapshot,
+                units: spec.unit.resolve(exec.top_iters, exec.scanned),
+                nav_seen: exec.nav_seen,
+                scanned: exec.scanned,
+                updates_applied: exec.updates,
+            }),
+            observations: exec.observations,
+            elapsed: exec.elapsed,
+            threads,
+        }
+    }
+}
+
+impl NormUnit {
+    /// The normalization denominator of a run that executed `top_iters`
+    /// top-level loop iterations and scanned `scanned` objects.
+    fn resolve(self, top_iters: u64, scanned: u64) -> u64 {
         match self {
-            crate::plan::NormUnit::Loops => ctx.top_iters.max(1),
-            crate::plan::NormUnit::ScannedObjects => ctx.scanned.max(1),
+            NormUnit::Loops => top_iters.max(1),
+            NormUnit::ScannedObjects => scanned.max(1),
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::plan::{Count, MixKind, NormUnit, ProjSpec};
+    use crate::plan::{Count, MixKind, ProjSpec};
     use crate::{generate, DatasetParams};
     use starfish_core::{make_shared_store, make_store, ModelKind, StoreConfig};
     use starfish_nf2::Key;
 
-    fn small_db() -> Vec<starfish_nf2::station::Station> {
+    /// The fixture every unit test of this crate runs on: 60 objects.
+    pub(crate) fn small_db() -> Vec<starfish_nf2::station::Station> {
         generate(&DatasetParams {
             n_objects: 60,
             seed: 99,
@@ -1379,10 +1415,27 @@ mod tests {
         })
     }
 
-    fn serial_setup(kind: ModelKind) -> (Box<dyn ComplexObjectStore>, Executor) {
+    pub(crate) fn serial_setup(kind: ModelKind) -> (Box<dyn ComplexObjectStore>, Executor) {
         let db = small_db();
         let mut store = make_store(kind, StoreConfig::default());
         let refs = store.load(&db).unwrap();
+        (store, Executor::new(refs, 7))
+    }
+
+    fn small_cluster(kind: ModelKind, nodes: usize) -> (PartitionedStore, Executor) {
+        let placement = starfish_core::Placement::RoundRobin;
+        let mut cluster = PartitionedStore::new(kind, nodes, placement, StoreConfig::default());
+        let refs = cluster.load(&small_db()).unwrap();
+        (cluster, Executor::new(refs, 7))
+    }
+
+    /// [`serial_setup`] over a shared pool of `shards` shards.
+    pub(crate) fn shared_setup(
+        kind: ModelKind,
+        shards: usize,
+    ) -> (Box<dyn ConcurrentObjectStore>, Executor) {
+        let mut store = make_shared_store(kind, StoreConfig::default(), shards);
+        let refs = store.load(&small_db()).unwrap();
         (store, Executor::new(refs, 7))
     }
 
@@ -1709,5 +1762,69 @@ mod tests {
                 Some(want) => assert_eq!(&got.observations, want, "{threads} threads"),
             }
         }
+    }
+
+    #[test]
+    fn malformed_phases_are_typed_errors_in_every_run_mode() {
+        // `WorkloadSpec.ops` is public and only `from_json` validates, so a
+        // hand-built phase can be empty or hold a non-pick op: every entry
+        // point must answer with an error, not an index or `unreachable!`
+        // panic.
+        let phase = |picks: Vec<Op>| WorkloadSpec {
+            name: "bad-phase".into(),
+            description: String::new(),
+            stream: 93,
+            unit: NormUnit::Loops,
+            mix: None,
+            ops: vec![Op::Loop {
+                count: Count::Fixed(2),
+                body: vec![
+                    Op::Phase { every: 1, picks },
+                    Op::NavigateChildren { depth: 1 },
+                ],
+            }],
+        };
+        for spec in [phase(vec![]), phase(vec![Op::ScanAll])] {
+            let (mut serial, exec) = serial_setup(ModelKind::Dsm);
+            let (mut shared, _) = shared_setup(ModelKind::Dsm, 2);
+            let mut cluster = small_cluster(ModelKind::Dsm, 2).0;
+            let outcomes = [
+                ("run", exec.run(serial.as_mut(), &spec).err()),
+                (
+                    "run_concurrent",
+                    exec.run_concurrent(shared.as_mut(), &spec, 2).err(),
+                ),
+                (
+                    "run_stream",
+                    exec.run_stream(shared.as_mut(), &spec, 2).err(),
+                ),
+                (
+                    "run_cluster",
+                    exec.run_cluster(&mut cluster, &spec, 2, 1).err(),
+                ),
+            ];
+            for (mode, err) in outcomes {
+                assert!(
+                    matches!(err, Some(CoreError::NotFound { .. })),
+                    "{mode} on {:?}: {err:?}",
+                    spec.ops
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn routed_navigation_queues_a_whole_step_before_waiting() {
+        // One node, one worker, one client: a navigation step over N
+        // parents queues N jobs before its first wait, so somewhere in a
+        // whole query-2b run the single worker is at least two behind.
+        let (mut cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 1);
+        let served = exec
+            .run_cluster(&mut cluster, &WorkloadSpec::q2b(), 1, 1)
+            .unwrap();
+        let run = served.run.outcome.run().unwrap();
+        assert!(run.nav_hop(1) >= 2, "needs a fan-out >= 2");
+        let high_water = served.queue_high_water;
+        assert!(high_water[0] >= 2, "{high_water:?}");
     }
 }

@@ -14,15 +14,20 @@
 //!   [`WorkloadSpec::shipped`] adds non-paper scenarios, and
 //!   [`WorkloadSpec::from_json`]/[`WorkloadSpec::to_json`] make ad-hoc
 //!   scenarios a file format (`starfish_repro --workload spec.json`);
-//! * [`Executor`] is the one streaming interpreter behind every run mode:
-//!   serial ([`Executor::run`], the paper's measurement protocol),
-//!   concurrent ([`Executor::run_concurrent`], N client threads over a
+//! * [`Executor`] is the one streaming interpreter behind every run mode,
+//!   and the only way to run a plan: serial ([`Executor::run`], the
+//!   paper's measurement protocol), concurrent
+//!   ([`Executor::run_concurrent`], N client threads over a
 //!   [`starfish_core::ConcurrentObjectStore`] with answer merging and
-//!   object-partitioned updates) and mixed streams
-//!   ([`Executor::run_stream`], racing read/write request serving);
-//! * [`QueryRunner`] is the query-labelled facade the paper-reproduction
-//!   harness uses: `run`/`run_concurrent`/`run_mixed` are thin wrappers
-//!   that build the query's spec and delegate to the executor.
+//!   object-partitioned updates), routed ([`Executor::run_cluster`], the
+//!   same protocol over a [`starfish_core::PartitionedStore`]'s per-node
+//!   worker pools) and mixed streams ([`Executor::run_stream`], racing
+//!   read/write request serving). A paper query is run like any other
+//!   spec — `exec.run(store, &WorkloadSpec::for_query(q))` — and reports
+//!   in the same vocabulary: [`PlanOutcome`] / [`PlanRun`] (counter
+//!   deltas, units, per-hop navigation counts, the per-unit ratios of
+//!   Tables 4–6) and, for the multi-client modes, one [`UnitObservation`]
+//!   per unit in plan order.
 //!
 //! Randomness is fully deterministic: the dataset comes from
 //! [`DatasetParams::seed`], and each spec's random object sequence comes
@@ -32,16 +37,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod concurrent;
 mod executor;
 mod generator;
 mod lower;
 mod plan;
-mod queries;
 pub mod reorder;
 mod stats;
 
-pub use concurrent::{ConcurrentRun, UnitAnswer};
 pub use executor::{
     ClusterRun, ConcurrentPlanRun, Executor, MixedRun, PlanOutcome, PlanRun, UnitObservation,
 };
@@ -50,8 +52,19 @@ pub use lower::lower_spec;
 pub use plan::{
     Count, Drift, MixKind, NormUnit, Op, PatchSpec, ProjSpec, WorkloadSpec, Q1A_SAMPLE,
 };
-pub use queries::{Measurement, QueryOutcome, QueryRunner};
 pub use stats::DatasetStats;
+
+// The paper's queries 1a–3b driven through the executor, as test-only
+// modules: serial protocol in `queries/tests.rs`, multi-client protocols
+// in `concurrent/tests.rs`.
+#[cfg(test)]
+mod concurrent {
+    mod tests;
+}
+#[cfg(test)]
+mod queries {
+    mod tests;
+}
 
 /// Result alias (errors come from the storage models).
 pub type Result<T> = std::result::Result<T, starfish_core::CoreError>;

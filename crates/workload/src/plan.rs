@@ -56,7 +56,7 @@ use starfish_cost::QueryId;
 use starfish_nf2::Projection;
 
 /// The seed stride between RNG streams (the same constant the historical
-/// `QueryRunner::query_rng` used, so plan-built paper queries draw the
+/// hard-coded query runner used, so plan-built paper queries draw the
 /// *identical* object sequences).
 pub(crate) const STREAM_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 

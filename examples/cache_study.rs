@@ -7,7 +7,7 @@
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
-use starfish::workload::{generate, DatasetParams, QueryOutcome, QueryRunner};
+use starfish::workload::{generate, DatasetParams, Executor, WorkloadSpec};
 
 const SIZES: [usize; 6] = [100, 200, 400, 800, 1200, 1500];
 
@@ -34,11 +34,9 @@ fn main() {
         for (i, (kind, _, _)) in models.iter().enumerate() {
             let mut store = make_store(*kind, StoreConfig::default());
             let refs = store.load(&db).expect("load");
-            let runner = QueryRunner::new(refs, 1993);
-            let v = match runner.run(store.as_mut(), QueryId::Q2b).expect("q2b") {
-                QueryOutcome::Measured(m) => m.pages_per_unit(),
-                QueryOutcome::Unsupported => f64::NAN,
-            };
+            let exec = Executor::new(refs, 1993);
+            let outcome = exec.run(store.as_mut(), &WorkloadSpec::q2b()).expect("q2b");
+            let v = outcome.run().map_or(f64::NAN, |m| m.pages_per_unit());
             series[i].push(v);
             row.push(v);
         }

@@ -7,7 +7,7 @@
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
-use starfish::workload::{generate, DatasetParams, QueryOutcome, QueryRunner};
+use starfish::workload::{generate, DatasetParams, Executor, WorkloadSpec};
 
 fn main() {
     let n: usize = std::env::args()
@@ -39,14 +39,13 @@ fn main() {
     for (kind, variant) in variants {
         let mut store = make_store(kind, StoreConfig::default());
         let refs = store.load(&db).expect("load");
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
 
         let mut measured = Vec::new();
         for q in [QueryId::Q1a, QueryId::Q2a, QueryId::Q2b, QueryId::Q3b] {
-            let cell = match runner.run(store.as_mut(), q).expect("query") {
-                QueryOutcome::Measured(m) => Some(m.pages_per_unit()),
-                QueryOutcome::Unsupported => None,
-            };
+            let spec = WorkloadSpec::for_query(q);
+            let outcome = exec.run(store.as_mut(), &spec).expect("query");
+            let cell = outcome.run().map(|m| m.pages_per_unit());
             let analytic = estimate(variant, q, &inputs).map(|c| c.total());
             measured.push((cell, analytic));
         }

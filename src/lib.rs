@@ -29,11 +29,13 @@ pub use starfish_workload as workload;
 /// Commonly used items, for examples and quick experiments.
 pub mod prelude {
     pub use starfish_core::{
-        make_shared_store, with_reactor, BufferConfig, ComplexObjectStore, ConcurrentObjectStore,
-        IoEngineConfig, ModelKind, PolicyKind, QueryRequest, QueryResponse, Reactor, StoreConfig,
+        make_shared_store, BufferConfig, ComplexObjectStore, ConcurrentObjectStore, IoEngineConfig,
+        ModelKind, PolicyKind, StoreConfig,
     };
     pub use starfish_nf2::station::{station_schema, Station};
     pub use starfish_nf2::{Oid, Projection, Tuple, Value};
     pub use starfish_pagestore::IoSnapshot;
-    pub use starfish_workload::{DatasetParams, Executor, MixKind, Op, QueryRunner, WorkloadSpec};
+    pub use starfish_workload::{
+        DatasetParams, Executor, MixKind, Op, PlanOutcome, PlanRun, WorkloadSpec,
+    };
 }

@@ -5,7 +5,7 @@
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
-use starfish::workload::{generate, DatasetParams, QueryOutcome, QueryRunner};
+use starfish::workload::{generate, DatasetParams, Executor, PlanOutcome, WorkloadSpec};
 
 const N: usize = 400;
 
@@ -18,10 +18,11 @@ fn measured(kind: ModelKind, q: QueryId, buffer: usize) -> f64 {
     let db = generate(&params);
     let mut store = make_store(kind, StoreConfig::with_buffer_pages(buffer));
     let refs = store.load(&db).expect("load");
-    let runner = QueryRunner::new(refs, 17);
-    match runner.run(store.as_mut(), q).expect("query") {
-        QueryOutcome::Measured(m) => m.pages_per_unit(),
-        QueryOutcome::Unsupported => f64::NAN,
+    let exec = Executor::new(refs, 17);
+    let spec = WorkloadSpec::for_query(q);
+    match exec.run(store.as_mut(), &spec).expect("query") {
+        PlanOutcome::Measured(m) => m.pages_per_unit(),
+        PlanOutcome::Unsupported => f64::NAN,
     }
 }
 

@@ -8,7 +8,7 @@
 //! * a **serially-driven** `PartitionedStore` (the §5.5 oracle): one
 //!   client, the paper's measurement protocol, updates inline;
 //! * the **routed cluster**: N client threads dealing units through
-//!   `with_cluster_router`, M reactor workers per node, updates deferred
+//!   `with_cluster_router`, M queue workers per node, updates deferred
 //!   in plan order.
 //!
 //! The two must agree on the answers (per-unit observations), the
@@ -16,7 +16,7 @@
 //! disconnect flush — the per-node `disk_checksum` fingerprints, at every
 //! swept (nodes × workers × clients) shape. With 1 node × 1 worker × 1
 //! client the bar is the established one: the entire read-only
-//! `Measurement` equals the serial run counter for counter.
+//! `PlanRun` equals the serial run counter for counter.
 //!
 //! A drift-spec run closes the loop with PR 6: the drifting hot set served
 //! by a cluster produces the identical answer sequence on every storage
@@ -126,8 +126,9 @@ fn routed_cluster_matches_serial_partitioned_oracle() {
 }
 
 /// The acceptance anchor: 1 node × 1 worker × 1 client over a read-only
-/// plan replays the serial `Measurement` counter for counter — physical
-/// reads, latch counters, everything.
+/// plan replays the serial `PlanRun` counter for counter — physical
+/// reads, latch counters, everything. Asking for zero workers serves with
+/// one per node, and the run reports what actually ran.
 #[test]
 fn one_node_one_worker_replays_serial_measurement_exactly() {
     let db = dataset();
@@ -139,13 +140,18 @@ fn one_node_one_worker_replays_serial_measurement_exactly() {
             PlanOutcome::Unsupported => panic!("{kind}: Q2b must be supported"),
         };
         let (mut routed, exec) = routed_cluster(kind, 1, 1, &db);
-        let got = exec.run_cluster(&mut routed, &spec, 1, 1).unwrap();
-        let run = got.run.outcome.run().expect("measured");
-        assert_eq!(
-            run, &want,
-            "{kind}: routed 1×1×1 diverged from the serial measurement"
-        );
-        assert_eq!(routed.node_checksums(), serial.node_checksums(), "{kind}");
+        for (clients, workers) in [(1usize, 1usize), (0, 0)] {
+            let got = exec
+                .run_cluster(&mut routed, &spec, clients, workers)
+                .unwrap();
+            assert_eq!((got.run.threads, got.workers_per_node), (1, 1), "{kind}");
+            let run = got.run.outcome.run().expect("measured");
+            assert_eq!(
+                run, &want,
+                "{kind}: routed 1×1×1 diverged from the serial measurement"
+            );
+            assert_eq!(routed.node_checksums(), serial.node_checksums(), "{kind}");
+        }
     }
 }
 

@@ -17,8 +17,8 @@
 //! `tests/cross_policy_differential.rs`.
 //!
 //! With **one thread and one shard** the bar is higher: the entire
-//! `Measurement` (physical reads included) must equal the serial
-//! `QueryRunner` run counter for counter — the acceptance gate for the
+//! `PlanRun` (physical reads included) must equal the serial
+//! `Executor::run` counter for counter — the acceptance gate for the
 //! shared pool reproducing the paper's serial numbers.
 
 use starfish::core::{
@@ -27,7 +27,7 @@ use starfish::core::{
 use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome, UnitAnswer};
+use starfish::workload::{generate, UnitObservation};
 
 const SEED: u64 = 19_930_419;
 const N_OBJECTS: usize = 120;
@@ -55,18 +55,22 @@ fn shared_store(kind: ModelKind, shards: usize, db: &[Station]) -> Box<dyn Concu
 }
 
 /// One thread over one shard reproduces the serial measurement exactly —
-/// same seed ⇒ identical `Measurement` values, physical I/O included.
+/// same seed ⇒ identical `PlanRun` values, physical I/O included.
 #[test]
 fn one_client_reproduces_serial_measurements_exactly() {
     let db = dataset();
     for kind in ModelKind::all() {
         let mut serial = make_store(kind, config());
         let refs = serial.load(&db).expect("load");
-        let runner = QueryRunner::new(refs, SEED);
+        let exec = Executor::new(refs, SEED);
         for q in QUERIES {
-            let want = runner.run(serial.as_mut(), q).unwrap();
+            let want = exec
+                .run(serial.as_mut(), &WorkloadSpec::for_query(q))
+                .unwrap();
             let mut store = shared_store(kind, 1, &db);
-            let got = runner.run_concurrent(store.as_mut(), q, 1).unwrap();
+            let got = exec
+                .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), 1)
+                .unwrap();
             assert_eq!(
                 got.outcome, want,
                 "{kind}/{q}: shared pool at 1 thread × 1 shard diverged from serial"
@@ -82,21 +86,15 @@ fn answers_and_fixes_survive_any_thread_count() {
     let db = dataset();
     for kind in ModelKind::all() {
         for q in QUERIES {
-            let mut baseline: Option<(Vec<UnitAnswer>, u64, u64, u64, u64)> = None;
+            let mut baseline: Option<(Vec<UnitObservation>, u64, u64, Vec<u64>)> = None;
             for &threads in &THREADS {
                 let mut store = shared_store(kind, threads, &db);
-                let run = runner_for(&db)
-                    .run_concurrent(store.as_mut(), q, threads)
+                let run = executor_for(&db)
+                    .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), threads)
                     .unwrap();
                 match run.outcome {
-                    QueryOutcome::Measured(m) => {
-                        let fp = (
-                            run.answers.clone(),
-                            m.snapshot.fixes,
-                            m.units,
-                            m.children_seen,
-                            m.grandchildren_seen,
-                        );
+                    PlanOutcome::Measured(m) => {
+                        let fp = (run.observations, m.snapshot.fixes, m.units, m.nav_seen);
                         match &baseline {
                             None => baseline = Some(fp),
                             Some(want) => {
@@ -105,14 +103,14 @@ fn answers_and_fixes_survive_any_thread_count() {
                                     "{kind}/{q}/{threads}t: merged answers diverged"
                                 );
                                 assert_eq!(
-                                    (want.1, want.2, want.3, want.4),
-                                    (fp.1, fp.2, fp.3, fp.4),
+                                    (want.1, want.2, &want.3),
+                                    (fp.1, fp.2, &fp.3),
                                     "{kind}/{q}/{threads}t: fixes/footprint diverged"
                                 );
                             }
                         }
                     }
-                    QueryOutcome::Unsupported => {
+                    PlanOutcome::Unsupported => {
                         assert_eq!(
                             (kind, q),
                             (ModelKind::Nsm, QueryId::Q1a),
@@ -135,8 +133,8 @@ fn updates_converge_across_thread_counts() {
         let mut scans: Vec<Vec<Station>> = Vec::new();
         for &threads in &[1usize, 4] {
             let mut store = shared_store(kind, threads, &db);
-            runner_for(&db)
-                .run_concurrent(store.as_mut(), QueryId::Q3a, threads)
+            executor_for(&db)
+                .run_concurrent(store.as_mut(), &WorkloadSpec::q3a(), threads)
                 .unwrap();
             store.clear_cache().unwrap();
             let mut seen = Vec::new();
@@ -153,7 +151,7 @@ fn updates_converge_across_thread_counts() {
     }
 }
 
-fn runner_for(db: &[Station]) -> QueryRunner {
+fn executor_for(db: &[Station]) -> Executor {
     let refs = db
         .iter()
         .enumerate()
@@ -162,5 +160,5 @@ fn runner_for(db: &[Station]) -> QueryRunner {
             key: s.key,
         })
         .collect();
-    QueryRunner::new(refs, SEED)
+    Executor::new(refs, SEED)
 }

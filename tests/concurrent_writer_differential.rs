@@ -7,9 +7,9 @@
 //! 1. **Disjoint-partition multi-writer ≡ serial**: query 3a with 1/2/4/8
 //!    writer threads produces the same answers, the same total fixes and
 //!    — the strongest form — byte-identical post-flush on-disk images
-//!    (FNV fingerprints) as the serial `QueryRunner` run. With one thread
-//!    and one shard, the whole `Measurement` matches the serial run
-//!    exactly (physical I/O included).
+//!    (FNV fingerprints) as the serial `Executor::run`. With one thread
+//!    and one shard, the whole `PlanRun` matches the serial run exactly
+//!    (physical I/O included).
 //! 2. **No torn tuples**: reader threads hammering root records while
 //!    writer threads flip the same objects between two patch values only
 //!    ever observe fully-old or fully-new names — never a byte mix. This
@@ -24,7 +24,6 @@ use starfish::core::{
     make_shared_store, make_store, ConcurrentObjectStore, ModelKind, PolicyKind, RootPatch,
     StoreConfig,
 };
-use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::prelude::*;
 use starfish::workload::generate;
@@ -55,7 +54,7 @@ fn shared_store(kind: ModelKind, shards: usize, db: &[Station]) -> Box<dyn Concu
     store
 }
 
-fn runner_for(db: &[Station]) -> QueryRunner {
+fn executor_for(db: &[Station]) -> Executor {
     let refs = db
         .iter()
         .enumerate()
@@ -64,7 +63,7 @@ fn runner_for(db: &[Station]) -> QueryRunner {
             key: s.key,
         })
         .collect();
-    QueryRunner::new(refs, SEED)
+    Executor::new(refs, SEED)
 }
 
 fn scan_names(store: &mut dyn ConcurrentObjectStore) -> Vec<String> {
@@ -85,9 +84,9 @@ fn multi_writer_q3a_matches_serial_byte_for_byte() {
         // The serial reference: exclusive store, &mut update path.
         let mut serial = make_store(kind, config());
         let refs = serial.load(&db).expect("load");
-        let runner = QueryRunner::new(refs, SEED);
-        let want = runner.run(serial.as_mut(), QueryId::Q3a).unwrap();
-        let want_m = *want.measurement().expect("3a supported everywhere");
+        let exec = Executor::new(refs, SEED);
+        let want = exec.run(serial.as_mut(), &WorkloadSpec::q3a()).unwrap();
+        let want_m = want.run().expect("3a supported everywhere");
         let want_disk = serial.disk_checksum();
         let mut want_scan: Vec<String> = Vec::new();
         serial
@@ -97,18 +96,15 @@ fn multi_writer_q3a_matches_serial_byte_for_byte() {
         let mut baseline_answers = None;
         for &threads in &WRITER_THREADS {
             let mut store = shared_store(kind, threads, &db);
-            let run = runner_for(&db)
-                .run_concurrent(store.as_mut(), QueryId::Q3a, threads)
+            let run = executor_for(&db)
+                .run_concurrent(store.as_mut(), &WorkloadSpec::q3a(), threads)
                 .unwrap();
-            let m = run.outcome.measurement().expect("3a measured");
+            let m = run.outcome.run().expect("3a measured");
             // Fixes and the navigation footprint are access counts:
             // identical to the serial run whatever the writer count.
             assert_eq!(m.snapshot.fixes, want_m.snapshot.fixes, "{kind}/{threads}t");
             assert_eq!(m.units, want_m.units, "{kind}/{threads}t");
-            assert_eq!(
-                m.grandchildren_seen, want_m.grandchildren_seen,
-                "{kind}/{threads}t"
-            );
+            assert_eq!(m.nav_hop(1), want_m.nav_hop(1), "{kind}/{threads}t");
             // The strongest invariant: the post-flush disk image equals the
             // serial run's, byte for byte.
             assert_eq!(
@@ -119,8 +115,8 @@ fn multi_writer_q3a_matches_serial_byte_for_byte() {
             assert_eq!(scan_names(store.as_mut()), want_scan, "{kind}/{threads}t");
             // Answers are merged in plan order: identical across counts.
             match &baseline_answers {
-                None => baseline_answers = Some(run.answers.clone()),
-                Some(base) => assert_eq!(&run.answers, base, "{kind}/{threads}t"),
+                None => baseline_answers = Some(run.observations.clone()),
+                Some(base) => assert_eq!(&run.observations, base, "{kind}/{threads}t"),
             }
             // 1 thread × 1 shard: the entire measurement, reads included.
             if threads == 1 {

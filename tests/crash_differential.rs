@@ -42,7 +42,7 @@ use starfish::core::{
 use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome};
+use starfish::workload::generate;
 use std::thread;
 
 #[path = "common/golden.rs"]
@@ -303,25 +303,29 @@ fn wal_off_shared_pool_matches_golden_io_calls() {
     for kind in ModelKind::all() {
         let mut store = make_shared_store(kind, StoreConfig::with_buffer_pages(240), 1);
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in QueryId::all() {
-            // The bulk-update 3b only exists on the serial surface; run it
-            // through the same shared pool's `&mut` side (the golden table
-            // covers both surfaces either way).
-            let outcome = match runner.run_concurrent(store.as_mut(), q, 1) {
-                Ok(run) => run.outcome,
-                Err(_) => runner
-                    .run(store.as_mut() as &mut dyn ComplexObjectStore, q)
-                    .unwrap(),
+            // The concurrent protocol defers the bulk-update 3b's per-loop
+            // updates to a tail, which reorders its physical I/O against
+            // the golden table; run it through the same shared pool's
+            // `&mut` side (the table covers both surfaces either way).
+            let spec = WorkloadSpec::for_query(q);
+            let outcome = if q == QueryId::Q3b {
+                exec.run(store.as_mut() as &mut dyn ComplexObjectStore, &spec)
+                    .unwrap()
+            } else {
+                exec.run_concurrent(store.as_mut(), &spec, 1)
+                    .unwrap()
+                    .outcome
             };
             let got = match outcome {
-                QueryOutcome::Measured(m) => {
+                PlanOutcome::Measured(m) => {
                     // Golden identity also covers adaptive placement: heat
                     // tracking is off, so its additive counters read zero.
                     golden::assert_heat_silent(&m.snapshot, &format!("{kind}/{q}"));
                     Some(m.snapshot.io_calls())
                 }
-                QueryOutcome::Unsupported => None,
+                PlanOutcome::Unsupported => None,
             };
             let expect = golden_io_calls(kind, q);
             if got != expect {

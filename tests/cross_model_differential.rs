@@ -16,7 +16,7 @@ use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::nf2::{Oid, Projection};
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome};
+use starfish::workload::generate;
 
 const SEED: u64 = 20_260_727;
 
@@ -215,10 +215,11 @@ fn io_counters_positive_and_model_ordered() {
     for kind in ModelKind::all() {
         let mut store = make_store(kind, StoreConfig::with_buffer_pages(240));
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, SEED);
+        let exec = Executor::new(refs, SEED);
         for q in QueryId::all() {
-            match runner.run(store.as_mut(), q).unwrap() {
-                QueryOutcome::Measured(m) => {
+            let spec = WorkloadSpec::for_query(q);
+            match exec.run(store.as_mut(), &spec).unwrap() {
+                PlanOutcome::Measured(m) => {
                     assert!(m.snapshot.pages_read > 0, "{kind} q{q}: no pages read");
                     assert!(m.snapshot.read_calls > 0, "{kind} q{q}: no read calls");
                     assert!(m.snapshot.fixes > 0, "{kind} q{q}: no buffer fixes");
@@ -234,7 +235,7 @@ fn io_counters_positive_and_model_ordered() {
                     }
                     reads.push((kind, q, m.snapshot.pages_read, m.snapshot.pages_io()));
                 }
-                QueryOutcome::Unsupported => {
+                PlanOutcome::Unsupported => {
                     assert_eq!(
                         (kind, q),
                         (ModelKind::Nsm, QueryId::Q1a),

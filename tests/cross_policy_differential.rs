@@ -17,7 +17,7 @@ use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::nf2::{Oid, Projection};
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome};
+use starfish::workload::generate;
 
 const SEED: u64 = 19_930_419;
 const N_OBJECTS: usize = 120;
@@ -186,15 +186,11 @@ fn fix_counts_identical_only_physical_io_differs() {
                         key: s.key,
                     })
                     .collect();
-                let runner = QueryRunner::new(refs, SEED);
-                match runner.run(store.as_mut(), q).unwrap() {
-                    QueryOutcome::Measured(m) => {
-                        let fp = (
-                            m.snapshot.fixes,
-                            m.units,
-                            m.children_seen,
-                            m.grandchildren_seen,
-                        );
+                let exec = Executor::new(refs, SEED);
+                let spec = WorkloadSpec::for_query(q);
+                match exec.run(store.as_mut(), &spec).unwrap() {
+                    PlanOutcome::Measured(m) => {
+                        let fp = (m.snapshot.fixes, m.units, m.nav_hop(0), m.nav_hop(1));
                         let io = (m.snapshot.pages_read, m.snapshot.pages_written);
                         match baseline {
                             None => {
@@ -212,7 +208,7 @@ fn fix_counts_identical_only_physical_io_differs() {
                             }
                         }
                     }
-                    QueryOutcome::Unsupported => {
+                    PlanOutcome::Unsupported => {
                         assert_eq!((kind, q), (ModelKind::Nsm, QueryId::Q1a));
                     }
                 }

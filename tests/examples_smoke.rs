@@ -11,7 +11,7 @@ use starfish::core::make_store;
 use starfish::cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
 use starfish::nf2::station::{Connection, Platform, Sightseeing};
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome};
+use starfish::workload::generate;
 
 /// A demo station mirroring `examples/quickstart.rs`.
 fn demo_station(name: &str, key: i32, children: &[u32]) -> Station {
@@ -107,11 +107,12 @@ fn model_comparison_flow_measures_and_estimates() {
     for (kind, variant) in variants {
         let mut store = make_store(kind, StoreConfig::default());
         let refs = store.load(&db).expect("load");
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in [QueryId::Q1a, QueryId::Q2a, QueryId::Q2b, QueryId::Q3b] {
-            let measured = match runner.run(store.as_mut(), q).expect("query") {
-                QueryOutcome::Measured(m) => Some(m.pages_per_unit()),
-                QueryOutcome::Unsupported => None,
+            let spec = WorkloadSpec::for_query(q);
+            let measured = match exec.run(store.as_mut(), &spec).expect("query") {
+                PlanOutcome::Measured(m) => Some(m.pages_per_unit()),
+                PlanOutcome::Unsupported => None,
             };
             let analytic = estimate(variant, q, &inputs).map(|c| c.total());
             if let Some(v) = measured {

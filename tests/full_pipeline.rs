@@ -6,12 +6,14 @@ use starfish::core::{make_store, ComplexObjectStore, ModelKind, StoreConfig};
 use starfish::cost::QueryId;
 use starfish::nf2::station::Station;
 use starfish::nf2::Projection;
-use starfish::workload::{generate, DatasetParams, DatasetStats, QueryOutcome, QueryRunner};
+use starfish::workload::{
+    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, PlanRun, WorkloadSpec,
+};
 
 const N: usize = 250;
 const BUFFER: usize = 200; // keeps the paper's DB ≫ buffer regime
 
-fn setup(kind: ModelKind) -> (Vec<Station>, Box<dyn ComplexObjectStore>, QueryRunner) {
+fn setup(kind: ModelKind) -> (Vec<Station>, Box<dyn ComplexObjectStore>, Executor) {
     let params = DatasetParams {
         n_objects: N,
         seed: 11,
@@ -20,23 +22,30 @@ fn setup(kind: ModelKind) -> (Vec<Station>, Box<dyn ComplexObjectStore>, QueryRu
     let db = generate(&params);
     let mut store = make_store(kind, StoreConfig::with_buffer_pages(BUFFER));
     let refs = store.load(&db).expect("load");
-    (db, store, QueryRunner::new(refs, 5))
+    (db, store, Executor::new(refs, 5))
+}
+
+fn measured(exec: &Executor, store: &mut dyn ComplexObjectStore, q: QueryId) -> PlanRun {
+    let outcome = exec.run(store, &WorkloadSpec::for_query(q)).unwrap();
+    outcome.run().cloned().expect("supported")
 }
 
 #[test]
 fn every_model_answers_every_query() {
     for kind in ModelKind::all() {
-        let (_, mut store, runner) = setup(kind);
+        let (_, mut store, exec) = setup(kind);
         for q in QueryId::all() {
-            let out = runner.run(store.as_mut(), q).expect("query runs");
+            let out = exec
+                .run(store.as_mut(), &WorkloadSpec::for_query(q))
+                .expect("query runs");
             match out {
-                QueryOutcome::Measured(m) => {
+                PlanOutcome::Measured(m) => {
                     assert!(
                         m.snapshot.pages_read > 0,
                         "{kind} {q}: must touch the disk from a cold cache"
                     );
                 }
-                QueryOutcome::Unsupported => {
+                PlanOutcome::Unsupported => {
                     assert_eq!(kind, ModelKind::Nsm);
                     assert_eq!(q, QueryId::Q1a);
                 }
@@ -94,13 +103,8 @@ fn navigation_is_identical_across_models_and_matches_the_data() {
 fn paper_claim_direct_models_lose_to_dasdbs_nsm_on_navigation() {
     let mut per_model = Vec::new();
     for kind in [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm] {
-        let (_, mut store, runner) = setup(kind);
-        let m = runner
-            .run(store.as_mut(), QueryId::Q2b)
-            .unwrap()
-            .measurement()
-            .cloned()
-            .unwrap();
+        let (_, mut store, exec) = setup(kind);
+        let m = measured(&exec, store.as_mut(), QueryId::Q2b);
         per_model.push((kind, m.pages_per_unit()));
     }
     let get = |k: ModelKind| per_model.iter().find(|(m, _)| *m == k).unwrap().1;
@@ -115,13 +119,8 @@ fn paper_claim_updates_hurt_dasdbs_dsm_most_among_direct_models() {
     // by a large factor.
     let mut writes = Vec::new();
     for kind in [ModelKind::DasdbsDsm, ModelKind::DasdbsNsm] {
-        let (_, mut store, runner) = setup(kind);
-        let m = runner
-            .run(store.as_mut(), QueryId::Q3b)
-            .unwrap()
-            .measurement()
-            .cloned()
-            .unwrap();
+        let (_, mut store, exec) = setup(kind);
+        let m = measured(&exec, store.as_mut(), QueryId::Q3b);
         writes.push(m.writes_per_unit());
     }
     assert!(
@@ -134,13 +133,8 @@ fn paper_claim_updates_hurt_dasdbs_dsm_most_among_direct_models() {
 
 #[test]
 fn paper_claim_value_selection_needs_the_whole_database_without_addresses() {
-    let (_, mut dsm_store, dsm_runner) = setup(ModelKind::Dsm);
-    let dsm = dsm_runner
-        .run(dsm_store.as_mut(), QueryId::Q1b)
-        .unwrap()
-        .measurement()
-        .cloned()
-        .unwrap();
+    let (_, mut dsm_store, dsm_exec) = setup(ModelKind::Dsm);
+    let dsm = measured(&dsm_exec, dsm_store.as_mut(), QueryId::Q1b);
     // DSM's key lookup reads essentially the whole database.
     assert!(
         dsm.snapshot.pages_read as f64 >= 0.9 * dsm_store.database_pages() as f64 * 0.9,
@@ -149,13 +143,8 @@ fn paper_claim_value_selection_needs_the_whole_database_without_addresses() {
         dsm_store.database_pages()
     );
     // DASDBS-NSM reads only its root relation plus a few addressed tuples.
-    let (_, mut dn_store, dn_runner) = setup(ModelKind::DasdbsNsm);
-    let dn = dn_runner
-        .run(dn_store.as_mut(), QueryId::Q1b)
-        .unwrap()
-        .measurement()
-        .cloned()
-        .unwrap();
+    let (_, mut dn_store, dn_exec) = setup(ModelKind::DasdbsNsm);
+    let dn = measured(&dn_exec, dn_store.as_mut(), QueryId::Q1b);
     assert!(
         (dn.snapshot.pages_read as f64) < 0.2 * dn_store.database_pages() as f64,
         "DASDBS-NSM q1b reads {} of {} pages",
@@ -167,8 +156,9 @@ fn paper_claim_value_selection_needs_the_whole_database_without_addresses() {
 #[test]
 fn updates_persist_across_cold_restarts_in_all_models() {
     for kind in ModelKind::all() {
-        let (db, mut store, runner) = setup(kind);
-        runner.run(store.as_mut(), QueryId::Q3b).unwrap();
+        let (db, mut store, exec) = setup(kind);
+        exec.run(store.as_mut(), &WorkloadSpec::for_query(QueryId::Q3b))
+            .unwrap();
         // Re-read every object after a cold restart; names may have changed
         // but structure must be intact.
         store.clear_cache().unwrap();

@@ -19,7 +19,7 @@
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::QueryId;
-use starfish::workload::{generate, DatasetParams, QueryOutcome, QueryRunner};
+use starfish::workload::{generate, DatasetParams, Executor, PlanOutcome, WorkloadSpec};
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -36,18 +36,19 @@ fn io_call_counts_match_golden_table_fast_scale() {
     for kind in ModelKind::all() {
         let mut store = make_store(kind, StoreConfig::with_buffer_pages(240));
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in QueryId::all() {
             let expect = golden_io_calls(kind, q);
-            let got = match runner.run(store.as_mut(), q).unwrap() {
-                QueryOutcome::Measured(m) => {
+            let spec = WorkloadSpec::for_query(q);
+            let got = match exec.run(store.as_mut(), &spec).unwrap() {
+                PlanOutcome::Measured(m) => {
                     // Heat tracking is off by default: its additive
                     // counters must be provably zero, or the golden
                     // tables would no longer pin the pre-heat protocol.
                     assert_heat_silent(&m.snapshot, &format!("{kind}/{q}"));
                     Some(m.snapshot.io_calls())
                 }
-                QueryOutcome::Unsupported => None,
+                PlanOutcome::Unsupported => None,
             };
             if got != expect {
                 mismatches.push(format!("{kind}/{q}: golden {expect:?}, run {got:?}"));
@@ -79,15 +80,16 @@ fn heat_tracking_on_leaves_golden_io_calls_identical() {
             StoreConfig::with_buffer_pages(240).heat(starfish::core::HeatConfig::enabled()),
         );
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in QueryId::all() {
             let expect = golden_io_calls(kind, q);
-            let got = match runner.run(store.as_mut(), q).unwrap() {
-                QueryOutcome::Measured(m) => {
+            let spec = WorkloadSpec::for_query(q);
+            let got = match exec.run(store.as_mut(), &spec).unwrap() {
+                PlanOutcome::Measured(m) => {
                     heat_records += m.snapshot.heat_records;
                     Some(m.snapshot.io_calls())
                 }
-                QueryOutcome::Unsupported => None,
+                PlanOutcome::Unsupported => None,
             };
             assert_eq!(
                 got, expect,
@@ -115,13 +117,9 @@ fn direct_models_group_pages_per_call_nsm_does_not() {
     // DSM query 2b: pages/call well above 1.
     let mut dsm = make_store(ModelKind::Dsm, StoreConfig::with_buffer_pages(240));
     let refs = dsm.load(&db).unwrap();
-    let runner = QueryRunner::new(refs, 1993);
-    let m = runner
-        .run(dsm.as_mut(), QueryId::Q2b)
-        .unwrap()
-        .measurement()
-        .cloned()
-        .unwrap();
+    let exec = Executor::new(refs, 1993);
+    let outcome = exec.run(dsm.as_mut(), &WorkloadSpec::q2b()).unwrap();
+    let m = outcome.run().unwrap();
     let pages_per_call = m.snapshot.pages_read as f64 / m.snapshot.read_calls as f64;
     assert!(
         pages_per_call > 1.5,
@@ -131,13 +129,9 @@ fn direct_models_group_pages_per_call_nsm_does_not() {
     // NSM query 1b: exactly one page per read call.
     let mut nsm = make_store(ModelKind::Nsm, StoreConfig::with_buffer_pages(240));
     let refs = nsm.load(&db).unwrap();
-    let runner = QueryRunner::new(refs, 1993);
-    let m = runner
-        .run(nsm.as_mut(), QueryId::Q1b)
-        .unwrap()
-        .measurement()
-        .cloned()
-        .unwrap();
+    let exec = Executor::new(refs, 1993);
+    let outcome = exec.run(nsm.as_mut(), &WorkloadSpec::q1b()).unwrap();
+    let m = outcome.run().unwrap();
     assert_eq!(
         m.snapshot.pages_read, m.snapshot.read_calls,
         "NSM reads a single page per call"

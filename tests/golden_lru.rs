@@ -16,7 +16,7 @@
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::QueryId;
-use starfish::workload::{generate, DatasetParams, QueryOutcome, QueryRunner};
+use starfish::workload::{generate, DatasetParams, Executor, PlanOutcome, WorkloadSpec};
 
 /// (read_calls, pages_read, write_calls, pages_written, fixes).
 type Counters = (u64, u64, u64, u64, u64);
@@ -129,15 +129,16 @@ fn check_scale(golden: &[GoldenCell], n_objects: usize, buffer_pages: usize) {
     for kind in ModelKind::all() {
         let mut store = make_store(kind, StoreConfig::with_buffer_pages(buffer_pages));
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in QueryId::all() {
             let expect = golden
                 .iter()
                 .find(|(m, ql, _)| model_by_name(m) == kind && query_by_label(ql) == q)
                 .unwrap_or_else(|| panic!("golden table misses {kind}/{q}"))
                 .2;
-            let got = match runner.run(store.as_mut(), q).unwrap() {
-                QueryOutcome::Measured(m) => {
+            let spec = WorkloadSpec::for_query(q);
+            let got = match exec.run(store.as_mut(), &spec).unwrap() {
+                PlanOutcome::Measured(m) => {
                     let s = m.snapshot;
                     Some((
                         s.read_calls,
@@ -147,7 +148,7 @@ fn check_scale(golden: &[GoldenCell], n_objects: usize, buffer_pages: usize) {
                         s.fixes,
                     ))
                 }
-                QueryOutcome::Unsupported => None,
+                PlanOutcome::Unsupported => None,
             };
             if got != expect {
                 mismatches.push(format!("{kind}/{q}: seed {expect:?}, rewrite {got:?}"));

@@ -21,7 +21,7 @@
 use starfish::core::{make_shared_store, ModelKind, StoreConfig};
 use starfish::cost::QueryId;
 use starfish::prelude::*;
-use starfish::workload::{generate, QueryOutcome};
+use starfish::workload::generate;
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -48,19 +48,24 @@ fn engine_on_single_client_matches_golden_io_calls() {
     for kind in ModelKind::all() {
         let mut store = make_shared_store(kind, config().io_engine(IoEngineConfig::enabled()), 1);
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         let mut engine_rows = 0u64;
         for q in QueryId::all() {
-            // 3b only exists on the serial surface; its `&mut` run still
-            // drains misses through the same engine.
-            let outcome = match runner.run_concurrent(store.as_mut(), q, 1) {
-                Ok(run) => run.outcome,
-                Err(_) => runner
-                    .run(store.as_mut() as &mut dyn ComplexObjectStore, q)
-                    .unwrap(),
+            // The concurrent protocol defers 3b's per-loop updates to a
+            // tail, which reorders its physical I/O against the golden
+            // table; its `&mut` run still drains misses through the same
+            // engine.
+            let spec = WorkloadSpec::for_query(q);
+            let outcome = if q == QueryId::Q3b {
+                exec.run(store.as_mut() as &mut dyn ComplexObjectStore, &spec)
+                    .unwrap()
+            } else {
+                exec.run_concurrent(store.as_mut(), &spec, 1)
+                    .unwrap()
+                    .outcome
             };
             let got = match outcome {
-                QueryOutcome::Measured(m) => {
+                PlanOutcome::Measured(m) => {
                     // Per-run deltas: a solo client never queues a second
                     // request, so nothing coalesces and the depth high-water
                     // mark cannot exceed one.
@@ -70,7 +75,7 @@ fn engine_on_single_client_matches_golden_io_calls() {
                     engine_rows += m.snapshot.batched_read_calls;
                     Some(m.snapshot.io_calls())
                 }
-                QueryOutcome::Unsupported => None,
+                PlanOutcome::Unsupported => None,
             };
             let expect = golden_io_calls(kind, q);
             if got != expect {
@@ -97,20 +102,21 @@ fn engine_off_reports_zero_engine_counters() {
     for kind in ModelKind::all() {
         let mut store = make_shared_store(kind, config(), 1);
         let refs = store.load(&db).unwrap();
-        let runner = QueryRunner::new(refs, 1993);
+        let exec = Executor::new(refs, 1993);
         for q in QueryId::all() {
-            if let Ok(run) = runner.run_concurrent(store.as_mut(), q, 1) {
-                if let QueryOutcome::Measured(m) = run.outcome {
-                    assert_eq!(
-                        (
-                            m.snapshot.batched_read_calls,
-                            m.snapshot.coalesced_pages,
-                            m.snapshot.max_queue_depth,
-                        ),
-                        (0, 0, 0),
-                        "{kind}/{q}: engine-off run reported engine work"
-                    );
-                }
+            let run = exec
+                .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), 1)
+                .unwrap();
+            if let PlanOutcome::Measured(m) = run.outcome {
+                assert_eq!(
+                    (
+                        m.snapshot.batched_read_calls,
+                        m.snapshot.coalesced_pages,
+                        m.snapshot.max_queue_depth,
+                    ),
+                    (0, 0, 0),
+                    "{kind}/{q}: engine-off run reported engine work"
+                );
             }
         }
         let s = store.snapshot();
@@ -134,23 +140,23 @@ fn engine_on_concurrent_clients_preserve_answers_and_fixes() {
             make_shared_store(kind, config().io_engine(IoEngineConfig::enabled()), threads);
         let refs_off = off.load(&db).unwrap();
         let refs_on = on.load(&db).unwrap();
-        let runner_off = QueryRunner::new(refs_off, 1993);
-        let runner_on = QueryRunner::new(refs_on, 1993);
+        let exec_off = Executor::new(refs_off, 1993);
+        let exec_on = Executor::new(refs_on, 1993);
         let mut engine_calls = 0u64;
         for q in QueryId::all() {
-            let run_off = match runner_off.run_concurrent(off.as_mut(), q, threads) {
-                Ok(run) => run,
-                Err(_) => continue, // 3b: serial-surface only
-            };
-            let run_on = runner_on
-                .run_concurrent(on.as_mut(), q, threads)
+            let spec = WorkloadSpec::for_query(q);
+            let run_off = exec_off
+                .run_concurrent(off.as_mut(), &spec, threads)
+                .expect("engine-off run");
+            let run_on = exec_on
+                .run_concurrent(on.as_mut(), &spec, threads)
                 .expect("engine-on run");
             assert_eq!(
-                run_on.answers, run_off.answers,
+                run_on.observations, run_off.observations,
                 "{kind}/{q}: the engine changed an answer"
             );
             match (&run_on.outcome, &run_off.outcome) {
-                (QueryOutcome::Measured(a), QueryOutcome::Measured(b)) => {
+                (PlanOutcome::Measured(a), PlanOutcome::Measured(b)) => {
                     assert_eq!(
                         a.snapshot.fixes, b.snapshot.fixes,
                         "{kind}/{q}: the engine changed the logical access count"
@@ -158,8 +164,8 @@ fn engine_on_concurrent_clients_preserve_answers_and_fixes() {
                     engine_calls += a.snapshot.batched_read_calls;
                 }
                 (a, b) => assert_eq!(
-                    a.measurement().is_some(),
-                    b.measurement().is_some(),
+                    a.run().is_some(),
+                    b.run().is_some(),
                     "{kind}/{q}: support divergence"
                 ),
             }

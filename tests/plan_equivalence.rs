@@ -1,16 +1,17 @@
 //! Golden equivalence for the AccessPlan redesign.
 //!
-//! The PR that introduced the declarative IR rewrote `QueryRunner::run` as
-//! a thin wrapper over the plan executor. To prove the rewrite
-//! behaviour-preserving, `legacy_run` below is a **verbatim replica of the
-//! pre-redesign hard-coded runner** (the three-arm match over query ids,
-//! seed derivation and all). Every query × every model must produce a
-//! byte-identical `Measurement` — exact `IoSnapshot` equality, physical
-//! reads and latch counters included — under both:
+//! The PR that introduced the declarative IR replaced the hard-coded
+//! query loops with built-in plans (`WorkloadSpec::for_query`) run by the
+//! plan executor. To prove the rewrite behaviour-preserving, `legacy_run`
+//! below is a **verbatim replica of the pre-redesign hard-coded runner**
+//! (the three-arm match over query ids, seed derivation and all; only the
+//! type it reports in is local to this file). Every query × every model
+//! must produce a byte-identical measurement — exact `IoSnapshot`
+//! equality, physical reads and latch counters included — under both:
 //!
-//! * the serial protocol (plan executor vs the legacy loop), and
-//! * the 1-thread × 1-shard concurrent protocol (plan executor's
-//!   concurrent mode vs the serial measurement).
+//! * the serial protocol (`Executor::run` vs the legacy loop), and
+//! * the 1-thread × 1-shard concurrent protocol
+//!   (`Executor::run_concurrent` vs the legacy loop).
 //!
 //! The checked-in example spec files must also parse to exactly the
 //! shipped constructors, so `--workload examples/workloads/…` and the
@@ -24,11 +25,30 @@ use starfish::core::{
 };
 use starfish::cost::QueryId;
 use starfish::nf2::Projection;
-use starfish::workload::{
-    generate, DatasetParams, Measurement, QueryOutcome, QueryRunner, WorkloadSpec,
-};
+use starfish::pagestore::IoSnapshot;
+use starfish::workload::{generate, DatasetParams, Executor, PlanOutcome, WorkloadSpec};
 
 const Q1A_SAMPLE: usize = 25;
+
+/// What the legacy runner measured, in its own vocabulary.
+#[derive(Debug, PartialEq)]
+struct LegacyRun {
+    snapshot: IoSnapshot,
+    units: u64,
+    children_seen: u64,
+    grandchildren_seen: u64,
+}
+
+/// The same four numbers out of a plan outcome (hop 0 = children, hop 1 =
+/// grand-children); `None` is both sides' "not relevant" marker.
+fn in_legacy_terms(outcome: &PlanOutcome) -> Option<LegacyRun> {
+    outcome.run().map(|run| LegacyRun {
+        snapshot: run.snapshot,
+        units: run.units,
+        children_seen: run.nav_hop(0),
+        grandchildren_seen: run.nav_hop(1),
+    })
+}
 
 /// The pre-redesign measurement loop, kept verbatim as the equivalence
 /// oracle.
@@ -37,7 +57,7 @@ fn legacy_run(
     refs: &[ObjRef],
     seed: u64,
     query: QueryId,
-) -> QueryOutcome {
+) -> Option<LegacyRun> {
     let disc: u64 = match query {
         QueryId::Q1a => 1,
         QueryId::Q1b => 2,
@@ -88,7 +108,7 @@ fn legacy_run(
                 let r = pick(&mut rng);
                 match store.get_by_oid(r.oid, &Projection::All) {
                     Ok(_) => {}
-                    Err(CoreError::Unsupported { .. }) => return QueryOutcome::Unsupported,
+                    Err(CoreError::Unsupported { .. }) => return None,
                     Err(e) => panic!("{e}"),
                 }
                 store.clear_cache().unwrap();
@@ -126,8 +146,7 @@ fn legacy_run(
 
     store.flush().unwrap();
     let snapshot = store.snapshot() - before;
-    QueryOutcome::Measured(Measurement {
-        query,
+    Some(LegacyRun {
         snapshot,
         units,
         children_seen,
@@ -160,11 +179,14 @@ fn plan_built_queries_match_the_legacy_runner_exactly() {
 
             let mut store = make_store(kind, StoreConfig::with_buffer_pages(BUFFER_PAGES));
             let refs = store.load(&db).unwrap();
-            let runner = QueryRunner::new(refs, QUERY_SEED);
-            let got = runner.run(store.as_mut(), query).unwrap();
+            let exec = Executor::new(refs, QUERY_SEED);
+            let got = exec
+                .run(store.as_mut(), &WorkloadSpec::for_query(query))
+                .unwrap();
 
             assert_eq!(
-                got, want,
+                in_legacy_terms(&got),
+                want,
                 "{kind}/{query}: plan executor diverged from the legacy hard-coded runner"
             );
         }
@@ -190,11 +212,14 @@ fn one_thread_concurrent_plans_match_the_legacy_runner_exactly() {
             let mut store =
                 make_shared_store(kind, StoreConfig::with_buffer_pages(BUFFER_PAGES), 1);
             let refs = store.load(&db).unwrap();
-            let runner = QueryRunner::new(refs, QUERY_SEED);
-            let got = runner.run_concurrent(store.as_mut(), query, 1).unwrap();
+            let exec = Executor::new(refs, QUERY_SEED);
+            let got = exec
+                .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(query), 1)
+                .unwrap();
 
             assert_eq!(
-                got.outcome, want,
+                in_legacy_terms(&got.outcome),
+                want,
                 "{kind}/{query}: 1-thread concurrent plan diverged from the legacy runner"
             );
         }
