@@ -14,7 +14,7 @@
 mod common;
 
 use criterion::Criterion;
-use starfish_pagestore::{BufferPool, PageId, PolicyKind, SimDisk};
+use starfish_pagestore::{BufferPool, PageCache, PageId, PolicyKind, SimDisk};
 use std::hint::black_box;
 
 const CAPACITY: usize = 1200; // the paper's buffer

@@ -5,7 +5,7 @@ mod common;
 use criterion::Criterion;
 use starfish_nf2::station::{station_schema, Sightseeing, Station};
 use starfish_nf2::{decode, encode_with_layout, Projection};
-use starfish_pagestore::{slotted, BufferPool, PageId, SimDisk, PAGE_SIZE};
+use starfish_pagestore::{slotted, BufferPool, PageCache, PageId, SimDisk, PAGE_SIZE};
 use std::hint::black_box;
 
 fn sample_station() -> Station {

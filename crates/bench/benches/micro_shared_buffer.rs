@@ -16,7 +16,7 @@
 mod common;
 
 use criterion::Criterion;
-use starfish_pagestore::{BufferConfig, BufferPool, PageId, SharedPoolHandle, SimDisk};
+use starfish_pagestore::{BufferConfig, BufferPool, PageCache, PageId, SharedPoolHandle, SimDisk};
 use std::hint::black_box;
 
 const CAPACITY: usize = 1200; // the paper's buffer

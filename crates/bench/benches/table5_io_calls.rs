@@ -6,7 +6,7 @@ mod common;
 use criterion::Criterion;
 use starfish_harness::experiments::{grid_models, table5};
 use starfish_harness::runner::measure_grid;
-use starfish_pagestore::{BufferPool, HeapFile, PageId, SimDisk, SpannedStore};
+use starfish_pagestore::{BufferPool, HeapFile, PageCache, PageId, SimDisk, SpannedStore};
 use std::hint::black_box;
 
 fn main() {
@@ -18,12 +18,12 @@ fn main() {
 
     // A spanned object read = root call + data-run call (DSM's ≈2 pages/call).
     let mut pool = BufferPool::new(SimDisk::new(), 64);
-    let rec = SpannedStore::store(&mut pool, &vec![1u8; 500], &vec![2u8; 6000]).unwrap();
+    let rec = SpannedStore::store(&mut pool, &vec![1u8; 500], &vec![2u8; 6000], None).unwrap();
     c.bench_function("table5/spanned_read_grouped_calls", |b| {
         b.iter(|| {
             pool.clear_cache().unwrap();
             let h = SpannedStore::read_header(&mut pool, &rec).unwrap();
-            let d = SpannedStore::read_data(&mut pool, &rec).unwrap();
+            let d = SpannedStore::read_data(&mut pool, &rec, None).unwrap();
             black_box((h.len(), d.len()))
         })
     });

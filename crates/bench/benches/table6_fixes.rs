@@ -7,7 +7,7 @@ mod common;
 use criterion::Criterion;
 use starfish_harness::experiments::{grid_models, table6};
 use starfish_harness::runner::measure_grid;
-use starfish_pagestore::{BufferPool, PageId, SimDisk};
+use starfish_pagestore::{BufferPool, PageCache, PageId, SimDisk};
 use std::hint::black_box;
 
 fn main() {

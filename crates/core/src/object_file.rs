@@ -102,16 +102,10 @@ impl ObjectFile {
                 let header = layout.to_bytes();
                 total_header += header.len() as u64;
                 spanned_count += 1;
-                if aligned {
-                    let plan = subtuple_page_plan(layout, bytes.len());
-                    let rec = SpannedStore::store_mapped(pool, &header, bytes, &plan)?;
-                    addrs.push(ObjAddr::Spanned(rec));
-                    page_plans.push(Some(plan));
-                } else {
-                    let rec = SpannedStore::store(pool, &header, bytes)?;
-                    addrs.push(ObjAddr::Spanned(rec));
-                    page_plans.push(None);
-                }
+                let plan = aligned.then(|| subtuple_page_plan(layout, bytes.len()));
+                let rec = SpannedStore::store(pool, &header, bytes, plan.as_deref())?;
+                addrs.push(ObjAddr::Spanned(rec));
+                page_plans.push(plan);
             }
         }
         Ok(ObjectFile {
@@ -301,10 +295,7 @@ impl ObjectFile {
             ObjAddr::Spanned(rec) => {
                 // DSM materializes the whole object: structure + all data.
                 let _header = SpannedStore::read_header(pool, &rec)?;
-                Ok(match self.plan_of(ord) {
-                    Some(plan) => SpannedStore::read_data_mapped(pool, &rec, plan)?,
-                    None => SpannedStore::read_data(pool, &rec)?,
-                })
+                Ok(SpannedStore::read_data(pool, &rec, self.plan_of(ord))?)
             }
         }
     }
@@ -329,10 +320,8 @@ impl ObjectFile {
             ObjAddr::Spanned(rec) => {
                 let header = SpannedStore::read_header(pool, &rec)?;
                 let ranges = proj.byte_ranges_from_bytes(&header)?;
-                Ok(match self.plan_of(ord) {
-                    Some(plan) => SpannedStore::read_data_ranges_mapped(pool, &rec, plan, &ranges)?,
-                    None => SpannedStore::read_data_ranges(pool, &rec, &ranges)?,
-                })
+                let plan = self.plan_of(ord);
+                Ok(SpannedStore::read_data_ranges(pool, &rec, plan, &ranges)?)
             }
         }
     }
@@ -350,32 +339,13 @@ impl ObjectFile {
         match self.addr(ord)? {
             ObjAddr::Heap(rid) => Ok(self.heap.update(pool, rid, bytes)?),
             ObjAddr::Spanned(rec) => {
-                let header = layout.to_bytes();
-                if header.len() != rec.header_len as usize {
-                    return Err(CoreError::Store(
-                        starfish_pagestore::StoreError::SizeChanged {
-                            old: rec.header_len as usize,
-                            new: header.len(),
-                        },
-                    ));
-                }
-                // Dirty the header pages (replaced along with the tuple).
-                for i in 0..rec.header_pages {
-                    let lo = i as usize * EFFECTIVE_PAGE_SIZE;
-                    let hi = (lo + EFFECTIVE_PAGE_SIZE).min(header.len());
-                    pool.with_page_mut(rec.first.offset(i), |p| {
-                        if lo < hi {
-                            p[starfish_pagestore::PAGE_HEADER_SIZE
-                                ..starfish_pagestore::PAGE_HEADER_SIZE + hi - lo]
-                                .copy_from_slice(&header[lo..hi]);
-                        }
-                    })?;
-                }
-                match self.plan_of(ord) {
-                    Some(plan) => SpannedStore::rewrite_data_mapped(pool, &rec, plan, bytes)?,
-                    None => SpannedStore::rewrite_data(pool, &rec, bytes)?,
-                }
-                Ok(())
+                SpannedStore::rewrite_header(pool, &rec, &layout.to_bytes())?;
+                Ok(SpannedStore::rewrite_data(
+                    pool,
+                    &rec,
+                    self.plan_of(ord),
+                    bytes,
+                )?)
             }
         }
     }
@@ -403,13 +373,10 @@ impl ObjectFile {
                 Ok(self.heap.update(pool, rid, &rec)?)
             }
             ObjAddr::Spanned(rec) => {
-                match self.plan_of(ord) {
-                    Some(plan) => {
-                        SpannedStore::write_data_range_mapped(pool, &rec, plan, range, bytes)?;
-                    }
-                    None => SpannedStore::write_data_range(pool, &rec, range, bytes)?,
-                }
-                Ok(())
+                let plan = self.plan_of(ord);
+                Ok(SpannedStore::write_data_range(
+                    pool, &rec, plan, range, bytes,
+                )?)
             }
         }
     }

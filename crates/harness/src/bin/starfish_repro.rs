@@ -46,7 +46,8 @@
 
 use starfish_harness::experiments;
 use starfish_harness::runner::{
-    parse_fsync, parse_nodes, parse_queue_depth, parse_threads, HarnessConfig,
+    parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed, parse_threads,
+    HarnessConfig,
 };
 use starfish_workload::WorkloadSpec;
 
@@ -91,9 +92,12 @@ fn main() {
     } else {
         HarnessConfig::default()
     };
-    if let Some(i) = args.iter().position(|a| a == "--seed") {
-        if let Some(seed) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-            config.dataset_seed = seed;
+    match parse_seed(&args) {
+        Ok(Some(seed)) => config.dataset_seed = seed,
+        Ok(None) => {}
+        Err(msg) => {
+            eprintln!("starfish-repro: {msg}");
+            std::process::exit(2);
         }
     }
     if let Some(i) = args.iter().position(|a| a == "--policy") {
@@ -180,17 +184,16 @@ fn main() {
         };
         vec![report.unwrap_or_else(die)]
     } else {
-        let only: Option<Vec<String>> = args
-            .iter()
-            .position(|a| a == "--only")
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.split(',').map(|x| x.trim().to_string()).collect());
-        let ids: Vec<String> = match only {
-            Some(ids) => ids,
-            None => experiments::REGISTRY
+        let ids: Vec<String> = match parse_only(&args) {
+            Ok(Some(ids)) => ids,
+            Ok(None) => experiments::REGISTRY
                 .iter()
                 .map(|e| e.id.to_string())
                 .collect(),
+            Err(msg) => {
+                eprintln!("starfish-repro: {msg}");
+                std::process::exit(2);
+            }
         };
         // Tables 4–6/8 and ext-timing share one measured grid; run_one
         // builds it at most once across the whole id list.

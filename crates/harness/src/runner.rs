@@ -115,6 +115,37 @@ pub fn parse_queue_depth(args: &[String]) -> std::result::Result<Option<usize>, 
     parse_positive(args, "--queue-depth", "a depth")
 }
 
+/// Parses `--seed n` (absent: the configuration's default dataset seed).
+/// Any `u64` is a valid seed, 0 included; a malformed or missing value used
+/// to run silently with the default seed.
+pub fn parse_seed(args: &[String]) -> std::result::Result<Option<u64>, String> {
+    let Some(i) = args.iter().position(|a| a == "--seed") else {
+        return Ok(None);
+    };
+    match args.get(i + 1).map(|s| s.parse::<u64>()) {
+        Some(Ok(seed)) => Ok(Some(seed)),
+        Some(Err(_)) => Err(format!(
+            "--seed needs an unsigned integer (got '{}')",
+            args[i + 1]
+        )),
+        None => Err("--seed needs an unsigned integer".into()),
+    }
+}
+
+/// Parses `--only id[,id…]` (absent: the whole suite). A trailing `--only`
+/// used to run the whole suite silently.
+pub fn parse_only(args: &[String]) -> std::result::Result<Option<Vec<String>>, String> {
+    let Some(i) = args.iter().position(|a| a == "--only") else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(ids) => Ok(Some(
+            ids.split(',').map(|id| id.trim().to_string()).collect(),
+        )),
+        None => Err("--only needs a comma-separated list of experiment ids (see --list)".into()),
+    }
+}
+
 /// Parses the `--fsync` argument out of a CLI argument list.
 ///
 /// Returns `Ok(None)` when the flag is absent (the durability experiment
@@ -421,6 +452,34 @@ mod tests {
         assert!(parse_threads(&args(&["--threads"])).is_err());
         assert!(parse_threads(&args(&["--threads", "many"])).is_err());
         assert!(parse_threads(&args(&["--threads", "-2"])).is_err());
+    }
+
+    #[test]
+    fn parse_seed_accepts_any_u64_and_rejects_the_rest() {
+        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_seed(&args(&["--fast"])), Ok(None));
+        assert_eq!(parse_seed(&args(&["--seed", "7"])), Ok(Some(7)));
+        assert_eq!(
+            parse_seed(&args(&["--seed", "0"])),
+            Ok(Some(0)),
+            "0 is valid"
+        );
+        let err = parse_seed(&args(&["--seed", "abc"])).unwrap_err();
+        assert!(err.contains("'abc'"), "{err}");
+        assert!(parse_seed(&args(&["--fast", "--seed"])).is_err());
+        assert!(parse_seed(&args(&["--seed", "-1"])).is_err());
+    }
+
+    #[test]
+    fn parse_only_needs_a_value() {
+        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_only(&args(&["--fast"])), Ok(None));
+        assert_eq!(
+            parse_only(&args(&["--only", "table4, table5"])),
+            Ok(Some(vec!["table4".to_string(), "table5".to_string()]))
+        );
+        let err = parse_only(&args(&["--fast", "--only"])).unwrap_err();
+        assert!(err.contains("--list"), "{err}");
     }
 
     #[test]

@@ -1,3 +1,21 @@
+//! The buffer-pool engine, and the physical-I/O rules both pools share.
+//!
+//! [`PoolCore`] is the frame table + replacement policy + fix accounting of
+//! *one* pool or shard. Everything that involves the disk beyond a single
+//! eviction is a plain function over `cores: &mut [&mut PoolCore]`, an
+//! `owner` mapping a page to the core that caches it, and a [`DiskOps`]:
+//!
+//! * [`page_runs`] — which pages travel in one call (contiguous, at most
+//!   [`MAX_PAGES_PER_WRITE_CALL`]);
+//! * [`prefetch_run`] — the residency scan that extends each missing run;
+//! * [`load_run`] — make room in each owning core → one read call → insert
+//!   the frames (a fix miss is a run of one);
+//! * [`flush_all`] / [`flush_dirty_runs`] — the grouped dirty-page flush.
+//!
+//! [`BufferPool`] calls them with its single core and `|_| 0`; the sharded
+//! [`crate::SharedBufferPool`] with the cores of the shard guards it holds.
+//! The two pools therefore differ only in locking.
+
 use crate::disk::DiskOps;
 use crate::heat::{HeatConfig, HeatTracker};
 use crate::ioengine::IoEngineConfig;
@@ -6,10 +24,13 @@ use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::stats::{BufferStats, IoSnapshot};
 use crate::wal::WalConfig;
 use crate::DEFAULT_BUFFER_PAGES;
-use crate::{PageId, Result, SimDisk, PAGE_SIZE};
+use crate::{PageCache, PageId, Result, SimDisk, StoreError, PAGE_SIZE};
 use std::collections::HashMap;
 
-/// Maximum pages per grouped write call at flush time.
+/// Maximum pages per grouped I/O call — the one cap of the call grouper
+/// (`page_runs`): flush and recovery writes, and the read engine's
+/// coalesced batches (so batched reads and grouped writes are the same
+/// size).
 ///
 /// DASDBS batches deferred writes into multi-page calls; the paper observed
 /// "on the average respectively 30 and 20 pages per write for query 3"
@@ -112,9 +133,11 @@ pub(crate) struct Frame {
 ///
 /// [`BufferPool`] wraps exactly one core over an exclusively-owned
 /// [`SimDisk`]; [`crate::SharedBufferPool`] wraps one core per lock-striped
-/// shard over a shared disk. Both run the *identical* logic — which is what
-/// makes a one-shard shared pool counter-for-counter indistinguishable from
-/// the single-threaded pool (`tests/prop_shared_buffer.rs` pins that down).
+/// shard over a shared disk. Both run the *identical* logic — the core's
+/// own fix/evict code and this module's shared prefetch/load/flush functions
+/// — which is what makes a one-shard shared pool counter-for-counter
+/// indistinguishable from the single-threaded pool
+/// (`tests/prop_shared_buffer.rs` pins that down).
 pub(crate) struct PoolCore {
     capacity: usize,
     /// Frame slots; `None` entries are free and listed in `free`.
@@ -200,7 +223,7 @@ impl PoolCore {
 
     /// Bumps the policy's access bookkeeping for a resident page (a
     /// prefetch touch — not a counted fix). Returns false when not cached.
-    pub(crate) fn touch(&mut self, pid: PageId) -> bool {
+    fn touch(&mut self, pid: PageId) -> bool {
         match self.table.get(&pid) {
             Some(&slot) => {
                 self.policy.on_access(slot);
@@ -228,7 +251,7 @@ impl PoolCore {
             }
             None => {
                 self.stats.misses += 1;
-                self.load_run(disk, pid, 1)?;
+                load_run(&mut [&mut *self], |_| 0, disk, pid, 1)?;
                 self.table[&pid]
             }
         };
@@ -266,56 +289,8 @@ impl PoolCore {
         }
     }
 
-    /// Ensures the run `[first, first+n)` is cached, one read call per
-    /// maximal contiguous missing sub-run. Does not count fixes.
-    pub(crate) fn prefetch_run<D: DiskOps>(
-        &mut self,
-        disk: &mut D,
-        first: PageId,
-        n: u32,
-    ) -> Result<()> {
-        let mut i = 0;
-        while i < n {
-            let pid = first.offset(i);
-            if let Some(&slot) = self.table.get(&pid) {
-                self.policy.on_access(slot);
-                i += 1;
-                continue;
-            }
-            // Extend the missing run as far as possible.
-            let mut len = 1;
-            while i + len < n && !self.table.contains_key(&first.offset(i + len)) {
-                len += 1;
-            }
-            self.load_run(disk, first.offset(i), len)?;
-            i += len;
-        }
-        Ok(())
-    }
-
-    /// Loads `n` contiguous uncached pages in one read call.
-    pub(crate) fn load_run<D: DiskOps>(
-        &mut self,
-        disk: &mut D,
-        first: PageId,
-        n: u32,
-    ) -> Result<()> {
-        for i in 0..n {
-            debug_assert!(!self.table.contains_key(&first.offset(i)));
-        }
-        self.make_room(disk, n as usize)?;
-        let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
-        disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
-        for (i, data) in images.into_iter().enumerate() {
-            let pid = first.offset(i as u32);
-            self.insert_frame(pid, data);
-        }
-        Ok(())
-    }
-
     /// Installs a page image in a fresh frame (the page must not be
-    /// resident). Used by the shared pool after a run read whose images are
-    /// distributed across shards.
+    /// resident).
     pub(crate) fn insert_frame(&mut self, pid: PageId, data: [u8; PAGE_SIZE]) {
         debug_assert!(!self.table.contains_key(&pid));
         let slot = self.alloc_slot();
@@ -343,7 +318,7 @@ impl PoolCore {
     /// Evicts until `incoming` more pages fit, or nothing evictable is
     /// left (transient overflow — e.g. a run larger than the buffer, or
     /// everything pinned).
-    pub(crate) fn make_room<D: DiskOps>(&mut self, disk: &mut D, incoming: usize) -> Result<()> {
+    fn make_room<D: DiskOps>(&mut self, disk: &mut D, incoming: usize) -> Result<()> {
         while self.table.len() + incoming > self.capacity {
             let frames = &self.frames;
             let victim = self
@@ -373,42 +348,12 @@ impl PoolCore {
     }
 
     /// Resident dirty page ids, unsorted.
-    pub(crate) fn dirty_pages(&self) -> Vec<PageId> {
+    fn dirty_pages(&self) -> Vec<PageId> {
         self.table
             .iter()
             .filter(|(_, &slot)| self.frame(slot).dirty)
             .map(|(&pid, _)| pid)
             .collect()
-    }
-
-    /// Writes all dirty pages back, grouped into contiguous runs of at most
-    /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call.
-    pub(crate) fn flush_all<D: DiskOps>(&mut self, disk: &mut D) -> Result<()> {
-        let mut dirty = self.dirty_pages();
-        dirty.sort_unstable();
-        let mut i = 0;
-        while i < dirty.len() {
-            let start = dirty[i];
-            let mut len = 1u32;
-            while i + (len as usize) < dirty.len()
-                && dirty[i + len as usize].0 == start.0 + len
-                && len < MAX_PAGES_PER_WRITE_CALL
-            {
-                len += 1;
-            }
-            let frames = &self.frames;
-            let table = &self.table;
-            disk.write_run_dyn(start, len, &mut |j| {
-                let slot = table[&start.offset(j)];
-                frames[slot].as_ref().expect("dirty frame present").data
-            })?;
-            for j in 0..len {
-                let slot = self.table[&start.offset(j)];
-                self.frame_mut(slot).dirty = false;
-            }
-            i += len as usize;
-        }
-        Ok(())
     }
 
     /// Counts a group-latch acquisition of `n` pages — the accounting half
@@ -433,6 +378,157 @@ impl PoolCore {
     }
 }
 
+/// Groups `pids` (ascending, distinct) into `(first, len)` runs of
+/// contiguous pages with `len ≤` [`MAX_PAGES_PER_WRITE_CALL`] — the one rule
+/// for *which pages travel in one call*. Both pools' flush, WAL recovery
+/// replay, the read engine's coalescing and the ranged spanned read all form
+/// their calls here.
+pub(crate) fn page_runs(
+    pids: impl IntoIterator<Item = PageId>,
+) -> impl Iterator<Item = (PageId, u32)> {
+    let mut pids = pids.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let start = pids.next()?;
+        let mut len = 1u32;
+        while len < MAX_PAGES_PER_WRITE_CALL && pids.next_if(|p| p.0 == start.0 + len).is_some() {
+            len += 1;
+        }
+        Some((start, len))
+    })
+}
+
+/// Ensures the run `[first, first+n)` is cached: resident pages get a policy
+/// touch, every maximal contiguous missing sub-run one [`load_run`]. Counts
+/// no fixes.
+///
+/// `cores` are the pool engines the caller holds exclusively and `owner`
+/// maps a page to the index of the one caching it: [`BufferPool`] passes its
+/// single core with `|_| 0`, the shared pool the cores of the shard guards
+/// it has locked — so residency is decided coherently for the whole run and
+/// both pools make the same policy events in the same order.
+pub(crate) fn prefetch_run<D: DiskOps>(
+    cores: &mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    disk: &mut D,
+    first: PageId,
+    n: u32,
+) -> Result<()> {
+    let mut i = 0;
+    while i < n {
+        let pid = first.offset(i);
+        if cores[owner(pid)].touch(pid) {
+            i += 1;
+            continue;
+        }
+        // Extend the missing run as far as possible.
+        let mut len = 1;
+        while i + len < n {
+            let next = first.offset(i + len);
+            if cores[owner(next)].is_cached(next) {
+                break;
+            }
+            len += 1;
+        }
+        load_run(cores, &owner, disk, pid, len)?;
+        i += len;
+    }
+    Ok(())
+}
+
+/// Evicts in each owning core until its share of `pids` (none resident)
+/// fits. Evictions of dirty victims write through `disk`.
+pub(crate) fn make_room_for<D: DiskOps>(
+    cores: &mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    disk: &mut D,
+    pids: impl Iterator<Item = PageId> + Clone,
+) -> Result<()> {
+    for (c, core) in cores.iter_mut().enumerate() {
+        let incoming = pids.clone().filter(|&pid| owner(pid) == c).count();
+        if incoming > 0 {
+            core.make_room(disk, incoming)?;
+        }
+    }
+    Ok(())
+}
+
+/// Loads the `n` contiguous uncached pages from `first`: make room in each
+/// owning core, **one read call**, insert the frames. Every miss of either
+/// pool ends here — a single-page fix miss as a run of one.
+pub(crate) fn load_run<D: DiskOps>(
+    cores: &mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    disk: &mut D,
+    first: PageId,
+    n: u32,
+) -> Result<()> {
+    make_room_for(cores, &owner, disk, (0..n).map(|i| first.offset(i)))?;
+    let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
+    disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
+    for (i, data) in images.into_iter().enumerate() {
+        let pid = first.offset(i as u32);
+        cores[owner(pid)].insert_frame(pid, data);
+    }
+    Ok(())
+}
+
+/// Writes every dirty page of `cores` back in [`page_runs`] calls, then
+/// clears the dirty bits — the "database disconnect" flush of both pools.
+///
+/// The bits are cleared only after every run has landed, so a failed flush
+/// would leave all pages dirty and retryable. A `SimDisk` write cannot fail
+/// today, so that order is unobservable (and untested) until a
+/// fault-injecting disk exists.
+pub(crate) fn flush_all<D: DiskOps>(
+    cores: &mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    disk: &mut D,
+) -> Result<()> {
+    let mut dirty: Vec<PageId> = cores.iter().flat_map(|c| c.dirty_pages()).collect();
+    dirty.sort_unstable();
+    flush_dirty_runs(
+        &dirty,
+        |pid| {
+            let core = &cores[owner(pid)];
+            core.slot_of(pid).map(|slot| core.frame(slot).data)
+        },
+        |start, len, images| disk.write_run_dyn(start, len, &mut |j| images[j as usize]),
+    )?;
+    for &pid in &dirty {
+        let core = &mut cores[owner(pid)];
+        if let Some(slot) = core.slot_of(pid) {
+            core.frame_mut(slot).dirty = false;
+        }
+    }
+    Ok(())
+}
+
+/// Hands each [`page_runs`] run of `dirty` (sorted ascending, deduplicated),
+/// with its pre-collected images, to `write`.
+///
+/// `image` returning `None` for a page the dirty list named is a
+/// bookkeeping invariant violation (a dirty page must be resident); it
+/// surfaces as [`StoreError::DirtyNotResident`] *before* any byte of that
+/// run is written — unreachable through the pools' public API (the dirty
+/// list is derived from the frames under the same exclusive access), but
+/// defended as an error so a future bookkeeping bug reports instead of
+/// aborting mid-flush.
+pub(crate) fn flush_dirty_runs(
+    dirty: &[PageId],
+    mut image: impl FnMut(PageId) -> Option<[u8; PAGE_SIZE]>,
+    mut write: impl FnMut(PageId, u32, &[[u8; PAGE_SIZE]]) -> Result<()>,
+) -> Result<()> {
+    for (start, len) in page_runs(dirty.iter().copied()) {
+        let mut images = Vec::with_capacity(len as usize);
+        for j in 0..len {
+            let pid = start.offset(j);
+            images.push(image(pid).ok_or(StoreError::DirtyNotResident { page: pid })?);
+        }
+        write(start, len, &images)?;
+    }
+    Ok(())
+}
+
 /// A page cache over the simulated disk with a pluggable replacement policy.
 ///
 /// Reproduces the paper's buffer-manager behaviour:
@@ -441,11 +537,11 @@ impl PoolCore {
 /// * **fix accounting**: every page access counts one fix, hit or miss
 ///   (Table 6's CPU-load indicator);
 /// * **write-back**: dirty pages are written only when evicted on overflow
-///   or at [`BufferPool::flush_all`] ("database disconnect") — §5.2: "pages
+///   or at [`PageCache::flush_all`] ("database disconnect") — §5.2: "pages
 ///   are written to the database relations only then if either the query
 ///   execution has been finished ... or the page buffer overflows";
 /// * **grouped I/O calls**: contiguous misses prefetched via
-///   [`BufferPool::prefetch_run`] cost one read call per contiguous missing
+///   [`PageCache::prefetch_run`] cost one read call per contiguous missing
 ///   run; flushes group dirty pages into contiguous runs of at most
 ///   [`MAX_PAGES_PER_WRITE_CALL`] pages per call.
 ///
@@ -454,8 +550,12 @@ impl PoolCore {
 /// now an O(1) intrusive-list implementation — every `with_page` /
 /// `with_page_mut` is one hash probe plus three pointer swaps, where the
 /// seed paid a `BTreeMap` insert + remove per fix. Frames pinned via
-/// [`BufferPool::pin`] are never evicted; if nothing is evictable the pool
+/// [`PageCache::pin`] are never evicted; if nothing is evictable the pool
 /// overflows transiently rather than failing.
+///
+/// Apart from its constructors and two residency gauges, the pool's whole
+/// surface is its [`PageCache`] implementation: bring the trait into scope
+/// to use it.
 pub struct BufferPool {
     disk: SimDisk,
     core: PoolCore,
@@ -477,21 +577,6 @@ impl BufferPool {
         }
     }
 
-    /// Creates a pool with the paper's default capacity (1200 pages).
-    pub fn with_default_capacity(disk: SimDisk) -> Self {
-        Self::new(disk, DEFAULT_BUFFER_PAGES)
-    }
-
-    /// Pool capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.core.capacity()
-    }
-
-    /// Which replacement policy this pool runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.core.policy_kind()
-    }
-
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
         self.core.cached_pages()
@@ -501,29 +586,20 @@ impl BufferPool {
     pub fn pinned_pages(&self) -> usize {
         self.core.pinned_pages()
     }
+}
 
-    /// Allocates `n` contiguous pages on the underlying disk.
-    pub fn alloc_extent(&mut self, n: u32) -> PageId {
-        self.disk.alloc_extent(n)
-    }
-
-    /// Total pages allocated on the underlying disk.
-    pub fn database_pages(&self) -> u32 {
-        self.disk.allocated_pages()
-    }
-
-    /// Fixes `pid` for reading and passes its content to `f`.
-    pub fn with_page<R>(
-        &mut self,
-        pid: PageId,
-        f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
-    ) -> Result<R> {
+/// The pool's operations *are* its [`PageCache`] implementation — there is
+/// no second, inherent spelling of them. Prefetch, miss and flush run the
+/// module's shared `prefetch_run` / `load_run` / `flush_all` over the
+/// single core (`owner = |_| 0`), the same functions the sharded pool runs
+/// over its locked shard cores.
+impl PageCache for BufferPool {
+    fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
         let slot = self.core.fix(&mut self.disk, pid, false)?;
         Ok(f(&self.core.frame(slot).data))
     }
 
-    /// Fixes `pid` for writing, passes its content to `f`, marks it dirty.
-    pub fn with_page_mut<R>(
+    fn with_page_mut<R>(
         &mut self,
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
@@ -532,96 +608,94 @@ impl BufferPool {
         Ok(f(&mut self.core.frame_mut(slot).data))
     }
 
-    /// Fixes `pid` (a counted access, hit or miss, like any other) and pins
-    /// its frame: a pinned frame is never chosen as an eviction victim
-    /// until [`BufferPool::unpin`] balances the pin. Pins nest.
-    pub fn pin(&mut self, pid: PageId) -> Result<()> {
+    /// One read call per maximal contiguous missing sub-run — the DASDBS
+    /// multi-page read (e.g. one call for a large object's data pages).
+    fn prefetch_run(&mut self, first: PageId, n: u32) -> Result<()> {
+        prefetch_run(&mut [&mut self.core], |_| 0, &mut self.disk, first, n)
+    }
+
+    /// A counted fix (hit or miss, like any other) plus a pin. Pins nest.
+    fn pin(&mut self, pid: PageId) -> Result<()> {
         let slot = self.core.fix(&mut self.disk, pid, false)?;
         self.core.frame_mut(slot).pins += 1;
         Ok(())
     }
 
-    /// Releases one pin on `pid`. Returns `false` (and does nothing) if the
-    /// page is not cached or not pinned.
-    pub fn unpin(&mut self, pid: PageId) -> bool {
+    fn unpin(&mut self, pid: PageId) -> bool {
         self.core.unpin(pid)
     }
 
-    /// Ensures the run `[first, first+n)` is cached, issuing **one read call
-    /// per maximal contiguous missing sub-run** — the DASDBS multi-page read
-    /// (e.g. one call for a large object's data pages). Does not count fixes;
-    /// follow with [`BufferPool::with_page`] per page actually accessed.
-    pub fn prefetch_run(&mut self, first: PageId, n: u32) -> Result<()> {
-        self.core.prefetch_run(&mut self.disk, first, n)
+    fn alloc_extent(&mut self, n: u32) -> PageId {
+        self.disk.alloc_extent(n)
     }
 
-    /// True if `pid` is currently cached (no side effects, no accounting).
-    pub fn is_cached(&self, pid: PageId) -> bool {
-        self.core.is_cached(pid)
+    fn write_pool_pages(&mut self, first: PageId, n: u32) -> Result<()> {
+        self.disk.write_run_noop(first, n)
     }
 
-    /// Writes all dirty pages back, grouped into contiguous runs of at most
-    /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call — the "database
-    /// disconnect" of the paper's measurement protocol.
-    pub fn flush_all(&mut self) -> Result<()> {
-        self.core.flush_all(&mut self.disk)
+    /// The "database disconnect" of the paper's measurement protocol. A
+    /// dirty page found non-resident is [`StoreError::DirtyNotResident`],
+    /// as on the shared pool.
+    fn flush_all(&mut self) -> Result<()> {
+        flush_all(&mut [&mut self.core], |_| 0, &mut self.disk)
     }
 
-    /// Flushes and drops every cached page: a cold restart between
-    /// measurement runs. Pins do not survive the restart.
-    pub fn clear_cache(&mut self) -> Result<()> {
+    fn clear_cache(&mut self) -> Result<()> {
         self.flush_all()?;
         self.core.drop_all();
         Ok(())
     }
 
-    /// Issues a write call of `n` contiguous pages that carries no content
-    /// change — models DASDBS's page-pool writes during `change attribute`
-    /// operations (§5.3).
-    pub fn write_pool_pages(&mut self, first: PageId, n: u32) -> Result<()> {
-        self.disk.write_run_noop(first, n)
-    }
-
-    /// Combined disk + buffer counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot::combine(self.disk.stats(), self.core.stats)
-    }
-
-    /// Buffer counters only.
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.core.stats
-    }
-
-    /// Resets disk and buffer counters (cache content — dirty pages
-    /// included — is kept).
-    pub fn reset_stats(&mut self) {
+    fn reset_stats(&mut self) {
         self.disk.reset_stats();
         self.core.stats = BufferStats::default();
     }
 
-    /// Counts a group-latch acquisition over the distinct pages of `pids`.
-    ///
+    fn is_cached(&self, pid: PageId) -> bool {
+        self.core.is_cached(pid)
+    }
+
+    fn snapshot(&self) -> IoSnapshot {
+        IoSnapshot::combine(self.disk.stats(), self.core.stats)
+    }
+
+    fn buffer_stats(&self) -> BufferStats {
+        self.core.stats
+    }
+
+    fn database_pages(&self) -> u32 {
+        self.disk.allocated_pages()
+    }
+
+    fn capacity(&self) -> usize {
+        self.core.capacity()
+    }
+
+    fn policy_kind(&self) -> PolicyKind {
+        self.core.policy_kind()
+    }
+
     /// An exclusively-owned pool has no concurrent accessors, so latching is
     /// pure bookkeeping here — but it is the *same* bookkeeping the sharded
     /// [`crate::SharedBufferPool`] performs for real acquisitions, which is
     /// what keeps serial and one-client-shared measurements identical over
     /// the latched write surface.
-    pub fn note_group_latch(&mut self, pids: &[PageId], mode: LatchMode) {
+    fn latch_pages(&mut self, pids: &[PageId], mode: LatchMode) -> Result<()> {
         let n = distinct_pids(pids).len() as u64;
         self.core.note_group_latch(mode, n);
+        Ok(())
     }
 
-    /// FNV-1a checksum of the underlying disk's page array (uncounted).
-    pub fn disk_checksum(&self) -> u64 {
+    fn unlatch_pages(&mut self, _pids: &[PageId], _mode: LatchMode) {}
+
+    fn disk_checksum(&self) -> u64 {
         self.disk.checksum()
     }
 
-    /// The tracked per-page heat map, sorted by page id. Empty unless the
-    /// pool was built with [`HeatConfig::track`] on. Uncounted: reading
-    /// heat is metadata access, not page access. The map survives
-    /// [`BufferPool::reset_stats`] and [`BufferPool::clear_cache`] — it is
-    /// workload state (like cache content), not a measurement counter.
-    pub fn page_heat(&self) -> Vec<(PageId, u64)> {
+    /// Survives [`PageCache::reset_stats`] and [`PageCache::clear_cache`]:
+    /// the heat map is workload state (like cache content), not a
+    /// measurement counter.
+    fn page_heat(&self) -> Vec<(PageId, u64)> {
         self.core.page_heat()
     }
 }
@@ -806,6 +880,23 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.pages_written, n as u64);
         assert_eq!(s.write_calls, 2, "40 dirty pages -> calls of 32 + 8");
+    }
+
+    #[test]
+    fn page_runs_split_at_gaps_and_at_the_cap() {
+        let runs = |pids: &[u32]| page_runs(pids.iter().map(|&p| PageId(p))).collect::<Vec<_>>();
+        assert_eq!(runs(&[]), vec![]);
+        assert_eq!(runs(&[7]), vec![(PageId(7), 1)]);
+        assert_eq!(
+            runs(&[0, 1, 2, 5, 6, 9]),
+            vec![(PageId(0), 3), (PageId(5), 2), (PageId(9), 1)]
+        );
+        // Exactly the cap is one run; one more page starts the next.
+        let cap = MAX_PAGES_PER_WRITE_CALL;
+        let full: Vec<u32> = (10..10 + cap).collect();
+        assert_eq!(runs(&full), vec![(PageId(10), cap)]);
+        let over: Vec<u32> = (10..10 + cap + 1).collect();
+        assert_eq!(runs(&over), vec![(PageId(10), cap), (PageId(10 + cap), 1)]);
     }
 
     #[test]

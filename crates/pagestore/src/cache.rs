@@ -4,9 +4,11 @@
 //! only ever need a small, fixed set of pool operations. Abstracting them
 //! behind one trait lets the *same* storage code run over either
 //!
-//! * the single-threaded, exclusively-owned [`BufferPool`] (`&mut`
-//!   everywhere — the configuration every original paper measurement uses),
-//!   or
+//! * the single-threaded, exclusively-owned [`BufferPool`](crate::BufferPool)
+//!   (`&mut` everywhere — the configuration every original paper measurement
+//!   uses), whose whole operational surface *is* its implementation of this
+//!   trait (in `buffer.rs`, beside the pool engine — there is no inherent
+//!   twin of any method here, and no forwarding layer), or
 //! * a [`SharedPoolHandle`](crate::SharedPoolHandle), a cloneable `Arc`
 //!   handle to a lock-striped [`crate::SharedBufferPool`] that N client
 //!   threads fix pages through concurrently.
@@ -18,12 +20,12 @@
 
 use crate::latch::LatchMode;
 use crate::stats::{BufferStats, IoSnapshot};
-use crate::{BufferPool, PageId, PolicyKind, Result, PAGE_SIZE};
+use crate::{PageId, PolicyKind, Result, PAGE_SIZE};
 
 /// The buffer-pool operations the storage layers need.
 ///
 /// See the `cache` module docs for why this exists. Implementations must
-/// preserve the accounting contract of [`BufferPool`]: every
+/// preserve the accounting contract of [`crate::BufferPool`]: every
 /// [`with_page`](PageCache::with_page) / [`with_page_mut`](PageCache::with_page_mut)
 /// is one counted fix (hit or miss); [`prefetch_run`](PageCache::prefetch_run)
 /// issues one read call per maximal contiguous missing sub-run and counts no
@@ -85,10 +87,10 @@ pub trait PageCache {
 
     /// Acquires a group latch on `pids` (deduplicated) in `mode` — the
     /// multi-page atomicity primitive of the concurrent write path (see
-    /// [`crate::latch`]). On the exclusive [`BufferPool`] this is a counted
-    /// no-op (single owner ⇒ no conflicts possible); on the shared pool it
-    /// acquires real per-page latches in the global (shard, page) order,
-    /// blocking on conflicts. Latch groups must not nest.
+    /// [`crate::latch`]). On the exclusive [`crate::BufferPool`] this is a
+    /// counted no-op (single owner ⇒ no conflicts possible); on the shared
+    /// pool it acquires real per-page latches in the global (shard, page)
+    /// order, blocking on conflicts. Latch groups must not nest.
     fn latch_pages(&mut self, pids: &[PageId], mode: LatchMode) -> Result<()>;
 
     /// Releases a group latch previously acquired with the same `pids` and
@@ -129,8 +131,8 @@ pub trait PageCache {
     /// Commits the calling thread's active write-ahead-log op: the update
     /// helpers call this at each op boundary (after the exclusive latched
     /// closure succeeds), and the call returns only once the op is durable.
-    /// A no-op on pools without a WAL (the exclusive [`BufferPool`], or a
-    /// shared pool with the WAL disabled) — which is what keeps every
+    /// A no-op on pools without a WAL (the exclusive [`crate::BufferPool`],
+    /// or a shared pool with the WAL disabled) — which is what keeps every
     /// pre-WAL measurement byte-identical.
     fn log_commit(&mut self) -> Result<()> {
         Ok(())
@@ -148,90 +150,5 @@ pub trait PageCache {
     /// heat issues no I/O and bumps no counter.
     fn page_heat(&self) -> Vec<(PageId, u64)> {
         Vec::new()
-    }
-}
-
-impl PageCache for BufferPool {
-    fn with_page<R>(&mut self, pid: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
-        BufferPool::with_page(self, pid, f)
-    }
-
-    fn with_page_mut<R>(
-        &mut self,
-        pid: PageId,
-        f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
-    ) -> Result<R> {
-        BufferPool::with_page_mut(self, pid, f)
-    }
-
-    fn prefetch_run(&mut self, first: PageId, n: u32) -> Result<()> {
-        BufferPool::prefetch_run(self, first, n)
-    }
-
-    fn pin(&mut self, pid: PageId) -> Result<()> {
-        BufferPool::pin(self, pid)
-    }
-
-    fn unpin(&mut self, pid: PageId) -> bool {
-        BufferPool::unpin(self, pid)
-    }
-
-    fn alloc_extent(&mut self, n: u32) -> PageId {
-        BufferPool::alloc_extent(self, n)
-    }
-
-    fn write_pool_pages(&mut self, first: PageId, n: u32) -> Result<()> {
-        BufferPool::write_pool_pages(self, first, n)
-    }
-
-    fn flush_all(&mut self) -> Result<()> {
-        BufferPool::flush_all(self)
-    }
-
-    fn clear_cache(&mut self) -> Result<()> {
-        BufferPool::clear_cache(self)
-    }
-
-    fn reset_stats(&mut self) {
-        BufferPool::reset_stats(self)
-    }
-
-    fn is_cached(&self, pid: PageId) -> bool {
-        BufferPool::is_cached(self, pid)
-    }
-
-    fn snapshot(&self) -> IoSnapshot {
-        BufferPool::snapshot(self)
-    }
-
-    fn buffer_stats(&self) -> BufferStats {
-        BufferPool::buffer_stats(self)
-    }
-
-    fn database_pages(&self) -> u32 {
-        BufferPool::database_pages(self)
-    }
-
-    fn capacity(&self) -> usize {
-        BufferPool::capacity(self)
-    }
-
-    fn policy_kind(&self) -> PolicyKind {
-        BufferPool::policy_kind(self)
-    }
-
-    fn latch_pages(&mut self, pids: &[PageId], mode: LatchMode) -> Result<()> {
-        BufferPool::note_group_latch(self, pids, mode);
-        Ok(())
-    }
-
-    fn unlatch_pages(&mut self, _pids: &[PageId], _mode: LatchMode) {}
-
-    fn disk_checksum(&self) -> u64 {
-        BufferPool::disk_checksum(self)
-    }
-
-    fn page_heat(&self) -> Vec<(PageId, u64)> {
-        BufferPool::page_heat(self)
     }
 }

@@ -29,7 +29,11 @@
 //!   into K lock-striped shards (each with its own policy instance and
 //!   counters), shareable across N client threads through
 //!   [`SharedPoolHandle`]; storage layers address either pool through the
-//!   [`PageCache`] trait;
+//!   [`PageCache`] trait (which is also [`BufferPool`]'s whole operational
+//!   surface). The two pools share every algorithm by construction — one
+//!   call grouper (contiguous runs of at most [`MAX_PAGES_PER_WRITE_CALL`]
+//!   pages), one prefetch scan, one load, one flush, all in `buffer.rs` —
+//!   and differ only in locking;
 //! * [`slotted`] — slotted-page record layout (record footprint =
 //!   encoded length + 4-byte slot entry, which is how the paper's Table 2
 //!   `k = ⌊2012 / S_tuple⌋` tuple-per-page counts come out);
@@ -37,14 +41,16 @@
 //!   RID access, in-place update and full scans;
 //! * [`SpannedStore`] — large-object storage: header page(s) holding the
 //!   object directory, disjoint contiguous data pages holding the bytes,
-//!   with whole-object, header-only and byte-range reads;
+//!   with whole-object, header-only and byte-range reads, under one page
+//!   plan per object — packed, or explicit page starts for DASDBS's
+//!   sub-tuple-aligned layout;
 //! * [`ioengine`](crate::IoEngineConfig) — an optional io_uring-style
 //!   submission/completion layer for buffer misses: concurrent misses
 //!   queue, a leader drains the queue, coalesces adjacent page ids into
-//!   multi-page `read_run` calls, and fills frames on completion while
-//!   waiters park off the shard mutexes. Disabled by default; off, the
-//!   miss path and every counter are byte-identical to the synchronous
-//!   pool;
+//!   multi-page read calls (the same grouper and cap as a flush), and fills
+//!   frames on completion while waiters park off the shard mutexes. Disabled
+//!   by default; off, the miss path and every counter are byte-identical to
+//!   the synchronous pool;
 //! * [`wal`](crate::WalConfig) — an optional redo-only write-ahead log
 //!   under the shared pool: checksummed, LSN-stamped page after-images in
 //!   multi-page log segments, per-commit or group-commit flushing, and
@@ -81,7 +87,7 @@ pub use disk::SimDisk;
 pub use error::StoreError;
 pub use heap::{HeapFile, Rid};
 pub use heat::HeatConfig;
-pub use ioengine::{IoEngineConfig, DEFAULT_MAX_BATCH_PAGES};
+pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use shared::{SharedBufferPool, SharedPoolHandle};

@@ -6,7 +6,8 @@
 //! into the bottleneck: one global lock would serialize every fix. This
 //! module shards the pool by `PageId` hash into K lock-striped shards, each
 //! a full [`PoolCore`] — the exact frame-slot/replacement-policy/accounting
-//! engine behind [`BufferPool`] — protected by its own mutex:
+//! engine behind [`BufferPool`](crate::BufferPool) — protected by its own
+//! mutex:
 //!
 //! * a fix takes exactly **one shard lock** (plus the disk lock on a miss),
 //!   so fixes to different shards never contend;
@@ -22,14 +23,22 @@
 //!   shard locks — a total lock order, so the pool cannot deadlock.
 //!
 //! A pool with **one shard** executes, operation for operation, the same
-//! code as [`BufferPool`]: identical eviction decisions, identical call
-//! grouping, identical counters (`tests/prop_shared_buffer.rs` proves this
-//! per-step). That is what makes a one-client run over the shared pool
-//! reproduce the serial measurements exactly.
+//! code as [`BufferPool`](crate::BufferPool) — by construction, not by
+//! mirroring: a fix is [`PoolCore::fix`] on both; prefetch, miss and flush
+//! are `buffer::prefetch_run`, `buffer::load_run` and `buffer::flush_all`
+//! (over `buffer::page_runs` / `buffer::flush_dirty_runs`), which this pool
+//! calls with the cores of the shard guards it holds and `BufferPool` with
+//! its single core; every read and write call of either goes through the
+//! two `DiskOps` methods. What is left here is locking — which shards to
+//! take, in which order, and what to wait for — and that is all
+//! `tests/prop_shared_buffer.rs` (identical eviction decisions, call
+//! grouping and counters, per step) has to police. That is what makes a
+//! one-client run over the shared pool reproduce the serial measurements
+//! exactly.
 //!
 //! Capacity is split across shards (`total/K` each, remainder to the lowest
 //! shards); a shard may transiently overflow its slice exactly like
-//! [`BufferPool`] overflows when nothing is evictable.
+//! [`BufferPool`](crate::BufferPool) overflows when nothing is evictable.
 //!
 //! # Concurrent writes
 //!
@@ -73,7 +82,7 @@
 //! poison would turn one panicked client into a pool-wide panic storm and
 //! leave threads parked in `Condvar::wait` wedged forever.
 
-use crate::buffer::{PoolCore, MAX_PAGES_PER_WRITE_CALL};
+use crate::buffer::{self, PoolCore};
 use crate::cache::PageCache;
 use crate::disk::DiskOps;
 use crate::heat::HeatConfig;
@@ -128,46 +137,6 @@ impl SharedDisk {
         Ok(())
     }
 
-    fn read_run(
-        &self,
-        first: PageId,
-        n: u32,
-        sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
-    ) -> Result<()> {
-        // Zero-length runs are validated no-ops: no bounds check, no call
-        // counted (mirrors `SimDisk::read_run`).
-        if n == 0 {
-            return Ok(());
-        }
-        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.read_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_read.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            sink(i, &pages[(first.0 + i) as usize]);
-        }
-        Ok(())
-    }
-
-    fn write_run(
-        &self,
-        first: PageId,
-        n: u32,
-        source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
-    ) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            pages[(first.0 + i) as usize] = source(i);
-        }
-        Ok(())
-    }
-
     fn write_run_noop(&self, first: PageId, n: u32) -> Result<()> {
         if n == 0 {
             return Ok(());
@@ -200,6 +169,8 @@ impl SharedDisk {
     }
 }
 
+/// Every read and write call of the shared pool goes through these two
+/// methods — the seam a priced or fault-injecting device has to wrap.
 impl DiskOps for &SharedDisk {
     fn read_run_dyn(
         &mut self,
@@ -207,7 +178,19 @@ impl DiskOps for &SharedDisk {
         n: u32,
         sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
     ) -> Result<()> {
-        SharedDisk::read_run(self, first, n, sink)
+        // Zero-length runs are validated no-ops: no bounds check, no call
+        // counted (mirrors `SimDisk::read_run`).
+        if n == 0 {
+            return Ok(());
+        }
+        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
+        SharedDisk::check(pages.len(), first, n)?;
+        self.read_calls.fetch_add(1, Ordering::Relaxed);
+        self.pages_read.fetch_add(n as u64, Ordering::Relaxed);
+        for i in 0..n {
+            sink(i, &pages[(first.0 + i) as usize]);
+        }
+        Ok(())
     }
 
     fn write_run_dyn(
@@ -216,7 +199,17 @@ impl DiskOps for &SharedDisk {
         n: u32,
         source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
     ) -> Result<()> {
-        SharedDisk::write_run(self, first, n, source)
+        if n == 0 {
+            return Ok(());
+        }
+        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
+        SharedDisk::check(pages.len(), first, n)?;
+        self.write_calls.fetch_add(1, Ordering::Relaxed);
+        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
+        for i in 0..n {
+            pages[(first.0 + i) as usize] = source(i);
+        }
+        Ok(())
     }
 }
 
@@ -329,7 +322,7 @@ impl SharedBufferPool {
             policy,
             capacity,
             wal: wal.enabled.then(|| Wal::new(wal)),
-            engine: io.enabled.then(|| IoEngine::new(io, shard_count)),
+            engine: io.enabled.then(|| IoEngine::new(shard_count)),
         }
     }
 
@@ -486,33 +479,20 @@ impl SharedBufferPool {
     /// shard locks (pages that raced into the cache keep their authoritative
     /// frames; the freshly read image is dropped).
     fn install_runs(&self, runs: &[(PageId, u32)]) -> Result<()> {
+        let disk = &mut &self.disk;
         for &(first, n) in runs {
             let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
-            self.disk
-                .read_run(first, n, &mut |_, data| images.push(*data))?;
-            let mut guards = self.lock_involved(first, n);
-            let mut missing = vec![false; n as usize];
-            let mut per_guard = vec![0usize; guards.len()];
-            for i in 0..n {
-                let pid = first.offset(i);
-                let g = guard_pos(&guards, self.shard_of(pid));
-                if !guards[g].1.core.is_cached(pid) {
-                    missing[i as usize] = true;
-                    per_guard[g] += 1;
-                }
-            }
-            for (g, &m) in per_guard.iter().enumerate() {
-                if m > 0 {
-                    guards[g].1.core.make_room(&mut &self.disk, m)?;
-                }
-            }
-            for (i, data) in images.into_iter().enumerate() {
-                if !missing[i] {
-                    continue;
-                }
-                let pid = first.offset(i as u32);
-                let g = guard_pos(&guards, self.shard_of(pid));
-                guards[g].1.core.insert_frame(pid, data);
+            disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
+            let (involved, mut guards) = self.lock_involved(first, n);
+            let mut cores = cores_of(&mut guards);
+            let owner = |pid| owner_pos(&involved, self.shard_of(pid));
+            let missing: Vec<PageId> = (0..n)
+                .map(|i| first.offset(i))
+                .filter(|&pid| !cores[owner(pid)].is_cached(pid))
+                .collect();
+            buffer::make_room_for(&mut cores, owner, disk, missing.iter().copied())?;
+            for pid in missing {
+                cores[owner(pid)].insert_frame(pid, images[(pid.0 - first.0) as usize]);
             }
         }
         Ok(())
@@ -739,24 +719,19 @@ impl SharedBufferPool {
     }
 
     /// Locks every shard owning a page of `[first, first+n)`, in ascending
-    /// shard order (the global lock order). Returns `(shard index, guard)`
-    /// pairs; resolve a page's guard with [`guard_pos`].
-    fn lock_involved(&self, first: PageId, n: u32) -> Vec<(usize, MutexGuard<'_, ShardState>)> {
+    /// shard order (the global lock order). Returns the involved shard
+    /// indices and their guards, in the same order; resolve a page's guard
+    /// with [`owner_pos`].
+    fn lock_involved(
+        &self,
+        first: PageId,
+        n: u32,
+    ) -> (Vec<usize>, Vec<MutexGuard<'_, ShardState>>) {
         let mut involved: Vec<usize> = (0..n).map(|i| self.shard_of(first.offset(i))).collect();
         involved.sort_unstable();
         involved.dedup();
-        involved
-            .into_iter()
-            .map(|s| {
-                (
-                    s,
-                    self.shards[s]
-                        .state
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()),
-                )
-            })
-            .collect()
+        let guards = involved.iter().map(|&s| self.shard(s)).collect();
+        (involved, guards)
     }
 
     /// Ensures the run `[first, first+n)` is cached: one read call per
@@ -765,73 +740,19 @@ impl SharedBufferPool {
     /// shards. Does not count fixes.
     ///
     /// Every involved shard is locked up front (ascending, the lock order),
-    /// so residency is decided **coherently for the whole run**. The old
-    /// implementation probed residency one page at a time, re-locking per
-    /// page: concurrent evictions between the probe and the load could
-    /// split one maximal missing run into several disk calls, and the
-    /// touch/probe pass cost two lock acquisitions per page. Per-position
-    /// policy-event order (touch resident pages as encountered, insert
-    /// missing runs as loaded) is identical to `BufferPool::prefetch_run`,
-    /// which is what keeps a 1-shard pool counter-exact against the serial
-    /// pool.
+    /// so residency is decided **coherently for the whole run** — nothing
+    /// can race in or out between the scan and the load. The scan and the
+    /// load themselves are `buffer::prefetch_run` over the locked shards'
+    /// cores: the function `BufferPool` runs over its single core, which is
+    /// what keeps a 1-shard pool counter-exact against the serial pool.
     pub fn prefetch_run(&self, first: PageId, n: u32) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
-        let mut guards = self.lock_involved(first, n);
-        let mut i = 0u32;
-        while i < n {
-            let pid = first.offset(i);
-            let g = guard_pos(&guards, self.shard_of(pid));
-            if guards[g].1.core.touch(pid) {
-                i += 1;
-                continue;
-            }
-            // Extend the missing run as far as possible (coherent: nothing
-            // can race in or out while the shard locks are held).
-            let mut len = 1u32;
-            while i + len < n {
-                let q = first.offset(i + len);
-                let gq = guard_pos(&guards, self.shard_of(q));
-                if guards[gq].1.core.is_cached(q) {
-                    break;
-                }
-                len += 1;
-            }
-            self.load_missing_locked(&mut guards, first.offset(i), len)?;
-            i += len;
-        }
-        Ok(())
-    }
-
-    /// Loads the all-missing run `[sub_first, sub_first+len)` in one read
-    /// call under already-held shard guards: make room per shard (evictions
-    /// may write — the same order `BufferPool::load_run` uses), one disk
-    /// read, then install each frame in its owning shard.
-    fn load_missing_locked(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, ShardState>)],
-        sub_first: PageId,
-        len: u32,
-    ) -> Result<()> {
-        let mut per_guard = vec![0usize; guards.len()];
-        for j in 0..len {
-            per_guard[guard_pos(guards, self.shard_of(sub_first.offset(j)))] += 1;
-        }
-        for (g, &m) in per_guard.iter().enumerate() {
-            if m > 0 {
-                guards[g].1.core.make_room(&mut &self.disk, m)?;
-            }
-        }
-        let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(len as usize);
-        self.disk
-            .read_run(sub_first, len, &mut |_, data| images.push(*data))?;
-        for (j, data) in images.into_iter().enumerate() {
-            let pid = sub_first.offset(j as u32);
-            let g = guard_pos(guards, self.shard_of(pid));
-            guards[g].1.core.insert_frame(pid, data);
-        }
-        Ok(())
+        let (involved, mut guards) = self.lock_involved(first, n);
+        let mut cores = cores_of(&mut guards);
+        let owner = |pid| owner_pos(&involved, self.shard_of(pid));
+        buffer::prefetch_run(&mut cores, owner, &mut &self.disk, first, n)
     }
 
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
@@ -841,9 +762,9 @@ impl SharedBufferPool {
     }
 
     /// Writes all dirty pages back, grouped into contiguous runs of at most
-    /// [`MAX_PAGES_PER_WRITE_CALL`] pages per call across shard boundaries —
-    /// the same grouping [`BufferPool::flush_all`](crate::BufferPool::flush_all)
-    /// produces. **Quiesces in-flight exclusive latch groups first** (the
+    /// [`crate::MAX_PAGES_PER_WRITE_CALL`] pages per call across shard
+    /// boundaries — the grouping `BufferPool`'s flush produces, by the same
+    /// function. **Quiesces in-flight exclusive latch groups first** (the
     /// writer gate), so a mid-update object is never flushed half-written;
     /// concurrent readers are unaffected.
     pub fn flush_all(&self) -> Result<()> {
@@ -870,33 +791,15 @@ impl SharedBufferPool {
         }
     }
 
+    /// [`buffer::flush_all`] over every shard's core (`guards` is
+    /// [`Self::lock_all`], so a page's owner is its shard index).
     fn flush_locked(&self, guards: &mut [MutexGuard<'_, ShardState>]) -> Result<()> {
         debug_assert!(
             guards.iter().all(|g| g.latches.exclusive_latched() == 0),
             "flush requires quiesced writers (the gate guarantees this)"
         );
-        let mut dirty: Vec<PageId> = guards.iter().flat_map(|g| g.core.dirty_pages()).collect();
-        dirty.sort_unstable();
-        {
-            let guards = &*guards;
-            flush_dirty_runs(
-                &dirty,
-                |pid| {
-                    let core = &guards[self.shard_of(pid)].core;
-                    core.slot_of(pid).map(|slot| core.frame(slot).data)
-                },
-                |start, len, images| self.disk.write_run(start, len, &mut |j| images[j as usize]),
-            )?;
-        }
-        // Clear dirty bits only after every run reached the disk; a failed
-        // flush leaves all pages dirty and therefore retryable.
-        for &pid in &dirty {
-            let core = &mut guards[self.shard_of(pid)].core;
-            if let Some(slot) = core.slot_of(pid) {
-                core.frame_mut(slot).dirty = false;
-            }
-        }
-        Ok(())
+        let mut cores = cores_of(guards);
+        buffer::flush_all(&mut cores, |pid| self.shard_of(pid), &mut &self.disk)
     }
 
     /// Flushes and drops every cached page in every shard: a cold restart
@@ -993,8 +896,8 @@ impl SharedBufferPool {
     /// Recovery-on-open: scans the durable log tail past the last
     /// checkpoint (counted log reads), replays the final committed image
     /// of every logged page onto the data disk in contiguous runs of at
-    /// most [`MAX_PAGES_PER_WRITE_CALL`] pages (counted data writes, the
-    /// same grouping a flush produces), then checkpoints. Returns the
+    /// most [`crate::MAX_PAGES_PER_WRITE_CALL`] pages (counted data writes,
+    /// the same grouping a flush produces), then checkpoints. Returns the
     /// number of pages replayed. Intended for a freshly
     /// [crashed](Self::crash_volatile) (or newly opened) pool: the cache
     /// must hold no dirty pre-crash frames.
@@ -1005,19 +908,11 @@ impl SharedBufferPool {
         self.quiesce_writers();
         let result = (|| {
             let images = wal.recovered_images()?;
-            let mut i = 0;
-            while i < images.len() {
-                let start = images[i].0;
-                let mut len = 1u32;
-                while i + (len as usize) < images.len()
-                    && images[i + len as usize].0 .0 == start.0 + len
-                    && len < MAX_PAGES_PER_WRITE_CALL
-                {
-                    len += 1;
-                }
-                self.disk
-                    .write_run(start, len, &mut |j| *images[i + j as usize].2)?;
-                i += len as usize;
+            let disk = &mut &self.disk;
+            let mut done = 0;
+            for (start, len) in buffer::page_runs(images.iter().map(|image| image.0)) {
+                disk.write_run_dyn(start, len, &mut |j| *images[done + j as usize].2)?;
+                done += len as usize;
             }
             wal.checkpoint();
             Ok(images.len())
@@ -1027,8 +922,8 @@ impl SharedBufferPool {
     }
 
     /// Combined disk + merged shard counters — drop-in compatible with
-    /// [`BufferPool::snapshot`](crate::BufferPool::snapshot), so every
-    /// existing per-unit metric works over the shared pool. With the WAL
+    /// `BufferPool`'s snapshot, so every existing per-unit metric works over
+    /// the shared pool. With the WAL
     /// enabled the `log_*`/`commits` fields carry its counters; disabled,
     /// they stay zero and the snapshot is byte-identical to the pre-WAL
     /// pool's.
@@ -1115,48 +1010,16 @@ impl SharedBufferPool {
     }
 }
 
-/// Position of shard `s` in a [`SharedBufferPool::lock_involved`] guard
-/// list (the caller locked it, so the lookup cannot fail).
-fn guard_pos(guards: &[(usize, MutexGuard<'_, ShardState>)], s: usize) -> usize {
-    guards.iter().position(|(i, _)| *i == s).expect("locked")
+/// The pool engines behind held shard guards, in guard order — the `cores`
+/// argument of the `buffer` functions.
+fn cores_of<'a>(guards: &'a mut [MutexGuard<'_, ShardState>]) -> Vec<&'a mut PoolCore> {
+    guards.iter_mut().map(|g| &mut g.core).collect()
 }
 
-/// Groups `dirty` (sorted ascending, deduplicated) into contiguous runs of
-/// at most [`MAX_PAGES_PER_WRITE_CALL`] pages and hands each run's
-/// pre-collected images to `write`.
-///
-/// `image` returning `None` for a page the dirty list named is a
-/// bookkeeping invariant violation (a dirty page must be resident); it
-/// surfaces as [`StoreError::DirtyNotResident`] *before* any byte of that
-/// run is written. This used to be a process-aborting
-/// `expect("dirty page resident")` inside the write-call source closure —
-/// unreachable through the pool's public API (the dirty list is derived
-/// from the frames under the same locks), but defended here as an error so
-/// a future bookkeeping bug reports instead of aborting mid-flush.
-fn flush_dirty_runs(
-    dirty: &[PageId],
-    mut image: impl FnMut(PageId) -> Option<[u8; PAGE_SIZE]>,
-    mut write: impl FnMut(PageId, u32, &[[u8; PAGE_SIZE]]) -> Result<()>,
-) -> Result<()> {
-    let mut i = 0;
-    while i < dirty.len() {
-        let start = dirty[i];
-        let mut len = 1u32;
-        while i + (len as usize) < dirty.len()
-            && dirty[i + len as usize].0 == start.0 + len
-            && len < MAX_PAGES_PER_WRITE_CALL
-        {
-            len += 1;
-        }
-        let mut images = Vec::with_capacity(len as usize);
-        for j in 0..len {
-            let pid = start.offset(j);
-            images.push(image(pid).ok_or(StoreError::DirtyNotResident { page: pid })?);
-        }
-        write(start, len, &images)?;
-        i += len as usize;
-    }
-    Ok(())
+/// Position of shard `s` in a [`SharedBufferPool::lock_involved`] list (the
+/// caller locked it, so the lookup cannot fail).
+fn owner_pos(involved: &[usize], s: usize) -> usize {
+    involved.iter().position(|&i| i == s).expect("locked")
 }
 
 /// A cloneable handle to a [`SharedBufferPool`].
@@ -1290,6 +1153,7 @@ impl PageCache for SharedPoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::{flush_dirty_runs, MAX_PAGES_PER_WRITE_CALL};
     use std::thread;
 
     fn pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {

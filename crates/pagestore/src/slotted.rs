@@ -16,7 +16,7 @@
 //! including the slot entry (Table 2; DESIGN.md §6).
 //!
 //! All functions operate on raw page buffers so they can be used inside
-//! [`crate::BufferPool::with_page`]/[`with_page_mut`](crate::BufferPool::with_page_mut)
+//! [`crate::PageCache::with_page`]/[`with_page_mut`](crate::PageCache::with_page_mut)
 //! closures.
 
 use crate::{

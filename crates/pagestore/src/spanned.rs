@@ -13,10 +13,19 @@
 //! for the additional header pages (if any), and one per contiguous run of
 //! requested data pages — which is why the paper measures ≈2 pages per read
 //! call for the direct models (§5.2).
+//!
+//! *Which data page holds byte `b`* is answered in exactly one place, the
+//! private page plan below: packed (a page every `EFFECTIVE_PAGE_SIZE`
+//! bytes — the primed rows of the paper's Tables 2/3) or an explicit list of
+//! page starts (sub-tuples kept whole on a page — the unprimed rows). Every
+//! [`SpannedStore`] function runs the same code under either; the caller
+//! that chose the layout at store time passes it back as
+//! `plan: Option<&[u32]>`. Runs of wanted pages are formed by the pools' one
+//! call grouper (`buffer::page_runs`).
 
-use crate::{
-    slotted, PageCache, PageId, Result, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_HEADER_SIZE,
-};
+use crate::buffer::page_runs;
+use crate::slotted::{self, PageKind};
+use crate::{PageCache, PageId, Result, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_HEADER_SIZE};
 use std::ops::Range;
 
 /// Handle to a stored spanned record.
@@ -44,70 +53,168 @@ impl SpannedRecord {
     pub fn data_first(&self) -> PageId {
         self.first.offset(self.header_pages)
     }
+}
 
-    /// The page indices (relative to [`SpannedRecord::data_first`]) covering
-    /// `range` of the data bytes.
-    fn data_page_span(&self, range: &Range<u32>) -> Range<u32> {
-        let from = range.start / EFFECTIVE_PAGE_SIZE as u32;
-        let to = range.end.div_ceil(EFFECTIVE_PAGE_SIZE as u32).max(from + 1);
-        from..to.min(self.data_pages)
+/// The page plan of `len` content bytes: which page holds byte `b`.
+///
+/// *Packed* (`starts: None`) cuts the stream every [`EFFECTIVE_PAGE_SIZE`]
+/// bytes. An *explicit* plan names the first byte stored on each page
+/// (`starts[0] == 0`, every chunk at most a page): DASDBS keeps sub-tuples
+/// whole on a page, which leaves *alignment waste* — pages are only
+/// partially filled and the object occupies more of them (the "unprimed"
+/// rows of the paper's Tables 2/3). Every function of [`SpannedStore`] asks
+/// this one type where its bytes live; header content is always packed.
+#[derive(Clone, Copy)]
+struct PagePlan<'a> {
+    starts: Option<&'a [u32]>,
+    len: usize,
+}
+
+impl<'a> PagePlan<'a> {
+    fn new(starts: Option<&'a [u32]>, len: usize) -> Self {
+        PagePlan { starts, len }
+    }
+
+    /// Pages the plan occupies (at least one, even for empty content).
+    fn pages(&self) -> u32 {
+        match self.starts {
+            Some(starts) => starts.len() as u32,
+            None => crate::pages_for_bytes(self.len).max(1),
+        }
+    }
+
+    /// Content bytes stored on page `i`.
+    fn bounds(&self, i: usize) -> Range<usize> {
+        match self.starts {
+            Some(starts) => {
+                let hi = starts.get(i + 1).map_or(self.len, |&s| s as usize);
+                starts[i] as usize..hi
+            }
+            None => {
+                let lo = i * EFFECTIVE_PAGE_SIZE;
+                lo..(lo + EFFECTIVE_PAGE_SIZE).min(self.len)
+            }
+        }
+    }
+
+    /// Page holding content byte `b`.
+    fn page_of(&self, b: u32) -> usize {
+        match self.starts {
+            Some(starts) => starts.partition_point(|&s| s <= b) - 1,
+            None => b as usize / EFFECTIVE_PAGE_SIZE,
+        }
+    }
+
+    /// Pages covering the byte range `r`. An empty range covers no page.
+    fn pages_of(&self, r: &Range<u32>) -> Range<usize> {
+        if r.is_empty() {
+            return 0..0;
+        }
+        self.page_of(r.start)..self.page_of(r.end - 1) + 1
+    }
+
+    /// Checks an explicit plan: starts at 0, strictly increasing (a final
+    /// empty page is allowed), no chunk larger than a page.
+    fn validate(&self) -> Result<()> {
+        let Some(starts) = self.starts else {
+            return Ok(());
+        };
+        if starts.first() != Some(&0) {
+            return Err(StoreError::Corrupt {
+                detail: "page plan must start at 0".into(),
+            });
+        }
+        for i in 0..starts.len() {
+            let end = starts.get(i + 1).copied().unwrap_or(self.len as u32);
+            if end <= starts[i] && !(i + 1 == starts.len() && end == starts[i]) {
+                return Err(StoreError::Corrupt {
+                    detail: format!("page plan not increasing at {i}"),
+                });
+            }
+            if (end - starts[i]) as usize > EFFECTIVE_PAGE_SIZE {
+                return Err(StoreError::Corrupt {
+                    detail: format!("chunk {i} exceeds a page: {}", end - starts[i]),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
 /// Storage for spanned records over a buffer pool.
 ///
-/// Stateless: all state lives in the pool/disk and in the returned
-/// [`SpannedRecord`] handles.
+/// Stateless: all state lives in the pool/disk, in the returned
+/// [`SpannedRecord`] handles and in the caller-kept page plan. Every function
+/// touching data pages takes that plan as `plan: Option<&[u32]>` — `None`
+/// for the packed layout, `Some(starts)` for an explicit one, where
+/// `starts[i]` is the first data byte stored on data page `i` — and must be
+/// given the plan the record was stored under (the plan, not the record,
+/// says how many data pages are read or rewritten).
 pub struct SpannedStore;
-
-/// Byte bounds of data page `i` under page plan `starts`.
-fn plan_bounds(starts: &[u32], data_len: usize, i: usize) -> (usize, usize) {
-    let lo = starts[i] as usize;
-    let hi = starts.get(i + 1).map(|&s| s as usize).unwrap_or(data_len);
-    (lo, hi)
-}
-
-/// Data page holding byte `b` under page plan `starts`.
-fn page_of(starts: &[u32], b: u32) -> usize {
-    starts.partition_point(|&s| s <= b) - 1
-}
 
 impl SpannedStore {
     /// Stores a new spanned record: `header` on header page(s), `data` on
-    /// data pages, in one fresh contiguous extent.
-    pub fn store(pool: &mut impl PageCache, header: &[u8], data: &[u8]) -> Result<SpannedRecord> {
-        let header_pages = crate::pages_for_bytes(header.len()).max(1);
-        let data_pages = crate::pages_for_bytes(data.len()).max(1);
-        let first = pool.alloc_extent(header_pages + data_pages);
+    /// data pages laid out by `plan`, in one fresh contiguous extent. An
+    /// invalid explicit plan is rejected before anything is allocated.
+    pub fn store(
+        pool: &mut impl PageCache,
+        header: &[u8],
+        data: &[u8],
+        plan: Option<&[u32]>,
+    ) -> Result<SpannedRecord> {
+        let header_plan = PagePlan::new(None, header.len());
+        let data_plan = PagePlan::new(plan, data.len());
+        data_plan.validate()?;
         let rec = SpannedRecord {
-            first,
-            header_pages,
-            data_pages,
+            first: pool.alloc_extent(header_plan.pages() + data_plan.pages()),
+            header_pages: header_plan.pages(),
+            data_pages: data_plan.pages(),
             header_len: header.len() as u32,
             data_len: data.len() as u32,
         };
-        Self::write_chunks(pool, first, header, slotted::PageKind::SpannedHeader)?;
-        Self::write_chunks(pool, rec.data_first(), data, slotted::PageKind::SpannedData)?;
+        let (header_kind, data_kind) = (PageKind::SpannedHeader, PageKind::SpannedData);
+        Self::write_pages(pool, rec.first, header_plan, header, Some(header_kind))?;
+        Self::write_pages(pool, rec.data_first(), data_plan, data, Some(data_kind))?;
         Ok(rec)
     }
 
-    fn write_chunks(
+    /// Copies `bytes` onto the pages from `first` as `plan` lays them out,
+    /// one (dirtying) fix per page. `fresh` formats each page first.
+    fn write_pages(
         pool: &mut impl PageCache,
         first: PageId,
+        plan: PagePlan,
         bytes: &[u8],
-        kind: slotted::PageKind,
+        fresh: Option<PageKind>,
     ) -> Result<()> {
-        let n = crate::pages_for_bytes(bytes.len()).max(1);
-        for i in 0..n {
-            let lo = i as usize * EFFECTIVE_PAGE_SIZE;
-            let hi = (lo + EFFECTIVE_PAGE_SIZE).min(bytes.len());
+        for i in 0..plan.pages() {
+            let on_page = plan.bounds(i as usize);
             pool.with_page_mut(first.offset(i), |p| {
-                p.fill(0);
-                slotted::set_kind(p, kind);
-                if lo < hi {
-                    p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]
-                        .copy_from_slice(&bytes[lo..hi]);
+                if let Some(kind) = fresh {
+                    p.fill(0);
+                    slotted::set_kind(p, kind);
                 }
+                p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + on_page.len()]
+                    .copy_from_slice(&bytes[on_page]);
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Fixes `pages` (indices relative to `first`) and copies their content
+    /// to where `plan` places it in `out`.
+    fn read_pages(
+        pool: &mut impl PageCache,
+        first: PageId,
+        pages: Range<u32>,
+        plan: PagePlan,
+        out: &mut [u8],
+    ) -> Result<()> {
+        for i in pages {
+            let on_page = plan.bounds(i as usize);
+            pool.with_page(first.offset(i), |p| {
+                let content = &p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + on_page.len()];
+                out[on_page].copy_from_slice(content);
             })?;
         }
         Ok(())
@@ -122,25 +229,38 @@ impl SpannedStore {
         if rec.header_pages > 1 {
             pool.prefetch_run(rec.first.offset(1), rec.header_pages - 1)?;
         }
-        Self::collect(pool, rec.first, rec.header_pages, rec.header_len)
+        let plan = PagePlan::new(None, rec.header_len as usize);
+        let mut out = vec![0u8; plan.len];
+        Self::read_pages(pool, rec.first, 0..plan.pages(), plan, &mut out)?;
+        Ok(out)
     }
 
     /// Reads the full data content (one call per contiguous uncached run).
     /// Fixes every data page.
-    pub fn read_data(pool: &mut impl PageCache, rec: &SpannedRecord) -> Result<Vec<u8>> {
+    pub fn read_data(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        plan: Option<&[u32]>,
+    ) -> Result<Vec<u8>> {
         pool.prefetch_run(rec.data_first(), rec.data_pages)?;
-        Self::collect(pool, rec.data_first(), rec.data_pages, rec.data_len)
+        let plan = PagePlan::new(plan, rec.data_len as usize);
+        let mut out = vec![0u8; plan.len];
+        Self::read_pages(pool, rec.data_first(), 0..plan.pages(), plan, &mut out)?;
+        Ok(out)
     }
 
     /// Reads only the data pages covering `ranges` (sorted, disjoint byte
     /// ranges of the data content), returning a **full-length buffer** in
     /// which only the requested ranges are guaranteed valid. Unrequested
-    /// pages are not fetched — the DASDBS-DSM partial read (§3.2).
+    /// pages are not fetched — the DASDBS-DSM partial read (§3.2) — and an
+    /// empty range requests none.
     pub fn read_data_ranges(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
+        plan: Option<&[u32]>,
         ranges: &[Range<u32>],
     ) -> Result<Vec<u8>> {
+        let plan = PagePlan::new(plan, rec.data_len as usize);
         let mut wanted = vec![false; rec.data_pages as usize];
         for r in ranges {
             if r.end > rec.data_len {
@@ -148,64 +268,66 @@ impl SpannedStore {
                     detail: format!("range {r:?} beyond data length {}", rec.data_len),
                 });
             }
-            for i in rec.data_page_span(r) {
-                wanted[i as usize] = true;
-            }
+            wanted[plan.pages_of(r)].fill(true);
         }
-        let mut out = vec![0u8; rec.data_len as usize];
-        // Prefetch maximal contiguous wanted runs (one call per run if cold),
-        // then fix and copy each wanted page.
-        let mut i = 0usize;
-        while i < wanted.len() {
-            if !wanted[i] {
-                i += 1;
-                continue;
-            }
-            let mut len = 1usize;
-            while i + len < wanted.len() && wanted[i + len] {
-                len += 1;
-            }
-            pool.prefetch_run(rec.data_first().offset(i as u32), len as u32)?;
-            for j in i..i + len {
-                let lo = j * EFFECTIVE_PAGE_SIZE;
-                let hi = (lo + EFFECTIVE_PAGE_SIZE).min(rec.data_len as usize);
-                pool.with_page(rec.data_first().offset(j as u32), |p| {
-                    out[lo..hi].copy_from_slice(&p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]);
-                })?;
-            }
-            i += len;
+        let mut out = vec![0u8; plan.len];
+        // Prefetch each run of wanted pages (one call per run if cold), then
+        // fix and copy its pages.
+        let data_first = rec.data_first();
+        let wanted_pids = (0..rec.data_pages)
+            .filter(|&i| wanted[i as usize])
+            .map(|i| data_first.offset(i));
+        for (run_first, len) in page_runs(wanted_pids) {
+            pool.prefetch_run(run_first, len)?;
+            let i = run_first.0 - data_first.0;
+            Self::read_pages(pool, data_first, i..i + len, plan, &mut out)?;
         }
         Ok(out)
     }
 
-    /// Rewrites the full data content in place (same length). Marks all data
-    /// pages dirty; physical writes happen at eviction/flush.
-    pub fn rewrite_data(pool: &mut impl PageCache, rec: &SpannedRecord, data: &[u8]) -> Result<()> {
+    /// Rewrites the header content in place (same length), dirtying every
+    /// header page — the structure is replaced along with the tuple.
+    pub fn rewrite_header(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        header: &[u8],
+    ) -> Result<()> {
+        if header.len() != rec.header_len as usize {
+            return Err(StoreError::SizeChanged {
+                old: rec.header_len as usize,
+                new: header.len(),
+            });
+        }
+        let plan = PagePlan::new(None, header.len());
+        Self::write_pages(pool, rec.first, plan, header, None)
+    }
+
+    /// Rewrites the full data content in place (same length, same plan).
+    /// Marks all data pages dirty; physical writes happen at eviction/flush.
+    pub fn rewrite_data(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        plan: Option<&[u32]>,
+        data: &[u8],
+    ) -> Result<()> {
         if data.len() != rec.data_len as usize {
             return Err(StoreError::SizeChanged {
                 old: rec.data_len as usize,
                 new: data.len(),
             });
         }
-        for i in 0..rec.data_pages {
-            let lo = i as usize * EFFECTIVE_PAGE_SIZE;
-            let hi = (lo + EFFECTIVE_PAGE_SIZE).min(data.len());
-            pool.with_page_mut(rec.data_first().offset(i), |p| {
-                if lo < hi {
-                    p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]
-                        .copy_from_slice(&data[lo..hi]);
-                }
-            })?;
-        }
-        Ok(())
+        let plan = PagePlan::new(plan, data.len());
+        Self::write_pages(pool, rec.data_first(), plan, data, None)
     }
 
     /// Patches `bytes` into the data content at `range.start`, touching (and
     /// dirtying) only the pages covering `range` — the page-level footprint
-    /// of a DASDBS `change attribute` operation.
+    /// of a DASDBS `change attribute` operation. An empty range touches no
+    /// page.
     pub fn write_data_range(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
+        plan: Option<&[u32]>,
         range: Range<u32>,
         bytes: &[u8],
     ) -> Result<()> {
@@ -218,214 +340,17 @@ impl SpannedStore {
                 ),
             });
         }
-        for i in rec.data_page_span(&range) {
-            let page_lo = i as usize * EFFECTIVE_PAGE_SIZE;
-            let page_hi = page_lo + EFFECTIVE_PAGE_SIZE;
-            let lo = range.start.max(page_lo as u32) as usize;
-            let hi = range.end.min(page_hi as u32) as usize;
-            pool.with_page_mut(rec.data_first().offset(i), |p| {
-                p[PAGE_HEADER_SIZE + lo - page_lo..PAGE_HEADER_SIZE + hi - page_lo]
-                    .copy_from_slice(&bytes[lo - range.start as usize..hi - range.start as usize]);
-            })?;
-        }
-        Ok(())
-    }
-
-    // ----- mapped (aligned) chunking ---------------------------------------
-    //
-    // The uniform functions above cut the data stream every
-    // EFFECTIVE_PAGE_SIZE bytes. DASDBS instead keeps sub-tuples whole on a
-    // page, which leaves *alignment waste*: pages are only partially filled
-    // and the object occupies more of them (the "unprimed" rows of the
-    // paper's Tables 2/3). The `_mapped` variants take an explicit page
-    // plan: `starts[i]` is the first data byte stored on data page `i`
-    // (`starts[0] == 0`, every chunk ≤ EFFECTIVE_PAGE_SIZE).
-
-    /// Validates a page plan for `data_len` bytes.
-    pub fn validate_page_plan(starts: &[u32], data_len: usize) -> Result<()> {
-        if starts.first() != Some(&0) {
-            return Err(StoreError::Corrupt {
-                detail: "page plan must start at 0".into(),
-            });
-        }
-        for i in 0..starts.len() {
-            let end = starts.get(i + 1).copied().unwrap_or(data_len as u32);
-            if end <= starts[i] && !(i + 1 == starts.len() && end == starts[i]) {
-                return Err(StoreError::Corrupt {
-                    detail: format!("page plan not increasing at {i}"),
-                });
-            }
-            if (end - starts[i]) as usize > EFFECTIVE_PAGE_SIZE {
-                return Err(StoreError::Corrupt {
-                    detail: format!("chunk {i} exceeds a page: {}", end - starts[i]),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Stores a spanned record under an explicit page plan.
-    pub fn store_mapped(
-        pool: &mut impl PageCache,
-        header: &[u8],
-        data: &[u8],
-        starts: &[u32],
-    ) -> Result<SpannedRecord> {
-        Self::validate_page_plan(starts, data.len())?;
-        let header_pages = crate::pages_for_bytes(header.len()).max(1);
-        let data_pages = starts.len() as u32;
-        let first = pool.alloc_extent(header_pages + data_pages);
-        let rec = SpannedRecord {
-            first,
-            header_pages,
-            data_pages,
-            header_len: header.len() as u32,
-            data_len: data.len() as u32,
-        };
-        Self::write_chunks(pool, first, header, slotted::PageKind::SpannedHeader)?;
-        for i in 0..data_pages {
-            let (lo, hi) = plan_bounds(starts, data.len(), i as usize);
-            pool.with_page_mut(rec.data_first().offset(i), |p| {
-                p.fill(0);
-                slotted::set_kind(p, slotted::PageKind::SpannedData);
-                p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)].copy_from_slice(&data[lo..hi]);
-            })?;
-        }
-        Ok(rec)
-    }
-
-    /// Reads the full data content of a mapped record.
-    pub fn read_data_mapped(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        starts: &[u32],
-    ) -> Result<Vec<u8>> {
-        pool.prefetch_run(rec.data_first(), rec.data_pages)?;
-        let mut out = vec![0u8; rec.data_len as usize];
-        for i in 0..rec.data_pages {
-            let (lo, hi) = plan_bounds(starts, rec.data_len as usize, i as usize);
-            pool.with_page(rec.data_first().offset(i), |p| {
-                out[lo..hi].copy_from_slice(&p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]);
-            })?;
-        }
-        Ok(out)
-    }
-
-    /// Reads only the data pages of a mapped record covering `ranges`.
-    pub fn read_data_ranges_mapped(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        starts: &[u32],
-        ranges: &[std::ops::Range<u32>],
-    ) -> Result<Vec<u8>> {
-        let mut wanted = vec![false; rec.data_pages as usize];
-        for r in ranges {
-            if r.end > rec.data_len {
-                return Err(StoreError::Corrupt {
-                    detail: format!("range {r:?} beyond data length {}", rec.data_len),
-                });
-            }
-            if r.end > r.start {
-                let pages = page_of(starts, r.start)..=page_of(starts, r.end - 1);
-                wanted[pages].fill(true);
-            }
-        }
-        let mut out = vec![0u8; rec.data_len as usize];
-        let mut i = 0usize;
-        while i < wanted.len() {
-            if !wanted[i] {
-                i += 1;
-                continue;
-            }
-            let mut len = 1usize;
-            while i + len < wanted.len() && wanted[i + len] {
-                len += 1;
-            }
-            pool.prefetch_run(rec.data_first().offset(i as u32), len as u32)?;
-            for j in i..i + len {
-                let (lo, hi) = plan_bounds(starts, rec.data_len as usize, j);
-                pool.with_page(rec.data_first().offset(j as u32), |p| {
-                    out[lo..hi].copy_from_slice(&p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]);
-                })?;
-            }
-            i += len;
-        }
-        Ok(out)
-    }
-
-    /// Rewrites the full data content of a mapped record (same length and
-    /// plan). Dirties every data page.
-    pub fn rewrite_data_mapped(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        starts: &[u32],
-        data: &[u8],
-    ) -> Result<()> {
-        if data.len() != rec.data_len as usize {
-            return Err(StoreError::SizeChanged {
-                old: rec.data_len as usize,
-                new: data.len(),
-            });
-        }
-        for i in 0..rec.data_pages {
-            let (lo, hi) = plan_bounds(starts, data.len(), i as usize);
-            pool.with_page_mut(rec.data_first().offset(i), |p| {
-                p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)].copy_from_slice(&data[lo..hi]);
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Patches a byte range of a mapped record, dirtying only the covering
-    /// page(s).
-    pub fn write_data_range_mapped(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        starts: &[u32],
-        range: std::ops::Range<u32>,
-        bytes: &[u8],
-    ) -> Result<()> {
-        if bytes.len() != (range.end - range.start) as usize || range.end > rec.data_len {
-            return Err(StoreError::Corrupt {
-                detail: format!(
-                    "write_data_range_mapped: {} bytes into range {range:?} of {}",
-                    bytes.len(),
-                    rec.data_len
-                ),
-            });
-        }
-        if range.is_empty() {
-            return Ok(());
-        }
-        for i in page_of(starts, range.start)..=page_of(starts, range.end - 1) {
-            let (page_lo, page_hi) = plan_bounds(starts, rec.data_len as usize, i);
-            let lo = (range.start as usize).max(page_lo);
-            let hi = (range.end as usize).min(page_hi);
+        let plan = PagePlan::new(plan, rec.data_len as usize);
+        let (start, end) = (range.start as usize, range.end as usize);
+        for i in plan.pages_of(&range) {
+            let on_page = plan.bounds(i);
+            let (lo, hi) = (start.max(on_page.start), end.min(on_page.end));
             pool.with_page_mut(rec.data_first().offset(i as u32), |p| {
-                p[PAGE_HEADER_SIZE + lo - page_lo..PAGE_HEADER_SIZE + hi - page_lo]
-                    .copy_from_slice(&bytes[lo - range.start as usize..hi - range.start as usize]);
+                p[PAGE_HEADER_SIZE + lo - on_page.start..PAGE_HEADER_SIZE + hi - on_page.start]
+                    .copy_from_slice(&bytes[lo - start..hi - start]);
             })?;
         }
         Ok(())
-    }
-
-    fn collect(
-        pool: &mut impl PageCache,
-        first: PageId,
-        n_pages: u32,
-        len: u32,
-    ) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len as usize];
-        for i in 0..n_pages {
-            let lo = i as usize * EFFECTIVE_PAGE_SIZE;
-            let hi = (lo + EFFECTIVE_PAGE_SIZE).min(len as usize);
-            pool.with_page(first.offset(i), |p| {
-                if lo < hi {
-                    out[lo..hi].copy_from_slice(&p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + (hi - lo)]);
-                }
-            })?;
-        }
-        Ok(out)
     }
 }
 
@@ -451,13 +376,13 @@ mod tests {
         let mut p = pool();
         let header = bytes(100, 1);
         let data = bytes(4500, 2); // 3 data pages
-        let rec = SpannedStore::store(&mut p, &header, &data).unwrap();
+        let rec = SpannedStore::store(&mut p, &header, &data, None).unwrap();
         assert_eq!(rec.header_pages, 1);
         assert_eq!(rec.data_pages, 3);
         assert_eq!(rec.total_pages(), 4);
         p.clear_cache().unwrap();
         assert_eq!(SpannedStore::read_header(&mut p, &rec).unwrap(), header);
-        assert_eq!(SpannedStore::read_data(&mut p, &rec).unwrap(), data);
+        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), data);
     }
 
     #[test]
@@ -465,11 +390,11 @@ mod tests {
         // 1 header page + 3 data pages: cold whole-object read =
         // 1 call (root) + 1 call (data run) = 2 calls, 4 pages.
         let mut p = pool();
-        let rec = SpannedStore::store(&mut p, &bytes(50, 1), &bytes(4500, 2)).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(50, 1), &bytes(4500, 2), None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
         SpannedStore::read_header(&mut p, &rec).unwrap();
-        SpannedStore::read_data(&mut p, &rec).unwrap();
+        SpannedStore::read_data(&mut p, &rec, None).unwrap();
         let s = p.snapshot();
         assert_eq!(s.read_calls, 2);
         assert_eq!(s.pages_read, 4);
@@ -481,7 +406,7 @@ mod tests {
         // Header of 3000 bytes -> 2 header pages; cold header read =
         // 1 call (root) + 1 call (additional header pages).
         let mut p = pool();
-        let rec = SpannedStore::store(&mut p, &bytes(3000, 3), &bytes(10, 4)).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(3000, 3), &bytes(10, 4), None).unwrap();
         assert_eq!(rec.header_pages, 2);
         p.clear_cache().unwrap();
         p.reset_stats();
@@ -496,11 +421,11 @@ mod tests {
     fn range_read_fetches_only_covering_pages() {
         let mut p = pool();
         let data = bytes(5 * EFFECTIVE_PAGE_SIZE, 7); // 5 data pages
-        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &data).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &data, None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
         // Bytes 100..200 live on data page 0; one page, one call.
-        let out = SpannedStore::read_data_ranges(&mut p, &rec, &[100..200]).unwrap();
+        let out = SpannedStore::read_data_ranges(&mut p, &rec, None, &[100..200]).unwrap();
         assert_eq!(&out[100..200], &data[100..200]);
         let s = p.snapshot();
         assert_eq!(s.pages_read, 1);
@@ -509,7 +434,7 @@ mod tests {
         p.reset_stats();
         let lo = 2 * EFFECTIVE_PAGE_SIZE as u32 + 10;
         let hi = 4 * EFFECTIVE_PAGE_SIZE as u32 - 10;
-        let out = SpannedStore::read_data_ranges(&mut p, &rec, &[lo..hi]).unwrap();
+        let out = SpannedStore::read_data_ranges(&mut p, &rec, None, &[lo..hi]).unwrap();
         assert_eq!(
             &out[lo as usize..hi as usize],
             &data[lo as usize..hi as usize]
@@ -522,37 +447,37 @@ mod tests {
     #[test]
     fn range_read_rejects_out_of_bounds() {
         let mut p = pool();
-        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &bytes(100, 1)).unwrap();
-        assert!(SpannedStore::read_data_ranges(&mut p, &rec, &[50..200]).is_err());
+        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &bytes(100, 1), None).unwrap();
+        assert!(SpannedStore::read_data_ranges(&mut p, &rec, None, &[50..200]).is_err());
     }
 
     #[test]
     fn rewrite_data_persists() {
         let mut p = pool();
         let data = bytes(3000, 5);
-        let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data, None).unwrap();
         let new = bytes(3000, 99);
-        SpannedStore::rewrite_data(&mut p, &rec, &new).unwrap();
+        SpannedStore::rewrite_data(&mut p, &rec, None, &new).unwrap();
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec).unwrap(), new);
+        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), new);
         // Length changes are rejected.
-        assert!(SpannedStore::rewrite_data(&mut p, &rec, &bytes(2999, 0)).is_err());
+        assert!(SpannedStore::rewrite_data(&mut p, &rec, None, &bytes(2999, 0)).is_err());
     }
 
     #[test]
     fn write_data_range_touches_covering_pages_only() {
         let mut p = pool();
         let data = bytes(3 * EFFECTIVE_PAGE_SIZE, 5);
-        let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data, None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
         let patch = vec![0xAA; 50];
         let at = EFFECTIVE_PAGE_SIZE as u32 + 100; // inside data page 1
-        SpannedStore::write_data_range(&mut p, &rec, at..at + 50, &patch).unwrap();
+        SpannedStore::write_data_range(&mut p, &rec, None, at..at + 50, &patch).unwrap();
         let s = p.snapshot();
         assert_eq!(s.fixes, 1, "only the covering page is touched");
         p.clear_cache().unwrap();
-        let out = SpannedStore::read_data(&mut p, &rec).unwrap();
+        let out = SpannedStore::read_data(&mut p, &rec, None).unwrap();
         assert_eq!(&out[at as usize..at as usize + 50], &patch[..]);
         assert_eq!(&out[..at as usize], &data[..at as usize]);
     }
@@ -562,25 +487,22 @@ mod tests {
         let mut p = pool();
         let data = bytes(3000, 8);
         // Three half-full pages instead of ⌈3000/2012⌉ = 2 packed ones.
-        let starts = vec![0u32, 1000, 2000];
-        let rec = SpannedStore::store_mapped(&mut p, &bytes(20, 0), &data, &starts).unwrap();
+        let starts = [0u32, 1000, 2000];
+        let plan = Some(&starts[..]);
+        let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data, plan).unwrap();
         assert_eq!(rec.data_pages, 3, "the plan dictates the page count");
         p.clear_cache().unwrap();
-        assert_eq!(
-            SpannedStore::read_data_mapped(&mut p, &rec, &starts).unwrap(),
-            data
-        );
+        assert_eq!(SpannedStore::read_data(&mut p, &rec, plan).unwrap(), data);
         // Range reads honour the plan: bytes 1000..1500 live on page 1 only.
         p.clear_cache().unwrap();
         p.reset_stats();
-        let out =
-            SpannedStore::read_data_ranges_mapped(&mut p, &rec, &starts, &[1000..1500]).unwrap();
+        let out = SpannedStore::read_data_ranges(&mut p, &rec, plan, &[1000..1500]).unwrap();
         assert_eq!(&out[1000..1500], &data[1000..1500]);
         assert_eq!(p.snapshot().pages_read, 1);
         // A straddling range touches pages 0 and 1.
         p.clear_cache().unwrap();
         p.reset_stats();
-        SpannedStore::read_data_ranges_mapped(&mut p, &rec, &starts, &[990..1010]).unwrap();
+        SpannedStore::read_data_ranges(&mut p, &rec, plan, &[990..1010]).unwrap();
         assert_eq!(p.snapshot().pages_read, 2);
     }
 
@@ -588,22 +510,19 @@ mod tests {
     fn mapped_rewrite_and_patch() {
         let mut p = pool();
         let data = bytes(2500, 3);
-        let starts = vec![0u32, 900, 1800];
-        let rec = SpannedStore::store_mapped(&mut p, &[1], &data, &starts).unwrap();
+        let starts = [0u32, 900, 1800];
+        let plan = Some(&starts[..]);
+        let rec = SpannedStore::store(&mut p, &[1], &data, plan).unwrap();
         let new = bytes(2500, 77);
-        SpannedStore::rewrite_data_mapped(&mut p, &rec, &starts, &new).unwrap();
+        SpannedStore::rewrite_data(&mut p, &rec, plan, &new).unwrap();
         p.clear_cache().unwrap();
-        assert_eq!(
-            SpannedStore::read_data_mapped(&mut p, &rec, &starts).unwrap(),
-            new
-        );
+        assert_eq!(SpannedStore::read_data(&mut p, &rec, plan).unwrap(), new);
         // Patch within page 2.
         p.reset_stats();
-        SpannedStore::write_data_range_mapped(&mut p, &rec, &starts, 1900..1950, &[9u8; 50])
-            .unwrap();
+        SpannedStore::write_data_range(&mut p, &rec, plan, 1900..1950, &[9u8; 50]).unwrap();
         assert_eq!(p.snapshot().fixes, 1, "one covering page");
         p.clear_cache().unwrap();
-        let out = SpannedStore::read_data_mapped(&mut p, &rec, &starts).unwrap();
+        let out = SpannedStore::read_data(&mut p, &rec, plan).unwrap();
         assert_eq!(&out[1900..1950], &[9u8; 50]);
         assert_eq!(&out[..1900], &new[..1900]);
     }
@@ -612,17 +531,12 @@ mod tests {
     fn bad_page_plans_are_rejected() {
         let mut p = pool();
         // Does not start at 0.
-        assert!(SpannedStore::store_mapped(&mut p, &[1], &[0u8; 100], &[10]).is_err());
+        assert!(SpannedStore::store(&mut p, &[1], &[0u8; 100], Some(&[10])).is_err());
         // Chunk exceeds a page.
-        assert!(SpannedStore::store_mapped(
-            &mut p,
-            &[1],
-            &vec![0u8; EFFECTIVE_PAGE_SIZE + 10],
-            &[0]
-        )
-        .is_err());
+        let long = vec![0u8; EFFECTIVE_PAGE_SIZE + 10];
+        assert!(SpannedStore::store(&mut p, &[1], &long, Some(&[0])).is_err());
         // Not increasing.
-        assert!(SpannedStore::store_mapped(&mut p, &[1], &[0u8; 100], &[0, 50, 50]).is_err());
+        assert!(SpannedStore::store(&mut p, &[1], &[0u8; 100], Some(&[0, 50, 50])).is_err());
     }
 
     #[test]
@@ -632,23 +546,43 @@ mod tests {
         let starts: Vec<u32> = (0..data.len().div_ceil(EFFECTIVE_PAGE_SIZE))
             .map(|i| (i * EFFECTIVE_PAGE_SIZE) as u32)
             .collect();
-        let packed = SpannedStore::store(&mut p, &[1], &data).unwrap();
-        let mapped = SpannedStore::store_mapped(&mut p, &[1], &data, &starts).unwrap();
+        let packed = SpannedStore::store(&mut p, &[1], &data, None).unwrap();
+        let mapped = SpannedStore::store(&mut p, &[1], &data, Some(&starts)).unwrap();
         assert_eq!(packed.data_pages, mapped.data_pages);
         p.clear_cache().unwrap();
         assert_eq!(
-            SpannedStore::read_data(&mut p, &packed).unwrap(),
-            SpannedStore::read_data_mapped(&mut p, &mapped, &starts).unwrap()
+            SpannedStore::read_data(&mut p, &packed, None).unwrap(),
+            SpannedStore::read_data(&mut p, &mapped, Some(&starts)).unwrap()
         );
+    }
+
+    /// The packed and explicit twins used to disagree: an empty range made
+    /// the packed ranged read prefetch and fix one page, and the packed
+    /// patch fix and dirty one. Defined once now — it touches nothing.
+    #[test]
+    fn empty_byte_range_touches_no_page() {
+        let data = bytes(3000, 4);
+        let starts = [0u32, 1000, 2000];
+        for plan in [None, Some(&starts[..])] {
+            let mut p = pool();
+            let rec = SpannedStore::store(&mut p, &[1], &data, plan).unwrap();
+            p.clear_cache().unwrap();
+            p.reset_stats();
+            let before = p.snapshot();
+            SpannedStore::read_data_ranges(&mut p, &rec, plan, &[100..100]).unwrap();
+            SpannedStore::write_data_range(&mut p, &rec, plan, 100..100, &[]).unwrap();
+            p.flush_all().unwrap();
+            assert_eq!(p.snapshot(), before, "plan {plan:?}");
+        }
     }
 
     #[test]
     fn flush_writes_dirty_extent_grouped() {
         let mut p = pool();
-        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &bytes(4500, 1)).unwrap();
+        let rec = SpannedStore::store(&mut p, &bytes(10, 0), &bytes(4500, 1), None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
-        SpannedStore::rewrite_data(&mut p, &rec, &bytes(4500, 2)).unwrap();
+        SpannedStore::rewrite_data(&mut p, &rec, None, &bytes(4500, 2)).unwrap();
         p.flush_all().unwrap();
         let s = p.snapshot();
         assert_eq!(s.pages_written, 3, "three dirty data pages");

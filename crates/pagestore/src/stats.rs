@@ -201,7 +201,7 @@ impl Sub for IoSnapshot {
     type Output = IoSnapshot;
 
     /// Saturating per-field delta: a snapshot taken *across* a
-    /// [`reset_stats`](crate::BufferPool::reset_stats) has a "before" that
+    /// [`reset_stats`](crate::PageCache::reset_stats) has a "before" that
     /// is larger than the "after", and raw `u64` subtraction would panic in
     /// debug builds. Counters clamp to zero instead — a delta can never be
     /// negative.

@@ -1,8 +1,8 @@
 //! Edge-case and failure-injection tests for the storage substrate.
 
 use starfish_pagestore::{
-    slotted, BufferPool, HeapFile, PageId, SimDisk, SpannedStore, StoreError, EFFECTIVE_PAGE_SIZE,
-    PAGE_SIZE, SLOT_ENTRY_SIZE,
+    slotted, BufferPool, HeapFile, PageCache, PageId, SimDisk, SpannedStore, StoreError,
+    EFFECTIVE_PAGE_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE,
 };
 
 fn pool(cap: usize, pages: u32) -> BufferPool {
@@ -112,11 +112,14 @@ fn heap_file_bad_rid_errors() {
 fn spanned_zero_header_and_tiny_data() {
     let mut p = pool(16, 0);
     // Header of 1 byte, data of 1 byte: 2 pages minimum.
-    let rec = SpannedStore::store(&mut p, &[7], &[9]).unwrap();
+    let rec = SpannedStore::store(&mut p, &[7], &[9], None).unwrap();
     assert_eq!(rec.total_pages(), 2);
     p.clear_cache().unwrap();
     assert_eq!(SpannedStore::read_header(&mut p, &rec).unwrap(), vec![7]);
-    assert_eq!(SpannedStore::read_data(&mut p, &rec).unwrap(), vec![9]);
+    assert_eq!(
+        SpannedStore::read_data(&mut p, &rec, None).unwrap(),
+        vec![9]
+    );
 }
 
 #[test]
@@ -128,21 +131,21 @@ fn spanned_exact_page_boundary_sizes() {
         EFFECTIVE_PAGE_SIZE + 1,
     ] {
         let data: Vec<u8> = (0..data_len).map(|i| i as u8).collect();
-        let rec = SpannedStore::store(&mut p, &[1, 2, 3], &data).unwrap();
+        let rec = SpannedStore::store(&mut p, &[1, 2, 3], &data, None).unwrap();
         let expect_pages = data_len.div_ceil(EFFECTIVE_PAGE_SIZE) as u32;
         assert_eq!(rec.data_pages, expect_pages, "len {data_len}");
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec).unwrap(), data);
+        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), data);
     }
 }
 
 #[test]
 fn spanned_empty_range_read_touches_nothing() {
     let mut p = pool(16, 0);
-    let rec = SpannedStore::store(&mut p, &[0], &vec![5u8; 5000]).unwrap();
+    let rec = SpannedStore::store(&mut p, &[0], &vec![5u8; 5000], None).unwrap();
     p.clear_cache().unwrap();
     p.reset_stats();
-    let out = SpannedStore::read_data_ranges(&mut p, &rec, &[]).unwrap();
+    let out = SpannedStore::read_data_ranges(&mut p, &rec, None, &[]).unwrap();
     assert_eq!(out.len(), 5000);
     assert_eq!(p.snapshot().pages_read, 0, "no ranges, no I/O");
 }
@@ -151,16 +154,16 @@ fn spanned_empty_range_read_touches_nothing() {
 fn interleaved_files_do_not_corrupt_each_other() {
     let mut p = pool(32, 0);
     let (fa, ra) = HeapFile::bulk_load(&mut p, "a", &[vec![1u8; 700], vec![2u8; 700]]).unwrap();
-    let rec = SpannedStore::store(&mut p, &[9; 10], &vec![3u8; 4000]).unwrap();
+    let rec = SpannedStore::store(&mut p, &[9; 10], &vec![3u8; 4000], None).unwrap();
     let (fb, rb) = HeapFile::bulk_load(&mut p, "b", &[vec![4u8; 700]]).unwrap();
     fa.update(&mut p, ra[1], &vec![5u8; 700]).unwrap();
-    SpannedStore::rewrite_data(&mut p, &rec, &vec![6u8; 4000]).unwrap();
+    SpannedStore::rewrite_data(&mut p, &rec, None, &vec![6u8; 4000]).unwrap();
     p.clear_cache().unwrap();
     assert_eq!(fa.read(&mut p, ra[0]).unwrap(), vec![1u8; 700]);
     assert_eq!(fa.read(&mut p, ra[1]).unwrap(), vec![5u8; 700]);
     assert_eq!(fb.read(&mut p, rb[0]).unwrap(), vec![4u8; 700]);
     assert_eq!(
-        SpannedStore::read_data(&mut p, &rec).unwrap(),
+        SpannedStore::read_data(&mut p, &rec, None).unwrap(),
         vec![6u8; 4000]
     );
 }

@@ -14,7 +14,7 @@
 //! * `reset_stats` never loses dirty data (counters are not content).
 
 use proptest::prelude::*;
-use starfish_pagestore::{BufferPool, PageId, PolicyKind, SimDisk};
+use starfish_pagestore::{BufferPool, PageCache, PageId, PolicyKind, SimDisk};
 use std::collections::HashMap;
 
 const DB_PAGES: u32 = 24;

@@ -6,8 +6,10 @@
 //! and spanned records round-trip arbitrary payloads.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use starfish_pagestore::{
-    slotted, BufferPool, HeapFile, PageId, SimDisk, SpannedStore, EFFECTIVE_PAGE_SIZE, PAGE_SIZE,
+    slotted, BufferPool, HeapFile, IoSnapshot, PageCache, PageId, SimDisk, SpannedStore,
+    EFFECTIVE_PAGE_SIZE, PAGE_SIZE,
 };
 use std::collections::HashMap;
 
@@ -26,6 +28,48 @@ fn arb_page_op() -> impl Strategy<Value = PageOp> {
         ((0usize..32), any::<u8>()).prop_map(|(i, b)| PageOp::Update(i, b)),
         Just(PageOp::Compact),
     ]
+}
+
+/// Drives one spanned record through every [`SpannedStore`] function under
+/// `plan` — store, full read, ranged read, patch, rewrite — checking the
+/// bytes at each step, and returns what the run left behind: the disk
+/// checksum and every counter.
+fn exercise_plan(
+    plan: Option<&[u32]>,
+    data: &[u8],
+    ranges: &[std::ops::Range<u32>],
+) -> Result<(u64, IoSnapshot), TestCaseError> {
+    let mut pool = BufferPool::new(SimDisk::new(), 64);
+    let rec = SpannedStore::store(&mut pool, &[7; 40], data, plan).unwrap();
+    pool.clear_cache().unwrap();
+    prop_assert_eq!(
+        &SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        data
+    );
+    pool.clear_cache().unwrap();
+    let sparse = SpannedStore::read_data_ranges(&mut pool, &rec, plan, ranges).unwrap();
+    let mut expect = data.to_vec();
+    for r in ranges {
+        let (lo, hi) = (r.start as usize, r.end as usize);
+        prop_assert_eq!(&sparse[lo..hi], &data[lo..hi]);
+        // Patch every requested range with its complement.
+        let patch: Vec<u8> = data[lo..hi].iter().map(|b| !b).collect();
+        SpannedStore::write_data_range(&mut pool, &rec, plan, r.clone(), &patch).unwrap();
+        expect[lo..hi].copy_from_slice(&patch);
+    }
+    pool.clear_cache().unwrap();
+    prop_assert_eq!(
+        SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        expect.clone()
+    );
+    expect.reverse();
+    SpannedStore::rewrite_data(&mut pool, &rec, plan, &expect).unwrap();
+    pool.clear_cache().unwrap();
+    prop_assert_eq!(
+        SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        expect
+    );
+    Ok((pool.disk_checksum(), pool.snapshot()))
 }
 
 proptest! {
@@ -154,20 +198,52 @@ proptest! {
         let header: Vec<u8> = (0..hlen).map(|i| (i as u8).wrapping_add(seed)).collect();
         let data: Vec<u8> = (0..dlen).map(|i| (i as u8).wrapping_mul(17) ^ seed).collect();
         let mut pool = BufferPool::new(SimDisk::new(), 64);
-        let rec = SpannedStore::store(&mut pool, &header, &data).unwrap();
+        let rec = SpannedStore::store(&mut pool, &header, &data, None).unwrap();
         prop_assert_eq!(rec.header_pages, (hlen.div_ceil(EFFECTIVE_PAGE_SIZE)).max(1) as u32);
         prop_assert_eq!(rec.data_pages, (dlen.div_ceil(EFFECTIVE_PAGE_SIZE)).max(1) as u32);
         pool.clear_cache().unwrap();
         prop_assert_eq!(SpannedStore::read_header(&mut pool, &rec).unwrap(), header);
-        prop_assert_eq!(SpannedStore::read_data(&mut pool, &rec).unwrap(), data.clone());
+        prop_assert_eq!(SpannedStore::read_data(&mut pool, &rec, None).unwrap(), data.clone());
         // A random sub-range read returns the right bytes.
         let lo = (dlen / 3) as u32;
         let hi = (dlen - dlen / 4).max(dlen / 3 + 1) as u32;
         pool.clear_cache().unwrap();
         pool.reset_stats();
-        let sparse = SpannedStore::read_data_ranges(&mut pool, &rec, &[lo..hi]).unwrap();
+        let sparse = SpannedStore::read_data_ranges(&mut pool, &rec, None, &[lo..hi]).unwrap();
         prop_assert_eq!(&sparse[lo as usize..hi as usize], &data[lo as usize..hi as usize]);
         // Never reads more pages than the record has.
         prop_assert!(pool.snapshot().pages_read <= rec.data_pages as u64);
+    }
+
+    /// One page plan, two kinds. Any valid explicit plan round-trips through
+    /// every function, and the packed layout is indistinguishable — on disk
+    /// and in every counter — from the explicit plan that cuts at the same
+    /// bytes.
+    #[test]
+    fn any_page_plan_roundtrips_and_uniform_equals_packed(
+        chunks in proptest::collection::vec(1usize..=EFFECTIVE_PAGE_SIZE, 1..10),
+        cuts in proptest::collection::vec(any::<u32>(), 0..8),
+        seed in any::<u8>(),
+    ) {
+        let dlen: usize = chunks.iter().sum();
+        let data: Vec<u8> = (0..dlen).map(|i| (i as u8).wrapping_mul(29) ^ seed).collect();
+        // Sorted, disjoint byte ranges: consecutive pairs of sorted cuts.
+        let mut cuts: Vec<u32> = cuts.iter().map(|c| c % (dlen as u32 + 1)).collect();
+        cuts.sort_unstable();
+        let ranges: Vec<_> = cuts.chunks_exact(2).map(|c| c[0]..c[1]).collect();
+
+        let mut starts = vec![0u32];
+        for c in &chunks[..chunks.len() - 1] {
+            starts.push(starts[starts.len() - 1] + *c as u32);
+        }
+        exercise_plan(Some(&starts), &data, &ranges)?;
+
+        let uniform: Vec<u32> = (0..dlen.div_ceil(EFFECTIVE_PAGE_SIZE))
+            .map(|i| (i * EFFECTIVE_PAGE_SIZE) as u32)
+            .collect();
+        prop_assert_eq!(
+            exercise_plan(None, &data, &ranges)?,
+            exercise_plan(Some(&uniform), &data, &ranges)?
+        );
     }
 }

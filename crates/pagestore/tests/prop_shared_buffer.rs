@@ -16,7 +16,7 @@
 //!   pool is the same engine behind locks, not a reimplementation.
 
 use proptest::prelude::*;
-use starfish_pagestore::{BufferPool, PageId, PolicyKind, SharedBufferPool, SimDisk};
+use starfish_pagestore::{BufferPool, PageCache, PageId, PolicyKind, SharedBufferPool, SimDisk};
 use std::collections::HashMap;
 
 const DB_PAGES: u32 = 24;

@@ -2,11 +2,18 @@
 //! that reference each other are stored near each other.
 //!
 //! Load order *is* placement for the bulk-loaded stores, so permuting the
-//! input is how a DBA would express clustering policy. Used by the
-//! `ext-clustering` ablation: for small objects (which share pages),
-//! reference-clustered placement puts children on or near their parents'
-//! pages and navigation gets cheaper — one of the design levers the paper's
-//! direct models leave on the table.
+//! input is how a DBA would express clustering policy: for small objects
+//! (which share pages), reference-clustered placement puts children on or
+//! near their parents' pages and navigation gets cheaper — one of the design
+//! levers the paper's direct models leave on the table.
+//!
+//! A standalone library utility: no experiment, example or benchmark calls
+//! it. `ext-clustering` used it as a static ablation until the adaptive
+//! placement work replaced that experiment with the heat-driven online
+//! reorganizer (`starfish-core::placement`), which reorders by observed
+//! access rather than by the reference graph. It stays public (and pinned
+//! by the unit tests below) as the static, reference-graph baseline a
+//! clustering comparison would load its "DBA-clustered" database with.
 
 use starfish_nf2::station::Station;
 use starfish_nf2::Oid;

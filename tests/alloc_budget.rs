@@ -9,11 +9,14 @@
 //!   and `Vec`s of the tuple it returns — in particular none for error
 //!   values that are never raised;
 //! * DSM `children_of` on a buffer-resident object allocates O(children),
-//!   whatever the size of the `Sightseeing` relation it reads past.
+//!   whatever the size of the `Sightseeing` relation it reads past;
+//! * a resident prefetch plus a fix on the exclusive `BufferPool` allocates
+//!   nothing at all.
 
 use starfish::core::{ComplexObjectStore, DirectStore, ObjRef, StoreConfig};
 use starfish::nf2::station::{station_schema, Connection, Platform, Sightseeing, Station};
 use starfish::nf2::{decode, encode, Oid, Tuple, Value};
+use starfish::pagestore::{BufferPool, PageCache, SimDisk};
 use starfish::prelude::DatasetParams;
 use starfish::workload::generate;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -144,4 +147,21 @@ fn dsm_navigation_allocates_per_child_not_per_sightseeing() {
         small <= 24,
         "navigating to 2 children allocated {small} times"
     );
+}
+
+/// `BufferPool` runs the prefetch scan it shares with the sharded pool,
+/// whose caller builds shard and guard lists for every call. The exclusive
+/// `&mut` front must not inherit them: its hit path stays allocation-free.
+#[test]
+fn resident_prefetch_and_fix_on_the_exclusive_pool_allocate_nothing() {
+    let mut disk = SimDisk::new();
+    let first = disk.alloc_extent(8);
+    let mut pool = BufferPool::new(disk, 16);
+    pool.prefetch_run(first, 8).unwrap(); // cold: loads (and allocates)
+    let (n, byte) = allocations(|| {
+        pool.prefetch_run(first, 8).unwrap();
+        pool.with_page(first.offset(3), |p| p[0]).unwrap()
+    });
+    assert_eq!(byte, 0);
+    assert_eq!(n, 0, "a resident prefetch + fix allocated {n} times");
 }
