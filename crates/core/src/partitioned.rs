@@ -409,6 +409,22 @@ impl ConcurrentObjectStore for PartitionedStore {
 /// one of the node's workers and deposits its own typed result.
 type Job<'a> = Box<dyn FnOnce(&dyn ConcurrentObjectStore) + Send + 'a>;
 
+/// How often a waiter (a client on its result slot, an idle worker on its
+/// queue) yields the processor and looks again before it parks on the
+/// condvar. A routed job runs for microseconds, and with clients + workers
+/// outnumbering the processors a sleep and its wake-up cost more than the
+/// job that is waited for. An uncontended `yield_now` is ≈ 0.25 µs and a
+/// condvar sleep + wake ≈ 3–6 µs where this was sized, so the budget adds
+/// up to about one park: a waiter spends at most about twice what parking
+/// at once would have cost (competitive spinning), and when other threads
+/// are runnable each yield runs them instead. A client yields only for a
+/// job that was next in line when it was queued ([`NodeQueue::push`]):
+/// behind a backlog the answer is not microseconds away, and hundreds of
+/// clients yielding at once only keep the workers off the processors. The
+/// condvar protocol underneath is unchanged, which is why this is not a
+/// setting.
+const YIELDS_BEFORE_PARK: u32 = 32;
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -427,12 +443,15 @@ struct NodeQueue<'a> {
     state: Mutex<QueueState<'a>>,
     /// Workers park here for new jobs (or shutdown).
     work_cond: Condvar,
+    /// Worker threads serving this queue.
+    workers: usize,
 }
 
 impl<'a> NodeQueue<'a> {
-    fn new(store: &'a dyn ConcurrentObjectStore) -> Self {
+    fn new(store: &'a dyn ConcurrentObjectStore, workers: usize) -> Self {
         NodeQueue {
             store,
+            workers,
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 max_depth: 0,
@@ -442,32 +461,53 @@ impl<'a> NodeQueue<'a> {
         }
     }
 
-    fn push(&self, job: Job<'a>) {
+    /// Queues `job` and says whether it is next in line — at most one
+    /// queued job per worker ahead of it —, which is when its result is
+    /// worth yielding for instead of parking at once.
+    fn push(&self, job: Job<'a>) -> bool {
         let mut st = lock(&self.state);
         st.jobs.push_back(job);
-        st.max_depth = st.max_depth.max(st.jobs.len() as u64);
+        let depth = st.jobs.len();
+        st.max_depth = st.max_depth.max(depth as u64);
         drop(st);
         self.work_cond.notify_one();
+        depth <= self.workers + 1
     }
 
     /// Worker loop: drain jobs until shutdown *and* an empty queue — work
     /// queued before shutdown always runs. The queue mutex is released
-    /// before the job touches the store.
+    /// before the job touches the store. An idle worker re-checks the
+    /// queue [`YIELDS_BEFORE_PARK`] times before it parks; the check that
+    /// precedes the park is made under the queue mutex `push` takes, so a
+    /// job pushed while the worker was yielding is seen, never slept on.
     fn worker(&self) {
+        let mut idle_yields = 0;
         loop {
             let job = {
                 let mut st = lock(&self.state);
                 loop {
                     if let Some(job) = st.jobs.pop_front() {
-                        break job;
+                        break Some(job);
                     }
                     if st.shutdown {
                         return;
                     }
+                    if idle_yields < YIELDS_BEFORE_PARK {
+                        break None;
+                    }
                     st = self.work_cond.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             };
-            job(self.store);
+            match job {
+                Some(job) => {
+                    idle_yields = 0;
+                    job(self.store);
+                }
+                None => {
+                    idle_yields += 1;
+                    std::thread::yield_now();
+                }
+            }
         }
     }
 }
@@ -494,19 +534,39 @@ struct Slot<T> {
 /// by [`wait`](Pending::wait). Dropping it abandons the result; the job
 /// still runs.
 #[must_use = "a queued job's result (and its error) is only seen by waiting on it"]
-pub struct Pending<T>(Arc<Slot<T>>);
+pub struct Pending<T> {
+    slot: Arc<Slot<T>>,
+    /// The job was next in line when queued ([`NodeQueue::push`]).
+    soon: bool,
+}
 
 impl<T> Pending<T> {
     /// Blocks until the job has run on one of its node's workers and
     /// returns what it returned — or [`CoreError::WorkerPanicked`] if it
-    /// panicked (the worker survives and keeps serving its queue).
+    /// panicked (the worker survives and keeps serving its queue). For a
+    /// job that was next in line it looks a bounded number of times,
+    /// yielding in between, before it parks; the result is published under
+    /// the slot's mutex and the check that precedes the park takes that
+    /// mutex, so a result that arrives while the waiter was yielding is
+    /// seen, never slept on.
     pub fn wait(self) -> Result<T> {
-        let mut result = lock(&self.0.result);
+        let yields = if self.soon { YIELDS_BEFORE_PARK } else { 0 };
+        for _ in 0..yields {
+            if let Some(r) = lock(&self.slot.result).take() {
+                return r;
+            }
+            std::thread::yield_now();
+        }
+        let mut result = lock(&self.slot.result);
         loop {
             if let Some(r) = result.take() {
                 return r;
             }
-            result = self.0.ready.wait(result).unwrap_or_else(|e| e.into_inner());
+            result = self
+                .slot
+                .ready
+                .wait(result)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -515,10 +575,14 @@ impl<T> Pending<T> {
 /// queue (with its own worker pool) per node. [`on_node`](Self::on_node)
 /// is the whole protocol — a closure runs against a node's store on one of
 /// that node's workers; [`owner`](Self::owner) and
-/// [`owner_of_key`](Self::owner_of_key) say which node that is. Callers
-/// fan an op out by queueing every job before the first wait; waiting in
-/// submission order (ascending node order for cross-node ops) merges the
-/// results deterministically.
+/// [`owner_of_key`](Self::owner_of_key) say which node that is. A hand-off
+/// costs about as much as a buffered object read, so callers batch: one
+/// job per involved node carrying that node's share of the step, every job
+/// queued before the first wait; waiting in ascending node order merges
+/// the results deterministically. A waiter whose job is next in line
+/// yields a bounded number of times before it parks, so a job that runs
+/// for microseconds is usually answered without a sleep; behind a backlog
+/// it parks at once.
 ///
 /// Built by [`with_cluster_router`], which owns the worker lifetimes.
 pub struct ClusterRouter<'a> {
@@ -559,13 +623,13 @@ impl<'a> ClusterRouter<'a> {
             ready: Condvar::new(),
         });
         let done = Arc::clone(&slot);
-        self.queues[node].push(Box::new(move |store| {
+        let soon = self.queues[node].push(Box::new(move |store| {
             let result = catch_unwind(AssertUnwindSafe(|| job(store)))
                 .unwrap_or(Err(CoreError::WorkerPanicked { node }));
             *lock(&done.result) = Some(result);
             done.ready.notify_one();
         }));
-        Pending(slot)
+        Pending { slot, soon }
     }
 
     /// Cold restart across the cluster, bypassing the queues: each node's
@@ -575,9 +639,11 @@ impl<'a> ClusterRouter<'a> {
         self.cluster.shared_clear_cache()
     }
 
-    /// Per-node queue high-water marks (ascending node order) — how far
-    /// clients ran ahead of each node's worker pool. Scheduling-dependent
-    /// under contention, like the engine's `max_queue_depth`.
+    /// Per-node queue high-water marks (ascending node order) — how many
+    /// jobs were ever waiting for each node's worker pool at once. With
+    /// callers that queue one batch per node per step that is at most the
+    /// number of clients. Scheduling-dependent under contention, like the
+    /// engine's `max_queue_depth`.
     pub fn queue_high_water(&self) -> Vec<u64> {
         self.queues
             .iter()
@@ -624,12 +690,12 @@ pub fn with_cluster_router<R>(
         queues: cluster
             .nodes
             .iter()
-            .map(|n| NodeQueue::new(n.as_ref()))
+            .map(|n| NodeQueue::new(n.as_ref(), workers_per_node.max(1)))
             .collect(),
     };
     std::thread::scope(|s| {
         for q in &router.queues {
-            for _ in 0..workers_per_node.max(1) {
+            for _ in 0..q.workers {
                 s.spawn(move || q.worker());
             }
         }
@@ -1044,6 +1110,57 @@ mod tests {
                 assert_eq!(p.wait().unwrap().len(), 2);
             }
         });
+    }
+
+    /// Only a job that is next in line is worth yielding for: with the
+    /// node's one worker held busy, the first queued job has nothing ahead
+    /// of it, the second has one job (one per worker), the third a backlog.
+    #[test]
+    fn job_behind_a_backlog_parks_at_once() {
+        use std::sync::mpsc;
+        let part = cluster(ModelKind::DasdbsNsm, 1);
+        with_cluster_router(&part, 1, |router| {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let gate = router.on_node(0, move |_| {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                Ok(())
+            });
+            started_rx.recv().unwrap();
+            let queued: Vec<Pending<usize>> = (0..3)
+                .map(|_| router.on_node(0, |s| Ok(s.object_count())))
+                .collect();
+            let soon: Vec<bool> = queued.iter().map(|p| p.soon).collect();
+            assert_eq!(soon, [true, true, false]);
+            release_tx.send(()).unwrap();
+            gate.wait().unwrap();
+            for p in queued {
+                assert_eq!(p.wait(), Ok(10));
+            }
+        });
+    }
+
+    /// Past the yield budget both sides park and the condvars still hand
+    /// over: a worker idle for 5 ms picks up the next job, and a job that
+    /// runs for 5 ms delivers its result, once, to the parked waiter.
+    #[test]
+    fn job_outlasting_the_yield_budget_delivers_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::Duration;
+        let part = cluster(ModelKind::DasdbsNsm, 1);
+        let ran = Arc::new(AtomicUsize::new(0));
+        with_cluster_router(&part, 1, |router| {
+            std::thread::sleep(Duration::from_millis(5));
+            let counted = Arc::clone(&ran);
+            let slow = router.on_node(0, move |s| {
+                std::thread::sleep(Duration::from_millis(5));
+                counted.fetch_add(1, Ordering::SeqCst);
+                Ok(s.object_count())
+            });
+            assert_eq!(slow.wait(), Ok(10));
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     /// A concurrently-served cluster (N shards per node) leaves every node

@@ -21,7 +21,8 @@
 //! clients. Reported per cell: queries/s and the speedup over the first
 //! worker count (wall-clock, hardware-dependent), the per-node
 //! buffer-fix imbalance (the part-1 §5.5 metrics applied to the serving
-//! cluster), the routers' submission-queue high-water mark, the batched
+//! cluster), the routers' job-queue high-water mark (per-node batches:
+//! one job per node per plan step and client), the batched
 //! I/O engine's coalescing counters, and a `disks` verdict: per-node
 //! `disk_checksum` fingerprints and fix counts compared against a
 //! serially-driven oracle cluster of the same shape. Concurrency may move
@@ -376,9 +377,10 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
     notes.push(format!(
         "serve-3b rows: query 3b dealt by {CLIENT_LOADS:?} client threads \
          through the routed dispatch front-end — each node a sharded \
-         ConcurrentObjectStore behind its own reactor with (wrk/node) \
-         worker threads, ops routed to the owning node, updates and the \
-         disconnect flush fanned out in ascending node order; swept \
+         ConcurrentObjectStore behind its own job queue with (wrk/node) \
+         worker threads, each plan step one job per owning node, the \
+         deferred updates and the disconnect flush one job per node, \
+         waited in ascending node order; swept \
          policies {:?} × nodes {SWEEP_NODES:?} × workers {threads:?}",
         policies.iter().map(|p| p.name()).collect::<Vec<_>>()
     ));
@@ -393,8 +395,10 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
         "queries/s and speedup (vs the first wrk/node cell of the same \
          shape) are wall-clock and hardware-dependent — on a single core \
          expect ≈1.0x, where the sweep measures routing overhead instead; \
-         queue hw is the per-node submission-queue high-water mark (max \
-         over nodes), batch/coalesced the I/O engine's multi-page reads"
+         queue hw is the per-node job-queue high-water mark (max over \
+         nodes) and counts per-node batches — a client queues one job \
+         per node per plan step, so it is at most the clients serving at \
+         once —, batch/coalesced the I/O engine's multi-page reads"
             .to_string(),
     );
     notes.push(match best_speedup {

@@ -17,15 +17,17 @@
 //!   N threads over the `&self` [`ConcurrentObjectStore`] surface, the op
 //!   runs between loops execute on the coordinator with carried state,
 //!   per-unit observations are merged back in plan order, and
-//!   `update_roots` ops are **deferred**: applied after the read phase, per
-//!   unit in plan order, partitioned by object across the same N threads
-//!   (so writers never race on an object). With one thread over one shard
+//!   `update_roots` ops are **deferred**: applied after the read phase as
+//!   one list in plan order, split by object across N writer threads
+//!   spawned once (so writers never race on an object and every object
+//!   sees its updates in plan order). With one thread over one shard
 //!   the whole [`PlanRun`] — physical reads included — equals the serial
 //!   run's (`tests/concurrent_differential.rs`,
 //!   `tests/concurrent_writer_differential.rs`).
 //! * [`Executor::run_cluster`] — the same protocol over a
-//!   [`PartitionedStore`]: the surface runs each op as a job on a worker
-//!   of the owning node (`RoutedSurface`), nothing else differs
+//!   [`PartitionedStore`]: the surface hands each plan step to a worker
+//!   of every owning node — one job per node per step, the deferred list
+//!   included (`RoutedSurface`) —, nothing else differs
 //!   (`tests/cluster_differential.rs`).
 //! * [`Executor::run_stream`] — the mixed read/write throughput protocol:
 //!   same dealing, but updates run **inline** in the serving threads
@@ -57,6 +59,14 @@ use std::time::{Duration, Instant};
 /// patch recipe and the top-level loop number the op ran at (which feeds
 /// [`PatchSpec::materialize`]), applied after the concurrent read phase.
 type DeferredUpdates = Vec<(Vec<ObjRef>, PatchSpec, u64)>;
+
+/// One deferred update, ready to apply: the selection and its materialized
+/// patch.
+type Update<'a> = (&'a [ObjRef], RootPatch);
+
+/// One way's share of a deferred-update list ([`split_updates`]): per
+/// entry, the refs this way owns and the entry's patch, in plan order.
+type UpdatePart = Vec<(Vec<ObjRef>, RootPatch)>;
 
 /// The measured result of one plan run.
 #[derive(Clone, Debug, PartialEq)]
@@ -186,7 +196,10 @@ pub struct ClusterRun {
     pub run: ConcurrentPlanRun,
     /// Worker threads that served each node's job queue.
     pub workers_per_node: usize,
-    /// Per-node job-queue high-water marks, ascending node order.
+    /// Per-node job-queue high-water marks, ascending node order. A
+    /// client has one job per node in flight (its step's batch for that
+    /// node), so a mark counts clients waiting on the node at once and
+    /// never exceeds the client count.
     pub queue_high_water: Vec<u64>,
 }
 
@@ -248,15 +261,12 @@ trait Surface {
     fn clear_cache(&mut self) -> Result<()>;
     /// Database disconnect: deferred writes reach the disk and count.
     fn flush(&mut self) -> Result<()>;
-    /// One unit's deferred update, applied after the concurrent read phase
-    /// while its `threads` clients are idle.
-    fn apply_deferred(
-        &mut self,
-        refs: &[ObjRef],
-        patch: &RootPatch,
-        _threads: usize,
-    ) -> Result<()> {
-        self.update_roots(refs, patch)
+    /// The whole deferred-update list in plan order, applied after the
+    /// concurrent read phase while its `threads` clients are idle.
+    fn apply_deferred(&mut self, updates: &[Update<'_>], _threads: usize) -> Result<()> {
+        updates
+            .iter()
+            .try_for_each(|(refs, patch)| self.update_roots(refs, patch))
     }
 }
 
@@ -330,11 +340,26 @@ impl Surface for SharedSurface<'_> {
     fn flush(&mut self) -> Result<()> {
         self.0.shared_flush()
     }
-    /// N threads over disjoint object partitions through the latched
-    /// `&self` write surface. Every occurrence carries the same per-unit
-    /// patch, so the final bytes are partition-order-independent.
-    fn apply_deferred(&mut self, refs: &[ObjRef], patch: &RootPatch, threads: usize) -> Result<()> {
-        apply_updates_concurrent(self.0, refs, patch, threads)
+    /// `threads` writers, spawned once, each walking its share of the list
+    /// ([`split_by_object`]) in plan order through the latched `&self`
+    /// write surface; one writer is the serial update path call for call.
+    fn apply_deferred(&mut self, updates: &[Update<'_>], threads: usize) -> Result<()> {
+        let store = self.0;
+        let parts = split_by_object(updates, threads)?;
+        if let [only] = parts.as_slice() {
+            return apply_part(store, only);
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = parts
+                .iter()
+                .filter(|part| !part.is_empty())
+                .map(|part| s.spawn(move || apply_part(store, part)))
+                .collect();
+            for h in handles {
+                h.join().expect("writer thread panicked")?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -345,34 +370,62 @@ fn shared_scan_count(store: &dyn ConcurrentObjectStore) -> Result<u64> {
 }
 
 /// The routed [`Surface`]: every op is the `shared_*` call it is on one
-/// store, made on a worker of the owning node ([`ClusterRouter::on_node`])
-/// — one job per ref, or one per node for cross-node ops, all queued
-/// before the first wait. Waiting in submission order rebuilds the serial
-/// answer, so dealt units stream over a cluster exactly like they stream
-/// over one shared store, while the per-node worker pools overlap
-/// execution across nodes.
+/// store, made on a worker of the owning node ([`ClusterRouter::on_node`]).
+/// A plan step is **one job per owning node** — the node's slice of the
+/// step's refs, or the node's share of the deferred-update list —, every
+/// job of a step queued before the first wait, so a step pays one hand-off
+/// per node however many objects it touches and the nodes still overlap.
+/// Waiting in ascending node order and dealing the per-ref answers back
+/// into input order rebuilds the serial answer, so dealt units stream over
+/// a cluster exactly like they stream over one shared store. What this
+/// gives up: one client's fan-out no longer spreads over a node's several
+/// workers — those serve several clients.
 #[derive(Clone, Copy)]
 struct RoutedSurface<'r, 'a>(&'r ClusterRouter<'a>);
 
 impl RoutedSurface<'_, '_> {
-    /// One job per ref on its owner, all in flight at once; waiting in
-    /// input order preserves the serial answer order (navigation answers
-    /// are global refs, so the next hop routes directly).
+    /// One job per involved node over that node's slice of `refs` — every
+    /// owner is resolved first, so a bad ref queues nothing. The job still
+    /// makes the `shared_*` call once per ref, so fixes, latch groups and
+    /// read calls are what per-ref dispatch made them. Waited in ascending
+    /// node order, then the per-ref answers are dealt back into input
+    /// order (navigation answers are global refs, so the next hop routes
+    /// directly).
     fn per_ref<T: Send + 'static>(
         &self,
         refs: &[ObjRef],
         op: fn(&dyn ConcurrentObjectStore, &[ObjRef]) -> Result<Vec<T>>,
     ) -> Result<Vec<T>> {
-        let pending: Vec<Pending<Vec<T>>> = refs
-            .iter()
-            .map(|r| {
-                let (node, local) = self.0.owner(*r)?;
-                Ok(self.0.on_node(node, move |s| op(s, &[local])))
+        let mut nodes = Vec::with_capacity(refs.len());
+        let mut locals = vec![Vec::new(); self.0.node_count()];
+        for r in refs {
+            let (node, local) = self.0.owner(*r)?;
+            nodes.push(node);
+            locals[node].push(local);
+        }
+        let pending: Vec<(usize, Pending<Vec<Vec<T>>>)> = locals
+            .into_iter()
+            .enumerate()
+            .filter(|(_, locals)| !locals.is_empty())
+            .map(|(node, locals)| {
+                let batch = self.0.on_node(node, move |s| {
+                    locals
+                        .iter()
+                        .map(|l| op(s, std::slice::from_ref(l)))
+                        .collect()
+                });
+                (node, batch)
             })
-            .collect::<Result<_>>()?;
+            .collect();
+        let mut answers: Vec<_> = (0..self.0.node_count())
+            .map(|_| Vec::new().into_iter())
+            .collect();
+        for (node, batch) in pending {
+            answers[node] = batch.wait()?.into_iter();
+        }
         let mut out = Vec::new();
-        for p in pending {
-            out.extend(p.wait()?);
+        for node in nodes {
+            out.extend(answers[node].next().expect("one answer per routed ref"));
         }
         Ok(out)
     }
@@ -416,25 +469,23 @@ impl Surface for RoutedSurface<'_, '_> {
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
         self.per_ref(refs, |s, r| s.shared_root_records(r))
     }
-    /// Groups `refs` by owning node (preserving relative order), one job
-    /// per involved node: the nodes apply their partitions in parallel,
-    /// and waiting out every job before returning keeps same-object
-    /// updates of successive units in unit order.
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let mut per_node: Vec<Vec<ObjRef>> = vec![Vec::new(); self.0.node_count()];
-        for r in refs {
-            let (node, local) = self.0.owner(*r)?;
-            per_node[node].push(local);
-        }
-        let pending: Vec<Pending<()>> = per_node
+        self.apply_deferred(&[(refs, patch.clone())], 1)
+    }
+    /// One job per involved node carrying that node's share of the list in
+    /// plan order, so the nodes apply their shares in parallel and the
+    /// tail is one hand-off per node, not one per entry. Same-object
+    /// updates always share a node (and the job runs on one worker), so
+    /// they stay in plan order and every node's final bytes are the
+    /// serial cluster's. Every owner is resolved before anything is
+    /// queued.
+    fn apply_deferred(&mut self, updates: &[Update<'_>], _threads: usize) -> Result<()> {
+        let parts = split_updates(updates, self.0.node_count(), |r| self.0.owner(r))?;
+        let pending: Vec<Pending<()>> = parts
             .into_iter()
             .enumerate()
-            .filter(|(_, locals)| !locals.is_empty())
-            .map(|(node, locals)| {
-                let patch = patch.clone();
-                self.0
-                    .on_node(node, move |s| s.shared_update_roots(&locals, &patch))
-            })
+            .filter(|(_, part)| !part.is_empty())
+            .map(|(node, part)| self.0.on_node(node, move |s| apply_part(s, &part)))
             .collect();
         pending.into_iter().try_for_each(Pending::wait)
     }
@@ -672,50 +723,51 @@ fn pick_skewed(
 
 // ---- shared concurrent helpers ---------------------------------------------
 
-/// Splits `refs` into `threads` disjoint partitions **by object**: every
-/// occurrence of an object (duplicates included) goes to the thread that
-/// owns the object, objects dealt round-robin in first-seen order. No two
-/// partitions ever contain the same object, so concurrent writers never
-/// race on an object-level read-modify-write; per-thread relative order is
-/// the serial order. Total occurrences are preserved, which is what keeps
-/// fix totals thread-count-invariant.
-pub(crate) fn partition_by_object(refs: &[ObjRef], threads: usize) -> Vec<Vec<ObjRef>> {
-    let mut rank: HashMap<Oid, usize> = HashMap::new();
-    for r in refs {
-        let next = rank.len();
-        rank.entry(r.oid).or_insert(next);
+/// Splits a deferred-update list `ways` ways: `assign` names the way each
+/// ref goes (and the ref it is there). Every part keeps plan order; an
+/// entry with nothing for a way is skipped there. The first ref `assign`
+/// rejects fails the whole split.
+fn split_updates(
+    updates: &[Update<'_>],
+    ways: usize,
+    mut assign: impl FnMut(ObjRef) -> Result<(usize, ObjRef)>,
+) -> Result<Vec<UpdatePart>> {
+    let mut parts = vec![UpdatePart::new(); ways];
+    for (refs, patch) in updates {
+        let mut shares = vec![Vec::new(); ways];
+        for r in *refs {
+            let (way, local) = assign(*r)?;
+            shares[way].push(local);
+        }
+        for (part, share) in parts.iter_mut().zip(shares) {
+            if !share.is_empty() {
+                part.push((share, patch.clone()));
+            }
+        }
     }
-    let mut parts = vec![Vec::new(); threads];
-    for r in refs {
-        parts[rank[&r.oid] % threads].push(*r);
-    }
-    parts
+    Ok(parts)
 }
 
-/// Applies `patch` to `refs` from `threads` writer threads over disjoint
-/// object partitions (single-threaded: the plain serial-order call, so a
-/// one-thread run is operation-for-operation the serial update path).
-fn apply_updates_concurrent(
-    store: &dyn ConcurrentObjectStore,
-    refs: &[ObjRef],
-    patch: &RootPatch,
-    threads: usize,
-) -> Result<()> {
-    if threads <= 1 || refs.len() <= 1 {
-        return store.shared_update_roots(refs, patch);
-    }
-    let parts = partition_by_object(refs, threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .filter(|p| !p.is_empty())
-            .map(|part| s.spawn(move || store.shared_update_roots(part, patch)))
-            .collect();
-        for h in handles {
-            h.join().expect("writer thread panicked")?;
-        }
-        Ok(())
+/// Splits a deferred-update list across `threads` writers **by object**:
+/// every occurrence of an object (duplicates included), in every entry,
+/// goes to the writer that owns the object, objects dealt round-robin in
+/// first-seen order over the whole list. No two writers ever hold the same
+/// object, so they never race on an object-level read-modify-write and
+/// same-object updates of successive units stay in plan order. Total
+/// occurrences are preserved, which is what keeps fix totals
+/// thread-count-invariant.
+fn split_by_object(updates: &[Update<'_>], threads: usize) -> Result<Vec<UpdatePart>> {
+    let mut rank: HashMap<Oid, usize> = HashMap::new();
+    split_updates(updates, threads, |r| {
+        let next = rank.len();
+        Ok((*rank.entry(r.oid).or_insert(next) % threads, r))
     })
+}
+
+/// Applies one part of a split deferred-update list, in plan order.
+fn apply_part(store: &dyn ConcurrentObjectStore, part: &UpdatePart) -> Result<()> {
+    part.iter()
+        .try_for_each(|(refs, patch)| store.shared_update_roots(refs, patch))
 }
 
 /// How a run of ops first touches the selection — the shareability test
@@ -1113,10 +1165,17 @@ impl Executor {
     /// phase: walks the plan's segments over the shared surface — serial
     /// segments and the planning pass on the coordinator, dealt units
     /// round-robin across `threads`, outcomes merged back in plan order.
-    /// Then each unit's deferred updates in plan order (none when `record`
-    /// is off — the stream applied them inline), then the disconnect
-    /// flush. `Ok(None)` is the paper's "not relevant" marker (an op the
-    /// model cannot execute).
+    /// Then the deferred updates as one list in plan order
+    /// ([`Surface::apply_deferred`]; empty when `record` is off — the
+    /// stream applied them inline), then the disconnect flush. `Ok(None)`
+    /// is the paper's "not relevant" marker (an op the model cannot
+    /// execute).
+    ///
+    /// A failing update fails the run, and the surfaces that spread the
+    /// list (writer threads, node jobs) do not stop each other: the
+    /// failing share stops at its failing entry while the other shares may
+    /// have applied entries that come later in plan order, and nothing is
+    /// flushed. The store is then mid-run, as after any `Err`.
     fn serve<S: Surface + Copy + Sync>(
         &self,
         mut surf: S,
@@ -1240,12 +1299,15 @@ impl Executor {
         }
         agg.elapsed = t0.elapsed();
 
-        for (sel, patch, loop_nr) in &agg.deferred {
-            let patch = RootPatch {
-                new_name: patch.materialize(*loop_nr),
-            };
-            surf.apply_deferred(sel, &patch, threads)?;
-        }
+        let updates: Vec<Update<'_>> = agg
+            .deferred
+            .iter()
+            .map(|(sel, patch, loop_nr)| {
+                let new_name = patch.materialize(*loop_nr);
+                (sel.as_slice(), RootPatch { new_name })
+            })
+            .collect();
+        surf.apply_deferred(&updates, threads)?;
         surf.flush()?;
         Ok(Some(agg))
     }
@@ -1271,9 +1333,10 @@ impl Executor {
 
     /// Runs `spec` against a [`PartitionedStore`] through the routed
     /// dispatch front-end: `clients` client threads deal units exactly like
-    /// [`run_concurrent`](Self::run_concurrent), but every op runs as a job
-    /// on its owning node's queue, served by `workers_per_node` worker
-    /// threads per node (at least one; [`with_cluster_router`]). The
+    /// [`run_concurrent`](Self::run_concurrent), but every plan step runs
+    /// as one job on each owning node's queue, served by
+    /// `workers_per_node` worker threads per node (at least one;
+    /// [`with_cluster_router`]). The
     /// measurement protocol is the same code (cold start, read phase,
     /// deferred updates in plan order, disconnect flush), so:
     ///
@@ -1440,29 +1503,53 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn partition_by_object_is_disjoint_and_occurrence_preserving() {
+    fn split_by_object_is_disjoint_stable_and_occurrence_preserving() {
         let r = |o: u32| ObjRef {
             oid: Oid(o),
             key: o as Key,
         };
-        // Object 1 appears three times, spread through the list.
-        let refs = vec![r(1), r(2), r(1), r(3), r(4), r(1)];
+        let patch = |name: &str| RootPatch {
+            new_name: name.into(),
+        };
+        // Object 1 appears three times in the first entry and again in
+        // both later ones; object 5 is new in the last.
+        let entries = [
+            vec![r(1), r(2), r(1), r(3), r(4), r(1)],
+            vec![r(3), r(1)],
+            vec![r(5), r(1), r(2)],
+        ];
+        let updates: Vec<Update<'_>> = entries
+            .iter()
+            .zip(["a", "b", "c"])
+            .map(|(refs, name)| (refs.as_slice(), patch(name)))
+            .collect();
         for threads in [1, 2, 3, 4, 8] {
-            let parts = partition_by_object(&refs, threads);
+            let parts = split_by_object(&updates, threads).unwrap();
             assert_eq!(parts.len(), threads);
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, refs.len(), "occurrences preserved");
-            // Disjointness: each object's occurrences live in one partition.
-            for oid in [1u32, 2, 3, 4] {
-                let holders = parts
+            let total: usize = parts.iter().flatten().map(|(refs, _)| refs.len()).sum();
+            assert_eq!(total, 11, "occurrences preserved");
+            // Disjointness across the whole list: one writer per object,
+            // which sees the object's patches in plan order.
+            for oid in 1u32..=5 {
+                let holders: Vec<&UpdatePart> = parts
                     .iter()
-                    .filter(|p| p.iter().any(|x| x.oid == Oid(oid)))
-                    .count();
-                assert_eq!(holders, 1, "oid {oid} split across {threads} threads");
+                    .filter(|p| p.iter().any(|(refs, _)| refs.contains(&r(oid))))
+                    .collect();
+                assert_eq!(holders.len(), 1, "oid {oid} split across {threads} threads");
+                let seen: Vec<&str> = holders[0]
+                    .iter()
+                    .filter(|(refs, _)| refs.contains(&r(oid)))
+                    .map(|(_, patch)| patch.new_name.as_str())
+                    .collect();
+                assert!(seen.is_sorted(), "oid {oid}: {seen:?}");
             }
         }
-        // One thread keeps the serial order exactly.
-        assert_eq!(partition_by_object(&refs, 1)[0], refs);
+        // One writer keeps the serial list exactly.
+        let serial = &split_by_object(&updates, 1).unwrap()[0];
+        assert_eq!(serial.len(), 3);
+        for ((refs, patch), (want, want_patch)) in serial.iter().zip(&updates) {
+            assert_eq!((refs.as_slice(), patch), (*want, want_patch));
+        }
     }
 
     #[test]
@@ -1814,17 +1901,92 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn routed_navigation_queues_a_whole_step_before_waiting() {
-        // One node, one worker, one client: a navigation step over N
-        // parents queues N jobs before its first wait, so somewhere in a
-        // whole query-2b run the single worker is at least two behind.
-        let (mut cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 1);
-        let served = exec
-            .run_cluster(&mut cluster, &WorkloadSpec::q2b(), 1, 1)
-            .unwrap();
-        let run = served.run.outcome.run().unwrap();
-        assert!(run.nav_hop(1) >= 2, "needs a fan-out >= 2");
-        let high_water = served.queue_high_water;
-        assert!(high_water[0] >= 2, "{high_water:?}");
+    fn routed_step_is_one_job_per_node() {
+        // A client has at most one job per node in flight — a navigation
+        // or fetch-roots step is one batch per owning node, the deferred
+        // tail one job per node — so no queue is ever deeper than the
+        // client count, and every node is handed at least its flush.
+        for spec in [WorkloadSpec::q2b(), WorkloadSpec::q3b()] {
+            for clients in [1usize, 2] {
+                let (mut cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 2);
+                let served = exec.run_cluster(&mut cluster, &spec, clients, 1).unwrap();
+                let run = served.run.outcome.run().unwrap();
+                assert!(run.nav_hop(1) >= 2, "needs a fan-out >= 2");
+                for hw in served.queue_high_water {
+                    assert!(
+                        (1..=clients as u64).contains(&hw),
+                        "{}@{clients}: queue high water {hw}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routed_batches_answer_in_input_order() {
+        // Refs interleaved across 3 nodes, duplicates included, and the
+        // empty step: the per-node batches are dealt back element for
+        // element into what the cluster's own routing answers.
+        let (cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 3);
+        let r = exec.refs();
+        let interleaved = [r[4], r[0], r[5], r[4], r[2], r[1], r[0], r[9], r[4]];
+        with_cluster_router(&cluster, 2, |router| {
+            let mut surf = RoutedSurface(router);
+            for refs in [&interleaved[..], &[]] {
+                assert_eq!(
+                    surf.children_of(refs).unwrap(),
+                    cluster.shared_children_of(refs).unwrap()
+                );
+                assert_eq!(
+                    surf.root_records(refs).unwrap(),
+                    cluster.shared_root_records(refs).unwrap()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn routed_step_with_an_unknown_ref_queues_nothing() {
+        let (cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 2);
+        let unknown = ObjRef {
+            oid: Oid(9999),
+            key: 0,
+        };
+        let refs = [exec.refs()[0], exec.refs()[1], unknown];
+        let patch = RootPatch {
+            new_name: "N".repeat(100),
+        };
+        with_cluster_router(&cluster, 1, |router| {
+            let mut surf = RoutedSurface(router);
+            let not_found = |e: Option<CoreError>| matches!(e, Some(CoreError::NotFound { .. }));
+            assert!(not_found(surf.children_of(&refs).err()));
+            assert!(not_found(surf.root_records(&refs).err()));
+            assert!(not_found(surf.update_roots(&refs, &patch).err()));
+            let good = (&refs[..2], patch.clone());
+            let bad = (&refs[..], patch.clone());
+            assert!(not_found(surf.apply_deferred(&[good, bad], 1).err()));
+            assert_eq!(router.queue_high_water(), vec![0, 0]);
+        });
+    }
+
+    #[test]
+    fn routed_update_tail_keeps_plan_order_at_any_worker_count() {
+        // The tail is one job per node, so it runs on one worker however
+        // many the node has: same-object updates of successive units land
+        // in plan order and every node's disk is the serial cluster's.
+        let spec = WorkloadSpec::q3b();
+        let (mut serial, exec) = small_cluster(ModelKind::DasdbsNsm, 2);
+        exec.run(&mut serial, &spec).unwrap();
+        for workers in [1usize, 4] {
+            let (mut cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 2);
+            let served = exec.run_cluster(&mut cluster, &spec, 2, workers).unwrap();
+            assert!(served.run.outcome.run().unwrap().updates_applied > 1);
+            assert_eq!(
+                cluster.node_checksums(),
+                serial.node_checksums(),
+                "{workers} workers/node"
+            );
+        }
     }
 }
