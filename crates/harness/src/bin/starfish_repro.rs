@@ -175,12 +175,9 @@ fn main() {
             // cluster instead of the shared surface.
             experiments::ext_workload::report_for_spec_sweep(&config, &spec, &thread_list, nodes)
         } else {
-            match threads {
-                // An explicit client count runs the spec over the concurrent
-                // surface (N threads × N shards); counters stay invariant.
-                Some(n) => experiments::ext_workload::report_for_spec_concurrent(&config, &spec, n),
-                None => experiments::ext_workload::report_for_spec(&config, &spec),
-            }
+            // An explicit client count runs the spec over the concurrent
+            // surface (N threads × N shards); counters stay invariant.
+            experiments::ext_workload::report_for_spec(&config, &spec, threads)
         };
         vec![report.unwrap_or_else(die)]
     } else {

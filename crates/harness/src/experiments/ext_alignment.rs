@@ -30,10 +30,12 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
     let mut q1a = [[0.0f64; 2]; 2]; // [model][layout]
     for (mi, &kind) in MODELS.iter().enumerate() {
         for (li, aligned) in [(0, false), (1, true)] {
+            // `--policy` is not applied here: the default (LRU) always.
+            let store_config = StoreConfig::with_buffer_pages(config.buffer_pages);
             let store_config = if aligned {
-                StoreConfig::with_buffer_pages(config.buffer_pages).aligned()
+                store_config.aligned()
             } else {
-                StoreConfig::with_buffer_pages(config.buffer_pages)
+                store_config
             };
             let mut store = make_store(kind, store_config);
             let refs = store.load(&db)?;

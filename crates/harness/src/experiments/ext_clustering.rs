@@ -14,7 +14,7 @@
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::HarnessConfig;
 use crate::Result;
-use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats, StoreConfig};
+use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats};
 use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext};
 use starfish_workload::{generate, lower_spec, Executor, PlanOutcome, WorkloadSpec};
 
@@ -93,12 +93,7 @@ fn run_cell(
     db: &[starfish_nf2::station::Station],
     spec: &WorkloadSpec,
 ) -> Result<AdaptCell> {
-    let mut store = make_store(
-        kind,
-        StoreConfig::with_buffer_pages(config.buffer_pages)
-            .policy(config.policy)
-            .heat(HeatConfig::enabled()),
-    );
+    let mut store = make_store(kind, config.store_config().heat(HeatConfig::enabled()));
     let refs = store.load(db)?;
     let exec = Executor::new(refs, config.query_seed);
 

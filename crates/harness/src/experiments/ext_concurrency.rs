@@ -44,10 +44,10 @@
 
 use crate::experiments::ext_distributed::{cv, imbalance};
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::{load_store, HarnessConfig};
+use crate::runner::{load_store, store_config_for, HarnessConfig};
 use crate::Result;
 use starfish_core::{
-    make_shared_store, ConcurrentObjectStore, IoEngineConfig, ModelKind, PolicyKind, StoreConfig,
+    make_shared_store, ConcurrentObjectStore, IoEngineConfig, ModelKind, PolicyKind,
 };
 use starfish_workload::{generate, Executor, MixKind, PlanOutcome, WorkloadSpec};
 
@@ -100,11 +100,8 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                        policy: PolicyKind,
                        shards: usize|
      -> Result<(Box<dyn ConcurrentObjectStore>, Executor)> {
-        let mut store = make_shared_store(
-            kind,
-            StoreConfig::with_buffer_pages(config.buffer_pages).policy(policy),
-            shards,
-        );
+        let mut store =
+            make_shared_store(kind, store_config_for(policy, config.buffer_pages), shards);
         let refs = store.load(&db)?;
         Ok((store, Executor::new(refs, config.query_seed)))
     };
@@ -250,9 +247,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
         for &d in &depths {
             let mut store = make_shared_store(
                 kind,
-                StoreConfig::with_buffer_pages(config.buffer_pages)
-                    .policy(config.policy)
-                    .io_engine(IoEngineConfig::enabled()),
+                config.store_config().io_engine(IoEngineConfig::enabled()),
                 d,
             );
             let refs = store.load(&db)?;

@@ -41,11 +41,10 @@
 //! passing *is* the scheduling-independence proof on the CI machine.
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::HarnessConfig;
+use crate::runner::{store_config_for, HarnessConfig};
 use crate::Result;
 use starfish_core::{
     ComplexObjectStore, IoEngineConfig, ModelKind, PartitionedStore, Placement, PolicyKind,
-    StoreConfig,
 };
 use starfish_cost::QueryId;
 use starfish_workload::{generate, DatasetParams, Executor, PlanOutcome, PlanRun, WorkloadSpec};
@@ -105,13 +104,11 @@ fn cluster_store(
     config: &HarnessConfig,
     shards_per_node: usize,
 ) -> PartitionedStore {
-    let per_node_buffer = (config.buffer_pages / nodes).max(16);
     PartitionedStore::with_shards(
         kind,
         nodes,
         Placement::RoundRobin,
-        StoreConfig::with_buffer_pages(per_node_buffer)
-            .policy(policy)
+        store_config_for(policy, config.node_buffer_pages(nodes))
             .io_engine(IoEngineConfig::enabled()),
         shards_per_node,
     )
@@ -158,12 +155,12 @@ fn run_clustered(
     config: &HarnessConfig,
 ) -> Result<(f64, Vec<u64>)> {
     let db = generate(params);
-    let per_node_buffer = (config.buffer_pages / NODES).max(16);
+    // `--policy` is not applied to the §5.5 study: LRU always.
     let mut store = PartitionedStore::new(
         kind,
         NODES,
         Placement::RoundRobin,
-        StoreConfig::with_buffer_pages(per_node_buffer),
+        store_config_for(PolicyKind::Lru, config.node_buffer_pages(NODES)),
     );
     let refs = store.load(&db)?;
     let exec = Executor::new(refs, config.query_seed);

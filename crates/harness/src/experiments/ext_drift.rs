@@ -28,7 +28,7 @@
 //! picked differently had its workloads moved.
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::{measure_workload_on, HarnessConfig};
+use crate::runner::{measure, same_shape, HarnessConfig, Serving};
 use crate::Result;
 use starfish_core::{ModelKind, PolicyKind};
 use starfish_workload::{generate, WorkloadSpec};
@@ -85,25 +85,23 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
     let mut cells: Vec<Cell> = Vec::new();
     let mut drifted_shape: Vec<String> = Vec::new();
     for (si, spec) in specs.iter().enumerate() {
-        let mut shape: Option<(u64, Vec<u64>, u64, u64)> = None;
+        let mut shape = None;
         for policy in PolicyKind::all() {
             let cfg = HarnessConfig { policy, ..*config };
-            for row in measure_workload_on(&db, &cfg, &MODELS, spec)? {
-                let cell = row.cell.expect("both bracket models run navigation plans");
-                let got = (row.units, row.nav_seen.clone(), row.scanned, row.updates);
-                match &shape {
-                    None => shape = Some(got),
-                    Some(want) if *want != got => {
-                        drifted_shape.push(format!("{}/{}/{}", spec.name, row.model, policy));
-                    }
-                    _ => {}
+            for model in MODELS {
+                let outcome = measure(&db, &cfg, model, spec, Serving::Serial)?;
+                let run = outcome
+                    .run()
+                    .expect("both bracket models run navigation plans");
+                if !same_shape(&mut shape, &outcome) {
+                    drifted_shape.push(format!("{}/{model}/{policy}", spec.name));
                 }
                 cells.push(Cell {
                     scenario: si,
-                    model: row.model,
+                    model,
                     policy,
-                    units: row.units,
-                    reads: cell.reads,
+                    units: run.units,
+                    reads: run.reads_per_unit(),
                 });
             }
         }

@@ -27,7 +27,7 @@
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::HarnessConfig;
 use crate::Result;
-use starfish_core::{make_shared_store, FsyncMode, ModelKind, RootPatch, StoreConfig, WalConfig};
+use starfish_core::{make_shared_store, FsyncMode, ModelKind, RootPatch, WalConfig};
 use starfish_nf2::station::Station;
 use starfish_workload::generate;
 use std::thread;
@@ -74,13 +74,8 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
         for &mode in modes {
             for &n in threads {
                 let n = n.max(1);
-                let mut store = make_shared_store(
-                    kind,
-                    StoreConfig::with_buffer_pages(config.buffer_pages)
-                        .policy(config.policy)
-                        .wal(WalConfig::enabled(mode)),
-                    n,
-                );
+                let mut store =
+                    make_shared_store(kind, config.store_config().wal(WalConfig::enabled(mode)), n);
                 let refs = store.load(&db)?;
                 // Checkpoint away the load phase: the timed window measures
                 // update commits only, from a clean log.

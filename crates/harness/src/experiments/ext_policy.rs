@@ -42,17 +42,18 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
                 let base = baseline.cell(*kind, q);
                 row.push(match (cell, base) {
                     (Some(c), Some(b)) if *policy != PolicyKind::Lru => {
-                        if c.fixes != b.fixes {
+                        if c.fixes_per_unit() != b.fixes_per_unit() {
                             fixes_diverged.push(format!("{kind}/{q}/{policy}"));
                         }
-                        let delta = if b.reads > 0.0 {
-                            100.0 * (c.reads - b.reads) / b.reads
+                        let (reads, base) = (c.reads_per_unit(), b.reads_per_unit());
+                        let delta = if base > 0.0 {
+                            100.0 * (reads - base) / base
                         } else {
                             0.0
                         };
-                        format!("{} ({:+.1}%)", fmt_pages(c.reads), delta)
+                        format!("{} ({:+.1}%)", fmt_pages(reads), delta)
                     }
-                    (Some(c), _) => fmt_pages(c.reads),
+                    (Some(c), _) => fmt_pages(c.reads_per_unit()),
                     (None, _) => "-".to_string(),
                 });
             }
@@ -136,6 +137,6 @@ mod tests {
             .iter()
             .find(|r| r[0] == "DSM" && r[1] == "LRU")
             .unwrap();
-        assert_eq!(lru_dsm_row[6], fmt_pages(q2b.reads));
+        assert_eq!(lru_dsm_row[6], fmt_pages(q2b.reads_per_unit()));
     }
 }

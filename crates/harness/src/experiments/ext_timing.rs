@@ -17,7 +17,11 @@ use starfish_cost::{CostWeights, QueryId};
 fn program_ms(grid: &MeasuredGrid, model: ModelKind, q: QueryId, w: &CostWeights) -> Option<f64> {
     let cell = grid.cell(model, q)?;
     let loops = q.loops(grid.config.n_objects as u64) as f64;
-    Some(w.cost_ms(cell.calls * loops, cell.pages * loops, cell.fixes * loops))
+    Some(w.cost_ms(
+        cell.calls_per_unit() * loops,
+        cell.pages_per_unit() * loops,
+        cell.fixes_per_unit() * loops,
+    ))
 }
 
 /// Builds the response-time table from a measured grid.
@@ -34,7 +38,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
     for (model, _) in &grid.rows {
         let fmt = |v: Option<f64>| v.map(CostWeights::human).unwrap_or_else(|| "-".into());
         table.push_row(vec![
-            super::table4::label(*model),
+            super::grid_label(*model),
             fmt(program_ms(grid, *model, QueryId::Q2b, &era)),
             fmt(program_ms(grid, *model, QueryId::Q3b, &era)),
             fmt(program_ms(grid, *model, QueryId::Q2b, &nvme)),

@@ -33,14 +33,11 @@
 //! the harness-selected policy.
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::{
-    measure_workload_cluster_on, measure_workload_concurrent_on, measure_workload_on,
-    HarnessConfig, WorkloadRow,
-};
+use crate::runner::{measure, same_shape, HarnessConfig, Serving};
 use crate::Result;
 use starfish_core::{ModelKind, PolicyKind};
 use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext, PlanOp};
-use starfish_workload::{generate, lower_spec, WorkloadSpec};
+use starfish_workload::{generate, lower_spec, PlanOutcome, WorkloadSpec};
 
 /// The cost-model variant that prices each measured model. The primed
 /// (no-waste) variants don't arise: the walker prices the layouts the
@@ -83,47 +80,44 @@ fn predicted_pages(config: &HarnessConfig, spec: &WorkloadSpec, kind: ModelKind)
         .map(|est| est.total() / plan_units(&ops) as f64)
 }
 
-/// Pushes one measured row; returns the model-invariant shape for the
-/// determinism check.
-fn push_row(
-    table: &mut Table,
-    scenario: &str,
-    policy: PolicyKind,
-    row: &WorkloadRow,
-    predicted: Option<f64>,
-) -> (u64, Vec<u64>, u64, u64) {
-    let pred_cell = predicted.map(fmt_pages).unwrap_or_else(|| "-".to_string());
-    match &row.cell {
-        Some(cell) => {
-            table.push_row(vec![
-                scenario.to_string(),
-                row.model.paper_name().to_string(),
-                policy.name().to_string(),
-                row.units.to_string(),
-                fmt_pages(cell.reads),
-                fmt_pages(cell.writes),
-                fmt_pages(cell.pages),
-                fmt_pages(cell.calls),
-                fmt_pages(cell.fixes),
-                pred_cell,
-            ]);
+/// One measured row: scenario, model, the `lead` cells, then units and
+/// the five per-unit counters — dashes where the model cannot run the plan.
+fn measured_row(
+    spec: &WorkloadSpec,
+    kind: ModelKind,
+    lead: &[&str],
+    outcome: &PlanOutcome,
+) -> Vec<String> {
+    let mut row = vec![spec.name.clone(), kind.paper_name().to_string()];
+    row.extend(lead.iter().map(|cell| cell.to_string()));
+    match outcome.run() {
+        Some(run) => {
+            row.push(run.units.to_string());
+            let counters = [
+                run.reads_per_unit(),
+                run.writes_per_unit(),
+                run.pages_per_unit(),
+                run.calls_per_unit(),
+                run.fixes_per_unit(),
+            ];
+            row.extend(counters.map(fmt_pages));
         }
-        None => {
-            table.push_row(vec![
-                scenario.to_string(),
-                row.model.paper_name().to_string(),
-                policy.name().to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                pred_cell,
-            ]);
-        }
+        None => row.extend(std::iter::repeat_n("-".to_string(), 6)),
     }
-    (row.units, row.nav_seen.clone(), row.scanned, row.updates)
+    row
+}
+
+/// [`measured_row`] under the [`headers`] of the serial and `--threads`
+/// reports: policy in the lead, the plan-walker's prediction at the end.
+fn predicted_row(
+    config: &HarnessConfig,
+    spec: &WorkloadSpec,
+    kind: ModelKind,
+    outcome: &PlanOutcome,
+) -> Vec<String> {
+    let mut row = measured_row(spec, kind, &[config.policy.name()], outcome);
+    row.push(predicted_pages(config, spec, kind).map_or_else(|| "-".to_string(), fmt_pages));
+    row
 }
 
 fn headers() -> Vec<&'static str> {
@@ -148,22 +142,14 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
     let mut drifted: Vec<String> = Vec::new();
 
     for spec in WorkloadSpec::shipped() {
-        let mut shape: Option<(u64, Vec<u64>, u64, u64)> = None;
+        let mut shape = None;
         for policy in PolicyKind::all() {
             let cfg = HarnessConfig { policy, ..*config };
-            let rows = measure_workload_on(&db, &cfg, &ModelKind::all(), &spec)?;
-            for row in &rows {
-                let predicted = predicted_pages(config, &spec, row.model);
-                let got = push_row(&mut table, &spec.name, policy, row, predicted);
-                if row.cell.is_none() {
-                    continue;
-                }
-                match &shape {
-                    None => shape = Some(got),
-                    Some(want) if *want != got => {
-                        drifted.push(format!("{}/{}/{}", spec.name, row.model, policy));
-                    }
-                    _ => {}
+            for kind in ModelKind::all() {
+                let outcome = measure(&db, &cfg, kind, &spec, Serving::Serial)?;
+                table.push_row(predicted_row(&cfg, &spec, kind, &outcome));
+                if !same_shape(&mut shape, &outcome) {
+                    drifted.push(format!("{}/{kind}/{policy}", spec.name));
                 }
             }
         }
@@ -221,171 +207,24 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
 
 /// Runs one declarative spec across the five models at the
 /// harness-selected policy — the report behind
-/// `starfish_repro --workload <file.json>`.
-pub fn report_for_spec(config: &HarnessConfig, spec: &WorkloadSpec) -> Result<ExperimentReport> {
-    let db = generate(&config.dataset());
-    let rows = measure_workload_on(&db, config, &ModelKind::all(), spec)?;
-    spec_report(config, spec, &rows, None)
-}
-
-/// [`report_for_spec`] over the concurrent surface — the report behind
-/// `starfish_repro --workload <spec> --threads N`. Counters must match the
-/// serial report (the executor's thread-count invariance); with 1 thread
-/// they match exactly, physical reads included.
-pub fn report_for_spec_concurrent(
+/// `starfish_repro --workload <file.json>`. With `threads` it runs over
+/// the concurrent surface (`--threads N`): counters must match the serial
+/// report (the executor's thread-count invariance); with 1 thread they
+/// match exactly, physical reads included.
+pub fn report_for_spec(
     config: &HarnessConfig,
     spec: &WorkloadSpec,
-    threads: usize,
-) -> Result<ExperimentReport> {
-    let db = generate(&config.dataset());
-    let rows = measure_workload_concurrent_on(&db, config, &ModelKind::all(), spec, threads)?;
-    spec_report(config, spec, &rows, Some(threads))
-}
-
-/// The `--workload <spec> --sweep` report: one declarative spec crossed
-/// with every replacement policy and every client count in `threads`,
-/// through one reporting path shared by the concurrency, cluster and
-/// drift scenarios. Without `nodes` each cell serves the spec from the
-/// shared surface (`threads[i]` clients over `threads[i]` shards); with
-/// `--nodes N` each cell serves it from a routed N-node cluster
-/// (`threads[i]` clients, `threads[i]` queue workers per node). The
-/// model-invariant shape (units, per-hop navigation, scanned and update
-/// counts) must agree across **every** cell — policy, client count and
-/// cluster shape may move physical I/O only.
-pub fn report_for_spec_sweep(
-    config: &HarnessConfig,
-    spec: &WorkloadSpec,
-    threads: &[usize],
-    nodes: Option<usize>,
-) -> Result<ExperimentReport> {
-    let db = generate(&config.dataset());
-    let mut table = Table::new(vec![
-        "SCENARIO", "MODEL", "POLICY", "CLIENTS", "NODES", "units", "reads/u", "writes/u",
-        "pages/u", "calls/u", "fixes/u",
-    ]);
-    let mut shape: Option<(u64, Vec<u64>, u64, u64)> = None;
-    let mut drifted: Vec<String> = Vec::new();
-    for policy in PolicyKind::all() {
-        let cfg = HarnessConfig { policy, ..*config };
-        for &n in threads {
-            let n = n.max(1);
-            let rows = match nodes {
-                Some(k) => {
-                    measure_workload_cluster_on(&db, &cfg, &ModelKind::all(), spec, k, n, n)?
-                }
-                None => measure_workload_concurrent_on(&db, &cfg, &ModelKind::all(), spec, n)?,
-            };
-            for row in &rows {
-                match &row.cell {
-                    Some(cell) => table.push_row(vec![
-                        spec.name.clone(),
-                        row.model.paper_name().to_string(),
-                        policy.name().to_string(),
-                        n.to_string(),
-                        nodes.unwrap_or(1).to_string(),
-                        row.units.to_string(),
-                        fmt_pages(cell.reads),
-                        fmt_pages(cell.writes),
-                        fmt_pages(cell.pages),
-                        fmt_pages(cell.calls),
-                        fmt_pages(cell.fixes),
-                    ]),
-                    None => table.push_row(vec![
-                        spec.name.clone(),
-                        row.model.paper_name().to_string(),
-                        policy.name().to_string(),
-                        n.to_string(),
-                        nodes.unwrap_or(1).to_string(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                    ]),
-                }
-                if row.cell.is_none() {
-                    continue;
-                }
-                let got = (row.units, row.nav_seen.clone(), row.scanned, row.updates);
-                match &shape {
-                    None => shape = Some(got),
-                    Some(want) if *want != got => {
-                        drifted.push(format!("{}/{}/{}c", row.model, policy, n));
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    let mut notes = vec![
-        format!(
-            "{} objects, {}-page buffer; spec '{}' crossed with every \
-             replacement policy × client counts {threads:?}, served {}",
-            config.n_objects,
-            config.buffer_pages,
-            spec.name,
-            match nodes {
-                Some(k) => format!(
-                    "by a routed {k}-node cluster (clients = reactor workers \
-                     per node = the swept count, proportional buffer share \
-                     per node)"
-                ),
-                None => "from the shared surface (shards = clients)".to_string(),
-            }
-        ),
-        format!("spec JSON: {}", spec.to_json()),
-    ];
-    notes.push(if drifted.is_empty() {
-        "determinism check passed: units, per-hop navigation cardinalities, \
-         scanned-object and update counts are identical across every \
-         (model, policy, clients) cell — policy, concurrency and cluster \
-         shape move physical I/O only"
-            .to_string()
-    } else {
-        format!(
-            "WARNING: access sequences drifted across cells at {} — the \
-             executor's determinism contract is broken",
-            drifted.join(", ")
-        )
-    });
-
-    Ok(ExperimentReport {
-        id: format!("workload-sweep-{}", spec.name),
-        title: format!(
-            "Declarative workload sweep — {} × policies × clients{}",
-            spec.name,
-            match nodes {
-                Some(k) => format!(" on a {k}-node cluster"),
-                None => String::new(),
-            }
-        ),
-        table,
-        notes,
-    })
-}
-
-fn spec_report(
-    config: &HarnessConfig,
-    spec: &WorkloadSpec,
-    rows: &[WorkloadRow],
     threads: Option<usize>,
 ) -> Result<ExperimentReport> {
+    let db = generate(&config.dataset());
+    let serving = threads.map_or(Serving::Serial, |clients| Serving::Shared { clients });
     let mut table = Table::new(headers());
-    let mut shape: Option<(u64, Vec<u64>, u64, u64)> = None;
+    let mut shape = None;
     let mut drifted = false;
-    for row in rows {
-        let predicted = predicted_pages(config, spec, row.model);
-        let got = push_row(&mut table, &spec.name, config.policy, row, predicted);
-        if row.cell.is_none() {
-            continue;
-        }
-        match &shape {
-            None => shape = Some(got),
-            Some(want) if *want != got => drifted = true,
-            _ => {}
-        }
+    for kind in ModelKind::all() {
+        let outcome = measure(&db, config, kind, spec, serving)?;
+        table.push_row(predicted_row(config, spec, kind, &outcome));
+        drifted |= !same_shape(&mut shape, &outcome);
     }
 
     let mut notes = vec![
@@ -425,6 +264,100 @@ fn spec_report(
     Ok(ExperimentReport {
         id: format!("workload-{}", spec.name),
         title: format!("Declarative workload — {}", spec.name),
+        table,
+        notes,
+    })
+}
+
+/// The `--workload <spec> --sweep` report: one declarative spec crossed
+/// with every replacement policy and every client count in `threads`,
+/// through one reporting path shared by the concurrency, cluster and
+/// drift scenarios. Without `nodes` each cell serves the spec from the
+/// shared surface (`threads[i]` clients over `threads[i]` shards); with
+/// `--nodes N` each cell serves it from a routed N-node cluster
+/// (`threads[i]` clients, `threads[i]` queue workers per node). The
+/// model-invariant shape (units, per-hop navigation, scanned and update
+/// counts) must agree across **every** cell — policy, client count and
+/// cluster shape may move physical I/O only.
+pub fn report_for_spec_sweep(
+    config: &HarnessConfig,
+    spec: &WorkloadSpec,
+    threads: &[usize],
+    nodes: Option<usize>,
+) -> Result<ExperimentReport> {
+    let db = generate(&config.dataset());
+    let mut table = Table::new(vec![
+        "SCENARIO", "MODEL", "POLICY", "CLIENTS", "NODES", "units", "reads/u", "writes/u",
+        "pages/u", "calls/u", "fixes/u",
+    ]);
+    let mut shape = None;
+    let mut drifted: Vec<String> = Vec::new();
+    for policy in PolicyKind::all() {
+        let cfg = HarnessConfig { policy, ..*config };
+        for &n in threads {
+            let n = n.max(1);
+            let serving = match nodes {
+                Some(k) => Serving::Cluster {
+                    nodes: k,
+                    clients: n,
+                    workers: n,
+                },
+                None => Serving::Shared { clients: n },
+            };
+            let (clients, served_by) = (n.to_string(), nodes.unwrap_or(1).to_string());
+            for kind in ModelKind::all() {
+                let outcome = measure(&db, &cfg, kind, spec, serving)?;
+                let lead = [policy.name(), &clients, &served_by];
+                table.push_row(measured_row(spec, kind, &lead, &outcome));
+                if !same_shape(&mut shape, &outcome) {
+                    drifted.push(format!("{kind}/{policy}/{n}c"));
+                }
+            }
+        }
+    }
+
+    let mut notes = vec![
+        format!(
+            "{} objects, {}-page buffer; spec '{}' crossed with every \
+             replacement policy × client counts {threads:?}, served {}",
+            config.n_objects,
+            config.buffer_pages,
+            spec.name,
+            match nodes {
+                Some(k) => format!(
+                    "by a routed {k}-node cluster (clients = queue workers \
+                     per node = the swept count, proportional buffer share \
+                     per node)"
+                ),
+                None => "from the shared surface (shards = clients)".to_string(),
+            }
+        ),
+        format!("spec JSON: {}", spec.to_json()),
+    ];
+    notes.push(if drifted.is_empty() {
+        "determinism check passed: units, per-hop navigation cardinalities, \
+         scanned-object and update counts are identical across every \
+         (model, policy, clients) cell — policy, concurrency and cluster \
+         shape move physical I/O only"
+            .to_string()
+    } else {
+        format!(
+            "WARNING: access sequences drifted across cells at {} — the \
+             executor's determinism contract is broken",
+            drifted.join(", ")
+        )
+    });
+
+    Ok(ExperimentReport {
+        id: format!("workload-sweep-{}", spec.name),
+        title: format!(
+            "Declarative workload sweep — {} × policies × clients{}",
+            spec.name,
+            match nodes {
+                Some(k) => format!(" on a {k}-node cluster"),
+                None => String::new(),
+            }
+        ),
         table,
         notes,
     })
@@ -482,7 +415,7 @@ mod tests {
             ]
         }"#;
         let spec = WorkloadSpec::from_json(json).unwrap();
-        let report = report_for_spec(&HarnessConfig::fast(), &spec).unwrap();
+        let report = report_for_spec(&HarnessConfig::fast(), &spec, None).unwrap();
         assert_eq!(report.table.rows.len(), ModelKind::all().len());
         assert!(report.id.contains("tiny-probe"));
         assert!(report.notes.iter().any(|n| n.contains("spec JSON")));
@@ -528,8 +461,8 @@ mod tests {
         // with the serial report's.
         let config = HarnessConfig::fast();
         let spec = WorkloadSpec::drift_gradual();
-        let serial = report_for_spec(&config, &spec).unwrap();
-        let conc = report_for_spec_concurrent(&config, &spec, 4).unwrap();
+        let serial = report_for_spec(&config, &spec, None).unwrap();
+        let conc = report_for_spec(&config, &spec, Some(4)).unwrap();
         assert_eq!(serial.table.rows.len(), conc.table.rows.len());
         for (s, c) in serial.table.rows.iter().zip(&conc.table.rows) {
             assert_eq!(s[1], c[1], "model order");

@@ -5,7 +5,7 @@
 //! DASDBS-DSM over DSM" (§5.3).
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::{load_store, HarnessConfig, MeasuredCell};
+use crate::runner::{load_store, HarnessConfig};
 use crate::Result;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
@@ -26,8 +26,8 @@ pub const FIG5_QUERIES: [QueryId; 3] = [QueryId::Q1c, QueryId::Q2b, QueryId::Q3b
 pub struct Fig5Data {
     /// Average sightseeings observed per variant.
     pub avg_sightseeings: [f64; 3],
-    /// Measured cells.
-    pub cells: Vec<Vec<Vec<Option<MeasuredCell>>>>,
+    /// Measured pages read+written per unit (`None`: query unsupported).
+    pub cells: Vec<Vec<Vec<Option<f64>>>>,
 }
 
 /// Runs the sweep.
@@ -43,7 +43,7 @@ pub fn sweep(config: &HarnessConfig) -> Result<Fig5Data> {
             let (mut store, exec) = load_store(model, &db, config)?;
             for (qi, &q) in FIG5_QUERIES.iter().enumerate() {
                 let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;
-                cells[qi][mi][si] = MeasuredCell::of(&outcome);
+                cells[qi][mi][si] = outcome.run().map(|run| run.pages_per_unit());
             }
         }
     }
@@ -62,8 +62,8 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         for (mi, &model) in FIG5_MODELS.iter().enumerate() {
             let mut row = vec![format!("{q}  {}", model.paper_name())];
             for si in 0..SIGHTSEEING_MAXIMA.len() {
-                row.push(match &data.cells[qi][mi][si] {
-                    Some(c) => fmt_pages(c.pages),
+                row.push(match data.cells[qi][mi][si] {
+                    Some(pages) => fmt_pages(pages),
                     None => "-".into(),
                 });
             }
@@ -72,12 +72,12 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
     }
 
     let gap = |qi: usize, si: usize| -> f64 {
-        let dsm = data.cells[qi][0][si].map(|c| c.pages).unwrap_or(f64::NAN);
-        let ddsm = data.cells[qi][1][si].map(|c| c.pages).unwrap_or(f64::NAN);
+        let dsm = data.cells[qi][0][si].unwrap_or(f64::NAN);
+        let ddsm = data.cells[qi][1][si].unwrap_or(f64::NAN);
         dsm - ddsm
     };
     let dnsm_2b: Vec<f64> = (0..3)
-        .map(|si| data.cells[1][2][si].map(|c| c.pages).unwrap_or(f64::NAN))
+        .map(|si| data.cells[1][2][si].unwrap_or(f64::NAN))
         .collect();
     let notes = vec![
         format!(
@@ -120,20 +120,18 @@ mod tests {
         let config = HarnessConfig::fast();
         let data = sweep(&config).unwrap();
         // DASDBS-NSM 2b flat across sightseeing sizes (within noise).
-        let v: Vec<f64> = (0..3)
-            .map(|si| data.cells[1][2][si].unwrap().pages)
-            .collect();
+        let v: Vec<f64> = (0..3).map(|si| data.cells[1][2][si].unwrap()).collect();
         assert!(
             (v[0] - v[2]).abs() < 0.8,
             "DASDBS-NSM q2b should not depend on sightseeings: {v:?}"
         );
         // The DSM vs DASDBS-DSM q2b gap grows with object size.
-        let gap0 = data.cells[1][0][0].unwrap().pages - data.cells[1][1][0].unwrap().pages;
-        let gap2 = data.cells[1][0][2].unwrap().pages - data.cells[1][1][2].unwrap().pages;
+        let gap0 = data.cells[1][0][0].unwrap() - data.cells[1][1][0].unwrap();
+        let gap2 = data.cells[1][0][2].unwrap() - data.cells[1][1][2].unwrap();
         assert!(gap2 > gap0, "gap must grow: {gap0} -> {gap2}");
         // Bigger objects cost more pages for DSM on q1c.
-        let dsm0 = data.cells[0][0][0].unwrap().pages;
-        let dsm2 = data.cells[0][0][2].unwrap().pages;
+        let dsm0 = data.cells[0][0][0].unwrap();
+        let dsm2 = data.cells[0][0][2].unwrap();
         assert!(dsm2 > dsm0);
     }
 

@@ -29,10 +29,12 @@ pub mod table6;
 pub mod table7;
 pub mod table8;
 
-use crate::report::ExperimentReport;
+use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure_grid, HarnessConfig, MeasuredGrid};
 use crate::Result;
 use starfish_core::{CoreError, ModelKind};
+use starfish_cost::QueryId;
+use starfish_workload::PlanRun;
 
 /// The models measured in Tables 4–6: the paper's four plus (extra, marked)
 /// NSM+index.
@@ -44,6 +46,47 @@ pub fn grid_models() -> Vec<ModelKind> {
         ModelKind::NsmIndexed,
         ModelKind::DasdbsNsm,
     ]
+}
+
+/// The model × query table of Tables 4, 5 and 6: one row per measured
+/// model, one column per query, `cell` picking the per-unit number the
+/// table reports; `-` where the model does not support the query.
+fn grid_table(grid: &MeasuredGrid, cell: fn(&PlanRun) -> f64) -> Table {
+    let mut table = Table::new(vec!["MODEL", "1a", "1b", "1c", "2a", "2b", "3a", "3b"]);
+    for (model, cells) in &grid.rows {
+        let mut row = vec![grid_label(*model)];
+        row.extend(cells.iter().map(|c| match c {
+            Some(run) => fmt_pages(cell(run)),
+            None => "-".into(),
+        }));
+        table.push_row(row);
+    }
+    table
+}
+
+/// A grid row's label: the paper's name, NSM+index marked as our extra.
+fn grid_label(model: ModelKind) -> String {
+    match model {
+        ModelKind::NsmIndexed => "NSM+index (extra)".to_string(),
+        m => m.paper_name().to_string(),
+    }
+}
+
+/// The grid cell a paper anchor such as `"DASDBS-NSM q2b calls"` names,
+/// read through `cell`.
+fn grid_anchor(grid: &MeasuredGrid, what: &str, cell: fn(&PlanRun) -> f64) -> Option<f64> {
+    // Longest-prefix match guards against "DASDBS-DSM" vs "DSM" etc.
+    let model = ModelKind::all()
+        .into_iter()
+        .filter(|m| {
+            what.starts_with(m.paper_name())
+                && what.as_bytes().get(m.paper_name().len()) == Some(&b' ')
+        })
+        .max_by_key(|m| m.paper_name().len())?;
+    let q = QueryId::all()
+        .into_iter()
+        .find(|q| what.contains(&format!("q{q} ")))?;
+    grid.cell(model, q).map(cell)
 }
 
 /// One registry row: the experiment's canonical id and a one-line summary
@@ -121,7 +164,7 @@ pub const REGISTRY: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         id: "ext-clustering",
-        summary: "reference-clustered placement ablation",
+        summary: "heat-driven adaptive placement (reorganize on drift) vs the static layout",
     },
     ExperimentInfo {
         id: "ext-alignment",

@@ -1,24 +1,15 @@
 //! Table 4 — measured physical page I/Os.
 
-use crate::report::{fmt_pages, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 use crate::runner::MeasuredGrid;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
+use starfish_workload::PlanRun;
 
 /// Renders Table 4 (pages read + written per object / per loop) from a
 /// measured grid.
 pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
-    let mut table = Table::new(vec!["MODEL", "1a", "1b", "1c", "2a", "2b", "3a", "3b"]);
-    for (model, cells) in &grid.rows {
-        let mut row = vec![label(*model)];
-        for c in cells {
-            row.push(match c {
-                Some(c) => fmt_pages(c.pages),
-                None => "-".into(),
-            });
-        }
-        table.push_row(row);
-    }
+    let table = super::grid_table(grid, PlanRun::pages_per_unit);
 
     let mut notes = vec![
         format!(
@@ -43,8 +34,8 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
             notes.push(format!(
                 "{}: query 3b = {:.2} reads + {:.2} writes per loop",
                 model.paper_name(),
-                c.reads,
-                c.writes
+                c.reads_per_unit(),
+                c.writes_per_unit()
             ));
         }
     }
@@ -54,13 +45,6 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Measured physical page I/Os (X_IO_pages)".into(),
         table,
         notes,
-    }
-}
-
-pub(super) fn label(model: ModelKind) -> String {
-    match model {
-        ModelKind::NsmIndexed => "NSM+index (extra)".to_string(),
-        m => m.paper_name().to_string(),
     }
 }
 
@@ -79,19 +63,20 @@ mod tests {
 
         // Paper shape (i): 1b is whole-database for DSM but near root-relation
         // size for DASDBS-NSM.
-        let dsm_1b = grid.cell(ModelKind::Dsm, QueryId::Q1b).unwrap().pages;
-        let dnsm_1b = grid.cell(ModelKind::DasdbsNsm, QueryId::Q1b).unwrap().pages;
+        let pages = |m, q| grid.cell(m, q).unwrap().pages_per_unit();
+        let dsm_1b = pages(ModelKind::Dsm, QueryId::Q1b);
+        let dnsm_1b = pages(ModelKind::DasdbsNsm, QueryId::Q1b);
         assert!(dsm_1b > 10.0 * dnsm_1b, "{dsm_1b} vs {dnsm_1b}");
 
         // Paper shape (ii): DASDBS-DSM reads fewer pages than DSM on 2a.
-        let dsm = grid.cell(ModelKind::Dsm, QueryId::Q2a).unwrap().pages;
-        let ddsm = grid.cell(ModelKind::DasdbsDsm, QueryId::Q2a).unwrap().pages;
+        let dsm = pages(ModelKind::Dsm, QueryId::Q2a);
+        let ddsm = pages(ModelKind::DasdbsDsm, QueryId::Q2a);
         assert!(ddsm < dsm, "{ddsm} vs {dsm}");
 
         // Paper shape (iii): DASDBS-NSM cheapest on 2b.
-        let dnsm = grid.cell(ModelKind::DasdbsNsm, QueryId::Q2b).unwrap().pages;
+        let dnsm = pages(ModelKind::DasdbsNsm, QueryId::Q2b);
         for m in [ModelKind::Dsm, ModelKind::DasdbsDsm] {
-            assert!(dnsm < grid.cell(m, QueryId::Q2b).unwrap().pages, "{m}");
+            assert!(dnsm < pages(m, QueryId::Q2b), "{m}");
         }
     }
 }

@@ -1,24 +1,15 @@
 //! Table 5 — measured I/O calls.
 
 use crate::paper::{compare, TABLE5_ANCHORS};
-use crate::report::{fmt_pages, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 use crate::runner::MeasuredGrid;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
+use starfish_workload::PlanRun;
 
 /// Renders Table 5 (I/O calls per object / per loop) from a measured grid.
 pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
-    let mut table = Table::new(vec!["MODEL", "1a", "1b", "1c", "2a", "2b", "3a", "3b"]);
-    for (model, cells) in &grid.rows {
-        let mut row = vec![super::table4::label(*model)];
-        for c in cells {
-            row.push(match c {
-                Some(c) => fmt_pages(c.calls),
-                None => "-".into(),
-            });
-        }
-        table.push_row(row);
-    }
+    let table = super::grid_table(grid, PlanRun::calls_per_unit);
 
     let mut notes = vec![
         "one call transfers a contiguous page run: the direct models read a large \
@@ -29,23 +20,20 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
     ];
     // Pages-per-call ratios, the §5.2 discussion.
     for model in [ModelKind::Dsm, ModelKind::Nsm] {
-        if let (Some(p), Some(c)) = (
-            grid.cell(model, QueryId::Q1c),
-            grid.cell(model, QueryId::Q1c),
-        ) {
-            if c.calls > 0.0 {
+        if let Some(scan) = grid.cell(model, QueryId::Q1c).map(|c| c.snapshot) {
+            if scan.read_calls > 0 {
                 notes.push(format!(
                     "{}: {:.2} pages per read call on the full scan (paper: ≈2 for \
                      DSM, 1 for NSM)",
                     model.paper_name(),
-                    p.pages / c.calls
+                    scan.pages_read as f64 / scan.read_calls as f64
                 ));
             }
         }
     }
     if grid.config.n_objects == 1500 {
         for anchor in TABLE5_ANCHORS {
-            if let Some(ours) = lookup(grid, anchor.what) {
+            if let Some(ours) = super::grid_anchor(grid, anchor.what, PlanRun::calls_per_unit) {
                 notes.push(compare(anchor, ours));
             }
         }
@@ -57,21 +45,6 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         table,
         notes,
     }
-}
-
-fn lookup(grid: &MeasuredGrid, what: &str) -> Option<f64> {
-    // Longest-prefix match guards against "DASDBS-DSM" vs "DSM" etc.
-    let model = ModelKind::all()
-        .into_iter()
-        .filter(|m| {
-            what.starts_with(m.paper_name())
-                && what.as_bytes().get(m.paper_name().len()) == Some(&b' ')
-        })
-        .max_by_key(|m| m.paper_name().len())?;
-    let q = QueryId::all()
-        .into_iter()
-        .find(|q| what.contains(&format!("q{q} ")))?;
-    grid.cell(model, q).map(|c| c.calls)
 }
 
 #[cfg(test)]
@@ -88,7 +61,10 @@ mod tests {
         assert_eq!(report.table.rows.len(), 5);
         for (_, cells) in &grid.rows {
             for c in cells.iter().flatten() {
-                assert!(c.calls <= c.pages + 1e-9, "a call moves ≥ 1 page");
+                assert!(
+                    c.calls_per_unit() <= c.pages_per_unit() + 1e-9,
+                    "a call moves ≥ 1 page"
+                );
             }
         }
     }
@@ -98,10 +74,10 @@ mod tests {
         let config = HarnessConfig::fast();
         let grid = measure_grid(&config.dataset(), &config, &[ModelKind::Dsm]).unwrap();
         let c = grid.cell(ModelKind::Dsm, QueryId::Q1a).unwrap();
+        let pages_per_call = c.pages_per_unit() / c.calls_per_unit();
         assert!(
-            c.pages / c.calls > 1.2,
-            "DSM reads ≈2 pages per call, got {}",
-            c.pages / c.calls
+            pages_per_call > 1.2,
+            "DSM reads ≈2 pages per call, got {pages_per_call}"
         );
     }
 }

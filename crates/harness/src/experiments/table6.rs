@@ -1,48 +1,37 @@
 //! Table 6 — buffer fixes (the paper's CPU-load indicator).
 
 use crate::paper::{compare, TABLE6_ANCHORS};
-use crate::report::{fmt_pages, ExperimentReport, Table};
+use crate::report::ExperimentReport;
 use crate::runner::MeasuredGrid;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
+use starfish_workload::PlanRun;
 
 /// Renders Table 6 (page fixes in buffer per object / per loop).
 pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
-    let mut table = Table::new(vec!["MODEL", "1a", "1b", "1c", "2a", "2b", "3a", "3b"]);
-    for (model, cells) in &grid.rows {
-        let mut row = vec![super::table4::label(*model)];
-        for c in cells {
-            row.push(match c {
-                Some(c) => fmt_pages(c.fixes),
-                None => "-".into(),
-            });
-        }
-        table.push_row(row);
-    }
+    let table = super::grid_table(grid, PlanRun::fixes_per_unit);
 
     let mut notes = vec![
         "every page access through the buffer counts one fix, hit or miss — the \
          paper uses this as the CPU-load indicator (§5.2)"
             .into(),
     ];
-    if let (Some(nsm), Some(dnsm)) = (
-        grid.cell(ModelKind::Nsm, QueryId::Q2b),
-        grid.cell(ModelKind::DasdbsNsm, QueryId::Q2b),
-    ) {
+    let fixes = |m| grid.cell(m, QueryId::Q2b).map(PlanRun::fixes_per_unit);
+    if let (Some(nsm), Some(dnsm)) = (fixes(ModelKind::Nsm), fixes(ModelKind::DasdbsNsm)) {
         let loops = (grid.config.n_objects / 5).max(1) as f64;
         notes.push(format!(
             "NSM query 2b touches {:.0} fixes/loop (its per-loop relation re-scans) \
              vs {:.1} for DASDBS-NSM — ×{:.0}; over the whole run NSM burns ≈{:.0} \
              fixes (paper: \"more than 370,000 page fixes\", ≈2.5 h on the Sun 3/60)",
-            nsm.fixes,
-            dnsm.fixes,
-            nsm.fixes / dnsm.fixes.max(1e-9),
-            nsm.fixes * loops,
+            nsm,
+            dnsm,
+            nsm / dnsm.max(1e-9),
+            nsm * loops,
         ));
     }
     if grid.config.n_objects == 1500 {
         for anchor in TABLE6_ANCHORS {
-            if let Some(ours) = lookup(grid, anchor.what) {
+            if let Some(ours) = super::grid_anchor(grid, anchor.what, PlanRun::fixes_per_unit) {
                 notes.push(compare(anchor, ours));
             }
         }
@@ -54,20 +43,6 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         table,
         notes,
     }
-}
-
-fn lookup(grid: &MeasuredGrid, what: &str) -> Option<f64> {
-    let model = ModelKind::all()
-        .into_iter()
-        .filter(|m| {
-            what.starts_with(m.paper_name())
-                && what.as_bytes().get(m.paper_name().len()) == Some(&b' ')
-        })
-        .max_by_key(|m| m.paper_name().len())?;
-    let q = QueryId::all()
-        .into_iter()
-        .find(|q| what.contains(&format!("q{q} ")))?;
-    grid.cell(model, q).map(|c| c.fixes)
 }
 
 #[cfg(test)]
@@ -82,9 +57,10 @@ mod tests {
         let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 5);
-        let nsm = grid.cell(ModelKind::Nsm, QueryId::Q2b).unwrap().fixes;
+        let fixes = |m| grid.cell(m, QueryId::Q2b).unwrap().fixes_per_unit();
+        let nsm = fixes(ModelKind::Nsm);
         for m in [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm] {
-            let other = grid.cell(m, QueryId::Q2b).unwrap().fixes;
+            let other = fixes(m);
             assert!(
                 nsm > other,
                 "NSM ({nsm}) must exceed {m} ({other}) on fixes"
@@ -92,7 +68,7 @@ mod tests {
         }
         // The ×50+ blowup vs DASDBS-NSM in the paper scales with relation
         // size; at this reduced scale it is still an order of magnitude.
-        let dnsm = grid.cell(ModelKind::DasdbsNsm, QueryId::Q2b).unwrap().fixes;
+        let dnsm = fixes(ModelKind::DasdbsNsm);
         assert!(
             nsm > 8.0 * dnsm,
             "NSM ({nsm}) must dwarf DASDBS-NSM ({dnsm})"
@@ -100,7 +76,10 @@ mod tests {
         // Fixes ≥ misses ≥ 0 and fixes ≥ pages read per unit.
         for (_, cells) in &grid.rows {
             for c in cells.iter().flatten() {
-                assert!(c.fixes + 1e-9 >= c.reads, "every miss is a fix");
+                assert!(
+                    c.fixes_per_unit() + 1e-9 >= c.reads_per_unit(),
+                    "every miss is a fix"
+                );
             }
         }
     }

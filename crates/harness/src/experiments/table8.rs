@@ -7,6 +7,7 @@ use crate::report::{ExperimentReport, Table};
 use crate::runner::MeasuredGrid;
 use starfish_core::ModelKind;
 use starfish_cost::QueryId;
+use starfish_workload::PlanRun;
 
 /// The four ranked models (paper Table 8 order).
 pub const RANKED: [ModelKind; 4] = [
@@ -21,7 +22,7 @@ const SYMBOLS: [&str; 4] = ["++", "+", "-", "--"];
 /// Scores (geometric mean of per-query values normalized by the per-query
 /// minimum) — lower is better. Queries where a model has no measurement are
 /// skipped for all models to keep the comparison fair.
-fn scores(grid: &MeasuredGrid, metric: impl Fn(&crate::runner::MeasuredCell) -> f64) -> Vec<f64> {
+fn scores(grid: &MeasuredGrid, metric: fn(&PlanRun) -> f64) -> Vec<f64> {
     let queries: Vec<QueryId> = QueryId::all()
         .into_iter()
         .filter(|&q| RANKED.iter().all(|&m| grid.cell(m, q).is_some()))
@@ -32,10 +33,10 @@ fn scores(grid: &MeasuredGrid, metric: impl Fn(&crate::runner::MeasuredCell) -> 
             let mut log_sum = 0.0;
             let mut n = 0usize;
             for &q in &queries {
-                let v = metric(&grid.cell(m, q).expect("filtered"));
+                let v = metric(grid.cell(m, q).expect("filtered"));
                 let best = RANKED
                     .iter()
-                    .map(|&o| metric(&grid.cell(o, q).expect("filtered")))
+                    .map(|&o| metric(grid.cell(o, q).expect("filtered")))
                     .fold(f64::INFINITY, f64::min)
                     .max(1e-9);
                 log_sum += (v.max(1e-9) / best).ln();
@@ -59,9 +60,9 @@ fn symbols(scores: &[f64]) -> Vec<&'static str> {
 
 /// Regenerates Table 8 from the measured grid.
 pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
-    let fixes = scores(grid, |c| c.fixes); // CPU-load proxy (§5.2)
-    let calls = scores(grid, |c| c.calls);
-    let pages = scores(grid, |c| c.pages);
+    let fixes = scores(grid, PlanRun::fixes_per_unit); // CPU-load proxy (§5.2)
+    let calls = scores(grid, PlanRun::calls_per_unit);
+    let pages = scores(grid, PlanRun::pages_per_unit);
     // The paper's C_join column: the direct models never join; DASDBS-NSM
     // joins with the transformation table's address support; pure NSM's
     // joins are unsupported and scale with the tuples its scans rediscover

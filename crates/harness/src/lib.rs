@@ -14,10 +14,26 @@
 //! | [`experiments::table7`] | Table 7 — data skew |
 //! | [`experiments::table8`] | Table 8 — overall qualitative ranking |
 //!
+//! Ten extension modules go beyond the paper: [`experiments::ext_timing`]
+//! (Equation 1 response times), [`experiments::ext_buffer`] and
+//! [`experiments::ext_policy`] (buffer size and replacement policy),
+//! [`experiments::ext_alignment`] (sub-tuple-aligned pages),
+//! [`experiments::ext_workload`] and [`experiments::ext_drift`]
+//! (declarative and drifting workloads), [`experiments::ext_concurrency`]
+//! (the sharded, latched pool), [`experiments::ext_durability`] (the WAL),
+//! [`experiments::ext_distributed`] (§5.5 distribution and the routed
+//! cluster) and [`experiments::ext_clustering`] (adaptive placement).
+//! [`experiments::REGISTRY`] lists them all.
+//!
 //! Each module produces an [`report::ExperimentReport`] (a rendered table
 //! plus notes comparing against the paper values that are recoverable from
-//! our source text). The `starfish-repro` binary runs them all and emits the
-//! material behind `EXPERIMENTS.md`.
+//! our source text). [`runner`] holds what they share: the
+//! [`HarnessConfig`], the model × query [`MeasuredGrid`] behind Tables 4–6
+//! and [`runner::measure`] — one measured run of a declarative spec on a
+//! fresh store, served as [`runner::Serving`] says (serial, shared pool,
+//! routed cluster). The `starfish_repro` binary runs the experiments
+//! (`--only`, `--list`) or one spec (`--workload`, with `--threads`,
+//! `--sweep` and `--nodes` choosing the serving).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +44,7 @@ pub mod report;
 pub mod runner;
 
 pub use report::{ExperimentReport, Table};
-pub use runner::{HarnessConfig, MeasuredCell, MeasuredGrid};
+pub use runner::{HarnessConfig, MeasuredGrid};
 
 /// Result alias (errors bubble up from the storage models).
 pub type Result<T> = std::result::Result<T, starfish_core::CoreError>;

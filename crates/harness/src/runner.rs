@@ -1,5 +1,7 @@
-//! Shared measurement machinery: build a dataset, load it into the stores,
-//! run all queries, collect the grid that Tables 4–6 render.
+//! Shared measurement machinery: the harness configuration and its CLI
+//! parsers, the model × query grid that Tables 4–6 render
+//! ([`measure_grid`]), and the one measured run of a declarative spec
+//! under a chosen serving ([`measure`]).
 
 use crate::Result;
 use serde::Serialize;
@@ -10,7 +12,7 @@ use starfish_core::{
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
 use starfish_workload::{
-    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, WorkloadSpec,
+    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, PlanRun, WorkloadSpec,
 };
 
 /// Configuration for the experiment harness.
@@ -72,6 +74,24 @@ impl HarnessConfig {
             ..Default::default()
         }
     }
+
+    /// The store configuration every measurement starts from: this
+    /// buffer under this policy.
+    pub(crate) fn store_config(&self) -> StoreConfig {
+        store_config_for(self.policy, self.buffer_pages)
+    }
+
+    /// The buffer of one of `nodes` cluster nodes: a proportional share,
+    /// never below 16 pages.
+    pub(crate) fn node_buffer_pages(&self, nodes: usize) -> usize {
+        (self.buffer_pages / nodes).max(16)
+    }
+}
+
+/// A buffer of `buffer_pages` under `policy`, everything opt-in (WAL,
+/// engine, heat) off.
+pub(crate) fn store_config_for(policy: PolicyKind, buffer_pages: usize) -> StoreConfig {
+    StoreConfig::with_buffer_pages(buffer_pages).policy(policy)
 }
 
 /// Parses the positive-integer value of `flag` out of a CLI argument list:
@@ -161,39 +181,6 @@ pub fn parse_fsync(args: &[String]) -> std::result::Result<Option<FsyncMode>, St
     }
 }
 
-/// One measured cell: per-unit pages/calls/fixes, or `None` where the model
-/// does not support the query.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct MeasuredCell {
-    /// Pages read per unit.
-    pub reads: f64,
-    /// Pages written per unit.
-    pub writes: f64,
-    /// Pages read+written per unit (Table 4).
-    pub pages: f64,
-    /// I/O calls per unit (Table 5).
-    pub calls: f64,
-    /// Buffer fixes per unit (Table 6).
-    pub fixes: f64,
-}
-
-impl MeasuredCell {
-    /// The cell of a plan outcome — its run's per-unit ratios
-    /// ([`starfish_workload::PlanRun`] is the one place counter deltas are
-    /// divided by units), `None` where the model does not support an op of
-    /// the plan. Shared by the query grid, the single-query sweeps and the
-    /// workload measurements.
-    pub fn of(outcome: &PlanOutcome) -> Option<MeasuredCell> {
-        outcome.run().map(|run| MeasuredCell {
-            reads: run.reads_per_unit(),
-            writes: run.writes_per_unit(),
-            pages: run.pages_per_unit(),
-            calls: run.calls_per_unit(),
-            fixes: run.fixes_per_unit(),
-        })
-    }
-}
-
 /// The measured model × query grid behind Tables 4–6.
 #[derive(Clone, Debug)]
 pub struct MeasuredGrid {
@@ -201,18 +188,20 @@ pub struct MeasuredGrid {
     pub config: HarnessConfig,
     /// Observed dataset statistics.
     pub stats: DatasetStats,
-    /// Rows: one per model, cells in [`QueryId::all`] order.
-    pub rows: Vec<(ModelKind, [Option<MeasuredCell>; 7])>,
+    /// Rows: one per model, cells in [`QueryId::all`] order — the run,
+    /// or `None` where the model does not support the query.
+    pub rows: Vec<(ModelKind, [Option<PlanRun>; 7])>,
 }
 
 impl MeasuredGrid {
-    /// The cell for `(model, query)`, if present.
-    pub fn cell(&self, model: ModelKind, query: QueryId) -> Option<MeasuredCell> {
+    /// The cell for `(model, query)`, if present. Its `*_per_unit` methods
+    /// are the numbers Tables 4–6 print.
+    pub fn cell(&self, model: ModelKind, query: QueryId) -> Option<&PlanRun> {
         let qi = QueryId::all().iter().position(|q| *q == query)?;
         self.rows
             .iter()
             .find(|(m, _)| *m == model)
-            .and_then(|(_, cells)| cells[qi])
+            .and_then(|(_, cells)| cells[qi].as_ref())
     }
 }
 
@@ -223,10 +212,7 @@ pub fn load_store(
     db: &[Station],
     config: &HarnessConfig,
 ) -> Result<(Box<dyn ComplexObjectStore>, Executor)> {
-    let mut store = make_store(
-        kind,
-        StoreConfig::with_buffer_pages(config.buffer_pages).policy(config.policy),
-    );
+    let mut store = make_store(kind, config.store_config());
     let refs = store.load(db)?;
     Ok((store, Executor::new(refs, config.query_seed)))
 }
@@ -253,10 +239,13 @@ pub fn measure_grid_on(
     let mut rows = Vec::with_capacity(models.len());
     for &kind in models {
         let (mut store, exec) = load_store(kind, db, config)?;
-        let mut cells: [Option<MeasuredCell>; 7] = Default::default();
+        let mut cells: [Option<PlanRun>; 7] = Default::default();
         for (i, q) in QueryId::all().into_iter().enumerate() {
-            let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;
-            cells[i] = MeasuredCell::of(&outcome);
+            if let PlanOutcome::Measured(run) =
+                exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?
+            {
+                cells[i] = Some(run);
+            }
         }
         rows.push((kind, cells));
     }
@@ -267,151 +256,103 @@ pub fn measure_grid_on(
     })
 }
 
-/// Runs a single query for a set of models (used by the sweeps of Figures
-/// 5/6 and Table 7). Returns per-unit cells in `models` order.
-pub fn measure_query(
-    params: &DatasetParams,
+/// How a measured run is served.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Serving {
+    /// One client on the exclusive pool — the paper's protocol.
+    Serial,
+    /// `clients` client threads sharing a pool of `clients` lock-striped
+    /// shards ([`Executor::run_concurrent`]).
+    Shared {
+        /// Client threads (= shards).
+        clients: usize,
+    },
+    /// A routed cluster ([`Executor::run_cluster`]): `nodes` nodes under
+    /// round-robin whole-object placement, a proportional buffer share and
+    /// `workers` lock-striped shards per node, served by `workers` queue
+    /// workers per node and `clients` client threads.
+    Cluster {
+        /// Cluster nodes.
+        nodes: usize,
+        /// Client threads.
+        clients: usize,
+        /// Queue workers (= shards) per node.
+        workers: usize,
+    },
+}
+
+/// The one measured run: loads `db` into a fresh store of `kind` shaped for
+/// `serving`, runs the declarative `spec` under the usual protocol (cold
+/// start, disconnect flush, per-unit normalization) and returns the
+/// outcome — [`PlanOutcome::Unsupported`] where the model cannot run an op
+/// of the plan.
+///
+/// Answers and units do not depend on `serving`, and fix counts do not
+/// depend on the client or worker count (the executor's contract). At one
+/// client, one node and one worker every counter reproduces the serial
+/// run, with one exception: the router hands a node one object at a time,
+/// so pure NSM on a cluster re-scans its relations per object where the
+/// set-oriented serial step scans once (more fixes, all of them hits). A
+/// plan shape the concurrent executor rejects (a loop body consuming the
+/// previous iteration's selection) surfaces as `Err`.
+pub fn measure(
+    db: &[Station],
     config: &HarnessConfig,
-    models: &[ModelKind],
-    query: QueryId,
-) -> Result<Vec<(ModelKind, Option<MeasuredCell>)>> {
-    let rows = measure_workload_on(
-        &generate(params),
-        config,
-        models,
-        &WorkloadSpec::for_query(query),
-    )?;
-    Ok(rows.into_iter().map(|r| (r.model, r.cell)).collect())
-}
-
-/// One model's measurement of a declarative workload spec: the per-unit
-/// I/O cell plus the model-invariant observation counts (units, per-hop
-/// navigation cardinalities, scanned objects) that every model must agree
-/// on — the spec-level analogue of the paper's "shared database" guarantee.
-#[derive(Clone, Debug)]
-pub struct WorkloadRow {
-    /// The storage model measured.
-    pub model: ModelKind,
-    /// Per-unit counters (`None` where the model does not support an op of
-    /// the plan — e.g. OID access under pure NSM).
-    pub cell: Option<MeasuredCell>,
-    /// Normalization denominator the cell was divided by.
-    pub units: u64,
-    /// Objects seen per navigation hop, summed over units.
-    pub nav_seen: Vec<u64>,
-    /// Objects materialized by scans.
-    pub scanned: u64,
-    /// Update ops that actually ran (after mix gating).
-    pub updates: u64,
-}
-
-impl WorkloadRow {
-    /// The row of `model`'s `outcome` — the one place a plan outcome
-    /// becomes a report row, whichever surface ran the plan.
-    fn new(model: ModelKind, outcome: PlanOutcome) -> WorkloadRow {
-        let cell = MeasuredCell::of(&outcome);
-        match outcome {
-            PlanOutcome::Measured(run) => WorkloadRow {
-                model,
-                cell,
-                units: run.units,
-                nav_seen: run.nav_seen,
-                scanned: run.scanned,
-                updates: run.updates_applied,
-            },
-            PlanOutcome::Unsupported => WorkloadRow {
-                model,
-                cell,
-                units: 0,
-                nav_seen: Vec::new(),
-                scanned: 0,
-                updates: 0,
-            },
+    kind: ModelKind,
+    spec: &WorkloadSpec,
+    serving: Serving,
+) -> Result<PlanOutcome> {
+    match serving {
+        Serving::Serial => {
+            let (mut store, exec) = load_store(kind, db, config)?;
+            exec.run(store.as_mut(), spec)
+        }
+        Serving::Shared { clients } => {
+            let clients = clients.max(1);
+            let mut store = make_shared_store(kind, config.store_config(), clients);
+            let exec = Executor::new(store.load(db)?, config.query_seed);
+            Ok(exec.run_concurrent(store.as_mut(), spec, clients)?.outcome)
+        }
+        Serving::Cluster {
+            nodes,
+            clients,
+            workers,
+        } => {
+            let nodes = nodes.max(1);
+            let mut cluster = PartitionedStore::with_shards(
+                kind,
+                nodes,
+                Placement::RoundRobin,
+                store_config_for(config.policy, config.node_buffer_pages(nodes)),
+                workers.max(1),
+            );
+            let exec = Executor::new(cluster.load(db)?, config.query_seed);
+            let served = exec.run_cluster(&mut cluster, spec, clients, workers)?;
+            Ok(served.run.outcome)
         }
     }
 }
 
-/// Runs a declarative [`WorkloadSpec`] serially against every model in
-/// `models` over an already-generated dataset, under the usual measurement
-/// protocol (cold start, disconnect flush, per-unit normalization).
-pub fn measure_workload_on(
-    db: &[Station],
-    config: &HarnessConfig,
-    models: &[ModelKind],
-    spec: &WorkloadSpec,
-) -> Result<Vec<WorkloadRow>> {
-    let mut out = Vec::with_capacity(models.len());
-    for &kind in models {
-        let (mut store, exec) = load_store(kind, db, config)?;
-        out.push(WorkloadRow::new(kind, exec.run(store.as_mut(), spec)?));
-    }
-    Ok(out)
-}
+/// The observation counts every model must agree on for one spec: units,
+/// objects seen per navigation hop, scanned objects, updates applied — the
+/// spec-level analogue of the paper's "shared database" guarantee.
+pub(crate) type Shape = (u64, Vec<u64>, u64, u64);
 
-/// [`measure_workload_on`] over the concurrent surface: every model runs
-/// the plan with `threads` client threads sharing a pool of `threads`
-/// lock-striped shards. Answers and fix counts are thread-count invariant
-/// (the executor's contract); with 1 thread the counters reproduce the
-/// serial measurement exactly. A plan shape the concurrent executor
-/// rejects (a loop body consuming the previous iteration's selection)
-/// surfaces as `Err`.
-pub fn measure_workload_concurrent_on(
-    db: &[Station],
-    config: &HarnessConfig,
-    models: &[ModelKind],
-    spec: &WorkloadSpec,
-    threads: usize,
-) -> Result<Vec<WorkloadRow>> {
-    let threads = threads.max(1);
-    let mut out = Vec::with_capacity(models.len());
-    for &kind in models {
-        let mut store = make_shared_store(
-            kind,
-            StoreConfig::with_buffer_pages(config.buffer_pages).policy(config.policy),
-            threads,
-        );
-        let refs = store.load(db)?;
-        let exec = Executor::new(refs, config.query_seed);
-        let run = exec.run_concurrent(store.as_mut(), spec, threads)?;
-        out.push(WorkloadRow::new(kind, run.outcome));
-    }
-    Ok(out)
-}
-
-/// [`measure_workload_on`] over a routed cluster: every model runs the
-/// plan on a [`PartitionedStore`] of `nodes` nodes (round-robin
-/// whole-object placement, a proportional buffer share per node,
-/// `workers_per_node` lock-striped shards each) served by
-/// `workers_per_node` queue workers per node and `clients` client
-/// threads ([`Executor::run_cluster`]). Answers, fix counts and per-node
-/// disk bytes are (clients × workers)-invariant — the routed analogue of
-/// the shared surface's thread-count invariance.
-pub fn measure_workload_cluster_on(
-    db: &[Station],
-    config: &HarnessConfig,
-    models: &[ModelKind],
-    spec: &WorkloadSpec,
-    nodes: usize,
-    clients: usize,
-    workers_per_node: usize,
-) -> Result<Vec<WorkloadRow>> {
-    let nodes = nodes.max(1);
-    let per_node_buffer = (config.buffer_pages / nodes).max(16);
-    let mut out = Vec::with_capacity(models.len());
-    for &kind in models {
-        let mut cluster = PartitionedStore::with_shards(
-            kind,
-            nodes,
-            Placement::RoundRobin,
-            StoreConfig::with_buffer_pages(per_node_buffer).policy(config.policy),
-            workers_per_node.max(1),
-        );
-        let refs = cluster.load(db)?;
-        let exec = Executor::new(refs, config.query_seed);
-        let run = exec.run_cluster(&mut cluster, spec, clients, workers_per_node)?;
-        out.push(WorkloadRow::new(kind, run.run.outcome));
-    }
-    Ok(out)
+/// The determinism check every workload report makes per measured cell:
+/// records `outcome`'s shape into `shape` if it is the first, and reports
+/// whether it agrees with the one recorded. An unsupported plan has no
+/// shape and disagrees with nothing.
+pub(crate) fn same_shape(shape: &mut Option<Shape>, outcome: &PlanOutcome) -> bool {
+    let Some(run) = outcome.run() else {
+        return true;
+    };
+    let got = (
+        run.units,
+        run.nav_seen.clone(),
+        run.scanned,
+        run.updates_applied,
+    );
+    *shape.get_or_insert_with(|| got.clone()) == got
 }
 
 #[cfg(test)]
@@ -434,7 +375,8 @@ mod tests {
         // DSM must read more pages than DASDBS-NSM on navigation (2a).
         let dsm = grid.cell(ModelKind::Dsm, QueryId::Q2a).unwrap();
         let dnsm = grid.cell(ModelKind::DasdbsNsm, QueryId::Q2a).unwrap();
-        assert!(dsm.pages > dnsm.pages, "{} vs {}", dsm.pages, dnsm.pages);
+        let (dsm, dnsm) = (dsm.pages_per_unit(), dnsm.pages_per_unit());
+        assert!(dsm > dnsm, "{dsm} vs {dnsm}");
     }
 
     #[test]
@@ -534,14 +476,42 @@ mod tests {
     #[test]
     fn measure_query_single() {
         let config = HarnessConfig::fast();
-        let out = measure_query(
-            &config.dataset(),
-            &config,
-            &[ModelKind::DasdbsNsm],
-            QueryId::Q2b,
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(out[0].1.unwrap().pages > 0.0);
+        let db = generate(&config.dataset());
+        let spec = WorkloadSpec::for_query(QueryId::Q2b);
+        let out = measure(&db, &config, ModelKind::DasdbsNsm, &spec, Serving::Serial).unwrap();
+        assert!(out.run().unwrap().pages_per_unit() > 0.0);
+    }
+
+    #[test]
+    fn measure_is_serving_invariant_at_one_client() {
+        let config = HarnessConfig::fast();
+        let db = generate(&config.dataset());
+        let spec = WorkloadSpec::for_query(QueryId::Q2b);
+        for kind in ModelKind::all() {
+            let serial = measure(&db, &config, kind, &spec, Serving::Serial).unwrap();
+            assert!(serial.run().is_some(), "{kind} runs 2b");
+            let shared = Serving::Shared { clients: 1 };
+            let cluster = Serving::Cluster {
+                nodes: 1,
+                clients: 1,
+                workers: 1,
+            };
+            let got = measure(&db, &config, kind, &spec, shared).unwrap();
+            assert_eq!(got, serial, "{kind} on the shared surface");
+            let mut got = measure(&db, &config, kind, &spec, cluster).unwrap();
+            if kind == ModelKind::Nsm {
+                // One object per routed request: pure NSM scans per object,
+                // not per set. The extra fixes are hits; nothing else moves.
+                let (PlanOutcome::Measured(got), Some(serial)) = (&mut got, serial.run()) else {
+                    panic!("NSM runs 2b on a cluster");
+                };
+                let extra = got.snapshot.fixes - serial.snapshot.fixes;
+                assert!(extra > 0, "per-object scans cost fixes");
+                assert_eq!(got.snapshot.hits - serial.snapshot.hits, extra);
+                got.snapshot.fixes -= extra;
+                got.snapshot.hits -= extra;
+            }
+            assert_eq!(got, serial, "{kind} on a 1-node cluster");
+        }
     }
 }

@@ -114,20 +114,13 @@ pub(crate) struct LatchTable {
 }
 
 impl LatchTable {
-    /// Would a plain *read* access by the current thread have to wait?
-    /// Only a foreign exclusive latch blocks reads.
-    pub(crate) fn blocks_read(&self, pid: PageId) -> bool {
-        self.entries
-            .get(&pid)
-            .is_some_and(|e| e.excl.is_some_and(|t| t != thread::current().id()))
-    }
-
-    /// Would a plain *write* access by the current thread have to wait?
-    /// A foreign exclusive latch or any shared latch blocks writes.
-    pub(crate) fn blocks_write(&self, pid: PageId) -> bool {
-        self.entries
-            .get(&pid)
-            .is_some_and(|e| e.shared > 0 || e.excl.is_some_and(|t| t != thread::current().id()))
+    /// Would a plain access by the current thread have to wait? A foreign
+    /// exclusive latch blocks every access; a `write` access is also
+    /// blocked by any shared latch.
+    pub(crate) fn blocks(&self, pid: PageId, write: bool) -> bool {
+        self.entries.get(&pid).is_some_and(|e| {
+            (write && e.shared > 0) || e.excl.is_some_and(|t| t != thread::current().id())
+        })
     }
 
     /// Can `mode` be granted on `pid` to the current thread right now?
@@ -208,8 +201,8 @@ mod tests {
         t.grant(p, LatchMode::Shared);
         assert_eq!(t.latched_pages(), 1);
         assert!(!t.can_grant(p, LatchMode::Exclusive), "shared blocks excl");
-        assert!(!t.blocks_read(p), "shared never blocks reads");
-        assert!(t.blocks_write(p), "shared blocks writes");
+        assert!(!t.blocks(p, false), "shared never blocks reads");
+        assert!(t.blocks(p, true), "shared blocks writes");
         t.release(p, LatchMode::Shared);
         t.release(p, LatchMode::Shared);
         assert_eq!(t.latched_pages(), 0);
@@ -222,8 +215,8 @@ mod tests {
         let p = PageId(7);
         t.grant(p, LatchMode::Exclusive);
         // The owning thread passes its own exclusive latch.
-        assert!(!t.blocks_read(p));
-        assert!(!t.blocks_write(p));
+        assert!(!t.blocks(p, false));
+        assert!(!t.blocks(p, true));
         assert!(t.can_grant(p, LatchMode::Shared), "own excl admits shared");
         assert!(!t.can_grant(p, LatchMode::Exclusive), "no nested exclusive");
         assert_eq!(t.exclusive_latched(), 1);

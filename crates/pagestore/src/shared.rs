@@ -378,37 +378,33 @@ impl SharedBufferPool {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Locks `pid`'s shard and waits until no *foreign* latch blocks a read
-    /// of `pid` (see [`LatchTable::blocks_read`]). Leaf wait: the caller
-    /// holds no other lock or latch.
-    fn lock_for_read(&self, pid: PageId) -> MutexGuard<'_, ShardState> {
-        let sh = &self.shards[self.shard_of(pid)];
-        let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut waited = false;
-        while st.latches.blocks_read(pid) {
-            if !waited {
-                st.core.stats.latch_waits += 1;
-                waited = true;
+    /// The one conflict wait: while `blocked` holds, sleeps on the shard's
+    /// condvar (woken by every latch release in the shard). A blocked
+    /// acquisition counts one `latch_waits`, however often it is woken.
+    /// The loop is written by hand because `Condvar::wait_while` returns on
+    /// a poisoned mutex without re-checking its predicate, and a poisoned
+    /// shard is a supported state (module doc, "Lock poisoning").
+    fn wait_until_clear<'a>(
+        sh: &'a Shard,
+        mut st: MutexGuard<'a, ShardState>,
+        blocked: impl Fn(&LatchTable) -> bool,
+    ) -> MutexGuard<'a, ShardState> {
+        if blocked(&st.latches) {
+            st.core.stats.latch_waits += 1;
+            while blocked(&st.latches) {
+                st = sh.cond.wait(st).unwrap_or_else(|e| e.into_inner());
             }
-            st = sh.cond.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         st
     }
 
-    /// Like [`Self::lock_for_read`] but for a write access: also waits out
-    /// shared latches.
-    fn lock_for_write(&self, pid: PageId) -> MutexGuard<'_, ShardState> {
+    /// Locks `pid`'s shard and waits until no *foreign* latch blocks the
+    /// access (see [`LatchTable::blocks`]). Leaf wait: the caller holds no
+    /// other lock or latch.
+    fn lock_for(&self, pid: PageId, write: bool) -> MutexGuard<'_, ShardState> {
         let sh = &self.shards[self.shard_of(pid)];
-        let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut waited = false;
-        while st.latches.blocks_write(pid) {
-            if !waited {
-                st.core.stats.latch_waits += 1;
-                waited = true;
-            }
-            st = sh.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        st
+        let st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+        Self::wait_until_clear(sh, st, |latches| latches.blocks(pid, write))
     }
 
     /// Locks every shard, in ascending order (the global lock order).
@@ -449,7 +445,7 @@ impl SharedBufferPool {
         pid: PageId,
         write: bool,
     ) -> Result<(MutexGuard<'_, ShardState>, usize)> {
-        let mut st = self.lock_for_mode(pid, write);
+        let mut st = self.lock_for(pid, write);
         let Some(engine) = &self.engine else {
             let slot = st.core.fix(&mut &self.disk, pid, write)?;
             return Ok((st, slot));
@@ -462,7 +458,7 @@ impl SharedBufferPool {
             }
             drop(st);
             engine.read_page(self.shard_of(pid), pid, |runs| self.install_runs(runs))?;
-            st = self.lock_for_mode(pid, write);
+            st = self.lock_for(pid, write);
             if let Some(slot) = st.core.slot_of(pid) {
                 st.core.fix_engine_miss(slot, write);
                 return Ok((st, slot));
@@ -557,37 +553,21 @@ impl SharedBufferPool {
     /// Exclusive groups additionally register with the writer gate so
     /// flushes can quiesce them. Groups must not nest.
     pub fn latch_pages(&self, pids: &[PageId], mode: LatchMode) -> Result<()> {
-        let pids = distinct_pids(pids);
-        if pids.is_empty() {
+        let ordered = self.group_order(pids);
+        if ordered.is_empty() {
             return Ok(());
         }
         if mode == LatchMode::Exclusive {
             self.enter_exclusive_group();
         }
-        let mut ordered: Vec<(usize, PageId)> =
-            pids.iter().map(|&p| (self.shard_of(p), p)).collect();
-        ordered.sort_unstable();
-        let mut i = 0;
-        while i < ordered.len() {
-            let s = ordered[i].0;
-            let sh = &self.shards[s];
+        for in_shard in ordered.chunk_by(|a, b| a.0 == b.0) {
+            let sh = &self.shards[in_shard[0].0];
             let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-            let mut granted = 0u64;
-            while i < ordered.len() && ordered[i].0 == s {
-                let pid = ordered[i].1;
-                let mut waited = false;
-                while !st.latches.can_grant(pid, mode) {
-                    if !waited {
-                        st.core.stats.latch_waits += 1;
-                        waited = true;
-                    }
-                    st = sh.cond.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
+            for &(_, pid) in in_shard {
+                st = Self::wait_until_clear(sh, st, |latches| !latches.can_grant(pid, mode));
                 st.latches.grant(pid, mode);
-                granted += 1;
-                i += 1;
             }
-            st.core.note_group_latch(mode, granted);
+            st.core.note_group_latch(mode, in_shard.len() as u64);
         }
         Ok(())
     }
@@ -595,21 +575,15 @@ impl SharedBufferPool {
     /// Releases a group latch previously acquired with [`Self::latch_pages`]
     /// (same pages, same mode, same thread), waking conflict waiters.
     pub fn unlatch_pages(&self, pids: &[PageId], mode: LatchMode) {
-        let pids = distinct_pids(pids);
-        if pids.is_empty() {
+        let ordered = self.group_order(pids);
+        if ordered.is_empty() {
             return;
         }
-        let mut ordered: Vec<(usize, PageId)> =
-            pids.iter().map(|&p| (self.shard_of(p), p)).collect();
-        ordered.sort_unstable();
-        let mut i = 0;
-        while i < ordered.len() {
-            let s = ordered[i].0;
-            let sh = &self.shards[s];
+        for in_shard in ordered.chunk_by(|a, b| a.0 == b.0) {
+            let sh = &self.shards[in_shard[0].0];
             let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-            while i < ordered.len() && ordered[i].0 == s {
-                st.latches.release(ordered[i].1, mode);
-                i += 1;
+            for &(_, pid) in in_shard {
+                st.latches.release(pid, mode);
             }
             drop(st);
             sh.cond.notify_all();
@@ -617,6 +591,18 @@ impl SharedBufferPool {
         if mode == LatchMode::Exclusive {
             self.exit_exclusive_group();
         }
+    }
+
+    /// The distinct pages of a group in ascending (shard, page) order —
+    /// the total order every group acquires and releases in, which is what
+    /// keeps two groups from deadlocking.
+    fn group_order(&self, pids: &[PageId]) -> Vec<(usize, PageId)> {
+        let mut ordered: Vec<(usize, PageId)> = distinct_pids(pids)
+            .into_iter()
+            .map(|p| (self.shard_of(p), p))
+            .collect();
+        ordered.sort_unstable();
+        ordered
     }
 
     /// Total pages currently group-latched (any mode) across shards.
@@ -706,15 +692,6 @@ impl SharedBufferPool {
         match r {
             Ok(v) => v,
             Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
-
-    /// [`Self::lock_for_read`] or [`Self::lock_for_write`], by flag.
-    fn lock_for_mode(&self, pid: PageId, write: bool) -> MutexGuard<'_, ShardState> {
-        if write {
-            self.lock_for_write(pid)
-        } else {
-            self.lock_for_read(pid)
         }
     }
 
@@ -1401,6 +1378,67 @@ mod tests {
         // The reader's blocked episode was counted (scheduling permitting,
         // the sleep makes this deterministic in practice).
         assert!(p.buffer_stats().latch_waits >= 1);
+    }
+
+    #[test]
+    fn a_blocked_access_counts_one_wait_however_often_it_is_woken() {
+        // Second round on a poisoned shard: poison is sticky, so after one
+        // client panic every `Condvar::wait` there returns `Err`, and the
+        // wait must still re-check the conflict on each wake-up.
+        for poisoned in [false, true] {
+            // One shard, so every latch release in the pool wakes every waiter.
+            let p = pool(1, 8, 8);
+            if poisoned {
+                let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _: Result<u8> = p.with_page(PageId(0), |_| panic!("client died mid-read"));
+                }));
+                assert!(panicked.is_err());
+            }
+            let hot = PageId(3);
+            p.latch_pages(&[hot], LatchMode::Exclusive).unwrap();
+            let through = AtomicU64::new(0);
+            thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    let b = p.with_page(hot, |b| b[0]).unwrap();
+                    through.fetch_add(1, Ordering::SeqCst);
+                    b
+                });
+                let writer = s.spawn(|| {
+                    p.with_page_mut(hot, |b| b[1] = 7).unwrap();
+                    through.fetch_add(1, Ordering::SeqCst);
+                });
+                let group = s.spawn(|| {
+                    p.latch_pages(&[hot], LatchMode::Shared).unwrap();
+                    through.fetch_add(1, Ordering::SeqCst);
+                    p.unlatch_pages(&[hot], LatchMode::Shared);
+                });
+                // All three have met the foreign exclusive latch.
+                while p.buffer_stats().latch_waits < 3 {
+                    thread::yield_now();
+                }
+                // Releases of an unrelated page notify the shard's condvar: the
+                // three wake, find the page still latched and sleep again.
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        p.latch_pages(&[PageId(5)], LatchMode::Shared).unwrap();
+                        p.unlatch_pages(&[PageId(5)], LatchMode::Shared);
+                        thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                })
+                .join()
+                .unwrap();
+                assert_eq!(through.load(Ordering::SeqCst), 0, "latch exclusion lost");
+                assert_eq!(p.buffer_stats().latch_waits, 3, "a wake-up is not a wait");
+                p.with_page_mut(hot, |b| b[0] = 99).unwrap();
+                p.unlatch_pages(&[hot], LatchMode::Exclusive);
+                assert_eq!(reader.join().unwrap(), 99);
+                writer.join().unwrap();
+                group.join().unwrap();
+            });
+            assert_eq!(through.load(Ordering::SeqCst), 3);
+            assert_eq!(p.buffer_stats().latch_waits, 3);
+            assert_eq!(p.latched_pages(), 0);
+        }
     }
 
     #[test]

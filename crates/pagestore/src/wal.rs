@@ -33,6 +33,22 @@
 //!   header and record checksum, and yields the final committed image per
 //!   page in LSN order.
 //!
+//! # Record format
+//!
+//! A segment's record stream starts behind its 28-byte header and runs
+//! across the segment's pages. One record is
+//! `[len: u32 LE][kind: u8][lsn: u64 LE][body][checksum: u64 LE]`, where
+//! `len` counts everything after itself. The checksum is FNV-1a over
+//! `kind + lsn + body` — writer and reader hash exactly those bytes. The
+//! length prefix is **not** covered: a damaged prefix shows as a record
+//! that runs past the segment's used bytes, or as a checksum mismatch of
+//! the mis-framed payload — unless the damage makes it read 0, which the
+//! reader takes for a zeroed tail: the segment's stream ends there without
+//! an error, sealed segment or not (a commit's prefix is `11 00 00 00`, so
+//! one damaged byte can do it; known gap, pinned by a test, not fixed
+//! here). A page-image body is `[pid: u32 LE][page]`; commit and
+//! checkpoint records have an empty body.
+//!
 //! The log device is separate from the data disk and keeps its own I/O
 //! counters, surfaced as the `log_*` fields of [`crate::IoSnapshot`] — the
 //! paper's physical-I/O accounting extended to the durability path. Lock
@@ -44,6 +60,7 @@ use crate::disk::fnv1a_bytes;
 use crate::{PageId, Result, StoreError, PAGE_SIZE};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -170,20 +187,22 @@ struct PageRange {
     num_pages: u32,
 }
 
-/// Record kinds. A record is `[len: u32 LE][payload]` with payload
-/// `[kind: u8][lsn: u64 LE][body][checksum: u64 LE]`; the checksum is
-/// FNV-1a over everything before it.
+/// Record kinds (the record layout is in the [module docs](self)).
 const REC_PAGE_IMAGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
 const REC_CHECKPOINT: u8 = 3;
 
-fn encode_record(kind: u8, lsn: u64, body: &[u8]) -> Vec<u8> {
-    let payload_len = 1 + 8 + body.len() + 8;
+/// Serializes one record; `body` arrives in parts so a page image is
+/// copied once, straight into the record.
+fn encode_record(kind: u8, lsn: u64, body: &[&[u8]]) -> Vec<u8> {
+    let payload_len = 1 + 8 + body.iter().map(|part| part.len()).sum::<usize>() + 8;
     let mut out = Vec::with_capacity(4 + payload_len);
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(body);
+    for part in body {
+        out.extend_from_slice(part);
+    }
     let sum = fnv1a_bytes(&out[4..]);
     out.extend_from_slice(&sum.to_le_bytes());
     out
@@ -217,11 +236,7 @@ fn decode_record(payload: &[u8]) -> Result<Record> {
     }
     let (data, sum_bytes) = payload.split_at(payload.len() - 8);
     let want = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-    // Checksum covers the length prefix too; re-derive it.
-    let mut prefixed = Vec::with_capacity(4 + data.len());
-    prefixed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    prefixed.extend_from_slice(data);
-    if fnv1a_bytes(&prefixed[4..]) != want {
+    if fnv1a_bytes(data) != want {
         return Err(corrupt("log record checksum mismatch"));
     }
     let kind = data[0];
@@ -315,6 +330,29 @@ impl LogDevice {
         }
     }
 
+    /// The device address of record byte `off` of the segment starting at
+    /// page `seg`: `(page, offset in page)`. The record stream sits behind
+    /// the segment header — the one place that is spelled.
+    fn locate(seg: u32, off: u32) -> (usize, usize) {
+        let at = SEGMENT_HEADER_SIZE + off as usize;
+        (seg as usize + at / PAGE_SIZE, at % PAGE_SIZE)
+    }
+
+    /// The page chunks holding record bytes `[off, off + len)` of segment
+    /// `seg`, in order: `(page, in-page byte range)`.
+    fn chunks(seg: u32, off: u32, len: u32) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let end = off + len;
+        let mut off = off;
+        std::iter::from_fn(move || {
+            (off < end).then(|| {
+                let (page, at) = Self::locate(seg, off);
+                let n = (PAGE_SIZE - at).min((end - off) as usize);
+                off += n as u32;
+                (page, at..at + n)
+            })
+        })
+    }
+
     /// Appends one encoded record to the open segment, sealing it and
     /// opening a new one when the record does not fit.
     fn append(&mut self, rec: &[u8]) {
@@ -325,12 +363,12 @@ impl LogDevice {
         if self.seg_used + rec.len() as u32 > self.seg_capacity() {
             self.open_segment();
         }
-        let base = SEGMENT_HEADER_SIZE as u32 + self.seg_used;
-        for (i, &b) in rec.iter().enumerate() {
-            let off = base + i as u32;
-            let page = self.seg_start + off / PAGE_SIZE as u32;
-            self.pages[page as usize][(off % PAGE_SIZE as u32) as usize] = b;
-            self.touch(page);
+        let mut rest = rec;
+        for (page, span) in Self::chunks(self.seg_start, self.seg_used, rec.len() as u32) {
+            let (head, tail) = rest.split_at(span.len());
+            self.pages[page][span].copy_from_slice(head);
+            self.touch(page as u32);
+            rest = tail;
         }
         self.seg_used += rec.len() as u32;
         self.write_header();
@@ -363,10 +401,8 @@ impl LogDevice {
     fn truncate_tail(&mut self, n: u32) {
         let dropped = n.min(self.seg_used);
         self.seg_used -= dropped;
-        for i in 0..dropped {
-            let off = SEGMENT_HEADER_SIZE as u32 + self.seg_used + i;
-            let page = self.seg_start + off / PAGE_SIZE as u32;
-            self.pages[page as usize][(off % PAGE_SIZE as u32) as usize] = 0;
+        for (page, span) in Self::chunks(self.seg_start, self.seg_used, dropped) {
+            self.pages[page][span].fill(0);
         }
         self.write_header();
         self.touched.clear();
@@ -413,10 +449,8 @@ impl LogDevice {
             self.stats.log_pages_read += used_pages as u64;
             // Re-assemble the segment's record byte stream.
             let mut bytes = Vec::with_capacity(used as usize);
-            for i in 0..used {
-                let off = SEGMENT_HEADER_SIZE as u32 + i;
-                let page = seg + off / PAGE_SIZE as u32;
-                bytes.push(self.pages[page as usize][(off % PAGE_SIZE as u32) as usize]);
+            for (page, span) in Self::chunks(seg, 0, used) {
+                bytes.extend_from_slice(&self.pages[page][span]);
             }
             // Torn-tail tolerance applies only to the *last* segment: a
             // crash can tear the final record of the final flush, but any
@@ -599,11 +633,9 @@ impl Wal {
         let mut high = st.durable_lsn;
         for op in ops {
             for (pid, img) in &op.pages {
-                let mut body = Vec::with_capacity(4 + PAGE_SIZE);
-                body.extend_from_slice(&pid.0.to_le_bytes());
-                body.extend_from_slice(&img.image[..]);
-                let rec = encode_record(REC_PAGE_IMAGE, img.lsn, &body);
-                st.device.append(&rec);
+                let body = [&pid.0.to_le_bytes()[..], &img.image[..]];
+                st.device
+                    .append(&encode_record(REC_PAGE_IMAGE, img.lsn, &body));
             }
             st.device
                 .append(&encode_record(REC_COMMIT, op.commit_lsn, &[]));
@@ -818,6 +850,212 @@ mod tests {
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
+    /// Two-page segments: one page-image record plus its commit fill a
+    /// segment, so every commit after the first seals one.
+    fn two_page_segments() -> WalConfig {
+        WalConfig {
+            enabled: true,
+            fsync: FsyncMode::PerCommit,
+            segment_pages: 2,
+        }
+    }
+
+    #[test]
+    fn damaged_length_prefix_in_a_sealed_segment_is_corruption() {
+        for byte in 0..4 {
+            let wal = Wal::new(two_page_segments());
+            for i in 0..3u8 {
+                wal.note_page_write(PageId(i as u32), &image(i + 1));
+                wal.commit().unwrap();
+            }
+            {
+                let mut st = wal.lock();
+                assert!(st.device.seg_start > 0, "segment 0 must be sealed");
+                let (page, at) = LogDevice::locate(0, byte);
+                st.device.pages[page][at] ^= 0xFF;
+            }
+            let err = wal.recovered_images().unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { .. }),
+                "byte {byte}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn length_prefix_damaged_to_zero_ends_a_sealed_segment_silently() {
+        // Known gap, pinned as it is today: a prefix that reads 0 is taken
+        // for a zeroed tail before any sealed-segment check, so the commit
+        // record of sealed segment 0 vanishes without `StoreError::Corrupt`.
+        let wal = Wal::new(two_page_segments());
+        for i in 0..3u8 {
+            wal.note_page_write(PageId(i as u32), &image(i + 1));
+            wal.commit().unwrap();
+        }
+        let intact = wal.lock().device.read_all().unwrap().len();
+        assert_eq!(intact, 6, "three page images, three commits");
+        {
+            let mut st = wal.lock();
+            assert!(st.device.seg_start > 0, "segment 0 must be sealed");
+            // Segment 0 holds one page-image record, then its commit.
+            let commit_at = encode_record(REC_PAGE_IMAGE, 0, &[&[0; 4], &image(0)]).len() as u32;
+            let (page, at) = LogDevice::locate(0, commit_at);
+            assert_eq!(st.device.pages[page][at..at + 4], [0x11, 0, 0, 0]);
+            st.device.pages[page][at] ^= 0x11;
+        }
+        assert_eq!(wal.lock().device.read_all().unwrap().len(), intact - 1);
+        // Recovery reports no corruption; the orphaned image of op 0 rides
+        // on the next segment's commit.
+        assert_eq!(wal.recovered_images().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn damaged_length_prefix_in_the_last_segment_never_surfaces_its_record() {
+        // Two ops in one segment; the damage hits the length prefix of the
+        // second op's page-image record. The prefix is outside the record
+        // checksum, so what recovery sees is a mis-framed record: one that
+        // runs past the used bytes (end of log) or one whose checksum fails
+        // (corruption). Either way page 1 — the image it could not verify —
+        // never comes back.
+        let build = |ops: u8| {
+            let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+            for i in 0..ops {
+                wal.note_page_write(PageId(i as u32), &image(i + 1));
+                wal.commit().unwrap();
+            }
+            wal
+        };
+        let second_image_at = build(1).lock().device.seg_used;
+        for byte in 0..4u32 {
+            for mask in [0xFFu8, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80] {
+                let wal = build(2);
+                {
+                    let mut st = wal.lock();
+                    let (page, at) = LogDevice::locate(st.device.seg_start, second_image_at + byte);
+                    st.device.pages[page][at] ^= mask;
+                }
+                match wal.recovered_images() {
+                    Ok(got) => {
+                        assert_eq!(got.len(), 1, "byte {byte} mask {mask:#x}");
+                        assert_eq!(got[0].0, PageId(0));
+                        assert_eq!(got[0].2[0], 1);
+                    }
+                    Err(err) => {
+                        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+                        assert_ne!(mask, 0xFF, "an over-long record is end of log");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn locate_at_the_edges() {
+        // Byte 0 of the record stream sits behind the 28-byte header.
+        assert_eq!(LogDevice::locate(0, 0), (0, SEGMENT_HEADER_SIZE));
+        assert_eq!(LogDevice::locate(6, 0), (6, SEGMENT_HEADER_SIZE));
+        // Last byte of a page, first byte of the next.
+        let page_end = (PAGE_SIZE - SEGMENT_HEADER_SIZE) as u32;
+        assert_eq!(LogDevice::locate(0, page_end - 1), (0, PAGE_SIZE - 1));
+        assert_eq!(LogDevice::locate(0, page_end), (1, 0));
+        // Last byte of a segment.
+        let d = LogDevice::new(2);
+        assert_eq!(
+            LogDevice::locate(4, d.seg_capacity() - 1),
+            (5, PAGE_SIZE - 1)
+        );
+        // Chunks tile a range exactly, one per page.
+        let chunks: Vec<_> = LogDevice::chunks(4, page_end - 3, 5).collect();
+        assert_eq!(
+            chunks,
+            vec![(4, PAGE_SIZE - 3..PAGE_SIZE), (5, 0..2)],
+            "a range across a page boundary"
+        );
+        assert_eq!(LogDevice::chunks(4, 7, 0).count(), 0);
+        assert_eq!(
+            LogDevice::chunks(0, 0, d.seg_capacity()).collect::<Vec<_>>(),
+            vec![(0, SEGMENT_HEADER_SIZE..PAGE_SIZE), (1, 0..PAGE_SIZE)]
+        );
+    }
+
+    /// The oracle for the chunked `append`: a per-byte writer that finds
+    /// its place by walking a `(page, offset)` cursor from the segment's
+    /// first byte — no address arithmetic shared with `locate`.
+    fn append_per_byte(d: &mut LogDevice, rec: &[u8]) {
+        if d.seg_used + rec.len() as u32 > d.seg_capacity() {
+            d.open_segment();
+        }
+        let (mut page, mut at) = (d.seg_start, 0);
+        let skip = SEGMENT_HEADER_SIZE + d.seg_used as usize;
+        for i in 0..skip + rec.len() {
+            if i >= skip {
+                d.pages[page as usize][at] = rec[i - skip];
+                d.touch(page);
+            }
+            at += 1;
+            if at == PAGE_SIZE {
+                (page, at) = (page + 1, 0);
+            }
+        }
+        d.seg_used += rec.len() as u32;
+        d.write_header();
+    }
+
+    /// A valid (commit-kind) record of exactly `len` encoded bytes.
+    fn record_of(len: usize, lsn: u64) -> Vec<u8> {
+        let pad = vec![lsn as u8; len - encode_record(REC_COMMIT, lsn, &[]).len()];
+        let rec = encode_record(REC_COMMIT, lsn, &[&pad]);
+        assert_eq!(rec.len(), len);
+        rec
+    }
+
+    #[test]
+    fn chunked_append_writes_the_bytes_the_per_byte_writer_wrote() {
+        let min = encode_record(REC_COMMIT, 0, &[]).len();
+        let capacity = LogDevice::new(2).seg_capacity() as usize;
+        // A filler record of `fill` bytes puts the next record at in-page
+        // offset (28 + fill) mod PAGE_SIZE: this range reaches all of them.
+        let fills = std::iter::once(0).chain(min..min + PAGE_SIZE);
+        for fill in fills {
+            for size in [1, 2047, 2048, 2061, capacity] {
+                let (mut recs, mut want_lsns) = (Vec::new(), Vec::new());
+                if fill > 0 {
+                    recs.push(record_of(fill, 1));
+                    want_lsns.push(1);
+                }
+                if size >= min {
+                    recs.push(record_of(size, 2));
+                    want_lsns.push(2);
+                } else {
+                    // One byte is no record; it still has to land where
+                    // the oracle puts it.
+                    recs.push(vec![0xAB; size]);
+                }
+                let (mut got, mut want) = (LogDevice::new(2), LogDevice::new(2));
+                for rec in &recs {
+                    got.append(rec);
+                    append_per_byte(&mut want, rec);
+                }
+                assert_eq!(got.pages, want.pages, "fill {fill} size {size}");
+                assert_eq!(got.touched, want.touched, "fill {fill} size {size}");
+                assert_eq!(
+                    (got.seg_start, got.seg_used),
+                    (want.seg_start, want.seg_used)
+                );
+                let lsns: Vec<u64> = got
+                    .read_all()
+                    .unwrap_or_else(|e| panic!("fill {fill} size {size}: {e}"))
+                    .iter()
+                    .map(|rec| match rec {
+                        Record::Commit { lsn } => *lsn,
+                        other => panic!("unexpected record {other:?}"),
+                    })
+                    .collect();
+                assert_eq!(lsns, want_lsns, "fill {fill} size {size}");
+            }
+        }
+    }
+
     #[test]
     fn torn_final_record_reads_as_end_of_log() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
@@ -844,9 +1082,8 @@ mod tests {
             // a flush the crash cut mid-record, with the length prefix
             // already down.
             let mut st = wal.lock();
-            let off = SEGMENT_HEADER_SIZE + st.device.seg_used as usize - 2;
-            let page = st.device.seg_start as usize + off / PAGE_SIZE;
-            st.device.pages[page][off % PAGE_SIZE] ^= 0xFF;
+            let (page, at) = LogDevice::locate(st.device.seg_start, st.device.seg_used - 2);
+            st.device.pages[page][at] ^= 0xFF;
         }
         let got = wal.recovered_images().unwrap();
         assert!(got.is_empty(), "torn commit must not surface its op");
@@ -869,9 +1106,9 @@ mod tests {
         {
             let mut st = wal.lock();
             assert!(st.device.pages.len() > 4, "expected multiple segments");
-            let used = u32::from_le_bytes(st.device.pages[0][20..24].try_into().unwrap()) as usize;
-            let off = SEGMENT_HEADER_SIZE + used - 2;
-            st.device.pages[off / PAGE_SIZE][off % PAGE_SIZE] ^= 0xFF;
+            let used = u32::from_le_bytes(st.device.pages[0][20..24].try_into().unwrap());
+            let (page, at) = LogDevice::locate(0, used - 2);
+            st.device.pages[page][at] ^= 0xFF;
         }
         let err = wal.recovered_images().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");

@@ -5,19 +5,29 @@
 //!
 //! * [`nf2`] — the NF² complex-object model (values, schemas, encoding,
 //!   projections, the benchmark `Station` schema);
-//! * [`pagestore`] — the page-based storage substrate (simulated disk,
-//!   slotted pages, spanned records, a buffer pool with pluggable
-//!   replacement policies — O(1) LRU, Clock, MRU, FIFO, LRU-2 — a
-//!   lock-striped `SharedBufferPool` for concurrent serving, and I/O
-//!   accounting);
-//! * [`core`] — the four storage models of the paper (DSM, DASDBS-DSM,
-//!   NSM(+index), DASDBS-NSM) behind one [`core::ComplexObjectStore`] trait;
-//! * [`cost`] — the analytical disk-I/O cost model (Equations 1–8);
+//! * [`pagestore`] — the page-based storage substrate: simulated disk,
+//!   slotted pages, spanned records, the exclusive `BufferPool` with
+//!   pluggable replacement policies (O(1) LRU, Clock, MRU, FIFO, LRU-2)
+//!   and the lock-striped `SharedBufferPool` beside it (per-page latches,
+//!   an opt-in write-ahead log with group commit, an opt-in batched read
+//!   engine, opt-in heat tracking), all under one I/O accounting;
+//! * [`core`] — the paper's storage models (DSM, DASDBS-DSM, NSM(+index),
+//!   DASDBS-NSM) as one `Store` behind [`core::ComplexObjectStore`] and,
+//!   for multi-client serving, [`core::ConcurrentObjectStore`]; the
+//!   shared-nothing [`core::PartitionedStore`] with its per-node job
+//!   queues; heat-driven re-placement;
+//! * [`cost`] — the analytical disk-I/O cost model (Equations 1–8) and the
+//!   plan-walker that prices declarative plans with it;
 //! * [`workload`] — the benchmark generator and the declarative workload
-//!   layer: the `WorkloadSpec` AccessPlan IR, the streaming `Executor`
-//!   (serial / concurrent / mixed), and queries 1a–3b as built-in plans;
+//!   layer: the `WorkloadSpec` AccessPlan IR (queries 1a–3b are built-in
+//!   specs) and the `Executor`, the one way to run a plan — `run`
+//!   (serial, the paper's protocol), `run_concurrent` (client threads over
+//!   the shared surface), `run_cluster` (the routed cluster) and
+//!   `run_stream` (a racing read/write request mix);
 //! * [`harness`] — experiment drivers regenerating every table and figure of
-//!   the paper's evaluation, plus declarative-workload reports.
+//!   the paper's evaluation plus the extension experiments, and
+//!   `harness::runner::measure`, one measured run of a spec under a chosen
+//!   serving.
 
 pub use starfish_core as core;
 pub use starfish_cost as cost;
