@@ -292,11 +292,9 @@ impl ObjectFile {
     pub fn read_full(&self, pool: &mut impl PageCache, ord: usize) -> Result<Vec<u8>> {
         match self.addr(ord)? {
             ObjAddr::Heap(rid) => Ok(self.heap.read(pool, rid)?),
-            ObjAddr::Spanned(rec) => {
-                // DSM materializes the whole object: structure + all data.
-                let _header = SpannedStore::read_header(pool, &rec)?;
-                Ok(SpannedStore::read_data(pool, &rec, self.plan_of(ord))?)
-            }
+            // DSM materializes the whole object: structure + all data, in
+            // one visit to the pool.
+            ObjAddr::Spanned(rec) => Ok(SpannedStore::read_full(pool, &rec, self.plan_of(ord))?),
         }
     }
 

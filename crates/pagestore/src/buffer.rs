@@ -116,10 +116,13 @@ impl BufferConfig {
     }
 }
 
-/// One resident page: its identity, image, and bookkeeping bits.
+/// One resident page: its identity, image, and bookkeeping bits. The image
+/// lives in its own heap buffer, so evicting or installing a frame moves a
+/// pointer, and an evicted frame's buffer is the next loaded page's
+/// ([`PoolCore::insert_frame`]).
 pub(crate) struct Frame {
     pub(crate) pid: PageId,
-    pub(crate) data: [u8; PAGE_SIZE],
+    pub(crate) data: Box<[u8; PAGE_SIZE]>,
     pub(crate) dirty: bool,
     /// Pin count: pinned frames are never eviction victims.
     pub(crate) pins: u32,
@@ -143,6 +146,11 @@ pub(crate) struct PoolCore {
     /// Frame slots; `None` entries are free and listed in `free`.
     frames: Vec<Option<Frame>>,
     free: Vec<usize>,
+    /// Page buffers of evicted or dropped frames, reused by the next loads:
+    /// a full pool in steady state allocates nothing on a miss. Boxed on
+    /// purpose: a buffer changes hands by pointer, not by a 2 KB copy.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Resident-page table: page id → slot index.
     table: HashMap<PageId, usize>,
     policy: Box<dyn ReplacementPolicy>,
@@ -158,6 +166,7 @@ impl PoolCore {
             capacity,
             frames: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
+            spare: Vec::new(),
             table: HashMap::with_capacity(capacity.min(1 << 20)),
             policy: policy.build(),
             stats: BufferStats::default(),
@@ -290,9 +299,18 @@ impl PoolCore {
     }
 
     /// Installs a page image in a fresh frame (the page must not be
-    /// resident).
-    pub(crate) fn insert_frame(&mut self, pid: PageId, data: [u8; PAGE_SIZE]) {
+    /// resident): **the one copy of a loaded page**, from the device's bytes
+    /// straight into the buffer the frame keeps — a spare one when an
+    /// eviction left it, a new one while the pool is still filling.
+    pub(crate) fn insert_frame(&mut self, pid: PageId, image: &[u8; PAGE_SIZE]) {
         debug_assert!(!self.table.contains_key(&pid));
+        let data = match self.spare.pop() {
+            Some(mut buf) => {
+                buf.copy_from_slice(image);
+                buf
+            }
+            None => Box::new(*image),
+        };
         let slot = self.alloc_slot();
         self.frames[slot] = Some(Frame {
             pid,
@@ -342,8 +360,11 @@ impl PoolCore {
         self.stats.evictions += 1;
         if frame.dirty {
             self.stats.dirty_evictions += 1;
-            disk.write_run_dyn(frame.pid, 1, &mut |_| frame.data)?;
+            disk.write_run_dyn(frame.pid, 1, &mut |_| *frame.data)?;
         }
+        // Only now — the victim's bytes are on the disk — may a load reuse
+        // its buffer.
+        self.spare.push(frame.data);
         Ok(())
     }
 
@@ -371,7 +392,8 @@ impl PoolCore {
     pub(crate) fn drop_all(&mut self) {
         for (_, slot) in self.table.drain() {
             self.policy.on_remove(slot);
-            self.frames[slot] = None;
+            let frame = self.frames[slot].take().expect("mapped slot occupied");
+            self.spare.push(frame.data);
             self.free.push(slot);
         }
         debug_assert!(self.policy.is_empty());
@@ -453,8 +475,10 @@ pub(crate) fn make_room_for<D: DiskOps>(
 }
 
 /// Loads the `n` contiguous uncached pages from `first`: make room in each
-/// owning core, **one read call**, insert the frames. Every miss of either
-/// pool ends here — a single-page fix miss as a run of one.
+/// owning core, **one read call**, each page copied once — from the device
+/// into its frame. Every miss of either pool ends here — a single-page fix
+/// miss as a run of one. A read call that fails delivers no page, so no
+/// frame is installed.
 pub(crate) fn load_run<D: DiskOps>(
     cores: &mut [&mut PoolCore],
     owner: impl Fn(PageId) -> usize,
@@ -463,13 +487,10 @@ pub(crate) fn load_run<D: DiskOps>(
     n: u32,
 ) -> Result<()> {
     make_room_for(cores, &owner, disk, (0..n).map(|i| first.offset(i)))?;
-    let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
-    disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
-    for (i, data) in images.into_iter().enumerate() {
-        let pid = first.offset(i as u32);
-        cores[owner(pid)].insert_frame(pid, data);
-    }
-    Ok(())
+    disk.read_run_dyn(first, n, &mut |i, image| {
+        let pid = first.offset(i);
+        cores[owner(pid)].insert_frame(pid, image);
+    })
 }
 
 /// Writes every dirty page of `cores` back in [`page_runs`] calls, then
@@ -490,7 +511,7 @@ pub(crate) fn flush_all<D: DiskOps>(
         &dirty,
         |pid| {
             let core = &cores[owner(pid)];
-            core.slot_of(pid).map(|slot| core.frame(slot).data)
+            core.slot_of(pid).map(|slot| *core.frame(slot).data)
         },
         |start, len, images| disk.write_run_dyn(start, len, &mut |j| images[j as usize]),
     )?;
@@ -849,6 +870,54 @@ mod tests {
         assert_eq!(p.buffer_stats().dirty_evictions, 1);
         // Content survived the round trip.
         p.with_page(PageId(0), |b| assert_eq!(b[100], 9)).unwrap();
+    }
+
+    /// The buffer of `pid`'s frame, by address.
+    fn buffer_of(p: &BufferPool, pid: PageId) -> *const [u8; PAGE_SIZE] {
+        let slot = p.core.slot_of(pid).expect("resident");
+        &*p.core.frame(slot).data
+    }
+
+    #[test]
+    fn a_miss_after_an_eviction_reuses_the_victims_buffer() {
+        let mut p = pool(2, 6);
+        p.with_page(PageId(0), |_| {}).unwrap();
+        p.with_page(PageId(1), |_| {}).unwrap();
+        let mut buffers = [buffer_of(&p, PageId(0)), buffer_of(&p, PageId(1))];
+        buffers.sort_unstable();
+        // Steady state: every further miss evicts one frame and moves into
+        // its buffer — the pool keeps working in the two it started with.
+        for i in 2..6 {
+            p.with_page(PageId(i), |_| {}).unwrap();
+            let mut now = [buffer_of(&p, PageId(i - 1)), buffer_of(&p, PageId(i))];
+            now.sort_unstable();
+            assert_eq!(now, buffers, "miss on page {i} took a new buffer");
+            assert!(p.core.spare.is_empty(), "the spare buffer was not taken");
+        }
+        // A cold restart keeps the buffers too.
+        p.clear_cache().unwrap();
+        assert_eq!(p.core.spare.len(), 2);
+        p.prefetch_run(PageId(0), 2).unwrap();
+        assert!(p.core.spare.is_empty());
+    }
+
+    #[test]
+    fn a_dirty_victims_bytes_reach_the_disk_before_its_buffer_is_reused() {
+        let mut p = pool(1, 3);
+        p.with_page_mut(PageId(0), |b| b.fill(9)).unwrap();
+        let victim = buffer_of(&p, PageId(0));
+        p.with_page_mut(PageId(1), |b| b.fill(1)).unwrap(); // evicts dirty 0
+        assert_eq!(
+            buffer_of(&p, PageId(1)),
+            victim,
+            "page 1 lives in 0's buffer"
+        );
+        assert_eq!(p.snapshot().pages_written, 1);
+        // What the disk holds of page 0 is page 0, not the next tenant.
+        p.with_page(PageId(0), |b| assert!(b.iter().all(|&x| x == 9)))
+            .unwrap();
+        p.with_page(PageId(1), |b| assert!(b.iter().all(|&x| x == 1)))
+            .unwrap();
     }
 
     #[test]

@@ -22,6 +22,49 @@ use crate::latch::LatchMode;
 use crate::stats::{BufferStats, IoSnapshot};
 use crate::{PageId, PolicyKind, Result, PAGE_SIZE};
 
+/// The pages of `runs`, in order.
+pub(crate) fn run_pages(runs: &[(PageId, u32)]) -> impl Iterator<Item = PageId> + Clone + '_ {
+    runs.iter()
+        .flat_map(|&(first, n)| (0..n).map(move |i| first.offset(i)))
+}
+
+/// [`PageCache::read_runs`] spelled as the calls it stands for: per group,
+/// one `prefetch_run` per run, then one `with_page` per page. The provided
+/// body, and what the shared pool falls back to when its misses go through
+/// the batched read engine (an engine miss releases the shard mutex, which
+/// a held visit may not).
+pub(crate) fn read_runs_per_call<P: PageCache + ?Sized>(
+    pool: &mut P,
+    groups: &[&[(PageId, u32)]],
+    mut sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+) -> Result<()> {
+    for group in groups {
+        for &(first, n) in *group {
+            pool.prefetch_run(first, n)?;
+        }
+        for pid in run_pages(group) {
+            pool.with_page(pid, |page| sink(pid, page))?;
+        }
+    }
+    Ok(())
+}
+
+/// Runs `f`, then `release` on every exit path — a panic in `f` is re-raised
+/// after it. The body of [`PageCache::with_latched`], whichever way the
+/// pool spells the release.
+pub(crate) fn then_release<P, R>(
+    pool: &mut P,
+    f: impl FnOnce(&mut P) -> R,
+    release: impl FnOnce(&mut P),
+) -> R {
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(pool)));
+    release(pool);
+    match r {
+        Ok(v) => v,
+        Err(panic) => std::panic::resume_unwind(panic),
+    }
+}
+
 /// The buffer-pool operations the storage layers need.
 ///
 /// See the `cache` module docs for why this exists. Implementations must
@@ -44,6 +87,26 @@ pub trait PageCache {
     /// Ensures the run `[first, first+n)` is cached — one read call per
     /// maximal contiguous missing sub-run, no fixes counted.
     fn prefetch_run(&mut self, first: PageId, n: u32) -> Result<()>;
+
+    /// Reads page runs as **one visit to the pool**: for each group in
+    /// turn, every run is prefetched (one read call per maximal contiguous
+    /// missing sub-run, as [`prefetch_run`](PageCache::prefetch_run)), then
+    /// every page of the group is fixed in order and handed to `sink` — a
+    /// spanned object's header runs and its data run are two groups of one
+    /// call. This provided body *is* that sequence of `prefetch_run` and
+    /// [`with_page`](PageCache::with_page) calls, so a pool that does not
+    /// override it behaves and counts exactly as a caller making them by
+    /// hand. The shared pool overrides it to take its shard locks once for
+    /// the whole visit instead of once per call, with the same calls, the
+    /// same counters and the same policy events. Neither allocates for the
+    /// runs: callers pass them from the stack.
+    fn read_runs(
+        &mut self,
+        groups: &[&[(PageId, u32)]],
+        sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+    ) -> Result<()> {
+        read_runs_per_call(self, groups, sink)
+    }
 
     /// Fixes and pins `pid`; pinned frames are never eviction victims.
     fn pin(&mut self, pid: PageId) -> Result<()>;
@@ -115,12 +178,7 @@ pub trait PageCache {
         E: From<crate::StoreError>,
     {
         self.latch_pages(pids, mode)?;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-        self.unlatch_pages(pids, mode);
-        match r {
-            Ok(v) => v,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+        then_release(self, f, |pool| pool.unlatch_pages(pids, mode))
     }
 
     /// FNV-1a checksum of the entire on-disk page array — the differential

@@ -35,12 +35,27 @@
 //!        │
 //!        ▼
 //!   shard 0 mutex ─► shard 1 mutex ─► … ─► shard K−1 mutex
-//!        │   (latches acquired in ascending PageId order inside a
-//!        │    shard; the shard mutex is released before crossing to
-//!        ▼    the next shard — latches persist, mutexes do not)
+//!        │   (latch groups: latches acquired in ascending PageId order
+//!        │    inside a shard, the shard mutex released before crossing
+//!        │    to the next shard — latches persist, mutexes do not.
+//!        │    Run loads, spanned-read sessions, flush: several shard
+//!        │    mutexes held at once, taken in this order, and never
+//!        ▼    while waiting on a latch)
 //!   disk RwLock
 //! ```
 //!
+//! * **Several shard mutexes may be held together** — by a multi-page
+//!   prefetch, by a spanned read's lock session
+//!   ([`crate::PageCache::read_runs`] on the shared pool: every shard its
+//!   pages hash to, for the whole visit), by flush and cold restart — and
+//!   then they are always acquired in ascending shard order, and the disk
+//!   lock only after them. **No thread waits on a latch while it holds a
+//!   shard mutex it did not take for that very wait**: a group waits for a
+//!   conflict holding only the conflict's shard (the condvar wait releases
+//!   it), and a session that finds a foreign exclusive latch on one of its
+//!   pages drops *all* its shard mutexes, waits as a leaf on that page's
+//!   shard, and starts over — the latch holder needs those mutexes to
+//!   finish.
 //! * Group latches are acquired in **ascending (shard, page) order**, one
 //!   shard mutex at a time: all of a group's pages in shard *s* are latched
 //!   (waiting on the shard's condvar if a conflicting latch is held) before
@@ -51,10 +66,10 @@
 //!   latch table under the shard mutex and wait for conflicting *foreign*
 //!   latches. They can never be part of a cycle because of an invariant
 //!   the storage layers must (and do) uphold: **a thread holding a group
-//!   latch only plainly accesses pages of its own group, or pages that no
-//!   group ever latches** (the DASDBS-DSM page-pool scratch page is the
-//!   one such page today — it is counter-only and excluded from every
-//!   latch group). Own-group accesses pass without waiting (the exclusive
+//!   latch only accesses — plainly or in a read session — pages of its own
+//!   group, or pages that no group ever latches** (the DASDBS-DSM
+//!   page-pool scratch page is the one such page today — it is
+//!   counter-only and excluded from every latch group). Own-group accesses pass without waiting (the exclusive
 //!   entry records its holder), every other plain access waits while
 //!   holding no latches at all — a leaf waiter.
 //! * Evictions and run loads never consult latches (state is

@@ -9,8 +9,11 @@
 //! engine behind [`BufferPool`](crate::BufferPool) — protected by its own
 //! mutex:
 //!
-//! * a fix takes exactly **one shard lock** (plus the disk lock on a miss),
-//!   so fixes to different shards never contend;
+//! * a single-page fix takes exactly **one shard lock** (plus the disk lock
+//!   on a miss), so fixes to different shards never contend; a spanned
+//!   read ([`PageCache::read_runs`]) takes the locks of every shard its
+//!   pages hash to **once**, for the whole visit, instead of once per
+//!   prefetch and once per fix;
 //! * each shard runs its **own replacement policy instance** over its own
 //!   frames and keeps its own [`BufferStats`], so victim selection needs no
 //!   cross-shard coordination and per-shard load imbalance is observable
@@ -18,9 +21,16 @@
 //! * [`SharedBufferPool::snapshot`] merges the shard counters with the
 //!   shared disk's counters, so every per-unit metric of the measurement
 //!   protocol works unchanged;
-//! * multi-shard operations (run loads, flush, cold restart) acquire shard
-//!   locks in **ascending shard order**, and the disk lock only ever after
-//!   shard locks — a total lock order, so the pool cannot deadlock.
+//! * multi-shard operations (run loads, spanned reads, flush, cold
+//!   restart) hold several shard locks at a time, always acquired in
+//!   **ascending shard order**, never held while waiting on a latch, and
+//!   the disk lock only ever after shard locks — a total lock order, so
+//!   the pool cannot deadlock;
+//! * a shard lock is held for about a microsecond, so a thread that finds
+//!   one taken **spins, then yields, and only then parks** (`lock_shard`):
+//!   a park and its wake-up cost more than ten whole object reads, and
+//!   parking is what made a second client on one pool divide throughput by
+//!   four (README, "A second client must not cost throughput").
 //!
 //! A pool with **one shard** executes, operation for operation, the same
 //! code as [`BufferPool`](crate::BufferPool) — by construction, not by
@@ -46,7 +56,9 @@
 //! quiesced pool:
 //!
 //! * single-page accesses stay atomic under the shard mutex, and
-//!   additionally wait for conflicting *foreign* latches;
+//!   additionally wait for conflicting *foreign* latches; a spanned read
+//!   waits for them too, before it touches a frame and holding no shard
+//!   mutex while it waits;
 //! * multi-page operations (an object's read or read-modify-write) take
 //!   **group latches** via [`SharedBufferPool::latch_pages`] — shared for
 //!   readers, exclusive for writers — acquired in the global
@@ -83,21 +95,29 @@
 //! leave threads parked in `Condvar::wait` wedged forever.
 
 use crate::buffer::{self, PoolCore};
-use crate::cache::PageCache;
+use crate::cache::{self, run_pages, PageCache};
 use crate::disk::DiskOps;
 use crate::heat::HeatConfig;
 use crate::ioengine::{IoEngine, IoEngineConfig};
-use crate::latch::{distinct_pids, LatchMode, LatchTable};
+use crate::latch::{LatchMode, LatchTable};
 use crate::stats::{BufferStats, DiskStats, IoSnapshot};
 use crate::wal::{Wal, WalConfig};
 use crate::{BufferConfig, PageId, PolicyKind, Result, StoreError, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 
 /// The shared simulated disk: the page array behind an `RwLock` (many
 /// concurrent read calls, exclusive write calls) with atomic I/O counters.
+///
+/// Every client takes the read lock and bumps two counters on every miss.
+/// The layout keeps the lock word and the counters on separate cache lines
+/// (fields in declaration order, the struct line-aligned, the gap filled),
+/// so a counter bump does not take the line away from a client that is
+/// acquiring or releasing the lock.
+#[repr(C, align(64))]
 struct SharedDisk {
     pages: RwLock<Vec<[u8; PAGE_SIZE]>>,
+    _rest_of_the_lock_line: [u8; 64 - std::mem::size_of::<RwLock<Vec<[u8; PAGE_SIZE]>>>() % 64],
     read_calls: AtomicU64,
     pages_read: AtomicU64,
     write_calls: AtomicU64,
@@ -108,6 +128,7 @@ impl SharedDisk {
     fn new() -> Self {
         SharedDisk {
             pages: RwLock::new(Vec::new()),
+            _rest_of_the_lock_line: [0; _],
             read_calls: AtomicU64::new(0),
             pages_read: AtomicU64::new(0),
             write_calls: AtomicU64::new(0),
@@ -217,13 +238,45 @@ impl DiskOps for &SharedDisk {
 /// mutex, with a condvar for latch-conflict waiting.
 struct Shard {
     state: Mutex<ShardState>,
-    /// Notified whenever a latch in this shard is released.
+    /// Notified when a latch in this shard is released while somebody
+    /// waits for one (`ShardState::waiters`).
     cond: Condvar,
 }
 
 struct ShardState {
     core: PoolCore,
     latches: LatchTable,
+    /// Threads asleep on `Shard::cond`. Counted in and out under the shard
+    /// mutex by the one conflict wait, so a release that reads 0 under the
+    /// same mutex has nobody to wake and skips the `futex_wake`.
+    waiters: usize,
+}
+
+/// How often a thread that finds a shard mutex taken looks again before it
+/// parks: first spinning, then yielding its processor. The mutex is held
+/// for the length of a hash probe or a page copy — about a microsecond —
+/// while a park and its wake-up cost tens; `std`'s mutex spins for far less
+/// than a hold before it sleeps. Sized like `YIELDS_BEFORE_PARK` of the
+/// cluster router: the whole budget costs about what one park would
+/// (64 spins + 32 yields measured as good as 64 + 2 000), and past it the
+/// blocking `lock()` protects the runs where clients outnumber processors
+/// and the holder is not running at all. Not a setting: the protocol under
+/// it is the plain mutex.
+const SPINS_BEFORE_YIELD: u32 = 64;
+const YIELDS_BEFORE_PARK: u32 = 32;
+
+/// The one way a shard mutex is taken: bounded spin, bounded yield, then
+/// the blocking lock. Poison is recovered (module doc, "Lock poisoning").
+fn lock_shard(sh: &Shard) -> MutexGuard<'_, ShardState> {
+    for round in 0..SPINS_BEFORE_YIELD + YIELDS_BEFORE_PARK {
+        match sh.state.try_lock() {
+            Ok(st) => return st,
+            Err(TryLockError::Poisoned(e)) => return e.into_inner(),
+            Err(TryLockError::WouldBlock) if round < SPINS_BEFORE_YIELD => std::hint::spin_loop(),
+            Err(TryLockError::WouldBlock) => std::thread::yield_now(),
+        }
+    }
+    sh.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The writer gate: flushes and cold restarts quiesce in-flight exclusive
@@ -242,6 +295,8 @@ struct GateState {
     draining: u32,
     /// The thread holding the drain (set iff `draining > 0`).
     owner: Option<std::thread::ThreadId>,
+    /// Threads asleep on the gate's condvar (see `ShardState::waiters`).
+    waiters: usize,
 }
 
 /// A thread-safe buffer pool sharded by `PageId` hash into K lock-striped
@@ -308,6 +363,7 @@ impl SharedBufferPool {
                     state: Mutex::new(ShardState {
                         core: PoolCore::new(per, policy),
                         latches: LatchTable::default(),
+                        waiters: 0,
                     }),
                     cond: Condvar::new(),
                 }
@@ -372,15 +428,13 @@ impl SharedBufferPool {
     }
 
     fn shard(&self, i: usize) -> MutexGuard<'_, ShardState> {
-        self.shards[i]
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock_shard(&self.shards[i])
     }
 
     /// The one conflict wait: while `blocked` holds, sleeps on the shard's
-    /// condvar (woken by every latch release in the shard). A blocked
-    /// acquisition counts one `latch_waits`, however often it is woken.
+    /// condvar (woken by every latch release in the shard while it is
+    /// registered in `waiters`). A blocked acquisition counts one
+    /// `latch_waits`, however often it is woken.
     /// The loop is written by hand because `Condvar::wait_while` returns on
     /// a poisoned mutex without re-checking its predicate, and a poisoned
     /// shard is a supported state (module doc, "Lock poisoning").
@@ -391,9 +445,11 @@ impl SharedBufferPool {
     ) -> MutexGuard<'a, ShardState> {
         if blocked(&st.latches) {
             st.core.stats.latch_waits += 1;
+            st.waiters += 1;
             while blocked(&st.latches) {
                 st = sh.cond.wait(st).unwrap_or_else(|e| e.into_inner());
             }
+            st.waiters -= 1;
         }
         st
     }
@@ -403,16 +459,12 @@ impl SharedBufferPool {
     /// other lock or latch.
     fn lock_for(&self, pid: PageId, write: bool) -> MutexGuard<'_, ShardState> {
         let sh = &self.shards[self.shard_of(pid)];
-        let st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-        Self::wait_until_clear(sh, st, |latches| latches.blocks(pid, write))
+        Self::wait_until_clear(sh, lock_shard(sh), |latches| latches.blocks(pid, write))
     }
 
     /// Locks every shard, in ascending order (the global lock order).
     fn lock_all(&self) -> Vec<MutexGuard<'_, ShardState>> {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().unwrap_or_else(|e| e.into_inner()))
-            .collect()
+        self.shards.iter().map(lock_shard).collect()
     }
 
     /// Allocates `n` contiguous pages on the shared disk.
@@ -479,7 +531,7 @@ impl SharedBufferPool {
         for &(first, n) in runs {
             let mut images: Vec<[u8; PAGE_SIZE]> = Vec::with_capacity(n as usize);
             disk.read_run_dyn(first, n, &mut |_, data| images.push(*data))?;
-            let (involved, mut guards) = self.lock_involved(first, n);
+            let (involved, mut guards) = self.lock_involved(run_pages(&[(first, n)]));
             let mut cores = cores_of(&mut guards);
             let owner = |pid| owner_pos(&involved, self.shard_of(pid));
             let missing: Vec<PageId> = (0..n)
@@ -488,7 +540,7 @@ impl SharedBufferPool {
                 .collect();
             buffer::make_room_for(&mut cores, owner, disk, missing.iter().copied())?;
             for pid in missing {
-                cores[owner(pid)].insert_frame(pid, images[(pid.0 - first.0) as usize]);
+                cores[owner(pid)].insert_frame(pid, &images[(pid.0 - first.0) as usize]);
             }
         }
         Ok(())
@@ -553,56 +605,70 @@ impl SharedBufferPool {
     /// Exclusive groups additionally register with the writer gate so
     /// flushes can quiesce them. Groups must not nest.
     pub fn latch_pages(&self, pids: &[PageId], mode: LatchMode) -> Result<()> {
-        let ordered = self.group_order(pids);
-        if ordered.is_empty() {
-            return Ok(());
-        }
-        if mode == LatchMode::Exclusive {
-            self.enter_exclusive_group();
-        }
-        for in_shard in ordered.chunk_by(|a, b| a.0 == b.0) {
-            let sh = &self.shards[in_shard[0].0];
-            let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
-            for &(_, pid) in in_shard {
-                st = Self::wait_until_clear(sh, st, |latches| !latches.can_grant(pid, mode));
-                st.latches.grant(pid, mode);
-            }
-            st.core.note_group_latch(mode, in_shard.len() as u64);
-        }
+        self.latch_ordered(&self.group_order(pids), mode);
         Ok(())
     }
 
     /// Releases a group latch previously acquired with [`Self::latch_pages`]
     /// (same pages, same mode, same thread), waking conflict waiters.
     pub fn unlatch_pages(&self, pids: &[PageId], mode: LatchMode) {
-        let ordered = self.group_order(pids);
+        self.unlatch_ordered(&self.group_order(pids), mode);
+    }
+
+    /// The distinct pages of a group in ascending (shard, page) order —
+    /// the total order every group acquires and releases in, which is what
+    /// keeps two groups from deadlocking. The one allocation of a group:
+    /// [`PageCache::with_latched`] on the handle orders once and releases
+    /// by the same list.
+    fn group_order(&self, pids: &[PageId]) -> Vec<(usize, PageId)> {
+        let mut ordered: Vec<(usize, PageId)> =
+            pids.iter().map(|&p| (self.shard_of(p), p)).collect();
+        ordered.sort_unstable();
+        ordered.dedup();
+        ordered
+    }
+
+    /// [`Self::latch_pages`] over a [`Self::group_order`] list.
+    fn latch_ordered(&self, ordered: &[(usize, PageId)], mode: LatchMode) {
+        if ordered.is_empty() {
+            return;
+        }
+        if mode == LatchMode::Exclusive {
+            self.enter_exclusive_group();
+        }
+        for in_shard in ordered.chunk_by(|a, b| a.0 == b.0) {
+            let sh = &self.shards[in_shard[0].0];
+            let mut st = lock_shard(sh);
+            for &(_, pid) in in_shard {
+                st = Self::wait_until_clear(sh, st, |latches| !latches.can_grant(pid, mode));
+                st.latches.grant(pid, mode);
+            }
+            st.core.note_group_latch(mode, in_shard.len() as u64);
+        }
+    }
+
+    /// [`Self::unlatch_pages`] over the list the group was latched by. A
+    /// shard's condvar is notified only when a waiter is registered under
+    /// its mutex: an uncontended release makes no system call.
+    fn unlatch_ordered(&self, ordered: &[(usize, PageId)], mode: LatchMode) {
         if ordered.is_empty() {
             return;
         }
         for in_shard in ordered.chunk_by(|a, b| a.0 == b.0) {
             let sh = &self.shards[in_shard[0].0];
-            let mut st = sh.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = lock_shard(sh);
             for &(_, pid) in in_shard {
                 st.latches.release(pid, mode);
             }
+            let wake = st.waiters > 0;
             drop(st);
-            sh.cond.notify_all();
+            if wake {
+                sh.cond.notify_all();
+            }
         }
         if mode == LatchMode::Exclusive {
             self.exit_exclusive_group();
         }
-    }
-
-    /// The distinct pages of a group in ascending (shard, page) order —
-    /// the total order every group acquires and releases in, which is what
-    /// keeps two groups from deadlocking.
-    fn group_order(&self, pids: &[PageId]) -> Vec<(usize, PageId)> {
-        let mut ordered: Vec<(usize, PageId)> = distinct_pids(pids)
-            .into_iter()
-            .map(|p| (self.shard_of(p), p))
-            .collect();
-        ordered.sort_unstable();
-        ordered
     }
 
     /// Total pages currently group-latched (any mode) across shards.
@@ -619,10 +685,29 @@ impl SharedBufferPool {
             .sum()
     }
 
+    /// One sleep on the gate's condvar, registered in `GateState::waiters`
+    /// for its length so the gate's two releases know whether anybody is
+    /// there to wake. Callers loop on their own condition.
+    fn gate_wait<'a>(&'a self, mut g: MutexGuard<'a, GateState>) -> MutexGuard<'a, GateState> {
+        g.waiters += 1;
+        g = self.gate_cond.wait(g).unwrap_or_else(|e| e.into_inner());
+        g.waiters -= 1;
+        g
+    }
+
+    /// Drops the gate and wakes its sleepers, if there are any.
+    fn gate_release(&self, g: MutexGuard<'_, GateState>) {
+        let wake = g.waiters > 0;
+        drop(g);
+        if wake {
+            self.gate_cond.notify_all();
+        }
+    }
+
     fn enter_exclusive_group(&self) {
         let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
         while g.draining > 0 {
-            g = self.gate_cond.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = self.gate_wait(g);
         }
         g.active_exclusive += 1;
     }
@@ -631,8 +716,7 @@ impl SharedBufferPool {
         let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(g.active_exclusive > 0, "unbalanced exclusive group");
         g.active_exclusive = g.active_exclusive.saturating_sub(1);
-        drop(g);
-        self.gate_cond.notify_all();
+        self.gate_release(g);
     }
 
     /// Quiesces writers: waits for in-flight exclusive groups to finish and
@@ -649,7 +733,7 @@ impl SharedBufferPool {
         }
         while g.draining > 0 {
             // Another flush/restart is draining; take over afterwards.
-            g = self.gate_cond.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = self.gate_wait(g);
         }
         g.draining = 1;
         g.owner = Some(me);
@@ -659,7 +743,7 @@ impl SharedBufferPool {
                 self.gate_waits.fetch_add(1, Ordering::Relaxed);
                 waited = true;
             }
-            g = self.gate_cond.wait(g).unwrap_or_else(|e| e.into_inner());
+            g = self.gate_wait(g);
         }
     }
 
@@ -671,8 +755,7 @@ impl SharedBufferPool {
             return;
         }
         g.owner = None;
-        drop(g);
-        self.gate_cond.notify_all();
+        self.gate_release(g);
     }
 
     /// Runs `f` inside a writer-quiesce window: in-flight exclusive latch
@@ -695,18 +778,20 @@ impl SharedBufferPool {
         }
     }
 
-    /// Locks every shard owning a page of `[first, first+n)`, in ascending
-    /// shard order (the global lock order). Returns the involved shard
-    /// indices and their guards, in the same order; resolve a page's guard
-    /// with [`owner_pos`].
+    /// Locks every shard owning one of `pids`, in ascending shard order (the
+    /// global lock order). Returns the involved shard indices and their
+    /// guards, in the same order; resolve a page's guard with [`owner_pos`].
     fn lock_involved(
         &self,
-        first: PageId,
-        n: u32,
+        pids: impl Iterator<Item = PageId>,
     ) -> (Vec<usize>, Vec<MutexGuard<'_, ShardState>>) {
-        let mut involved: Vec<usize> = (0..n).map(|i| self.shard_of(first.offset(i))).collect();
+        let mut involved: Vec<usize> = Vec::new();
+        for s in pids.map(|pid| self.shard_of(pid)) {
+            if !involved.contains(&s) {
+                involved.push(s);
+            }
+        }
         involved.sort_unstable();
-        involved.dedup();
         let guards = involved.iter().map(|&s| self.shard(s)).collect();
         (involved, guards)
     }
@@ -726,10 +811,61 @@ impl SharedBufferPool {
         if n == 0 {
             return Ok(());
         }
-        let (involved, mut guards) = self.lock_involved(first, n);
+        let (involved, mut guards) = self.lock_involved(run_pages(&[(first, n)]));
         let mut cores = cores_of(&mut guards);
         let owner = |pid| owner_pos(&involved, self.shard_of(pid));
         buffer::prefetch_run(&mut cores, owner, &mut &self.disk, first, n)
+    }
+
+    /// [`PageCache::read_runs`] as one lock session (synchronous miss path
+    /// only — the handle sends an engine-on pool down the per-call path):
+    /// the shards of every page of every group are locked **once**,
+    /// ascending, and the calls the provided body would make one lock at a
+    /// time — `buffer::prefetch_run` per run, [`PoolCore::fix`] per page —
+    /// run over the held cores, in the same order, so counters and policy
+    /// events are the per-call path's.
+    ///
+    /// A page under a foreign exclusive latch is waited for as a fix would
+    /// wait, but before any frame is touched and **holding no shard
+    /// mutex**: all guards are dropped, the wait is [`Self::lock_for`]'s
+    /// leaf wait (one `latch_waits`), and the session starts over. The
+    /// latch holder needs these very mutexes to finish. The thread's own
+    /// exclusive latch passes ([`LatchTable::blocks`]).
+    fn read_runs(
+        &self,
+        groups: &[&[(PageId, u32)]],
+        mut sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+    ) -> Result<()> {
+        debug_assert!(self.engine.is_none(), "an engine miss drops its mutex");
+        let pages = || groups.iter().flat_map(|group| run_pages(group));
+        let (involved, mut guards) = loop {
+            let (involved, guards) = self.lock_involved(pages());
+            let blocked = pages().find(|&pid| {
+                let st = &guards[owner_pos(&involved, self.shard_of(pid))];
+                st.latches.blocks(pid, false)
+            });
+            match blocked {
+                None => break (involved, guards),
+                Some(pid) => {
+                    drop(guards);
+                    drop(self.lock_for(pid, false));
+                }
+            }
+        };
+        let mut cores = cores_of(&mut guards);
+        let owner = |pid| owner_pos(&involved, self.shard_of(pid));
+        let disk = &mut &self.disk;
+        for group in groups {
+            for &(first, n) in *group {
+                buffer::prefetch_run(&mut cores, owner, disk, first, n)?;
+            }
+            for pid in run_pages(group) {
+                let core = &mut *cores[owner(pid)];
+                let slot = core.fix(disk, pid, false)?;
+                sink(pid, &core.frame(slot).data);
+            }
+        }
+        Ok(())
     }
 
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
@@ -1050,6 +1186,19 @@ impl PageCache for SharedPoolHandle {
         self.pool.prefetch_run(first, n)
     }
 
+    /// One lock session for the whole visit; with the batched read engine
+    /// on, the per-call path (an engine miss releases its shard mutex).
+    fn read_runs(
+        &mut self,
+        groups: &[&[(PageId, u32)]],
+        sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+    ) -> Result<()> {
+        if self.pool.io_engine_enabled() {
+            return cache::read_runs_per_call(self, groups, sink);
+        }
+        self.pool.read_runs(groups, sink)
+    }
+
     fn pin(&mut self, pid: PageId) -> Result<()> {
         self.pool.pin(pid)
     }
@@ -1108,6 +1257,21 @@ impl PageCache for SharedPoolHandle {
 
     fn unlatch_pages(&mut self, pids: &[PageId], mode: LatchMode) {
         self.pool.unlatch_pages(pids, mode)
+    }
+
+    /// The provided body, with the group ordered once for both ends.
+    fn with_latched<R, E>(
+        &mut self,
+        pids: &[PageId],
+        mode: LatchMode,
+        f: impl FnOnce(&mut Self) -> std::result::Result<R, E>,
+    ) -> std::result::Result<R, E>
+    where
+        E: From<StoreError>,
+    {
+        let ordered = self.pool.group_order(pids);
+        self.pool.latch_ordered(&ordered, mode);
+        cache::then_release(self, f, |h| h.pool.unlatch_ordered(&ordered, mode))
     }
 
     fn disk_checksum(&self) -> u64 {
@@ -1593,6 +1757,138 @@ mod tests {
         p.flush_all().unwrap();
         p.clear_cache().unwrap();
         p.with_page(PageId(2), |b| assert_eq!(b[0], 9)).unwrap();
+    }
+
+    /// The mirror of `foreign_exclusive_latch_blocks_readers_until_released`
+    /// for a lock session: the reader wants the very shard mutexes the
+    /// latch holder needs to finish, so it must wait holding none of them.
+    #[test]
+    fn session_waits_out_a_foreign_exclusive_latch_holding_no_mutex() {
+        let p = pool(2, 8, 8);
+        p.latch_pages(&[PageId(3)], LatchMode::Exclusive).unwrap();
+        thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut seen = Vec::new();
+                p.read_runs(&[&[(PageId(2), 3)]], |pid, b| seen.push((pid, b[0])))
+                    .unwrap();
+                seen
+            });
+            // The reader has met the latch and sleeps on it.
+            while p.buffer_stats().latch_waits < 1 {
+                thread::yield_now();
+            }
+            // Every shard is free: the writer fixes pages in both.
+            p.with_page_mut(PageId(3), |b| b[0] = 99).unwrap();
+            p.with_page(PageId(2), |_| {}).unwrap();
+            p.unlatch_pages(&[PageId(3)], LatchMode::Exclusive);
+            let seen = reader.join().unwrap();
+            assert_eq!(seen, vec![(PageId(2), 0), (PageId(3), 99), (PageId(4), 0)]);
+        });
+        assert_eq!(p.buffer_stats().latch_waits, 1, "one blocked episode");
+        assert_eq!(p.latched_pages(), 0);
+    }
+
+    /// The mirror of `own_exclusive_latch_is_reentrant_for_page_access`:
+    /// DSM's `replace_tuple` reads the object inside its own exclusive
+    /// group.
+    #[test]
+    fn session_passes_the_threads_own_exclusive_latch() {
+        let p = pool(2, 8, 8);
+        let pages = [PageId(0), PageId(1), PageId(2)];
+        p.latch_pages(&pages, LatchMode::Exclusive).unwrap();
+        for pid in pages {
+            p.with_page_mut(pid, |b| b[0] = 7).unwrap();
+        }
+        let mut seen = Vec::new();
+        p.read_runs(&[&[(PageId(0), 1)], &[(PageId(1), 2)]], |pid, b| {
+            seen.push((pid, b[0]))
+        })
+        .unwrap();
+        assert_eq!(seen, pages.map(|pid| (pid, 7)));
+        p.unlatch_pages(&pages, LatchMode::Exclusive);
+        assert_eq!(p.buffer_stats().latch_waits, 0);
+    }
+
+    /// The mirror of `panicked_client_does_not_wedge_other_fixes`: a sink
+    /// that panics unwinds through every held shard guard.
+    #[test]
+    fn session_whose_sink_panics_leaves_every_shard_usable() {
+        let p = pool(2, 8, 8);
+        p.with_page_mut(PageId(1), |b| b[0] = 7).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = p.read_runs(&[&[(PageId(0), 4)]], |_, _| panic!("client died mid-read"));
+        }));
+        assert!(panicked.is_err(), "panic must propagate to the dead client");
+        thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut sum = 0;
+                p.read_runs(&[&[(PageId(0), 4)]], |_, b| sum += b[0])
+                    .unwrap();
+                sum
+            });
+            assert_eq!(reader.join().unwrap(), 7, "second thread's session wedged");
+        });
+        p.with_page_mut(PageId(2), |b| b[0] = 9).unwrap();
+        p.flush_all().unwrap();
+        p.clear_cache().unwrap();
+        p.with_page(PageId(2), |b| assert_eq!(b[0], 9)).unwrap();
+    }
+
+    /// The spin is bounded: behind a holder that keeps a shard mutex for
+    /// milliseconds — thousands of times the spin and yield budget — the
+    /// helper ends in the blocking `lock()` and returns once the holder
+    /// lets go.
+    #[test]
+    fn a_long_held_shard_mutex_is_waited_for_by_the_blocking_lock() {
+        let p = pool(1, 4, 4);
+        let (held, is_held) = std::sync::mpsc::channel();
+        thread::scope(|s| {
+            s.spawn(|| {
+                let mut st = p.shards[0].state.lock().unwrap();
+                held.send(()).unwrap();
+                thread::sleep(std::time::Duration::from_millis(5));
+                st.core.stats.latch_waits = 42; // visible to whoever locks next
+            });
+            is_held.recv().unwrap();
+            let t0 = std::time::Instant::now();
+            let st = lock_shard(&p.shards[0]);
+            assert_eq!(st.core.stats.latch_waits, 42, "locked after the holder");
+            assert!(t0.elapsed() >= std::time::Duration::from_millis(4));
+        });
+    }
+
+    /// One session reads what the per-call sequence reads, with the same
+    /// counters, on any shard count — and with the read engine on it *is*
+    /// the per-call sequence.
+    #[test]
+    fn session_counts_like_the_calls_it_stands_for() {
+        let groups: [&[(PageId, u32)]; 2] = [&[(PageId(0), 1), (PageId(1), 2)], &[(PageId(3), 4)]];
+        for shards in [1, 2, 3] {
+            let by_call = pool(shards, 5, 8);
+            let mut engine = SharedPoolHandle {
+                pool: Arc::new(engine_pool(shards, 5, 8)),
+            };
+            let session = pool(shards, 5, 8);
+            for round in 0..3 {
+                for group in groups {
+                    for &(first, n) in group {
+                        by_call.prefetch_run(first, n).unwrap();
+                    }
+                    for pid in run_pages(group) {
+                        by_call.with_page(pid, |_| {}).unwrap();
+                    }
+                }
+                let mut seen = Vec::new();
+                session.read_runs(&groups, |pid, _| seen.push(pid)).unwrap();
+                assert_eq!(seen, (0..7).map(PageId).collect::<Vec<_>>());
+                engine.read_runs(&groups, |_, _| {}).unwrap();
+                let (a, b) = (session.snapshot(), by_call.snapshot());
+                assert_eq!(a, b, "{shards} shards, round {round}");
+                let c = engine.pool.snapshot();
+                assert_eq!((c.fixes, c.hits, c.misses), (b.fixes, b.hits, b.misses));
+                assert_eq!((c.read_calls, c.pages_read), (b.read_calls, b.pages_read));
+            }
+        }
     }
 
     fn engine_pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {

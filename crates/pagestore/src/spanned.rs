@@ -12,7 +12,9 @@
 //! Reads mirror DASDBS's call structure: one I/O call for the root page, one
 //! for the additional header pages (if any), and one per contiguous run of
 //! requested data pages — which is why the paper measures ≈2 pages per read
-//! call for the direct models (§5.2).
+//! call for the direct models (§5.2). Every read hands its runs to the pool
+//! in one [`PageCache::read_runs`] visit (header runs and data run of a
+//! whole-object read together), from the stack.
 //!
 //! *Which data page holds byte `b`* is answered in exactly one place, the
 //! private page plan below: packed (a page every `EFFECTIVE_PAGE_SIZE`
@@ -201,23 +203,24 @@ impl SpannedStore {
         Ok(())
     }
 
-    /// Fixes `pages` (indices relative to `first`) and copies their content
+    /// Copies the content of `page`, the `i`-th page from the plan's first,
     /// to where `plan` places it in `out`.
-    fn read_pages(
-        pool: &mut impl PageCache,
-        first: PageId,
-        pages: Range<u32>,
-        plan: PagePlan,
-        out: &mut [u8],
-    ) -> Result<()> {
-        for i in pages {
-            let on_page = plan.bounds(i as usize);
-            pool.with_page(first.offset(i), |p| {
-                let content = &p[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + on_page.len()];
-                out[on_page].copy_from_slice(content);
-            })?;
-        }
-        Ok(())
+    fn copy_out(plan: PagePlan, i: u32, page: &[u8], out: &mut [u8]) {
+        let on_page = plan.bounds(i as usize);
+        let content = &page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + on_page.len()];
+        out[on_page].copy_from_slice(content);
+    }
+
+    /// The header's read calls as DASDBS makes them: one for the root page
+    /// and, if there are any, one for the additional header pages — the
+    /// first `header_pages.min(2)` of these.
+    fn header_runs(rec: &SpannedRecord) -> [(PageId, u32); 2] {
+        [(rec.first, 1), (rec.first.offset(1), rec.header_pages - 1)]
+    }
+
+    /// The data pages `plan` reads as one run.
+    fn data_run(rec: &SpannedRecord, plan: PagePlan) -> (PageId, u32) {
+        (rec.data_first(), plan.pages())
     }
 
     /// Reads the header (object directory) bytes.
@@ -225,13 +228,12 @@ impl SpannedStore {
     /// I/O calls as in DASDBS: one for the root page, one for the additional
     /// header pages if any. Fixes every header page.
     pub fn read_header(pool: &mut impl PageCache, rec: &SpannedRecord) -> Result<Vec<u8>> {
-        pool.prefetch_run(rec.first, 1)?;
-        if rec.header_pages > 1 {
-            pool.prefetch_run(rec.first.offset(1), rec.header_pages - 1)?;
-        }
         let plan = PagePlan::new(None, rec.header_len as usize);
         let mut out = vec![0u8; plan.len];
-        Self::read_pages(pool, rec.first, 0..plan.pages(), plan, &mut out)?;
+        let runs = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
+        pool.read_runs(&[runs], |pid, page| {
+            Self::copy_out(plan, pid.0 - rec.first.0, page, &mut out)
+        })?;
         Ok(out)
     }
 
@@ -242,10 +244,34 @@ impl SpannedStore {
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
     ) -> Result<Vec<u8>> {
-        pool.prefetch_run(rec.data_first(), rec.data_pages)?;
         let plan = PagePlan::new(plan, rec.data_len as usize);
         let mut out = vec![0u8; plan.len];
-        Self::read_pages(pool, rec.data_first(), 0..plan.pages(), plan, &mut out)?;
+        let data_first = rec.data_first();
+        pool.read_runs(&[&[Self::data_run(rec, plan)]], |pid, page| {
+            Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
+        })?;
+        Ok(out)
+    }
+
+    /// Reads the whole object — what [`Self::read_header`] followed by
+    /// [`Self::read_data`] read, call for call and fix for fix, in one visit
+    /// to the pool — and returns the data content. The header pages are
+    /// fetched and fixed (the structure is read with the tuple) but their
+    /// bytes are not copied: the caller decodes by schema.
+    pub fn read_full(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        plan: Option<&[u32]>,
+    ) -> Result<Vec<u8>> {
+        let plan = PagePlan::new(plan, rec.data_len as usize);
+        let mut out = vec![0u8; plan.len];
+        let data_first = rec.data_first();
+        let header = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
+        pool.read_runs(&[header, &[Self::data_run(rec, plan)]], |pid, page| {
+            if pid >= data_first {
+                Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
+            }
+        })?;
         Ok(out)
     }
 
@@ -271,16 +297,16 @@ impl SpannedStore {
             wanted[plan.pages_of(r)].fill(true);
         }
         let mut out = vec![0u8; plan.len];
-        // Prefetch each run of wanted pages (one call per run if cold), then
-        // fix and copy its pages.
+        // Each run of wanted pages is prefetched (one call if cold), then
+        // fixed and copied, before the next run.
         let data_first = rec.data_first();
         let wanted_pids = (0..rec.data_pages)
             .filter(|&i| wanted[i as usize])
             .map(|i| data_first.offset(i));
-        for (run_first, len) in page_runs(wanted_pids) {
-            pool.prefetch_run(run_first, len)?;
-            let i = run_first.0 - data_first.0;
-            Self::read_pages(pool, data_first, i..i + len, plan, &mut out)?;
+        for run in page_runs(wanted_pids) {
+            pool.read_runs(&[&[run]], |pid, page| {
+                Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
+            })?;
         }
         Ok(out)
     }
@@ -399,6 +425,39 @@ mod tests {
         assert_eq!(s.read_calls, 2);
         assert_eq!(s.pages_read, 4);
         assert_eq!(s.fixes, 4);
+    }
+
+    /// The one-visit whole-object read is the header read followed by the
+    /// data read — same calls, fixes and evictions — also with several
+    /// header pages and a buffer smaller than the object.
+    #[test]
+    fn read_full_is_read_header_then_read_data() {
+        for (header_len, capacity) in [(50, 256), (3000, 256), (5000, 3)] {
+            let mut by_part = BufferPool::new(SimDisk::new(), capacity);
+            let mut whole = BufferPool::new(SimDisk::new(), capacity);
+            let (header, data) = (bytes(header_len, 1), bytes(7000, 2));
+            let rec = SpannedStore::store(&mut by_part, &header, &data, None).unwrap();
+            assert_eq!(
+                SpannedStore::store(&mut whole, &header, &data, None).unwrap(),
+                rec
+            );
+            for p in [&mut by_part, &mut whole] {
+                p.clear_cache().unwrap();
+                p.reset_stats();
+            }
+            for round in 0..2 {
+                SpannedStore::read_header(&mut by_part, &rec).unwrap();
+                let expect = SpannedStore::read_data(&mut by_part, &rec, None).unwrap();
+                let got = SpannedStore::read_full(&mut whole, &rec, None).unwrap();
+                assert_eq!(got, expect);
+                assert_eq!(got, data);
+                assert_eq!(
+                    whole.snapshot(),
+                    by_part.snapshot(),
+                    "{header_len}-byte header, {capacity} frames, round {round}"
+                );
+            }
+        }
     }
 
     #[test]

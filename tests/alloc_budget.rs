@@ -11,12 +11,21 @@
 //! * DSM `children_of` on a buffer-resident object allocates O(children),
 //!   whatever the size of the `Sightseeing` relation it reads past;
 //! * a resident prefetch plus a fix on the exclusive `BufferPool` allocates
-//!   nothing at all.
+//!   nothing at all, and neither does a miss once the pool is full (the
+//!   victim's page buffer is the loaded page's);
+//! * a resident spanned read allocates the buffers it hands back and
+//!   nothing for the page runs it asks the pool for — on `BufferPool`, and
+//!   on the one-shard `SharedPoolHandle` plus the three short lists one
+//!   lock session keeps (shards, guards, cores).
 
-use starfish::core::{ComplexObjectStore, DirectStore, ObjRef, StoreConfig};
-use starfish::nf2::station::{station_schema, Connection, Platform, Sightseeing, Station};
-use starfish::nf2::{decode, encode, Oid, Tuple, Value};
-use starfish::pagestore::{BufferPool, PageCache, SimDisk};
+use starfish::core::{ComplexObjectStore, DirectStore, ObjAddr, ObjRef, ObjectFile, StoreConfig};
+use starfish::nf2::station::{
+    proj_root_record, station_schema, Connection, Platform, Sightseeing, Station,
+};
+use starfish::nf2::{decode, encode, encode_with_layout, Oid, Tuple, Value};
+use starfish::pagestore::{
+    BufferConfig, BufferPool, LatchMode, PageCache, SharedPoolHandle, SimDisk,
+};
 use starfish::prelude::DatasetParams;
 use starfish::workload::generate;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -164,4 +173,95 @@ fn resident_prefetch_and_fix_on_the_exclusive_pool_allocate_nothing() {
     });
     assert_eq!(byte, 0);
     assert_eq!(n, 0, "a resident prefetch + fix allocated {n} times");
+}
+
+/// A pool that is full works in the page buffers it has: a miss evicts a
+/// frame and loads into the victim's buffer — no allocation per miss, per
+/// run, or per evicted page.
+#[test]
+fn a_miss_on_a_full_exclusive_pool_allocates_nothing() {
+    let mut disk = SimDisk::new();
+    let first = disk.alloc_extent(64);
+    let mut pool = BufferPool::new(disk, 8);
+    pool.prefetch_run(first, 8).unwrap(); // fills the pool (and allocates)
+    let mut churn = || {
+        for i in 8..64 {
+            pool.with_page_mut(first.offset(i), |p| p[0] = 1).unwrap(); // dirty victims too
+        }
+        pool.prefetch_run(first, 4).unwrap(); // a multi-page load
+    };
+    churn(); // the free-slot and spare-buffer lists reach their size
+    let (n, ()) = allocations(churn);
+    assert_eq!(pool.buffer_stats().evictions, 120);
+    assert_eq!(n, 0, "60 misses on a full pool allocated {n} times");
+}
+
+/// Allocations of one buffer-resident whole-object read and one projected
+/// read of a spanned object, each under the shared group latch the direct
+/// models read it under.
+fn resident_spanned_reads(pool: &mut impl PageCache) -> (u64, u64) {
+    let (bytes, layout) =
+        encode_with_layout(&station(7, 12).to_tuple(), &station_schema()).unwrap();
+    let file = ObjectFile::bulk_load(pool, "x", &[(bytes.clone(), layout)]).unwrap();
+    let ObjAddr::Spanned(rec) = file.addr(0).unwrap() else {
+        panic!("a 12-sightseeing station is spanned");
+    };
+    assert!(rec.data_pages >= 3, "several data pages: {rec:?}");
+    let pages = file.latch_pages_of(0).unwrap();
+    let proj = proj_root_record();
+    let mut read = |full: bool| {
+        allocations(|| {
+            pool.with_latched(&pages, LatchMode::Shared, |pool| {
+                if full {
+                    file.read_full(pool, 0)
+                } else {
+                    file.read_projected(pool, 0, &proj)
+                }
+            })
+            .unwrap()
+        })
+    };
+    read(true); // make the object buffer-resident
+    let (full, data) = read(true);
+    assert_eq!(data, bytes);
+    let (projected, sparse) = read(false);
+    assert_eq!(sparse.len(), bytes.len());
+    (full, projected)
+}
+
+/// What the latch group's bookkeeping allocates on either pool: the sorted,
+/// deduplicated page list (ordered once for both ends on the shared pool).
+const LATCH_GROUP_LISTS: u64 = 1;
+
+/// What one lock session of the shared pool allocates: the involved-shard
+/// list, the guard list and the core list — once per visit (the per-call
+/// path built all three for every prefetch).
+const SESSION_LISTS: u64 = 3;
+
+#[test]
+fn resident_spanned_reads_allocate_what_they_return() {
+    let (full, projected) = resident_spanned_reads(&mut BufferPool::new(SimDisk::new(), 64));
+    // The whole-object read returns the data buffer; the header pages are
+    // fixed, not copied, and the three runs it reads travel on the stack.
+    assert_eq!(full, 1 + LATCH_GROUP_LISTS, "whole-object read");
+    // The projected read needs the header's bytes to find its ranges: the
+    // header buffer, the range list (grown twice, then merged), the
+    // wanted-page map and the buffer it returns.
+    assert_eq!(projected, 6 + LATCH_GROUP_LISTS, "projected read");
+
+    // One shard: the same reads through one lock session per visit — one
+    // for the whole object; for the projection one for the header and one
+    // for the single run of data pages the root record lives on.
+    let mut shared = SharedPoolHandle::new(BufferConfig::with_pages(64), 1);
+    let (shared_full, shared_projected) = resident_spanned_reads(&mut shared);
+    assert_eq!(
+        shared_full,
+        full + SESSION_LISTS,
+        "whole-object read, shared"
+    );
+    assert_eq!(
+        shared_projected,
+        projected + 2 * SESSION_LISTS,
+        "projected read, shared"
+    );
 }
