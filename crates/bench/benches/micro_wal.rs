@@ -19,7 +19,7 @@ mod common;
 
 use criterion::Criterion;
 use starfish_pagestore::{
-    FsyncMode, LatchMode, PageId, PolicyKind, SharedBufferPool, WalConfig, PAGE_SIZE,
+    BufferConfig, FsyncMode, LatchMode, PageId, SharedBufferPool, WalConfig, PAGE_SIZE,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -30,7 +30,8 @@ const COMMITS_PER_CHECKPOINT: u32 = 4096;
 const RECOVERY_ROUNDS: usize = 15;
 
 fn wal_pool(fsync: FsyncMode) -> SharedBufferPool {
-    let pool = SharedBufferPool::with_wal(CAPACITY, PolicyKind::Lru, 1, WalConfig::enabled(fsync));
+    let config = BufferConfig::with_pages(CAPACITY).wal(WalConfig::enabled(fsync));
+    let pool = SharedBufferPool::from_config(config, 1);
     pool.alloc_extent(RECOVERED_PAGES);
     pool
 }

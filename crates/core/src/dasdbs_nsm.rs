@@ -18,7 +18,7 @@
 //! not counted — §5.1 excludes the address tables from the I/O counts).
 
 use crate::object_file::ObjectFile;
-use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
     apply_station_proj, avg, key_of_oid, peek_int, per_object, station_tuple, ObjRef, RelationInfo,
@@ -542,8 +542,7 @@ impl Model for DasdbsNsmModel {
         at: &DnsmState,
         pool: &mut impl PageCache,
         objects: &[ObjRef],
-    ) -> Result<(DnsmState, ReorgReport)> {
-        let before = pool.snapshot();
+    ) -> Result<(DnsmState, HeatRanking, u32)> {
         let heat = placement::heat_map(pool.page_heat());
         let ranking = placement::rank(&self.object_heats(at, pool, objects, &heat)?);
         let schemas = &self.schemas[PLATFORM..];
@@ -570,7 +569,6 @@ impl Model for DasdbsNsmModel {
         let trans = (ranking.order.iter().zip(st_rids))
             .map(|(&ordinal, station)| (objects[ordinal].key, TransEntry { station, ordinal }))
             .collect();
-        pool.flush_all()?;
         let new = DnsmState {
             station,
             platform,
@@ -587,11 +585,8 @@ impl Model for DasdbsNsmModel {
             }
             hot_pages.push(ps);
         }
-        let report = ranking.report(
-            placement::distinct_pages(hot_pages.iter().map(Vec::as_slice)),
-            pool.snapshot() - before,
-        );
-        Ok((new, report))
+        let hot_pages_after = placement::distinct_pages(hot_pages.iter().map(Vec::as_slice));
+        Ok((new, ranking, hot_pages_after))
     }
 }
 

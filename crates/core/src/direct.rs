@@ -22,7 +22,7 @@
 //! paper.
 
 use crate::object_file::ObjectFile;
-use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{commit_or_abort, Model, Store};
 use crate::traits::{peek_int, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
@@ -371,7 +371,7 @@ impl Model for DirectModel {
     }
 
     /// Materialize every object (counted reads), bulk-load a fresh file
-    /// with objects in heat order (counted writes via the flush), and
+    /// with objects in heat order (written by the caller's flush), and
     /// restore ordinal addressing so OIDs keep their meaning. The old
     /// extents are simply orphaned on disk — concurrent readers holding the
     /// old snapshot stay correct.
@@ -380,9 +380,8 @@ impl Model for DirectModel {
         at: &DirectPlacement,
         pool: &mut impl PageCache,
         objects: &[ObjRef],
-    ) -> Result<(DirectPlacement, ReorgReport)> {
+    ) -> Result<(DirectPlacement, HeatRanking, u32)> {
         let file = &at.file;
-        let before = pool.snapshot();
         let heat = placement::heat_map(pool.page_heat());
         let ranking = placement::rank(&self.object_heats(at, pool, objects, &heat)?);
         let mut payloads = Vec::with_capacity(file.len());
@@ -394,21 +393,17 @@ impl Model for DirectModel {
         let mut new_file =
             ObjectFile::bulk_load_opts(pool, file.name().to_string(), &payloads, self.aligned)?;
         new_file.restore_input_order(&ranking.order);
-        pool.flush_all()?;
         let hot_pages: Vec<Vec<_>> = ranking
             .hot_ordinals()
             .iter()
             .map(|&ord| new_file.latch_pages_of(ord))
             .collect::<Result<_>>()?;
-        let report = ranking.report(
-            placement::distinct_pages(hot_pages.iter().map(Vec::as_slice)),
-            pool.snapshot() - before,
-        );
+        let hot_pages_after = placement::distinct_pages(hot_pages.iter().map(Vec::as_slice));
         let new = DirectPlacement {
             file: new_file,
             scratch: at.scratch,
         };
-        Ok((new, report))
+        Ok((new, ranking, hot_pages_after))
     }
 }
 

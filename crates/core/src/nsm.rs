@@ -18,7 +18,7 @@
 //! memory-resident map `key → RIDs` lets NSM read a page "then and only then
 //! if a tuple it stores is requested" (§4).
 
-use crate::placement::{self, ObjectHeat, ReorgReport};
+use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{patch_root_name, Model, Store};
 use crate::traits::{
     apply_station_proj, avg, key_of_oid, peek_attr, peek_int, per_object, station_tuple, ObjRef,
@@ -763,8 +763,7 @@ impl Model for NsmModel {
         at: &NsmState,
         pool: &mut impl PageCache,
         objects: &[ObjRef],
-    ) -> Result<(NsmState, ReorgReport)> {
-        let before = pool.snapshot();
+    ) -> Result<(NsmState, HeatRanking, u32)> {
         let heat = placement::heat_map(pool.page_heat());
         let groups = scan_all_grouped(pool, at)?;
         let ranking = placement::rank(&object_heats_grouped(at, &groups, objects, &heat));
@@ -782,8 +781,6 @@ impl Model for NsmModel {
             }
         }
         let loaded = bulk_load_relations(pool, &recs)?;
-        pool.flush_all()?;
-        let spent = pool.snapshot() - before;
 
         let mut pages_after: HashMap<Key, Vec<PageId>> = HashMap::new();
         for (own, (_, rids)) in owners.iter().zip(&loaded) {
@@ -803,7 +800,7 @@ impl Model for NsmModel {
             owners.each_ref().map(Vec::as_slice),
             at.sizes,
         );
-        Ok((new, ranking.report(hot_pages_after, spent)))
+        Ok((new, ranking, hot_pages_after))
     }
 }
 

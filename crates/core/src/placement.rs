@@ -105,8 +105,9 @@ impl ObjectHeat {
     }
 }
 
-/// A heat-descending placement order plus the stats it implies.
-pub(crate) struct HeatRanking {
+/// A heat-descending placement order plus the stats it implies. (`pub`
+/// for the same reason as [`ObjectHeat`].)
+pub struct HeatRanking {
     /// `order[i]` = the ordinal placed at position `i` (hottest first; ties
     /// keep ordinal order, so an unheated store ranks as the identity).
     pub order: Vec<usize>,

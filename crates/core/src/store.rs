@@ -14,7 +14,7 @@
 //! method, so "the two surfaces run the same code" is a fact of the types.
 
 use crate::concurrent::ConcurrentObjectStore;
-use crate::placement::{self, ObjectHeat, PlacementStats, ReorgReport};
+use crate::placement::{self, HeatRanking, ObjectHeat, PlacementStats, ReorgReport};
 use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result};
 use starfish_nf2::station::Station;
@@ -111,15 +111,35 @@ pub trait Model {
     ) -> Result<Vec<ObjectHeat>>;
 
     /// The heat-ranked rewrite: builds a fresh placement off to the side
-    /// (counted I/O, flushed) and reports what that cost. Must take no
-    /// exclusive latch group — the shared surface runs it behind the
-    /// writer gate.
+    /// (counted reads; the new pages stay dirty in the pool) and returns it
+    /// with the ranking it placed by and the distinct pages the hot set now
+    /// spans. Flushing and measuring are `Store`'s. Must take no exclusive
+    /// latch group and call no `flush_all`/`clear_cache`: the shared
+    /// surface runs it inside the quiesced window, which does not nest.
     fn rebuild(
         &self,
         at: &Self::Placement,
         pool: &mut impl PageCache,
         objects: &[ObjRef],
-    ) -> Result<(Self::Placement, ReorgReport)>;
+    ) -> Result<(Self::Placement, HeatRanking, u32)>;
+}
+
+/// One reorganization pass, written once for both surfaces: snapshot →
+/// [`Model::rebuild`] → `flush` → what the pass spent → its report. The
+/// caller publishes the placement. `flush` is the pool's own `flush_all` on
+/// the exclusive surface and the quiesced window's token on the shared one.
+fn reorganize<M: Model, P: PageCache>(
+    model: &M,
+    at: &M::Placement,
+    pool: &mut P,
+    objects: &[ObjRef],
+    flush: impl FnOnce(&mut P) -> starfish_pagestore::Result<()>,
+) -> Result<(M::Placement, ReorgReport)> {
+    let before = pool.snapshot();
+    let (new, ranking, hot_pages_after) = model.rebuild(at, pool, objects)?;
+    flush(pool)?;
+    let spent = pool.snapshot() - before;
+    Ok((new, ranking.report(hot_pages_after, spent)))
 }
 
 /// A store of model `M` over pool `P`: [`BufferPool`] (the default — every
@@ -266,7 +286,7 @@ impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
 
     fn reorganize(&mut self) -> Result<ReorgReport> {
         let at = self.placement()?;
-        let (new, report) = self.model.rebuild(&at, &mut self.pool, &self.refs)?;
+        let (new, report) = reorganize(&self.model, &at, &mut self.pool, &self.refs, P::flush_all)?;
         self.publish(new);
         Ok(report)
     }
@@ -341,10 +361,11 @@ where
         // The whole copy + swap runs with writers quiesced, so no update
         // can slip between reading an object and publishing its new home.
         // Readers keep racing on the old snapshot (shared latches and
-        // plain fixes pass the gate); the pass itself takes no exclusive
-        // latch group (see the trait's lock-order note).
-        self.pool.pool().with_writers_quiesced(|| {
-            let (new, report) = self.model.rebuild(&at, &mut pool, &self.refs)?;
+        // plain fixes pass the gate). The flush goes through the window's
+        // token: the pool's own `flush_all` would wait on this very window.
+        self.pool.pool().with_writers_quiesced(|w| {
+            let flush = |_: &mut SharedPoolHandle| w.flush_all();
+            let (new, report) = reorganize(&self.model, &at, &mut pool, &self.refs, flush)?;
             self.publish(new);
             Ok(report)
         })

@@ -92,63 +92,26 @@ fn main() {
     } else {
         HarnessConfig::default()
     };
-    match parse_seed(&args) {
-        Ok(Some(seed)) => config.dataset_seed = seed,
-        Ok(None) => {}
-        Err(msg) => {
-            eprintln!("starfish-repro: {msg}");
-            std::process::exit(2);
-        }
+    if let Some(seed) = parse_seed(&args).unwrap_or_else(|e| usage(e)) {
+        config.dataset_seed = seed;
     }
     if let Some(i) = args.iter().position(|a| a == "--policy") {
-        match args.get(i + 1).map(|s| s.parse()) {
-            Some(Ok(policy)) => config.policy = policy,
-            Some(Err(e)) => {
-                eprintln!("starfish-repro: {e}");
-                std::process::exit(2);
-            }
-            None => {
-                eprintln!("starfish-repro: --policy needs a value");
-                std::process::exit(2);
-            }
-        }
+        let value = args
+            .get(i + 1)
+            .unwrap_or_else(|| usage("--policy needs a value"));
+        config.policy = value.parse().unwrap_or_else(|e: String| usage(e));
     }
-    match parse_fsync(&args) {
-        Ok(fsync) => config.fsync = fsync,
-        Err(msg) => {
-            eprintln!("starfish-repro: {msg}");
-            std::process::exit(2);
-        }
-    }
-    match parse_queue_depth(&args) {
-        Ok(depth) => config.queue_depth = depth,
-        Err(msg) => {
-            eprintln!("starfish-repro: {msg}");
-            std::process::exit(2);
-        }
-    }
-    let threads: Option<usize> = match parse_threads(&args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("starfish-repro: {msg}");
-            std::process::exit(2);
-        }
-    };
+    config.fsync = parse_fsync(&args).unwrap_or_else(|e| usage(e));
+    config.queue_depth = parse_queue_depth(&args).unwrap_or_else(|e| usage(e));
+    let threads: Option<usize> = parse_threads(&args).unwrap_or_else(|e| usage(e));
     let thread_list: Vec<usize> = match threads {
         Some(n) => vec![n],
         None => experiments::ext_concurrency::THREADS.to_vec(),
     };
-    let nodes: Option<usize> = match parse_nodes(&args) {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("starfish-repro: {msg}");
-            std::process::exit(2);
-        }
-    };
+    let nodes: Option<usize> = parse_nodes(&args).unwrap_or_else(|e| usage(e));
     let sweep = args.iter().any(|a| a == "--sweep");
     if (sweep || nodes.is_some()) && !args.iter().any(|a| a == "--workload") {
-        eprintln!("starfish-repro: --sweep and --nodes require --workload <spec>");
-        std::process::exit(2);
+        usage("--sweep and --nodes require --workload <spec>");
     }
     let markdown = args.iter().any(|a| a == "--markdown");
     let json = args.iter().any(|a| a == "--json");
@@ -160,14 +123,11 @@ fn main() {
 
     // --workload replaces the experiment suite with one declarative spec.
     let reports = if let Some(i) = args.iter().position(|a| a == "--workload") {
-        let Some(arg) = args.get(i + 1) else {
-            eprintln!("starfish-repro: --workload needs a JSON file path or a built-in name");
-            std::process::exit(2);
-        };
+        let arg = (args.get(i + 1))
+            .unwrap_or_else(|| usage("--workload needs a JSON file path or a built-in name"));
         let spec = load_workload(arg);
         if nodes.is_some() && !sweep {
-            eprintln!("starfish-repro: --nodes requires --workload --sweep");
-            std::process::exit(2);
+            usage("--nodes requires --workload --sweep");
         }
         let report = if sweep {
             // --sweep: policies × client counts through the shared
@@ -181,26 +141,20 @@ fn main() {
         };
         vec![report.unwrap_or_else(die)]
     } else {
-        let ids: Vec<String> = match parse_only(&args) {
-            Ok(Some(ids)) => ids,
-            Ok(None) => experiments::REGISTRY
-                .iter()
-                .map(|e| e.id.to_string())
-                .collect(),
-            Err(msg) => {
-                eprintln!("starfish-repro: {msg}");
-                std::process::exit(2);
-            }
-        };
+        let ids: Vec<String> = parse_only(&args)
+            .unwrap_or_else(|e| usage(e))
+            .unwrap_or_else(|| {
+                (experiments::REGISTRY.iter())
+                    .map(|e| e.id.to_string())
+                    .collect()
+            });
         // Tables 4–6/8 and ext-timing share one measured grid; run_one
         // builds it at most once across the whole id list.
         let mut grid = None;
         ids.iter()
             .map(|id| {
-                experiments::run_one(id, &config, &thread_list, &mut grid).unwrap_or_else(|e| {
-                    eprintln!("starfish-repro: {e}");
-                    std::process::exit(2);
-                })
+                experiments::run_one(id, &config, &thread_list, &mut grid)
+                    .unwrap_or_else(|e| usage(e))
             })
             .collect()
     };
@@ -230,22 +184,17 @@ fn load_workload(arg: &str) -> WorkloadSpec {
             .extension()
             .is_some_and(|e| e.eq_ignore_ascii_case("json"));
     if file_like || std::path::Path::new(arg).exists() {
-        let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-            eprintln!("starfish-repro: cannot read workload file '{arg}': {e}");
-            std::process::exit(2);
-        });
-        WorkloadSpec::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("starfish-repro: {arg} is not a valid workload spec: {e}");
-            std::process::exit(2);
-        })
-    } else if let Some(spec) = WorkloadSpec::builtin(arg) {
-        spec
+        let text = std::fs::read_to_string(arg)
+            .unwrap_or_else(|e| usage(format!("cannot read workload file '{arg}': {e}")));
+        WorkloadSpec::from_json(&text)
+            .unwrap_or_else(|e| usage(format!("{arg} is not a valid workload spec: {e}")))
     } else {
-        eprintln!(
-            "starfish-repro: '{arg}' is neither a readable file nor a built-in \
-             workload (run --list to see the built-ins)"
-        );
-        std::process::exit(2);
+        WorkloadSpec::builtin(arg).unwrap_or_else(|| {
+            usage(format!(
+                "'{arg}' is neither a readable file nor a built-in \
+                 workload (run --list to see the built-ins)"
+            ))
+        })
     }
 }
 
@@ -268,6 +217,12 @@ fn print_list() {
         let spec = WorkloadSpec::mixed(mix);
         println!("  {:<16} {}", spec.name, spec.description);
     }
+}
+
+/// Every command-line misuse ends here: the message, exit status 2.
+fn usage(msg: impl std::fmt::Display) -> ! {
+    eprintln!("starfish-repro: {msg}");
+    std::process::exit(2)
 }
 
 fn die<T>(err: starfish_core::CoreError) -> T {

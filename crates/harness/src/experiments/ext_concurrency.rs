@@ -43,6 +43,7 @@
 //! to solo one-page batches and reproduces the engine-off counters.
 
 use crate::experiments::ext_distributed::{cv, imbalance};
+use crate::experiments::{first_row_count, speedup_over_first};
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{load_store, store_config_for, HarnessConfig};
 use crate::Result;
@@ -128,12 +129,8 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                 let run = exec.run_concurrent(store.as_mut(), &q2b, n)?;
                 let m = run.outcome.run().expect("2b supported");
                 // Fixes are access counts: identical across clients.
-                match base_fixes {
-                    None => base_fixes = Some(m.snapshot.fixes),
-                    Some(want) if want != m.snapshot.fixes => {
-                        fixes_diverged.push(format!("{kind}/{policy}/2b/{n}"));
-                    }
-                    _ => {}
+                if first_row_count(&mut base_fixes, m.snapshot.fixes) != m.snapshot.fixes {
+                    fixes_diverged.push(format!("{kind}/{policy}/2b/{n}"));
                 }
                 // One client under LRU must reproduce the serial pipeline
                 // exactly — physical reads included.
@@ -146,14 +143,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                     }
                 }
                 let qps = run.units_per_sec();
-                let speedup = match base_qps {
-                    None => {
-                        base_qps = Some(qps);
-                        1.0
-                    }
-                    Some(base) if base > 0.0 => qps / base,
-                    Some(_) => 0.0,
-                };
+                let speedup = speedup_over_first(&mut base_qps, qps);
                 let shard_fixes: Vec<u64> = store.shard_stats().iter().map(|s| s.fixes).collect();
                 table.push_row(vec![
                     kind.paper_name().to_string(),
@@ -187,22 +177,11 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                 let n = n.max(1);
                 let (mut store, exec) = fresh_store(kind, config.policy, n)?;
                 let run = exec.run_stream(store.as_mut(), &WorkloadSpec::mixed(mix), n)?;
-                match base_fixes {
-                    None => base_fixes = Some(run.snapshot.fixes),
-                    Some(want) if want != run.snapshot.fixes => {
-                        fixes_diverged.push(format!("{kind}/{}/{}/{n}", config.policy, mix.name()));
-                    }
-                    _ => {}
+                if first_row_count(&mut base_fixes, run.snapshot.fixes) != run.snapshot.fixes {
+                    fixes_diverged.push(format!("{kind}/{}/{}/{n}", config.policy, mix.name()));
                 }
                 let qps = run.requests_per_sec();
-                let speedup = match base_qps {
-                    None => {
-                        base_qps = Some(qps);
-                        1.0
-                    }
-                    Some(base) if base > 0.0 => qps / base,
-                    Some(_) => 0.0,
-                };
+                let speedup = speedup_over_first(&mut base_qps, qps);
                 let loops = run.requests.max(1) as f64;
                 let shard_fixes: Vec<u64> = store.shard_stats().iter().map(|s| s.fixes).collect();
                 table.push_row(vec![
@@ -255,27 +234,18 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
             let run = exec.run_concurrent(store.as_mut(), &q2b, d)?;
             let m = run.outcome.run().expect("2b supported");
             let qps = run.units_per_sec();
-            let speedup = match base_qps {
-                None => {
-                    base_qps = Some(qps);
-                    1.0
-                }
-                Some(base) if base > 0.0 => qps / base,
-                Some(_) => 0.0,
-            };
+            let speedup = speedup_over_first(&mut base_qps, qps);
             if d >= 4 && best_speedup.is_none_or(|(_, _, s)| speedup > s) {
                 best_speedup = Some((kind, d, speedup));
             }
             let s = &m.snapshot;
-            match base_reads {
-                None => base_reads = Some(s.read_calls),
-                Some(base) if base > 0 && d >= 4 => {
-                    let cut = 100.0 * (1.0 - s.read_calls as f64 / base as f64);
-                    if best_call_cut.is_none_or(|(_, _, c)| cut > c) {
-                        best_call_cut = Some((kind, d, cut));
-                    }
+            // The depth-1 row is the reference (and never a candidate).
+            let base = first_row_count(&mut base_reads, s.read_calls);
+            if base > 0 && d >= 4 {
+                let cut = 100.0 * (1.0 - s.read_calls as f64 / base as f64);
+                if best_call_cut.is_none_or(|(_, _, c)| cut > c) {
+                    best_call_cut = Some((kind, d, cut));
                 }
-                Some(_) => {}
             }
             let shard_fixes: Vec<u64> = store.shard_stats().iter().map(|x| x.fixes).collect();
             table.push_row(vec![

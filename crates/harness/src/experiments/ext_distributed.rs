@@ -40,6 +40,7 @@
 //! `BENCH_cluster.json` (the `BENCH_drift.json` pattern): the diff
 //! passing *is* the scheduling-independence proof on the CI machine.
 
+use crate::experiments::speedup_over_first;
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{store_config_for, HarnessConfig};
 use crate::Result;
@@ -282,14 +283,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                                 .push(format!("{kind}/{policy}/{nodes}n/{workers}w/{clients}c"));
                         }
                         let qps = got.units_per_sec();
-                        let speedup = match base_qps {
-                            None => {
-                                base_qps = Some(qps);
-                                1.0
-                            }
-                            Some(base) if base > 0.0 => qps / base,
-                            Some(_) => 0.0,
-                        };
+                        let speedup = speedup_over_first(&mut base_qps, qps);
                         if workers >= 4 && best_speedup.is_none_or(|(.., s)| speedup > s) {
                             best_speedup = Some((kind, nodes, workers, speedup));
                         }

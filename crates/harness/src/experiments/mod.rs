@@ -89,6 +89,25 @@ fn grid_anchor(grid: &MeasuredGrid, what: &str, cell: fn(&PlanRun) -> f64) -> Op
     grid.cell(model, q).map(cell)
 }
 
+/// The first row of a sweep is its speed-up base: 1.0 for that row, the
+/// row's rate over the base's for every later one (0 over a base of 0).
+fn speedup_over_first(base: &mut Option<f64>, rate: f64) -> f64 {
+    match *base {
+        None => {
+            *base = Some(rate);
+            1.0
+        }
+        Some(b) if b > 0.0 => rate / b,
+        Some(_) => 0.0,
+    }
+}
+
+/// The first row's count is the sweep's reference: returns it (the row's
+/// own count, for the first row).
+fn first_row_count(reference: &mut Option<u64>, count: u64) -> u64 {
+    *reference.get_or_insert(count)
+}
+
 /// One registry row: the experiment's canonical id and a one-line summary
 /// for `--list`.
 #[derive(Clone, Copy, Debug)]

@@ -75,17 +75,22 @@
 //! * Evictions and run loads never consult latches (state is
 //!   residency-independent), so the existing shard → disk lock order is
 //!   untouched.
-//! * `flush_all`/`clear_cache` first **quiesce writers** through the gate
-//!   (wait for in-flight exclusive groups to finish and hold off new ones),
-//!   then take the shard mutexes — they never wait on a latch while holding
-//!   a mutex another writer needs.
-//! * The adaptive-placement reorganizer
-//!   ([`crate::SharedBufferPool::with_writers_quiesced`]) holds the gate
-//!   for its whole rewrite. Inside the window it may fix pages, take
-//!   *shared* latch groups and flush — the gate is **re-entrant per
-//!   thread**, so the pass's own `flush_all` nests instead of
-//!   self-deadlocking — but it must never take an **exclusive** latch
-//!   group: exclusive groups wait on the very drain the pass holds.
+//! * `flush_all`/`clear_cache` (and crash/recovery) first **quiesce
+//!   writers** through the gate (wait for in-flight exclusive groups to
+//!   finish and hold off new ones), then take the shard mutexes — they
+//!   never wait on a latch while holding a mutex another writer needs.
+//! * The gate is a count, a flag and one wait, shut and reopened by one
+//!   function: [`crate::SharedBufferPool::with_writers_quiesced`], which
+//!   hands its closure a [`crate::Quiesced`] token and closes the window
+//!   when the closure returns or unwinds. The adaptive-placement
+//!   reorganizer holds it for its whole rewrite. Inside the window a
+//!   thread **may** fix pages, take *shared* latch groups, allocate, and
+//!   flush through the token ([`crate::Quiesced::flush_all`]); it must
+//!   **never** take an **exclusive** latch group or open a second window —
+//!   the pool's own `flush_all`/`clear_cache`/`crash_volatile`/`recover`
+//!   each do — because both wait on the very drain the window holds. The
+//!   gate has no owner thread and does not nest: that self-deadlock is by
+//!   design, and the token is how a caller avoids it.
 //!
 //! # Accounting
 //!

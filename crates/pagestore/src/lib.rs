@@ -90,7 +90,7 @@ pub use heat::HeatConfig;
 pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
-pub use shared::{SharedBufferPool, SharedPoolHandle};
+pub use shared::{Quiesced, SharedBufferPool, SharedPoolHandle};
 pub use spanned::{SpannedRecord, SpannedStore};
 pub use stats::{BufferStats, DiskStats, IoSnapshot};
 pub use wal::{FsyncMode, WalConfig, WalStats, DEFAULT_SEGMENT_PAGES};

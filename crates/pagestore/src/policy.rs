@@ -76,10 +76,14 @@ impl PolicyKind {
     /// Builds a fresh policy instance.
     pub fn build(self) -> Box<dyn ReplacementPolicy> {
         match self {
-            PolicyKind::Lru => Box::new(LruPolicy::new()),
+            PolicyKind::Lru => {
+                ListPolicy::boxed(self, SlotList::move_to_front, SlotList::first_from_tail)
+            }
+            PolicyKind::Mru => {
+                ListPolicy::boxed(self, SlotList::move_to_front, SlotList::first_from_head)
+            }
+            PolicyKind::Fifo => ListPolicy::boxed(self, |_, _| {}, SlotList::first_from_tail),
             PolicyKind::Clock => Box::new(ClockPolicy::new()),
-            PolicyKind::Mru => Box::new(MruPolicy::new()),
-            PolicyKind::Fifo => Box::new(FifoPolicy::new()),
             PolicyKind::Lru2 => Box::new(Lru2Policy::new()),
         }
     }
@@ -148,7 +152,7 @@ pub trait ReplacementPolicy: Send {
 /// An intrusive doubly-linked list over slot indices, stored as two dense
 /// `Vec<usize>`s — the O(1) engine behind LRU, MRU and FIFO. The head end
 /// is "most recent"; the tail end "least recent".
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SlotList {
     prev: Vec<usize>,
     next: Vec<usize>,
@@ -252,30 +256,49 @@ impl SlotList {
     }
 }
 
-/// O(1) least-recently-used: the rebuilt hot path of the paper's buffer.
+/// The list-backed policies — LRU, MRU and FIFO — as one type: every page
+/// enters at the head and leaves by an O(1) unlink; the two things they
+/// differ in are chosen once, at construction ([`PolicyKind::build`]), and
+/// stored as functions.
 ///
-/// Replaces the seed's per-fix `BTreeMap<tick, PageId>` (O(log n) insert +
-/// remove per access, plus a 16-byte map node per resident page) with two
-/// flat `usize` arrays; a fix hit is now three pointer swaps. The eviction
-/// *order* is identical to the tick ordering, which the golden-counter
-/// regression test (`tests/golden_lru.rs`) proves counter-for-counter.
-#[derive(Debug, Default)]
-pub struct LruPolicy {
+/// | | an access | the victim search starts at |
+/// |---|---|---|
+/// | LRU | moves the slot to the head | the tail |
+/// | MRU | moves the slot to the head | the head |
+/// | FIFO | does nothing | the tail |
+///
+/// LRU is the paper's buffer: a fix hit is three pointer swaps over two
+/// flat `usize` arrays, and the eviction order is the tick ordering of the
+/// seed's `BTreeMap<tick, PageId>`, which `tests/golden_lru.rs` proves
+/// counter-for-counter. MRU is the classic counter-policy for loops
+/// slightly larger than the buffer, where LRU evicts every page just before
+/// its reuse; under FIFO an access never rejuvenates.
+struct ListPolicy {
+    kind: PolicyKind,
     list: SlotList,
+    touch: Touch,
+    pick: Pick,
 }
 
-impl LruPolicy {
-    /// Creates an empty LRU policy.
-    pub fn new() -> LruPolicy {
-        LruPolicy {
+/// What an access does to a linked slot.
+type Touch = fn(&mut SlotList, usize);
+/// Which end the victim search walks from.
+type Pick = fn(&SlotList, &dyn Fn(usize) -> bool) -> Option<usize>;
+
+impl ListPolicy {
+    fn boxed(kind: PolicyKind, touch: Touch, pick: Pick) -> Box<dyn ReplacementPolicy> {
+        Box::new(ListPolicy {
+            kind,
             list: SlotList::new(),
-        }
+            touch,
+            pick,
+        })
     }
 }
 
-impl ReplacementPolicy for LruPolicy {
+impl ReplacementPolicy for ListPolicy {
     fn kind(&self) -> PolicyKind {
-        PolicyKind::Lru
+        self.kind
     }
 
     fn on_insert(&mut self, slot: usize) {
@@ -283,7 +306,7 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn on_access(&mut self, slot: usize) {
-        self.list.move_to_front(slot);
+        (self.touch)(&mut self.list, slot);
     }
 
     fn on_remove(&mut self, slot: usize) {
@@ -291,89 +314,7 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.list.first_from_tail(evictable)
-    }
-
-    fn len(&self) -> usize {
-        self.list.len
-    }
-}
-
-/// Most-recently-used: same intrusive list as LRU, victim taken from the
-/// head. The classic counter-policy for loops slightly larger than the
-/// buffer, where LRU evicts every page just before its reuse.
-#[derive(Debug, Default)]
-pub struct MruPolicy {
-    list: SlotList,
-}
-
-impl MruPolicy {
-    /// Creates an empty MRU policy.
-    pub fn new() -> MruPolicy {
-        MruPolicy {
-            list: SlotList::new(),
-        }
-    }
-}
-
-impl ReplacementPolicy for MruPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Mru
-    }
-
-    fn on_insert(&mut self, slot: usize) {
-        self.list.push_front(slot);
-    }
-
-    fn on_access(&mut self, slot: usize) {
-        self.list.move_to_front(slot);
-    }
-
-    fn on_remove(&mut self, slot: usize) {
-        self.list.unlink(slot);
-    }
-
-    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.list.first_from_head(evictable)
-    }
-
-    fn len(&self) -> usize {
-        self.list.len
-    }
-}
-
-/// First-in-first-out: residency order only; an access never rejuvenates.
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    list: SlotList,
-}
-
-impl FifoPolicy {
-    /// Creates an empty FIFO policy.
-    pub fn new() -> FifoPolicy {
-        FifoPolicy {
-            list: SlotList::new(),
-        }
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Fifo
-    }
-
-    fn on_insert(&mut self, slot: usize) {
-        self.list.push_front(slot);
-    }
-
-    fn on_access(&mut self, _slot: usize) {}
-
-    fn on_remove(&mut self, slot: usize) {
-        self.list.unlink(slot);
-    }
-
-    fn victim(&mut self, evictable: &dyn Fn(usize) -> bool) -> Option<usize> {
-        self.list.first_from_tail(evictable)
+        (self.pick)(&self.list, evictable)
     }
 
     fn len(&self) -> usize {
@@ -601,7 +542,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_in_recency_order() {
-        let mut p = LruPolicy::new();
+        let mut p = PolicyKind::Lru.build();
         for s in 0..3 {
             p.on_insert(s);
         }
@@ -618,7 +559,7 @@ mod tests {
 
     #[test]
     fn mru_evicts_hottest_first() {
-        let mut p = MruPolicy::new();
+        let mut p = PolicyKind::Mru.build();
         for s in 0..3 {
             p.on_insert(s);
         }
@@ -628,7 +569,7 @@ mod tests {
 
     #[test]
     fn fifo_ignores_accesses() {
-        let mut p = FifoPolicy::new();
+        let mut p = PolicyKind::Fifo.build();
         for s in 0..3 {
             p.on_insert(s);
         }

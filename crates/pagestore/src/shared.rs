@@ -65,15 +65,19 @@
 //!   (shard, page) order described in [`crate::latch`], so torn multi-page
 //!   observations are impossible and writers on disjoint objects proceed
 //!   in parallel;
-//! * [`SharedBufferPool::flush_all`] and
-//!   [`SharedBufferPool::clear_cache`] **quiesce writers** through a gate
-//!   (in-flight exclusive groups finish, new ones are held off) instead of
-//!   assuming them absent, then flush under all shard locks — concurrent
-//!   readers keep running and simply go cold after a restart.
+//! * flush, cold restart, crash and recovery **quiesce writers** through a
+//!   gate (in-flight exclusive groups finish, new ones are held off)
+//!   instead of assuming them absent, then work under all shard locks —
+//!   concurrent readers keep running and simply go cold after a restart.
+//!   The gate is shut (and reopened) in one place,
+//!   [`SharedBufferPool::with_writers_quiesced`], whose closure receives a
+//!   [`Quiesced`] token; it has no owner and does not nest, so inside a
+//!   window a flush goes through the token — the pool's own
+//!   `flush_all`/`clear_cache` would wait there forever.
 //!
 //! # Batched reads
 //!
-//! With [`IoEngineConfig::enabled`], buffer misses route through the
+//! With [`crate::IoEngineConfig::enabled`], buffer misses route through the
 //! [`crate::ioengine`] submission/completion layer: the missing fixer
 //! releases its shard mutex and parks on a completion token while a
 //! drain leader coalesces queued misses into multi-page `read_run` calls
@@ -97,11 +101,10 @@
 use crate::buffer::{self, PoolCore};
 use crate::cache::{self, run_pages, PageCache};
 use crate::disk::DiskOps;
-use crate::heat::HeatConfig;
-use crate::ioengine::{IoEngine, IoEngineConfig};
+use crate::ioengine::IoEngine;
 use crate::latch::{LatchMode, LatchTable};
 use crate::stats::{BufferStats, DiskStats, IoSnapshot};
-use crate::wal::{Wal, WalConfig};
+use crate::wal::Wal;
 use crate::{BufferConfig, PageId, PolicyKind, Result, StoreError, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
@@ -279,22 +282,18 @@ fn lock_shard(sh: &Shard) -> MutexGuard<'_, ShardState> {
     sh.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The writer gate: flushes and cold restarts quiesce in-flight exclusive
-/// latch groups through this before touching any shard mutex.
-///
-/// The gate is **re-entrant per thread**: the thread holding the drain may
-/// quiesce again (depth counts up) without waiting on itself. The
-/// reorganizer relies on this — its rewrite runs inside
-/// [`SharedBufferPool::with_writers_quiesced`] and ends with a
-/// [`SharedBufferPool::flush_all`], which quiesces on its own.
+/// The writer gate: a count of exclusive latch groups in flight, a flag
+/// that holds new ones off, and one wait ([`SharedBufferPool::gate_wait`]).
+/// The flag is raised and lowered by the quiesced window only
+/// ([`SharedBufferPool::with_writers_quiesced`], which says what may and
+/// may not happen inside), before any shard mutex is touched — the gate is
+/// the head of the lock order. It has no owner and does not nest.
 #[derive(Default)]
 struct GateState {
     /// Exclusive latch groups currently between latch and unlatch.
     active_exclusive: usize,
-    /// Nesting depth of the drain; 0 = nobody is draining.
-    draining: u32,
-    /// The thread holding the drain (set iff `draining > 0`).
-    owner: Option<std::thread::ThreadId>,
+    /// A window is open (or opening): new exclusive groups wait.
+    draining: bool,
     /// Threads asleep on the gate's condvar (see `ShardState::waiters`).
     waiters: usize,
 }
@@ -315,41 +314,32 @@ pub struct SharedBufferPool {
     gate_waits: AtomicU64,
     policy: PolicyKind,
     capacity: usize,
-    /// The write-ahead log, when durability is enabled ([`WalConfig`]).
+    /// The write-ahead log, when durability is enabled ([`crate::WalConfig`]).
     /// `None` keeps every code path and counter byte-identical to the
     /// pre-WAL pool.
     wal: Option<Wal>,
-    /// The batched read engine, when enabled ([`IoEngineConfig`]). `None`
+    /// The batched read engine, when enabled ([`crate::IoEngineConfig`]). `None`
     /// keeps the synchronous miss path and its counters byte-identical to
     /// the pre-engine pool.
     engine: Option<IoEngine>,
 }
 
 impl SharedBufferPool {
-    /// Creates a pool of `capacity` total pages split over `shards` shards,
-    /// each running its own `policy` instance, with the WAL disabled.
-    ///
-    /// `capacity` must be at least `shards` so every shard can hold a page.
+    /// A pool of `capacity` total pages split over `shards` shards, each
+    /// running its own `policy` instance; WAL, read engine and heat
+    /// tracking off. Shorthand for [`Self::from_config`].
     pub fn new(capacity: usize, policy: PolicyKind, shards: usize) -> Self {
-        Self::with_wal(capacity, policy, shards, WalConfig::default())
+        Self::from_config(BufferConfig::with_pages(capacity).policy(policy), shards)
     }
 
-    /// Like [`Self::new`] but honoring a [`WalConfig`]: when `wal.enabled`,
-    /// every latched update is redo-logged and survives
-    /// [`Self::crash_volatile`] + [`Self::recover`].
-    pub fn with_wal(capacity: usize, policy: PolicyKind, shards: usize, wal: WalConfig) -> Self {
-        Self::with_config(capacity, policy, shards, wal, IoEngineConfig::default())
-    }
-
-    /// The full constructor: capacity, policy, shard count, WAL, and
-    /// batched-read-engine configuration.
-    pub fn with_config(
-        capacity: usize,
-        policy: PolicyKind,
-        shards: usize,
-        wal: WalConfig,
-        io: IoEngineConfig,
-    ) -> Self {
+    /// The constructor: `config.pages` total pages split over `shards`
+    /// shards (at least one page each), every shard running its own
+    /// `config.policy` instance and its own heat tracker; with
+    /// `config.wal.enabled` every latched update is redo-logged and
+    /// survives [`Self::crash_volatile`] + [`Self::recover`]; with
+    /// `config.io.enabled` misses go through the batched read engine.
+    pub fn from_config(config: BufferConfig, shards: usize) -> Self {
+        let capacity = config.pages;
         assert!(shards > 0, "need at least one shard");
         assert!(
             capacity >= shards,
@@ -359,9 +349,11 @@ impl SharedBufferPool {
         let shards = (0..shards)
             .map(|i| {
                 let per = capacity / shards + usize::from(i < capacity % shards);
+                let mut core = PoolCore::new(per, config.policy);
+                core.set_heat(config.heat);
                 Shard {
                     state: Mutex::new(ShardState {
-                        core: PoolCore::new(per, policy),
+                        core,
                         latches: LatchTable::default(),
                         waiters: 0,
                     }),
@@ -375,24 +367,15 @@ impl SharedBufferPool {
             gate: Mutex::new(GateState::default()),
             gate_cond: Condvar::new(),
             gate_waits: AtomicU64::new(0),
-            policy,
+            policy: config.policy,
             capacity,
-            wal: wal.enabled.then(|| Wal::new(wal)),
-            engine: io.enabled.then(|| IoEngine::new(shard_count)),
-        }
-    }
-
-    /// Installs (or disables) heat tracking on every shard, replacing any
-    /// existing tracker. Call right after construction — swapping trackers
-    /// mid-run discards the accumulated heat map.
-    pub fn set_heat(&self, heat: HeatConfig) {
-        for i in 0..self.shards.len() {
-            self.shard(i).core.set_heat(heat);
+            wal: config.wal.enabled.then(|| Wal::new(config.wal)),
+            engine: config.io.enabled.then(|| IoEngine::new(shard_count)),
         }
     }
 
     /// The tracked per-page heat map merged over all shards, sorted by page
-    /// id. Empty unless [`Self::set_heat`] enabled tracking. Uncounted
+    /// id. Empty unless the pool was built with heat tracking on. Uncounted
     /// metadata access: no I/O, no counter changes.
     pub fn page_heat(&self) -> Vec<(PageId, u64)> {
         let mut all: Vec<(PageId, u64)> = Vec::new();
@@ -706,7 +689,7 @@ impl SharedBufferPool {
 
     fn enter_exclusive_group(&self) {
         let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        while g.draining > 0 {
+        while g.draining {
             g = self.gate_wait(g);
         }
         g.active_exclusive += 1;
@@ -719,24 +702,16 @@ impl SharedBufferPool {
         self.gate_release(g);
     }
 
-    /// Quiesces writers: waits for in-flight exclusive groups to finish and
-    /// holds off new ones until [`Self::release_quiesce`]. Never called
-    /// while holding a shard mutex, so draining writers can complete.
+    /// Opens the window: waits out a window another thread holds, raises
+    /// the flag (new exclusive groups wait from here on), then waits for
+    /// the exclusive groups in flight to finish. Never called while holding
+    /// a shard mutex, so draining writers can complete.
     fn quiesce_writers(&self) {
-        let me = std::thread::current().id();
         let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        if g.draining > 0 && g.owner == Some(me) {
-            // Re-entrant: this thread already holds the drain (a flush
-            // inside a reorganization window) — writers are quiesced.
-            g.draining += 1;
-            return;
-        }
-        while g.draining > 0 {
-            // Another flush/restart is draining; take over afterwards.
+        while g.draining {
             g = self.gate_wait(g);
         }
-        g.draining = 1;
-        g.owner = Some(me);
+        g.draining = true;
         let mut waited = false;
         while g.active_exclusive > 0 {
             if !waited {
@@ -747,35 +722,33 @@ impl SharedBufferPool {
         }
     }
 
+    /// Closes the window ([`Quiesced`]'s drop).
     fn release_quiesce(&self) {
         let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(g.draining > 0, "unbalanced quiesce");
-        g.draining = g.draining.saturating_sub(1);
-        if g.draining > 0 {
-            return;
-        }
-        g.owner = None;
+        debug_assert!(g.draining, "unbalanced quiesce");
+        g.draining = false;
         self.gate_release(g);
     }
 
-    /// Runs `f` inside a writer-quiesce window: in-flight exclusive latch
-    /// groups drain first, and no new one starts until `f` returns. This is
-    /// the reorganizer's hook — a physically consistent window in which it
-    /// can rewrite extents while plain reads keep flowing.
+    /// Runs `f` inside the writer-quiesced window — the only place the gate
+    /// is shut and reopened: in-flight exclusive latch groups drain first,
+    /// no new one starts until `f` returns **or unwinds**, and plain reads
+    /// and shared groups keep flowing throughout. The reorganizer rewrites
+    /// extents in here; flush, cold restart, crash and recovery are the
+    /// token's own operations.
     ///
     /// Lock order: the closure may fix pages, take *shared* latch groups,
-    /// flush, and allocate freely — none of those touch the gate. It must
-    /// **not** acquire an exclusive latch group ([`LatchMode::Exclusive`]
-    /// via `latch_pages`/`with_latched`): exclusive groups wait on the very
-    /// drain this window holds, which would self-deadlock.
-    pub fn with_writers_quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
+    /// allocate, and flush **through the token** ([`Quiesced::flush_all`]) —
+    /// none of those wait on the gate. It must **not** acquire an exclusive
+    /// latch group ([`LatchMode::Exclusive`] via `latch_pages` /
+    /// `with_latched`) or open a second window — which is what
+    /// [`Self::flush_all`], [`Self::clear_cache`], [`Self::crash_volatile`]
+    /// and [`Self::recover`] do: each waits on the very drain this window
+    /// holds and would self-deadlock (the gate does not nest).
+    pub fn with_writers_quiesced<R>(&self, f: impl FnOnce(&Quiesced<'_>) -> R) -> R {
         self.quiesce_writers();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        self.release_quiesce();
-        match r {
-            Ok(v) => v,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+        let window = Quiesced { pool: self };
+        f(&window)
     }
 
     /// Locks every shard owning one of `pids`, in ascending shard order (the
@@ -877,42 +850,11 @@ impl SharedBufferPool {
     /// Writes all dirty pages back, grouped into contiguous runs of at most
     /// [`crate::MAX_PAGES_PER_WRITE_CALL`] pages per call across shard
     /// boundaries — the grouping `BufferPool`'s flush produces, by the same
-    /// function. **Quiesces in-flight exclusive latch groups first** (the
-    /// writer gate), so a mid-update object is never flushed half-written;
-    /// concurrent readers are unaffected.
+    /// function — then checkpoints the WAL. **Quiesces in-flight exclusive
+    /// latch groups first** (a window of its own), so a mid-update object
+    /// is never flushed half-written; concurrent readers are unaffected.
     pub fn flush_all(&self) -> Result<()> {
-        self.quiesce_writers();
-        let result = {
-            let mut guards = self.lock_all();
-            self.flush_locked(&mut guards)
-        };
-        if result.is_ok() {
-            self.checkpoint_wal();
-        }
-        self.release_quiesce();
-        result
-    }
-
-    /// Checkpoints the WAL (no-op when disabled). Called only while the
-    /// writer gate is held and *after* a successful flush: every committed
-    /// image is on the data disk, so the log tail can be discarded. The
-    /// gate guarantees no latched update is mid-op; un-gated single-page
-    /// writers (the single-threaded load phase) must not race a flush.
-    fn checkpoint_wal(&self) {
-        if let Some(wal) = &self.wal {
-            wal.checkpoint();
-        }
-    }
-
-    /// [`buffer::flush_all`] over every shard's core (`guards` is
-    /// [`Self::lock_all`], so a page's owner is its shard index).
-    fn flush_locked(&self, guards: &mut [MutexGuard<'_, ShardState>]) -> Result<()> {
-        debug_assert!(
-            guards.iter().all(|g| g.latches.exclusive_latched() == 0),
-            "flush requires quiesced writers (the gate guarantees this)"
-        );
-        let mut cores = cores_of(guards);
-        buffer::flush_all(&mut cores, |pid| self.shard_of(pid), &mut &self.disk)
+        self.with_writers_quiesced(|w| w.flush_all())
     }
 
     /// Flushes and drops every cached page in every shard: a cold restart
@@ -921,22 +863,7 @@ impl SharedBufferPool {
     /// running and simply go cold (latches survive — they live beside the
     /// frames, not in them).
     pub fn clear_cache(&self) -> Result<()> {
-        self.quiesce_writers();
-        let result = {
-            let mut guards = self.lock_all();
-            let r = self.flush_locked(&mut guards);
-            if r.is_ok() {
-                for g in guards.iter_mut() {
-                    g.core.drop_all();
-                }
-            }
-            r
-        };
-        if result.is_ok() {
-            self.checkpoint_wal();
-        }
-        self.release_quiesce();
-        result
+        self.with_writers_quiesced(|w| w.flush(true))
     }
 
     /// Commits the calling thread's active WAL op: its buffered page
@@ -993,17 +920,7 @@ impl SharedBufferPool {
     /// committed before the crash are recoverable, uncommitted ones are
     /// gone.
     pub fn crash_volatile(&self) {
-        self.quiesce_writers();
-        {
-            let mut guards = self.lock_all();
-            for g in guards.iter_mut() {
-                g.core.drop_all();
-            }
-        }
-        if let Some(wal) = &self.wal {
-            wal.crash();
-        }
-        self.release_quiesce();
+        self.with_writers_quiesced(|w| w.crash_volatile())
     }
 
     /// Recovery-on-open: scans the durable log tail past the last
@@ -1015,23 +932,7 @@ impl SharedBufferPool {
     /// [crashed](Self::crash_volatile) (or newly opened) pool: the cache
     /// must hold no dirty pre-crash frames.
     pub fn recover(&self) -> Result<usize> {
-        let Some(wal) = &self.wal else {
-            return Ok(0);
-        };
-        self.quiesce_writers();
-        let result = (|| {
-            let images = wal.recovered_images()?;
-            let disk = &mut &self.disk;
-            let mut done = 0;
-            for (start, len) in buffer::page_runs(images.iter().map(|image| image.0)) {
-                disk.write_run_dyn(start, len, &mut |j| *images[done + j as usize].2)?;
-                done += len as usize;
-            }
-            wal.checkpoint();
-            Ok(images.len())
-        })();
-        self.release_quiesce();
-        result
+        self.with_writers_quiesced(|w| w.recover())
     }
 
     /// Combined disk + merged shard counters — drop-in compatible with
@@ -1123,6 +1024,82 @@ impl SharedBufferPool {
     }
 }
 
+/// Proof that the writer gate is held: handed to the closure of
+/// [`SharedBufferPool::with_writers_quiesced`], gone (and the gate open
+/// again) when the closure returns or unwinds. Its methods are what may
+/// only happen while no exclusive latch group is in flight.
+pub struct Quiesced<'a> {
+    pool: &'a SharedBufferPool,
+}
+
+impl Drop for Quiesced<'_> {
+    fn drop(&mut self) {
+        self.pool.release_quiesce();
+    }
+}
+
+impl Quiesced<'_> {
+    /// [`SharedBufferPool::flush_all`] from inside the window: every dirty
+    /// page of every shard written back, then the WAL checkpointed.
+    pub fn flush_all(&self) -> Result<()> {
+        self.flush(false)
+    }
+
+    /// [`buffer::flush_all`] over every shard's core, under all shard
+    /// mutexes (so a page's owner is its shard index); with `then_drop`,
+    /// every frame is dropped under the same mutexes — nothing can be
+    /// dirtied between the flush and the drop. The WAL checkpoint follows a
+    /// successful flush only: every committed image is then on the data
+    /// disk, so the log tail can go, and the gate guarantees no latched
+    /// update is mid-op. Un-gated single-page writers (the single-threaded
+    /// load phase) must not race a flush.
+    fn flush(&self, then_drop: bool) -> Result<()> {
+        let pool = self.pool;
+        {
+            let mut guards = pool.lock_all();
+            debug_assert!(
+                guards.iter().all(|g| g.latches.exclusive_latched() == 0),
+                "flush requires quiesced writers (the gate guarantees this)"
+            );
+            let mut cores = cores_of(&mut guards);
+            buffer::flush_all(&mut cores, |pid| pool.shard_of(pid), &mut &pool.disk)?;
+            if then_drop {
+                cores.iter_mut().for_each(|core| core.drop_all());
+            }
+        }
+        if let Some(wal) = &pool.wal {
+            wal.checkpoint();
+        }
+        Ok(())
+    }
+
+    /// [`SharedBufferPool::crash_volatile`]'s body.
+    fn crash_volatile(&self) {
+        for mut g in self.pool.lock_all() {
+            g.core.drop_all();
+        }
+        if let Some(wal) = &self.pool.wal {
+            wal.crash();
+        }
+    }
+
+    /// [`SharedBufferPool::recover`]'s body.
+    fn recover(&self) -> Result<usize> {
+        let Some(wal) = &self.pool.wal else {
+            return Ok(0);
+        };
+        let images = wal.recovered_images()?;
+        let disk = &mut &self.pool.disk;
+        let mut done = 0;
+        for (start, len) in buffer::page_runs(images.iter().map(|image| image.0)) {
+            disk.write_run_dyn(start, len, &mut |j| *images[done + j as usize].2)?;
+            done += len as usize;
+        }
+        wal.checkpoint();
+        Ok(images.len())
+    }
+}
+
 /// The pool engines behind held shard guards, in guard order — the `cores`
 /// argument of the `buffer` functions.
 fn cores_of<'a>(guards: &'a mut [MutexGuard<'_, ShardState>]) -> Vec<&'a mut PoolCore> {
@@ -1147,19 +1124,10 @@ pub struct SharedPoolHandle {
 }
 
 impl SharedPoolHandle {
-    /// Builds a fresh shared pool from a buffer configuration (including
-    /// its [`WalConfig`] and [`IoEngineConfig`]) and a shard count.
+    /// Builds a fresh shared pool ([`SharedBufferPool::from_config`]).
     pub fn new(config: BufferConfig, shards: usize) -> Self {
-        let pool = SharedBufferPool::with_config(
-            config.pages,
-            config.policy,
-            shards,
-            config.wal,
-            config.io,
-        );
-        pool.set_heat(config.heat);
         SharedPoolHandle {
-            pool: Arc::new(pool),
+            pool: Arc::new(SharedBufferPool::from_config(config, shards)),
         }
     }
 
@@ -1295,10 +1263,15 @@ impl PageCache for SharedPoolHandle {
 mod tests {
     use super::*;
     use crate::buffer::{flush_dirty_runs, MAX_PAGES_PER_WRITE_CALL};
+    use crate::{FsyncMode, WalConfig};
     use std::thread;
 
     fn pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::new(cap, PolicyKind::Lru, shards);
+        pool_with(BufferConfig::with_pages(cap), shards, pages)
+    }
+
+    fn pool_with(config: BufferConfig, shards: usize, pages: u32) -> SharedBufferPool {
+        let p = SharedBufferPool::from_config(config, shards);
         p.alloc_extent(pages);
         p
     }
@@ -1657,6 +1630,90 @@ mod tests {
     }
 
     #[test]
+    fn a_panic_inside_the_quiesced_window_leaves_the_gate_open() {
+        let p = pool(2, 8, 8);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.with_writers_quiesced(|_| panic!("mid-reorganization failure"))
+        }));
+        assert!(panicked.is_err(), "panic must propagate");
+        // Other threads: a writer is admitted, and a flush opens a window.
+        thread::scope(|s| {
+            s.spawn(|| {
+                p.latch_pages(&[PageId(0)], LatchMode::Exclusive).unwrap();
+                p.with_page_mut(PageId(0), |b| b[0] = 7).unwrap();
+                p.unlatch_pages(&[PageId(0)], LatchMode::Exclusive);
+            });
+        });
+        thread::scope(|s| {
+            s.spawn(|| p.flush_all().unwrap());
+        });
+        assert_eq!(p.snapshot().pages_written, 1);
+        assert_eq!(p.buffer_stats().latch_waits, 0, "nobody met a closed gate");
+    }
+
+    #[test]
+    fn the_open_window_holds_off_exclusive_groups_and_passes_plain_reads() {
+        use std::sync::atomic::AtomicBool;
+        let p = pool(2, 8, 8);
+        let closed = AtomicBool::new(false);
+        thread::scope(|s| {
+            let writer = p.with_writers_quiesced(|_| {
+                let writer = s.spawn(|| {
+                    p.latch_pages(&[PageId(0)], LatchMode::Exclusive).unwrap();
+                    let granted_after_close = closed.load(Ordering::SeqCst);
+                    p.unlatch_pages(&[PageId(0)], LatchMode::Exclusive);
+                    granted_after_close
+                });
+                // A plain read and a shared group on another thread pass.
+                s.spawn(|| {
+                    p.with_page(PageId(0), |_| ()).unwrap();
+                    p.latch_pages(&[PageId(0), PageId(1)], LatchMode::Shared)
+                        .unwrap();
+                    p.unlatch_pages(&[PageId(0), PageId(1)], LatchMode::Shared);
+                })
+                .join()
+                .unwrap();
+                thread::sleep(std::time::Duration::from_millis(30));
+                assert!(!writer.is_finished(), "the writer waits at the gate");
+                assert_eq!(p.exclusive_latched_pages(), 0);
+                closed.store(true, Ordering::SeqCst);
+                writer
+            });
+            let granted_after_close = writer.join().unwrap();
+            assert!(granted_after_close, "granted only once the window closed");
+        });
+    }
+
+    #[test]
+    fn a_flush_through_the_token_checkpoints_like_flush_all() {
+        let run = |through_token: bool| {
+            let p = wal_pool(2, 8, 8);
+            for pid in [PageId(0), PageId(5)] {
+                p.latch_pages(&[pid], LatchMode::Exclusive).unwrap();
+                p.with_page_mut(pid, |b| b[0] = 1).unwrap();
+                p.unlatch_pages(&[pid], LatchMode::Exclusive);
+                p.log_commit().unwrap();
+            }
+            if through_token {
+                p.with_writers_quiesced(|w| w.flush_all()).unwrap();
+            } else {
+                p.flush_all().unwrap();
+            }
+            let flushed = p.snapshot();
+            // The log tail went with the checkpoint: nothing to replay.
+            p.crash_volatile();
+            assert_eq!(p.recover().unwrap(), 0);
+            p.with_page(PageId(5), |b| assert_eq!(b[0], 1)).unwrap();
+            (flushed, p.snapshot())
+        };
+        let (token, plain) = (run(true), run(false));
+        assert_eq!(token, plain);
+        assert_eq!(token.0.pages_written, 2);
+        assert_eq!(token.0.commits, 2);
+        assert!(token.0.log_pages_written > 0);
+    }
+
+    #[test]
     fn with_latched_releases_latches_when_the_closure_panics() {
         use crate::cache::PageCache;
         let mut handle = SharedPoolHandle::new(BufferConfig::with_pages(8), 2);
@@ -1892,15 +1949,8 @@ mod tests {
     }
 
     fn engine_pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::with_config(
-            cap,
-            PolicyKind::Lru,
-            shards,
-            WalConfig::default(),
-            IoEngineConfig::enabled(),
-        );
-        p.alloc_extent(pages);
-        p
+        let io = crate::IoEngineConfig::enabled();
+        pool_with(BufferConfig::with_pages(cap).io(io), shards, pages)
     }
 
     /// Single-threaded, the engine path must reproduce the synchronous
@@ -1976,14 +2026,8 @@ mod tests {
     }
 
     fn wal_pool(shards: usize, cap: usize, pages: u32) -> SharedBufferPool {
-        let p = SharedBufferPool::with_wal(
-            cap,
-            PolicyKind::Lru,
-            shards,
-            WalConfig::enabled(crate::wal::FsyncMode::PerCommit),
-        );
-        p.alloc_extent(pages);
-        p
+        let wal = WalConfig::enabled(FsyncMode::PerCommit);
+        pool_with(BufferConfig::with_pages(cap).wal(wal), shards, pages)
     }
 
     #[test]
@@ -2050,12 +2094,8 @@ mod tests {
 
     #[test]
     fn group_commit_pool_survives_concurrent_writer_crash() {
-        let p = SharedBufferPool::with_wal(
-            32,
-            PolicyKind::Lru,
-            4,
-            WalConfig::enabled(crate::wal::FsyncMode::Group),
-        );
+        let wal = WalConfig::enabled(FsyncMode::Group);
+        let p = SharedBufferPool::from_config(BufferConfig::with_pages(32).wal(wal), 4);
         let first = p.alloc_extent(32);
         thread::scope(|s| {
             for t in 0..8u32 {

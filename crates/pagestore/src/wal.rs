@@ -42,12 +42,12 @@
 //! `kind + lsn + body` — writer and reader hash exactly those bytes. The
 //! length prefix is **not** covered: a damaged prefix shows as a record
 //! that runs past the segment's used bytes, or as a checksum mismatch of
-//! the mis-framed payload — unless the damage makes it read 0, which the
-//! reader takes for a zeroed tail: the segment's stream ends there without
-//! an error, sealed segment or not (a commit's prefix is `11 00 00 00`, so
-//! one damaged byte can do it; known gap, pinned by a test, not fixed
-//! here). A page-image body is `[pid: u32 LE][page]`; commit and
-//! checkpoint records have an empty body.
+//! the mis-framed payload. A prefix that reads 0 (a commit's is
+//! `11 00 00 00`, so one damaged byte can do it) is a zeroed tail — the end
+//! of the log — in the **last** segment only; below a sealed segment's
+//! used count every byte is record bytes and no record's prefix is 0, so
+//! there it is corruption like any other damage. A page-image body is
+//! `[pid: u32 LE][page]`; commit and checkpoint records have an empty body.
 //!
 //! The log device is separate from the data disk and keeps its own I/O
 //! counters, surfaced as the `log_*` fields of [`crate::IoSnapshot`] — the
@@ -462,7 +462,12 @@ impl LogDevice {
                 let len =
                     u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
                 if len == 0 {
-                    break; // zeroed tail
+                    if last_segment {
+                        break; // zeroed tail
+                    }
+                    // Below a sealed segment's used count every byte is
+                    // record bytes, and no record's prefix is 0.
+                    return Err(corrupt("zero-length log record in a sealed segment"));
                 }
                 if pos + 4 + len > bytes.len() {
                     if last_segment {
@@ -883,17 +888,16 @@ mod tests {
     }
 
     #[test]
-    fn length_prefix_damaged_to_zero_ends_a_sealed_segment_silently() {
-        // Known gap, pinned as it is today: a prefix that reads 0 is taken
-        // for a zeroed tail before any sealed-segment check, so the commit
-        // record of sealed segment 0 vanishes without `StoreError::Corrupt`.
+    fn length_prefix_damaged_to_zero_in_a_sealed_segment_is_corruption() {
+        // A prefix that reads 0 looks like a zeroed tail, but a sealed
+        // segment has none below its used count: the commit record behind
+        // it must not vanish without an error.
         let wal = Wal::new(two_page_segments());
         for i in 0..3u8 {
             wal.note_page_write(PageId(i as u32), &image(i + 1));
             wal.commit().unwrap();
         }
-        let intact = wal.lock().device.read_all().unwrap().len();
-        assert_eq!(intact, 6, "three page images, three commits");
+        assert_eq!(wal.lock().device.read_all().unwrap().len(), 6);
         {
             let mut st = wal.lock();
             assert!(st.device.seg_start > 0, "segment 0 must be sealed");
@@ -903,10 +907,8 @@ mod tests {
             assert_eq!(st.device.pages[page][at..at + 4], [0x11, 0, 0, 0]);
             st.device.pages[page][at] ^= 0x11;
         }
-        assert_eq!(wal.lock().device.read_all().unwrap().len(), intact - 1);
-        // Recovery reports no corruption; the orphaned image of op 0 rides
-        // on the next segment's commit.
-        assert_eq!(wal.recovered_images().unwrap().len(), 3);
+        let err = wal.recovered_images().unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! concurrent readers through the engine always see their page's bytes.
 
 use proptest::prelude::*;
-use starfish_pagestore::{IoEngineConfig, PageId, PolicyKind, SharedBufferPool, WalConfig};
+use starfish_pagestore::{BufferConfig, IoEngineConfig, PageId, PolicyKind, SharedBufferPool};
 use std::collections::HashMap;
 
 const DB_PAGES: u32 = 24;
@@ -57,7 +57,8 @@ fn fresh(kind: PolicyKind, cap: usize, shards: usize, engine: bool) -> SharedBuf
     } else {
         IoEngineConfig::default()
     };
-    let p = SharedBufferPool::with_config(cap, kind, shards, WalConfig::default(), io);
+    let p =
+        SharedBufferPool::from_config(BufferConfig::with_pages(cap).policy(kind).io(io), shards);
     p.alloc_extent(DB_PAGES);
     p
 }

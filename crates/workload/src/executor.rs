@@ -34,8 +34,8 @@
 //!   (requests race by design; per-page latches keep every observation
 //!   untorn), and nothing is recorded beyond the counters.
 //!
-//! Determinism contract (pinned by `tests/plan_equivalence.rs` and the
-//! golden-counter tests): a plan's *access sequence* — the picks, the
+//! Determinism contract (pinned by the golden-counter tests and
+//! `tests/concurrent_differential.rs`): a plan's *access sequence* — the picks, the
 //! navigation hops, the per-hop cardinalities, the update gating — is a
 //! function of (spec, seed, database) only. Storage models and replacement
 //! policies change physical I/O, never the sequence; thread counts change

@@ -12,11 +12,11 @@
 //!
 //! The paper's queries 1a–3b are built-in plan constructors
 //! ([`WorkloadSpec::q1a`] … [`WorkloadSpec::q3b`], or
-//! [`WorkloadSpec::for_query`]); they are proven `IoSnapshot`-identical to
-//! the historical hard-coded runner by `tests/plan_equivalence.rs` and the
-//! golden-counter tests. Beyond the paper, [`WorkloadSpec::shipped`] bundles
-//! scenarios the original evaluation never ran (deep navigation, hot-set
-//! skew, scan-then-update), and [`WorkloadSpec::from_json`] /
+//! [`WorkloadSpec::for_query`]); their `IoSnapshot`s are pinned exactly by
+//! the golden-counter tests (`tests/golden_lru.rs`). Beyond the paper,
+//! [`WorkloadSpec::shipped`] bundles scenarios the original evaluation
+//! never ran (deep navigation, hot-set skew, scan-then-update), and
+//! [`WorkloadSpec::from_json`] /
 //! [`WorkloadSpec::to_json`] make ad-hoc scenarios a command-line argument
 //! (`starfish_repro --workload file.json`).
 //!

@@ -229,8 +229,9 @@ fn resident_spanned_reads(pool: &mut impl PageCache) -> (u64, u64) {
     (full, projected)
 }
 
-/// What the latch group's bookkeeping allocates on either pool: the sorted,
-/// deduplicated page list (ordered once for both ends on the shared pool).
+/// What the latch group's bookkeeping allocates on the shared pool: the
+/// (shard, page)-ordered list, built once for both ends. The exclusive pool
+/// only counts the group, and counts an ascending extent as it stands.
 const LATCH_GROUP_LISTS: u64 = 1;
 
 /// What one lock session of the shared pool allocates: the involved-shard
@@ -243,11 +244,11 @@ fn resident_spanned_reads_allocate_what_they_return() {
     let (full, projected) = resident_spanned_reads(&mut BufferPool::new(SimDisk::new(), 64));
     // The whole-object read returns the data buffer; the header pages are
     // fixed, not copied, and the three runs it reads travel on the stack.
-    assert_eq!(full, 1 + LATCH_GROUP_LISTS, "whole-object read");
+    assert_eq!(full, 1, "whole-object read");
     // The projected read needs the header's bytes to find its ranges: the
     // header buffer, the range list (grown twice, then merged), the
     // wanted-page map and the buffer it returns.
-    assert_eq!(projected, 6 + LATCH_GROUP_LISTS, "projected read");
+    assert_eq!(projected, 6, "projected read");
 
     // One shard: the same reads through one lock session per visit — one
     // for the whole object; for the projection one for the header and one
@@ -256,12 +257,12 @@ fn resident_spanned_reads_allocate_what_they_return() {
     let (shared_full, shared_projected) = resident_spanned_reads(&mut shared);
     assert_eq!(
         shared_full,
-        full + SESSION_LISTS,
+        full + LATCH_GROUP_LISTS + SESSION_LISTS,
         "whole-object read, shared"
     );
     assert_eq!(
         shared_projected,
-        projected + 2 * SESSION_LISTS,
+        projected + LATCH_GROUP_LISTS + 2 * SESSION_LISTS,
         "projected read, shared"
     );
 }

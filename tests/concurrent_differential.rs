@@ -16,10 +16,12 @@
 //! (threads race on cache residency) — the same invariant shape as
 //! `tests/cross_policy_differential.rs`.
 //!
-//! With **one thread and one shard** the bar is higher: the entire
-//! `PlanRun` (physical reads included) must equal the serial
-//! `Executor::run` counter for counter — the acceptance gate for the
-//! shared pool reproducing the paper's serial numbers.
+//! With **one thread and one shard** the bar is higher, and it is set for
+//! all seven queries (1a–3b): the entire `PlanRun` (physical reads
+//! included; 3b's deferred updates excepted, see the test) must equal the
+//! serial `Executor::run` counter for counter — the acceptance gate for the
+//! shared pool reproducing the paper's serial numbers, which
+//! `tests/golden_lru.rs` pins to the digit.
 
 use starfish::core::{
     make_shared_store, make_store, ConcurrentObjectStore, ModelKind, PolicyKind, StoreConfig,
@@ -55,7 +57,12 @@ fn shared_store(kind: ModelKind, shards: usize, db: &[Station]) -> Box<dyn Concu
 }
 
 /// One thread over one shard reproduces the serial measurement exactly —
-/// same seed ⇒ identical `PlanRun` values, physical I/O included.
+/// same seed ⇒ identical `PlanRun` values, physical I/O included, for every
+/// query of the paper. Query 3b is the one qualified row: the concurrent
+/// protocol defers a plan's updates behind its read phase, which for 3b's
+/// many loops moves *when* pages travel (for 3a's single loop the update is
+/// the tail either way) — so there the physical counters are masked and
+/// everything scheduling cannot move must still agree.
 #[test]
 fn one_client_reproduces_serial_measurements_exactly() {
     let db = dataset();
@@ -63,7 +70,7 @@ fn one_client_reproduces_serial_measurements_exactly() {
         let mut serial = make_store(kind, config());
         let refs = serial.load(&db).expect("load");
         let exec = Executor::new(refs, SEED);
-        for q in QUERIES {
+        for q in QueryId::all() {
             let want = exec
                 .run(serial.as_mut(), &WorkloadSpec::for_query(q))
                 .unwrap();
@@ -71,12 +78,28 @@ fn one_client_reproduces_serial_measurements_exactly() {
             let got = exec
                 .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), 1)
                 .unwrap();
+            let (got, want) = match q {
+                QueryId::Q3b => (access_counts(got.outcome), access_counts(want)),
+                _ => (got.outcome, want),
+            };
             assert_eq!(
-                got.outcome, want,
+                got, want,
                 "{kind}/{q}: shared pool at 1 thread × 1 shard diverged from serial"
             );
         }
     }
+}
+
+/// `outcome` with the residency-dependent counters zeroed: what is left —
+/// fixes, latch groups, units, navigation footprint, updates applied —
+/// counts accesses, not page transfers.
+fn access_counts(mut outcome: PlanOutcome) -> PlanOutcome {
+    if let PlanOutcome::Measured(run) = &mut outcome {
+        let s = &mut run.snapshot;
+        (s.read_calls, s.pages_read, s.write_calls, s.pages_written) = (0, 0, 0, 0);
+        (s.hits, s.misses) = (0, 0);
+    }
+    outcome
 }
 
 /// 2/4/8 clients: merged answers identical to the 1-client run, fixes and
