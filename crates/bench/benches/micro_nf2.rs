@@ -4,6 +4,9 @@
 //! to cite beside them).
 //!
 //! * `nf2/decode_full` — every attribute of every station.
+//! * `nf2/validate_full` — the same objects checked as `decode_full` checks
+//!   them, nothing built: what an in-place update spends before it patches
+//!   (DSM's replace-tuple, the normalized models' root record).
 //! * `nf2/decode_projected_at` — the navigation projection through the
 //!   directory walk (`decode_projected` is the same walk entered at a
 //!   layout's `start`; the benchmark's `nf2.decode_projected_ns` probe
@@ -17,7 +20,7 @@ mod common;
 
 use criterion::Criterion;
 use starfish_nf2::station::{proj_navigation, station_schema};
-use starfish_nf2::{decode, decode_projected_at, encode_with_layout, TupleLayout};
+use starfish_nf2::{decode, decode_projected_at, encode_with_layout, validate_at, TupleLayout};
 use starfish_workload::{generate, DatasetParams};
 use std::hint::black_box;
 
@@ -35,6 +38,13 @@ fn main() {
         b.iter(|| {
             for (bytes, _) in &encoded {
                 black_box(decode(bytes, &schema).unwrap());
+            }
+        })
+    });
+    c.bench_function("nf2/validate_full", |b| {
+        b.iter(|| {
+            for (bytes, _) in &encoded {
+                black_box(validate_at(bytes, &schema, 0)).unwrap();
             }
         })
     });

@@ -24,12 +24,12 @@
 use crate::object_file::ObjectFile;
 use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{commit_or_abort, Model, Store};
-use crate::traits::{peek_int, ObjRef, RelationInfo, RootPatch};
+use crate::traits::{overwrite_str, peek_int, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
-    attr_offset, decode, decode_attr, decode_projected_at, encode_with_layout, AttrType, Key, Oid,
-    Projection, RelSchema, Tuple,
+    decode, decode_projected_at, encode_with_layout, validate_at, Key, Oid, Projection, RelSchema,
+    Tuple,
 };
 use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
@@ -89,15 +89,6 @@ fn ord_of(file: &ObjectFile, oid: Oid) -> Result<usize> {
     }
 }
 
-/// Encodes a replacement for an encoded `Str` attribute region. The new
-/// name must have the old name's byte length.
-fn encode_name(new_name: &str) -> Vec<u8> {
-    let mut v = Vec::with_capacity(2 + new_name.len());
-    v.extend_from_slice(&(new_name.len() as u16).to_le_bytes());
-    v.extend_from_slice(new_name.as_bytes());
-    v
-}
-
 impl DirectModel {
     /// Reads the bytes of object `ord` that `proj` needs using the model's
     /// access path — the one read primitive every retrieval is built from.
@@ -150,6 +141,12 @@ impl DirectModel {
     /// under one **exclusive group latch** over the object's pages so
     /// disjoint objects update in parallel while readers of this object
     /// wait.
+    ///
+    /// §5.3's "the entire tuple is replaced" is a statement about I/O —
+    /// every page of the object is read and every page is dirtied — and
+    /// that is what happens. The bytes are not rebuilt: the whole object
+    /// is validated as a full decode would check it, the name is patched
+    /// where the object's directory says it is, and the same bytes go back.
     fn replace_tuple(
         &self,
         file: &ObjectFile,
@@ -159,17 +156,10 @@ impl DirectModel {
     ) -> Result<()> {
         let pages = file.latch_pages_of(ord)?;
         let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-            let full = self.read_object(file, pool, ord, &Projection::All)?;
-            let mut station = Station::from_tuple(&full)?;
-            if station.name.len() != patch.new_name.len() {
-                return Err(CoreError::size_changed(
-                    station.name.len(),
-                    patch.new_name.len(),
-                ));
-            }
-            station.name = patch.new_name.clone();
-            let (bytes, layout) = encode_with_layout(&station.to_tuple(), &self.schema)?;
-            file.rewrite_full(pool, ord, &bytes, &layout)
+            let mut bytes = self.read_bytes(file, pool, ord, &Projection::All)?;
+            validate_at(&bytes, &self.schema, 0)?;
+            overwrite_str(&mut bytes, attr::NAME, &patch.new_name)?;
+            file.rewrite_full(pool, ord, &bytes)
         });
         commit_or_abort(pool, res)
     }
@@ -191,17 +181,11 @@ impl DirectModel {
         let pages = file.latch_pages_of(ord)?;
         let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
             let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
-            let bytes = file.read_projected(pool, ord, &name_proj)?;
-            // The object's own directory says where `Name` is stored.
-            let at = attr_offset(&bytes, 0, attr::NAME)?;
-            let old = decode_attr(&bytes, &AttrType::Str, at)?;
-            let old_len = old.as_str().map_or(0, str::len);
-            if old_len != patch.new_name.len() {
-                return Err(CoreError::size_changed(old_len, patch.new_name.len()));
-            }
-            let name = encode_name(&patch.new_name);
-            let at = at as u32;
-            file.patch_range(pool, ord, at..at + name.len() as u32, &name)?;
+            // Only the name's range was fetched: no whole-object validation.
+            let mut bytes = file.read_projected(pool, ord, &name_proj)?;
+            let name = overwrite_str(&mut bytes, attr::NAME, &patch.new_name)?;
+            let range = name.start as u32..name.end as u32;
+            file.patch_range(pool, ord, range, &bytes[name])?;
             // The page pool: every change-attribute operation allocates a pool
             // "of which all pages are written ... even though the page pool is
             // only a single page in size" (§5.3).

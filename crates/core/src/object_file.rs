@@ -324,26 +324,17 @@ impl ObjectFile {
         }
     }
 
-    /// Replaces the whole object in place (same encoded size): the paper's
-    /// `replace (set of) tuples` update. Spanned residents dirty **all**
-    /// their pages, header included — the entire tuple is replaced.
-    pub fn rewrite_full(
-        &self,
-        pool: &mut impl PageCache,
-        ord: usize,
-        bytes: &[u8],
-        layout: &TupleLayout,
-    ) -> Result<()> {
+    /// Replaces the whole object in place with `bytes` of the same encoded
+    /// size: the paper's `replace (set of) tuples` update. Spanned
+    /// residents dirty **all** their pages, header included — the entire
+    /// tuple is replaced. Same-size bytes with an unchanged structure move
+    /// no offset, so the header (the layout) is unchanged: its pages are
+    /// re-dirtied with their own bytes.
+    pub fn rewrite_full(&self, pool: &mut impl PageCache, ord: usize, bytes: &[u8]) -> Result<()> {
         match self.addr(ord)? {
             ObjAddr::Heap(rid) => Ok(self.heap.update(pool, rid, bytes)?),
             ObjAddr::Spanned(rec) => {
-                SpannedStore::rewrite_header(pool, &rec, &layout.to_bytes())?;
-                Ok(SpannedStore::rewrite_data(
-                    pool,
-                    &rec,
-                    self.plan_of(ord),
-                    bytes,
-                )?)
+                Ok(SpannedStore::rewrite(pool, &rec, self.plan_of(ord), bytes)?)
             }
         }
     }
@@ -544,7 +535,7 @@ mod tests {
         p.clear_cache().unwrap();
         f.read_full(&mut p, 0).unwrap();
         p.reset_stats();
-        f.rewrite_full(&mut p, 0, &objs[0].0, &objs[0].1).unwrap();
+        f.rewrite_full(&mut p, 0, &objs[0].0).unwrap();
         p.flush_all().unwrap();
         assert_eq!(
             p.snapshot().pages_written,

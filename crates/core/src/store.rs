@@ -15,10 +15,10 @@
 
 use crate::concurrent::ConcurrentObjectStore;
 use crate::placement::{self, HeatRanking, ObjectHeat, PlacementStats, ReorgReport};
-use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
+use crate::traits::{overwrite_str, ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result};
 use starfish_nf2::station::Station;
-use starfish_nf2::{decode, encode, Key, Oid, Projection, RelSchema, Tuple, Value};
+use starfish_nf2::{validate_at, Key, Oid, Projection, RelSchema, Tuple};
 use starfish_pagestore::{
     BufferPool, BufferStats, HeapFile, IoSnapshot, LatchMode, PageCache, PageId, Rid,
     SharedPoolHandle,
@@ -396,7 +396,8 @@ const ROOT_NAME: usize = 3;
 /// tuple at `rid` — one op, read-modify-written under an **exclusive
 /// latch** on its page, so concurrent writers on root records sharing a
 /// page serialize and never lose updates (root tuples are small — "there
-/// are many on a single page", §5.3).
+/// are many on a single page", §5.3). The record is validated as a full
+/// decode would check it and patched where its directory says `Name` is.
 pub(crate) fn patch_root_name(
     station: &HeapFile,
     schema: &RelSchema,
@@ -405,14 +406,10 @@ pub(crate) fn patch_root_name(
     patch: &RootPatch,
 ) -> Result<()> {
     let res = pool.with_latched(&[rid.page], LatchMode::Exclusive, |pool| {
-        let bytes = station.read(pool, rid)?;
-        let mut t = decode(&bytes, schema)?;
-        let old = t.values[ROOT_NAME].as_str().map(str::len).unwrap_or(0);
-        if old != patch.new_name.len() {
-            return Err(CoreError::size_changed(old, patch.new_name.len()));
-        }
-        t.values[ROOT_NAME] = Value::Str(patch.new_name.clone());
-        Ok(station.update(pool, rid, &encode(&t, schema)?)?)
+        let mut bytes = station.read(pool, rid)?;
+        validate_at(&bytes, schema, 0)?;
+        overwrite_str(&mut bytes, ROOT_NAME, &patch.new_name)?;
+        Ok(station.update(pool, rid, &bytes)?)
     });
     commit_or_abort(pool, res)
 }

@@ -3,6 +3,7 @@ use crate::{ModelKind, Result};
 use starfish_nf2::station::Station;
 use starfish_nf2::{AttrType, Key, Oid, Projection, Tuple, Value};
 use starfish_pagestore::{BufferStats, IoSnapshot};
+use std::ops::Range;
 
 /// A reference to a complex object: its OID (physical handle) and its key
 /// (logical value).
@@ -180,6 +181,24 @@ pub(crate) fn peek_int(bytes: &[u8], attr: usize) -> Result<i32> {
     Ok(peek_attr(bytes, attr, &AttrType::Int)?
         .as_int()
         .expect("decode_attr(Int) yields Int"))
+}
+
+/// Overwrites `STR` attribute `attr` of the tuple encoded in `bytes` with
+/// `new`, in place, at the offset the tuple's own directory gives — the
+/// root update of every model. The stored string must be valid and have
+/// `new`'s byte length (updates preserve structure, §2.2), else
+/// [`crate::CoreError::size_changed`] and `bytes` is untouched. Returns
+/// the encoded attribute's byte range (length prefix included), the
+/// footprint a `change attribute` writes back.
+pub(crate) fn overwrite_str(bytes: &mut [u8], attr: usize, new: &str) -> Result<Range<usize>> {
+    let at = starfish_nf2::attr_offset(bytes, 0, attr)?;
+    let old = starfish_nf2::str_at(bytes, at)?.len();
+    if old != new.len() {
+        return Err(crate::CoreError::size_changed(old, new.len()));
+    }
+    let body = at + starfish_nf2::overhead::PER_STRING;
+    bytes[body..body + old].copy_from_slice(new.as_bytes());
+    Ok(at..body + old)
 }
 
 /// Indices of the four relations of the normalized models in schema order:

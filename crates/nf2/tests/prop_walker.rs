@@ -7,15 +7,18 @@
 //! zero-filled outside [`Projection::byte_ranges`] — and the range cursor
 //! over a serialized layout must agree with the ranges of the parsed tree.
 //! Truncated input is an error (or, where the walk never reaches the cut,
-//! the right answer), never a panic.
+//! the right answer), never a panic. [`validate_at`] — the check an
+//! in-place update runs — agrees with the full decode on damaged input too:
+//! same verdict, same error.
 
 use proptest::prelude::*;
 use starfish_nf2::station::{
-    proj_navigation, proj_root_record, station_schema, Connection, Platform, Sightseeing, Station,
+    attr, proj_navigation, proj_root_record, station_schema, Connection, Platform, Sightseeing,
+    Station,
 };
 use starfish_nf2::{
-    decode, decode_projected, decode_projected_at, encode_with_layout, AttrType, Oid, Projection,
-    RelSchema, TupleLayout,
+    decode, decode_projected, decode_projected_at, decode_tuple_at, encode_with_layout,
+    validate_at, AttrType, Nf2Error, Oid, Projection, RelSchema, TupleLayout,
 };
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -187,4 +190,57 @@ proptest! {
             }
         }
     }
+
+    /// The in-place update's check is the full decode with nothing built:
+    /// on every truncation and on random byte flips of a generated station
+    /// both accept, or both refuse with the same error.
+    #[test]
+    fn validate_at_agrees_with_decode_tuple_at(s in arb_station(), mut bits in any::<u64>()) {
+        let schema = station_schema();
+        let (bytes, _) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+        let check = |b: &[u8]| -> Result<(), TestCaseError> {
+            prop_assert_eq!(
+                validate_at(b, &schema, 0),
+                decode_tuple_at(b, &schema, 0).map(drop)
+            );
+            Ok(())
+        };
+        check(&bytes)?;
+        for cut in 0..bytes.len() {
+            check(&bytes[..cut])?;
+        }
+        for _ in 0..64 {
+            let mut flipped = bytes.clone();
+            for _ in 0..=draw(&mut bits, 3) {
+                let at = draw(&mut bits, bytes.len() as u64) as usize;
+                flipped[at] ^= 1 << draw(&mut bits, 8);
+            }
+            check(&flipped)?;
+        }
+    }
+}
+
+/// `corrupt_count.rs`'s `0xFFFF_FFFF` sub-relation count: bounded before it
+/// is trusted, so `validate_at` refuses it as the decode does.
+#[test]
+fn validate_at_refuses_a_corrupt_subrelation_count() {
+    let schema = station_schema();
+    let s = Station {
+        key: 7,
+        name: "n".repeat(100),
+        platforms: vec![Platform {
+            platform_nr: 1,
+            no_line: 1,
+            ticket_code: 2,
+            information: "i".repeat(100),
+            connections: vec![],
+        }],
+        sightseeings: vec![],
+    };
+    let (mut bytes, layout) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+    let count = layout.attrs[attr::PLATFORM].start as usize;
+    bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = validate_at(&bytes, &schema, 0).unwrap_err();
+    assert!(matches!(err, Nf2Error::Corrupt { .. }), "{err:?}");
+    assert_eq!(Err(err), decode(&bytes, &schema).map(drop));
 }

@@ -311,26 +311,13 @@ impl SpannedStore {
         Ok(out)
     }
 
-    /// Rewrites the header content in place (same length), dirtying every
-    /// header page — the structure is replaced along with the tuple.
-    pub fn rewrite_header(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        header: &[u8],
-    ) -> Result<()> {
-        if header.len() != rec.header_len as usize {
-            return Err(StoreError::SizeChanged {
-                old: rec.header_len as usize,
-                new: header.len(),
-            });
-        }
-        let plan = PagePlan::new(None, header.len());
-        Self::write_pages(pool, rec.first, plan, header, None)
-    }
-
-    /// Rewrites the full data content in place (same length, same plan).
-    /// Marks all data pages dirty; physical writes happen at eviction/flush.
-    pub fn rewrite_data(
+    /// Replaces the record in place with same-length data under the same
+    /// plan, its structure unchanged: one dirtying fix per page of the
+    /// extent. Each header page is re-dirtied with its own bytes (the
+    /// structure is replaced along with the tuple, and is what it was), the
+    /// data pages take `data`. Physical writes happen at eviction/flush. A
+    /// length change is rejected before any page is touched.
+    pub fn rewrite(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
@@ -341,6 +328,9 @@ impl SpannedStore {
                 old: rec.data_len as usize,
                 new: data.len(),
             });
+        }
+        for i in 0..rec.header_pages {
+            pool.with_page_mut(rec.first.offset(i), |_| ())?;
         }
         let plan = PagePlan::new(plan, data.len());
         Self::write_pages(pool, rec.data_first(), plan, data, None)
@@ -516,11 +506,11 @@ mod tests {
         let data = bytes(3000, 5);
         let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data, None).unwrap();
         let new = bytes(3000, 99);
-        SpannedStore::rewrite_data(&mut p, &rec, None, &new).unwrap();
+        SpannedStore::rewrite(&mut p, &rec, None, &new).unwrap();
         p.clear_cache().unwrap();
         assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), new);
         // Length changes are rejected.
-        assert!(SpannedStore::rewrite_data(&mut p, &rec, None, &bytes(2999, 0)).is_err());
+        assert!(SpannedStore::rewrite(&mut p, &rec, None, &bytes(2999, 0)).is_err());
     }
 
     #[test]
@@ -573,7 +563,7 @@ mod tests {
         let plan = Some(&starts[..]);
         let rec = SpannedStore::store(&mut p, &[1], &data, plan).unwrap();
         let new = bytes(2500, 77);
-        SpannedStore::rewrite_data(&mut p, &rec, plan, &new).unwrap();
+        SpannedStore::rewrite(&mut p, &rec, plan, &new).unwrap();
         p.clear_cache().unwrap();
         assert_eq!(SpannedStore::read_data(&mut p, &rec, plan).unwrap(), new);
         // Patch within page 2.
@@ -641,10 +631,16 @@ mod tests {
         let rec = SpannedStore::store(&mut p, &bytes(10, 0), &bytes(4500, 1), None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
-        SpannedStore::rewrite_data(&mut p, &rec, None, &bytes(4500, 2)).unwrap();
+        SpannedStore::rewrite(&mut p, &rec, None, &bytes(4500, 2)).unwrap();
         p.flush_all().unwrap();
         let s = p.snapshot();
-        assert_eq!(s.pages_written, 3, "three dirty data pages");
+        assert_eq!(s.pages_written, 4, "the header page and three data pages");
         assert_eq!(s.write_calls, 1, "contiguous, so one grouped call");
+        p.clear_cache().unwrap();
+        assert_eq!(
+            SpannedStore::read_header(&mut p, &rec).unwrap(),
+            bytes(10, 0),
+            "the header is rewritten with its own bytes"
+        );
     }
 }

@@ -157,7 +157,7 @@ fn interleaved_files_do_not_corrupt_each_other() {
     let rec = SpannedStore::store(&mut p, &[9; 10], &vec![3u8; 4000], None).unwrap();
     let (fb, rb) = HeapFile::bulk_load(&mut p, "b", &[vec![4u8; 700]]).unwrap();
     fa.update(&mut p, ra[1], &vec![5u8; 700]).unwrap();
-    SpannedStore::rewrite_data(&mut p, &rec, None, &vec![6u8; 4000]).unwrap();
+    SpannedStore::rewrite(&mut p, &rec, None, &vec![6u8; 4000]).unwrap();
     p.clear_cache().unwrap();
     assert_eq!(fa.read(&mut p, ra[0]).unwrap(), vec![1u8; 700]);
     assert_eq!(fa.read(&mut p, ra[1]).unwrap(), vec![5u8; 700]);

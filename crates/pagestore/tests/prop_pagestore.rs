@@ -63,7 +63,7 @@ fn exercise_plan(
         expect.clone()
     );
     expect.reverse();
-    SpannedStore::rewrite_data(&mut pool, &rec, plan, &expect).unwrap();
+    SpannedStore::rewrite(&mut pool, &rec, plan, &expect).unwrap();
     pool.clear_cache().unwrap();
     prop_assert_eq!(
         SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),

@@ -1,4 +1,4 @@
-//! An allocation budget for the read path.
+//! An allocation budget for the read path and the update path.
 //!
 //! The read path must allocate in proportion to what it *returns*. Two
 //! budgets pin that, counted by a test-only global allocator (the system
@@ -16,9 +16,14 @@
 //! * a resident spanned read allocates the buffers it hands back and
 //!   nothing for the page runs it asks the pool for — on `BufferPool`, and
 //!   on the one-shard `SharedPoolHandle` plus the three short lists one
-//!   lock session keeps (shards, guards, cores).
+//!   lock session keeps (shards, guards, cores);
+//! * a root update — DSM's replace-tuple, a normalized root-record patch —
+//!   allocates a constant number of blocks, whatever the object holds.
 
-use starfish::core::{ComplexObjectStore, DirectStore, ObjAddr, ObjRef, ObjectFile, StoreConfig};
+use starfish::core::{
+    make_store, ComplexObjectStore, DirectStore, ModelKind, ObjAddr, ObjRef, ObjectFile, RootPatch,
+    StoreConfig,
+};
 use starfish::nf2::station::{
     proj_root_record, station_schema, Connection, Platform, Sightseeing, Station,
 };
@@ -265,4 +270,54 @@ fn resident_spanned_reads_allocate_what_they_return() {
         projected + LATCH_GROUP_LISTS + 2 * SESSION_LISTS,
         "projected read, shared"
     );
+}
+
+/// `station(key, 0)` with a platform of sixteen connections: no
+/// sightseeing, yet too large for a heap page, so it is stored spanned like
+/// the twelve-sightseeing station it is compared with.
+fn spanned_without_sightseeings(key: i32) -> Station {
+    let mut s = station(key, 0);
+    let c = s.platforms[0].connections[0].clone();
+    s.platforms[0].connections = vec![c; 16];
+    let len = encode(&s.to_tuple(), &station_schema()).unwrap().len();
+    assert!(!ObjectFile::fits_heap(len), "{len} bytes fit a heap page");
+    s
+}
+
+/// One root update of each loaded object on the exclusive pool, counted
+/// once the object is buffer-resident.
+fn update_allocations(kind: ModelKind, stations: &[Station]) -> Vec<u64> {
+    let mut store = make_store(kind, StoreConfig::default());
+    let refs = store.load(stations).unwrap();
+    let patch = RootPatch {
+        new_name: "Q".repeat(100),
+    };
+    (refs.iter())
+        .map(|r| {
+            store.update_roots(&[*r], &patch).unwrap(); // make it resident
+            allocations(|| store.update_roots(&[*r], &patch).unwrap()).0
+        })
+        .collect()
+}
+
+/// An update patches the bytes it read: it allocates the buffer it reads
+/// into and the page lists of its latches, never per string of the object.
+///
+/// Before, the update decoded the object into a `Tuple`, converted it to a
+/// `Station` and back and re-encoded it with its layout, so every string of
+/// the object cost allocations: a DSM update of the spanned station without
+/// sightseeings allocated 124 times and of the twelve-sightseeing station
+/// 224 times; a root-record patch allocated 6 times (NSM+index and
+/// DASDBS-NSM alike). Now both DSM updates allocate 3 times and a
+/// root-record patch once.
+#[test]
+fn an_update_allocates_the_same_whatever_the_object_holds() {
+    let stations = [spanned_without_sightseeings(100), station(101, 12)];
+    // The exclusive latch group's page list, the shared latch's page list
+    // for the whole-object read inside it, the object buffer.
+    assert_eq!(update_allocations(ModelKind::Dsm, &stations), [3, 3], "DSM");
+    // The copy of the root record.
+    for kind in [ModelKind::NsmIndexed, ModelKind::DasdbsNsm] {
+        assert_eq!(update_allocations(kind, &stations), [1, 1], "{kind}");
+    }
 }
