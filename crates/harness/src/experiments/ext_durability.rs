@@ -2,8 +2,8 @@
 //!
 //! The paper's protocol flushes deferred pages at "database disconnect" —
 //! a crash before that point silently loses every applied update. With the
-//! WAL under the shared pool, each root update commits a checksummed
-//! after-image batch to the log before the call returns, so a kill at any
+//! WAL under the shared pool, each root update commits the checksummed byte
+//! ranges it changed to the log before the call returns, so a kill at any
 //! op boundary preserves exactly the committed prefix.
 //!
 //! This experiment measures what that durability costs and what group
@@ -142,7 +142,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
             .to_string(),
         "after the timed phase the store is crashed (cache and unflushed WAL \
          state dropped, no data flush) and recovered from the durable log; \
-         recovered pages counts the redo scan's replayed page images"
+         recovered pages counts the pages the redo scan replayed ranges onto"
             .to_string(),
         "rerun with --fsync per|group to restrict the mode dimension and \
          --threads N to pin the writer count"

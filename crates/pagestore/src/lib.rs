@@ -52,8 +52,9 @@
 //!   by default; off, the miss path and every counter are byte-identical to
 //!   the synchronous pool;
 //! * [`wal`](crate::WalConfig) — an optional redo-only write-ahead log
-//!   under the shared pool: checksummed, LSN-stamped page after-images in
-//!   multi-page log segments, per-commit or group-commit flushing, and
+//!   under the shared pool: checksummed, LSN-stamped records of the byte
+//!   range each write changed, in multi-page log segments, per-commit or
+//!   group-commit flushing, and
 //!   recovery-on-open replaying the committed tail past the last
 //!   checkpoint. Disabled by default; off, every counter and code path is
 //!   byte-identical to the pre-WAL pool;

@@ -544,20 +544,28 @@ impl SharedBufferPool {
     /// latches (exclusive by another thread, or any shared group) are
     /// waited out first.
     ///
-    /// With the WAL enabled, the page's after-image is buffered into the
-    /// calling thread's active op (made durable at [`Self::log_commit`])
-    /// and the frame is stamped with the image's LSN. The log mutex is
-    /// taken *after* the shard mutex — last in the lock order.
+    /// With the WAL enabled, the frame is copied to the stack before `f`
+    /// runs, and the byte range `f` changed is buffered into the calling
+    /// thread's active op (made durable at [`Self::log_commit`]) and the
+    /// frame stamped with its LSN. A write that changes nothing logs
+    /// nothing and keeps the frame's LSN. Which bytes changed is the
+    /// pool's to find, not the caller's to report, so no writer can
+    /// under-report a range. The log mutex is taken *after* the shard
+    /// mutex — last in the lock order.
     pub fn with_page_mut<R>(
         &self,
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
         let (mut st, slot) = self.fix_in_shard(pid, true)?;
-        let r = f(&mut st.core.frame_mut(slot).data);
-        if let Some(wal) = &self.wal {
-            let frame = st.core.frame_mut(slot);
-            frame.lsn = wal.note_page_write(pid, &frame.data);
+        let frame = st.core.frame_mut(slot);
+        let Some(wal) = &self.wal else {
+            return Ok(f(&mut frame.data));
+        };
+        let before = *frame.data;
+        let r = f(&mut frame.data);
+        if let Some(lsn) = wal.note_page_write(pid, frame.lsn, &before, &frame.data) {
+            frame.lsn = lsn;
         }
         Ok(r)
     }
@@ -866,12 +874,13 @@ impl SharedBufferPool {
         self.with_writers_quiesced(|w| w.flush(true))
     }
 
-    /// Commits the calling thread's active WAL op: its buffered page
-    /// after-images become durable (flushed immediately under
+    /// Commits the calling thread's active WAL op: its buffered byte
+    /// ranges become durable (flushed immediately under
     /// [`FsyncMode::PerCommit`](crate::FsyncMode::PerCommit), or as part
     /// of a group flush under
     /// [`FsyncMode::Group`](crate::FsyncMode::Group)). Returns once the op
-    /// is durable. A no-op (and the only behavior) with the WAL disabled.
+    /// is durable. A no-op with the WAL disabled, and for an op whose
+    /// writes changed nothing (no commit is counted).
     /// Must be called while holding **no** shard mutex or latch.
     pub fn log_commit(&self) -> Result<()> {
         match &self.wal {
@@ -881,7 +890,7 @@ impl SharedBufferPool {
     }
 
     /// Discards the calling thread's active WAL op buffer (failed update):
-    /// its images never reach the log. A no-op with the WAL disabled.
+    /// its ranges never reach the log. A no-op with the WAL disabled.
     pub fn log_abort(&self) {
         if let Some(wal) = &self.wal {
             wal.abort();
@@ -906,7 +915,9 @@ impl SharedBufferPool {
     }
 
     /// LSN stamped on `pid`'s resident frame by its last logged mutation
-    /// (`None` if not cached; `0` if cached but never logged).
+    /// (`None` if not cached; `0` if cached but never logged). A write
+    /// that changed no byte of the page is not logged and stamps nothing:
+    /// the frame keeps the LSN it had.
     pub fn page_lsn(&self, pid: PageId) -> Option<u64> {
         let st = self.shard(self.shard_of(pid));
         st.core.slot_of(pid).map(|slot| st.core.frame(slot).lsn)
@@ -924,10 +935,11 @@ impl SharedBufferPool {
     }
 
     /// Recovery-on-open: scans the durable log tail past the last
-    /// checkpoint (counted log reads), replays the final committed image
-    /// of every logged page onto the data disk in contiguous runs of at
-    /// most [`crate::MAX_PAGES_PER_WRITE_CALL`] pages (counted data writes,
-    /// the same grouping a flush produces), then checkpoints. Returns the
+    /// checkpoint (counted log reads); reads every logged page from the
+    /// data disk, applies its committed byte ranges in LSN order and
+    /// writes it back — reads and writes in contiguous runs of at most
+    /// [`crate::MAX_PAGES_PER_WRITE_CALL`] pages (counted data I/O, the
+    /// same grouping a flush produces) — then checkpoints. Returns the
     /// number of pages replayed. Intended for a freshly
     /// [crashed](Self::crash_volatile) (or newly opened) pool: the cache
     /// must hold no dirty pre-crash frames.
@@ -1088,15 +1100,21 @@ impl Quiesced<'_> {
         let Some(wal) = &self.pool.wal else {
             return Ok(0);
         };
-        let images = wal.recovered_images()?;
+        let pages = wal.recovered_ranges()?;
         let disk = &mut &self.pool.disk;
+        let mut run: Vec<[u8; PAGE_SIZE]> = Vec::new();
         let mut done = 0;
-        for (start, len) in buffer::page_runs(images.iter().map(|image| image.0)) {
-            disk.write_run_dyn(start, len, &mut |j| *images[done + j as usize].2)?;
+        for (start, len) in buffer::page_runs(pages.iter().map(|(pid, _)| *pid)) {
+            run.clear();
+            disk.read_run_dyn(start, len, &mut |_, base| run.push(*base))?;
+            for (page, (_, ranges)) in run.iter_mut().zip(&pages[done..]) {
+                ranges.iter().for_each(|range| range.apply(page));
+            }
+            disk.write_run_dyn(start, len, &mut |j| run[j as usize])?;
             done += len as usize;
         }
         wal.checkpoint();
-        Ok(images.len())
+        Ok(pages.len())
     }
 }
 
@@ -2104,7 +2122,10 @@ mod tests {
                     for k in 0..4u32 {
                         let pid = first.offset(t * 4 + k);
                         p.latch_pages(&[pid], LatchMode::Exclusive).unwrap();
-                        p.with_page_mut(pid, |b| b[0] = (t * 4 + k) as u8).unwrap();
+                        // `+ 1`: every page starts zeroed, and a write that
+                        // leaves it unchanged logs and commits nothing.
+                        p.with_page_mut(pid, |b| b[0] = (t * 4 + k + 1) as u8)
+                            .unwrap();
                         p.unlatch_pages(&[pid], LatchMode::Exclusive);
                         p.log_commit().unwrap();
                     }
@@ -2120,8 +2141,51 @@ mod tests {
         p.crash_volatile();
         assert_eq!(p.recover().unwrap(), 32);
         for i in 0..32 {
-            p.with_page(first.offset(i), |b| assert_eq!(b[0], i as u8))
+            p.with_page(first.offset(i), |b| assert_eq!(b[0], i as u8 + 1))
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn an_unchanged_write_logs_nothing_and_stamps_nothing() {
+        let p = wal_pool(2, 8, 8);
+        p.with_page_mut(PageId(3), |b| b[9] = 4).unwrap();
+        p.log_commit().unwrap();
+        let lsn = p.page_lsn(PageId(3)).unwrap();
+        let log = |s: IoSnapshot| (s.commits, s.log_write_calls, s.log_pages_written);
+        let before = log(p.snapshot());
+        p.with_page_mut(PageId(3), |b| b[9] = 4).unwrap(); // its own byte
+        p.with_page_mut(PageId(4), |b| b[0] = 0).unwrap(); // zero over zero
+        p.log_commit().unwrap();
+        assert_eq!(p.page_lsn(PageId(3)), Some(lsn), "the frame keeps its LSN");
+        assert_eq!(p.page_lsn(PageId(4)), Some(0), "never logged");
+        assert_eq!(log(p.snapshot()), before, "no commit, no log write");
+    }
+
+    #[test]
+    fn recovery_converges_over_a_base_page_eviction_wrote_back() {
+        // A 2-frame pool: page 0's dirty frame is evicted to the data disk
+        // between its two committed writes, so recovery reads a base that
+        // already holds the first write and redoes both ranges over it.
+        let p = wal_pool(1, 2, 8);
+        p.with_page_mut(PageId(0), |b| b[10..20].fill(1)).unwrap();
+        p.log_commit().unwrap();
+        for pid in 1..4 {
+            p.with_page(PageId(pid), |_| ()).unwrap();
+        }
+        assert!(!p.is_cached(PageId(0)), "evicted");
+        p.with_page_mut(PageId(0), |b| b[15..25].fill(2)).unwrap();
+        p.log_commit().unwrap();
+        p.crash_volatile();
+        let reads = p.snapshot().pages_read;
+        assert_eq!(p.recover().unwrap(), 1);
+        assert_eq!(p.snapshot().pages_read, reads + 1, "the base page is read");
+        p.with_page(PageId(0), |b| {
+            assert_eq!(
+                b[9..26],
+                [0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0]
+            );
+        })
+        .unwrap();
     }
 }

@@ -5,14 +5,19 @@
 //! crash in between silently lost committed writes. This module closes
 //! that hole with a redo-only, physical write-ahead log:
 //!
-//! * every mutation through the shared pool's write path captures the
-//!   page's **after-image** into a per-thread op buffer, stamped with a
-//!   monotonically increasing **LSN** that is also recorded in the frame
-//!   table;
-//! * [`Wal::commit`] moves the op's images (coalesced per page — redo only
-//!   needs the final image) into the durable-pending queue and forces them
-//!   to the log device before returning, so a committed op can never be
-//!   lost;
+//! * every mutation through the shared pool's write path logs the **byte
+//!   range it changed** — `[first changed byte, last changed byte]` of the
+//!   page, found by comparing the frame before and after the write — into
+//!   a per-thread op buffer, stamped with a monotonically increasing
+//!   **LSN** that is also recorded in the frame table. **A write that
+//!   changes nothing logs nothing** and stamps no LSN: a DSM header page
+//!   rewritten with its own bytes costs one compare. An op's write of the
+//!   page its last range covers, with no write of that page in between,
+//!   widens that range instead of adding one (a bulk load fills a page
+//!   record by record);
+//! * [`Wal::commit`] moves the op's ranges (in write order) into the
+//!   durable-pending queue and forces them to the log device before
+//!   returning, so a committed op can never be lost;
 //! * under [`FsyncMode::Group`] a **leader** thread flushes the whole
 //!   pending queue in one device write while followers wait on a condvar
 //!   until their commit LSN is durable — N concurrent committers amortize
@@ -28,10 +33,15 @@
 //!   writer gate has the pool quiesced — the gate doubles as the
 //!   checkpoint barrier) truncates the log: everything it described is on
 //!   the data disk;
-//! * [`Wal::recovered_images`] replays the tail past the last checkpoint:
+//! * [`Wal::recovered_ranges`] replays the tail past the last checkpoint:
 //!   it re-reads the surviving segments (counted log I/O), validates every
-//!   header and record checksum, and yields the final committed image per
-//!   page in LSN order.
+//!   header and record checksum, and yields every logged page's committed
+//!   ranges in **LSN order** — not commit order: a writer unlatches before
+//!   it commits, so two ops on one page can commit in the opposite order
+//!   to their LSNs. Recovery reads each logged page's base from the data
+//!   disk (counted data I/O), applies its ranges in that order and writes
+//!   it back. Physical byte-range redo applied in LSN order is idempotent,
+//!   so a base page that an eviction already made newer still converges.
 //!
 //! # Record format
 //!
@@ -46,8 +56,29 @@
 //! `11 00 00 00`, so one damaged byte can do it) is a zeroed tail — the end
 //! of the log — in the **last** segment only; below a sealed segment's
 //! used count every byte is record bytes and no record's prefix is 0, so
-//! there it is corruption like any other damage. A page-image body is
-//! `[pid: u32 LE][page]`; commit and checkpoint records have an empty body.
+//! there it is corruption like any other damage. Three kinds:
+//!
+//! | kind | record | body |
+//! |---|---|---|
+//! | 1 | `Range` | `[pid: u32 LE][offset: u16 LE][bytes]` — the changed bytes of page `pid` from `offset`; `offset + bytes` never runs past the page (a record that does is `Corrupt`) |
+//! | 2 | `Commit` | empty |
+//! | 3 | `Checkpoint` | empty |
+//!
+//! A whole-page write is a 2048-byte range. The segment header's version
+//! is 2; version 1 logged a full 2048-byte page image per dirtied page.
+//! There is no version-1 reader: the log device lives in memory, so no
+//! version-1 log outlives the process that wrote it, and
+//! [`LogDevice::read_all`] rejects any other version as `Corrupt`.
+//!
+//! # Why there is no full image on a page's first touch
+//!
+//! PostgreSQL logs a page's full image the first time it is dirtied after
+//! a checkpoint (`full_page_writes`), so a data page torn by a crash
+//! mid-write can be rebuilt from the log alone. Range redo instead trusts
+//! the base page it reads from the data disk. Nothing in this tree can
+//! tear a data page — a disk write is one slice copy — so the rule would
+//! guard against nothing and cost the image it logs. It belongs with torn
+//! data-page fault injection, which would test it.
 //!
 //! The log device is separate from the data disk and keeps its own I/O
 //! counters, surfaced as the `log_*` fields of [`crate::IoSnapshot`] — the
@@ -119,7 +150,7 @@ pub struct WalConfig {
     /// Commit-flush batching discipline.
     pub fsync: FsyncMode,
     /// Pages per log segment (min 2: a segment must fit its header plus
-    /// one full page-image record).
+    /// one whole-page range record).
     pub segment_pages: u32,
 }
 
@@ -148,8 +179,41 @@ impl WalConfig {
 /// Default pages per log segment (32 KiB at the 2 KiB page size).
 pub const DEFAULT_SEGMENT_PAGES: u32 = 16;
 
-/// One recovered page: id, image LSN, committed after-image.
-pub(crate) type RecoveredImage = (PageId, u64, Box<[u8; PAGE_SIZE]>);
+/// One logged byte range of a page: the LSN of the write that changed it,
+/// the offset of its first byte and the bytes the write left there.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct LoggedRange {
+    pub(crate) lsn: u64,
+    pub(crate) offset: u16,
+    pub(crate) bytes: Vec<u8>,
+}
+
+impl LoggedRange {
+    /// Redoes the write on `page`.
+    pub(crate) fn apply(&self, page: &mut [u8; PAGE_SIZE]) {
+        page[self.offset as usize..][..self.bytes.len()].copy_from_slice(&self.bytes);
+    }
+}
+
+/// One recovered page: its id and its committed ranges, in LSN order.
+pub(crate) type RecoveredPage = (PageId, Vec<LoggedRange>);
+
+/// The smallest byte range covering every byte in which `before` and
+/// `after` differ, `[first changed, last changed]`; `None` when the write
+/// changed nothing. Compares 16-byte words from both ends, then bytes
+/// within the first and last differing word.
+pub(crate) fn changed_range(
+    before: &[u8; PAGE_SIZE],
+    after: &[u8; PAGE_SIZE],
+) -> Option<Range<usize>> {
+    const W: usize = 16;
+    let (old, new) = (before.as_chunks::<W>().0, after.as_chunks::<W>().0);
+    let first = old.iter().zip(new).position(|(a, b)| a != b)?;
+    let last = old.iter().zip(new).rposition(|(a, b)| a != b)?;
+    let lo = (0..W).position(|i| old[first][i] != new[first][i])?;
+    let hi = (0..W).rposition(|i| old[last][i] != new[last][i])?;
+    Some(first * W + lo..last * W + hi + 1)
+}
 
 /// Cumulative physical I/O and commit counters of the log device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -172,8 +236,8 @@ pub struct WalStats {
 
 /// Magic at byte 0 of every segment header.
 const SEGMENT_MAGIC: [u8; 8] = *b"SFWAL001";
-/// Format version in the segment header.
-const SEGMENT_VERSION: u32 = 1;
+/// Format version in the segment header (2: page records are byte ranges).
+const SEGMENT_VERSION: u32 = 2;
 /// Segment header size: magic (8) + version (4) + PageRange start (4) +
 /// PageRange num (4) + used bytes (4) + checksum (4).
 const SEGMENT_HEADER_SIZE: usize = 28;
@@ -188,15 +252,16 @@ struct PageRange {
 }
 
 /// Record kinds (the record layout is in the [module docs](self)).
-const REC_PAGE_IMAGE: u8 = 1;
+const REC_RANGE: u8 = 1;
 const REC_COMMIT: u8 = 2;
 const REC_CHECKPOINT: u8 = 3;
 
-/// Serializes one record; `body` arrives in parts so a page image is
+/// Serializes one record into `out`, replacing what it held (the caller
+/// reuses one buffer); `body` arrives in parts so the changed bytes are
 /// copied once, straight into the record.
-fn encode_record(kind: u8, lsn: u64, body: &[&[u8]]) -> Vec<u8> {
+fn encode_record(out: &mut Vec<u8>, kind: u8, lsn: u64, body: &[&[u8]]) {
     let payload_len = 1 + 8 + body.iter().map(|part| part.len()).sum::<usize>() + 8;
-    let mut out = Vec::with_capacity(4 + payload_len);
+    out.clear();
     out.extend_from_slice(&(payload_len as u32).to_le_bytes());
     out.push(kind);
     out.extend_from_slice(&lsn.to_le_bytes());
@@ -205,16 +270,14 @@ fn encode_record(kind: u8, lsn: u64, body: &[&[u8]]) -> Vec<u8> {
     }
     let sum = fnv1a_bytes(&out[4..]);
     out.extend_from_slice(&sum.to_le_bytes());
-    out
 }
 
 /// A decoded log record.
 #[derive(Debug)]
 enum Record {
-    PageImage {
-        lsn: u64,
+    Range {
         pid: PageId,
-        image: Box<[u8; PAGE_SIZE]>,
+        range: LoggedRange,
     },
     Commit {
         lsn: u64,
@@ -243,18 +306,26 @@ fn decode_record(payload: &[u8]) -> Result<Record> {
     let lsn = u64::from_le_bytes(data[1..9].try_into().expect("8 bytes"));
     let body = &data[9..];
     match kind {
-        REC_PAGE_IMAGE => {
-            if body.len() != 4 + PAGE_SIZE {
-                return Err(corrupt(format!(
-                    "page-image record body is {} bytes, expected {}",
-                    body.len(),
-                    4 + PAGE_SIZE
-                )));
+        REC_RANGE => {
+            if body.len() < 4 + 2 {
+                return Err(corrupt("range record shorter than its page id and offset"));
             }
             let pid = PageId(u32::from_le_bytes(body[..4].try_into().expect("4 bytes")));
-            let mut image = Box::new([0u8; PAGE_SIZE]);
-            image.copy_from_slice(&body[4..]);
-            Ok(Record::PageImage { lsn, pid, image })
+            let offset = u16::from_le_bytes(body[4..6].try_into().expect("2 bytes"));
+            let bytes = &body[6..];
+            if offset as usize + bytes.len() > PAGE_SIZE {
+                return Err(corrupt(format!(
+                    "range record of page {} runs past the page: offset {offset} + {} bytes",
+                    pid.0,
+                    bytes.len()
+                )));
+            }
+            let range = LoggedRange {
+                lsn,
+                offset,
+                bytes: bytes.to_vec(),
+            };
+            Ok(Record::Range { pid, range })
         }
         REC_COMMIT => Ok(Record::Commit { lsn }),
         REC_CHECKPOINT => Ok(Record::Checkpoint),
@@ -496,26 +567,62 @@ impl LogDevice {
 // The WAL proper
 // ---------------------------------------------------------------------------
 
-/// One page's buffered after-image inside an active (uncommitted) op.
-struct BufferedImage {
+/// One thread's active (uncommitted) op: the ranges it changed, in write
+/// order.
+type OpBuffer = Vec<(PageId, LoggedRange)>;
+
+/// Buffers into `op` the write stamped `lsn` that changed the `changed`
+/// bytes of page `pid`, leaving the page `after`. `frame_lsn` is the LSN
+/// the page carried before the write. When that is the LSN of the op's
+/// last range, nobody has written the page since (LSNs are unique, and
+/// every changing write stamps one) — a load filling a page record by
+/// record — so that range's bytes still match the page: the write widens
+/// and restamps it instead of adding one.
+fn buffer_write(
+    op: &mut OpBuffer,
+    pid: PageId,
     lsn: u64,
-    image: Box<[u8; PAGE_SIZE]>,
+    frame_lsn: u64,
+    changed: Range<usize>,
+    after: &[u8; PAGE_SIZE],
+) {
+    if let Some((_, last)) = op.last_mut().filter(|(_, last)| last.lsn == frame_lsn) {
+        let (offset, end) = (
+            last.offset as usize,
+            last.offset as usize + last.bytes.len(),
+        );
+        if offset <= changed.start && changed.end <= end {
+            // Inside the range (a record insert after the first): copy only
+            // what changed, not the page again.
+            last.bytes[changed.start - offset..][..changed.len()].copy_from_slice(&after[changed]);
+        } else {
+            let span = changed.start.min(offset)..changed.end.max(end);
+            last.offset = span.start as u16;
+            last.bytes.clear();
+            last.bytes.extend_from_slice(&after[span]);
+        }
+        last.lsn = lsn;
+        return;
+    }
+    let offset = changed.start as u16;
+    let bytes = after[changed].to_vec();
+    op.push((pid, LoggedRange { lsn, offset, bytes }));
 }
 
 /// One committed-but-possibly-not-yet-durable op in the pending queue.
 struct PendingOp {
     commit_lsn: u64,
-    /// Final after-image per page, ascending `PageId`.
-    pages: Vec<(PageId, BufferedImage)>,
+    ranges: OpBuffer,
 }
 
 struct WalState {
     device: LogDevice,
-    /// Per-thread active op buffers, coalesced by page (redo only needs
-    /// the final image a thread wrote within one op).
-    active: HashMap<ThreadId, BTreeMap<PageId, BufferedImage>>,
+    /// Per-thread active op buffers.
+    active: HashMap<ThreadId, OpBuffer>,
     /// Committed ops waiting for a leader to flush them.
     pending: Vec<PendingOp>,
+    /// The one record buffer every append is encoded in.
+    scratch: Vec<u8>,
     /// A group-commit leader is currently flushing.
     flushing: bool,
     /// Every commit LSN ≤ this is durable on the device.
@@ -541,6 +648,7 @@ impl Wal {
                 device: LogDevice::new(config.segment_pages),
                 active: HashMap::new(),
                 pending: Vec::new(),
+                scratch: Vec::new(),
                 flushing: false,
                 durable_lsn: 0,
                 commits: 0,
@@ -557,41 +665,40 @@ impl Wal {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Captures `data` as the calling thread's after-image of `pid`,
-    /// returning the stamped LSN (recorded in the frame table by the
-    /// caller). Called under a shard mutex — the WAL mutex is last in the
-    /// lock order, so this composes deadlock-free.
-    pub(crate) fn note_page_write(&self, pid: PageId, data: &[u8; PAGE_SIZE]) -> u64 {
+    /// Logs the bytes of `pid` a write changed — `before` and `after` are
+    /// the page around it, `frame_lsn` the LSN the frame carried before it
+    /// — into the calling thread's op, returning the stamped LSN (recorded
+    /// in the frame table by the caller). A write that changed nothing
+    /// logs nothing and returns `None`. Called under a shard mutex — the
+    /// WAL mutex is last in the lock order, so this composes deadlock-free;
+    /// the compare runs before it is taken.
+    pub(crate) fn note_page_write(
+        &self,
+        pid: PageId,
+        frame_lsn: u64,
+        before: &[u8; PAGE_SIZE],
+        after: &[u8; PAGE_SIZE],
+    ) -> Option<u64> {
+        let changed = changed_range(before, after)?;
         let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
         let mut st = self.lock();
-        st.active
-            .entry(std::thread::current().id())
-            .or_default()
-            .insert(
-                pid,
-                BufferedImage {
-                    lsn,
-                    image: Box::new(*data),
-                },
-            );
-        lsn
+        let op = st.active.entry(std::thread::current().id()).or_default();
+        buffer_write(op, pid, lsn, frame_lsn, changed, after);
+        Some(lsn)
     }
 
-    /// Commits the calling thread's active op: moves its images into the
+    /// Commits the calling thread's active op: moves its ranges into the
     /// pending queue and returns once they are durable on the log device.
     /// Under [`FsyncMode::Group`], one leader flushes the whole queue
     /// while followers wait — the group commit.
     pub(crate) fn commit(&self) -> Result<()> {
         let tid = std::thread::current().id();
         let mut st = self.lock();
-        let Some(buf) = st.active.remove(&tid).filter(|b| !b.is_empty()) else {
-            return Ok(()); // nothing buffered (e.g. a checkpoint raced us)
+        let Some(ranges) = st.active.remove(&tid).filter(|op| !op.is_empty()) else {
+            return Ok(()); // nothing changed, or a checkpoint raced us
         };
         let commit_lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        st.pending.push(PendingOp {
-            commit_lsn,
-            pages: buf.into_iter().collect(),
-        });
+        st.pending.push(PendingOp { commit_lsn, ranges });
         st.commits += 1;
         match self.config.fsync {
             FsyncMode::PerCommit => {
@@ -623,7 +730,7 @@ impl Wal {
     }
 
     /// Discards the calling thread's active op buffer (the op failed after
-    /// buffering — its images must not leak into the next commit).
+    /// buffering — its ranges must not leak into the next commit).
     pub(crate) fn abort(&self) {
         self.lock().active.remove(&std::thread::current().id());
     }
@@ -634,20 +741,24 @@ impl Wal {
         if st.pending.is_empty() {
             return;
         }
-        let ops = std::mem::take(&mut st.pending);
-        let mut high = st.durable_lsn;
-        for op in ops {
-            for (pid, img) in &op.pages {
-                let body = [&pid.0.to_le_bytes()[..], &img.image[..]];
-                st.device
-                    .append(&encode_record(REC_PAGE_IMAGE, img.lsn, &body));
+        let WalState {
+            device,
+            pending,
+            scratch,
+            durable_lsn,
+            ..
+        } = st;
+        for PendingOp { commit_lsn, ranges } in pending.drain(..) {
+            for (pid, r) in &ranges {
+                let body = [&pid.0.to_le_bytes()[..], &r.offset.to_le_bytes(), &r.bytes];
+                encode_record(scratch, REC_RANGE, r.lsn, &body);
+                device.append(scratch);
             }
-            st.device
-                .append(&encode_record(REC_COMMIT, op.commit_lsn, &[]));
-            high = high.max(op.commit_lsn);
+            encode_record(scratch, REC_COMMIT, commit_lsn, &[]);
+            device.append(scratch);
+            *durable_lsn = (*durable_lsn).max(commit_lsn);
         }
-        st.device.flush();
-        st.durable_lsn = high;
+        device.flush();
     }
 
     /// Checkpoint: everything logged so far is on the data disk (the
@@ -661,9 +772,13 @@ impl Wal {
         st.active.clear();
         st.pending.clear();
         st.durable_lsn = lsn;
-        st.device.truncate();
-        st.device.append(&encode_record(REC_CHECKPOINT, lsn, &[]));
-        st.device.flush();
+        let WalState {
+            device, scratch, ..
+        } = &mut *st;
+        device.truncate();
+        encode_record(scratch, REC_CHECKPOINT, lsn, &[]);
+        device.append(scratch);
+        device.flush();
         drop(st);
         self.cond.notify_all();
     }
@@ -689,43 +804,43 @@ impl Wal {
     }
 
     /// Recovery scan: re-reads the whole surviving log (counted log I/O),
-    /// validates it, and returns the final committed after-image per page
-    /// — last LSN wins — for everything past the last checkpoint, in
-    /// ascending `PageId` order. Images are applied only once their op's
-    /// commit marker is seen; a trailing run of images with no commit
-    /// record (a torn final flush) is ignored, not an error.
-    pub(crate) fn recovered_images(&self) -> Result<Vec<RecoveredImage>> {
-        let mut st = self.lock();
-        let records = st.device.read_all()?;
-        let mut images: BTreeMap<PageId, (u64, Box<[u8; PAGE_SIZE]>)> = BTreeMap::new();
-        let mut staged: Vec<RecoveredImage> = Vec::new();
+    /// validates it, and returns every committed range past the last
+    /// checkpoint, grouped per page in ascending `PageId` order and, within
+    /// a page, in **LSN order** — the order the writes happened in, which
+    /// is not the commit order when two ops on one page committed the
+    /// other way round. Ranges count only once their op's commit marker is
+    /// seen; a trailing run of ranges with no commit record (a torn final
+    /// flush) is ignored, not an error.
+    pub(crate) fn recovered_ranges(&self) -> Result<Vec<RecoveredPage>> {
+        let records = self.lock().device.read_all()?;
+        let mut pages: BTreeMap<PageId, Vec<LoggedRange>> = BTreeMap::new();
+        let mut staged: Vec<(PageId, LoggedRange)> = Vec::new();
         for rec in records {
             match rec {
                 Record::Checkpoint => {
-                    images.clear();
+                    pages.clear();
                     staged.clear();
                 }
-                Record::PageImage { lsn, pid, image } => staged.push((pid, lsn, image)),
+                Record::Range { pid, range } => staged.push((pid, range)),
                 Record::Commit { lsn } => {
-                    for (pid, ilsn, image) in staged.drain(..) {
-                        if ilsn >= lsn {
+                    for (pid, range) in staged.drain(..) {
+                        if range.lsn >= lsn {
                             return Err(corrupt(format!(
-                                "page image lsn {ilsn} not covered by commit lsn {lsn}"
+                                "range lsn {} not covered by commit lsn {lsn}",
+                                range.lsn
                             )));
                         }
-                        match images.get(&pid) {
-                            Some((prev, _)) if *prev > ilsn => {}
-                            _ => {
-                                images.insert(pid, (ilsn, image));
-                            }
-                        }
+                        pages.entry(pid).or_default().push(range);
                     }
                 }
             }
         }
-        Ok(images
+        Ok(pages
             .into_iter()
-            .map(|(pid, (lsn, image))| (pid, lsn, image))
+            .map(|(pid, mut ranges)| {
+                ranges.sort_unstable_by_key(|r| r.lsn);
+                (pid, ranges)
+            })
             .collect())
     }
 
@@ -747,66 +862,137 @@ impl Wal {
 mod tests {
     use super::*;
 
+    const ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
     fn image(b: u8) -> [u8; PAGE_SIZE] {
         [b; PAGE_SIZE]
+    }
+
+    /// Logs a write that turns zeroed page `pid` into `image(b)`: a
+    /// whole-page range.
+    fn write_image(wal: &Wal, pid: u32, b: u8) -> u64 {
+        wal.note_page_write(PageId(pid), 0, &ZERO, &image(b))
+            .expect("a write that changes the page is logged")
+    }
+
+    /// Every recovered page rebuilt from a zeroed base — what recovery
+    /// makes of pages the data disk never received.
+    fn replayed(wal: &Wal) -> Result<Vec<(PageId, [u8; PAGE_SIZE])>> {
+        let pages = wal.recovered_ranges()?;
+        Ok((pages.into_iter())
+            .map(|(pid, ranges)| {
+                let mut page = ZERO;
+                ranges.iter().for_each(|range| range.apply(&mut page));
+                (pid, page)
+            })
+            .collect())
+    }
+
+    /// One encoded record.
+    fn record(kind: u8, lsn: u64, body: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_record(&mut out, kind, lsn, body);
+        out
     }
 
     #[test]
     fn commit_makes_images_recoverable() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        let l1 = wal.note_page_write(PageId(3), &image(7));
-        let l2 = wal.note_page_write(PageId(1), &image(9));
+        let l1 = write_image(&wal, 3, 7);
+        let l2 = write_image(&wal, 1, 9);
         assert!(l2 > l1);
         wal.commit().unwrap();
-        let got = wal.recovered_images().unwrap();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, PageId(1));
-        assert_eq!(got[0].2[0], 9);
-        assert_eq!(got[1].0, PageId(3));
-        assert_eq!(got[1].2[0], 7);
+        let got = replayed(&wal).unwrap();
+        assert_eq!(got, vec![(PageId(1), image(9)), (PageId(3), image(7))]);
     }
 
     #[test]
     fn uncommitted_and_aborted_ops_never_surface() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.abort();
-        wal.note_page_write(PageId(2), &image(2));
+        write_image(&wal, 2, 2);
         wal.crash(); // volatile buffer lost
-        assert!(wal.recovered_images().unwrap().is_empty());
+        assert!(wal.recovered_ranges().unwrap().is_empty());
     }
 
     #[test]
     fn last_image_per_page_wins_within_and_across_ops() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::Group));
-        wal.note_page_write(PageId(5), &image(1));
-        wal.note_page_write(PageId(5), &image(2)); // coalesced in-op
+        let lsn = write_image(&wal, 5, 1);
+        let lsn = wal.note_page_write(PageId(5), lsn, &image(1), &image(2)); // same op
         wal.commit().unwrap();
-        wal.note_page_write(PageId(5), &image(3));
+        let mut third = image(2);
+        third[100..200].fill(3);
+        wal.note_page_write(PageId(5), lsn.unwrap(), &image(2), &third);
         wal.commit().unwrap();
-        let got = wal.recovered_images().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].2[0], 3);
+        let got = replayed(&wal).unwrap();
+        assert_eq!(got, vec![(PageId(5), third)]);
+        // The op's two writes of page 5 coalesced into one range; the next
+        // op's is applied after it, in LSN order.
+        let ranges = &wal.recovered_ranges().unwrap()[0].1;
+        assert_eq!(ranges.len(), 2, "one range per op");
+        assert_eq!((ranges[1].offset, ranges[1].bytes.len()), (100, 100));
+        assert!(ranges[0].lsn < ranges[1].lsn);
+    }
+
+    #[test]
+    fn consecutive_writes_of_a_page_widen_one_range() {
+        // Page 5 written at 100..110, at 50..60 (the range widens to
+        // 50..110) and at 70..80 (inside it: patched in place) — one range,
+        // stamped with the last LSN. Then page 6, then page 5 again: its
+        // frame LSN is no longer the op's last range's, so that write is a
+        // range of its own; so is one over a frame that was re-read from
+        // disk (LSN 0).
+        let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+        let filled = |p: &[u8; PAGE_SIZE], at: Range<usize>, b: u8| {
+            let mut next = *p;
+            next[at].fill(b);
+            next
+        };
+        let p1 = filled(&ZERO, 100..110, 1);
+        let p2 = filled(&p1, 50..60, 2);
+        let p3 = filled(&p2, 70..80, 3);
+        let p4 = filled(&p3, 0..1, 4);
+        let p5 = filled(&p4, 2047..2048, 5);
+        let l1 = wal.note_page_write(PageId(5), 0, &ZERO, &p1).unwrap();
+        let l2 = wal.note_page_write(PageId(5), l1, &p1, &p2).unwrap();
+        let l3 = wal.note_page_write(PageId(5), l2, &p2, &p3).unwrap();
+        wal.note_page_write(PageId(6), 0, &ZERO, &image(6)).unwrap();
+        let l4 = wal.note_page_write(PageId(5), l3, &p3, &p4).unwrap();
+        let l5 = wal.note_page_write(PageId(5), 0, &p4, &p5).unwrap();
+        wal.commit().unwrap();
+        let range = |lsn, offset: u16, bytes: &[u8]| LoggedRange {
+            lsn,
+            offset,
+            bytes: bytes.to_vec(),
+        };
+        let want = vec![
+            range(l3, 50, &p3[50..110]),
+            range(l4, 0, &[4]),
+            range(l5, 2047, &[5]),
+        ];
+        assert_eq!(wal.recovered_ranges().unwrap()[0], (PageId(5), want));
+        assert_eq!(replayed(&wal).unwrap()[0], (PageId(5), p5));
     }
 
     #[test]
     fn checkpoint_truncates_the_tail() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.commit().unwrap();
         wal.checkpoint();
-        assert!(wal.recovered_images().unwrap().is_empty());
-        wal.note_page_write(PageId(1), &image(4));
+        assert!(wal.recovered_ranges().unwrap().is_empty());
+        write_image(&wal, 1, 4);
         wal.commit().unwrap();
-        let got = wal.recovered_images().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, PageId(1));
+        let got = replayed(&wal).unwrap();
+        assert_eq!(got, vec![(PageId(1), image(4))]);
     }
 
     #[test]
     fn records_span_segment_boundaries() {
-        // 2-page segments: one page image (~2 KiB + framing) per segment,
-        // so three commits force at least two segment rollovers.
+        // 2-page segments: one whole-page range (~2 KiB + framing) per
+        // segment, so three commits force at least two segment rollovers.
         let config = WalConfig {
             enabled: true,
             fsync: FsyncMode::PerCommit,
@@ -814,23 +1000,148 @@ mod tests {
         };
         let wal = Wal::new(config);
         for i in 0..3u8 {
-            wal.note_page_write(PageId(i as u32), &image(i + 1));
+            write_image(&wal, i as u32, i + 1);
             wal.commit().unwrap();
         }
-        let got = wal.recovered_images().unwrap();
+        let got = replayed(&wal).unwrap();
         assert_eq!(got.len(), 3);
-        for (i, (pid, _, img)) in got.iter().enumerate() {
+        for (i, (pid, img)) in got.iter().enumerate() {
             assert_eq!(*pid, PageId(i as u32));
-            assert_eq!(img[0], i as u8 + 1);
+            assert_eq!(*img, image(i as u8 + 1));
         }
         let s = wal.stats();
         assert!(s.log_read_calls >= 2, "multiple segments scanned: {s:?}");
     }
 
     #[test]
+    fn changed_range_is_first_to_last_changed_byte() {
+        // Every (first, last) pair around the 16-byte word edges, plus the
+        // page's two ends: the compare finds exactly the bytes changed.
+        let edges = [0, 1, 14, 15, 16, 17, 31, 32, 1000, 2031, 2032, 2046, 2047];
+        for &a in &edges {
+            for &b in edges.iter().filter(|&&b| b >= a) {
+                let mut after = ZERO;
+                after[a] = 1;
+                after[b] = 2;
+                assert_eq!(changed_range(&ZERO, &after), Some(a..b + 1), "{a}..={b}");
+            }
+        }
+        assert_eq!(changed_range(&image(7), &image(7)), None);
+        assert_eq!(changed_range(&ZERO, &image(7)), Some(0..PAGE_SIZE));
+    }
+
+    #[test]
+    fn a_write_logs_exactly_the_bytes_it_changed() {
+        let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+        let before = image(5);
+        let mut after = before;
+        after[300..420].fill(9);
+        after[350] = 5; // unchanged inside the range: still inside it
+        let lsn = wal.note_page_write(PageId(4), 0, &before, &after).unwrap();
+        wal.commit().unwrap();
+        let got = wal.recovered_ranges().unwrap();
+        let want = LoggedRange {
+            lsn,
+            offset: 300,
+            bytes: after[300..420].to_vec(),
+        };
+        assert_eq!(got, vec![(PageId(4), vec![want])]);
+        // Applied over the page it was computed from, it rebuilds the write.
+        let mut page = before;
+        got[0].1[0].apply(&mut page);
+        assert_eq!(page, after);
+    }
+
+    #[test]
+    fn a_write_that_changes_nothing_logs_nothing() {
+        let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+        let page = image(6);
+        assert_eq!(
+            wal.note_page_write(PageId(2), 0, &page, &page),
+            None,
+            "no LSN"
+        );
+        wal.commit().unwrap();
+        let s = wal.stats();
+        assert_eq!(s.commits, 0, "an op that changed nothing commits nothing");
+        assert_eq!(s.log_write_calls, 0, "and flushes nothing");
+        assert!(wal.recovered_ranges().unwrap().is_empty());
+    }
+
+    #[test]
+    fn ops_that_commit_against_lsn_order_recover_in_lsn_order() {
+        // A writer unlatches before it commits, so a second op on the same
+        // page can commit first. Byte 15..20 is written by both: the later
+        // write (higher LSN) must win, whatever the commit order was.
+        let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+        let mut first = ZERO;
+        first[10..20].fill(1);
+        let mut second = first;
+        second[15..25].fill(2);
+        let early = wal.note_page_write(PageId(0), 0, &ZERO, &first).unwrap();
+        let late = std::thread::scope(|s| {
+            s.spawn(|| {
+                let lsn = wal
+                    .note_page_write(PageId(0), early, &first, &second)
+                    .unwrap();
+                wal.commit().unwrap();
+                lsn
+            })
+            .join()
+            .unwrap()
+        });
+        wal.commit().unwrap();
+        assert!(early < late);
+        let got = wal.recovered_ranges().unwrap();
+        let lsns: Vec<u64> = got[0].1.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, [early, late], "LSN order, not commit order");
+        assert_eq!(replayed(&wal).unwrap(), vec![(PageId(0), second)]);
+    }
+
+    #[test]
+    fn a_range_past_its_page_is_corrupt() {
+        let body = |offset: u16, len: usize| {
+            record(
+                REC_RANGE,
+                1,
+                &[&7u32.to_le_bytes(), &offset.to_le_bytes(), &vec![1; len]],
+            )
+        };
+        // The last byte of the page is in bounds; one more is not.
+        assert!(decode_record(&body(2040, 8)[4..]).is_ok());
+        for (offset, len) in [(2040, 9), (0, PAGE_SIZE + 1), (u16::MAX, 1)] {
+            let err = decode_record(&body(offset, len)[4..]).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt { detail } if detail.contains("runs past")),
+                "offset {offset} len {len}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_version_1_segment_is_corrupt_and_named() {
+        let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
+        write_image(&wal, 0, 1);
+        wal.commit().unwrap();
+        {
+            // A well-formed header in every field but the version.
+            let mut st = wal.lock();
+            let head = &mut st.device.pages[0];
+            head[8..12].copy_from_slice(&1u32.to_le_bytes());
+            let sum = (fnv1a_bytes(&head[..24]) & 0xFFFF_FFFF) as u32;
+            head[24..28].copy_from_slice(&sum.to_le_bytes());
+        }
+        let err = wal.recovered_ranges().unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt { detail } if detail.contains("version 1")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn flush_accounting_counts_calls_and_pages() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.commit().unwrap();
         let s = wal.stats();
         assert_eq!(s.log_write_calls, 1, "one commit = one flush");
@@ -843,7 +1154,7 @@ mod tests {
     #[test]
     fn corrupted_record_is_detected() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.commit().unwrap();
         {
             // Flip a byte inside the first record's payload.
@@ -851,12 +1162,12 @@ mod tests {
             let p = st.device.seg_start as usize;
             st.device.pages[p][SEGMENT_HEADER_SIZE + 20] ^= 0xFF;
         }
-        let err = wal.recovered_images().unwrap_err();
+        let err = wal.recovered_ranges().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
-    /// Two-page segments: one page-image record plus its commit fill a
-    /// segment, so every commit after the first seals one.
+    /// Two-page segments: one whole-page range record plus its commit fill
+    /// a segment, so every commit after the first seals one.
     fn two_page_segments() -> WalConfig {
         WalConfig {
             enabled: true,
@@ -870,7 +1181,7 @@ mod tests {
         for byte in 0..4 {
             let wal = Wal::new(two_page_segments());
             for i in 0..3u8 {
-                wal.note_page_write(PageId(i as u32), &image(i + 1));
+                write_image(&wal, i as u32, i + 1);
                 wal.commit().unwrap();
             }
             {
@@ -879,7 +1190,7 @@ mod tests {
                 let (page, at) = LogDevice::locate(0, byte);
                 st.device.pages[page][at] ^= 0xFF;
             }
-            let err = wal.recovered_images().unwrap_err();
+            let err = wal.recovered_ranges().unwrap_err();
             assert!(
                 matches!(err, StoreError::Corrupt { .. }),
                 "byte {byte}: {err}"
@@ -894,35 +1205,35 @@ mod tests {
         // it must not vanish without an error.
         let wal = Wal::new(two_page_segments());
         for i in 0..3u8 {
-            wal.note_page_write(PageId(i as u32), &image(i + 1));
+            write_image(&wal, i as u32, i + 1);
             wal.commit().unwrap();
         }
         assert_eq!(wal.lock().device.read_all().unwrap().len(), 6);
         {
             let mut st = wal.lock();
             assert!(st.device.seg_start > 0, "segment 0 must be sealed");
-            // Segment 0 holds one page-image record, then its commit.
-            let commit_at = encode_record(REC_PAGE_IMAGE, 0, &[&[0; 4], &image(0)]).len() as u32;
+            // Segment 0 holds one whole-page range record, then its commit.
+            let commit_at = record(REC_RANGE, 0, &[&[0; 4], &[0; 2], &image(0)]).len() as u32;
             let (page, at) = LogDevice::locate(0, commit_at);
             assert_eq!(st.device.pages[page][at..at + 4], [0x11, 0, 0, 0]);
             st.device.pages[page][at] ^= 0x11;
         }
-        let err = wal.recovered_images().unwrap_err();
+        let err = wal.recovered_ranges().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
     #[test]
     fn damaged_length_prefix_in_the_last_segment_never_surfaces_its_record() {
         // Two ops in one segment; the damage hits the length prefix of the
-        // second op's page-image record. The prefix is outside the record
+        // second op's range record. The prefix is outside the record
         // checksum, so what recovery sees is a mis-framed record: one that
         // runs past the used bytes (end of log) or one whose checksum fails
-        // (corruption). Either way page 1 — the image it could not verify —
+        // (corruption). Either way page 1 — the range it could not verify —
         // never comes back.
         let build = |ops: u8| {
             let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
             for i in 0..ops {
-                wal.note_page_write(PageId(i as u32), &image(i + 1));
+                write_image(&wal, i as u32, i + 1);
                 wal.commit().unwrap();
             }
             wal
@@ -936,11 +1247,10 @@ mod tests {
                     let (page, at) = LogDevice::locate(st.device.seg_start, second_image_at + byte);
                     st.device.pages[page][at] ^= mask;
                 }
-                match wal.recovered_images() {
+                match replayed(&wal) {
                     Ok(got) => {
-                        assert_eq!(got.len(), 1, "byte {byte} mask {mask:#x}");
-                        assert_eq!(got[0].0, PageId(0));
-                        assert_eq!(got[0].2[0], 1);
+                        let want = vec![(PageId(0), image(1))];
+                        assert_eq!(got, want, "byte {byte} mask {mask:#x}");
                     }
                     Err(err) => {
                         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
@@ -1005,15 +1315,15 @@ mod tests {
 
     /// A valid (commit-kind) record of exactly `len` encoded bytes.
     fn record_of(len: usize, lsn: u64) -> Vec<u8> {
-        let pad = vec![lsn as u8; len - encode_record(REC_COMMIT, lsn, &[]).len()];
-        let rec = encode_record(REC_COMMIT, lsn, &[&pad]);
+        let pad = vec![lsn as u8; len - record(REC_COMMIT, lsn, &[]).len()];
+        let rec = record(REC_COMMIT, lsn, &[&pad]);
         assert_eq!(rec.len(), len);
         rec
     }
 
     #[test]
     fn chunked_append_writes_the_bytes_the_per_byte_writer_wrote() {
-        let min = encode_record(REC_COMMIT, 0, &[]).len();
+        let min = record(REC_COMMIT, 0, &[]).len();
         let capacity = LogDevice::new(2).seg_capacity() as usize;
         // A filler record of `fill` bytes puts the next record at in-page
         // offset (28 + fill) mod PAGE_SIZE: this range reaches all of them.
@@ -1061,23 +1371,21 @@ mod tests {
     #[test]
     fn torn_final_record_reads_as_end_of_log() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.commit().unwrap();
-        wal.note_page_write(PageId(1), &image(2));
+        write_image(&wal, 1, 2);
         wal.commit().unwrap();
-        // Tear into the second op's commit record: its page image stays
+        // Tear into the second op's commit record: its range stays
         // staged-but-uncommitted, the first op survives intact.
         wal.truncate_log_tail(10);
-        let got = wal.recovered_images().unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, PageId(0));
-        assert_eq!(got[0].2[0], 1);
+        let got = replayed(&wal).unwrap();
+        assert_eq!(got, vec![(PageId(0), image(1))]);
     }
 
     #[test]
     fn corrupt_final_record_is_torn_tail_not_error() {
         let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
-        wal.note_page_write(PageId(0), &image(1));
+        write_image(&wal, 0, 1);
         wal.commit().unwrap();
         {
             // Flip a byte inside the positionally final (commit) record —
@@ -1087,7 +1395,7 @@ mod tests {
             let (page, at) = LogDevice::locate(st.device.seg_start, st.device.seg_used - 2);
             st.device.pages[page][at] ^= 0xFF;
         }
-        let got = wal.recovered_images().unwrap();
+        let got = wal.recovered_ranges().unwrap();
         assert!(got.is_empty(), "torn commit must not surface its op");
     }
 
@@ -1102,7 +1410,7 @@ mod tests {
         };
         let wal = Wal::new(config);
         for i in 0..3u8 {
-            wal.note_page_write(PageId(i as u32), &image(i + 1));
+            write_image(&wal, i as u32, i + 1);
             wal.commit().unwrap();
         }
         {
@@ -1112,7 +1420,7 @@ mod tests {
             let (page, at) = LogDevice::locate(0, used - 2);
             st.device.pages[page][at] ^= 0xFF;
         }
-        let err = wal.recovered_images().unwrap_err();
+        let err = wal.recovered_ranges().unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
     }
 
@@ -1121,7 +1429,7 @@ mod tests {
         let build = || {
             let wal = Wal::new(WalConfig::enabled(FsyncMode::PerCommit));
             for i in 0..3u32 {
-                wal.note_page_write(PageId(i), &image(i as u8 + 1));
+                write_image(&wal, i, i as u8 + 1);
                 wal.commit().unwrap();
             }
             wal
@@ -1130,15 +1438,13 @@ mod tests {
         for cut in 0..=full {
             let wal = build();
             wal.truncate_log_tail(cut);
-            let got = wal
-                .recovered_images()
-                .unwrap_or_else(|e| panic!("cut {cut}: recovery errored: {e}"));
+            let got = replayed(&wal).unwrap_or_else(|e| panic!("cut {cut}: recovery errored: {e}"));
             // Whatever survives is a prefix of the commit order, never an
-            // error and never an uncommitted or reordered image.
+            // error and never an uncommitted or reordered write.
             assert!(got.len() <= 3, "cut {cut}");
-            for (i, (pid, _, img)) in got.iter().enumerate() {
+            for (i, (pid, img)) in got.iter().enumerate() {
                 assert_eq!(*pid, PageId(i as u32), "cut {cut}");
-                assert_eq!(img[0], i as u8 + 1, "cut {cut}");
+                assert_eq!(*img, image(i as u8 + 1), "cut {cut}");
             }
         }
     }
@@ -1151,7 +1457,7 @@ mod tests {
             .map(|i| {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
-                    wal.note_page_write(PageId(i), &image(i as u8));
+                    write_image(&wal, i, i as u8 + 1);
                     wal.commit().unwrap();
                 })
             })
@@ -1162,8 +1468,8 @@ mod tests {
         let s = wal.stats();
         assert_eq!(s.commits, 8);
         // Scheduling decides the exact batching, but a flush can never
-        // outnumber the commits, and all 8 images must be recoverable.
+        // outnumber the commits, and all 8 writes must be recoverable.
         assert!(s.log_write_calls <= 8);
-        assert_eq!(wal.recovered_images().unwrap().len(), 8);
+        assert_eq!(wal.recovered_ranges().unwrap().len(), 8);
     }
 }

@@ -18,18 +18,21 @@
 //!   on the one-shard `SharedPoolHandle` plus the three short lists one
 //!   lock session keeps (shards, guards, cores);
 //! * a root update — DSM's replace-tuple, a normalized root-record patch —
-//!   allocates a constant number of blocks, whatever the object holds.
+//!   allocates a constant number of blocks, whatever the object holds;
+//! * with the write-ahead log on, what logging adds to an update is the
+//!   same two blocks whatever the object spans, and none of them is
+//!   page-sized.
 
 use starfish::core::{
-    make_store, ComplexObjectStore, DirectStore, ModelKind, ObjAddr, ObjRef, ObjectFile, RootPatch,
-    StoreConfig,
+    make_shared_store, make_store, ComplexObjectStore, DirectStore, FsyncMode, ModelKind, ObjAddr,
+    ObjRef, ObjectFile, RootPatch, StoreConfig, WalConfig,
 };
 use starfish::nf2::station::{
     proj_root_record, station_schema, Connection, Platform, Sightseeing, Station,
 };
 use starfish::nf2::{decode, encode, encode_with_layout, Oid, Tuple, Value};
 use starfish::pagestore::{
-    BufferConfig, BufferPool, LatchMode, PageCache, SharedPoolHandle, SimDisk,
+    BufferConfig, BufferPool, LatchMode, PageCache, SharedPoolHandle, SimDisk, PAGE_SIZE,
 };
 use starfish::prelude::DatasetParams;
 use starfish::workload::generate;
@@ -38,17 +41,24 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+/// Counts one (re)allocation of `size` bytes on this thread.
+fn count(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
+}
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates (const-initialised `Cell`, no destructor) nor
-// unwinds (`try_with` tolerates a thread that is tearing down).
+// `GlobalAlloc` contract; the only addition is two thread-local counter
+// updates that neither allocate (const-initialised `Cell`s, no destructor)
+// nor unwind (`try_with` tolerates a thread that is tearing down).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's obligations for `alloc` are passed through.
         unsafe { System.alloc(layout) }
     }
@@ -59,7 +69,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: the caller's obligations for `realloc` are passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -73,6 +83,13 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let r = f();
     (ALLOCATIONS.with(Cell::get) - before, r)
+}
+
+/// The largest block (in bytes) this thread allocates while running `f`.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    LARGEST.with(|n| n.set(0));
+    let r = f();
+    (LARGEST.with(Cell::get), r)
 }
 
 /// Heap blocks a decoded tuple owns: its value vector, every non-empty
@@ -319,5 +336,76 @@ fn an_update_allocates_the_same_whatever_the_object_holds() {
     // The copy of the root record.
     for kind in [ModelKind::NsmIndexed, ModelKind::DasdbsNsm] {
         assert_eq!(update_allocations(kind, &stations), [1, 1], "{kind}");
+    }
+}
+
+/// One root update of each loaded object on a one-shard shared store,
+/// counted once the object is buffer-resident: `(allocations, largest
+/// block in bytes)`. The counted update writes a name the object does not
+/// hold yet, so it has bytes to log.
+fn shared_update_allocations(
+    kind: ModelKind,
+    config: StoreConfig,
+    stations: &[Station],
+) -> Vec<(u64, usize)> {
+    let mut store = make_shared_store(kind, config, 1);
+    let refs = store.load(stations).unwrap();
+    let patch = |c: &str| RootPatch {
+        new_name: c.repeat(100),
+    };
+    let (resident, changed) = (patch("Q"), patch("R"));
+    (refs.iter())
+        .map(|r| {
+            store.shared_update_roots(&[*r], &resident).unwrap(); // make it resident
+            let (largest, (n, ())) = largest_allocation(|| {
+                allocations(|| store.shared_update_roots(&[*r], &changed).unwrap())
+            });
+            (n, largest)
+        })
+        .collect()
+}
+
+/// What the WAL adds to an update — counted as the update with the log on
+/// minus the same update with it off — is the same two blocks for every
+/// object, whatever it spans: the op's range list and the one range's
+/// bytes. The pages an update rewrites with their own bytes log nothing,
+/// and the changed bytes are copied, not a page image.
+///
+/// Before, every dirtied page cost a boxed 2 KB after-image, a map node and
+/// a record buffer. A DSM update allocated 9, 18 and 23 times (the WAL's
+/// share 6, 10 and 15) for the heap-resident station, the spanned one
+/// without sightseeings and the twelve-sightseeing one, and a root-record
+/// patch allocated 8 times (share 6) with a 2 073-byte record among them
+/// (NSM+index and DASDBS-NSM alike). Now a DSM update allocates 5, 10 and
+/// 10 times and a root-record patch 4 times, the largest block 150 bytes.
+/// (Without the log, the spanned DSM updates allocate 5 more blocks than
+/// the heap-resident one on the shared pool: their read runs through a
+/// lock session.)
+#[test]
+fn a_logged_update_allocates_for_the_bytes_it_changed() {
+    let stations = [
+        station(100, 0),
+        spanned_without_sightseeings(101),
+        station(102, 12),
+    ];
+    let len = |s: &Station| encode(&s.to_tuple(), &station_schema()).unwrap().len();
+    assert!(ObjectFile::fits_heap(len(&stations[0])), "heap-resident");
+    let logged = StoreConfig::default().wal(WalConfig::enabled(FsyncMode::PerCommit));
+    for (kind, want) in [
+        (ModelKind::Dsm, [5, 10, 10]),
+        (ModelKind::NsmIndexed, [4, 4, 4]),
+        (ModelKind::DasdbsNsm, [4, 4, 4]),
+    ] {
+        let on = shared_update_allocations(kind, logged.clone(), &stations);
+        let off = shared_update_allocations(kind, StoreConfig::default(), &stations);
+        let counts: Vec<u64> = on.iter().map(|&(n, _)| n).collect();
+        assert_eq!(counts, want, "{kind}");
+        let share: Vec<u64> = on.iter().zip(&off).map(|(on, off)| on.0 - off.0).collect();
+        assert_eq!(share, [2, 2, 2], "{kind}: the WAL's share");
+        if kind != ModelKind::Dsm {
+            for (_, largest) in on {
+                assert!(largest < PAGE_SIZE, "{kind}: a {largest}-byte block");
+            }
+        }
     }
 }
