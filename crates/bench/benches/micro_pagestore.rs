@@ -42,14 +42,13 @@ fn main() {
         b.iter(|| black_box(proj.apply(&tuple, &schema)))
     });
 
-    c.bench_function("slotted/insert_read_delete", |b| {
+    c.bench_function("slotted/insert_read", |b| {
         let mut page = Box::new([0u8; PAGE_SIZE]);
         b.iter(|| {
             slotted::init(&mut page);
             let s0 = slotted::insert(&mut page, &[1u8; 166]).unwrap();
-            let s1 = slotted::insert(&mut page, &[2u8; 166]).unwrap();
+            slotted::insert(&mut page, &[2u8; 166]).unwrap();
             slotted::read(&page, s0, |b| black_box(b[0])).unwrap();
-            slotted::delete(&mut page, s1).unwrap();
             black_box(slotted::free_content_bytes(&page))
         })
     });

@@ -53,7 +53,7 @@ pub use traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
 // directly.
 pub use starfish_pagestore::{
     BufferConfig, FsyncMode, HeatConfig, IoEngineConfig, IoSnapshot, PolicyKind, SharedPoolHandle,
-    WalConfig,
+    WalConfig, HEAT_DECAY_EVERY,
 };
 
 /// Result alias used throughout the crate.

@@ -56,25 +56,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 pub enum Placement {
     /// Object `i` goes to node `i mod n` (the balanced baseline).
     RoundRobin,
-    /// Object goes to node `hash(key) mod n` (placement by key).
-    HashKey,
-}
-
-impl Placement {
-    fn node_of(&self, ordinal: usize, key: Key, nodes: usize) -> usize {
-        match self {
-            Placement::RoundRobin => ordinal % nodes,
-            Placement::HashKey => {
-                // FNV-1a over the key bytes: deterministic and spread-out.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in key.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-                (h % nodes as u64) as usize
-            }
-        }
-    }
 }
 
 /// A shared-nothing cluster of single-model stores with whole-object
@@ -82,7 +63,6 @@ impl Placement {
 /// the `partitioned` module docs.
 pub struct PartitionedStore {
     kind: ModelKind,
-    placement: Placement,
     nodes: Vec<Box<dyn ConcurrentObjectStore>>,
     /// Global ordinal → (node, node-local ref).
     locate: Vec<(usize, ObjRef)>,
@@ -112,9 +92,9 @@ impl PartitionedStore {
         shards_per_node: usize,
     ) -> Self {
         assert!(n_nodes > 0, "need at least one node");
+        let Placement::RoundRobin = placement;
         PartitionedStore {
             kind,
-            placement,
             nodes: (0..n_nodes)
                 .map(|_| make_shared_store(kind, config.clone(), shards_per_node.max(1)))
                 .collect(),
@@ -190,7 +170,7 @@ impl ComplexObjectStore for PartitionedStore {
         self.key_to_global.clear();
         self.refs.clear();
         for (i, s) in stations.iter().enumerate() {
-            let node = self.placement.node_of(i, s.key, n);
+            let node = i % n;
             node_and_local_ordinal.push((node, per_node[node].len()));
             per_node[node].push(s.clone());
             self.key_to_global.insert(s.key, i);
@@ -830,31 +810,6 @@ mod tests {
         );
         assert_eq!(per_node.iter().map(|s| s.fixes).sum::<u64>(), total.fixes);
         assert!(per_node.iter().filter(|s| s.pages_read > 0).count() >= 2);
-    }
-
-    #[test]
-    fn hash_placement_is_deterministic_and_complete() {
-        let mut a = PartitionedStore::new(
-            ModelKind::DasdbsNsm,
-            5,
-            Placement::HashKey,
-            StoreConfig::with_buffer_pages(128),
-        );
-        a.load(&db()).unwrap();
-        let mut b = PartitionedStore::new(
-            ModelKind::DasdbsNsm,
-            5,
-            Placement::HashKey,
-            StoreConfig::with_buffer_pages(128),
-        );
-        b.load(&db()).unwrap();
-        for i in 0..10 {
-            assert_eq!(a.node_of(Oid(i)).unwrap(), b.node_of(Oid(i)).unwrap());
-        }
-        // Every object is reachable.
-        for r in a.refs.clone() {
-            a.get_by_oid(r.oid, &Projection::All).unwrap();
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::HarnessConfig;
 use crate::Result;
-use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats};
+use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats, HEAT_DECAY_EVERY};
 use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext};
 use starfish_workload::{generate, lower_spec, Executor, PlanOutcome, WorkloadSpec};
 
@@ -212,8 +212,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
             "max sightseeings = 0 (small, page-sharing objects) and the buffer \
              scaled down to {} pages to keep DB ≫ buffer; heat tracking on, \
              decaying every {} records",
-            config.buffer_pages,
-            HeatConfig::enabled().decay_every
+            config.buffer_pages, HEAT_DECAY_EVERY
         ),
         format!(
             "phase A runs the drift tape and accumulates heat; the plan-walker \

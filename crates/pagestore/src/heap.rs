@@ -1,7 +1,8 @@
 //! Heap files: relations of small records on slotted pages.
 //!
-//! A heap file owns a list of pages (contiguous when bulk-loaded) and gives
-//! RID-addressed access, same-size in-place updates and full scans. Records
+//! A heap file is bulk-loaded once into one contiguous extent and then gives
+//! RID-addressed access, same-size in-place updates and full scans; it has
+//! no later insert or delete, as the paper's relations have none. Records
 //! are **clustered in insertion order**, which is what the paper's
 //! normalized models rely on: "tuples that belong to the same root or parent
 //! are likely to be stored clustered together" (§3.3, Equations 6/7).
@@ -127,25 +128,9 @@ impl HeapFile {
         pool.with_page_mut(rid.page, |p| slotted::update_in_place(p, rid.slot, rec))?
     }
 
-    /// Appends a record wherever it fits (last page first, else a newly
-    /// allocated page — which may not be contiguous with the rest).
-    pub fn insert(&mut self, pool: &mut impl PageCache, rec: &[u8]) -> Result<Rid> {
-        if let Some(&last) = self.pages.last() {
-            let fits = pool.with_page(last, |p| slotted::fits(p, rec.len()))?;
-            if fits {
-                let slot = pool.with_page_mut(last, |p| slotted::insert(p, rec))??;
-                return Ok(Rid { page: last, slot });
-            }
-        }
-        let pid = pool.alloc_extent(1);
-        pool.with_page_mut(pid, slotted::init)?;
-        let slot = pool.with_page_mut(pid, |p| slotted::insert(p, rec))??;
-        self.pages.push(pid);
-        Ok(Rid { page: pid, slot })
-    }
-
-    /// Full scan: visits every live record in page order, fixing each page
-    /// once (one single-page I/O call per cold page, as DASDBS scans do).
+    /// Full scan: visits every record in page and slot order, fixing each
+    /// page once (one single-page I/O call per cold page, as DASDBS scans
+    /// do) and copying nothing.
     ///
     /// The callback receives the RID and the record bytes. The scan always
     /// visits the entire relation — the paper's value selections are
@@ -154,10 +139,9 @@ impl HeapFile {
     pub fn scan(&self, pool: &mut impl PageCache, mut f: impl FnMut(Rid, &[u8])) -> Result<()> {
         for &pid in &self.pages {
             pool.with_page(pid, |p: &[u8; PAGE_SIZE]| {
-                for (slot, body) in slotted::live_records(p) {
-                    f(Rid { page: pid, slot }, body);
-                }
-            })?;
+                (0..slotted::slot_count(p))
+                    .try_for_each(|slot| slotted::read(p, slot, |b| f(Rid { page: pid, slot }, b)))
+            })??;
         }
         Ok(())
     }
@@ -240,16 +224,6 @@ mod tests {
         assert_eq!(s.fixes, 3, "one fix per page");
         assert_eq!(s.read_calls, 3, "scans read one page per call");
         assert_eq!(s.pages_read, 3);
-    }
-
-    #[test]
-    fn insert_appends_and_spills() {
-        let mut p = pool();
-        let (mut file, _) = HeapFile::bulk_load(&mut p, "r", &records(11, 166)).unwrap();
-        assert_eq!(file.page_count(), 1);
-        let rid = file.insert(&mut p, &[9u8; 166]).unwrap();
-        assert_eq!(file.page_count(), 2, "full page spills to a new one");
-        assert_eq!(file.read(&mut p, rid).unwrap(), vec![9u8; 166]);
     }
 
     #[test]

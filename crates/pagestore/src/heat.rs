@@ -3,7 +3,7 @@
 //! The adaptive-placement subsystem needs to know *which* pages the
 //! workload touches, not just how many. When enabled through
 //! [`HeatConfig`], every counted fix bumps a per-page counter; every
-//! [`HeatConfig::decay_every`] recorded accesses, all counters are halved
+//! [`HEAT_DECAY_EVERY`] recorded accesses, all counters are halved
 //! and zeroed entries dropped, so the map tracks the *recent* access
 //! distribution (an aging scheme in the spirit of DSTC's observation
 //! phase) instead of an all-time histogram.
@@ -19,37 +19,35 @@
 use crate::PageId;
 use std::collections::HashMap;
 
+/// Recorded accesses between decay sweeps (counters halve each sweep).
+pub const HEAT_DECAY_EVERY: u64 = 8192;
+
 /// Heat-tracking configuration (disabled by default).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HeatConfig {
     /// Whether per-page access counters are maintained.
     pub track: bool,
-    /// Recorded accesses between decay sweeps (counters halve each sweep).
-    pub decay_every: u64,
+    /// [`HEAT_DECAY_EVERY`] outside this module's tests, which decay after
+    /// a handful of accesses.
+    pub(crate) decay_every: u64,
 }
 
 impl Default for HeatConfig {
     fn default() -> Self {
         HeatConfig {
             track: false,
-            decay_every: 8192,
+            decay_every: HEAT_DECAY_EVERY,
         }
     }
 }
 
 impl HeatConfig {
-    /// Tracking on, with the default decay period.
+    /// Tracking on.
     pub fn enabled() -> Self {
         HeatConfig {
             track: true,
             ..Default::default()
         }
-    }
-
-    /// Sets the decay period (recorded accesses between halving sweeps).
-    pub fn decay_every(mut self, every: u64) -> Self {
-        self.decay_every = every.max(1);
-        self
     }
 }
 
@@ -65,7 +63,7 @@ impl HeatTracker {
     pub(crate) fn new(config: HeatConfig) -> HeatTracker {
         HeatTracker {
             counts: HashMap::new(),
-            decay_every: config.decay_every.max(1),
+            decay_every: config.decay_every,
             since_decay: 0,
         }
     }
@@ -110,7 +108,10 @@ mod tests {
 
     #[test]
     fn decay_halves_and_drops_zeroes() {
-        let mut t = HeatTracker::new(HeatConfig::enabled().decay_every(4));
+        let mut t = HeatTracker::new(HeatConfig {
+            decay_every: 4,
+            ..HeatConfig::enabled()
+        });
         t.record(PageId(0));
         t.record(PageId(0));
         t.record(PageId(0));
@@ -122,7 +123,10 @@ mod tests {
     #[test]
     fn decay_count_is_deterministic_in_the_access_sequence() {
         let run = || {
-            let mut t = HeatTracker::new(HeatConfig::enabled().decay_every(3));
+            let mut t = HeatTracker::new(HeatConfig {
+                decay_every: 3,
+                ..HeatConfig::enabled()
+            });
             let mut decays = 0;
             for i in 0..20u32 {
                 if t.record(PageId(i % 5)) {

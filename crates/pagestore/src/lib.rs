@@ -34,7 +34,7 @@
 //!   call grouper (contiguous runs of at most [`MAX_PAGES_PER_WRITE_CALL`]
 //!   pages), one prefetch scan, one load, one flush, all in `buffer.rs` —
 //!   and differ only in locking;
-//! * [`slotted`] — slotted-page record layout (record footprint =
+//! * [`slotted`] — append-only slotted-page record layout (record footprint =
 //!   encoded length + 4-byte slot entry, which is how the paper's Table 2
 //!   `k = ⌊2012 / S_tuple⌋` tuple-per-page counts come out);
 //! * [`HeapFile`] — a relation of small records on a contiguous extent, with
@@ -87,14 +87,14 @@ pub use cache::PageCache;
 pub use disk::SimDisk;
 pub use error::StoreError;
 pub use heap::{HeapFile, Rid};
-pub use heat::HeatConfig;
+pub use heat::{HeatConfig, HEAT_DECAY_EVERY};
 pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use shared::{Quiesced, SharedBufferPool, SharedPoolHandle};
 pub use spanned::{SpannedRecord, SpannedStore};
 pub use stats::{BufferStats, DiskStats, IoSnapshot};
-pub use wal::{FsyncMode, WalConfig, WalStats, DEFAULT_SEGMENT_PAGES};
+pub use wal::{FsyncMode, WalConfig, WalStats};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, StoreError>;

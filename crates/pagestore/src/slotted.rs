@@ -1,8 +1,8 @@
 //! Slotted-page record layout.
 //!
 //! A slotted page keeps small records together with a slot table so records
-//! can be addressed stably by `(page, slot)` (a RID) while the page reorders
-//! bytes internally. Layout within the 2048-byte page:
+//! can be addressed stably by `(page, slot)` (a RID). Layout within the
+//! 2048-byte page:
 //!
 //! ```text
 //! [0 .. 36)        page header (magic, kind, slot count, free-space info)
@@ -14,6 +14,13 @@
 //! `L` bytes consumes `L + 4` of it (body + slot entry). This reproduces the
 //! paper's tuples-per-page figure `k = ⌊2012 / S_tuple⌋` with `S_tuple`
 //! including the slot entry (Table 2; DESIGN.md §6).
+//!
+//! Pages are **append-only**: a record is inserted once, at bulk load, and
+//! afterwards only read or overwritten with a same-sized body. That is the
+//! paper's benchmark — "the object structure is not changed" (§2.2) — so
+//! there is no deletion, no tombstone and no compaction, slot `s` of a page
+//! with `n` slots exists exactly when `s < n`, and a scan visits slots
+//! `0..n` in order.
 //!
 //! All functions operate on raw page buffers so they can be used inside
 //! [`crate::PageCache::with_page`]/[`with_page_mut`](crate::PageCache::with_page_mut)
@@ -57,12 +64,12 @@ pub fn is_slotted(page: &[u8; PAGE_SIZE]) -> bool {
     get_u16(page, OFF_MAGIC) == MAGIC && page[OFF_KIND] == PageKind::Slotted as u8
 }
 
-/// Number of slots (live + tombstoned) on the page.
+/// Number of records on the page; their slots are `0..slot_count`.
 pub fn slot_count(page: &[u8; PAGE_SIZE]) -> u16 {
     get_u16(page, OFF_NSLOTS)
 }
 
-/// Content bytes used: Σ over live records of (body + slot entry).
+/// Content bytes used: Σ over records of (body + slot entry).
 pub fn content_used(page: &[u8; PAGE_SIZE]) -> usize {
     get_u16(page, OFF_CONTENT_USED) as usize
 }
@@ -77,10 +84,12 @@ pub fn fits(page: &[u8; PAGE_SIZE], len: usize) -> bool {
     len + SLOT_ENTRY_SIZE <= free_content_bytes(page)
 }
 
-/// Inserts a record, returning its slot id.
+/// Appends a record in a new slot, returning its slot id.
 ///
 /// Fails with [`StoreError::RecordTooLarge`] if the content budget is
-/// exceeded. Compacts the page first if it is fragmented by deletions.
+/// exceeded. Pages are append-only, so the content budget is the physical
+/// layout: the bodies end where the slot table does, and a record that
+/// fits the budget fits between them.
 pub fn insert(page: &mut [u8; PAGE_SIZE], rec: &[u8]) -> Result<u16> {
     if !fits(page, rec.len()) {
         return Err(StoreError::RecordTooLarge {
@@ -88,28 +97,13 @@ pub fn insert(page: &mut [u8; PAGE_SIZE], rec: &[u8]) -> Result<u16> {
             available: free_content_bytes(page).saturating_sub(SLOT_ENTRY_SIZE),
         });
     }
-    let nslots = slot_count(page);
-    // Reuse a tombstoned slot if one exists, else append a new slot entry.
-    let slot = (0..nslots)
-        .find(|&s| slot_entry(page, s) == (0, 0))
-        .unwrap_or(nslots);
-    let new_nslots = nslots.max(slot + 1);
-    let table_end = PAGE_HEADER_SIZE + SLOT_ENTRY_SIZE * new_nslots as usize;
-    if (get_u16(page, OFF_RECORD_LOW) as usize) < table_end + rec.len() {
-        compact(page);
-    }
-    let record_low = get_u16(page, OFF_RECORD_LOW) as usize;
-    debug_assert!(
-        record_low >= table_end + rec.len(),
-        "content accounting guarantees physical fit after compaction"
-    );
-    let off = record_low - rec.len();
+    let slot = slot_count(page);
+    let off = get_u16(page, OFF_RECORD_LOW) as usize - rec.len();
+    debug_assert!(off >= PAGE_HEADER_SIZE + SLOT_ENTRY_SIZE * (slot as usize + 1));
     page[off..off + rec.len()].copy_from_slice(rec);
     put_u16(page, OFF_RECORD_LOW, off as u16);
     set_slot_entry(page, slot, off as u16, rec.len() as u16);
-    if slot == nslots {
-        put_u16(page, OFF_NSLOTS, nslots + 1);
-    }
+    put_u16(page, OFF_NSLOTS, slot + 1);
     let used = (content_used(page) + rec.len() + SLOT_ENTRY_SIZE) as u16;
     put_u16(page, OFF_CONTENT_USED, used);
     Ok(slot)
@@ -117,13 +111,13 @@ pub fn insert(page: &mut [u8; PAGE_SIZE], rec: &[u8]) -> Result<u16> {
 
 /// Reads the record in `slot`, passing its bytes to `f`.
 pub fn read<R>(page: &[u8; PAGE_SIZE], slot: u16, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-    let (off, len) = live_entry(page, slot)?;
+    let (off, len) = slot_entry(page, slot)?;
     Ok(f(&page[off as usize..off as usize + len as usize]))
 }
 
 /// Overwrites the record in `slot` with a same-sized body.
 pub fn update_in_place(page: &mut [u8; PAGE_SIZE], slot: u16, rec: &[u8]) -> Result<()> {
-    let (off, len) = live_entry(page, slot)?;
+    let (off, len) = slot_entry(page, slot)?;
     if rec.len() != len as usize {
         return Err(StoreError::SizeChanged {
             old: len as usize,
@@ -134,62 +128,14 @@ pub fn update_in_place(page: &mut [u8; PAGE_SIZE], slot: u16, rec: &[u8]) -> Res
     Ok(())
 }
 
-/// Deletes the record in `slot` (tombstones the slot; space is reclaimed by
-/// compaction on a later insert).
-pub fn delete(page: &mut [u8; PAGE_SIZE], slot: u16) -> Result<()> {
-    let (_, len) = live_entry(page, slot)?;
-    set_slot_entry(page, slot, 0, 0);
-    let used = (content_used(page) - len as usize - SLOT_ENTRY_SIZE) as u16;
-    put_u16(page, OFF_CONTENT_USED, used);
-    Ok(())
-}
-
-/// Returns `(slot, body)` for every live record, in slot order.
-pub fn live_records(page: &[u8; PAGE_SIZE]) -> Vec<(u16, &[u8])> {
-    (0..slot_count(page))
-        .filter_map(|s| {
-            let (off, len) = slot_entry(page, s);
-            if off == 0 && len == 0 {
-                None
-            } else {
-                Some((s, &page[off as usize..(off + len) as usize]))
-            }
-        })
-        .collect()
-}
-
-/// Rewrites record bodies to remove fragmentation from deletions. Slot ids
-/// (RIDs) are preserved.
-pub fn compact(page: &mut [u8; PAGE_SIZE]) {
-    let entries: Vec<(u16, Vec<u8>)> = live_records(page)
-        .into_iter()
-        .map(|(s, b)| (s, b.to_vec()))
-        .collect();
-    let mut low = PAGE_SIZE;
-    for (s, body) in &entries {
-        low -= body.len();
-        page[low..low + body.len()].copy_from_slice(body);
-        set_slot_entry(page, *s, low as u16, body.len() as u16);
-    }
-    put_u16(page, OFF_RECORD_LOW, low as u16);
-}
-
 // ----- header/slot primitives ----------------------------------------------
 
-fn slot_entry(page: &[u8; PAGE_SIZE], slot: u16) -> (u16, u16) {
-    let base = PAGE_HEADER_SIZE + SLOT_ENTRY_SIZE * slot as usize;
-    (get_u16(page, base), get_u16(page, base + 2))
-}
-
-fn live_entry(page: &[u8; PAGE_SIZE], slot: u16) -> Result<(u16, u16)> {
+fn slot_entry(page: &[u8; PAGE_SIZE], slot: u16) -> Result<(u16, u16)> {
     if slot >= slot_count(page) {
         return Err(StoreError::BadSlot { slot });
     }
-    let (off, len) = slot_entry(page, slot);
-    if off == 0 && len == 0 {
-        return Err(StoreError::BadSlot { slot });
-    }
-    Ok((off, len))
+    let base = PAGE_HEADER_SIZE + SLOT_ENTRY_SIZE * slot as usize;
+    Ok((get_u16(page, base), get_u16(page, base + 2)))
 }
 
 fn set_slot_entry(page: &mut [u8; PAGE_SIZE], slot: u16, off: u16, len: u16) {
@@ -241,7 +187,6 @@ mod tests {
         assert!(is_slotted(&p));
         assert_eq!(slot_count(&p), 0);
         assert_eq!(free_content_bytes(&p), EFFECTIVE_PAGE_SIZE);
-        assert!(live_records(&p).is_empty());
     }
 
     #[test]
@@ -304,20 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_tombstones_and_insert_reuses() {
-        let mut p = fresh();
-        let s0 = insert(&mut p, b"one").unwrap();
-        let s1 = insert(&mut p, b"two").unwrap();
-        delete(&mut p, s0).unwrap();
-        assert!(read(&p, s0, |_| ()).is_err());
-        read(&p, s1, |b| assert_eq!(b, b"two")).unwrap();
-        // Reuses the tombstoned slot id.
-        let s2 = insert(&mut p, b"three").unwrap();
-        assert_eq!(s2, s0);
-        assert_eq!(live_records(&p).len(), 2);
-    }
-
-    #[test]
     fn bad_slot_errors() {
         let p = fresh();
         assert!(matches!(
@@ -325,32 +256,11 @@ mod tests {
             Err(StoreError::BadSlot { slot: 0 })
         ));
         let mut p = fresh();
+        insert(&mut p, b"one").unwrap();
         assert!(matches!(
-            delete(&mut p, 3),
-            Err(StoreError::BadSlot { slot: 3 })
+            update_in_place(&mut p, 1, b"two"),
+            Err(StoreError::BadSlot { slot: 1 })
         ));
-    }
-
-    #[test]
-    fn compaction_reclaims_space() {
-        let mut p = fresh();
-        // Fill with 100-byte records, delete every other one, then insert a
-        // record that only fits after compaction.
-        let body = vec![1u8; 100];
-        let mut slots = Vec::new();
-        while fits(&p, body.len()) {
-            slots.push(insert(&mut p, &body).unwrap());
-        }
-        for s in slots.iter().step_by(2) {
-            delete(&mut p, *s).unwrap();
-        }
-        let big = vec![2u8; 400];
-        let s = insert(&mut p, &big).unwrap();
-        read(&p, s, |b| assert_eq!(b, &big[..])).unwrap();
-        // Survivors intact.
-        for s in slots.iter().skip(1).step_by(2) {
-            read(&p, *s, |b| assert_eq!(b, &body[..])).unwrap();
-        }
     }
 
     #[test]

@@ -150,8 +150,9 @@ pub struct WalConfig {
     /// Commit-flush batching discipline.
     pub fsync: FsyncMode,
     /// Pages per log segment (min 2: a segment must fit its header plus
-    /// one whole-page range record).
-    pub segment_pages: u32,
+    /// one whole-page range record). Always `SEGMENT_PAGES` outside this
+    /// module's tests, which use 2-page segments to cross boundaries.
+    pub(crate) segment_pages: u32,
 }
 
 impl Default for WalConfig {
@@ -159,14 +160,13 @@ impl Default for WalConfig {
         WalConfig {
             enabled: false,
             fsync: FsyncMode::default(),
-            segment_pages: DEFAULT_SEGMENT_PAGES,
+            segment_pages: SEGMENT_PAGES,
         }
     }
 }
 
 impl WalConfig {
-    /// An enabled configuration with the given fsync mode and default
-    /// segment size.
+    /// An enabled configuration with the given fsync mode.
     pub fn enabled(fsync: FsyncMode) -> Self {
         WalConfig {
             enabled: true,
@@ -176,8 +176,8 @@ impl WalConfig {
     }
 }
 
-/// Default pages per log segment (32 KiB at the 2 KiB page size).
-pub const DEFAULT_SEGMENT_PAGES: u32 = 16;
+/// Pages per log segment (32 KiB at the 2 KiB page size).
+const SEGMENT_PAGES: u32 = 16;
 
 /// One logged byte range of a page: the LSN of the write that changed it,
 /// the offset of its first byte and the bytes the write left there.

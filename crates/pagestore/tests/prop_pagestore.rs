@@ -1,7 +1,7 @@
 #![allow(clippy::single_range_in_vec_init)] // &[Range] is the API shape
 
 //! Property-based tests for the storage substrate: slotted pages never
-//! corrupt under random operation sequences, the buffer pool preserves
+//! corrupt under random insert/update sequences, the buffer pool preserves
 //! contents under pressure and keeps its accounting identities, heap files
 //! and spanned records round-trip arbitrary payloads.
 
@@ -16,17 +16,13 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 enum PageOp {
     Insert(Vec<u8>),
-    Delete(usize),
     Update(usize, u8),
-    Compact,
 }
 
 fn arb_page_op() -> impl Strategy<Value = PageOp> {
     prop_oneof![
         proptest::collection::vec(any::<u8>(), 1..200).prop_map(PageOp::Insert),
-        (0usize..32).prop_map(PageOp::Delete),
         ((0usize..32), any::<u8>()).prop_map(|(i, b)| PageOp::Update(i, b)),
-        Just(PageOp::Compact),
     ]
 }
 
@@ -75,51 +71,43 @@ fn exercise_plan(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Model-based test: a slotted page behaves like a map slot -> bytes.
+    /// Model-based test: a slotted page behaves like a list of bodies
+    /// indexed by slot.
     #[test]
     fn slotted_page_matches_model(ops in proptest::collection::vec(arb_page_op(), 0..120)) {
         let mut page = Box::new([0u8; PAGE_SIZE]);
         slotted::init(&mut page);
-        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
-        let mut live: Vec<u16> = Vec::new();
+        let mut model: Vec<Vec<u8>> = Vec::new();
         for op in ops {
             match op {
                 PageOp::Insert(body) => {
                     match slotted::insert(&mut page, &body) {
                         Ok(slot) => {
-                            prop_assert!(!model.contains_key(&slot), "slot reuse of live slot");
-                            model.insert(slot, body);
-                            live.push(slot);
+                            prop_assert_eq!(slot as usize, model.len(), "slots are appended");
+                            model.push(body);
                         }
                         Err(_) => {
                             // Must only fail when the content budget is short.
-                            let used: usize = model.values().map(|b| b.len() + 4).sum();
+                            let used: usize = model.iter().map(|b| b.len() + 4).sum();
                             prop_assert!(used + body.len() + 4 > EFFECTIVE_PAGE_SIZE);
                         }
                     }
                 }
-                PageOp::Delete(i) if !live.is_empty() => {
-                    let slot = live[i % live.len()];
-                    slotted::delete(&mut page, slot).unwrap();
-                    model.remove(&slot);
-                    live.retain(|&s| s != slot);
+                PageOp::Update(i, b) if !model.is_empty() => {
+                    let slot = i % model.len();
+                    let new = vec![b; model[slot].len()];
+                    slotted::update_in_place(&mut page, slot as u16, &new).unwrap();
+                    model[slot] = new;
                 }
-                PageOp::Update(i, b) if !live.is_empty() => {
-                    let slot = live[i % live.len()];
-                    let new = vec![b; model[&slot].len()];
-                    slotted::update_in_place(&mut page, slot, &new).unwrap();
-                    model.insert(slot, new);
-                }
-                PageOp::Compact => slotted::compact(&mut page),
-                _ => {}
+                PageOp::Update(..) => {}
             }
             // Invariants after every op.
-            let used: usize = model.values().map(|b| b.len() + 4).sum();
+            let used: usize = model.iter().map(|b| b.len() + 4).sum();
             prop_assert_eq!(slotted::content_used(&page), used);
-            for (&slot, body) in &model {
-                slotted::read(&page, slot, |b| assert_eq!(b, &body[..])).unwrap();
+            for (slot, body) in model.iter().enumerate() {
+                slotted::read(&page, slot as u16, |b| assert_eq!(b, &body[..])).unwrap();
             }
-            prop_assert_eq!(slotted::live_records(&page).len(), model.len());
+            prop_assert_eq!(slotted::slot_count(&page) as usize, model.len());
         }
     }
 

@@ -1468,6 +1468,7 @@ pub(crate) mod tests {
     use crate::{generate, DatasetParams};
     use starfish_core::{make_shared_store, make_store, ModelKind, StoreConfig};
     use starfish_nf2::Key;
+    use starfish_pagestore::StoreError;
 
     /// The fixture every unit test of this crate runs on: 60 objects.
     pub(crate) fn small_db() -> Vec<starfish_nf2::station::Station> {
@@ -1854,24 +1855,53 @@ pub(crate) mod tests {
     #[test]
     fn malformed_phases_are_typed_errors_in_every_run_mode() {
         // `WorkloadSpec.ops` is public and only `from_json` validates, so a
-        // hand-built phase can be empty or hold a non-pick op: every entry
-        // point must answer with an error, not an index or `unreachable!`
-        // panic.
-        let phase = |picks: Vec<Op>| WorkloadSpec {
-            name: "bad-phase".into(),
+        // hand-built phase can be empty or hold a non-pick op, and a
+        // hand-built update prefix can be longer than 40 bytes: every entry
+        // point must answer with an error, not an index, `unreachable!` or
+        // `String::truncate` panic.
+        let looped = |body: Vec<Op>| WorkloadSpec {
+            name: "bad-spec".into(),
             description: String::new(),
             stream: 93,
             unit: NormUnit::Loops,
             mix: None,
             ops: vec![Op::Loop {
                 count: Count::Fixed(2),
-                body: vec![
-                    Op::Phase { every: 1, picks },
-                    Op::NavigateChildren { depth: 1 },
-                ],
+                body,
             }],
         };
-        for spec in [phase(vec![]), phase(vec![Op::ScanAll])] {
+        let phase = |picks: Vec<Op>| {
+            looped(vec![
+                Op::Phase { every: 1, picks },
+                Op::NavigateChildren { depth: 1 },
+            ])
+        };
+        let prefixed = |prefix: String| {
+            looped(vec![
+                Op::PickRandom { n: 1 },
+                Op::UpdateRoots {
+                    patch: PatchSpec::Prefixed(prefix),
+                },
+            ])
+        };
+        fn not_found(e: &CoreError) -> bool {
+            matches!(e, CoreError::NotFound { .. })
+        }
+        fn size_changed(e: &CoreError) -> bool {
+            matches!(
+                e,
+                CoreError::Store(StoreError::SizeChanged { old: 100, .. })
+            )
+        }
+        let cases = [
+            (phase(vec![]), not_found as fn(&CoreError) -> bool),
+            (phase(vec![Op::ScanAll]), not_found),
+            // Byte 100 falls inside a multi-byte character.
+            (prefixed("€".repeat(40)), size_changed),
+            // Cutting at 100 bytes would drop the loop number.
+            (prefixed("p".repeat(98)), size_changed),
+        ];
+        for (spec, expected) in cases {
             let (mut serial, exec) = serial_setup(ModelKind::Dsm);
             let (mut shared, _) = shared_setup(ModelKind::Dsm, 2);
             let mut cluster = small_cluster(ModelKind::Dsm, 2).0;
@@ -1892,7 +1922,7 @@ pub(crate) mod tests {
             ];
             for (mode, err) in outcomes {
                 assert!(
-                    matches!(err, Some(CoreError::NotFound { .. })),
+                    err.as_ref().is_some_and(expected),
                     "{mode} on {:?}: {err:?}",
                     spec.ops
                 );

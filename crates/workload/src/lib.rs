@@ -41,7 +41,6 @@ mod executor;
 mod generator;
 mod lower;
 mod plan;
-pub mod reorder;
 mod stats;
 
 pub use executor::{

@@ -110,20 +110,24 @@ impl ProjSpec {
 
 /// How an `update_roots` op builds its replacement `Name`.
 ///
-/// Every variant produces exactly 100 bytes — the stored `Name` length —
+/// Every valid spec produces exactly 100 bytes — the stored `Name` length —
 /// because the benchmark update is structure-preserving ("We update atomic
-/// attributes, that is, the object structure is not changed", §2.2).
+/// attributes, that is, the object structure is not changed", §2.2). A
+/// name is never cut: a hand-built prefix whose name runs past 100 bytes
+/// is refused by the store with a size-changed error before anything is
+/// written.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PatchSpec {
     /// `updated-<loop>-uuu…` — the paper queries' per-loop unique name.
     LoopName,
     /// `<prefix>-<loop>-uuu…` — same shape with a caller-chosen prefix
-    /// (≤ 40 bytes, so the loop number always fits).
+    /// (1–40 bytes, so prefix and loop number take at most 62).
     Prefixed(String),
 }
 
 impl PatchSpec {
-    /// The 100-byte replacement name for top-level loop `loop_nr`.
+    /// The replacement name for top-level loop `loop_nr`: 100 bytes, or
+    /// longer when a prefix over 40 bytes leaves no room for the padding.
     pub fn materialize(&self, loop_nr: u64) -> String {
         let prefix = match self {
             PatchSpec::LoopName => "updated",
@@ -133,7 +137,6 @@ impl PatchSpec {
         while s.len() < 100 {
             s.push('u');
         }
-        s.truncate(100);
         s
     }
 }

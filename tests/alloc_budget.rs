@@ -13,6 +13,8 @@
 //! * a resident prefetch plus a fix on the exclusive `BufferPool` allocates
 //!   nothing at all, and neither does a miss once the pool is full (the
 //!   victim's page buffer is the loaded page's);
+//! * a resident heap scan on the exclusive pool allocates nothing: records
+//!   go to the callback straight from the page;
 //! * a resident spanned read allocates the buffers it hands back and
 //!   nothing for the page runs it asks the pool for — on `BufferPool`, and
 //!   on the one-shard `SharedPoolHandle` plus the three short lists one
@@ -32,7 +34,7 @@ use starfish::nf2::station::{
 };
 use starfish::nf2::{decode, encode, encode_with_layout, Oid, Tuple, Value};
 use starfish::pagestore::{
-    BufferConfig, BufferPool, LatchMode, PageCache, SharedPoolHandle, SimDisk, PAGE_SIZE,
+    BufferConfig, BufferPool, HeapFile, LatchMode, PageCache, SharedPoolHandle, SimDisk, PAGE_SIZE,
 };
 use starfish::prelude::DatasetParams;
 use starfish::workload::generate;
@@ -195,6 +197,24 @@ fn resident_prefetch_and_fix_on_the_exclusive_pool_allocate_nothing() {
     });
     assert_eq!(byte, 0);
     assert_eq!(n, 0, "a resident prefetch + fix allocated {n} times");
+}
+
+/// A heap scan hands each record to its callback in place: a resident scan
+/// of a three-page relation allocates nothing. Before, it collected every
+/// page's records into a `Vec` first: 7 allocations for the three pages
+/// (each page's `Vec` and its regrowths).
+#[test]
+fn a_resident_heap_scan_on_the_exclusive_pool_allocates_nothing() {
+    let mut pool = BufferPool::new(SimDisk::new(), 16);
+    let records: Vec<Vec<u8>> = (0..25u8).map(|i| vec![i; 166]).collect();
+    let (file, _) = HeapFile::bulk_load(&mut pool, "conn", &records).unwrap();
+    assert_eq!(file.page_count(), 3);
+    let mut sum = 0u64;
+    let (n, ()) = allocations(|| {
+        file.scan(&mut pool, |_, b| sum += u64::from(b[0])).unwrap();
+    });
+    assert_eq!(sum, (0..25).sum::<u64>());
+    assert_eq!(n, 0, "a resident 3-page scan allocated {n} times");
 }
 
 /// A pool that is full works in the page buffers it has: a miss evicts a
