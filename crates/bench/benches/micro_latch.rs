@@ -3,9 +3,11 @@
 //! Three questions:
 //!
 //! * `shared_acquire` — what one uncontended shared group latch
-//!   (acquire + release around a hit) costs on top of the PR-3 read-only
-//!   hit path (`read_hit_baseline`, the same fix without any latch): one
-//!   hash probe into the shard's latch table plus the counter bumps.
+//!   (acquire + release around a hit) costs on top of the read-only hit
+//!   path (`read_hit_baseline`, the same fix without any latch): one hash
+//!   probe into the shard's latch table plus the counter bumps. A spanned
+//!   read pays it only with the batched read engine on; engine off, it is
+//!   one lock session and takes no latch.
 //! * `exclusive_acquire` — the same for an exclusive group over an
 //!   8-page "extent" around latched writes, the shape of a DSM
 //!   replace-tuple update.

@@ -14,7 +14,9 @@
 //!   shared disk's RwLock) with 1 vs 8 shards.
 //! * `latch_group4` — `latch_pages` + `unlatch_pages` of a 4-page shared
 //!   group with nobody else on the pool: the price of the group itself
-//!   (it used to include two `futex_wake`s to no waiter).
+//!   (it used to include two `futex_wake`s to no waiter). Only a spanned
+//!   read with the batched read engine on pays it; engine off, a spanned
+//!   read is one lock session and takes no latch.
 //!
 //! And one table on stderr, timed by hand because it runs threads for a
 //! fixed wall time: **the scaling triple** — the `benchmark/` crate's
@@ -203,7 +205,8 @@ fn main() {
     }
 
     // An uncontended shared group over four pages: what a spanned read
-    // pays for its latch before and after it touches a frame.
+    // with the batched read engine on pays for its latch before and after
+    // it touches a frame (engine off, it takes none).
     for shards in [1usize, 2] {
         c.bench_function(&format!("shared_buffer/shards{shards}/latch_group4"), |b| {
             let (h, first) = shared(shards);

@@ -95,13 +95,16 @@ impl DirectModel {
     /// The buffer is full-length and valid at least where
     /// [`decode_projected_at`] reads under `proj`.
     ///
-    /// Spanned (multi-page) objects are read under a **shared group latch**
-    /// over their extent, so a concurrent writer replacing the object can
-    /// never expose a torn mix of old and new pages; heap residents are
-    /// single-page and atomic under the pool's shard mutex already. On the
-    /// exclusive [`BufferPool`] the latch is a counted no-op, keeping serial
-    /// and shared measurements identical. DSM's writer calls this inside its
-    /// own exclusive latch (shared-inside-own-exclusive nests).
+    /// No latch: each visit to the pool is one [`PageCache::read_runs`]
+    /// call, and the pool hands its sink one consistent image of the pages
+    /// it reads — a concurrent writer replacing the object, whose exclusive
+    /// group covers the whole extent, is seen entirely or not at all.
+    /// DSM's whole-object read is one visit. DASDBS-DSM's projected read
+    /// visits the header, then each run of the data ranges it names, which
+    /// is consistent because header pages never change after load and the
+    /// name a writer changes is read in one visit
+    /// ([`ObjectFile::read_projected`]). Heap residents are single-page and
+    /// atomic under the pool's shard mutex.
     fn read_bytes(
         &self,
         file: &ObjectFile,
@@ -109,23 +112,17 @@ impl DirectModel {
         ord: usize,
         proj: &Projection,
     ) -> Result<Vec<u8>> {
-        let read = |pool: &mut _| {
-            if self.partial && !proj.is_all() {
-                file.read_projected(pool, ord, proj)
-            } else {
-                // DSM (or a full-projection read): every page of the object.
-                file.read_full(pool, ord)
-            }
-        };
-        match file.spanned_latch_pages_of(ord)? {
-            Some(pages) => pool.with_latched(&pages, LatchMode::Shared, read),
-            None => read(pool),
+        if self.partial && !proj.is_all() {
+            file.read_projected(pool, ord, proj)
+        } else {
+            // DSM (or a full-projection read): every page of the object.
+            file.read_full(pool, ord)
         }
     }
 
     /// Reads object `ord` under `proj`: [`read_bytes`](Self::read_bytes),
-    /// then — outside the latch, the bytes are a private copy — the
-    /// directory walk that decodes the projection and nothing else.
+    /// then — on the private copy it returns — the directory walk that
+    /// decodes the projection and nothing else.
     fn read_object(
         &self,
         file: &ObjectFile,
@@ -140,7 +137,9 @@ impl DirectModel {
     /// DSM update path: replace the entire nested tuple, read-modify-write
     /// under one **exclusive group latch** over the object's pages so
     /// disjoint objects update in parallel while readers of this object
-    /// wait.
+    /// wait. The read inside is a plain lock session, which passes the
+    /// thread's own exclusive latch; only with the batched read engine on
+    /// does the pool take a shared group for it, nested inside this one.
     ///
     /// §5.3's "the entire tuple is replaced" is a statement about I/O —
     /// every page of the object is read and every page is dirtied — and

@@ -184,26 +184,11 @@ impl ObjectFile {
     /// slotted page; spanned residents their whole private extent (header
     /// and data pages).
     pub fn latch_pages_of(&self, ord: usize) -> Result<Vec<PageId>> {
-        match self.spanned_latch_pages_of(ord)? {
-            Some(extent) => Ok(extent),
-            None => match self.addr(ord)? {
-                ObjAddr::Heap(rid) => Ok(vec![rid.page]),
-                ObjAddr::Spanned(_) => unreachable!("spanned handled above"),
-            },
-        }
-    }
-
-    /// Like [`ObjectFile::latch_pages_of`], but only for spanned residents —
-    /// heap residents return `None` because their single-page accesses are
-    /// already atomic under the pool's shard mutex and need no group latch.
-    pub fn spanned_latch_pages_of(&self, ord: usize) -> Result<Option<Vec<PageId>>> {
         Ok(match self.addr(ord)? {
-            ObjAddr::Heap(_) => None,
-            ObjAddr::Spanned(rec) => Some(
-                (0..rec.total_pages())
-                    .map(|i| rec.first.offset(i))
-                    .collect(),
-            ),
+            ObjAddr::Heap(rid) => vec![rid.page],
+            ObjAddr::Spanned(rec) => (0..rec.total_pages())
+                .map(|i| rec.first.offset(i))
+                .collect(),
         })
     }
 
@@ -307,6 +292,21 @@ impl ObjectFile {
     /// Heap residents come back whole — they occupy one shared page, so
     /// there is nothing to save (§5.3: small objects "do not have separate
     /// header and data pages any longer").
+    ///
+    /// A spanned read visits the pool once for the header and once per run
+    /// of wanted data pages, each visit one consistent image
+    /// ([`PageCache::read_runs`]). It needs no latch across the visits:
+    ///
+    /// * **header pages never change after load** — [`Self::rewrite_full`]
+    ///   re-dirties them with their own bytes (same size, same structure),
+    ///   [`Self::patch_range`] touches data pages only, and reorganization
+    ///   writes fresh extents — so the ranges the header gave hold the
+    ///   projected attributes whatever a writer did since;
+    /// * the one range a DASDBS-DSM writer changes, `Name`, lies in the
+    ///   root tuple's first two hundred bytes, on data page 0 or pages 0–1.
+    ///   Every projection reads the root directory at byte 0, so the first
+    ///   run starts at page 0, and a run is cut only at a gap or after 32
+    ///   pages: the name is read in one visit — old or new, never a mix.
     pub fn read_projected(
         &self,
         pool: &mut impl PageCache,

@@ -360,7 +360,7 @@ where
         let mut pool = self.pool.clone();
         // The whole copy + swap runs with writers quiesced, so no update
         // can slip between reading an object and publishing its new home.
-        // Readers keep racing on the old snapshot (shared latches and
+        // Readers keep racing on the old snapshot (read sessions and
         // plain fixes pass the gate). The flush goes through the window's
         // token: the pool's own `flush_all` would wait on this very window.
         self.pool.pool().with_writers_quiesced(|w| {

@@ -32,7 +32,8 @@ pub(crate) fn run_pages(runs: &[(PageId, u32)]) -> impl Iterator<Item = PageId> 
 /// one `prefetch_run` per run, then one `with_page` per page. The provided
 /// body, and what the shared pool falls back to when its misses go through
 /// the batched read engine (an engine miss releases the shard mutex, which
-/// a held visit may not).
+/// a held visit may not) — there under a shared group latch over the
+/// visit's pages, since a writer could otherwise slip in between two calls.
 pub(crate) fn read_runs_per_call<P: PageCache + ?Sized>(
     pool: &mut P,
     groups: &[&[(PageId, u32)]],
@@ -100,6 +101,13 @@ pub trait PageCache {
     /// the whole visit instead of once per call, with the same calls, the
     /// same counters and the same policy events. Neither allocates for the
     /// runs: callers pass them from the stack.
+    ///
+    /// **A visit is one consistent image.** The sink never sees a mix of
+    /// pages from before and after a writer's exclusive group over them, so
+    /// a multi-page reader takes no latch of its own. An exclusive pool
+    /// (`&mut`, one owner) gives this for free; the shared pool gives it by
+    /// its lock session, or — with the batched read engine on — by a shared
+    /// group latch it takes over the visit's pages itself.
     fn read_runs(
         &mut self,
         groups: &[&[(PageId, u32)]],

@@ -1,12 +1,12 @@
 //! Per-page latches — the concurrency primitive behind the shared pool's
 //! write path.
 //!
-//! PR 3 made the sharded [`crate::SharedBufferPool`] safe for concurrent
-//! *readers*: every access runs inside one shard mutex, so a single page can
-//! never be observed half-written. What the shard mutex cannot give is
-//! **multi-page atomicity**: a large object spans header and data pages, and
-//! a writer replacing it releases the shard mutex between pages — a
-//! concurrent reader could see some pages new and some old (a *torn tuple*).
+//! The sharded [`crate::SharedBufferPool`] is safe for concurrent *readers*:
+//! every access runs inside one shard mutex, so a single page can never be
+//! observed half-written. What the shard mutex cannot give is **multi-page
+//! atomicity**: a large object spans header and data pages, and a writer
+//! replacing it releases the shard mutex between pages — a concurrent
+//! reader could see some pages new and some old (a *torn tuple*).
 //! Per-page latches close that gap.
 //!
 //! # The latch model
@@ -14,9 +14,13 @@
 //! A latch is a logical shared/exclusive lock on a [`PageId`], held across
 //! shard-mutex releases:
 //!
-//! * [`LatchMode::Shared`] — many concurrent holders; taken by multi-page
-//!   *readers* (e.g. a spanned-object materialization) for the duration of
-//!   the object read;
+//! * [`LatchMode::Shared`] — many concurrent holders; taken only by the
+//!   engine-on read path: with the batched read engine on, the shared
+//!   pool's handle serves a [`crate::PageCache::read_runs`] visit call by
+//!   call, and an engine miss drops its shard mutex, so the visit holds a
+//!   shared group over its pages. Engine off, a visit is one lock session,
+//!   atomic without a latch (`SharedBufferPool::read_runs` gives the
+//!   argument), and no storage model takes a shared group itself;
 //! * [`LatchMode::Exclusive`] — one holder, identified by its
 //!   [`ThreadId`]; taken by *writers* for the whole read-modify-write of an
 //!   object (its heap page, or its entire spanned extent).
@@ -101,7 +105,10 @@
 //! each. The exclusive [`crate::BufferPool`] counts the same acquisitions as
 //! bookkeeping-only no-ops, so serial and shared runs of the same storage
 //! code report identical latch totals (waits excepted — those are
-//! scheduling-dependent and always zero without contention).
+//! scheduling-dependent and always zero without contention). Reads take no
+//! group on either pool, so `latch_shared` reads 0 — except on a shared
+//! pool with the batched read engine on, which counts one shared group per
+//! spanned read visit.
 
 use crate::PageId;
 use std::collections::HashMap;

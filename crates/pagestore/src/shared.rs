@@ -59,12 +59,17 @@
 //!   additionally wait for conflicting *foreign* latches; a spanned read
 //!   waits for them too, before it touches a frame and holding no shard
 //!   mutex while it waits;
-//! * multi-page operations (an object's read or read-modify-write) take
-//!   **group latches** via [`SharedBufferPool::latch_pages`] — shared for
-//!   readers, exclusive for writers — acquired in the global
-//!   (shard, page) order described in [`crate::latch`], so torn multi-page
-//!   observations are impossible and writers on disjoint objects proceed
-//!   in parallel;
+//! * a multi-page write (an object's read-modify-write) takes an
+//!   exclusive **group latch** via [`SharedBufferPool::latch_pages`],
+//!   acquired in the global (shard, page) order described in
+//!   [`crate::latch`], so writers on disjoint objects proceed in parallel;
+//! * a multi-page read needs no latch: one [`PageCache::read_runs`] visit
+//!   is one lock session over every shard it touches, begun only when no
+//!   foreign exclusive latch covers its pages, so it sees a writer's group
+//!   entirely or not at all (the argument is on
+//!   `SharedBufferPool::read_runs`). With the batched read engine on, the
+//!   handle's per-call path takes a shared group latch for the visit
+//!   instead — an engine miss drops its shard mutex;
 //! * flush, cold restart, crash and recovery **quiesce writers** through a
 //!   gate (in-flight exclusive groups finish, new ones are held off)
 //!   instead of assuming them absent, then work under all shard locks —
@@ -589,7 +594,8 @@ impl SharedBufferPool {
     }
 
     /// Acquires a group latch on the distinct pages of `pids` in `mode`:
-    /// shared for multi-page readers, exclusive for writers. Pages are
+    /// exclusive for writers; shared only for a read visit the batched read
+    /// engine serves call by call (the handle's `read_runs`). Pages are
     /// latched in ascending (shard, page) order, one shard mutex at a time
     /// (released before crossing to the next shard — latches persist,
     /// mutexes do not), waiting on the shard condvar for conflicts.
@@ -812,6 +818,19 @@ impl SharedBufferPool {
     /// leaf wait (one `latch_waits`), and the session starts over. The
     /// latch holder needs these very mutexes to finish. The thread's own
     /// exclusive latch passes ([`LatchTable::blocks`]).
+    ///
+    /// **One consistent image, without a latch.** A writer changes pages
+    /// only while it holds an exclusive group over all of them (a spanned
+    /// object's group is its whole extent), and every change is made under
+    /// the changed page's shard mutex. The session begins holding every
+    /// shard mutex its pages hash to, with no foreign exclusive latch on
+    /// any of its pages, and keeps them all until the sink has seen the
+    /// last page. So a writer whose group covers these pages has either not
+    /// yet latched its whole group — and it writes nothing before it has —
+    /// or has begun to release it, after its last write; and nothing can
+    /// write these pages while the session holds their shards. The
+    /// sink sees the object before the writer or after it, never a mix; a
+    /// shared group latch over the pages would add nothing.
     fn read_runs(
         &self,
         groups: &[&[(PageId, u32)]],
@@ -1172,15 +1191,21 @@ impl PageCache for SharedPoolHandle {
         self.pool.prefetch_run(first, n)
     }
 
-    /// One lock session for the whole visit; with the batched read engine
-    /// on, the per-call path (an engine miss releases its shard mutex).
+    /// One lock session for the whole visit, which is one consistent image
+    /// by itself. With the batched read engine on, the per-call path: an
+    /// engine miss releases its shard mutex, so a writer could slip in
+    /// between two fixes, and the visit holds a shared group latch over
+    /// its pages instead.
     fn read_runs(
         &mut self,
         groups: &[&[(PageId, u32)]],
         sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
     ) -> Result<()> {
         if self.pool.io_engine_enabled() {
-            return cache::read_runs_per_call(self, groups, sink);
+            let pages: Vec<PageId> = groups.iter().flat_map(|g| run_pages(g)).collect();
+            return self.with_latched(&pages, LatchMode::Shared, |h| {
+                cache::read_runs_per_call(h, groups, sink)
+            });
         }
         self.pool.read_runs(groups, sink)
     }

@@ -12,10 +12,13 @@
 //!    (physical I/O included).
 //! 2. **No torn tuples**: reader threads hammering root records while
 //!    writer threads flip the same objects between two patch values only
-//!    ever observe fully-old or fully-new names — never a byte mix. This
-//!    is exactly what the per-page latches (exclusive writer groups over
-//!    an object's pages, shared reader groups over spanned extents) exist
-//!    to guarantee.
+//!    ever observe fully-old or fully-new names — never a byte mix. Writers
+//!    hold an exclusive group latch over an object's pages; readers take
+//!    none, because each visit to the pool hands them one consistent image
+//!    (a lock session, or with the batched read engine on a shared group
+//!    the pool takes itself). `Name` lies on one page, so a torn read
+//!    across pages cannot show here: the pagestore's `read_atomicity`
+//!    battery tests that at the pool.
 //! 3. **Flush-then-cold-reread byte-exact**: after concurrent updates, a
 //!    writer-quiescing flush plus cold restart rereads exactly the final
 //!    applied values, and a second flush changes nothing on disk.
@@ -130,7 +133,7 @@ fn multi_writer_q3a_matches_serial_byte_for_byte() {
 /// tuples. Writers flip their disjoint object partitions between two
 /// 100-byte patch values while readers re-read all targets; every observed
 /// name must be exactly the original, all-'A' or all-'B' — a mix would be
-/// a torn read through the latch layer.
+/// a torn read.
 #[test]
 fn readers_never_observe_torn_tuples_during_updates() {
     let db = dataset();

@@ -225,3 +225,66 @@ fn a_name_of_another_length_is_refused_and_leaves_no_trace() {
         }
     }
 }
+
+/// Header pages never change after load: DASDBS-DSM's projected read visits
+/// the header and the data ranges it names in two lock sessions with no
+/// latch across them, which is consistent only because no update rewrites
+/// a header. DSM's replace-tuple re-dirties every header page with its own
+/// bytes and DASDBS-DSM's change attribute touches data pages only — on the
+/// shared pool, with the write-ahead log off and on (and, with it on,
+/// through a crash and recovery too).
+#[test]
+fn no_update_changes_a_header_page() {
+    let db = dataset();
+    for (kind, config) in configs() {
+        if !matches!(kind, ModelKind::Dsm | ModelKind::DasdbsDsm) {
+            continue;
+        }
+        let twin = twin_file(&db, config.aligned_subtuples);
+        let headers: Vec<u32> = (0..db.len())
+            .filter_map(|ord| match twin.addr(ord).unwrap() {
+                ObjAddr::Spanned(rec) => Some((0..rec.header_pages).map(move |i| rec.first.0 + i)),
+                ObjAddr::Heap(_) => None,
+            })
+            .flatten()
+            .collect();
+        assert!(
+            !headers.is_empty(),
+            "{}: spanned objects",
+            label(kind, &config)
+        );
+        for wal in [false, true] {
+            let config = if wal {
+                config.clone().wal(WalConfig::enabled(FsyncMode::PerCommit))
+            } else {
+                config.clone()
+            };
+            let what = format!(
+                "{}, WAL {}",
+                label(kind, &config),
+                if wal { "on" } else { "off" }
+            );
+            let (mut store, pool) = store(kind, &config);
+            let refs = store.load(&db).unwrap();
+            let loaded = pages(&*store, &pool);
+            for (ord, r) in refs.iter().enumerate() {
+                let patch = RootPatch {
+                    new_name: "R".repeat(db[ord].name.len()),
+                };
+                store.update_roots(&[*r], &patch).unwrap();
+            }
+            if wal {
+                assert_eq!(store.snapshot().commits, db.len() as u64, "{what}");
+                store.simulate_crash();
+                store.recover().unwrap();
+            }
+            store.flush().unwrap();
+            let now = pages(&*store, &pool);
+            assert_ne!(now, loaded, "{what}: the updates changed the names");
+            for &pid in &headers {
+                let pid = pid as usize;
+                assert!(now[pid] == loaded[pid], "{what}: header page {pid} changed");
+            }
+        }
+    }
+}
