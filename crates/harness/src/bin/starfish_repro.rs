@@ -133,11 +133,11 @@ fn main() {
             // --sweep: policies × client counts through the shared
             // reporting path; --nodes serves every cell from a routed
             // cluster instead of the shared surface.
-            experiments::ext_workload::report_for_spec_sweep(&config, &spec, &thread_list, nodes)
+            experiments::policy_grid::workload_sweep(&config, &spec, &thread_list, nodes)
         } else {
             // An explicit client count runs the spec over the concurrent
             // surface (N threads × N shards); counters stay invariant.
-            experiments::ext_workload::report_for_spec(&config, &spec, threads)
+            experiments::policy_grid::workload(&config, &spec, threads)
         };
         vec![report.unwrap_or_else(die)]
     } else {

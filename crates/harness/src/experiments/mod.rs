@@ -1,26 +1,25 @@
 //! One module per table/figure of the paper's evaluation, plus extension
 //! experiments (`ext_*`) that go beyond the paper: response-time estimates
-//! under Equation 1, the buffer-size and replacement-policy ablations, the
-//! §5.5 shared-nothing distribution study, concurrent serving, and the
-//! declarative-workload sweep.
+//! under Equation 1, the §5.5 shared-nothing distribution study, concurrent
+//! serving and durability. Every experiment that sweeps replacement
+//! policies — the buffer-size and policy ablations, the drifting hot sets
+//! and the declarative-workload sweep — is a preset of [`policy_grid`].
 //!
 //! Every experiment is an entry in [`REGISTRY`] — the single table behind
 //! [`run_all`], `starfish_repro --only` dispatch and `starfish_repro
-//! --list`. Adding an experiment means adding a module, a registry row and
-//! a [`run_one`] match arm; nothing else.
+//! --list`. Adding an experiment means adding a module, or a preset in
+//! [`policy_grid`], plus a registry row and a [`run_one`] match arm;
+//! nothing else.
 
 pub mod ext_alignment;
-pub mod ext_buffer;
 pub mod ext_clustering;
 pub mod ext_concurrency;
 pub mod ext_distributed;
-pub mod ext_drift;
 pub mod ext_durability;
-pub mod ext_policy;
 pub mod ext_timing;
-pub mod ext_workload;
 pub mod fig5;
 pub mod fig6;
+pub mod policy_grid;
 pub mod table2;
 pub mod table3;
 pub mod table4;
@@ -234,15 +233,15 @@ pub fn run_one(
         "table7" => table7::run(config),
         "table8" => Ok(table8::run(ensure_grid(grid, config)?)),
         "ext-timing" => Ok(ext_timing::run(ensure_grid(grid, config)?)),
-        "ext-buffer" => ext_buffer::run(config),
-        "ext-policy" => ext_policy::run(config),
+        "ext-buffer" => policy_grid::ext_buffer(config),
+        "ext-policy" => policy_grid::ext_policy(config),
         "ext-concurrency" => ext_concurrency::run_with(config, threads),
         "ext-distributed" => ext_distributed::run_with(config, threads),
         "ext-cluster-baseline" => ext_distributed::cluster_baseline(config),
         "ext-clustering" => ext_clustering::run(config),
         "ext-alignment" => ext_alignment::run(config),
-        "ext-workload" => ext_workload::run(config),
-        "ext-drift" => ext_drift::run(config),
+        "ext-workload" => policy_grid::ext_workload(config),
+        "ext-drift" => policy_grid::ext_drift(config),
         "ext-durability" => ext_durability::run_with(config, threads),
         other => Err(CoreError::NotFound {
             what: format!("experiment '{other}' (run starfish_repro --list for valid ids)"),
@@ -302,5 +301,88 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), REGISTRY.len(), "duplicate registry ids");
+    }
+}
+
+// Each policy-grid preset's tests sit under the experiment id it serves
+// (`--only ext_policy` …); `policy_grid::tests::preset` measures it and
+// checks its row count and contract, the named checks do the rest.
+
+#[cfg(test)]
+mod ext_policy {
+    mod tests {
+        use crate::experiments::policy_grid::tests::*;
+
+        #[test]
+        fn policy_sweep_covers_every_model_policy_pair() {
+            policy_rows(&preset("ext-policy"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod ext_buffer {
+    mod tests {
+        use crate::experiments::policy_grid::tests::*;
+
+        #[test]
+        fn buffer_sweep_orders_models_by_sensitivity() {
+            buffer_sensitivity(&preset("ext-buffer"));
+        }
+
+        #[test]
+        fn policy_rows_cover_both_regimes() {
+            buffer_regimes(&preset("ext-buffer"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod ext_drift {
+    mod tests {
+        use crate::experiments::policy_grid::tests::*;
+
+        #[test]
+        fn drift_sweep_covers_scenarios_models_policies() {
+            preset("ext-drift");
+        }
+
+        #[test]
+        fn drift_reorders_at_least_one_policy_ranking() {
+            drift_reorders(&preset("ext-drift"));
+        }
+
+        #[test]
+        fn drift_costs_reads_over_the_static_baseline() {
+            drift_costs(&preset("ext-drift"));
+        }
+    }
+}
+
+#[cfg(test)]
+mod ext_workload {
+    mod tests {
+        use crate::experiments::policy_grid::tests::*;
+
+        #[test]
+        fn shipped_sweep_covers_scenarios_models_policies() {
+            workload_rows(&preset("ext-workload"));
+        }
+
+        #[test]
+        fn spec_report_runs_an_adhoc_plan() {
+            tiny_probe_rows(&preset("tiny-probe"));
+        }
+
+        #[test]
+        fn sweep_report_shares_one_path_across_surfaces() {
+            sweep_rows(&preset("sweep"), "1");
+            sweep_rows(&preset("sweep-3-nodes"), "3");
+        }
+
+        #[test]
+        fn concurrent_spec_report_matches_serial_counters() {
+            threaded_matches_serial();
+        }
     }
 }

@@ -14,15 +14,15 @@
 //! | [`experiments::table7`] | Table 7 — data skew |
 //! | [`experiments::table8`] | Table 8 — overall qualitative ranking |
 //!
-//! Ten extension modules go beyond the paper: [`experiments::ext_timing`]
-//! (Equation 1 response times), [`experiments::ext_buffer`] and
-//! [`experiments::ext_policy`] (buffer size and replacement policy),
-//! [`experiments::ext_alignment`] (sub-tuple-aligned pages),
-//! [`experiments::ext_workload`] and [`experiments::ext_drift`]
-//! (declarative and drifting workloads), [`experiments::ext_concurrency`]
-//! (the sharded, latched pool), [`experiments::ext_durability`] (the WAL),
+//! Extensions go beyond the paper: [`experiments::ext_timing`] (Equation 1
+//! response times), [`experiments::ext_alignment`] (sub-tuple-aligned
+//! pages), [`experiments::ext_concurrency`] (the sharded, latched pool),
+//! [`experiments::ext_durability`] (the WAL),
 //! [`experiments::ext_distributed`] (§5.5 distribution and the routed
-//! cluster) and [`experiments::ext_clustering`] (adaptive placement).
+//! cluster), [`experiments::ext_clustering`] (adaptive placement) and
+//! [`experiments::policy_grid`]: one specs × models × policies × buffer ×
+//! serving sweep whose presets are `ext-policy`, `ext-buffer`, `ext-drift`,
+//! `ext-workload` and the `--workload` reports.
 //! [`experiments::REGISTRY`] lists them all.
 //!
 //! Each module produces an [`report::ExperimentReport`] (a rendered table

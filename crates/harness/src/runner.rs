@@ -11,6 +11,7 @@ use starfish_core::{
 };
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
+use starfish_pagestore::BufferStats;
 use starfish_workload::{
     generate, DatasetParams, DatasetStats, Executor, PlanOutcome, PlanRun, WorkloadSpec,
 };
@@ -285,7 +286,8 @@ pub enum Serving {
 /// `serving`, runs the declarative `spec` under the usual protocol (cold
 /// start, disconnect flush, per-unit normalization) and returns the
 /// outcome — [`PlanOutcome::Unsupported`] where the model cannot run an op
-/// of the plan.
+/// of the plan — with the buffer's counters over the run (summed over
+/// shards and nodes).
 ///
 /// Answers and units do not depend on `serving`, and fix counts do not
 /// depend on the client or worker count (the executor's contract). At one
@@ -301,17 +303,26 @@ pub fn measure(
     kind: ModelKind,
     spec: &WorkloadSpec,
     serving: Serving,
-) -> Result<PlanOutcome> {
+) -> Result<(PlanOutcome, BufferStats)> {
     match serving {
         Serving::Serial => {
             let (mut store, exec) = load_store(kind, db, config)?;
-            exec.run(store.as_mut(), spec)
+            let outcome = exec.run(store.as_mut(), spec)?;
+            Ok((outcome, store.buffer_stats()))
         }
         Serving::Shared { clients } => {
             let clients = clients.max(1);
             let mut store = make_shared_store(kind, config.store_config(), clients);
             let exec = Executor::new(store.load(db)?, config.query_seed);
-            Ok(exec.run_concurrent(store.as_mut(), spec, clients)?.outcome)
+            let outcome = exec.run_concurrent(store.as_mut(), spec, clients)?.outcome;
+            let shards = store.shard_stats().into_iter();
+            Ok((
+                outcome,
+                shards.fold(BufferStats::default(), |mut sum, s| {
+                    sum.accumulate(&s);
+                    sum
+                }),
+            ))
         }
         Serving::Cluster {
             nodes,
@@ -328,31 +339,9 @@ pub fn measure(
             );
             let exec = Executor::new(cluster.load(db)?, config.query_seed);
             let served = exec.run_cluster(&mut cluster, spec, clients, workers)?;
-            Ok(served.run.outcome)
+            Ok((served.run.outcome, cluster.buffer_stats()))
         }
     }
-}
-
-/// The observation counts every model must agree on for one spec: units,
-/// objects seen per navigation hop, scanned objects, updates applied — the
-/// spec-level analogue of the paper's "shared database" guarantee.
-pub(crate) type Shape = (u64, Vec<u64>, u64, u64);
-
-/// The determinism check every workload report makes per measured cell:
-/// records `outcome`'s shape into `shape` if it is the first, and reports
-/// whether it agrees with the one recorded. An unsupported plan has no
-/// shape and disagrees with nothing.
-pub(crate) fn same_shape(shape: &mut Option<Shape>, outcome: &PlanOutcome) -> bool {
-    let Some(run) = outcome.run() else {
-        return true;
-    };
-    let got = (
-        run.units,
-        run.nav_seen.clone(),
-        run.scanned,
-        run.updates_applied,
-    );
-    *shape.get_or_insert_with(|| got.clone()) == got
 }
 
 #[cfg(test)]
@@ -478,7 +467,7 @@ mod tests {
         let config = HarnessConfig::fast();
         let db = generate(&config.dataset());
         let spec = WorkloadSpec::for_query(QueryId::Q2b);
-        let out = measure(&db, &config, ModelKind::DasdbsNsm, &spec, Serving::Serial).unwrap();
+        let (out, _) = measure(&db, &config, ModelKind::DasdbsNsm, &spec, Serving::Serial).unwrap();
         assert!(out.run().unwrap().pages_per_unit() > 0.0);
     }
 
@@ -488,7 +477,7 @@ mod tests {
         let db = generate(&config.dataset());
         let spec = WorkloadSpec::for_query(QueryId::Q2b);
         for kind in ModelKind::all() {
-            let serial = measure(&db, &config, kind, &spec, Serving::Serial).unwrap();
+            let (serial, _) = measure(&db, &config, kind, &spec, Serving::Serial).unwrap();
             assert!(serial.run().is_some(), "{kind} runs 2b");
             let shared = Serving::Shared { clients: 1 };
             let cluster = Serving::Cluster {
@@ -496,9 +485,9 @@ mod tests {
                 clients: 1,
                 workers: 1,
             };
-            let got = measure(&db, &config, kind, &spec, shared).unwrap();
+            let (got, _) = measure(&db, &config, kind, &spec, shared).unwrap();
             assert_eq!(got, serial, "{kind} on the shared surface");
-            let mut got = measure(&db, &config, kind, &spec, cluster).unwrap();
+            let (mut got, _) = measure(&db, &config, kind, &spec, cluster).unwrap();
             if kind == ModelKind::Nsm {
                 // One object per routed request: pure NSM scans per object,
                 // not per set. The extra fixes are hits; nothing else moves.

@@ -249,6 +249,10 @@ struct Shard {
     /// Notified when a latch in this shard is released while somebody
     /// waits for one (`ShardState::waiters`).
     cond: Condvar,
+    /// Times [`lock_shard`] gave up spinning and yielding and took the
+    /// blocking `lock()`.
+    #[cfg(test)]
+    blocking_locks: AtomicU64,
 }
 
 struct ShardState {
@@ -284,6 +288,8 @@ fn lock_shard(sh: &Shard) -> MutexGuard<'_, ShardState> {
             Err(TryLockError::WouldBlock) => std::thread::yield_now(),
         }
     }
+    #[cfg(test)]
+    sh.blocking_locks.fetch_add(1, Ordering::SeqCst);
     sh.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -363,6 +369,8 @@ impl SharedBufferPool {
                         waiters: 0,
                     }),
                     cond: Condvar::new(),
+                    #[cfg(test)]
+                    blocking_locks: AtomicU64::new(0),
                 }
             })
             .collect();
@@ -1549,15 +1557,17 @@ mod tests {
                 // Blocks until the writer unlatches, then sees the new byte.
                 p.with_page(PageId(3), |b| b[0]).unwrap()
             });
-            // Give the reader a moment to hit the latch conflict.
-            thread::sleep(std::time::Duration::from_millis(30));
+            // Write once the reader has met the latch conflict (a reader the
+            // latch let through finishes instead, and reads the old byte).
+            while p.buffer_stats().latch_waits == 0 && !reader.is_finished() {
+                thread::yield_now();
+            }
             p.with_page_mut(PageId(3), |b| b[0] = 99).unwrap();
             p.unlatch_pages(&[PageId(3)], LatchMode::Exclusive);
             assert_eq!(reader.join().unwrap(), 99, "reader saw the write");
         });
-        // The reader's blocked episode was counted (scheduling permitting,
-        // the sleep makes this deterministic in practice).
-        assert!(p.buffer_stats().latch_waits >= 1);
+        // The reader's blocked episode was counted, once.
+        assert_eq!(p.buffer_stats().latch_waits, 1);
     }
 
     #[test]
@@ -1657,8 +1667,11 @@ mod tests {
         p.with_page_mut(PageId(0), |b| b[0] = 1).unwrap();
         thread::scope(|s| {
             let flusher = s.spawn(|| p.flush_all().unwrap());
-            thread::sleep(std::time::Duration::from_millis(30));
-            // The flush is parked at the gate; finish the update.
+            // Finish the update once the flush is parked at the gate (or
+            // has wrongly finished without waiting for it).
+            while p.buffer_stats().latch_waits == 0 && !flusher.is_finished() {
+                thread::yield_now();
+            }
             p.with_page_mut(PageId(1), |b| b[0] = 2).unwrap();
             p.unlatch_pages(&[PageId(0), PageId(1)], LatchMode::Exclusive);
             flusher.join().unwrap();
@@ -1716,7 +1729,12 @@ mod tests {
                 })
                 .join()
                 .unwrap();
-                thread::sleep(std::time::Duration::from_millis(30));
+                // Close once the writer sleeps at the gate (or has wrongly
+                // been let through and finished).
+                let at_gate = || p.gate.lock().unwrap().waiters > 0;
+                while !at_gate() && !writer.is_finished() {
+                    thread::yield_now();
+                }
                 assert!(!writer.is_finished(), "the writer waits at the gate");
                 assert_eq!(p.exclusive_latched_pages(), 0);
                 closed.store(true, Ordering::SeqCst);
@@ -1934,26 +1952,33 @@ mod tests {
         p.with_page(PageId(2), |b| assert_eq!(b[0], 9)).unwrap();
     }
 
-    /// The spin is bounded: behind a holder that keeps a shard mutex for
-    /// milliseconds — thousands of times the spin and yield budget — the
-    /// helper ends in the blocking `lock()` and returns once the holder
-    /// lets go.
+    /// The spin is bounded: behind a holder that keeps a shard mutex until
+    /// the waiter has given up spinning and yielding, the helper ends in
+    /// the blocking `lock()` and returns once the holder lets go.
     #[test]
     fn a_long_held_shard_mutex_is_waited_for_by_the_blocking_lock() {
         let p = pool(1, 4, 4);
+        let blocking = &p.shards[0].blocking_locks;
         let (held, is_held) = std::sync::mpsc::channel();
         thread::scope(|s| {
             s.spawn(|| {
                 let mut st = p.shards[0].state.lock().unwrap();
                 held.send(()).unwrap();
-                thread::sleep(std::time::Duration::from_millis(5));
+                // Hold on until the waiter has reached the blocking lock
+                // (a waiter that spun forever would hang the test here).
+                while blocking.load(Ordering::SeqCst) == 0 {
+                    thread::yield_now();
+                }
                 st.core.stats.latch_waits = 42; // visible to whoever locks next
             });
             is_held.recv().unwrap();
-            let t0 = std::time::Instant::now();
             let st = lock_shard(&p.shards[0]);
             assert_eq!(st.core.stats.latch_waits, 42, "locked after the holder");
-            assert!(t0.elapsed() >= std::time::Duration::from_millis(4));
+            assert_eq!(
+                blocking.load(Ordering::SeqCst),
+                1,
+                "through the blocking lock"
+            );
         });
     }
 
