@@ -11,7 +11,7 @@
 //! its own disk and buffer, with **every object placed whole on one node**.
 //! Navigation routes each object access to its owner; per-node I/O counters
 //! expose the load distribution the paper speculates about (see the
-//! `ext_distributed` harness experiment).
+//! harness's `ext-distributed` report).
 //!
 //! # Concurrent serving
 //!

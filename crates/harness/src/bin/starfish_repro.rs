@@ -28,7 +28,7 @@
 //!                cap the queue depths ext-concurrency's batched-I/O
 //!                sweep drives (default 8: depths 1/2/4/8 with the
 //!                submission/completion engine enabled). Other
-//!                experiments run with the engine off and ignore it.
+//!                experiments ignore it.
 //!   --workload   run one declarative workload spec (a JSON file path or a
 //!                built-in name like deep-nav) across the five storage
 //!                models instead of the experiment suite; add --threads N
@@ -46,13 +46,14 @@
 
 use starfish_harness::experiments;
 use starfish_harness::runner::{
-    parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed, parse_threads,
+    check_args, parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed, parse_threads,
     HarnessConfig,
 };
 use starfish_workload::WorkloadSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_args(&args).unwrap_or_else(|e| usage(e));
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "starfish-repro [--fast] [--only <ids>] [--markdown] [--json] [--seed N] \
@@ -106,7 +107,7 @@ fn main() {
     let threads: Option<usize> = parse_threads(&args).unwrap_or_else(|e| usage(e));
     let thread_list: Vec<usize> = match threads {
         Some(n) => vec![n],
-        None => experiments::ext_concurrency::THREADS.to_vec(),
+        None => experiments::policy_grid::THREADS.to_vec(),
     };
     let nodes: Option<usize> = parse_nodes(&args).unwrap_or_else(|e| usage(e));
     let sweep = args.iter().any(|a| a == "--sweep");

@@ -1,9 +1,10 @@
 //! One module per table/figure of the paper's evaluation, plus extension
 //! experiments (`ext_*`) that go beyond the paper: response-time estimates
-//! under Equation 1, the §5.5 shared-nothing distribution study, concurrent
-//! serving and durability. Every experiment that sweeps replacement
-//! policies — the buffer-size and policy ablations, the drifting hot sets
-//! and the declarative-workload sweep — is a preset of [`policy_grid`].
+//! under Equation 1, alignment, durability and adaptive placement. Every
+//! experiment that sweeps replacement policies or servings — the
+//! buffer-size and policy ablations, the drifting hot sets, the
+//! declarative-workload sweep, concurrent serving and the §5.5
+//! shared-nothing cluster — is a preset of [`policy_grid`].
 //!
 //! Every experiment is an entry in [`REGISTRY`] — the single table behind
 //! [`run_all`], `starfish_repro --only` dispatch and `starfish_repro
@@ -13,8 +14,6 @@
 
 pub mod ext_alignment;
 pub mod ext_clustering;
-pub mod ext_concurrency;
-pub mod ext_distributed;
 pub mod ext_durability;
 pub mod ext_timing;
 pub mod fig5;
@@ -86,25 +85,6 @@ fn grid_anchor(grid: &MeasuredGrid, what: &str, cell: fn(&PlanRun) -> f64) -> Op
         .into_iter()
         .find(|q| what.contains(&format!("q{q} ")))?;
     grid.cell(model, q).map(cell)
-}
-
-/// The first row of a sweep is its speed-up base: 1.0 for that row, the
-/// row's rate over the base's for every later one (0 over a base of 0).
-fn speedup_over_first(base: &mut Option<f64>, rate: f64) -> f64 {
-    match *base {
-        None => {
-            *base = Some(rate);
-            1.0
-        }
-        Some(b) if b > 0.0 => rate / b,
-        Some(_) => 0.0,
-    }
-}
-
-/// The first row's count is the sweep's reference: returns it (the row's
-/// own count, for the first row).
-fn first_row_count(reference: &mut Option<u64>, count: u64) -> u64 {
-    *reference.get_or_insert(count)
 }
 
 /// One registry row: the experiment's canonical id and a one-line summary
@@ -235,9 +215,9 @@ pub fn run_one(
         "ext-timing" => Ok(ext_timing::run(ensure_grid(grid, config)?)),
         "ext-buffer" => policy_grid::ext_buffer(config),
         "ext-policy" => policy_grid::ext_policy(config),
-        "ext-concurrency" => ext_concurrency::run_with(config, threads),
-        "ext-distributed" => ext_distributed::run_with(config, threads),
-        "ext-cluster-baseline" => ext_distributed::cluster_baseline(config),
+        "ext-concurrency" => policy_grid::ext_concurrency(config, threads),
+        "ext-distributed" => policy_grid::ext_distributed(config, threads),
+        "ext-cluster-baseline" => policy_grid::cluster_baseline(config),
         "ext-clustering" => ext_clustering::run(config),
         "ext-alignment" => ext_alignment::run(config),
         "ext-workload" => policy_grid::ext_workload(config),
@@ -251,7 +231,7 @@ pub fn run_one(
 
 /// Runs every experiment at the given scale, in [`REGISTRY`] order.
 pub fn run_all(config: &HarnessConfig) -> Result<Vec<ExperimentReport>> {
-    run_all_with(config, &ext_concurrency::THREADS)
+    run_all_with(config, &policy_grid::THREADS)
 }
 
 /// [`run_all`] with an explicit client-count list for the concurrency
@@ -306,7 +286,8 @@ mod tests {
 
 // Each policy-grid preset's tests sit under the experiment id it serves
 // (`--only ext_policy` …); `policy_grid::tests::preset` measures it and
-// checks its row count and contract, the named checks do the rest.
+// checks its row count and contract, the named checks do the rest. The
+// serving presets' tests call them directly.
 
 #[cfg(test)]
 mod ext_policy {
@@ -383,6 +364,165 @@ mod ext_workload {
         #[test]
         fn concurrent_spec_report_matches_serial_counters() {
             threaded_matches_serial();
+        }
+    }
+}
+
+#[cfg(test)]
+mod ext_concurrency {
+    mod tests {
+        use crate::experiments::policy_grid::ext_concurrency as run_with;
+        use crate::runner::HarnessConfig;
+        use starfish_core::{ModelKind, PolicyKind};
+        use starfish_workload::MixKind;
+
+        #[test]
+        fn sweep_covers_models_policies_mixes_and_client_counts() {
+            // Cap the engine sweep at depth 2 to keep the fast test fast.
+            let config = HarnessConfig {
+                queue_depth: Some(2),
+                ..HarnessConfig::fast()
+            };
+            let report = run_with(&config, &[1, 2]).unwrap();
+            let models = ModelKind::all().len();
+            let policies = PolicyKind::all().len();
+            let mixes = MixKind::all().len();
+            let depths = 2; // DEPTHS capped at --queue-depth 2
+            assert_eq!(
+                report.table.rows.len(),
+                models * policies * 2 + models * mixes * 2 + models * depths,
+                "read-only sweep rows + mixed matrix rows + batched-I/O rows"
+            );
+            // Engine rows carry engine columns; engine-off rows dash them out.
+            for row in &report.table.rows {
+                if row[2] == "2b batched-io" {
+                    assert_ne!(row[12], "-");
+                    assert_ne!(row[13], "-");
+                    if row[3] == "1" {
+                        // Depth 1: solo batches, queue never deeper than 1.
+                        assert_eq!(row[13], "1", "depth-1 engine row: {row:?}");
+                        assert!(row[12].ends_with("/0"), "nothing to coalesce: {row:?}");
+                    }
+                } else {
+                    assert_eq!(row[12], "-");
+                    assert_eq!(row[13], "-");
+                }
+            }
+            // The correctness anchors held: no WARNING notes.
+            assert!(
+                report
+                    .notes
+                    .iter()
+                    .any(|n| n.contains("single-client numbers exactly"))
+                    && !report.notes.iter().any(|n| n.contains("WARNING")),
+                "anchors failed: {:?}",
+                report.notes
+            );
+            // Speedup column of every 1-client row is exactly 1.00x, and its
+            // latch-wait column is 0 (no contention possible).
+            for row in report.table.rows.iter().filter(|r| r[3] == "1") {
+                assert_eq!(row[7], "1.00x");
+                assert_eq!(row[9], "0", "1 client cannot wait on a latch");
+            }
+            // Update mixes report exclusive-latch work; read-only rows none.
+            let has_excl = |r: &Vec<String>| !r[8].ends_with("/0");
+            assert!(report
+                .table
+                .rows
+                .iter()
+                .filter(|r| r[2] == "update-heavy")
+                .all(has_excl));
+            assert!(report
+                .table
+                .rows
+                .iter()
+                .filter(|r| r[2] == "read-only")
+                .all(|r| !has_excl(r)));
+        }
+    }
+}
+
+#[cfg(test)]
+mod ext_distributed {
+    mod tests {
+        use crate::experiments::policy_grid::ext_distributed as run_with;
+        use crate::experiments::policy_grid::*;
+        use crate::runner::{measure, HarnessConfig, Serving};
+        use starfish_core::{IoEngineConfig, ModelKind};
+        use starfish_workload::{generate, WorkloadSpec};
+
+        #[test]
+        fn helper_metrics() {
+            assert!((imbalance(&[10, 10, 10, 10]) - 1.0).abs() < 1e-12);
+            assert!((imbalance(&[40, 0, 0, 0]) - 4.0).abs() < 1e-12);
+            assert_eq!(cv(&[5, 5, 5, 5]), 0.0);
+            assert!(cv(&[10, 0, 10, 0]) > 0.9);
+            assert_eq!(imbalance(&[0, 0]), 1.0);
+        }
+
+        #[test]
+        fn cluster_totals_match_single_node_counts() {
+            // The §5.5 cell: serial 2b on the 8-node cluster.
+            let config = HarnessConfig::fast();
+            let db = generate(&config.dataset());
+            let serving = Serving::SerialCluster { nodes: NODES };
+            let off = IoEngineConfig::default();
+            let m = measure(
+                &db,
+                &config,
+                ModelKind::DasdbsNsm,
+                &WorkloadSpec::q2b(),
+                serving,
+                off,
+            );
+            let m = m.unwrap();
+            let pages = m.outcome.run().unwrap().pages_per_unit();
+            let per_node: Vec<u64> = m.nodes.iter().map(|s| s.pages_io()).collect();
+            assert!(pages > 0.0);
+            assert_eq!(per_node.len(), NODES);
+            assert!(per_node.iter().filter(|&&l| l > 0).count() >= NODES / 2);
+        }
+
+        #[test]
+        fn report_covers_skew_study_and_serving_sweep() {
+            let config = HarnessConfig::fast();
+            let report = run_with(&config, &[2]).unwrap();
+            let part1 = MODELS.len() * 2;
+            let part2 = SWEEP_MODELS.len()
+                * sweep_policies(&config).len()
+                * SWEEP_NODES.len()
+                * CLIENT_LOADS.len();
+            assert_eq!(report.table.rows.len(), part1 + part2);
+            assert!(report.render().contains("5.5 skew"));
+            // Every serving cell matched its serial oracle and the 1×1×1
+            // anchor held — no WARNING notes.
+            assert!(
+                !report.notes.iter().any(|n| n.contains("WARNING")),
+                "determinism failed: {:?}",
+                report.notes
+            );
+            for row in report.table.rows.iter().filter(|r| r[2] == "serve 3b") {
+                assert_eq!(row[14], "ok", "disks diverged: {row:?}");
+                assert!(CLIENT_LOADS.map(|c| c.to_string()).contains(&row[5]));
+            }
+        }
+
+        #[test]
+        fn baseline_grid_is_worker_count_invariant() {
+            let report = cluster_baseline(&HarnessConfig::fast()).unwrap();
+            let rows = &report.table.rows;
+            assert_eq!(
+                rows.len(),
+                SWEEP_MODELS.len() * BASELINE_NODES.len() * BASELINE_WORKERS.len()
+            );
+            // The deterministic columns (everything from `units` on) must be
+            // identical across worker counts of the same (model, nodes) —
+            // the property the CI diff pins.
+            for pair in rows.chunks(BASELINE_WORKERS.len()) {
+                assert_eq!(pair[0][0], pair[1][0]);
+                assert_eq!(pair[0][1], pair[1][1]);
+                assert_eq!(pair[0][4..], pair[1][4..], "worker count leaked: {pair:?}");
+            }
         }
     }
 }

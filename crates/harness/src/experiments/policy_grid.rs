@@ -1,13 +1,16 @@
-//! The replacement-policy grid: every report that sweeps buffer policies is
+//! The policy grid: every report that sweeps buffer policies or servings is
 //! a preset of one table-driven sweep with one renderer.
 //!
-//! The paper ran every measurement through one LRU buffer (§5.1–§5.2); the
-//! policy axis is this repository's extension. A grid is the product of
-//! five axes — specs × models × policies × buffer fractions × servings —
-//! less the cells an optional filter drops, in the order a sort key gives.
-//! Each cell reloads the store and runs one spec through [`measure`] (cold
-//! start, plan, counted disconnect flush). Dynamic behaviour is a parameter
-//! of the one sweep, not a new experiment: He & Darmont's DoEF design.
+//! The paper ran every measurement through one LRU buffer and one client
+//! (§5.1–§5.2); the policy and serving axes are this repository's
+//! extensions. A grid is the product of five axes — specs (each on its
+//! database) × models × policies × buffer fractions × servings — less the
+//! cells an optional filter drops, in the order a sort key gives, with the
+//! batched I/O engine on or off for the whole grid. Each cell reloads the
+//! store and runs one spec through [`measure`] (cold start, plan, counted
+//! disconnect flush). A report is one grid or several, each shown through
+//! its own columns. Dynamic behaviour is a parameter of the one sweep, not
+//! a new experiment: He & Darmont's DoEF design.
 //!
 //! | preset | report | grid |
 //! |---|---|---|
@@ -17,32 +20,60 @@
 //! | [`ext_workload`] | `ext-workload` | [`WorkloadSpec::shipped`] × models × policies |
 //! | [`workload`] | `--workload <spec>` (`--threads N`) | one spec × models at `--policy` |
 //! | [`workload_sweep`] | `--workload <spec> --sweep` (`--nodes N`) | one spec × policies × clients × models |
+//! | [`ext_concurrency`] | `ext-concurrency` | 2b × models × policies × clients; mixed streams × models × clients; 2b × models × queue depths, engine on |
+//! | [`ext_distributed`] | `ext-distributed` | 2b on 8 serial nodes × default and skewed data × 3 models; 3b × DSM, DASDBS-NSM × policies × routed clusters, engine on; the 1×1×1 anchor |
+//! | [`cluster_baseline`] | `ext-cluster-baseline` | 3b × DSM, DASDBS-NSM × 1 and 3 nodes × 1 and 4 workers, 8 clients, engine on |
 //!
 //! Every grid keeps the executor's contract, and every report warns when it
 //! breaks: units, per-hop navigation counts, scans and updates agree
-//! across the cells of a spec, and fixes across the policies of each
-//! (spec, model, buffer, serving). Policies move physical I/O only.
+//! across the cells of a spec, and fixes across the policies, clients and
+//! queue workers of each (spec, model, buffer, node count). Policies and
+//! concurrency move physical I/O only. A cell whose serving has an oracle
+//! in the grid — one client on the shared surface: the serial run; a
+//! routed cluster: the serially-driven cluster of its node count — must
+//! also replay it; the oracle is measured, not shown.
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::{measure, HarnessConfig, Serving};
+use crate::runner::{measure, HarnessConfig, Measurement, Serving};
 use crate::Result;
-use starfish_core::{ModelKind, PolicyKind};
+use starfish_core::{IoEngineConfig, ModelKind, PolicyKind};
 use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext, PlanOp, QueryId};
 use starfish_nf2::station::Station;
-use starfish_pagestore::BufferStats;
-use starfish_workload::{generate, lower_spec, PlanOutcome, PlanRun, WorkloadSpec};
+use starfish_workload::{generate, lower_spec, DatasetParams, MixKind, PlanRun, WorkloadSpec};
+
+/// A point of the spec axis: a spec and the database it runs on. Rows
+/// show the spec's name.
+struct Scenario {
+    spec: WorkloadSpec,
+    /// `None`: the configured database.
+    data: Option<DatasetParams>,
+}
+
+impl From<WorkloadSpec> for Scenario {
+    fn from(spec: WorkloadSpec) -> Scenario {
+        Scenario { spec, data: None }
+    }
+}
+
+/// `spec` under another name: the label its rows show.
+fn named(name: &str, spec: WorkloadSpec) -> WorkloadSpec {
+    let name = name.to_string();
+    WorkloadSpec { name, ..spec }
+}
 
 /// The axes of one grid: every point of their product that `keep` admits
-/// (by policy and buffer fraction), sorted by `order`, outermost axis
-/// first. The first spec is the "vs static" baseline.
+/// (by policy, buffer fraction and serving), sorted by `order`, outermost
+/// axis first. The first spec is the "vs static" baseline. Every cell of a
+/// grid runs with the grid's I/O `engine` setting.
 struct Axes {
-    specs: Vec<WorkloadSpec>,
+    specs: Vec<Scenario>,
     models: Vec<ModelKind>,
     policies: Vec<PolicyKind>,
     fractions: Vec<f64>,
     servings: Vec<Serving>,
+    engine: IoEngineConfig,
     order: fn(&At) -> [usize; 4],
-    keep: Option<fn(PolicyKind, f64) -> bool>,
+    keep: Option<fn(PolicyKind, f64, Serving) -> bool>,
 }
 
 /// A point of a grid: an index into each axis.
@@ -56,18 +87,20 @@ struct At {
 }
 
 impl Axes {
-    /// The serial protocol at the configured buffer under every policy.
+    /// The serial protocol at the configured buffer under every policy,
+    /// engine off.
     fn every_policy(
         specs: Vec<WorkloadSpec>,
         models: &[ModelKind],
         order: fn(&At) -> [usize; 4],
     ) -> Axes {
         Axes {
-            specs,
+            specs: specs.into_iter().map(Scenario::from).collect(),
             models: models.to_vec(),
             policies: PolicyKind::all().to_vec(),
             fractions: vec![1.0],
             servings: vec![Serving::Serial],
+            engine: IoEngineConfig::default(),
             order,
             keep: None,
         }
@@ -80,16 +113,20 @@ impl Axes {
             for model in 0..self.models.len() {
                 for policy in 0..self.policies.len() {
                     for fraction in 0..self.fractions.len() {
-                        let (p, f) = (self.policies[policy], self.fractions[fraction]);
-                        if self.keep.is_none_or(|keep| keep(p, f)) {
-                            let at = |serving| At {
-                                spec,
-                                model,
-                                policy,
-                                fraction,
-                                serving,
-                            };
-                            points.extend((0..self.servings.len()).map(at));
+                        for serving in 0..self.servings.len() {
+                            let (p, f) = (self.policies[policy], self.fractions[fraction]);
+                            if self
+                                .keep
+                                .is_none_or(|keep| keep(p, f, self.servings[serving]))
+                            {
+                                points.push(At {
+                                    spec,
+                                    model,
+                                    policy,
+                                    fraction,
+                                    serving,
+                                });
+                            }
                         }
                     }
                 }
@@ -98,6 +135,13 @@ impl Axes {
         points.sort_by_key(self.order);
         points
     }
+
+    /// Whether the serving at `at` is the oracle of another serving of the
+    /// axis: measured for the replay check, never shown.
+    fn is_oracle(&self, at: At) -> bool {
+        let serving = Some(self.servings[at.serving]);
+        self.servings.iter().any(|s| s.oracle() == serving)
+    }
 }
 
 /// A buffer of `fraction` × the configured one, never below 16 pages.
@@ -105,28 +149,9 @@ fn buffer_of(config: &HarnessConfig, fraction: f64) -> usize {
     ((config.buffer_pages as f64 * fraction) as usize).max(16)
 }
 
-/// The one cell function: `spec` on a fresh `model` store under `policy`
-/// with a [`buffer_of`]`(fraction)` buffer, served as `serving` says.
-fn measure_cell(
-    db: &[Station],
-    config: &HarnessConfig,
-    spec: &WorkloadSpec,
-    model: ModelKind,
-    policy: PolicyKind,
-    fraction: f64,
-    serving: Serving,
-) -> Result<(PlanOutcome, BufferStats)> {
-    let buffer_pages = buffer_of(config, fraction);
-    let cfg = HarnessConfig {
-        policy,
-        buffer_pages,
-        ..*config
-    };
-    measure(db, &cfg, model, spec, serving)
-}
-
 /// What a column shows of a cell. The counters print `-` for a plan the
-/// model cannot run.
+/// model cannot run, and the serving columns `-` where the serving has no
+/// such thing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Col {
     Scenario,
@@ -134,6 +159,8 @@ enum Col {
     Policy,
     Clients,
     Nodes,
+    /// Queue workers per node.
+    Workers,
     Buffer,
     Units,
     Reads,
@@ -141,6 +168,11 @@ enum Col {
     Pages,
     Calls,
     Fixes,
+    /// Fixes over the whole run.
+    TotalFixes,
+    Updates,
+    /// Objects seen per navigation hop.
+    Nav,
     HitRate,
     /// Evictions per unit.
     Evictions,
@@ -153,6 +185,76 @@ enum Col {
     ReadsVsLru(usize),
     /// The plan-walker's pages per unit ([`predicted_pages`]).
     Predicted,
+    /// Units served per second (wall-clock).
+    Rate,
+    /// [`Col::Rate`] over the first cell of its sweep ([`Grid::speedup`]).
+    Speedup,
+    /// Shared/exclusive group-latch acquisitions.
+    Latches,
+    LatchWaits,
+    /// max/mean of a per-shard or per-node load.
+    Imbalance(Load),
+    /// σ/μ of a per-shard or per-node load.
+    Cv(Load),
+    /// Engine read calls / pages delivered through coalesced runs.
+    Batches,
+    /// The engine's submission-queue high-water mark.
+    MaxQueueDepth,
+    /// The routers' job-queue high-water mark.
+    QueueHighWater,
+    /// Per-node fixes, `/`-joined.
+    NodeFixes,
+    /// Per-node disk fingerprints, `/`-joined.
+    NodeDisks,
+    /// `ok` or `DIVERGED` against the cell's oracle ([`Grid::diverges`]).
+    Disks,
+    /// Always `-`.
+    Dash,
+}
+
+/// A per-shard or per-node load vector of a cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Load {
+    ShardFixes,
+    NodeFixes,
+    /// Pages read + written per node.
+    NodePages,
+}
+
+impl Load {
+    fn of(self, m: &Measurement) -> Vec<u64> {
+        match self {
+            Load::ShardFixes => m.shards.iter().map(|s| s.fixes).collect(),
+            Load::NodeFixes => m.nodes.iter().map(|n| n.fixes).collect(),
+            Load::NodePages => m.nodes.iter().map(|n| n.pages_io()).collect(),
+        }
+    }
+}
+
+/// max/mean of a load vector (1.0 = perfectly even).
+pub(crate) fn imbalance(loads: &[u64]) -> f64 {
+    let total: u64 = loads.iter().sum();
+    if total == 0 {
+        return 1.0;
+    }
+    let mean = total as f64 / loads.len() as f64;
+    loads.iter().copied().max().unwrap_or(0) as f64 / mean
+}
+
+/// Coefficient of variation (σ/μ) of a load vector.
+pub(crate) fn cv(loads: &[u64]) -> f64 {
+    let n = loads.len() as f64;
+    let mean = loads.iter().sum::<u64>() as f64 / n;
+    if mean <= 0.0 {
+        return 0.0;
+    }
+    let var = (loads.iter().map(|&l| (l as f64 - mean).powi(2))).sum::<f64>() / n;
+    var.sqrt() / mean
+}
+
+/// `values` joined by `/`.
+fn joined<T>(values: &[T], show: impl Fn(&T) -> String) -> String {
+    values.iter().map(show).collect::<Vec<_>>().join("/")
 }
 
 /// The per-unit counters of a workload row.
@@ -200,11 +302,34 @@ fn shape(run: &PlanRun) -> Shape {
     )
 }
 
-/// One measured cell: the outcome and the buffer's counters of the run.
+/// The serving with the count a sweep scales erased — clients on one
+/// store, queue workers on a cluster: speedups compare cells alike in the
+/// rest.
+fn scaled(serving: Serving) -> Serving {
+    match serving {
+        Serving::Shared { .. } => Serving::Shared { clients: 0 },
+        Serving::Stream { .. } => Serving::Stream { clients: 0 },
+        Serving::Cluster { nodes, clients, .. } => Serving::Cluster {
+            nodes,
+            clients,
+            workers: 0,
+        },
+        serial => serial,
+    }
+}
+
+/// The first of the highest-scoring cells.
+fn best(scores: impl Iterator<Item = (At, f64)>) -> Option<(At, f64)> {
+    scores.fold(None, |best, (at, score)| match best {
+        Some((_, b)) if score <= b => best,
+        _ => Some((at, score)),
+    })
+}
+
+/// One measured cell.
 struct Cell {
     at: At,
-    outcome: PlanOutcome,
-    buffer: BufferStats,
+    measured: Measurement,
 }
 
 /// A measured grid, its cells in row order.
@@ -215,25 +340,33 @@ struct Grid {
 }
 
 impl Grid {
-    /// Measures every point of `axes` over one generated database.
+    /// Measures every point of `axes` through [`measure`], generating each
+    /// database once.
     fn measure(config: &HarnessConfig, axes: Axes) -> Result<Grid> {
-        let db = generate(&config.dataset());
+        let mut dbs: Vec<(DatasetParams, Vec<Station>)> = Vec::new();
         let mut cells = Vec::new();
         for at in axes.points() {
-            let (outcome, buffer) = measure_cell(
-                &db,
-                config,
-                &axes.specs[at.spec],
-                axes.models[at.model],
-                axes.policies[at.policy],
-                axes.fractions[at.fraction],
-                axes.servings[at.serving],
-            )?;
-            cells.push(Cell {
-                at,
-                outcome,
-                buffer,
+            let data = axes.specs[at.spec].data.unwrap_or(config.dataset());
+            let generated = dbs.iter().position(|(d, _)| *d == data);
+            let db = generated.unwrap_or_else(|| {
+                dbs.push((data, generate(&data)));
+                dbs.len() - 1
             });
+            let cfg = HarnessConfig {
+                policy: axes.policies[at.policy],
+                buffer_pages: buffer_of(config, axes.fractions[at.fraction]),
+                ..*config
+            };
+            let (spec, model) = (&axes.specs[at.spec].spec, axes.models[at.model]);
+            let measured = measure(
+                &dbs[db].1,
+                &cfg,
+                model,
+                spec,
+                axes.servings[at.serving],
+                axes.engine,
+            )?;
+            cells.push(Cell { at, measured });
         }
         Ok(Grid {
             config: *config,
@@ -242,9 +375,15 @@ impl Grid {
         })
     }
 
+    /// The cell at `at`, if measured.
+    fn cell(&self, at: At) -> Option<&Measurement> {
+        let cell = self.cells.iter().find(|c| c.at == at);
+        cell.map(|c| &c.measured)
+    }
+
     /// The supported runs, in row order.
-    fn runs(&self) -> impl Iterator<Item = (At, &BufferStats, &PlanRun)> {
-        (self.cells.iter()).filter_map(|c| Some((c.at, &c.buffer, c.outcome.run()?)))
+    fn runs(&self) -> impl Iterator<Item = (At, &Measurement, &PlanRun)> {
+        (self.cells.iter()).filter_map(|c| Some((c.at, &c.measured, c.measured.outcome.run()?)))
     }
 
     /// The first supported run at a point `same` admits.
@@ -268,43 +407,42 @@ impl Grid {
         buffer_of(&self.config, self.axes.fractions[at.fraction])
     }
 
-    /// The cells that break the executor's contract: a shape unlike the
-    /// spec's first, or fixes unlike the same point's under the first
-    /// policy. An unsupported cell breaks nothing.
-    fn breaks(&self) -> Vec<String> {
+    /// The cell's name in a warning.
+    fn name(&self, at: At) -> String {
         let axes = &self.axes;
+        let (spec, model) = (&axes.specs[at.spec].spec.name, axes.models[at.model]);
+        let (policy, serving) = (axes.policies[at.policy], axes.servings[at.serving]);
+        format!(
+            "{spec}/{model}/{policy}/{}p/{serving:?}",
+            self.buffer_pages(at)
+        )
+    }
+
+    /// The cells that break the executor's contract: a shape unlike the
+    /// spec's first, or fixes unlike the first at the same point on as many
+    /// nodes — policies, clients and queue workers move physical I/O only.
+    /// An unsupported cell breaks nothing.
+    fn breaks(&self) -> Vec<String> {
+        let nodes = |at: At| self.axes.servings[at.serving].counts().1;
         let broken = self.runs().filter(|&(at, _, run)| {
             let spec = self.first(|a| a.spec == at.spec);
-            let policy = self.first(|a| {
+            let fixes = self.first(|a| {
                 At {
                     policy: at.policy,
+                    serving: at.serving,
                     ..a
                 } == at
+                    && nodes(a) == nodes(at)
             });
             spec.is_some_and(|first| shape(first) != shape(run))
-                || policy.is_some_and(|first| first.snapshot.fixes != run.snapshot.fixes)
+                || fixes.is_some_and(|first| first.snapshot.fixes != run.snapshot.fixes)
         });
-        (broken.map(|(at, ..)| {
-            let (spec, model) = (&axes.specs[at.spec].name, axes.models[at.model]);
-            let (policy, serving) = (axes.policies[at.policy], axes.servings[at.serving]);
-            format!(
-                "{spec}/{model}/{policy}/{}p/{serving:?}",
-                self.buffer_pages(at)
-            )
-        }))
-        .collect()
+        broken.map(|(at, ..)| self.name(at)).collect()
     }
 
     /// The warning naming the cells that break the contract, if any do.
     fn warning(&self) -> Option<String> {
-        let broken = self.breaks();
-        (!broken.is_empty()).then(|| {
-            format!(
-                "WARNING: access sequences or fix counts drifted at {} — the \
-                 executor's determinism contract is broken",
-                broken.join(", ")
-            )
-        })
+        contract_warning(&[self])
     }
 
     /// `passed`, or the warning.
@@ -312,13 +450,95 @@ impl Grid {
         self.warning().unwrap_or_else(|| passed.to_string())
     }
 
+    /// Whether the cell at `at` differs from its oracle — the serial
+    /// serving it must replay ([`Serving::oracle`]) at the same point:
+    /// another shape, fix count, per-node fix partition or per-node disk.
+    /// A cell served by one client on one node (and at most one queue
+    /// worker) must replay a run without updates counter for counter.
+    /// `None` where the grid measured no oracle.
+    fn diverges(&self, at: At) -> Option<bool> {
+        let serving = self.axes.servings[at.serving];
+        let oracle = self
+            .axes
+            .servings
+            .iter()
+            .position(|&s| Some(s) == serving.oracle());
+        let want = self.cell(At {
+            serving: oracle?,
+            ..at
+        })?;
+        let got = self.cell(at)?;
+        let alike = match (got.outcome.run(), want.outcome.run()) {
+            (Some(g), Some(w)) => {
+                let exact = matches!(serving.counts(), (1, 1, 0 | 1)) && w.updates_applied == 0;
+                shape(g) == shape(w) && g.snapshot.fixes == w.snapshot.fixes && (!exact || g == w)
+            }
+            (g, w) => g.is_none() && w.is_none(),
+        };
+        let fixes = |m| Load::NodeFixes.of(m);
+        Some(!(alike && got.disks == want.disks && fixes(got) == fixes(want)))
+    }
+
+    /// The cells checked against an oracle: how many, and the names of
+    /// those that diverged.
+    fn replays(&self) -> (usize, Vec<String>) {
+        let checked: Vec<(At, bool)> = (self.cells.iter())
+            .filter_map(|c| Some((c.at, self.diverges(c.at)?)))
+            .collect();
+        let diverged = checked.iter().filter(|(_, d)| *d);
+        (
+            checked.len(),
+            diverged.map(|&(at, _)| self.name(at)).collect(),
+        )
+    }
+
+    /// The note on the replay check: `unchecked` without an oracle,
+    /// `passed`, or the `warning` naming the cells that diverged.
+    fn replay_note(
+        &self,
+        unchecked: &str,
+        passed: &str,
+        warning: impl Fn(String) -> String,
+    ) -> String {
+        match self.replays() {
+            (0, _) => unchecked.to_string(),
+            (_, diverged) if diverged.is_empty() => passed.to_string(),
+            (_, diverged) => warning(diverged.join(", ")),
+        }
+    }
+
+    /// The cell's rate over the first cell of its sweep: the first cell in
+    /// row order at the same point whose serving differs at most in the
+    /// count it scales ([`scaled`]). 1.0 for that cell, 0.0 over a base of
+    /// 0, `None` for an unserved cell.
+    fn speedup(&self, at: At) -> Option<f64> {
+        let servings = &self.axes.servings;
+        let sweep = scaled(servings[at.serving]);
+        let base = (self.cells.iter()).find(|c| {
+            At {
+                serving: at.serving,
+                ..c.at
+            } == at
+                && scaled(servings[c.at.serving]) == sweep
+        })?;
+        let rate = self.cell(at)?.units_per_sec()?;
+        let base_rate = base.measured.units_per_sec()?;
+        Some(if base.at == at {
+            1.0
+        } else if base_rate > 0.0 {
+            rate / base_rate
+        } else {
+            0.0
+        })
+    }
+
     /// What `col` shows at `at`.
     fn show(&self, col: Col, at: At) -> String {
         let axes = &self.axes;
         let dash = || "-".to_string();
-        let on_run = |at: At, f: &dyn Fn(&BufferStats, &PlanRun) -> String| {
+        let on_run = |at: At, f: &dyn Fn(&Measurement, &PlanRun) -> String| {
             let cell = self.runs().find(|&(a, ..)| a == at);
-            cell.map_or_else(dash, |(_, buffer, run)| f(buffer, run))
+            cell.map_or_else(dash, |(_, measured, run)| f(measured, run))
         };
         let vs = |base: Option<&PlanRun>| {
             let reads = |run: &PlanRun| run.reads_per_unit();
@@ -327,17 +547,15 @@ impl Grid {
             })
         };
         let is_lru = axes.policies[at.policy] == PolicyKind::Lru;
-        let (clients, nodes) = match axes.servings[at.serving] {
-            Serving::Serial => (1, 1),
-            Serving::Shared { clients } => (clients, 1),
-            Serving::Cluster { nodes, clients, .. } => (clients, nodes),
-        };
+        let engine = axes.engine.enabled;
+        let (clients, nodes, workers) = axes.servings[at.serving].counts();
         match col {
-            Col::Scenario => axes.specs[at.spec].name.clone(),
+            Col::Scenario => axes.specs[at.spec].spec.name.clone(),
             Col::Model => axes.models[at.model].paper_name().to_string(),
             Col::Policy => axes.policies[at.policy].name().to_string(),
             Col::Clients => clients.to_string(),
             Col::Nodes => nodes.to_string(),
+            Col::Workers if workers > 0 => workers.to_string(),
             Col::Buffer => self.buffer_pages(at).to_string(),
             Col::Units => on_run(at, &|_, run| run.units.to_string()),
             Col::Reads => on_run(at, &|_, run| fmt_pages(run.reads_per_unit())),
@@ -345,12 +563,15 @@ impl Grid {
             Col::Pages => on_run(at, &|_, run| fmt_pages(run.pages_per_unit())),
             Col::Calls => on_run(at, &|_, run| fmt_pages(run.calls_per_unit())),
             Col::Fixes => on_run(at, &|_, run| fmt_pages(run.fixes_per_unit())),
-            Col::HitRate => on_run(at, &|buffer, _| {
-                let hit_rate = buffer.hits as f64 / buffer.fixes.max(1) as f64;
+            Col::TotalFixes => on_run(at, &|_, run| run.snapshot.fixes.to_string()),
+            Col::Updates => on_run(at, &|_, run| run.updates_applied.to_string()),
+            Col::Nav => on_run(at, &|_, run| joined(&run.nav_seen, u64::to_string)),
+            Col::HitRate => on_run(at, &|m, _| {
+                let hit_rate = m.buffer.hits as f64 / m.buffer.fixes.max(1) as f64;
                 format!("{:.1}%", 100.0 * hit_rate)
             }),
-            Col::Evictions => on_run(at, &|buffer, run| {
-                fmt_pages(buffer.evictions as f64 / run.units.max(1) as f64)
+            Col::Evictions => on_run(at, &|m, run| {
+                fmt_pages(m.buffer.evictions as f64 / run.units.max(1) as f64)
             }),
             Col::VsLru if is_lru => on_run(at, &|_, _| "(baseline)".to_string()),
             Col::VsLru => vs(self.lru(at)),
@@ -370,15 +591,41 @@ impl Grid {
                 })
             }
             Col::Predicted => {
-                let (spec, model) = (&axes.specs[at.spec], axes.models[at.model]);
+                let (spec, model) = (&axes.specs[at.spec].spec, axes.models[at.model]);
                 let pages = predicted_pages(&self.config, spec, model, self.buffer_pages(at));
                 pages.map_or_else(dash, fmt_pages)
             }
+            Col::Rate => on_run(at, &|m, _| m.units_per_sec().map_or_else(dash, fmt_pages)),
+            Col::Speedup => (self.speedup(at)).map_or_else(dash, |s| format!("{s:.2}x")),
+            Col::Latches => on_run(at, &|_, run| {
+                let s = &run.snapshot;
+                format!("{}/{}", s.latch_shared, s.latch_exclusive)
+            }),
+            Col::LatchWaits => on_run(at, &|_, run| run.snapshot.latch_waits.to_string()),
+            Col::Imbalance(load) => on_run(at, &|m, _| format!("{:.2}", imbalance(&load.of(m)))),
+            Col::Cv(load) => on_run(at, &|m, _| format!("{:.3}", cv(&load.of(m)))),
+            Col::Batches if engine => on_run(at, &|_, run| {
+                let s = &run.snapshot;
+                format!("{}/{}", s.batched_read_calls, s.coalesced_pages)
+            }),
+            Col::MaxQueueDepth if engine => {
+                on_run(at, &|_, run| run.snapshot.max_queue_depth.to_string())
+            }
+            Col::QueueHighWater => on_run(at, &|m, _| {
+                m.queue_high_water.map_or_else(dash, |hw| hw.to_string())
+            }),
+            Col::NodeFixes => on_run(at, &|m, _| joined(&Load::NodeFixes.of(m), u64::to_string)),
+            Col::NodeDisks => on_run(at, &|m, _| joined(&m.disks, |c| format!("{c:016x}"))),
+            Col::Disks => match self.diverges(at) {
+                Some(true) => "DIVERGED".to_string(),
+                Some(false) => "ok".to_string(),
+                None => dash(),
+            },
+            Col::Workers | Col::Batches | Col::MaxQueueDepth | Col::Dash => dash(),
         }
     }
 
-    /// The one renderer: report `id` with a row per cell in row order — per
-    /// point of the other axes when the specs are columns — and `notes`.
+    /// The report of this grid alone ([`render`]).
     fn report(
         &self,
         id: &str,
@@ -386,23 +633,50 @@ impl Grid {
         columns: &[(String, Col)],
         notes: Vec<String>,
     ) -> ExperimentReport {
+        render(id, title, &[(self, columns)], notes)
+    }
+}
+
+/// The warning naming the cells of `grids` that break the contract, if any
+/// do.
+fn contract_warning(grids: &[&Grid]) -> Option<String> {
+    let broken: Vec<String> = grids.iter().flat_map(|g| g.breaks()).collect();
+    (!broken.is_empty()).then(|| {
+        format!(
+            "WARNING: access sequences or fix counts drifted at {} — the \
+             executor's determinism contract is broken",
+            broken.join(", ")
+        )
+    })
+}
+
+/// The one renderer: report `id`, each grid of `parts` through its own
+/// columns (same headers), a row per shown cell in row order — per point of
+/// the other axes when the specs are columns; oracles are not shown — and
+/// `notes`.
+fn render(
+    id: &str,
+    title: &str,
+    parts: &[(&Grid, &[(String, Col)])],
+    notes: Vec<String>,
+) -> ExperimentReport {
+    let headers = parts[0].1.iter().map(|(h, _)| h.clone()).collect();
+    let mut table = Table::new(headers);
+    for &(grid, columns) in parts {
         let pivot = columns.iter().any(|(_, c)| matches!(c, Col::ReadsVsLru(_)));
-        let mut table = Table::new(columns.iter().map(|(h, _)| h.clone()).collect());
-        for cell in self.cells.iter().filter(|c| !pivot || c.at.spec == 0) {
-            table.push_row(
-                columns
-                    .iter()
-                    .map(|&(_, col)| self.show(col, cell.at))
-                    .collect(),
-            );
+        let shown = (grid.cells.iter())
+            .filter(|c| !grid.axes.is_oracle(c.at) && (!pivot || c.at.spec == 0));
+        for cell in shown {
+            let row = columns.iter().map(|&(_, col)| grid.show(col, cell.at));
+            table.push_row(row.collect());
         }
-        let (id, title) = (id.to_string(), title.to_string());
-        ExperimentReport {
-            id,
-            title,
-            table,
-            notes,
-        }
+    }
+    let (id, title) = (id.to_string(), title.to_string());
+    ExperimentReport {
+        id,
+        title,
+        table,
+        notes,
     }
 }
 
@@ -512,7 +786,7 @@ pub fn ext_buffer(config: &HarnessConfig) -> Result<ExperimentReport> {
     let order = |a: &At| [a.model, usize::from(a.policy > 0), a.fraction, a.policy];
     let mut axes = Axes::every_policy(vec![WorkloadSpec::q2b()], &models, order);
     axes.fractions = BUFFER_FRACTIONS.to_vec();
-    axes.keep = Some(|p, f| p == PolicyKind::Lru || POLICY_FRACTIONS.contains(&f));
+    axes.keep = Some(|p, f, _| p == PolicyKind::Lru || POLICY_FRACTIONS.contains(&f));
     let grid = Grid::measure(config, axes)?;
 
     let mut notes = vec![
@@ -620,11 +894,11 @@ pub fn ext_drift(config: &HarnessConfig) -> Result<ExperimentReport> {
     let mut changes: Vec<String> = Vec::new();
     for (m, model) in models.iter().enumerate() {
         let static_rank = ranking(0, m);
-        for (s, spec) in grid.axes.specs.iter().enumerate().skip(1) {
+        for (s, scenario) in grid.axes.specs.iter().enumerate().skip(1) {
             let drift_rank = ranking(s, m);
             if drift_rank != static_rank {
                 let model = model.paper_name();
-                let name = &spec.name;
+                let name = &scenario.spec.name;
                 changes.push(format!(
                     "{name}/{model}: {drift_rank} (static: {static_rank})"
                 ));
@@ -829,10 +1103,449 @@ pub fn workload_sweep(
     ))
 }
 
+/// Client counts `ext-concurrency` sweeps, and the default `--threads` list.
+pub const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Queue depths `ext-concurrency`'s batched-I/O sweep drives (capped by
+/// `--queue-depth`).
+const DEPTHS: [usize; 4] = [1, 2, 4, 8];
+
+/// `ext-concurrency`: query 2b from each client count in `threads` sharing
+/// one pool of as many lock-striped shards — every model × policy, the
+/// 1-client LRU row replaying the serial run —, the mixed read/write
+/// request streams ([`MixKind`]) at `--policy`, and query 2b once more with
+/// the batched I/O engine on and clients = queue depth (1/2/4/8 up to
+/// `--queue-depth`).
+pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentReport> {
+    let clients = || threads.iter().map(|&n| n.max(1));
+    let models = ModelKind::all();
+    let read_only = vec![named("2b read-only", WorkloadSpec::q2b())];
+    let mut reads = Axes::every_policy(read_only, &models, |a| [a.model, a.policy, a.serving, 0]);
+    reads.servings = clients()
+        .map(|clients| Serving::Shared { clients })
+        .collect();
+    if reads.servings.contains(&Serving::Shared { clients: 1 }) {
+        reads.servings.push(Serving::Serial);
+        reads.keep = Some(|p, _, s| s != Serving::Serial || p == PolicyKind::Lru);
+    }
+    let reads = Grid::measure(config, reads)?;
+
+    let mixes = MixKind::all().map(|mix| named(mix.name(), WorkloadSpec::mixed(mix)));
+    let mut streams =
+        Axes::every_policy(mixes.to_vec(), &models, |a| [a.model, a.spec, a.serving, 0]);
+    streams.policies = vec![config.policy];
+    streams.servings = clients()
+        .map(|clients| Serving::Stream { clients })
+        .collect();
+    let streams = Grid::measure(config, streams)?;
+
+    let depth_cap = config.queue_depth.unwrap_or(8);
+    let depths: Vec<usize> = DEPTHS.into_iter().filter(|&d| d <= depth_cap).collect();
+    let batched_io = vec![named("2b batched-io", WorkloadSpec::q2b())];
+    let mut batched = Axes::every_policy(batched_io, &models, |a| [a.model, a.serving, 0, 0]);
+    batched.policies = vec![config.policy];
+    batched.servings = depths
+        .iter()
+        .map(|&clients| Serving::Shared { clients })
+        .collect();
+    batched.engine = IoEngineConfig::enabled();
+    let batched = Grid::measure(config, batched)?;
+
+    // The best depth >= 4 rows: wall-clock over depth 1, and disk read
+    // calls under depth 1's — the coalescing win in the paper's currency.
+    let deep = || (batched.runs()).filter(|(at, ..)| depths[at.serving] >= 4);
+    let best_speedup = best(deep().filter_map(|(at, ..)| Some((at, batched.speedup(at)?))));
+    let best_call_cut = best(deep().filter_map(|(at, _, run)| {
+        let base = batched.run(At { serving: 0, ..at })?.snapshot.read_calls;
+        let cut = 100.0 * (1.0 - run.snapshot.read_calls as f64 / base as f64);
+        (base > 0).then_some((at, cut))
+    }));
+    let row = |at: At| (models[at.model], depths[at.serving]);
+
+    let mut notes = vec![
+        format!(
+            "{} objects, {}-page shared buffer split over (clients) lock-striped \
+             shards; every cell reloads the store and runs the full protocol \
+             (cold start, concurrent serving, writer-quiescing disconnect \
+             flush) with that many client threads",
+            config.n_objects, config.buffer_pages
+        ),
+        "the read-only rows sweep every model × policy on query 2b; the \
+         mixed matrix (read-only / 50-50 / update-heavy request streams, \
+         updates = query-3a root patches through the latched &self write \
+         surface) runs at the harness-selected policy — rerun with --policy \
+         to cross it with another"
+            .to_string(),
+        "latch sh/ex counts shared/exclusive group-latch acquisitions \
+         (deterministic — they follow the access plan); latch waits counts \
+         blocked acquisitions plus flush-gate waits and is the contention \
+         signal: 0 at one client, scheduling-dependent above"
+            .to_string(),
+        "shard imbalance = max/mean and cv of per-shard buffer fixes \
+         (the ext-distributed §5.5 metrics applied to shards instead of nodes)"
+            .to_string(),
+        "fixes/loop is the deterministic column (accesses are \
+         scheduling-independent); pages/loop may drift slightly at >1 client \
+         as threads race on cache residency; queries/s and speedup are \
+         wall-clock and hardware-dependent — on a single core expect ≈1.0x \
+         (the experiment then measures locking overhead)"
+            .to_string(),
+        reads.replay_note(
+            "serial anchor not checked (no 1-client LRU row in this sweep); run \
+             with --threads 1 to verify the shared pool against the serial \
+             pipeline",
+            "1-client LRU rows verified identical to the serial Executor::run \
+             measurement, counter for counter — the shared pool reproduces the \
+             paper's single-client numbers exactly",
+            |cells| {
+                format!(
+                    "WARNING: 1-client runs diverged from the serial pipeline at \
+                     {cells} — the shared pool is not behaviour-preserving"
+                )
+            },
+        ),
+        format!(
+            "batched-I/O rows (2b batched-io) rerun the read sweep with the \
+             pool's submission/completion engine enabled and client count = \
+             queue depth (swept {depths:?}; cap with --queue-depth); \
+             batch/coalesced = engine read calls / pages delivered through \
+             multi-page coalesced runs, max qd = submission-queue high-water \
+             mark; at depth 1 every batch is a solo one-page read and the \
+             counters match the engine-off sweep"
+        ),
+        match best_speedup {
+            Some((at, s)) => {
+                let (kind, d) = row(at);
+                format!(
+                    "best batched-I/O throughput at depth >= 4: {s:.2}x over depth 1 \
+                     ({kind}, depth {d}) — wall-clock, hardware-dependent"
+                )
+            }
+            None => "no depth >= 4 in this sweep (raise --queue-depth to measure \
+                     the coalescing throughput win)"
+                .to_string(),
+        },
+    ];
+    if let Some((at, cut)) = best_call_cut {
+        let (kind, d) = row(at);
+        notes.push(format!(
+            "best batched-I/O read-call reduction at depth >= 4: {cut:.1}% \
+             fewer disk read calls than depth 1 ({kind}, depth {d}) — the \
+             coalescing win in the paper's own I/O-call currency (the \
+             simulated disk has no seek latency for wall-clock to hide)"
+        ));
+    }
+    let contract = contract_warning(&[&reads, &streams, &batched]);
+    notes.push(contract.unwrap_or_else(|| {
+        "fix counts verified identical across client counts for every \
+         (model, policy, mix) — concurrency changes physical I/O only, never \
+         the access pattern"
+            .to_string()
+    }));
+    let columns = columns(&[&[
+        ("MODEL", Col::Model),
+        ("POLICY", Col::Policy),
+        ("MIX", Col::Scenario),
+        ("CLIENTS", Col::Clients),
+        ("pages/loop", Col::Pages),
+        ("fixes/loop", Col::Fixes),
+        ("queries/s", Col::Rate),
+        ("speedup", Col::Speedup),
+        ("latch sh/ex", Col::Latches),
+        ("latch waits", Col::LatchWaits),
+        ("shard max/mean", Col::Imbalance(Load::ShardFixes)),
+        ("shard cv", Col::Cv(Load::ShardFixes)),
+        ("batch/coalesced", Col::Batches),
+        ("max qd", Col::MaxQueueDepth),
+    ]]);
+    let title = "Extension — concurrent read/write serving over a sharded, latched buffer pool";
+    let parts = [&reads, &streams, &batched].map(|grid| (grid, columns.as_slice()));
+    Ok(render("ext-concurrency", title, &parts, notes))
+}
+
+/// Cluster size of `ext-distributed`'s §5.5 study.
+pub(crate) const NODES: usize = 8;
+
+/// Models the §5.5 study compares (as in Figure 5 / Table 7).
+pub(crate) const MODELS: [ModelKind; 3] =
+    [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm];
+
+/// Models the serving sweep and the baseline grid run (one direct, one
+/// normalized — the two ends of the paper's layout spectrum).
+pub(crate) const SWEEP_MODELS: [ModelKind; 2] = [ModelKind::Dsm, ModelKind::DasdbsNsm];
+
+/// Node counts the serving sweep crosses with workers per node.
+pub(crate) const SWEEP_NODES: [usize; 2] = [2, 4];
+
+/// Simulated client loads of the serving sweep.
+pub(crate) const CLIENT_LOADS: [usize; 2] = [64, 256];
+
+/// Replacement policies the serving sweep crosses with the cluster
+/// shapes: LRU (the paper's buffer), LRU-2 (the scan-resistant contrast)
+/// and — when `--policy` selected something else — that one too.
+pub(crate) fn sweep_policies(config: &HarnessConfig) -> Vec<PolicyKind> {
+    let mut policies = vec![PolicyKind::Lru, PolicyKind::Lru2];
+    if !policies.contains(&config.policy) {
+        policies.push(config.policy);
+    }
+    policies
+}
+
+/// `ext-distributed`'s columns; the §5.5 rows show no units and load nodes
+/// by pages, the serving rows load them by fixes.
+fn cluster_columns(units: Col, load: Load) -> Vec<(String, Col)> {
+    columns(&[&[
+        ("MODEL", Col::Model),
+        ("POLICY", Col::Policy),
+        ("PART", Col::Scenario),
+        ("NODES", Col::Nodes),
+        ("wrk/node", Col::Workers),
+        ("CLIENTS", Col::Clients),
+        ("units", units),
+        ("pages/u", Col::Pages),
+        ("queries/s", Col::Rate),
+        ("speedup", Col::Speedup),
+        ("node max/mean", Col::Imbalance(load)),
+        ("node cv", Col::Cv(load)),
+        ("queue hw", Col::QueueHighWater),
+        ("batch/coalesced", Col::Batches),
+        ("disks", Col::Disks),
+    ]])
+}
+
+/// `ext-distributed`: the paper's closing §5.5 hypothesis — whole objects
+/// on the nodes of a cluster concentrate the I/O under skew — tested with
+/// serial query 2b on an 8-node cluster over the default and the skewed
+/// database; then query 3b served through the routed front-end by 64 and
+/// 256 clients across models × policies × node counts × the `workers` per
+/// node, engine on, each cell checked against the serially-driven cluster
+/// of its shape; and the 1 node × 1 worker × 1 client anchor on 2b.
+pub fn ext_distributed(config: &HarnessConfig, workers: &[usize]) -> Result<ExperimentReport> {
+    // `--policy` is not applied to the §5.5 study: LRU always.
+    let skew = DatasetParams {
+        n_objects: config.n_objects,
+        seed: config.dataset_seed,
+        ..DatasetParams::skewed()
+    };
+    let parts = ["5.5 default", "5.5 skew"].map(|part| named(part, WorkloadSpec::q2b()));
+    let mut study = Axes::every_policy(parts.to_vec(), &MODELS, |a| [a.model, a.spec, 0, 0]);
+    study.specs[1].data = Some(skew);
+    study.policies = vec![PolicyKind::Lru];
+    study.servings = vec![Serving::SerialCluster { nodes: NODES }];
+    let study = Grid::measure(config, study)?;
+
+    let workers: Vec<usize> = workers.iter().map(|&w| w.max(1)).collect();
+    let serve_3b = vec![named("serve 3b", WorkloadSpec::for_query(QueryId::Q3b))];
+    let mut serving = Axes::every_policy(serve_3b, &SWEEP_MODELS, |a| {
+        [a.model, a.policy, a.serving, 0]
+    });
+    serving.policies = sweep_policies(config);
+    serving.servings = Vec::new();
+    for nodes in SWEEP_NODES {
+        serving.servings.push(Serving::SerialCluster { nodes });
+        for clients in CLIENT_LOADS {
+            let cells = workers.iter().map(|&workers| Serving::Cluster {
+                nodes,
+                clients,
+                workers,
+            });
+            serving.servings.extend(cells);
+        }
+    }
+    serving.engine = IoEngineConfig::enabled();
+    let served = Grid::measure(config, serving)?;
+
+    let mut anchor = Axes::every_policy(vec![WorkloadSpec::q2b()], &SWEEP_MODELS, |a| {
+        [a.model, 0, 0, 0]
+    });
+    anchor.policies = vec![PolicyKind::Lru];
+    anchor.servings = vec![
+        Serving::SerialCluster { nodes: 1 },
+        Serving::Cluster {
+            nodes: 1,
+            clients: 1,
+            workers: 1,
+        },
+    ];
+    anchor.engine = IoEngineConfig::enabled();
+    let anchor = Grid::measure(config, anchor)?;
+
+    let mut notes = vec![format!(
+        "part 1 (5.5 rows): {NODES}-node cluster, whole-object round-robin \
+         placement, per-node buffer = {}/{} pages, serial query 2b; loads \
+         are per-node pages read+written over the whole run",
+        config.buffer_pages, NODES
+    )];
+    for (m, kind) in MODELS.iter().enumerate() {
+        let loads = |spec| {
+            let cell = (study.cells.iter()).find(|c| (c.at.model, c.at.spec) == (m, spec))?;
+            let pages = Load::NodePages.of(&cell.measured);
+            Some((imbalance(&pages), cv(&pages)))
+        };
+        if let (Some((d_imb, d_cv)), Some((s_imb, s_cv))) = (loads(0), loads(1)) {
+            notes.push(format!(
+                "{}: node-load cv {d_cv:.3} (default) → {s_cv:.3} (skew), max/mean \
+                 {d_imb:.2} → {s_imb:.2}{}",
+                kind.paper_name(),
+                if s_cv > d_cv {
+                    " — skew concentrates the I/O, as §5.5 predicted"
+                } else {
+                    ""
+                }
+            ));
+        }
+    }
+    let policies = served.axes.policies.iter().map(|p| p.name());
+    notes.push(format!(
+        "serve-3b rows: query 3b dealt by {CLIENT_LOADS:?} client threads \
+         through the routed dispatch front-end — each node a sharded \
+         ConcurrentObjectStore behind its own job queue with (wrk/node) \
+         worker threads, each plan step one job per owning node, the \
+         deferred updates and the disconnect flush one job per node, \
+         waited in ascending node order; swept \
+         policies {:?} × nodes {SWEEP_NODES:?} × workers {workers:?}",
+        policies.collect::<Vec<_>>()
+    ));
+    notes.push(
+        "disks column: per-node disk_checksum fingerprints, per-node fix \
+         counts and the measurement's units/fixes/nav/update counts \
+         compared against a serially-driven oracle cluster of the same \
+         shape — 'ok' means concurrent serving moved nothing but timing"
+            .to_string(),
+    );
+    notes.push(
+        "queries/s and speedup (vs the first wrk/node cell of the same \
+         shape) are wall-clock and hardware-dependent — on a single core \
+         expect ≈1.0x, where the sweep measures routing overhead instead; \
+         queue hw is the per-node job-queue high-water mark (max over \
+         nodes) and counts per-node batches — a client queues one job \
+         per node per plan step, so it is at most the clients serving at \
+         once —, batch/coalesced the I/O engine's multi-page reads"
+            .to_string(),
+    );
+    let scaled_out = (served.cells.iter()).filter_map(|c| {
+        let (.., workers) = served.axes.servings[c.at.serving].counts();
+        Some((c.at, served.speedup(c.at).filter(|_| workers >= 4)?))
+    });
+    notes.push(match best(scaled_out) {
+        Some((at, s)) => {
+            let kind = SWEEP_MODELS[at.model];
+            let (_, nodes, workers) = served.axes.servings[at.serving].counts();
+            format!(
+                "best serving throughput at >= 4 workers/node: {s:.2}x over the \
+                 first worker count ({kind}, {nodes} nodes, {workers} \
+                 workers/node) — wall-clock, hardware-dependent"
+            )
+        }
+        None => "no >= 4 workers/node cell in this sweep (run with \
+                 --threads 4 or the default list to measure scale-out)"
+            .to_string(),
+    });
+    notes.push(anchor.replay_note(
+        "identity anchor not checked",
+        "identity anchor held: 1 node × 1 worker × 1 client replays the \
+         serial cluster's read-only 2b measurement counter for counter, \
+         disks byte-identical",
+        |cells| {
+            format!(
+                "WARNING: 1×1×1 diverged from the serial measurement at {cells} — \
+                 the routing layer is not behaviour-preserving"
+            )
+        },
+    ));
+    notes.push(served.replay_note(
+        "serving cells not checked",
+        "every serving cell matched its serial oracle: answers, fix \
+         partitions and per-node disks are (clients × workers)-invariant",
+        |cells| {
+            format!(
+                "WARNING: serving cells diverged from the serial oracle at {cells} — \
+                 scheduling leaked into the answers or the disks"
+            )
+        },
+    ));
+    notes.extend(contract_warning(&[&study, &served, &anchor]));
+    notes.push(
+        "total pages/loop of part 1 match the single-node Table 7 values — \
+         partitioning redistributes the same I/Os, it does not change \
+         their count"
+            .into(),
+    );
+    let title = "Extension — shared-nothing cluster: §5.5 I/O distribution and routed \
+                 concurrent serving";
+    let study_columns = cluster_columns(Col::Dash, Load::NodePages);
+    let served_columns = cluster_columns(Col::Units, Load::NodeFixes);
+    let parts = [(&study, &study_columns[..]), (&served, &served_columns[..])];
+    Ok(render("ext-distributed", title, &parts, notes))
+}
+
+/// `ext-cluster-baseline`'s clients (fixed: the baseline pins determinism,
+/// not load).
+const BASELINE_CLIENTS: usize = 8;
+
+/// `ext-cluster-baseline`'s node counts.
+pub(crate) const BASELINE_NODES: [usize; 2] = [1, 3];
+
+/// `ext-cluster-baseline`'s workers per node.
+pub(crate) const BASELINE_WORKERS: [usize; 2] = [1, 4];
+
+/// `ext-cluster-baseline`, the deterministic cluster fingerprint behind
+/// `BENCH_cluster.json`: query 3b served at `BASELINE_CLIENTS` clients
+/// across a nodes × workers grid at `--policy`, engine on, showing only
+/// scheduling-independent columns — units, total fixes, update count,
+/// navigation footprint, per-node fixes and per-node disk checksums. Rows
+/// of the same (model, nodes) must be identical across worker counts; CI
+/// diffs the JSON byte for byte.
+pub fn cluster_baseline(config: &HarnessConfig) -> Result<ExperimentReport> {
+    let spec = vec![WorkloadSpec::for_query(QueryId::Q3b)];
+    let mut axes = Axes::every_policy(spec, &SWEEP_MODELS, |a| [a.model, a.serving, 0, 0]);
+    axes.policies = vec![config.policy];
+    axes.servings = BASELINE_NODES
+        .into_iter()
+        .flat_map(|nodes| {
+            BASELINE_WORKERS.map(|workers| Serving::Cluster {
+                nodes,
+                clients: BASELINE_CLIENTS,
+                workers,
+            })
+        })
+        .collect();
+    axes.engine = IoEngineConfig::enabled();
+    let grid = Grid::measure(config, axes)?;
+    let notes = vec![
+        format!(
+            "query 3b served at {BASELINE_CLIENTS} clients through the routed \
+             front-end, nodes {BASELINE_NODES:?} × workers/node \
+             {BASELINE_WORKERS:?}; every column is scheduling-independent \
+             (answers, fixes, per-node fix partitions, post-flush disk \
+             fingerprints) — wall-clock is deliberately absent"
+        ),
+        "rows of the same (MODEL, NODES) must be identical across worker \
+         counts; a CI diff against the checked-in BENCH_cluster.json \
+         failing means scheduling leaked into the answers or the disks"
+            .to_string(),
+    ];
+    let columns = columns(&[&[
+        ("MODEL", Col::Model),
+        ("NODES", Col::Nodes),
+        ("wrk/node", Col::Workers),
+        ("CLIENTS", Col::Clients),
+        ("units", Col::Units),
+        ("fixes", Col::TotalFixes),
+        ("updates", Col::Updates),
+        ("nav", Col::Nav),
+        ("node fixes", Col::NodeFixes),
+        ("node disks", Col::NodeDisks),
+    ]]);
+    let title = "Extension — deterministic cluster serving fingerprint (BENCH_cluster.json)";
+    Ok(grid.report("ext-cluster-baseline", title, &columns, notes))
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::runner::measure_grid_on;
+    use starfish_workload::PlanOutcome;
 
     /// One preset at `--fast`, by report name: its report, checked to have
     /// one row per point of its axes and an unbroken contract — units,
@@ -1037,7 +1750,7 @@ pub(crate) mod tests {
         let axes = Axes::every_policy(vec![WorkloadSpec::q2b()], &[ModelKind::Dsm], order);
         let mut grid = Grid::measure(&config, axes).unwrap();
         assert!(grid.breaks().is_empty());
-        if let PlanOutcome::Measured(run) = &mut grid.cells[1].outcome {
+        if let PlanOutcome::Measured(run) = &mut grid.cells[1].measured.outcome {
             run.snapshot.fixes += 1;
         }
         assert_eq!(grid.breaks(), ["q2b/DSM/CLOCK/240p/Serial"]);
@@ -1068,5 +1781,74 @@ pub(crate) mod tests {
             assert!(row[3..].iter().all(|c| c == "-"), "{row:?}");
         }
         assert!(grid.breaks().is_empty());
+    }
+
+    /// Edits the run of the grid's `i`-th cell.
+    fn doctor(grid: &mut Grid, i: usize, edit: impl FnOnce(&mut PlanRun)) {
+        if let PlanOutcome::Measured(run) = &mut grid.cells[i].measured.outcome {
+            edit(run);
+        }
+    }
+
+    /// q2b on DSM under LRU, one cell per serving in axis order.
+    fn served(servings: Vec<Serving>, engine: IoEngineConfig) -> Grid {
+        let order = |a: &At| [a.serving, 0, 0, 0];
+        let mut axes = Axes::every_policy(vec![WorkloadSpec::q2b()], &[ModelKind::Dsm], order);
+        axes.policies = vec![PolicyKind::Lru];
+        (axes.servings, axes.engine) = (servings, engine);
+        Grid::measure(&HarnessConfig::fast(), axes).unwrap()
+    }
+
+    #[test]
+    fn a_client_count_that_moves_fixes_breaks_the_contract() {
+        let shared = |clients| Serving::Shared { clients };
+        let mut grid = served(vec![shared(1), shared(2)], IoEngineConfig::default());
+        assert!(grid.breaks().is_empty());
+        doctor(&mut grid, 1, |run| run.snapshot.fixes += 1);
+        assert_eq!(grid.breaks(), ["q2b/DSM/LRU/240p/Shared { clients: 2 }"]);
+        assert!(contract_warning(&[&grid]).unwrap().starts_with("WARNING"));
+    }
+
+    #[test]
+    fn a_one_client_run_unlike_the_serial_run_is_named() {
+        let note = |grid: &Grid| grid.replay_note("unchecked", "ok", |cells| cells);
+        let shared = Serving::Shared { clients: 1 };
+        let off = IoEngineConfig::default();
+        assert_eq!(note(&served(vec![shared], off)), "unchecked");
+        let mut grid = served(vec![shared, Serving::Serial], off);
+        assert_eq!(note(&grid), "ok");
+        // One client must replay even the physical counters.
+        doctor(&mut grid, 0, |run| run.snapshot.pages_read += 1);
+        assert_eq!(note(&grid), "q2b/DSM/LRU/240p/Shared { clients: 1 }");
+        // The oracle is measured, not shown.
+        let report = grid.report("t", "t", &columns(&[&[("", Col::Disks)]]), vec![]);
+        assert_eq!(report.table.rows, [["DIVERGED"]]);
+    }
+
+    #[test]
+    fn a_served_cluster_unlike_its_serial_cluster_reads_diverged() {
+        let cluster = |clients| Serving::Cluster {
+            nodes: 1,
+            clients,
+            workers: 1,
+        };
+        let serial = Serving::SerialCluster { nodes: 1 };
+        let servings = vec![serial, cluster(1), cluster(4)];
+        let mut grid = served(servings, IoEngineConfig::enabled());
+        let disks = |grid: &Grid| {
+            let report = grid.report("t", "t", &columns(&[&[("", Col::Disks)]]), vec![]);
+            report.table.rows.concat()
+        };
+        assert_eq!(disks(&grid), ["ok", "ok"]);
+        // Four clients may move physical reads; the 1×1×1 anchor may not.
+        for i in [1, 2] {
+            doctor(&mut grid, i, |run| run.snapshot.pages_read += 1);
+        }
+        assert_eq!(disks(&grid), ["DIVERGED", "ok"]);
+        // No client count may move a node's disk.
+        grid.cells[2].measured.disks[0] ^= 1;
+        assert_eq!(disks(&grid), ["DIVERGED", "DIVERGED"]);
+        let (checked, diverged) = grid.replays();
+        assert_eq!((checked, diverged.len()), (2, 2));
     }
 }

@@ -16,13 +16,13 @@
 //!
 //! Extensions go beyond the paper: [`experiments::ext_timing`] (Equation 1
 //! response times), [`experiments::ext_alignment`] (sub-tuple-aligned
-//! pages), [`experiments::ext_concurrency`] (the sharded, latched pool),
-//! [`experiments::ext_durability`] (the WAL),
-//! [`experiments::ext_distributed`] (§5.5 distribution and the routed
-//! cluster), [`experiments::ext_clustering`] (adaptive placement) and
+//! pages), [`experiments::ext_durability`] (the WAL),
+//! [`experiments::ext_clustering`] (adaptive placement) and
 //! [`experiments::policy_grid`]: one specs × models × policies × buffer ×
 //! serving sweep whose presets are `ext-policy`, `ext-buffer`, `ext-drift`,
-//! `ext-workload` and the `--workload` reports.
+//! `ext-workload`, `ext-concurrency` (the sharded, latched pool),
+//! `ext-distributed` (§5.5 distribution and the routed cluster),
+//! `ext-cluster-baseline` and the `--workload` reports.
 //! [`experiments::REGISTRY`] lists them all.
 //!
 //! Each module produces an [`report::ExperimentReport`] (a rendered table
@@ -31,7 +31,7 @@
 //! [`HarnessConfig`], the model × query [`MeasuredGrid`] behind Tables 4–6
 //! and [`runner::measure`] — one measured run of a declarative spec on a
 //! fresh store, served as [`runner::Serving`] says (serial, shared pool,
-//! routed cluster). The `starfish_repro` binary runs the experiments
+//! request stream, serial or routed cluster). The `starfish_repro` binary runs the experiments
 //! (`--only`, `--list`) or one spec (`--workload`, with `--threads`,
 //! `--sweep` and `--nodes` choosing the serving).
 

@@ -6,15 +6,16 @@
 use crate::Result;
 use serde::Serialize;
 use starfish_core::{
-    make_shared_store, make_store, ComplexObjectStore, FsyncMode, ModelKind, PartitionedStore,
-    Placement, PolicyKind, StoreConfig,
+    make_shared_store, make_store, ComplexObjectStore, FsyncMode, IoEngineConfig, ModelKind,
+    PartitionedStore, Placement, PolicyKind, StoreConfig,
 };
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
-use starfish_pagestore::BufferStats;
+use starfish_pagestore::{BufferStats, IoSnapshot};
 use starfish_workload::{
     generate, DatasetParams, DatasetStats, Executor, PlanOutcome, PlanRun, WorkloadSpec,
 };
+use std::time::Duration;
 
 /// Configuration for the experiment harness.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -36,8 +37,7 @@ pub struct HarnessConfig {
     pub fsync: Option<FsyncMode>,
     /// Cap on the queue depths the concurrency experiment's batched-I/O
     /// sweep drives (`None` = the default cap of 8; the CLI's
-    /// `--queue-depth`). Every other experiment runs with the engine off
-    /// and ignores this.
+    /// `--queue-depth`). Every other experiment ignores this.
     pub queue_depth: Option<usize>,
 }
 
@@ -93,6 +93,43 @@ impl HarnessConfig {
 /// engine, heat) off.
 pub(crate) fn store_config_for(policy: PolicyKind, buffer_pages: usize) -> StoreConfig {
     StoreConfig::with_buffer_pages(buffer_pages).policy(policy)
+}
+
+/// The `starfish_repro` flags, each with whether it takes a value.
+const FLAGS: [(&str, bool); 15] = [
+    ("--fast", false),
+    ("--only", true),
+    ("--markdown", false),
+    ("--json", false),
+    ("--seed", true),
+    ("--policy", true),
+    ("--threads", true),
+    ("--fsync", true),
+    ("--queue-depth", true),
+    ("--workload", true),
+    ("--sweep", false),
+    ("--nodes", true),
+    ("--list", false),
+    ("--help", false),
+    ("-h", false),
+];
+
+/// Checks that every argument is a known flag or the value of one. A
+/// misspelt flag or a stray positional is an error naming it; a flag's
+/// value is its own parser's to judge.
+pub fn check_args(args: &[String]) -> std::result::Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, true)) => _ = args.next(),
+            Some((_, false)) => {}
+            None if arg.starts_with('-') => {
+                return Err(format!("unknown flag '{arg}' (see --help)"))
+            }
+            None => return Err(format!("unexpected argument '{arg}' (see --help)")),
+        }
+    }
+    Ok(())
 }
 
 /// Parses the positive-integer value of `flag` out of a CLI argument list:
@@ -268,6 +305,21 @@ pub enum Serving {
         /// Client threads (= shards).
         clients: usize,
     },
+    /// The spec served as a mixed read/write request stream by `clients`
+    /// client threads over a pool of `clients` shards
+    /// ([`Executor::run_stream`]): updates run inline, requests race by
+    /// design, and the run's units are the requests served.
+    Stream {
+        /// Client threads (= shards).
+        clients: usize,
+    },
+    /// A cluster of `nodes` nodes, one shard each, driven serially through
+    /// its [`ComplexObjectStore`] surface — no router. What a routed
+    /// cluster of the same node count must reproduce.
+    SerialCluster {
+        /// Cluster nodes.
+        nodes: usize,
+    },
     /// A routed cluster ([`Executor::run_cluster`]): `nodes` nodes under
     /// round-robin whole-object placement, a proportional buffer share and
     /// `workers` lock-striped shards per node, served by `workers` queue
@@ -282,12 +334,81 @@ pub enum Serving {
     },
 }
 
+impl Serving {
+    /// The serial serving this one must reproduce, if any: one client on
+    /// the shared surface replays the serial run, a routed cluster the
+    /// serially-driven cluster of its node count.
+    pub(crate) fn oracle(self) -> Option<Serving> {
+        match self {
+            Serving::Shared { clients: 1 } => Some(Serving::Serial),
+            Serving::Cluster { nodes, .. } => Some(Serving::SerialCluster { nodes }),
+            _ => None,
+        }
+    }
+
+    /// Client threads, nodes and queue workers per node (0 without a
+    /// router).
+    pub(crate) fn counts(self) -> (usize, usize, usize) {
+        match self {
+            Serving::Serial => (1, 1, 0),
+            Serving::Shared { clients } | Serving::Stream { clients } => (clients, 1, 0),
+            Serving::SerialCluster { nodes } => (1, nodes, 0),
+            Serving::Cluster {
+                nodes,
+                clients,
+                workers,
+            } => (clients, nodes, workers),
+        }
+    }
+}
+
+/// What one measured run leaves behind.
+#[derive(Clone, Debug)]
+pub struct Measurement {
+    /// The run — [`PlanOutcome::Unsupported`] where the model cannot run an
+    /// op of the plan.
+    pub outcome: PlanOutcome,
+    /// The buffer's counters over the run, summed over shards and nodes.
+    pub buffer: BufferStats,
+    /// Per-shard buffer counters (the shared surface only).
+    pub shards: Vec<BufferStats>,
+    /// Per-node I/O counters, ascending node order (clusters only).
+    pub nodes: Vec<IoSnapshot>,
+    /// Per-node disk fingerprints after the disconnect flush (clusters
+    /// only).
+    pub disks: Vec<u64>,
+    /// Wall-clock of the serving phase (served runs only).
+    pub elapsed: Option<Duration>,
+    /// Deepest any node's job queue grew (routed clusters only).
+    pub queue_high_water: Option<u64>,
+}
+
+impl Measurement {
+    /// A run with only the summed buffer counters.
+    fn of(outcome: PlanOutcome, buffer: BufferStats) -> Measurement {
+        Measurement {
+            outcome,
+            buffer,
+            shards: Vec::new(),
+            nodes: Vec::new(),
+            disks: Vec::new(),
+            elapsed: None,
+            queue_high_water: None,
+        }
+    }
+
+    /// Units served per second of the serving phase.
+    pub(crate) fn units_per_sec(&self) -> Option<f64> {
+        let secs = self.elapsed?.as_secs_f64();
+        let units = self.outcome.run().map_or(0, |r| r.units);
+        Some(if secs > 0.0 { units as f64 / secs } else { 0.0 })
+    }
+}
+
 /// The one measured run: loads `db` into a fresh store of `kind` shaped for
-/// `serving`, runs the declarative `spec` under the usual protocol (cold
-/// start, disconnect flush, per-unit normalization) and returns the
-/// outcome — [`PlanOutcome::Unsupported`] where the model cannot run an op
-/// of the plan — with the buffer's counters over the run (summed over
-/// shards and nodes).
+/// `serving`, with the batched I/O `engine` as given, runs the declarative
+/// `spec` under the usual protocol (cold start, disconnect flush, per-unit
+/// normalization) and returns what the run left behind.
 ///
 /// Answers and units do not depend on `serving`, and fix counts do not
 /// depend on the client or worker count (the executor's contract). At one
@@ -296,50 +417,75 @@ pub enum Serving {
 /// so pure NSM on a cluster re-scans its relations per object where the
 /// set-oriented serial step scans once (more fixes, all of them hits). A
 /// plan shape the concurrent executor rejects (a loop body consuming the
-/// previous iteration's selection) surfaces as `Err`.
+/// previous iteration's selection) surfaces as `Err`, and so does a
+/// request stream of an op the model cannot run.
 pub fn measure(
     db: &[Station],
     config: &HarnessConfig,
     kind: ModelKind,
     spec: &WorkloadSpec,
     serving: Serving,
-) -> Result<(PlanOutcome, BufferStats)> {
+    engine: IoEngineConfig,
+) -> Result<Measurement> {
+    let seed = config.query_seed;
     match serving {
         Serving::Serial => {
-            let (mut store, exec) = load_store(kind, db, config)?;
-            let outcome = exec.run(store.as_mut(), spec)?;
-            Ok((outcome, store.buffer_stats()))
+            let mut store = make_store(kind, config.store_config().io_engine(engine));
+            let outcome = Executor::new(store.load(db)?, seed).run(store.as_mut(), spec)?;
+            Ok(Measurement::of(outcome, store.buffer_stats()))
         }
-        Serving::Shared { clients } => {
+        Serving::Shared { clients } | Serving::Stream { clients } => {
             let clients = clients.max(1);
-            let mut store = make_shared_store(kind, config.store_config(), clients);
-            let exec = Executor::new(store.load(db)?, config.query_seed);
-            let outcome = exec.run_concurrent(store.as_mut(), spec, clients)?.outcome;
-            let shards = store.shard_stats().into_iter();
-            Ok((
-                outcome,
-                shards.fold(BufferStats::default(), |mut sum, s| {
-                    sum.accumulate(&s);
-                    sum
-                }),
-            ))
+            let store_config = config.store_config().io_engine(engine);
+            let mut store = make_shared_store(kind, store_config, clients);
+            let exec = Executor::new(store.load(db)?, seed);
+            let (outcome, elapsed) = if matches!(serving, Serving::Stream { .. }) {
+                let run = exec.run_stream(store.as_mut(), spec, clients)?;
+                let run_of_requests = PlanRun {
+                    snapshot: run.snapshot,
+                    units: run.requests,
+                    nav_seen: Vec::new(),
+                    scanned: 0,
+                    updates_applied: run.updates,
+                };
+                (PlanOutcome::Measured(run_of_requests), run.elapsed)
+            } else {
+                let run = exec.run_concurrent(store.as_mut(), spec, clients)?;
+                (run.outcome, run.elapsed)
+            };
+            let shards = store.shard_stats();
+            let mut buffer = BufferStats::default();
+            shards.iter().for_each(|s| buffer.accumulate(s));
+            Ok(Measurement {
+                shards,
+                elapsed: Some(elapsed),
+                ..Measurement::of(outcome, buffer)
+            })
         }
-        Serving::Cluster {
-            nodes,
-            clients,
-            workers,
-        } => {
-            let nodes = nodes.max(1);
+        Serving::SerialCluster { .. } | Serving::Cluster { .. } => {
+            let (clients, nodes, workers) = serving.counts();
+            let node_config = store_config_for(config.policy, config.node_buffer_pages(nodes));
             let mut cluster = PartitionedStore::with_shards(
                 kind,
-                nodes,
+                nodes.max(1),
                 Placement::RoundRobin,
-                store_config_for(config.policy, config.node_buffer_pages(nodes)),
+                node_config.io_engine(engine),
                 workers.max(1),
             );
-            let exec = Executor::new(cluster.load(db)?, config.query_seed);
-            let served = exec.run_cluster(&mut cluster, spec, clients, workers)?;
-            Ok((served.run.outcome, cluster.buffer_stats()))
+            let exec = Executor::new(cluster.load(db)?, seed);
+            let mut measured = if workers == 0 {
+                Measurement::of(exec.run(&mut cluster, spec)?, cluster.buffer_stats())
+            } else {
+                let served = exec.run_cluster(&mut cluster, spec, clients, workers)?;
+                Measurement {
+                    elapsed: Some(served.run.elapsed),
+                    queue_high_water: served.queue_high_water.iter().copied().max(),
+                    ..Measurement::of(served.run.outcome, cluster.buffer_stats())
+                }
+            };
+            measured.nodes = cluster.node_snapshots();
+            measured.disks = cluster.node_checksums();
+            Ok(measured)
         }
     }
 }
@@ -366,6 +512,74 @@ mod tests {
         let dnsm = grid.cell(ModelKind::DasdbsNsm, QueryId::Q2a).unwrap();
         let (dsm, dnsm) = (dsm.pages_per_unit(), dnsm.pages_per_unit());
         assert!(dsm > dnsm, "{dsm} vs {dnsm}");
+    }
+
+    /// The bracketed groups of `text`, each split into words: the synopsis
+    /// `[--seed N] [--only <id>[,<id>…]]` gives `--seed N` and
+    /// `--only <id>[,<id>…]`.
+    fn bracketed(text: &str) -> Vec<Vec<String>> {
+        let (mut groups, mut group, mut depth) = (Vec::new(), String::new(), 0);
+        for c in text.chars() {
+            match c {
+                '[' if depth == 0 => depth = 1,
+                ']' if depth == 1 => {
+                    groups.push(group.split_whitespace().map(String::from).collect());
+                    (group, depth) = (String::new(), 0);
+                }
+                _ if depth > 0 => {
+                    depth += usize::from(c == '[');
+                    depth -= usize::from(c == ']');
+                    group.push(c);
+                }
+                _ => {}
+            }
+        }
+        groups
+    }
+
+    #[test]
+    fn check_args_accepts_every_documented_flag_and_ci_command() {
+        let header: Vec<&str> = include_str!("bin/starfish_repro.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect();
+        let synopsis = bracketed(&header.join("\n"));
+        assert!(synopsis.len() >= 12, "{synopsis:?}");
+        for group in &synopsis {
+            assert_eq!(check_args(group), Ok(()), "documented: {group:?}");
+        }
+        // Every flag the header mentions is one the check knows.
+        let words = header.iter().flat_map(|l| l.split_whitespace());
+        for word in words.filter(|w| w.starts_with("--")) {
+            let flag = word.trim_end_matches(|c: char| !c.is_ascii_alphabetic());
+            assert!(FLAGS.iter().any(|(f, _)| *f == flag), "{word}");
+        }
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let runs: Vec<&str> = (ci.lines())
+            .filter_map(|l| l.split_once("starfish_repro -- ").map(|(_, rest)| rest))
+            .collect();
+        assert!(runs.len() >= 20, "{runs:?}");
+        for run in runs {
+            let command = run.split(['|', '>']).next().unwrap();
+            let args: Vec<String> = command.split_whitespace().map(String::from).collect();
+            assert_eq!(check_args(&args), Ok(()), "ci.yml: {run}");
+        }
+    }
+
+    #[test]
+    fn check_args_names_a_misspelt_flag_or_stray_argument() {
+        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let err = check_args(&args(&["--fast", "--only", "table3", "--thread", "4"]));
+        assert_eq!(err, Err("unknown flag '--thread' (see --help)".into()));
+        let err = check_args(&args(&["--fast", "--sweeep"])).unwrap_err();
+        assert!(
+            err.contains("'--sweeep'") && err.contains("--help"),
+            "{err}"
+        );
+        let err = check_args(&args(&["--fast", "table3"])).unwrap_err();
+        assert!(err.contains("'table3'") && err.contains("--help"), "{err}");
+        // A value that looks like a flag is the flag's own parser's business.
+        assert_eq!(check_args(&args(&["--seed", "-1", "--threads"])), Ok(()));
     }
 
     #[test]
@@ -467,8 +681,17 @@ mod tests {
         let config = HarnessConfig::fast();
         let db = generate(&config.dataset());
         let spec = WorkloadSpec::for_query(QueryId::Q2b);
-        let (out, _) = measure(&db, &config, ModelKind::DasdbsNsm, &spec, Serving::Serial).unwrap();
-        assert!(out.run().unwrap().pages_per_unit() > 0.0);
+        let off = IoEngineConfig::default();
+        let m = measure(
+            &db,
+            &config,
+            ModelKind::DasdbsNsm,
+            &spec,
+            Serving::Serial,
+            off,
+        )
+        .unwrap();
+        assert!(m.outcome.run().unwrap().pages_per_unit() > 0.0);
     }
 
     #[test]
@@ -476,8 +699,19 @@ mod tests {
         let config = HarnessConfig::fast();
         let db = generate(&config.dataset());
         let spec = WorkloadSpec::for_query(QueryId::Q2b);
+        let run = |kind, serving| {
+            let m = measure(
+                &db,
+                &config,
+                kind,
+                &spec,
+                serving,
+                IoEngineConfig::default(),
+            );
+            m.unwrap().outcome
+        };
         for kind in ModelKind::all() {
-            let (serial, _) = measure(&db, &config, kind, &spec, Serving::Serial).unwrap();
+            let serial = run(kind, Serving::Serial);
             assert!(serial.run().is_some(), "{kind} runs 2b");
             let shared = Serving::Shared { clients: 1 };
             let cluster = Serving::Cluster {
@@ -485,9 +719,8 @@ mod tests {
                 clients: 1,
                 workers: 1,
             };
-            let (got, _) = measure(&db, &config, kind, &spec, shared).unwrap();
-            assert_eq!(got, serial, "{kind} on the shared surface");
-            let (mut got, _) = measure(&db, &config, kind, &spec, cluster).unwrap();
+            assert_eq!(run(kind, shared), serial, "{kind} on the shared surface");
+            let mut got = run(kind, cluster);
             if kind == ModelKind::Nsm {
                 // One object per routed request: pure NSM scans per object,
                 // not per set. The extra fixes are hits; nothing else moves.

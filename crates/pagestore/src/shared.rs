@@ -1011,7 +1011,8 @@ impl SharedBufferPool {
     }
 
     /// Per-shard buffer counters, for load-imbalance analysis (the
-    /// `ext_concurrency` experiment reports max/mean and cv over these).
+    /// harness's `ext-concurrency` report shows max/mean and cv over
+    /// these).
     pub fn shard_stats(&self) -> Vec<BufferStats> {
         (0..self.shards.len())
             .map(|i| self.shard(i).core.stats)

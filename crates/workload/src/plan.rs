@@ -1238,6 +1238,16 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_spec_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+        let err = WorkloadSpec::from_json(&deep).unwrap_err();
+        assert!(
+            err.contains("recursion limit") && err.contains("128"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn queries_2_and_3_share_streams() {
         assert_eq!(WorkloadSpec::q2a().stream, WorkloadSpec::q3a().stream);
         assert_eq!(WorkloadSpec::q2b().stream, WorkloadSpec::q3b().stream);
