@@ -27,7 +27,10 @@
 //! two private stores**. The third is what two processors can do; the
 //! ratio of the second to the first is what sharing the pool costs. Read
 //! it from alternated runs of two binaries: on a shared 2-vCPU machine one
-//! run's two-client rows move by ±10 %.
+//! run's two-client rows move by ±10 %. The store is built as the storage
+//! models build it, so each large object's extent belongs to one shard and
+//! a DSM visit locks one shard mutex; the `hit`, `churn` and latch rows use
+//! a plain extent whose pages hash across the shards.
 
 mod common;
 

@@ -46,8 +46,8 @@
 
 use starfish_harness::experiments;
 use starfish_harness::runner::{
-    check_args, parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed, parse_threads,
-    HarnessConfig,
+    check_args, check_threads, parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed,
+    parse_threads, HarnessConfig,
 };
 use starfish_workload::WorkloadSpec;
 
@@ -130,6 +130,7 @@ fn main() {
         if nodes.is_some() && !sweep {
             usage("--nodes requires --workload --sweep");
         }
+        check_threads(threads, &config, nodes).unwrap_or_else(|e| usage(e));
         let report = if sweep {
             // --sweep: policies × client counts through the shared
             // reporting path; --nodes serves every cell from a routed
@@ -149,6 +150,8 @@ fn main() {
                     .map(|e| e.id.to_string())
                     .collect()
             });
+        let nodes = experiments::sharded_cluster_nodes(&ids);
+        check_threads(threads, &config, nodes).unwrap_or_else(|e| usage(e));
         // Tables 4–6/8 and ext-timing share one measured grid; run_one
         // builds it at most once across the whole id list.
         let mut grid = None;

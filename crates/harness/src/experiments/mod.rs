@@ -229,6 +229,16 @@ pub fn run_one(
     }
 }
 
+/// The largest cluster among the experiments `ids` that splits each node's
+/// buffer into `--threads` shards — `ext-distributed`'s serving sweep — or
+/// `None` when none does (what [`crate::runner::check_threads`] needs).
+pub fn sharded_cluster_nodes(ids: &[String]) -> Option<usize> {
+    let distributed = ids
+        .iter()
+        .any(|id| id.replace('_', "-") == "ext-distributed");
+    distributed.then(|| policy_grid::SWEEP_NODES.into_iter().max().unwrap_or(1))
+}
+
 /// Runs every experiment at the given scale, in [`REGISTRY`] order.
 pub fn run_all(config: &HarnessConfig) -> Result<Vec<ExperimentReport>> {
     run_all_with(config, &policy_grid::THREADS)

@@ -346,7 +346,7 @@ impl Grid {
         let mut dbs: Vec<(DatasetParams, Vec<Station>)> = Vec::new();
         let mut cells = Vec::new();
         for at in axes.points() {
-            let data = axes.specs[at.spec].data.unwrap_or(config.dataset());
+            let data = axes.specs[at.spec].data.unwrap_or_else(|| config.dataset());
             let generated = dbs.iter().position(|(d, _)| *d == data);
             let db = generated.unwrap_or_else(|| {
                 dbs.push((data, generate(&data)));

@@ -161,6 +161,33 @@ pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, Stri
     parse_positive(args, "--threads", "a client count")
 }
 
+/// Checks a `--threads` count against the buffer it is split over: each
+/// client of the shared surface, and each queue worker of a cluster node,
+/// gets a lock-striped shard of at least one page. So the count may not
+/// exceed the pages of the smallest buffer the run shards: the whole
+/// buffer, or one node's share when `nodes` is the largest cluster the
+/// count is applied to, as the pool's constructor requires.
+pub fn check_threads(
+    threads: Option<usize>,
+    config: &HarnessConfig,
+    nodes: Option<usize>,
+) -> std::result::Result<(), String> {
+    let (pages, whose) = match nodes {
+        Some(n) => (
+            config.node_buffer_pages(n),
+            format!(" of each of {n} nodes"),
+        ),
+        None => (config.buffer_pages, String::new()),
+    };
+    match threads {
+        Some(n) if n > pages => Err(format!(
+            "--threads {n} exceeds the {pages}-page buffer{whose}: each client \
+             needs a shard of at least one page, so at most --threads {pages}"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Parses `--nodes n` (absent: workload runs use the single-store
 /// surfaces). A zero-node cluster can own no object.
 pub fn parse_nodes(args: &[String]) -> std::result::Result<Option<usize>, String> {
@@ -597,6 +624,26 @@ mod tests {
         assert!(parse_threads(&args(&["--threads"])).is_err());
         assert!(parse_threads(&args(&["--threads", "many"])).is_err());
         assert!(parse_threads(&args(&["--threads", "-2"])).is_err());
+    }
+
+    #[test]
+    fn check_threads_caps_clients_at_the_sharded_buffer() {
+        let fast = HarnessConfig::fast();
+        assert_eq!(check_threads(None, &fast, None), Ok(()));
+        assert_eq!(check_threads(Some(240), &fast, None), Ok(()));
+        let err = check_threads(Some(241), &fast, None).unwrap_err();
+        assert!(
+            err.contains("240-page") && err.contains("at most --threads 240"),
+            "{err}"
+        );
+        // A node of a 4-node cluster gets a quarter of the buffer.
+        assert_eq!(check_threads(Some(60), &fast, Some(4)), Ok(()));
+        let err = check_threads(Some(61), &fast, Some(4)).unwrap_err();
+        assert!(err.contains("60-page buffer of each of 4 nodes"), "{err}");
+        assert_eq!(
+            check_threads(Some(300), &HarnessConfig::default(), None),
+            Ok(())
+        );
     }
 
     #[test]

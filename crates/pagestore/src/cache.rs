@@ -125,6 +125,15 @@ pub trait PageCache {
     /// Allocates `n` contiguous pages on the underlying disk.
     fn alloc_extent(&mut self, n: u32) -> PageId;
 
+    /// Allocates `n` contiguous pages for **one object** — an extent read
+    /// as a unit ([`crate::SpannedStore`] stores each large object in one).
+    /// The default is [`alloc_extent`](PageCache::alloc_extent). The shared
+    /// pool gives every page of such an extent one owning shard, so a visit
+    /// to the object takes one shard mutex instead of every shard's.
+    fn alloc_object_extent(&mut self, n: u32) -> PageId {
+        self.alloc_extent(n)
+    }
+
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
     /// page-pool writes, §5.3).
     fn write_pool_pages(&mut self, first: PageId, n: u32) -> Result<()>;

@@ -30,8 +30,8 @@
 //! acquired, and waiters hold nothing at all.
 //!
 //! The engine keeps **one queue per pool shard**: a drain leader working
-//! one shard's batch never serializes submissions for pages that hash to
-//! other shards — each queue elects its own leader and drains
+//! one shard's batch never serializes submissions for pages other shards
+//! own — each queue elects its own leader and drains
 //! independently, so miss storms scale with the shard count instead of
 //! funnelling through a single submission lock. With one shard this
 //! degenerates to exactly the original single-queue protocol. Counters

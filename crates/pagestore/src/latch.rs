@@ -50,8 +50,10 @@
 //!
 //! * **Several shard mutexes may be held together** — by a multi-page
 //!   prefetch, by a spanned read's lock session
-//!   ([`crate::PageCache::read_runs`] on the shared pool: every shard its
-//!   pages hash to, for the whole visit), by flush and cold restart — and
+//!   ([`crate::PageCache::read_runs`] on the shared pool: every shard
+//!   owning one of its pages, for the whole visit — one shard for one
+//!   object's extent, several for a run of hashed heap pages), by flush
+//!   and cold restart — and
 //!   then they are always acquired in ascending shard order, and the disk
 //!   lock only after them. **No thread waits on a latch while it holds a
 //!   shard mutex it did not take for that very wait**: a group waits for a

@@ -4,16 +4,31 @@
 //! The paper measures a *single* client behind one 1200-page LRU buffer.
 //! Serving N concurrent clients from the same buffer turns the pool itself
 //! into the bottleneck: one global lock would serialize every fix. This
-//! module shards the pool by `PageId` hash into K lock-striped shards, each
-//! a full [`PoolCore`] — the exact frame-slot/replacement-policy/accounting
-//! engine behind [`BufferPool`](crate::BufferPool) — protected by its own
-//! mutex:
+//! module splits the pool into K lock-striped shards, each a full
+//! [`PoolCore`] — the exact frame-slot/replacement-policy/accounting engine
+//! behind [`BufferPool`](crate::BufferPool) — protected by its own mutex.
+//! Which shard owns a page is fixed when the page is allocated:
+//!
+//! * **an object's extent is one lock domain.** Every page of an extent
+//!   allocated for one object ([`PageCache::alloc_object_extent`], which
+//!   [`crate::SpannedStore`] stores each large object in) belongs to the
+//!   shard its first page hashes to. The paper's direct models read such an
+//!   object as a unit, so a visit to it locks one shard, and two clients
+//!   on different objects usually lock different ones;
+//! * **every other page hashes on its own** (a Fibonacci multiplicative
+//!   hash of its id): the pages of a heap file — a normalized relation, the
+//!   small objects of DSM — spread across the shards, so a hot relation
+//!   does not pile onto one;
+//! * the owner is recorded before the extent's id is handed out and never
+//!   changes, and `shard_of` reads it without a lock.
+//!
+//! Then:
 //!
 //! * a single-page fix takes exactly **one shard lock** (plus the disk lock
 //!   on a miss), so fixes to different shards never contend; a spanned
-//!   read ([`PageCache::read_runs`]) takes the locks of every shard its
-//!   pages hash to **once**, for the whole visit, instead of once per
-//!   prefetch and once per fix;
+//!   read ([`PageCache::read_runs`]) takes the locks of every shard owning
+//!   one of its pages **once**, for the whole visit, instead of once per
+//!   prefetch and once per fix — for one object, that is one lock;
 //! * each shard runs its **own replacement policy instance** over its own
 //!   frames and keeps its own [`BufferStats`], so victim selection needs no
 //!   cross-shard coordination and per-shard load imbalance is observable
@@ -30,7 +45,10 @@
 //!   one taken **spins, then yields, and only then parks** (`lock_shard`):
 //!   a park and its wake-up cost more than ten whole object reads, and
 //!   parking is what made a second client on one pool divide throughput by
-//!   four (README, "A second client must not cost throughput").
+//!   four (README, "A second client must not cost throughput");
+//! * each shard mutex's lock word sits on a cache line of its own, so a
+//!   spinner's `try_lock` does not pull the holder's pool engine away from
+//!   it.
 //!
 //! A pool with **one shard** executes, operation for operation, the same
 //! code as [`BufferPool`](crate::BufferPool) — by construction, not by
@@ -111,8 +129,8 @@ use crate::latch::{LatchMode, LatchTable};
 use crate::stats::{BufferStats, DiskStats, IoSnapshot};
 use crate::wal::Wal;
 use crate::{BufferConfig, PageId, PolicyKind, Result, StoreError, PAGE_SIZE};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
 
 /// The shared simulated disk: the page array behind an `RwLock` (many
 /// concurrent read calls, exclusive write calls) with atomic I/O counters.
@@ -255,6 +273,11 @@ struct Shard {
     blocking_locks: AtomicU64,
 }
 
+/// Line-aligned, so the mutex's lock word (which `Mutex` places before
+/// the value) sits on a cache line of its own: a spinner's `try_lock`
+/// does not take the line that holds the pool engine's first fields away
+/// from the holder.
+#[repr(align(64))]
 struct ShardState {
     core: PoolCore,
     latches: LatchTable,
@@ -293,6 +316,63 @@ fn lock_shard(sh: &Shard) -> MutexGuard<'_, ShardState> {
     sh.state.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// The owning shard of every page of every object extent
+/// ([`SharedBufferPool::alloc_object_extent`]): written once, before the
+/// extent's first page id is handed out, and read by `shard_of` without a
+/// lock.
+///
+/// A segmented array of atomics that grows without moving what it holds:
+/// segment `k` covers the `EXTENT_MAP_BASE << k` pages from page
+/// `EXTENT_MAP_BASE · (2^k − 1)`, so `EXTENT_MAP_SEGMENTS` segments span
+/// every `u32` page id, and a segment is allocated when the first object
+/// extent reaches it. An entry holds `shard + 1` in a `usize`, which fits
+/// every shard count a pool can have; 0 means "not an object page" (a heap
+/// page, a scratch page, any `alloc_extent` page), and such a page hashes.
+struct ExtentOwners {
+    segments: [OnceLock<Box<[AtomicUsize]>>; EXTENT_MAP_SEGMENTS],
+}
+
+/// Pages in the map's first segment; each further segment doubles.
+const EXTENT_MAP_BASE: u64 = 1024;
+/// `u32::MAX / EXTENT_MAP_BASE + 1 < 2^23`, so 23 segments cover every id.
+const EXTENT_MAP_SEGMENTS: usize = 23;
+
+impl ExtentOwners {
+    fn new() -> Self {
+        ExtentOwners {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+
+    /// `pid`'s segment and its index in it.
+    fn slot(pid: PageId) -> (usize, usize) {
+        let k = (pid.0 as u64 / EXTENT_MAP_BASE + 1).ilog2();
+        let start = EXTENT_MAP_BASE * ((1 << k) - 1);
+        (k as usize, (pid.0 as u64 - start) as usize)
+    }
+
+    /// The recorded owner of `pid`, if it is an object page.
+    fn owner(&self, pid: PageId) -> Option<usize> {
+        let (k, i) = Self::slot(pid);
+        let entry = self.segments[k].get()?[i].load(Ordering::Acquire);
+        entry.checked_sub(1)
+    }
+
+    /// Gives the `n` pages from `first` the owner `shard`. Each page is
+    /// recorded once: an extent is allocated once and never freed.
+    fn record(&self, first: PageId, n: u32, shard: usize) {
+        for pid in (0..n).map(|i| first.offset(i)) {
+            let (k, i) = Self::slot(pid);
+            let segment = self.segments[k].get_or_init(|| {
+                (0..EXTENT_MAP_BASE << k)
+                    .map(|_| AtomicUsize::new(0))
+                    .collect()
+            });
+            segment[i].store(shard + 1, Ordering::Release);
+        }
+    }
+}
+
 /// The writer gate: a count of exclusive latch groups in flight, a flag
 /// that holds new ones off, and one wait ([`SharedBufferPool::gate_wait`]).
 /// The flag is raised and lowered by the quiesced window only
@@ -309,8 +389,9 @@ struct GateState {
     waiters: usize,
 }
 
-/// A thread-safe buffer pool sharded by `PageId` hash into K lock-striped
-/// shards. See the `shared` module docs for the design and its invariants.
+/// A thread-safe buffer pool split into K lock-striped shards, an object's
+/// extent owned by one shard and every other page hashed to one. See the
+/// `shared` module docs for the design and its invariants.
 ///
 /// All methods take `&self`; share the pool across threads through
 /// [`SharedPoolHandle`] (an `Arc` wrapper that also implements
@@ -318,6 +399,8 @@ struct GateState {
 pub struct SharedBufferPool {
     disk: SharedDisk,
     shards: Vec<Shard>,
+    /// The owning shard of each object page (`shard_of`).
+    owners: ExtentOwners,
     gate: Mutex<GateState>,
     gate_cond: Condvar,
     /// Waits spent quiescing writers at flush/restart (merged into
@@ -377,6 +460,7 @@ impl SharedBufferPool {
         SharedBufferPool {
             disk: SharedDisk::new(),
             shards,
+            owners: ExtentOwners::new(),
             gate: Mutex::new(GateState::default()),
             gate_cond: Condvar::new(),
             gate_waits: AtomicU64::new(0),
@@ -416,9 +500,25 @@ impl SharedBufferPool {
         self.policy
     }
 
-    /// The shard owning `pid`: a Fibonacci multiplicative hash, so
-    /// contiguous extents spread across shards instead of piling onto one.
+    /// The shard owning `pid`. A page of an object extent belongs to the
+    /// shard recorded for its whole extent at allocation
+    /// ([`Self::alloc_object_extent`]), so a visit to one object locks one
+    /// shard. Every other page — heap files, scratch pages, plain
+    /// [`Self::alloc_extent`] runs — is placed by a Fibonacci
+    /// multiplicative hash of its id, so a relation's contiguous pages
+    /// spread across the shards instead of piling onto one. The lookup
+    /// takes no lock, and a page's shard never changes.
     fn shard_of(&self, pid: PageId) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
+        self.owners
+            .owner(pid)
+            .unwrap_or_else(|| self.hashed_shard(pid))
+    }
+
+    /// The shard `pid` hashes to.
+    fn hashed_shard(&self, pid: PageId) -> usize {
         let h = (pid.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((h >> 32) % self.shards.len() as u64) as usize
     }
@@ -463,9 +563,22 @@ impl SharedBufferPool {
         self.shards.iter().map(lock_shard).collect()
     }
 
-    /// Allocates `n` contiguous pages on the shared disk.
+    /// Allocates `n` contiguous pages on the shared disk; each page hashes
+    /// to its shard on its own.
     pub fn alloc_extent(&self, n: u32) -> PageId {
         self.disk.alloc_extent(n)
+    }
+
+    /// Allocates `n` contiguous pages for one object and gives all of them
+    /// one owning shard — the one the first page hashes to — recorded
+    /// before the id is returned. A visit to the object then takes one
+    /// shard mutex, where hashed pages would take every shard's.
+    pub fn alloc_object_extent(&self, n: u32) -> PageId {
+        let first = self.disk.alloc_extent(n);
+        if self.shards.len() > 1 {
+            self.owners.record(first, n, self.hashed_shard(first));
+        }
+        first
     }
 
     /// Total pages allocated on the shared disk.
@@ -793,8 +906,8 @@ impl SharedBufferPool {
 
     /// Ensures the run `[first, first+n)` is cached: one read call per
     /// maximal contiguous missing sub-run — disk-adjacent missing fragments
-    /// merge into a single call even when their pages hash to different
-    /// shards. Does not count fixes.
+    /// merge into a single call even when different shards own their
+    /// pages. Does not count fixes.
     ///
     /// Every involved shard is locked up front (ascending, the lock order),
     /// so residency is decided **coherently for the whole run** — nothing
@@ -831,7 +944,8 @@ impl SharedBufferPool {
     /// only while it holds an exclusive group over all of them (a spanned
     /// object's group is its whole extent), and every change is made under
     /// the changed page's shard mutex. The session begins holding every
-    /// shard mutex its pages hash to, with no foreign exclusive latch on
+    /// shard mutex owning one of its pages (one, for one object's extent),
+    /// with no foreign exclusive latch on
     /// any of its pages, and keeps them all until the sink has seen the
     /// last page. So a writer whose group covers these pages has either not
     /// yet latched its whole group — and it writes nothing before it has —
@@ -1231,6 +1345,10 @@ impl PageCache for SharedPoolHandle {
         self.pool.alloc_extent(n)
     }
 
+    fn alloc_object_extent(&mut self, n: u32) -> PageId {
+        self.pool.alloc_object_extent(n)
+    }
+
     fn write_pool_pages(&mut self, first: PageId, n: u32) -> Result<()> {
         self.pool.write_pool_pages(first, n)
     }
@@ -1368,6 +1486,104 @@ mod tests {
             p.with_page(PageId(4), |_| {}).unwrap();
             assert_eq!(p.buffer_stats().hits, 1);
         }
+    }
+
+    /// The shards whose fix count one `read_runs` visit of `(first, n)`
+    /// moves, each with the fixes it moved.
+    fn shards_a_visit_fixes(p: &SharedBufferPool, first: PageId, n: u32) -> Vec<(usize, u64)> {
+        let before = p.shard_stats();
+        p.read_runs(&[&[(first, n)]], |_, _| {}).unwrap();
+        (p.shard_stats().iter().zip(&before).enumerate())
+            .filter(|(_, (after, before))| after.fixes != before.fixes)
+            .map(|(s, (after, before))| (s, after.fixes - before.fixes))
+            .collect()
+    }
+
+    /// An object extent of any length lives in one shard: a visit moves
+    /// one shard's fixes. Plain extents keep hashing page by page. The
+    /// record outlives a cold restart, a crash and a recovery.
+    #[test]
+    fn an_object_extent_lives_in_one_shard() {
+        let config = BufferConfig::with_pages(256).wal(WalConfig::enabled(FsyncMode::PerCommit));
+        let p = SharedBufferPool::from_config(config, 4);
+        let plain = p.alloc_extent(8);
+        let objects: Vec<(PageId, u32)> = [1, 6, 40]
+            .into_iter()
+            .map(|n| (p.alloc_object_extent(n), n))
+            .collect();
+        let owners: Vec<usize> = objects
+            .iter()
+            .map(|&(first, _)| p.shard_of(first))
+            .collect();
+        let visits_are_single_shard = |when: &str| {
+            for (&(first, n), &owner) in objects.iter().zip(&owners) {
+                let moved = shards_a_visit_fixes(&p, first, n);
+                assert_eq!(moved, vec![(owner, u64::from(n))], "{n} pages, {when}");
+            }
+        };
+        visits_are_single_shard("fresh");
+        assert!(
+            shards_a_visit_fixes(&p, plain, 8).len() > 1,
+            "a plain extent hashes to several shards"
+        );
+        for i in 0..8 {
+            assert_eq!(p.shard_of(plain.offset(i)), p.hashed_shard(plain.offset(i)));
+        }
+
+        p.clear_cache().unwrap();
+        visits_are_single_shard("after a cold restart");
+
+        let (first, _) = objects[2];
+        p.with_page_mut(first.offset(39), |b| b[0] = 40).unwrap();
+        p.log_commit().unwrap();
+        p.crash_volatile();
+        assert_eq!(p.recover().unwrap(), 1);
+        visits_are_single_shard("after a crash and recovery");
+        p.with_page(first.offset(39), |b| assert_eq!(b[0], 40))
+            .unwrap();
+    }
+
+    /// The map holds any shard count a pool can be built with, and a
+    /// 1-shard pool needs none.
+    #[test]
+    fn object_extents_map_at_every_shard_count() {
+        for shards in [1, 2, 3, 300] {
+            let p = pool(shards, 300, 5);
+            let firsts: Vec<PageId> = (0..50).map(|_| p.alloc_object_extent(3)).collect();
+            let mut owners: Vec<usize> = firsts
+                .iter()
+                .map(|&first| match shards_a_visit_fixes(&p, first, 3)[..] {
+                    [(owner, 3)] => owner,
+                    ref moved => panic!("{shards} shards: a visit moved {moved:?}"),
+                })
+                .collect();
+            owners.sort_unstable();
+            owners.dedup();
+            assert!(owners.iter().all(|&s| s < shards));
+            assert!(
+                owners.len() > 1 || shards == 1,
+                "{shards} shards: {owners:?}"
+            );
+        }
+    }
+
+    /// Segment `k` starts where segment `k − 1` ends, and the last segment
+    /// holds the largest page id.
+    #[test]
+    fn extent_map_segments_tile_the_page_ids() {
+        let base = EXTENT_MAP_BASE as u32;
+        let slot = |pid| ExtentOwners::slot(PageId(pid));
+        assert_eq!(slot(0), (0, 0));
+        assert_eq!(slot(base - 1), (0, base as usize - 1));
+        assert_eq!(slot(base), (1, 0));
+        assert_eq!(slot(3 * base - 1), (1, 2 * base as usize - 1));
+        assert_eq!(slot(3 * base), (2, 0));
+        assert_eq!(slot(u32::MAX), (EXTENT_MAP_SEGMENTS - 1, base as usize - 1));
+        let map = ExtentOwners::new();
+        map.record(PageId(base - 2), 5, 7);
+        let got: Vec<Option<usize>> = (base - 3..base + 4).map(|p| map.owner(PageId(p))).collect();
+        let seven = Some(7);
+        assert_eq!(got, vec![None, seven, seven, seven, seven, seven, None]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! DASDBS stores a nested tuple that exceeds one page as a set of **header
 //! pages** holding the structure information (the object directory), disjoint
 //! from the **data pages** holding the tuple bytes (paper §4). The pages of
-//! one object form a private contiguous extent:
+//! one object form a private contiguous extent, allocated with
+//! [`PageCache::alloc_object_extent`] (one lock domain on the shared pool):
 //!
 //! ```text
 //! [root header page][additional header pages…][data pages…]
@@ -168,7 +169,7 @@ impl SpannedStore {
         let data_plan = PagePlan::new(plan, data.len());
         data_plan.validate()?;
         let rec = SpannedRecord {
-            first: pool.alloc_extent(header_plan.pages() + data_plan.pages()),
+            first: pool.alloc_object_extent(header_plan.pages() + data_plan.pages()),
             header_pages: header_plan.pages(),
             data_pages: data_plan.pages(),
             header_len: header.len() as u32,

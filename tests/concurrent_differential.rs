@@ -21,7 +21,10 @@
 //! included; 3b's deferred updates excepted, see the test) must equal the
 //! serial `Executor::run` counter for counter — the acceptance gate for the
 //! shared pool reproducing the paper's serial numbers, which
-//! `tests/golden_lru.rs` pins to the digit.
+//! `tests/golden_lru.rs` pins to the digit. One thread over 2 and 4 shards
+//! must still make every access the serial run makes: which shard owns a
+//! page (an object's whole extent, or a hashed heap page) moves residency,
+//! never a fix.
 
 use starfish::core::{
     make_shared_store, make_store, ConcurrentObjectStore, ModelKind, PolicyKind, StoreConfig,
@@ -62,7 +65,9 @@ fn shared_store(kind: ModelKind, shards: usize, db: &[Station]) -> Box<dyn Concu
 /// protocol defers a plan's updates behind its read phase, which for 3b's
 /// many loops moves *when* pages travel (for 3a's single loop the update is
 /// the tail either way) — so there the physical counters are masked and
-/// everything scheduling cannot move must still agree.
+/// everything scheduling cannot move must still agree. Over 2 and 4 shards
+/// each shard runs its own LRU over its slice, so residency differs from
+/// the serial pool's and the comparison is of the access counts alone.
 #[test]
 fn one_client_reproduces_serial_measurements_exactly() {
     let db = dataset();
@@ -74,18 +79,21 @@ fn one_client_reproduces_serial_measurements_exactly() {
             let want = exec
                 .run(serial.as_mut(), &WorkloadSpec::for_query(q))
                 .unwrap();
-            let mut store = shared_store(kind, 1, &db);
-            let got = exec
-                .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), 1)
-                .unwrap();
-            let (got, want) = match q {
-                QueryId::Q3b => (access_counts(got.outcome), access_counts(want)),
-                _ => (got.outcome, want),
-            };
-            assert_eq!(
-                got, want,
-                "{kind}/{q}: shared pool at 1 thread × 1 shard diverged from serial"
-            );
+            for shards in [1, 2, 4] {
+                let mut store = shared_store(kind, shards, &db);
+                let got = exec
+                    .run_concurrent(store.as_mut(), &WorkloadSpec::for_query(q), 1)
+                    .unwrap();
+                let (got, want) = if shards == 1 && q != QueryId::Q3b {
+                    (got.outcome, want.clone())
+                } else {
+                    (access_counts(got.outcome), access_counts(want.clone()))
+                };
+                assert_eq!(
+                    got, want,
+                    "{kind}/{q}: shared pool at 1 thread × {shards} shards diverged from serial"
+                );
+            }
         }
     }
 }
