@@ -43,6 +43,10 @@
 //!   --list       enumerate experiments, built-in queries and shipped
 //!                workload specs, then exit
 //! ```
+//!
+//! Exit status: 0; 2 on a command-line misuse; 1 when a run fails, or when
+//! a printed report's contract check failed (a `WARNING` note or a
+//! `DIVERGED` cell) — reported after every report is printed.
 
 use starfish_harness::experiments;
 use starfish_harness::runner::{
@@ -171,6 +175,17 @@ fn main() {
         } else {
             println!("{}", report.render());
         }
+    }
+    let broken: Vec<&str> = (reports.iter())
+        .filter(|r| r.contract_broken())
+        .map(|r| r.id.as_str())
+        .collect();
+    if !broken.is_empty() {
+        eprintln!(
+            "starfish-repro: contract check failed (WARNING note or DIVERGED cell) in {}",
+            broken.join(", ")
+        );
+        std::process::exit(1);
     }
 }
 

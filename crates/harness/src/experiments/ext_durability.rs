@@ -33,14 +33,6 @@ use starfish_workload::generate;
 use std::thread;
 use std::time::Instant;
 
-/// Writer counts swept by default.
-pub const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Runs the full sweep (1/2/4/8 writers, both fsync modes).
-pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
-    run_with(config, &THREADS)
-}
-
 /// Runs the sweep for an explicit list of writer counts
 /// (`starfish_repro --threads N` passes `[N]`); `config.fsync` restricts
 /// the mode dimension (`--fsync per|group`), default both.
@@ -189,7 +181,7 @@ mod tests {
         let models = ModelKind::all().len();
         assert_eq!(report.table.rows.len(), models * 2 * 2, "model × mode × n");
         assert!(
-            !report.notes.iter().any(|n| n.contains("WARNING")),
+            !report.contract_broken(),
             "anchors failed: {:?}",
             report.notes
         );

@@ -37,7 +37,7 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure, HarnessConfig, Measurement, Serving};
 use crate::Result;
 use starfish_core::{IoEngineConfig, ModelKind, PolicyKind};
-use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext, PlanOp, QueryId};
+use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext, QueryId};
 use starfish_nf2::station::Station;
 use starfish_workload::{generate, lower_spec, DatasetParams, MixKind, PlanRun, WorkloadSpec};
 
@@ -693,19 +693,6 @@ fn variant_of(kind: ModelKind) -> ModelVariant {
     }
 }
 
-/// The plan's own unit count (summed top-level loop counts), mirroring
-/// `Executor::units_of` so predicted and measured cells share the
-/// denominator even on rows the model cannot execute.
-fn plan_units(ops: &[PlanOp]) -> u64 {
-    ops.iter()
-        .map(|op| match op {
-            PlanOp::Loop { count, .. } => *count,
-            _ => 0,
-        })
-        .sum::<u64>()
-        .max(1)
-}
-
 /// Expected page I/Os per unit for `spec` under `kind` with a buffer of
 /// `buffer_pages`, from the cost model's plan-walker (uniform Table 3
 /// pricing — no placement feedback), or `None` where the model cannot
@@ -724,7 +711,7 @@ fn predicted_pages(
     };
     let ops = lower_spec(spec, config.n_objects);
     estimate_plan(variant_of(kind), &inputs, &ctx, &ops)
-        .map(|est| est.total() / plan_units(&ops) as f64)
+        .map(|est| est.total() / spec.units(config.n_objects) as f64)
 }
 
 /// `ext-policy`: queries 1a–3b under every policy × every model, page
@@ -1577,11 +1564,11 @@ pub(crate) mod tests {
         };
         let report = report.unwrap();
         assert_eq!(report.table.rows.len(), rows, "{}", report.id);
-        let warned = report.notes.iter().any(|n| n.contains("WARNING"));
         assert!(
-            !warned,
+            !report.contract_broken(),
             "contract broken in {}: {:?}",
-            report.id, report.notes
+            report.id,
+            report.notes
         );
         report
     }

@@ -103,6 +103,14 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
+    /// Whether one of the report's contract checks failed: a `WARNING`
+    /// note or a `DIVERGED` cell. `starfish_repro` exits 1 when any report
+    /// it printed says so.
+    pub fn contract_broken(&self) -> bool {
+        self.notes.iter().any(|n| n.contains("WARNING"))
+            || self.table.rows.iter().flatten().any(|c| c == "DIVERGED")
+    }
+
     /// Renders the full report as plain text.
     pub fn render(&self) -> String {
         let mut out = format!("## {} — {}\n\n", self.id, self.title);
@@ -297,6 +305,27 @@ mod tests {
         // Identical to the vendored stub's escaper on its own test vector,
         // so swapping the implementation changed no report byte.
         assert_eq!(json_str("a\"b"), serde_json::escape_str("a\"b"));
+    }
+
+    #[test]
+    fn a_warning_note_or_a_diverged_cell_breaks_the_contract() {
+        let mut table = Table::new(vec!["MODEL", "disks"]);
+        table.push_row(vec!["DSM", "ok"]);
+        let clean = ExperimentReport {
+            id: "t".into(),
+            title: "t".into(),
+            table,
+            notes: vec!["verified identical".into()],
+        };
+        assert!(!clean.contract_broken());
+        let mut warned = clean.clone();
+        warned
+            .notes
+            .push("WARNING: fix counts drifted at DSM".into());
+        assert!(warned.contract_broken());
+        let mut diverged = clean.clone();
+        diverged.table.push_row(vec!["NSM", "DIVERGED"]);
+        assert!(diverged.contract_broken());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! [`BufferPool`] calls them with its single core and `|_| 0`; the sharded
 //! [`crate::SharedBufferPool`] with the cores of the shard guards it holds.
-//! The two pools therefore differ only in locking.
+//! Both call one device, [`SimDisk`], so they differ only in locking.
 
 use crate::disk::DiskOps;
 use crate::heat::{HeatConfig, HeatTracker};
@@ -136,10 +136,10 @@ pub(crate) struct Frame {
 ///
 /// [`BufferPool`] wraps exactly one core over an exclusively-owned
 /// [`SimDisk`]; [`crate::SharedBufferPool`] wraps one core per lock-striped
-/// shard over a shared disk. Both run the *identical* logic — the core's
-/// own fix/evict code and this module's shared prefetch/load/flush functions
-/// — which is what makes a one-shard shared pool counter-for-counter
-/// indistinguishable from the single-threaded pool
+/// shard over the same device behind an `RwLock`. Both run the *identical*
+/// logic — the core's own fix/evict code and this module's shared
+/// prefetch/load/flush functions — which is what makes a one-shard shared
+/// pool counter-for-counter indistinguishable from the single-threaded pool
 /// (`tests/prop_shared_buffer.rs` pins that down).
 pub(crate) struct PoolCore {
     capacity: usize,

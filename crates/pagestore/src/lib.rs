@@ -17,8 +17,8 @@
 //!
 //! Components:
 //!
-//! * [`SimDisk`] — an in-memory page array with a bump extent allocator and
-//!   physical-I/O accounting;
+//! * [`SimDisk`] — the one data device under both pools: an in-memory page
+//!   array with a bump extent allocator and physical-I/O accounting;
 //! * [`BufferPool`] — a page cache (default capacity
 //!   [`DEFAULT_BUFFER_PAGES`] = 1200, the size used in the paper's
 //!   measurements) with fix accounting, write-back on eviction, grouped
@@ -32,8 +32,8 @@
 //!   [`PageCache`] trait (which is also [`BufferPool`]'s whole operational
 //!   surface). The two pools share every algorithm by construction — one
 //!   call grouper (contiguous runs of at most [`MAX_PAGES_PER_WRITE_CALL`]
-//!   pages), one prefetch scan, one load, one flush, all in `buffer.rs` —
-//!   and differ only in locking;
+//!   pages), one prefetch scan, one load, one flush, all in `buffer.rs`,
+//!   over one device — and differ only in locking;
 //! * [`slotted`] — append-only slotted-page record layout (record footprint =
 //!   encoded length + 4-byte slot entry, which is how the paper's Table 2
 //!   `k = ⌊2012 / S_tuple⌋` tuple-per-page counts come out);

@@ -33,9 +33,10 @@
 //!   frames and keeps its own [`BufferStats`], so victim selection needs no
 //!   cross-shard coordination and per-shard load imbalance is observable
 //!   ([`SharedBufferPool::shard_stats`]);
-//! * [`SharedBufferPool::snapshot`] merges the shard counters with the
-//!   shared disk's counters, so every per-unit metric of the measurement
-//!   protocol works unchanged;
+//! * the data device is `BufferPool`'s [`SimDisk`] behind an `RwLock` (the
+//!   read lock per read call, the write lock per write call), and
+//!   [`SharedBufferPool::snapshot`] merges its counters with the shards',
+//!   so every per-unit metric of the measurement protocol works unchanged;
 //! * multi-shard operations (run loads, spanned reads, flush, cold
 //!   restart) hold several shard locks at a time, always acquired in
 //!   **ascending shard order**, never held while waiting on a latch, and
@@ -126,118 +127,27 @@ use crate::cache::{self, run_pages, PageCache};
 use crate::disk::DiskOps;
 use crate::ioengine::IoEngine;
 use crate::latch::{LatchMode, LatchTable};
-use crate::stats::{BufferStats, DiskStats, IoSnapshot};
+use crate::stats::{BufferStats, IoSnapshot};
 use crate::wal::Wal;
-use crate::{BufferConfig, PageId, PolicyKind, Result, StoreError, PAGE_SIZE};
+use crate::{BufferConfig, PageId, PolicyKind, Result, SimDisk, StoreError, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, TryLockError};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError,
+};
 
-/// The shared simulated disk: the page array behind an `RwLock` (many
-/// concurrent read calls, exclusive write calls) with atomic I/O counters.
-///
-/// Every client takes the read lock and bumps two counters on every miss.
-/// The layout keeps the lock word and the counters on separate cache lines
-/// (fields in declaration order, the struct line-aligned, the gap filled),
-/// so a counter bump does not take the line away from a client that is
-/// acquiring or releasing the lock.
-#[repr(C, align(64))]
-struct SharedDisk {
-    pages: RwLock<Vec<[u8; PAGE_SIZE]>>,
-    _rest_of_the_lock_line: [u8; 64 - std::mem::size_of::<RwLock<Vec<[u8; PAGE_SIZE]>>>() % 64],
-    read_calls: AtomicU64,
-    pages_read: AtomicU64,
-    write_calls: AtomicU64,
-    pages_written: AtomicU64,
-}
-
-impl SharedDisk {
-    fn new() -> Self {
-        SharedDisk {
-            pages: RwLock::new(Vec::new()),
-            _rest_of_the_lock_line: [0; _],
-            read_calls: AtomicU64::new(0),
-            pages_read: AtomicU64::new(0),
-            write_calls: AtomicU64::new(0),
-            pages_written: AtomicU64::new(0),
-        }
-    }
-
-    fn alloc_extent(&self, n: u32) -> PageId {
-        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-        let len = pages.len();
-        pages.resize(len + n as usize, [0u8; PAGE_SIZE]);
-        PageId(len as u32)
-    }
-
-    fn allocated_pages(&self) -> u32 {
-        self.pages.read().unwrap_or_else(|e| e.into_inner()).len() as u32
-    }
-
-    fn check(len: usize, first: PageId, n: u32) -> Result<()> {
-        let end = first.0 as u64 + n as u64;
-        if end > len as u64 {
-            return Err(StoreError::PageOutOfBounds {
-                page: PageId((end - 1) as u32),
-                allocated: len as u32,
-            });
-        }
-        Ok(())
-    }
-
-    fn write_run_noop(&self, first: PageId, n: u32) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        Self::check(pages.len(), first, n)?;
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn checksum(&self) -> u64 {
-        crate::disk::fnv1a_pages(&self.pages.read().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn stats(&self) -> DiskStats {
-        DiskStats {
-            read_calls: self.read_calls.load(Ordering::Relaxed),
-            pages_read: self.pages_read.load(Ordering::Relaxed),
-            write_calls: self.write_calls.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset_stats(&self) {
-        self.read_calls.store(0, Ordering::Relaxed);
-        self.pages_read.store(0, Ordering::Relaxed);
-        self.write_calls.store(0, Ordering::Relaxed);
-        self.pages_written.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Every read and write call of the shared pool goes through these two
-/// methods — the seam a priced or fault-injecting device has to wrap.
-impl DiskOps for &SharedDisk {
+/// The shared pool's front of the one device: a read call under the disk's
+/// read lock (many at once), a write call under its write lock, each then
+/// the [`SimDisk`] call itself. Every read and write call of the shared
+/// pool goes through these two methods.
+impl DiskOps for &RwLock<SimDisk> {
     fn read_run_dyn(
         &mut self,
         first: PageId,
         n: u32,
         sink: &mut dyn FnMut(u32, &[u8; PAGE_SIZE]),
     ) -> Result<()> {
-        // Zero-length runs are validated no-ops: no bounds check, no call
-        // counted (mirrors `SimDisk::read_run`).
-        if n == 0 {
-            return Ok(());
-        }
-        let pages = self.pages.read().unwrap_or_else(|e| e.into_inner());
-        SharedDisk::check(pages.len(), first, n)?;
-        self.read_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_read.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            sink(i, &pages[(first.0 + i) as usize]);
-        }
-        Ok(())
+        read_disk(self).read_run(first, n, sink)
     }
 
     fn write_run_dyn(
@@ -246,18 +156,18 @@ impl DiskOps for &SharedDisk {
         n: u32,
         source: &mut dyn FnMut(u32) -> [u8; PAGE_SIZE],
     ) -> Result<()> {
-        if n == 0 {
-            return Ok(());
-        }
-        let mut pages = self.pages.write().unwrap_or_else(|e| e.into_inner());
-        SharedDisk::check(pages.len(), first, n)?;
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.pages_written.fetch_add(n as u64, Ordering::Relaxed);
-        for i in 0..n {
-            pages[(first.0 + i) as usize] = source(i);
-        }
-        Ok(())
+        write_disk(self).write_run(first, n, source)
     }
+}
+
+/// The disk's read lock (poison recovered, module doc).
+fn read_disk(disk: &RwLock<SimDisk>) -> RwLockReadGuard<'_, SimDisk> {
+    disk.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The disk's write lock (poison recovered, module doc).
+fn write_disk(disk: &RwLock<SimDisk>) -> RwLockWriteGuard<'_, SimDisk> {
+    disk.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// One lock-striped shard: the pool engine plus its latch table, behind one
@@ -397,7 +307,7 @@ struct GateState {
 /// [`SharedPoolHandle`] (an `Arc` wrapper that also implements
 /// [`PageCache`], so the storage layers run over it unchanged).
 pub struct SharedBufferPool {
-    disk: SharedDisk,
+    disk: RwLock<SimDisk>,
     shards: Vec<Shard>,
     /// The owning shard of each object page (`shard_of`).
     owners: ExtentOwners,
@@ -458,7 +368,7 @@ impl SharedBufferPool {
             })
             .collect();
         SharedBufferPool {
-            disk: SharedDisk::new(),
+            disk: RwLock::new(SimDisk::new()),
             shards,
             owners: ExtentOwners::new(),
             gate: Mutex::new(GateState::default()),
@@ -563,10 +473,10 @@ impl SharedBufferPool {
         self.shards.iter().map(lock_shard).collect()
     }
 
-    /// Allocates `n` contiguous pages on the shared disk; each page hashes
+    /// Allocates `n` contiguous pages on the disk; each page hashes
     /// to its shard on its own.
     pub fn alloc_extent(&self, n: u32) -> PageId {
-        self.disk.alloc_extent(n)
+        write_disk(&self.disk).alloc_extent(n)
     }
 
     /// Allocates `n` contiguous pages for one object and gives all of them
@@ -574,21 +484,21 @@ impl SharedBufferPool {
     /// before the id is returned. A visit to the object then takes one
     /// shard mutex, where hashed pages would take every shard's.
     pub fn alloc_object_extent(&self, n: u32) -> PageId {
-        let first = self.disk.alloc_extent(n);
+        let first = write_disk(&self.disk).alloc_extent(n);
         if self.shards.len() > 1 {
             self.owners.record(first, n, self.hashed_shard(first));
         }
         first
     }
 
-    /// Total pages allocated on the shared disk.
+    /// Total pages allocated on the disk.
     pub fn database_pages(&self) -> u32 {
-        self.disk.allocated_pages()
+        read_disk(&self.disk).allocated_pages()
     }
 
-    /// FNV-1a checksum of the shared disk's page array (uncounted).
+    /// FNV-1a checksum of the disk's page array (uncounted).
     pub fn disk_checksum(&self) -> u64 {
-        self.disk.checksum()
+        read_disk(&self.disk).checksum()
     }
 
     /// Fixes `pid` under its shard lock, routing misses through the
@@ -631,7 +541,7 @@ impl SharedBufferPool {
     }
 
     /// Leader-side completion fill for a drained batch: for each coalesced
-    /// run, read it from the shared disk in **one call with no shard mutex
+    /// run, read it from the disk in **one call with no shard mutex
     /// held**, then install the frames that are still missing under their
     /// shard locks (pages that raced into the cache keep their authoritative
     /// frames; the freshly read image is dropped).
@@ -993,7 +903,7 @@ impl SharedBufferPool {
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
     /// page-pool writes during `change attribute`, §5.3).
     pub fn write_pool_pages(&self, first: PageId, n: u32) -> Result<()> {
-        self.disk.write_run_noop(first, n)
+        read_disk(&self.disk).write_run_noop(first, n)
     }
 
     /// Writes all dirty pages back, grouped into contiguous runs of at most
@@ -1095,7 +1005,10 @@ impl SharedBufferPool {
     /// they stay zero and the snapshot is byte-identical to the pre-WAL
     /// pool's.
     pub fn snapshot(&self) -> IoSnapshot {
-        let mut s = IoSnapshot::combine(self.disk.stats(), self.buffer_stats());
+        // The disk's lock is released before a shard is locked: the lock
+        // order puts it after the shards.
+        let disk = read_disk(&self.disk).stats();
+        let mut s = IoSnapshot::combine(disk, self.buffer_stats());
         if let Some(wal) = &self.wal {
             let w = wal.stats();
             s.log_write_calls = w.log_write_calls;
@@ -1159,7 +1072,7 @@ impl SharedBufferPool {
 
     /// Resets disk, shard, and WAL counters (cache and log content kept).
     pub fn reset_stats(&self) {
-        self.disk.reset_stats();
+        write_disk(&self.disk).reset_stats();
         self.gate_waits.store(0, Ordering::Relaxed);
         for i in 0..self.shards.len() {
             self.shard(i).core.stats = BufferStats::default();
@@ -1460,6 +1373,37 @@ mod tests {
             assert_eq!(p.snapshot().read_calls, 2);
             assert_eq!(p.snapshot().pages_read, 2);
         }
+    }
+
+    /// The disk lock comes after the shard locks in the lock order: a
+    /// writer evicting a dirty page holds its shard and waits for the
+    /// disk's write lock, so `snapshot` must not hold the disk's read lock
+    /// while it locks the shards.
+    #[test]
+    fn snapshot_beside_dirty_evictions_does_not_deadlock() {
+        let p = Arc::new(pool(1, 2, 64));
+        let (done, finished) = std::sync::mpsc::channel();
+        let workers: Vec<_> = [false, true]
+            .map(|snapshots| {
+                let (p, done) = (Arc::clone(&p), done.clone());
+                thread::spawn(move || {
+                    for i in 0..20_000u32 {
+                        if snapshots {
+                            p.snapshot();
+                        } else {
+                            p.with_page_mut(PageId(i % 64), |b| b[0] = i as u8).unwrap();
+                        }
+                    }
+                    done.send(()).unwrap();
+                })
+            })
+            .into();
+        for _ in &workers {
+            // A deadlock parks both threads for good: fail, not hang.
+            (finished.recv_timeout(std::time::Duration::from_secs(30)))
+                .expect("snapshot and an evicting writer deadlocked");
+        }
+        workers.into_iter().for_each(|w| w.join().unwrap());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Edge-case and failure-injection tests for the storage substrate.
 
 use starfish_pagestore::{
-    slotted, BufferPool, HeapFile, PageCache, PageId, SimDisk, SpannedStore, StoreError,
-    EFFECTIVE_PAGE_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE,
+    slotted, BufferConfig, BufferPool, HeapFile, PageCache, PageId, SharedPoolHandle, SimDisk,
+    SpannedStore, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_SIZE, SLOT_ENTRY_SIZE,
 };
 
 fn pool(cap: usize, pages: u32) -> BufferPool {
@@ -49,16 +49,26 @@ fn flush_on_clean_pool_is_free() {
     assert_eq!(p.snapshot().write_calls, 0);
 }
 
+/// The same rule on both pool fronts of the one disk: the exclusive pool
+/// and a 1- and a 2-shard shared pool.
 #[test]
 fn out_of_bounds_page_errors_cleanly() {
-    let mut p = pool(4, 4);
-    let err = p.with_page(PageId(4), |_| {}).unwrap_err();
-    assert!(matches!(err, StoreError::PageOutOfBounds { .. }));
-    // Error paths must not corrupt the accounting identities: the failed
-    // access was counted as a fix and a miss, but no pages were read.
-    let s = p.buffer_stats();
-    assert_eq!(s.fixes, s.hits + s.misses);
-    assert_eq!(p.snapshot().pages_read, 0);
+    fn check(p: &mut impl PageCache) {
+        let err = p.with_page(PageId(4), |_| {}).unwrap_err();
+        assert!(matches!(err, StoreError::PageOutOfBounds { .. }));
+        // Error paths must not corrupt the accounting identities: the
+        // failed access was counted as a fix and a miss, but no pages were
+        // read.
+        let s = p.buffer_stats();
+        assert_eq!(s.fixes, s.hits + s.misses);
+        assert_eq!(p.snapshot().pages_read, 0);
+    }
+    check(&mut pool(4, 4));
+    for shards in [1, 2] {
+        let mut p = SharedPoolHandle::new(BufferConfig::with_pages(4), shards);
+        p.pool().alloc_extent(4);
+        check(&mut p);
+    }
 }
 
 #[test]

@@ -91,7 +91,10 @@ fn navigation_answers_carry_real_refs() {
     let (mut store, exec) = shared_setup(ModelKind::DasdbsNsm, 2);
     let spec = WorkloadSpec::q2b();
     let got = exec.run_concurrent(store.as_mut(), &spec, 2).unwrap();
-    assert_eq!(got.observations.len(), exec.units_of(&spec) as usize);
+    assert_eq!(
+        got.observations.len(),
+        spec.units(exec.refs().len()) as usize
+    );
     for obs in &got.observations {
         assert!(obs.root.oid != Oid(u32::MAX));
         assert!(obs.retrieved.is_empty(), "2b units are navigations");
@@ -120,7 +123,7 @@ fn mixed_streams_serve_and_count_every_mix() {
             for threads in [1usize, 3] {
                 let (mut store, exec) = shared_setup(kind, threads);
                 let spec = WorkloadSpec::mixed(mix);
-                let loops = exec.units_of(&spec);
+                let loops = spec.units(exec.refs().len());
                 let run = exec.run_stream(store.as_mut(), &spec, threads).unwrap();
                 assert_eq!(run.requests, loops, "{kind}/{threads}");
                 assert_eq!(

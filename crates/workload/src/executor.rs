@@ -1106,21 +1106,6 @@ impl Executor {
         )
     }
 
-    /// How many units (top-level loop iterations) `spec` executes against
-    /// this database — the `loops` normalization denominator [`run`](Self::run)
-    /// will report: the summed resolved counts of every top-level `Loop`
-    /// op, or 1 for loop-free plans.
-    pub fn units_of(&self, spec: &WorkloadSpec) -> u64 {
-        spec.ops
-            .iter()
-            .map(|op| match op {
-                Op::Loop { count, .. } => count.resolve(self.refs.len()),
-                _ => 0,
-            })
-            .sum::<u64>()
-            .max(1)
-    }
-
     /// Runs `spec` serially under the paper's measurement protocol: cold
     /// start, stream the ops, count the disconnect flush, normalize per
     /// the spec's unit.
@@ -1678,7 +1663,7 @@ pub(crate) mod tests {
                 .run()
                 .cloned()
                 .unwrap();
-            assert_eq!(exec.units_of(&spec), run.units, "{}", spec.name);
+            assert_eq!(spec.units(exec.refs().len()), run.units, "{}", spec.name);
         }
     }
 

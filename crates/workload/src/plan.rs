@@ -336,6 +336,22 @@ impl WorkloadSpec {
         self.mix.map(|m| m.is_update(i)).unwrap_or(true)
     }
 
+    /// How many units (top-level loop iterations) the plan executes against
+    /// a database of `n_objects` — the `loops` normalization denominator
+    /// every run reports, and the cost model's per-unit divisor: the
+    /// summed resolved counts of every top-level `Loop` op, or 1 for
+    /// loop-free plans.
+    pub fn units(&self, n_objects: usize) -> u64 {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                Op::Loop { count, .. } => count.resolve(n_objects),
+                _ => 0,
+            })
+            .sum::<u64>()
+            .max(1)
+    }
+
     /// Whether the plan contains an `update_roots` op anywhere.
     pub fn has_updates(&self) -> bool {
         fn any_update(ops: &[Op]) -> bool {

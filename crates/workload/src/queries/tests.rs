@@ -47,7 +47,7 @@ fn q2b_runs_n_over_5_loops() {
     let (mut store, exec) = small_setup(ModelKind::DasdbsNsm);
     let m = measured(&exec, store.as_mut(), QueryId::Q2b);
     assert_eq!(m.units, 12); // 60/5
-    assert_eq!(exec.units_of(&WorkloadSpec::q2b()), 12);
+    assert_eq!(WorkloadSpec::q2b().units(exec.refs().len()), 12);
 }
 
 #[test]
