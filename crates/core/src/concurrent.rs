@@ -21,8 +21,9 @@
 //! multi-page readers), so concurrent readers never observe torn objects
 //! and disjoint-object writers proceed in parallel.
 //! [`ConcurrentObjectStore::shared_flush`] cooperates with in-flight
-//! writers through the pool's quiesce gate. Only bulk loading stays
-//! `&mut`-single-writer.
+//! writers through the pool's quiesce gate. The bulk load and the
+//! adaptive-placement pass ([`ComplexObjectStore::reorganize`]) stay
+//! `&mut`-single-writer: a placement never changes under a `&self` call.
 //!
 //! The query *answers*, the buffer-fix counts and the post-flush on-disk
 //! bytes of the concurrent surface are identical to the serial surface's —
@@ -49,6 +50,8 @@ use starfish_pagestore::{BufferStats, SharedPoolHandle};
 /// holds by construction: both traits are implemented once, in `store.rs`,
 /// and each pair of methods calls the same model access path — the `&mut`
 /// one with the store's pool, the `&self` one with a cloned handle to it.
+/// There is no `&self` load or reorganization: both stay `&mut`, so the
+/// placement a `&self` call reads cannot change under it.
 pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
     /// Query 1a retrieval by OID, callable from N threads concurrently.
     fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple>;
@@ -91,11 +94,6 @@ pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
     /// load-imbalance analysis.
     fn shard_stats(&self) -> Vec<BufferStats>;
 
-    /// Number of shards in the underlying pool.
-    fn shard_count(&self) -> usize {
-        self.shard_stats().len()
-    }
-
     /// Simulated crash: drops the pool's volatile state (cache frames,
     /// unflushed WAL buffers) without flushing. The data disk and the
     /// durable log survive. Committed updates are recoverable via
@@ -116,23 +114,6 @@ pub trait ConcurrentObjectStore: ComplexObjectStore + Send + Sync {
     /// record as end-of-log. No-op with the WAL disabled.
     #[doc(hidden)]
     fn damage_log_tail(&self, bytes: u32);
-
-    /// Adaptive placement through the shared pool: runs the heat-ranked
-    /// rewrite of [`ComplexObjectStore::reorganize`] inside a **writer
-    /// quiesce window** (the pool's PR-4 gate): in-flight exclusive writers
-    /// drain, new ones wait, while concurrent *readers* keep running
-    /// throughout — they hold a snapshot of the old placement, whose
-    /// extents stay valid on disk, until the atomic swap publishes the new
-    /// one. Lock order inside the window: the pass may fix pages and take
-    /// shared latches, but must never enter an exclusive latch group (it
-    /// would self-deadlock behind its own gate). Defaults to
-    /// [`crate::CoreError::Unsupported`].
-    fn shared_reorganize(&self) -> Result<crate::placement::ReorgReport> {
-        Err(crate::CoreError::Unsupported {
-            model: self.model().paper_name(),
-            op: "reorganize (adaptive placement)",
-        })
-    }
 }
 
 /// Builds an empty store of `kind` over a [`SharedPoolHandle`] with
@@ -181,7 +162,7 @@ mod tests {
                 let store = make_shared_store(kind, StoreConfig::default(), shards);
                 assert_eq!(store.model(), kind);
                 assert_eq!(store.object_count(), 0);
-                assert_eq!(store.shard_count(), shards);
+                assert_eq!(store.shard_stats().len(), shards);
             }
         }
     }

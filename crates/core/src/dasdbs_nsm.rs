@@ -177,9 +177,9 @@ struct TransEntry {
 
 /// Everything a reorganization replaces in one shot: the root heap, the
 /// three nested object files and the transformation table that points into
-/// them. Bundled behind one `Arc` so the adaptive-placement pass can build
-/// a fresh copy off to the side and publish it atomically (racing readers
-/// keep their old `Arc`; the old extents stay on disk, merely orphaned).
+/// them. The adaptive-placement pass builds a fresh copy off to the side
+/// and the store swaps it in (the old extents stay on disk, merely
+/// orphaned).
 pub struct DnsmState {
     station: HeapFile,
     platform: ObjectFile,
@@ -534,9 +534,8 @@ impl Model for DasdbsNsmModel {
     /// Materializes every object's four tuples through the transformation
     /// table (counted reads), bulk-loads fresh extents with the hot set
     /// first, and rebuilds the table. The object files restore ordinal
-    /// addressing afterwards, so old ordinals — and the `TransEntry` values
-    /// racing readers hold — stay valid; the old extents stay on disk,
-    /// orphaned.
+    /// addressing afterwards, so old ordinals stay valid; the old extents
+    /// stay on disk, orphaned.
     fn rebuild(
         &self,
         at: &DnsmState,

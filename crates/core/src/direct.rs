@@ -356,8 +356,7 @@ impl Model for DirectModel {
     /// Materialize every object (counted reads), bulk-load a fresh file
     /// with objects in heat order (written by the caller's flush), and
     /// restore ordinal addressing so OIDs keep their meaning. The old
-    /// extents are simply orphaned on disk — concurrent readers holding the
-    /// old snapshot stay correct.
+    /// extents are simply orphaned on disk.
     fn rebuild(
         &self,
         at: &DirectPlacement,

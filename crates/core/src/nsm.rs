@@ -140,10 +140,9 @@ struct RelationBytes {
 }
 
 /// Everything a reorganization replaces in one shot: the four heap files
-/// plus the address tables that point into them. Bundled behind one
-/// `Arc` so the adaptive-placement pass can build a fresh copy off to the
-/// side and publish it atomically (racing readers keep their old `Arc`;
-/// the old extents stay on disk, merely orphaned).
+/// plus the address tables that point into them. The adaptive-placement
+/// pass builds a fresh copy off to the side and the store swaps it in
+/// (the old extents stay on disk, merely orphaned).
 pub struct NsmState {
     station: HeapFile,
     platform: HeapFile,
@@ -756,8 +755,7 @@ impl Model for NsmModel {
     /// the address tables. Logically invisible — within an object every
     /// record keeps its encounter order, so grouped answers are bit-for-bit
     /// what they were; only the page placement changes. The old extents
-    /// stay on disk, orphaned, so concurrent readers holding the old
-    /// [`NsmState`] snapshot stay correct.
+    /// stay on disk, orphaned.
     fn rebuild(
         &self,
         at: &NsmState,

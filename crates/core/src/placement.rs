@@ -1,5 +1,5 @@
-//! Adaptive placement: heat-ranked reorganization (the DSTC-style online
-//! reclustering pass).
+//! Adaptive placement: heat-ranked reorganization (a DSTC-style
+//! reclustering pass, run offline: the store's `&mut` `reorganize`).
 //!
 //! The buffer pool's opt-in heat tracker (`starfish_pagestore::HeatConfig`)
 //! counts per-page accesses with periodic decay. This module turns that
@@ -20,7 +20,6 @@
 
 use starfish_pagestore::{IoSnapshot, PageId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Fraction of the total heat the hot set must cover: 7/8.
 const HOT_COVERAGE_NUM: u64 = 7;
@@ -187,17 +186,6 @@ pub(crate) fn distinct_pages<'a>(lists: impl Iterator<Item = &'a [PageId]>) -> u
         set.extend(l.iter().copied());
     }
     set.len() as u32
-}
-
-/// Poison-tolerant read lock: a panicked reorganization never wedges the
-/// store (the swap is all-or-nothing, so the guarded state stays valid).
-pub(crate) fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Poison-tolerant write lock (see [`read_lock`]).
-pub(crate) fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! operation touches. That difference is a [`Model`]: a layout
 //! ([`Model::Placement`]) plus the access paths over it, every one taking
 //! the placement and a pool by argument. Everything else — owning the pool
-//! and the loaded refs, snapshotting the placement per operation, the
-//! pool pass-throughs, the reorganization swap — is [`Store`], written
-//! once.
+//! and the loaded refs and placement, the pool pass-throughs, the
+//! reorganization — is [`Store`], written once. Like the paper's, a
+//! placement is fixed between the store's two single-writer (`&mut`)
+//! operations, `load` and `reorganize`.
 //!
 //! [`ComplexObjectStore`] is implemented for `Store<M, P>` over `&mut
 //! self.pool` and [`ConcurrentObjectStore`] for `Store<M,
@@ -24,7 +25,6 @@ use starfish_pagestore::{
     SharedPoolHandle,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
 
 /// A storage model: its on-disk layout and the access paths over it.
 ///
@@ -113,33 +113,13 @@ pub trait Model {
     /// The heat-ranked rewrite: builds a fresh placement off to the side
     /// (counted reads; the new pages stay dirty in the pool) and returns it
     /// with the ranking it placed by and the distinct pages the hot set now
-    /// spans. Flushing and measuring are `Store`'s. Must take no exclusive
-    /// latch group and call no `flush_all`/`clear_cache`: the shared
-    /// surface runs it inside the quiesced window, which does not nest.
+    /// spans. Flushing and measuring are `Store`'s.
     fn rebuild(
         &self,
         at: &Self::Placement,
         pool: &mut impl PageCache,
         objects: &[ObjRef],
     ) -> Result<(Self::Placement, HeatRanking, u32)>;
-}
-
-/// One reorganization pass, written once for both surfaces: snapshot →
-/// [`Model::rebuild`] → `flush` → what the pass spent → its report. The
-/// caller publishes the placement. `flush` is the pool's own `flush_all` on
-/// the exclusive surface and the quiesced window's token on the shared one.
-fn reorganize<M: Model, P: PageCache>(
-    model: &M,
-    at: &M::Placement,
-    pool: &mut P,
-    objects: &[ObjRef],
-    flush: impl FnOnce(&mut P) -> starfish_pagestore::Result<()>,
-) -> Result<(M::Placement, ReorgReport)> {
-    let before = pool.snapshot();
-    let (new, ranking, hot_pages_after) = model.rebuild(at, pool, objects)?;
-    flush(pool)?;
-    let spent = pool.snapshot() - before;
-    Ok((new, ranking.report(hot_pages_after, spent)))
 }
 
 /// A store of model `M` over pool `P`: [`BufferPool`] (the default — every
@@ -149,11 +129,8 @@ fn reorganize<M: Model, P: PageCache>(
 pub struct Store<M: Model, P: PageCache = BufferPool> {
     model: M,
     pool: P,
-    /// The current placement, snapshot-swapped by a reorganization: every
-    /// operation clones the `Arc` out once, so concurrent readers keep a
-    /// consistent old placement (whose extents stay valid on disk) while a
-    /// pass publishes a new one.
-    placement: RwLock<Option<Arc<M::Placement>>>,
+    /// The current placement: set by `load`, replaced by `reorganize`.
+    placement: Option<M::Placement>,
     refs: Vec<ObjRef>,
 }
 
@@ -163,25 +140,24 @@ impl<M: Model, P: PageCache> Store<M, P> {
         Store {
             model,
             pool,
-            placement: RwLock::new(None),
+            placement: None,
             refs: Vec::new(),
         }
     }
 
-    /// The current placement snapshot (cheap `Arc` clone), or the
-    /// empty-database error — the first check of every operation on either
-    /// surface.
-    pub(crate) fn placement(&self) -> Result<Arc<M::Placement>> {
-        placement::read_lock(&self.placement)
-            .clone()
-            .ok_or_else(|| CoreError::NotFound {
-                what: "empty database".into(),
-            })
+    /// The current placement, or the empty-database error — the first
+    /// check of every operation on either surface.
+    pub(crate) fn placement(&self) -> Result<&M::Placement> {
+        loaded(&self.placement)
     }
+}
 
-    fn publish(&self, new: M::Placement) {
-        *placement::write_lock(&self.placement) = Some(Arc::new(new));
-    }
+/// [`Store::placement`] over the field alone, so an operation can borrow
+/// the placement beside `&mut` the pool.
+fn loaded<T>(placement: &Option<T>) -> Result<&T> {
+    placement.as_ref().ok_or_else(|| CoreError::NotFound {
+        what: "empty database".into(),
+    })
 }
 
 impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
@@ -190,8 +166,7 @@ impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
     }
 
     fn load(&mut self, stations: &[Station]) -> Result<Vec<ObjRef>> {
-        let loaded = self.model.load(&mut self.pool, stations)?;
-        self.publish(loaded);
+        self.placement = Some(self.model.load(&mut self.pool, stations)?);
         self.refs = stations
             .iter()
             .enumerate()
@@ -210,34 +185,34 @@ impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
     }
 
     fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let at = self.placement()?;
+        let at = loaded(&self.placement)?;
         self.model
-            .get_by_oid(&at, &mut self.pool, &self.refs, oid, proj)
+            .get_by_oid(at, &mut self.pool, &self.refs, oid, proj)
     }
 
     fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        let at = self.placement()?;
-        self.model.get_by_key(&at, &mut self.pool, key, proj)
+        let at = loaded(&self.placement)?;
+        self.model.get_by_key(at, &mut self.pool, key, proj)
     }
 
     fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        let at = self.placement()?;
-        self.model.scan_all(&at, &mut self.pool, &self.refs, f)
+        let at = loaded(&self.placement)?;
+        self.model.scan_all(at, &mut self.pool, &self.refs, f)
     }
 
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        let at = self.placement()?;
-        self.model.children_of(&at, &mut self.pool, refs)
+        let at = loaded(&self.placement)?;
+        self.model.children_of(at, &mut self.pool, refs)
     }
 
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        let at = self.placement()?;
-        self.model.root_records(&at, &mut self.pool, refs)
+        let at = loaded(&self.placement)?;
+        self.model.root_records(at, &mut self.pool, refs)
     }
 
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        let at = self.placement()?;
-        self.model.update_roots(&at, &mut self.pool, refs, patch)
+        let at = loaded(&self.placement)?;
+        self.model.update_roots(at, &mut self.pool, refs, patch)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -262,7 +237,7 @@ impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
 
     fn relation_info(&self) -> Vec<RelationInfo> {
         match self.placement() {
-            Ok(at) => self.model.relation_info(&at, self.refs.len()),
+            Ok(at) => self.model.relation_info(at, self.refs.len()),
             Err(_) => Vec::new(),
         }
     }
@@ -276,19 +251,22 @@ impl<M: Model, P: PageCache> ComplexObjectStore for Store<M, P> {
     }
 
     fn placement_stats(&mut self) -> Result<PlacementStats> {
-        let at = self.placement()?;
+        let at = loaded(&self.placement)?;
         let heat = placement::heat_map(self.pool.page_heat());
         let heats = self
             .model
-            .object_heats(&at, &mut self.pool, &self.refs, &heat)?;
+            .object_heats(at, &mut self.pool, &self.refs, &heat)?;
         Ok(placement::rank(&heats).stats)
     }
 
     fn reorganize(&mut self) -> Result<ReorgReport> {
-        let at = self.placement()?;
-        let (new, report) = reorganize(&self.model, &at, &mut self.pool, &self.refs, P::flush_all)?;
-        self.publish(new);
-        Ok(report)
+        let at = loaded(&self.placement)?;
+        let before = self.pool.snapshot();
+        let (new, ranking, hot_pages_after) = self.model.rebuild(at, &mut self.pool, &self.refs)?;
+        self.pool.flush_all()?;
+        let spent = self.pool.snapshot() - before;
+        self.placement = Some(new);
+        Ok(ranking.report(hot_pages_after, spent))
     }
 }
 
@@ -300,35 +278,34 @@ where
     fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
         let at = self.placement()?;
         self.model
-            .get_by_oid(&at, &mut self.pool.clone(), &self.refs, oid, proj)
+            .get_by_oid(at, &mut self.pool.clone(), &self.refs, oid, proj)
     }
 
     fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
         let at = self.placement()?;
-        self.model
-            .get_by_key(&at, &mut self.pool.clone(), key, proj)
+        self.model.get_by_key(at, &mut self.pool.clone(), key, proj)
     }
 
     fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
         let at = self.placement()?;
         self.model
-            .scan_all(&at, &mut self.pool.clone(), &self.refs, f)
+            .scan_all(at, &mut self.pool.clone(), &self.refs, f)
     }
 
     fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
         let at = self.placement()?;
-        self.model.children_of(&at, &mut self.pool.clone(), refs)
+        self.model.children_of(at, &mut self.pool.clone(), refs)
     }
 
     fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
         let at = self.placement()?;
-        self.model.root_records(&at, &mut self.pool.clone(), refs)
+        self.model.root_records(at, &mut self.pool.clone(), refs)
     }
 
     fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
         let at = self.placement()?;
         self.model
-            .update_roots(&at, &mut self.pool.clone(), refs, patch)
+            .update_roots(at, &mut self.pool.clone(), refs, patch)
     }
 
     fn shared_flush(&self) -> Result<()> {
@@ -353,22 +330,6 @@ where
 
     fn damage_log_tail(&self, bytes: u32) {
         self.pool.pool().truncate_log_tail(bytes)
-    }
-
-    fn shared_reorganize(&self) -> Result<ReorgReport> {
-        let at = self.placement()?;
-        let mut pool = self.pool.clone();
-        // The whole copy + swap runs with writers quiesced, so no update
-        // can slip between reading an object and publishing its new home.
-        // Readers keep racing on the old snapshot (read sessions and
-        // plain fixes pass the gate). The flush goes through the window's
-        // token: the pool's own `flush_all` would wait on this very window.
-        self.pool.pool().with_writers_quiesced(|w| {
-            let flush = |_: &mut SharedPoolHandle| w.flush_all();
-            let (new, report) = reorganize(&self.model, &at, &mut pool, &self.refs, flush)?;
-            self.publish(new);
-            Ok(report)
-        })
     }
 }
 

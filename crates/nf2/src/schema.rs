@@ -76,16 +76,6 @@ impl RelSchema {
             .collect()
     }
 
-    /// Indices of the relation-valued attributes.
-    pub fn rel_attr_indices(&self) -> Vec<usize> {
-        self.attrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| !a.ty.is_atomic())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Looks up an attribute index by name.
     pub fn attr_index(&self, name: &str) -> Option<usize> {
         self.attrs.iter().position(|a| a.name == name)
@@ -216,7 +206,6 @@ mod tests {
     fn index_helpers() {
         let s = schema();
         assert_eq!(s.atomic_attr_indices(), vec![0, 1]);
-        assert_eq!(s.rel_attr_indices(), vec![2]);
         assert_eq!(s.attr_index("b"), Some(1));
         assert_eq!(s.attr_index("zz"), None);
         assert_eq!(s.depth(), 2);

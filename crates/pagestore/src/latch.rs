@@ -86,17 +86,11 @@
 //!   finish and hold off new ones), then take the shard mutexes — they
 //!   never wait on a latch while holding a mutex another writer needs.
 //! * The gate is a count, a flag and one wait, shut and reopened by one
-//!   function: [`crate::SharedBufferPool::with_writers_quiesced`], which
-//!   hands its closure a [`crate::Quiesced`] token and closes the window
-//!   when the closure returns or unwinds. The adaptive-placement
-//!   reorganizer holds it for its whole rewrite. Inside the window a
-//!   thread **may** fix pages, take *shared* latch groups, allocate, and
-//!   flush through the token ([`crate::Quiesced::flush_all`]); it must
-//!   **never** take an **exclusive** latch group or open a second window —
-//!   the pool's own `flush_all`/`clear_cache`/`crash_volatile`/`recover`
-//!   each do — because both wait on the very drain the window holds. The
-//!   gate has no owner thread and does not nest: that self-deadlock is by
-//!   design, and the token is how a caller avoids it.
+//!   private function, the pool's writer-quiesced window, which closes
+//!   when its closure returns or unwinds. Only the pool's own
+//!   `flush_all`/`clear_cache`/`crash_volatile`/`recover` open it, each
+//!   for its own body; no caller outside the pool holds it. The gate has
+//!   no owner thread and does not nest.
 //!
 //! # Accounting
 //!

@@ -91,7 +91,7 @@ pub use heat::{HeatConfig, HEAT_DECAY_EVERY};
 pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
-pub use shared::{Quiesced, SharedBufferPool, SharedPoolHandle};
+pub use shared::{SharedBufferPool, SharedPoolHandle};
 pub use spanned::{SpannedRecord, SpannedStore};
 pub use stats::{BufferStats, DiskStats, IoSnapshot};
 pub use wal::{FsyncMode, WalConfig, WalStats};

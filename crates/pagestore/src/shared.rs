@@ -93,11 +93,9 @@
 //!   gate (in-flight exclusive groups finish, new ones are held off)
 //!   instead of assuming them absent, then work under all shard locks —
 //!   concurrent readers keep running and simply go cold after a restart.
-//!   The gate is shut (and reopened) in one place,
-//!   [`SharedBufferPool::with_writers_quiesced`], whose closure receives a
-//!   [`Quiesced`] token; it has no owner and does not nest, so inside a
-//!   window a flush goes through the token — the pool's own
-//!   `flush_all`/`clear_cache` would wait there forever.
+//!   The gate is shut (and reopened) in one private place, the
+//!   writer-quiesced window those four operations run inside; it has no
+//!   owner and does not nest.
 //!
 //! # Batched reads
 //!
@@ -286,9 +284,9 @@ impl ExtentOwners {
 /// The writer gate: a count of exclusive latch groups in flight, a flag
 /// that holds new ones off, and one wait ([`SharedBufferPool::gate_wait`]).
 /// The flag is raised and lowered by the quiesced window only
-/// ([`SharedBufferPool::with_writers_quiesced`], which says what may and
-/// may not happen inside), before any shard mutex is touched — the gate is
-/// the head of the lock order. It has no owner and does not nest.
+/// ([`SharedBufferPool::with_writers_quiesced`], around flush, cold
+/// restart, crash and recovery), before any shard mutex is touched — the
+/// gate is the head of the lock order. It has no owner and does not nest.
 #[derive(Default)]
 struct GateState {
     /// Exclusive latch groups currently between latch and unlatch.
@@ -393,11 +391,6 @@ impl SharedBufferPool {
         // duplicate keys — a sort yields the global map.
         all.sort_unstable_by_key(|&(p, _)| p);
         all
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Total capacity in pages (summed over shards).
@@ -778,19 +771,11 @@ impl SharedBufferPool {
     /// Runs `f` inside the writer-quiesced window — the only place the gate
     /// is shut and reopened: in-flight exclusive latch groups drain first,
     /// no new one starts until `f` returns **or unwinds**, and plain reads
-    /// and shared groups keep flowing throughout. The reorganizer rewrites
-    /// extents in here; flush, cold restart, crash and recovery are the
-    /// token's own operations.
-    ///
-    /// Lock order: the closure may fix pages, take *shared* latch groups,
-    /// allocate, and flush **through the token** ([`Quiesced::flush_all`]) —
-    /// none of those wait on the gate. It must **not** acquire an exclusive
-    /// latch group ([`LatchMode::Exclusive`] via `latch_pages` /
-    /// `with_latched`) or open a second window — which is what
-    /// [`Self::flush_all`], [`Self::clear_cache`], [`Self::crash_volatile`]
-    /// and [`Self::recover`] do: each waits on the very drain this window
-    /// holds and would self-deadlock (the gate does not nest).
-    pub fn with_writers_quiesced<R>(&self, f: impl FnOnce(&Quiesced<'_>) -> R) -> R {
+    /// and shared groups keep flowing throughout. Flush, cold restart,
+    /// crash and recovery are the token's operations. The window does not
+    /// nest: inside it, an exclusive latch group or a second window waits
+    /// on the very drain this one holds.
+    pub(crate) fn with_writers_quiesced<R>(&self, f: impl FnOnce(&Quiesced<'_>) -> R) -> R {
         self.quiesce_writers();
         let window = Quiesced { pool: self };
         f(&window)
@@ -948,11 +933,6 @@ impl SharedBufferPool {
         }
     }
 
-    /// True when this pool carries a write-ahead log.
-    pub fn wal_enabled(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// Crash-test hook: tears `bytes` record bytes off the end of the
     /// durable log, as a crash that interrupted the final flush mid-record
     /// would leave it. The torn record must read back as end-of-log during
@@ -1095,7 +1075,7 @@ impl SharedBufferPool {
 /// [`SharedBufferPool::with_writers_quiesced`], gone (and the gate open
 /// again) when the closure returns or unwinds. Its methods are what may
 /// only happen while no exclusive latch group is in flight.
-pub struct Quiesced<'a> {
+pub(crate) struct Quiesced<'a> {
     pool: &'a SharedBufferPool,
 }
 
@@ -1108,7 +1088,7 @@ impl Drop for Quiesced<'_> {
 impl Quiesced<'_> {
     /// [`SharedBufferPool::flush_all`] from inside the window: every dirty
     /// page of every shard written back, then the WAL checkpointed.
-    pub fn flush_all(&self) -> Result<()> {
+    fn flush_all(&self) -> Result<()> {
         self.flush(false)
     }
 
@@ -1412,7 +1392,6 @@ mod tests {
         let caps: Vec<usize> = p.shard_occupancy().iter().map(|&(_, c)| c).collect();
         assert_eq!(caps, vec![3, 3, 2, 2]);
         assert_eq!(p.capacity(), 10);
-        assert_eq!(p.shard_count(), 4);
     }
 
     #[test]
@@ -1850,7 +1829,7 @@ mod tests {
     fn a_panic_inside_the_quiesced_window_leaves_the_gate_open() {
         let p = pool(2, 8, 8);
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            p.with_writers_quiesced(|_| panic!("mid-reorganization failure"))
+            p.with_writers_quiesced(|_| panic!("failure inside the window"))
         }));
         assert!(panicked.is_err(), "panic must propagate");
         // Other threads: a writer is admitted, and a flush opens a window.
@@ -2307,7 +2286,6 @@ mod tests {
     #[test]
     fn wal_off_pool_reports_zero_log_counters_and_recovers_nothing() {
         let p = pool(2, 8, 8);
-        assert!(!p.wal_enabled());
         p.with_page_mut(PageId(0), |b| b[0] = 1).unwrap();
         p.log_commit().unwrap();
         p.log_abort();

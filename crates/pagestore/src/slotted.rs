@@ -59,11 +59,6 @@ pub fn init(page: &mut [u8; PAGE_SIZE]) {
     put_u16(page, OFF_RECORD_LOW, PAGE_SIZE as u16);
 }
 
-/// True if the page carries the slotted-page magic.
-pub fn is_slotted(page: &[u8; PAGE_SIZE]) -> bool {
-    get_u16(page, OFF_MAGIC) == MAGIC && page[OFF_KIND] == PageKind::Slotted as u8
-}
-
 /// Number of records on the page; their slots are `0..slot_count`.
 pub fn slot_count(page: &[u8; PAGE_SIZE]) -> u16 {
     get_u16(page, OFF_NSLOTS)
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn init_and_empty_state() {
         let p = fresh();
-        assert!(is_slotted(&p));
+        assert_eq!(kind(&p), Some(PageKind::Slotted));
         assert_eq!(slot_count(&p), 0);
         assert_eq!(free_content_bytes(&p), EFFECTIVE_PAGE_SIZE);
     }
@@ -269,7 +264,7 @@ mod tests {
         assert_eq!(kind(&p), Some(PageKind::Slotted));
         set_kind(&mut p, PageKind::SpannedData);
         assert_eq!(kind(&p), Some(PageKind::SpannedData));
-        assert!(!is_slotted(&p));
+        assert_ne!(kind(&p), Some(PageKind::Slotted));
         let z = [0u8; PAGE_SIZE];
         assert_eq!(kind(&z), None);
     }

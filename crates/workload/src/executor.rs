@@ -174,19 +174,6 @@ pub struct ConcurrentPlanRun {
     pub threads: usize,
 }
 
-impl ConcurrentPlanRun {
-    /// Units served per second of the concurrent read phase (0 when
-    /// unsupported).
-    pub fn units_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        let units = self.outcome.run().map_or(0, |r| r.units);
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        units as f64 / secs
-    }
-}
-
 /// The result of one routed cluster serving run ([`Executor::run_cluster`]):
 /// the usual concurrent measurement plus the router-level serving metrics.
 #[derive(Clone, Debug)]
@@ -201,13 +188,6 @@ pub struct ClusterRun {
     /// node), so a mark counts clients waiting on the node at once and
     /// never exceeds the client count.
     pub queue_high_water: Vec<u64>,
-}
-
-impl ClusterRun {
-    /// Units served per second of the concurrent read phase.
-    pub fn units_per_sec(&self) -> f64 {
-        self.run.units_per_sec()
-    }
 }
 
 /// The result of one mixed read/write serving run ([`Executor::run_stream`]).
@@ -225,17 +205,6 @@ pub struct MixedRun {
     /// Counter deltas for the whole run, disconnect flush included — the
     /// `latch_*` fields surface the contention the mix produced.
     pub snapshot: IoSnapshot,
-}
-
-impl MixedRun {
-    /// Requests served per second of the serving phase.
-    pub fn requests_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.requests as f64 / secs
-    }
 }
 
 /// Interprets workload specs against stores: the object universe (`refs`

@@ -352,18 +352,6 @@ impl WorkloadSpec {
             .max(1)
     }
 
-    /// Whether the plan contains an `update_roots` op anywhere.
-    pub fn has_updates(&self) -> bool {
-        fn any_update(ops: &[Op]) -> bool {
-            ops.iter().any(|op| match op {
-                Op::UpdateRoots { .. } => true,
-                Op::Loop { body, .. } => any_update(body),
-                _ => false,
-            })
-        }
-        any_update(&self.ops)
-    }
-
     /// Structural validation: meaningful counts, bounded recursion, patch
     /// prefixes that fit the 100-byte name. Returns a human-readable
     /// complaint for the first violation.
@@ -1399,7 +1387,5 @@ mod tests {
         spec.mix = Some(MixKind::Mixed5050);
         assert!(!spec.updates_at(0));
         assert!(spec.updates_at(1));
-        assert!(spec.has_updates());
-        assert!(!WorkloadSpec::q2b().has_updates());
     }
 }

@@ -191,6 +191,15 @@ fn exclusive_outcomes(store: &mut dyn ComplexObjectStore, r: ObjRef) -> Vec<Stri
     ]
 }
 
+/// The outcome of the two placement operations, as text: statistics, then
+/// one reorganization pass (the pass changes the store, so it goes last).
+fn placement_outcomes(store: &mut dyn ComplexObjectStore) -> Vec<String> {
+    vec![
+        text("placement_stats", store.placement_stats()),
+        text("reorganize", store.reorganize()),
+    ]
+}
+
 /// [`exclusive_outcomes`] over the `&self` surface.
 fn shared_outcomes(store: &dyn ConcurrentObjectStore, r: ObjRef) -> Vec<String> {
     vec![
@@ -243,6 +252,17 @@ fn exclusive_and_shared_surfaces_fail_with_the_same_error() {
                 shared_outcomes(shared.as_ref(), r),
                 want,
                 "{kind}, {case}: `&self` surface"
+            );
+            let want = placement_outcomes(serial.as_mut());
+            assert_eq!(
+                want.iter().all(|line| line.ends_with(": empty database")),
+                !load,
+                "{kind}, {case}: {want:#?}"
+            );
+            assert_eq!(
+                placement_outcomes(shared.as_mut()),
+                want,
+                "{kind}, {case}: placement over the shared pool"
             );
         }
     }

@@ -1,24 +1,25 @@
 //! Reorg differential test: the adaptive-placement pass is logically
 //! invisible.
 //!
-//! The online reorganizer rewrites extents in heat order — a purely
-//! *physical* act. Two guarantees pin that down:
+//! The reorganizer rewrites extents in heat order — a purely *physical*
+//! act, run through `&mut` like the bulk load. Two guarantees pin that
+//! down:
 //!
 //! * **Tape equivalence** (proptest): for every storage model, a random
 //!   op tape (lookups, scans, navigation, root updates) interleaved with
-//!   reorganization passes at random quiesce points must observe exactly
-//!   what a never-reorganized oracle store observes, op for op, and leave
-//!   identical logical content behind. OIDs and keys survive the rewrite.
-//! * **Reader races**: on the concurrent surface the pass runs inside the
-//!   writer-quiesce gate while reader threads keep serving throughout.
-//!   Every answer returned mid-reorg must be correct — readers hold a
-//!   snapshot of the old placement, whose extents stay valid on disk,
-//!   until the atomic swap publishes the new one.
+//!   reorganization passes at random points must observe exactly what a
+//!   never-reorganized oracle store observes, op for op, and leave
+//!   identical logical content behind — on the exclusive pool and on a
+//!   2-shard shared pool. OIDs and keys survive the rewrite.
+//! * **Shared serving after a pass**: a 4-shard shared-pool store, heated
+//!   through its `&self` surface and reorganized through `&mut` (heat
+//!   merged over the shards, the flush through the writer gate), answers
+//!   every key from concurrent `&self` readers.
 
 use proptest::prelude::*;
 use starfish::core::{
-    make_shared_store, make_store, ComplexObjectStore, HeatConfig, ModelKind, ObjRef, PolicyKind,
-    RootPatch, StoreConfig,
+    make_shared_store, make_store, ComplexObjectStore, ConcurrentObjectStore, HeatConfig,
+    ModelKind, ObjRef, PolicyKind, RootPatch, StoreConfig,
 };
 use starfish::nf2::station::Station;
 use starfish::nf2::{Oid, Projection, Value};
@@ -54,8 +55,8 @@ fn patch_name(original: &str, step: usize) -> String {
 }
 
 /// One op of the differential tape. `reorg_before` marks the random
-/// quiesce point: the subject store runs its pass right before the op,
-/// the oracle never does.
+/// reorganization point: the subject stores run their pass right before
+/// the op, the oracle never does.
 #[derive(Clone, Debug)]
 struct TapeStep {
     op: TapeOp,
@@ -157,62 +158,74 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random tapes with reorganization at random points observe exactly
-    /// what the never-reorganized oracle observes, for all five models.
+    /// what the never-reorganized oracle observes, for all five models and
+    /// two subjects: an exclusive-pool store and a 2-shard shared-pool one.
     #[test]
     fn reorg_tape_matches_never_reorged_oracle(
         tape in proptest::collection::vec(step_strategy(N_OBJECTS), 8..20),
     ) {
         let db = dataset();
         for kind in ModelKind::all() {
-            let mut subject = make_store(kind, config());
+            let mut subjects: [(&str, Box<dyn ComplexObjectStore>); 2] = [
+                ("exclusive", make_store(kind, config())),
+                ("2-shard shared", make_shared_store(kind, config(), 2)),
+            ];
             let mut oracle = make_store(kind, config());
-            let refs = subject.load(&db).unwrap();
-            let oracle_refs = oracle.load(&db).unwrap();
-            prop_assert_eq!(&refs, &oracle_refs, "{}: load must hand out identical refs", kind);
+            let refs = oracle.load(&db).unwrap();
+            for (name, subject) in &mut subjects {
+                prop_assert_eq!(
+                    &subject.load(&db).unwrap(), &refs,
+                    "{} {}: load must hand out identical refs", kind, name
+                );
+            }
 
             let mut reorgs = 0usize;
             for (step_no, step) in tape.iter().enumerate() {
                 if step.reorg_before {
-                    let report = subject.reorganize().unwrap();
-                    prop_assert_eq!(report.objects, N_OBJECTS);
+                    for (_, subject) in &mut subjects {
+                        let report = subject.reorganize().unwrap();
+                        prop_assert_eq!(report.objects, N_OBJECTS);
+                    }
                     reorgs += 1;
                 }
-                let got = apply(subject.as_mut(), &db, &refs, step_no, &step.op);
                 let want = apply(oracle.as_mut(), &db, &refs, step_no, &step.op);
-                prop_assert_eq!(
-                    got, want,
-                    "{}: op {} ({:?}) diverged after {} reorgs",
-                    kind, step_no, &step.op, reorgs
-                );
+                for (name, subject) in &mut subjects {
+                    let got = apply(subject.as_mut(), &db, &refs, step_no, &step.op);
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{} {}: op {} ({:?}) diverged after {} reorgs",
+                        kind, name, step_no, &step.op, reorgs
+                    );
+                }
             }
 
             // Final logical content: a full scan after a flush must agree.
-            subject.flush().unwrap();
-            oracle.flush().unwrap();
             let collect = |s: &mut dyn ComplexObjectStore| {
+                s.flush().unwrap();
                 let mut seen = Vec::new();
                 s.scan_all(&mut |t| seen.push(Station::from_tuple(t).unwrap())).unwrap();
                 seen
             };
-            prop_assert_eq!(
-                collect(subject.as_mut()),
-                collect(oracle.as_mut()),
-                "{}: final content diverged", kind
-            );
+            let want = collect(oracle.as_mut());
+            for (name, subject) in &mut subjects {
+                prop_assert_eq!(
+                    &collect(subject.as_mut()), &want,
+                    "{} {}: final content diverged", kind, name
+                );
+            }
         }
     }
 }
 
-/// Reader threads race the shared-surface reorganization pass: every
-/// answer served mid-reorg must be correct, and the pass must actually
-/// move objects (the race window is real, not a no-op).
+/// A shared-pool store heated through `&self` and reorganized through
+/// `&mut` moves objects on every model, then serves every key from
+/// concurrent `&self` readers and scans back exactly the dataset.
 #[test]
-fn readers_race_shared_reorganize() {
+fn shared_store_reorganized_through_mut_serves_concurrent_readers() {
     let db = dataset();
     for kind in ModelKind::all() {
         let mut store = make_shared_store(kind, config(), 4);
         let refs = store.load(&db).unwrap();
-        let store = &*store;
 
         // Heat up a skewed subset so the pass has a hot set to co-locate.
         for _ in 0..8 {
@@ -220,52 +233,33 @@ fn readers_race_shared_reorganize() {
                 store.shared_get_by_key(s.key, &Projection::All).unwrap();
             }
         }
+        let moved = store.reorganize().unwrap().moved;
+        assert!(moved > 0, "{kind}: the pass moved nothing");
 
-        let moved = std::thread::scope(|scope| {
-            let readers: Vec<_> = (0..4)
-                .map(|r| {
-                    let db = &db;
-                    let refs = &refs;
-                    scope.spawn(move || {
-                        for i in 0..200usize {
-                            let idx = (i * 7 + r * 13) % db.len();
-                            let t = store
-                                .shared_get_by_key(db[idx].key, &Projection::All)
-                                .unwrap();
-                            assert_eq!(
-                                Station::from_tuple(&t).unwrap(),
-                                db[idx],
-                                "{kind}: lookup diverged mid-reorg"
-                            );
-                            let children = store.shared_children_of(&refs[idx..idx + 1]).unwrap();
-                            let roots = store.shared_root_records(&children).unwrap();
-                            assert_eq!(children.len(), roots.len());
-                        }
-                    })
-                })
-                .collect();
-
-            // Three passes while the readers hammer the store.
-            let mut moved = 0usize;
-            for _ in 0..3 {
-                moved += store.shared_reorganize().unwrap().moved;
-                std::thread::yield_now();
+        let store: &dyn ConcurrentObjectStore = &*store;
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let (db, refs) = (&db, &refs);
+                scope.spawn(move || {
+                    for (i, s) in db.iter().enumerate() {
+                        let t = store.shared_get_by_key(s.key, &Projection::All).unwrap();
+                        assert_eq!(
+                            &Station::from_tuple(&t).unwrap(),
+                            s,
+                            "{kind}: lookup diverged"
+                        );
+                        let children = store.shared_children_of(&refs[i..i + 1]).unwrap();
+                        let roots = store.shared_root_records(&children).unwrap();
+                        assert_eq!(children.len(), roots.len());
+                    }
+                });
             }
-            for r in readers {
-                r.join().unwrap();
-            }
-            moved
         });
-        assert!(
-            moved > 0,
-            "{kind}: the race window was empty — no pass moved anything"
-        );
 
-        // After the dust settles: full content identical to the input.
         let mut seen = Vec::new();
         store
             .shared_scan_all(&mut |t| seen.push(Station::from_tuple(t).unwrap()))
             .unwrap();
-        assert_eq!(seen, db, "{kind}: content diverged after racing reorgs");
+        assert_eq!(seen, db, "{kind}: content diverged after the pass");
     }
 }
