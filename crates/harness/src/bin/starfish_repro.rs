@@ -10,7 +10,10 @@
 //!   --fast       300 objects / 240-page buffer (same DB:buffer ratio)
 //!   --only       run a subset of experiments (ids from --list)
 //!   --markdown   emit GitHub-flavoured markdown instead of plain text
-//!   --json       emit one JSON object per experiment (one per line)
+//!   --json       emit one JSON object per experiment (one per line); a
+//!                cell or note that is not pinned (wall-clock or
+//!                schedule-dependent) prints as null, so two runs print
+//!                the same bytes. Not with --markdown.
 //!   --seed N     dataset seed (default 4242)
 //!   --policy P   buffer-replacement policy for every measurement:
 //!                lru (paper default), clock, mru, fifo, lru2.
@@ -66,6 +69,10 @@ fn main() {
              [--nodes N] [--list]\n\
              regenerates the tables/figures of 'An Evaluation of Physical Disk \
              I/Os for Complex Object Processing' (ICDE 1993)\n\
+             --json prints one JSON object per report, one per line; a cell or \
+             note that is not pinned (wall-clock or schedule-dependent) prints \
+             as null, so two runs print the same bytes (FINGERPRINT.json holds \
+             the --fast run); --markdown prints markdown tables instead\n\
              --policy selects the buffer-replacement policy behind every \
              measurement (default lru, the paper's §5.1 buffer); the \
              ext-policy experiment sweeps all five policies regardless\n\

@@ -86,6 +86,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Extension — packed vs sub-tuple-aligned direct layout".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

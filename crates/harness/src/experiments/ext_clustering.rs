@@ -236,6 +236,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Extension — adaptive placement (heat-tracked online reclustering)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

@@ -114,6 +114,12 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
                     fmt_pages(snap.commits as f64 / secs.max(1e-9)),
                     recovered.to_string(),
                 ]);
+                // commits/s is wall-clock; how many commits share a group
+                // flush follows the schedule once two writers race.
+                table.unpin(7);
+                if mode == FsyncMode::Group && n > 1 {
+                    (4..7).for_each(|col| table.unpin(col));
+                }
             }
         }
     }
@@ -168,6 +174,7 @@ pub fn run_with(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentR
         title: "Extension — WAL commit durability: fsync mode × writer count".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

@@ -82,6 +82,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Extension — estimated response times (Equation 1, two hardware eras)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

@@ -108,6 +108,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Page I/Os vs object size (max sightseeings 0 / 15 / 30)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

@@ -129,6 +129,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Query 2b pages/loop vs database size (caching)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

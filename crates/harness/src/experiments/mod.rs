@@ -158,7 +158,7 @@ pub const REGISTRY: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         id: "ext-cluster-baseline",
-        summary: "deterministic cluster serving fingerprint (BENCH_cluster.json)",
+        summary: "deterministic cluster serving fingerprint",
     },
     ExperimentInfo {
         id: "ext-clustering",
@@ -291,6 +291,33 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), REGISTRY.len(), "duplicate registry ids");
+    }
+
+    /// `FINGERPRINT.json` is `starfish_repro --fast --json` followed by
+    /// `--fast --workload hot-set --sweep --threads 1 --json`; CI diffs a
+    /// fresh run against it. An experiment added without regenerating it,
+    /// or a file regenerated from a run whose contract broke, fails here.
+    #[test]
+    fn the_fingerprint_has_one_line_per_experiment_then_the_sweep() {
+        let lines: Vec<&str> = include_str!("../../../../FINGERPRINT.json")
+            .lines()
+            .collect();
+        let ids: Vec<String> = (lines.iter())
+            .map(|line| {
+                let report = serde_json::from_str(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+                let id = report.get("id").and_then(|id| id.as_str());
+                id.unwrap_or_else(|| panic!("no id: {line}")).to_string()
+            })
+            .collect();
+        let mut want: Vec<&str> = REGISTRY.iter().map(|e| e.id).collect();
+        want.push("workload-sweep-hot-set");
+        assert_eq!(ids, want);
+        for line in lines {
+            assert!(
+                !line.contains("WARNING") && !line.contains("DIVERGED"),
+                "{line}"
+            );
+        }
     }
 }
 
@@ -428,6 +455,17 @@ mod ext_concurrency {
                 "anchors failed: {:?}",
                 report.notes
             );
+            // Wall-clock and wait columns are unpinned in every row; physical
+            // I/O and the engine's batching above one client.
+            for (r, row) in report.table.rows.iter().enumerate() {
+                for (c, header) in report.table.headers.iter().enumerate() {
+                    let never = ["queries/s", "speedup", "latch waits"].contains(&&**header);
+                    let multi = ["pages/loop", "batch/coalesced", "max qd"].contains(&&**header);
+                    let unpinned = never || (multi && row[3] != "1");
+                    let got = report.table.unpinned.contains(&(r, c));
+                    assert_eq!(got, unpinned, "{header}: {row:?}");
+                }
+            }
             // Speedup column of every 1-client row is exactly 1.00x, and its
             // latch-wait column is 0 (no contention possible).
             for row in report.table.rows.iter().filter(|r| r[3] == "1") {

@@ -212,6 +212,29 @@ enum Col {
     Dash,
 }
 
+impl Col {
+    /// Whether the column's value is pinned in a cell served by `clients`
+    /// clients: the same on every run of a commit, so `--json` prints it.
+    /// Wall-clock rates, latch waits and queue high-water marks never are.
+    /// Physical I/O and the engine's batching are pinned at one client
+    /// only: above it, clients race on what is resident. Everything else
+    /// follows the data, the plan or the allocation.
+    fn pinned(self, clients: usize) -> bool {
+        let one_client = clients == 1;
+        match self {
+            Col::Rate | Col::Speedup | Col::LatchWaits | Col::QueueHighWater => false,
+            Col::Reads | Col::Writes | Col::Pages | Col::Calls | Col::HitRate => one_client,
+            Col::Evictions | Col::VsLru | Col::VsStatic | Col::ReadsVsLru(_) => one_client,
+            Col::Batches | Col::MaxQueueDepth => one_client,
+            Col::Imbalance(Load::NodePages) | Col::Cv(Load::NodePages) => one_client,
+            Col::Scenario | Col::Model | Col::Policy | Col::Clients | Col::Nodes => true,
+            Col::Workers | Col::Buffer | Col::Units | Col::Fixes | Col::TotalFixes => true,
+            Col::Updates | Col::Nav | Col::Predicted | Col::Latches | Col::NodeFixes => true,
+            Col::Imbalance(_) | Col::Cv(_) | Col::NodeDisks | Col::Disks | Col::Dash => true,
+        }
+    }
+}
+
 /// A per-shard or per-node load vector of a cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Load {
@@ -669,6 +692,12 @@ fn render(
         for cell in shown {
             let row = columns.iter().map(|&(_, col)| grid.show(col, cell.at));
             table.push_row(row.collect());
+            let (clients, ..) = grid.axes.servings[cell.at.serving].counts();
+            for (i, &(_, col)) in columns.iter().enumerate() {
+                if !col.pinned(clients) {
+                    table.unpin(i);
+                }
+            }
         }
     }
     let (id, title) = (id.to_string(), title.to_string());
@@ -677,6 +706,7 @@ fn render(
         title,
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 
@@ -1200,19 +1230,21 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
              mark; at depth 1 every batch is a solo one-page read and the \
              counters match the engine-off sweep"
         ),
-        match best_speedup {
-            Some((at, s)) => {
-                let (kind, d) = row(at);
-                format!(
-                    "best batched-I/O throughput at depth >= 4: {s:.2}x over depth 1 \
-                     ({kind}, depth {d}) — wall-clock, hardware-dependent"
-                )
-            }
-            None => "no depth >= 4 in this sweep (raise --queue-depth to measure \
-                     the coalescing throughput win)"
-                .to_string(),
-        },
     ];
+    // The "best …" notes name a wall-clock or schedule-dependent winner.
+    let first_best = notes.len();
+    notes.push(match best_speedup {
+        Some((at, s)) => {
+            let (kind, d) = row(at);
+            format!(
+                "best batched-I/O throughput at depth >= 4: {s:.2}x over depth 1 \
+                 ({kind}, depth {d}) — wall-clock, hardware-dependent"
+            )
+        }
+        None => "no depth >= 4 in this sweep (raise --queue-depth to measure \
+                 the coalescing throughput win)"
+            .to_string(),
+    });
     if let Some((at, cut)) = best_call_cut {
         let (kind, d) = row(at);
         notes.push(format!(
@@ -1222,6 +1254,7 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
              simulated disk has no seek latency for wall-clock to hide)"
         ));
     }
+    let best_notes = first_best..notes.len();
     let contract = contract_warning(&[&reads, &streams, &batched]);
     notes.push(contract.unwrap_or_else(|| {
         "fix counts verified identical across client counts for every \
@@ -1247,7 +1280,9 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
     ]]);
     let title = "Extension — concurrent read/write serving over a sharded, latched buffer pool";
     let parts = [&reads, &streams, &batched].map(|grid| (grid, columns.as_slice()));
-    Ok(render("ext-concurrency", title, &parts, notes))
+    let mut report = render("ext-concurrency", title, &parts, notes);
+    report.unpinned_notes.extend(best_notes);
+    Ok(report)
 }
 
 /// Cluster size of `ext-distributed`'s §5.5 study.
@@ -1414,6 +1449,7 @@ pub fn ext_distributed(config: &HarnessConfig, workers: &[usize]) -> Result<Expe
         let (.., workers) = served.axes.servings[c.at.serving].counts();
         Some((c.at, served.speedup(c.at).filter(|_| workers >= 4)?))
     });
+    let best_note = notes.len();
     notes.push(match best(scaled_out) {
         Some((at, s)) => {
             let kind = SWEEP_MODELS[at.model];
@@ -1463,7 +1499,9 @@ pub fn ext_distributed(config: &HarnessConfig, workers: &[usize]) -> Result<Expe
     let study_columns = cluster_columns(Col::Dash, Load::NodePages);
     let served_columns = cluster_columns(Col::Units, Load::NodeFixes);
     let parts = [(&study, &study_columns[..]), (&served, &served_columns[..])];
-    Ok(render("ext-distributed", title, &parts, notes))
+    let mut report = render("ext-distributed", title, &parts, notes);
+    report.unpinned_notes.push(best_note);
+    Ok(report)
 }
 
 /// `ext-cluster-baseline`'s clients (fixed: the baseline pins determinism,
@@ -1476,13 +1514,12 @@ pub(crate) const BASELINE_NODES: [usize; 2] = [1, 3];
 /// `ext-cluster-baseline`'s workers per node.
 pub(crate) const BASELINE_WORKERS: [usize; 2] = [1, 4];
 
-/// `ext-cluster-baseline`, the deterministic cluster fingerprint behind
-/// `BENCH_cluster.json`: query 3b served at `BASELINE_CLIENTS` clients
-/// across a nodes × workers grid at `--policy`, engine on, showing only
-/// scheduling-independent columns — units, total fixes, update count,
-/// navigation footprint, per-node fixes and per-node disk checksums. Rows
-/// of the same (model, nodes) must be identical across worker counts; CI
-/// diffs the JSON byte for byte.
+/// `ext-cluster-baseline`, the deterministic cluster fingerprint: query 3b
+/// served at `BASELINE_CLIENTS` clients across a nodes × workers grid at
+/// `--policy`, engine on, showing only scheduling-independent columns —
+/// units, total fixes, update count, navigation footprint, per-node fixes
+/// and per-node disk checksums. Rows of the same (model, nodes) must be
+/// identical across worker counts; CI diffs the JSON byte for byte.
 pub fn cluster_baseline(config: &HarnessConfig) -> Result<ExperimentReport> {
     let spec = vec![WorkloadSpec::for_query(QueryId::Q3b)];
     let mut axes = Axes::every_policy(spec, &SWEEP_MODELS, |a| [a.model, a.serving, 0, 0]);
@@ -1508,8 +1545,8 @@ pub fn cluster_baseline(config: &HarnessConfig) -> Result<ExperimentReport> {
              fingerprints) — wall-clock is deliberately absent"
         ),
         "rows of the same (MODEL, NODES) must be identical across worker \
-         counts; a CI diff against the checked-in BENCH_cluster.json \
-         failing means scheduling leaked into the answers or the disks"
+         counts; a diff against this report's line of the checked-in \
+         FINGERPRINT.json means scheduling leaked into the answers or the disks"
             .to_string(),
     ];
     let columns = columns(&[&[
@@ -1524,7 +1561,7 @@ pub fn cluster_baseline(config: &HarnessConfig) -> Result<ExperimentReport> {
         ("node fixes", Col::NodeFixes),
         ("node disks", Col::NodeDisks),
     ]]);
-    let title = "Extension — deterministic cluster serving fingerprint (BENCH_cluster.json)";
+    let title = "Extension — deterministic cluster serving fingerprint";
     Ok(grid.report("ext-cluster-baseline", title, &columns, notes))
 }
 
@@ -1727,6 +1764,63 @@ pub(crate) mod tests {
             .notes
             .iter()
             .any(|n| n.contains("4 client threads")));
+    }
+
+    /// Wall-clock and wait columns are never pinned; physical I/O, its
+    /// deltas and the engine's batching only at one client (two `--sweep
+    /// --threads 2` runs print different reads/u and calls/u); the rest
+    /// always.
+    #[test]
+    fn every_column_is_pinned_by_its_class() {
+        use Col::*;
+        let (node_pages, shards, nodes) = (Load::NodePages, Load::ShardFixes, Load::NodeFixes);
+        let never = [Rate, Speedup, LatchWaits, QueueHighWater];
+        let one_client = [
+            Reads,
+            Writes,
+            Pages,
+            Calls,
+            HitRate,
+            Evictions,
+            VsLru,
+            VsStatic,
+            ReadsVsLru(0),
+            Batches,
+            MaxQueueDepth,
+            Imbalance(node_pages),
+            Cv(node_pages),
+        ];
+        let always = [
+            Scenario,
+            Model,
+            Policy,
+            Clients,
+            Nodes,
+            Workers,
+            Buffer,
+            Units,
+            Fixes,
+            TotalFixes,
+            Updates,
+            Nav,
+            Predicted,
+            Latches,
+            Imbalance(shards),
+            Cv(shards),
+            Imbalance(nodes),
+            Cv(nodes),
+            NodeFixes,
+            NodeDisks,
+            Disks,
+            Dash,
+        ];
+        for clients in [1, 2, 256] {
+            assert!(never.iter().all(|col| !col.pinned(clients)));
+            assert!(one_client
+                .iter()
+                .all(|col| col.pinned(clients) == (clients == 1)));
+            assert!(always.iter().all(|col| col.pinned(clients)));
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Average stored sizes of benchmark tuples (measured vs analytic)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

@@ -37,6 +37,7 @@ pub fn run(config: &HarnessConfig) -> ExperimentReport {
         title: "Analytical estimates of the number of page I/Os".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

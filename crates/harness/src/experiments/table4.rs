@@ -45,6 +45,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Measured physical page I/Os (X_IO_pages)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

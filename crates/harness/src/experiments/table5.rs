@@ -44,6 +44,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Measured I/O calls (X_IO_calls)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

@@ -42,6 +42,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Measured buffer fixes".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

@@ -105,6 +105,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
         title: "Query 2b under data skew (probability 20%, fanout 8)".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     })
 }
 

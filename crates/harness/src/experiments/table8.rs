@@ -138,6 +138,7 @@ pub fn run(grid: &MeasuredGrid) -> ExperimentReport {
         title: "Overall evaluation of all storage models".into(),
         table,
         notes,
+        unpinned_notes: Vec::new(),
     }
 }
 

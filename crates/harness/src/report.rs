@@ -9,6 +9,11 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Row cells (already formatted).
     pub rows: Vec<Vec<String>>,
+    /// The cells, as (row, column), that are not pinned: a wall-clock or
+    /// schedule-dependent value that two runs of one commit may print
+    /// differently. [`ExperimentReport::render_json`] prints them as
+    /// `null`.
+    pub unpinned: Vec<(usize, usize)>,
 }
 
 impl Table {
@@ -17,6 +22,7 @@ impl Table {
         Table {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
+            unpinned: Vec::new(),
         }
     }
 
@@ -25,6 +31,11 @@ impl Table {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
+    }
+
+    /// Marks column `col` of the last row unpinned.
+    pub fn unpin(&mut self, col: usize) {
+        self.unpinned.push((self.rows.len() - 1, col));
     }
 
     /// Renders as an aligned plain-text table.
@@ -100,6 +111,10 @@ pub struct ExperimentReport {
     /// Comparison notes against the paper (anchors, deviations,
     /// explanations).
     pub notes: Vec<String>,
+    /// Indices into `notes` of the notes that are not pinned (a wall-clock
+    /// "best …" note); [`ExperimentReport::render_json`] prints them as
+    /// `null`.
+    pub unpinned_notes: Vec<usize>,
 }
 
 impl ExperimentReport {
@@ -143,53 +158,37 @@ impl ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Renders the report as a self-contained JSON object. The structure is
-    /// emitted by hand (it is one flat object); string escaping is the
-    /// local `json_str`, and the `serde` derives remain available for
-    /// downstream serializers.
+    /// Renders the report as a self-contained JSON object. This is the
+    /// baseline format, so an unpinned cell or note prints as `null`: two
+    /// runs of one commit print the same bytes. The structure is emitted by
+    /// hand (it is one flat object); string escaping is the local
+    /// `json_str`, and the `serde` derives remain available for downstream
+    /// serializers.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"id\":{},", json_str(&self.id)));
-        out.push_str(&format!("\"title\":{},", json_str(&self.title)));
-        out.push_str("\"headers\":[");
-        out.push_str(
-            &self
-                .table
-                .headers
-                .iter()
-                .map(|h| json_str(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("],\"rows\":[");
-        out.push_str(
-            &self
-                .table
-                .rows
-                .iter()
-                .map(|row| {
-                    format!(
-                        "[{}]",
-                        row.iter()
-                            .map(|c| json_str(c))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("],\"notes\":[");
-        out.push_str(
-            &self
-                .notes
-                .iter()
-                .map(|n| json_str(n))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("]}");
-        out
+        let value = |text: &str, pinned: bool| match pinned {
+            true => json_str(text),
+            false => "null".to_string(),
+        };
+        let table = &self.table;
+        let headers: Vec<String> = table.headers.iter().map(|h| json_str(h)).collect();
+        let rows: Vec<String> = (table.rows.iter().enumerate())
+            .map(|(r, row)| {
+                let cells = row.iter().enumerate();
+                let cells = cells.map(|(c, text)| value(text, !table.unpinned.contains(&(r, c))));
+                format!("[{}]", cells.collect::<Vec<_>>().join(","))
+            })
+            .collect();
+        let notes: Vec<String> = (self.notes.iter().enumerate())
+            .map(|(i, n)| value(n, !self.unpinned_notes.contains(&i)))
+            .collect();
+        format!(
+            "{{\"id\":{},\"title\":{},\"headers\":[{}],\"rows\":[{}],\"notes\":[{}]}}",
+            json_str(&self.id),
+            json_str(&self.title),
+            headers.join(","),
+            rows.join(","),
+            notes.join(",")
+        )
     }
 }
 
@@ -280,6 +279,7 @@ mod tests {
             title: "a \\ title".into(),
             table: t,
             notes: vec!["n1".into()],
+            unpinned_notes: Vec::new(),
         };
         let j = r.render_json();
         assert!(j.starts_with('{') && j.ends_with('}'));
@@ -290,6 +290,29 @@ mod tests {
         assert!(j.contains("\"notes\":[\"n1\"]"));
         // Balanced brackets as a cheap well-formedness check.
         assert_eq!(j.matches('[').count(), j.matches(']').count());
+    }
+
+    #[test]
+    fn an_unpinned_cell_or_note_is_null_in_json_only() {
+        let mut table = Table::new(vec!["MODEL", "queries/s"]);
+        table.push_row(vec!["DSM", "1234"]);
+        table.unpin(1);
+        let report = ExperimentReport {
+            id: "t".into(),
+            title: "t".into(),
+            table,
+            notes: vec!["pinned".into(), "best 2.00x".into()],
+            unpinned_notes: vec![1],
+        };
+        let json = report.render_json();
+        assert!(json.contains(r#""rows":[["DSM",null]]"#), "{json}");
+        assert!(json.contains(r#""notes":["pinned",null]"#), "{json}");
+        for text in [report.render(), report.render_markdown()] {
+            assert!(
+                text.contains("1234") && text.contains("best 2.00x"),
+                "{text}"
+            );
+        }
     }
 
     #[test]
@@ -316,6 +339,7 @@ mod tests {
             title: "t".into(),
             table,
             notes: vec!["verified identical".into()],
+            unpinned_notes: Vec::new(),
         };
         assert!(!clean.contract_broken());
         let mut warned = clean.clone();

@@ -115,9 +115,13 @@ const FLAGS: [(&str, bool); 15] = [
 ];
 
 /// Checks that every argument is a known flag or the value of one. A
-/// misspelt flag or a stray positional is an error naming it; a flag's
-/// value is its own parser's to judge.
+/// misspelt flag, a stray positional, or both output formats at once is an
+/// error naming it; a flag's value is its own parser's to judge.
 pub fn check_args(args: &[String]) -> std::result::Result<(), String> {
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    if has("--json") && has("--markdown") {
+        return Err("--json and --markdown are two output formats: pick one".into());
+    }
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match FLAGS.iter().find(|(flag, _)| flag == arg) {
@@ -607,6 +611,21 @@ mod tests {
         assert!(err.contains("'table3'") && err.contains("--help"), "{err}");
         // A value that looks like a flag is the flag's own parser's business.
         assert_eq!(check_args(&args(&["--seed", "-1", "--threads"])), Ok(()));
+    }
+
+    #[test]
+    fn check_args_rejects_two_output_formats() {
+        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let err = check_args(&args(&["--fast", "--json", "--markdown"])).unwrap_err();
+        assert!(
+            err.contains("--json") && err.contains("--markdown"),
+            "{err}"
+        );
+        assert_eq!(
+            check_args(&args(&["--markdown", "--only", "table3"])),
+            Ok(())
+        );
+        assert_eq!(check_args(&args(&["--json", "--only", "table3"])), Ok(()));
     }
 
     #[test]
