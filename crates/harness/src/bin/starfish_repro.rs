@@ -1,183 +1,53 @@
 //! `starfish-repro` — regenerate every table and figure of the ICDE 1993
 //! evaluation, and run declarative workloads beyond it.
 //!
-//! ```text
-//! starfish-repro [--fast] [--only <id>[,<id>…]] [--markdown] [--json]
-//!                [--seed N] [--policy <name>] [--threads N] [--fsync M]
-//!                [--queue-depth N] [--workload <file.json>|<builtin>]
-//!                [--sweep] [--nodes N] [--list]
-//!
-//!   --fast       300 objects / 240-page buffer (same DB:buffer ratio)
-//!   --only       run a subset of experiments (ids from --list)
-//!   --markdown   emit GitHub-flavoured markdown instead of plain text
-//!   --json       emit one JSON object per experiment (one per line); a
-//!                cell or note that is not pinned (wall-clock or
-//!                schedule-dependent) prints as null, so two runs print
-//!                the same bytes. Not with --markdown.
-//!   --seed N     dataset seed (default 4242)
-//!   --policy P   buffer-replacement policy for every measurement:
-//!                lru (paper default), clock, mru, fifo, lru2.
-//!                ext-policy always sweeps all five.
-//!   --threads N  client count for ext-concurrency and workers-per-node
-//!                for ext-distributed's serving sweep (default: sweep
-//!                1/2/4/8). With N=1 the experiments reproduce the serial
-//!                per-unit counters exactly. Combined with --workload, runs
-//!                the spec over the concurrent surface with N clients.
-//!   --fsync M    restrict ext-durability to one WAL flush mode: per
-//!                (flush the log on every commit) or group (leader
-//!                flushes a batch). Default: sweep both. Other
-//!                experiments run with the WAL off and ignore it.
-//!   --queue-depth N
-//!                cap the queue depths ext-concurrency's batched-I/O
-//!                sweep drives (default 8: depths 1/2/4/8 with the
-//!                submission/completion engine enabled). Other
-//!                experiments ignore it.
-//!   --workload   run one declarative workload spec (a JSON file path or a
-//!                built-in name like deep-nav) across the five storage
-//!                models instead of the experiment suite; add --threads N
-//!                to serve it from N client threads
-//!   --sweep      with --workload: cross the spec with every replacement
-//!                policy × the client-count list through the shared
-//!                reporting path (concurrency, cluster and drift scenarios
-//!                render identically); add --nodes N to serve every cell
-//!                from a routed N-node cluster instead of the shared
-//!                surface
-//!   --nodes N    cluster size for --workload --sweep (requires --sweep)
-//!   --list       enumerate experiments, built-in queries and shipped
-//!                workload specs, then exit
-//! ```
-//!
-//! Exit status: 0; 2 on a command-line misuse; 1 when a run fails, or when
-//! a printed report's contract check failed (a `WARNING` note or a
-//! `DIVERGED` cell) — reported after every report is printed.
+//! `starfish_repro --help` lists the flags, one table in
+//! `starfish_harness::cli`, and the exit status.
 
-use starfish_harness::experiments;
-use starfish_harness::runner::{
-    check_args, check_threads, parse_fsync, parse_nodes, parse_only, parse_queue_depth, parse_seed,
-    parse_threads, HarnessConfig,
-};
+use starfish_harness::cli::Cli;
+use starfish_harness::experiments::{self, policy_grid, RunCtx};
 use starfish_workload::WorkloadSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_args(&args).unwrap_or_else(|e| usage(e));
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "starfish-repro [--fast] [--only <ids>] [--markdown] [--json] [--seed N] \
-             [--policy lru|clock|mru|fifo|lru2] [--threads N] [--fsync per|group] \
-             [--queue-depth N] [--workload <file.json>|<name>] [--sweep] \
-             [--nodes N] [--list]\n\
-             regenerates the tables/figures of 'An Evaluation of Physical Disk \
-             I/Os for Complex Object Processing' (ICDE 1993)\n\
-             --json prints one JSON object per report, one per line; a cell or \
-             note that is not pinned (wall-clock or schedule-dependent) prints \
-             as null, so two runs print the same bytes (FINGERPRINT.json holds \
-             the --fast run); --markdown prints markdown tables instead\n\
-             --policy selects the buffer-replacement policy behind every \
-             measurement (default lru, the paper's §5.1 buffer); the \
-             ext-policy experiment sweeps all five policies regardless\n\
-             --threads pins the ext-concurrency client count and the \
-             ext-distributed workers-per-node (default sweep: 1/2/4/8)\n\
-             --fsync restricts the ext-durability WAL sweep to one flush mode \
-             (per = flush on every commit, group = leader flushes a batch; \
-             default both)\n\
-             --queue-depth caps the queue depths of ext-concurrency's \
-             batched-I/O sweep (submission/completion engine enabled, client \
-             count = queue depth; default cap 8)\n\
-             --workload runs one declarative AccessPlan spec (JSON file or \
-             built-in name) across the five storage models; with --threads N \
-             it runs over the concurrent surface from N client threads\n\
-             --sweep crosses the --workload spec with every policy × the \
-             client-count list through one shared reporting path; --nodes N \
-             serves every sweep cell from a routed N-node cluster\n\
-             --list shows every experiment id, built-in query and shipped \
-             workload spec"
-        );
+    let cli = Cli::parse(&args).unwrap_or_else(|e| usage(e));
+    if cli.help {
+        println!("{}", Cli::help());
         return;
     }
-    if args.iter().any(|a| a == "--list") {
+    if cli.list {
         print_list();
         return;
     }
-    let mut config = if args.iter().any(|a| a == "--fast") {
-        HarnessConfig::fast()
-    } else {
-        HarnessConfig::default()
-    };
-    if let Some(seed) = parse_seed(&args).unwrap_or_else(|e| usage(e)) {
-        config.dataset_seed = seed;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--policy") {
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| usage("--policy needs a value"));
-        config.policy = value.parse().unwrap_or_else(|e: String| usage(e));
-    }
-    config.fsync = parse_fsync(&args).unwrap_or_else(|e| usage(e));
-    config.queue_depth = parse_queue_depth(&args).unwrap_or_else(|e| usage(e));
-    let threads: Option<usize> = parse_threads(&args).unwrap_or_else(|e| usage(e));
-    let thread_list: Vec<usize> = match threads {
-        Some(n) => vec![n],
-        None => experiments::policy_grid::THREADS.to_vec(),
-    };
-    let nodes: Option<usize> = parse_nodes(&args).unwrap_or_else(|e| usage(e));
-    let sweep = args.iter().any(|a| a == "--sweep");
-    if (sweep || nodes.is_some()) && !args.iter().any(|a| a == "--workload") {
-        usage("--sweep and --nodes require --workload <spec>");
-    }
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let json = args.iter().any(|a| a == "--json");
-
+    let config = cli.config;
     eprintln!(
         "starfish-repro: {} objects, {}-page buffer ({}), dataset seed {}",
         config.n_objects, config.buffer_pages, config.policy, config.dataset_seed
     );
 
-    // --workload replaces the experiment suite with one declarative spec.
-    let reports = if let Some(i) = args.iter().position(|a| a == "--workload") {
-        let arg = (args.get(i + 1))
-            .unwrap_or_else(|| usage("--workload needs a JSON file path or a built-in name"));
-        let spec = load_workload(arg);
-        if nodes.is_some() && !sweep {
-            usage("--nodes requires --workload --sweep");
+    let cx = RunCtx::new(config, cli.threads);
+    let reports = match &cli.workload {
+        // --workload replaces the experiments with one declarative spec:
+        // --sweep crosses it with policies × client counts through the
+        // shared reporting path (--nodes: served by a routed cluster);
+        // --threads alone serves it from that many clients.
+        Some(arg) => {
+            let spec = load_workload(arg);
+            let report = match cli.sweep {
+                true => policy_grid::workload_sweep(&config, &spec, &cx.threads, cli.nodes),
+                false => policy_grid::workload(&config, &spec, cli.threads),
+            };
+            vec![report.unwrap_or_else(die)]
         }
-        check_threads(threads, &config, nodes).unwrap_or_else(|e| usage(e));
-        let report = if sweep {
-            // --sweep: policies × client counts through the shared
-            // reporting path; --nodes serves every cell from a routed
-            // cluster instead of the shared surface.
-            experiments::policy_grid::workload_sweep(&config, &spec, &thread_list, nodes)
-        } else {
-            // An explicit client count runs the spec over the concurrent
-            // surface (N threads × N shards); counters stay invariant.
-            experiments::policy_grid::workload(&config, &spec, threads)
-        };
-        vec![report.unwrap_or_else(die)]
-    } else {
-        let ids: Vec<String> = parse_only(&args)
-            .unwrap_or_else(|e| usage(e))
-            .unwrap_or_else(|| {
-                (experiments::REGISTRY.iter())
-                    .map(|e| e.id.to_string())
-                    .collect()
-            });
-        let nodes = experiments::sharded_cluster_nodes(&ids);
-        check_threads(threads, &config, nodes).unwrap_or_else(|e| usage(e));
-        // Tables 4–6/8 and ext-timing share one measured grid; run_one
-        // builds it at most once across the whole id list.
-        let mut grid = None;
-        ids.iter()
-            .map(|id| {
-                experiments::run_one(id, &config, &thread_list, &mut grid)
-                    .unwrap_or_else(|e| usage(e))
-            })
-            .collect()
+        None => (cli.experiments.iter())
+            .map(|e| (e.run)(&cx).unwrap_or_else(die))
+            .collect(),
     };
 
     for report in &reports {
-        if json {
+        if cli.json {
             println!("{}", report.render_json());
-        } else if markdown {
+        } else if cli.markdown {
             println!("{}", report.render_markdown());
         } else {
             println!("{}", report.render());

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn era_ranking_matches_the_anecdote_shape() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
+        let grid = measure_grid(&config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 5);
         let era = CostWeights::sun_3_60_era();

@@ -6,11 +6,10 @@
 //! declarative-workload sweep, concurrent serving and the §5.5
 //! shared-nothing cluster — is a preset of [`policy_grid`].
 //!
-//! Every experiment is an entry in [`REGISTRY`] — the single table behind
-//! [`run_all`], `starfish_repro --only` dispatch and `starfish_repro
-//! --list`. Adding an experiment means adding a module, or a preset in
-//! [`policy_grid`], plus a registry row and a [`run_one`] match arm;
-//! nothing else.
+//! Every experiment is a row of [`REGISTRY`]: its id, its `--list` summary
+//! and its runner, the one table behind `starfish_repro --only` and
+//! `starfish_repro --list`. Adding an experiment means adding a module, or
+//! a preset in [`policy_grid`], plus a registry row; nothing else.
 
 pub mod ext_alignment;
 pub mod ext_clustering;
@@ -30,9 +29,10 @@ pub mod table8;
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure_grid, HarnessConfig, MeasuredGrid};
 use crate::Result;
-use starfish_core::{CoreError, ModelKind};
+use starfish_core::ModelKind;
 use starfish_cost::QueryId;
 use starfish_workload::PlanRun;
+use std::cell::OnceCell;
 
 /// The models measured in Tables 4–6: the paper's four plus (extra, marked)
 /// NSM+index.
@@ -87,174 +87,160 @@ fn grid_anchor(grid: &MeasuredGrid, what: &str, cell: fn(&PlanRun) -> f64) -> Op
     grid.cell(model, q).map(cell)
 }
 
-/// One registry row: the experiment's canonical id and a one-line summary
-/// for `--list`.
+/// What an experiment's runner is given: the configuration, the client
+/// counts of the serving sweeps, and the model × query grid that Tables
+/// 4–6/8 and `ext-timing` share, measured on first use.
+pub struct RunCtx {
+    /// The harness configuration.
+    pub config: HarnessConfig,
+    /// Client counts (workers per node for `ext-distributed`, writers for
+    /// `ext-durability`): `--threads N` gives `[N]`, else
+    /// [`policy_grid::THREADS`].
+    pub threads: Vec<usize>,
+    grid: OnceCell<MeasuredGrid>,
+}
+
+impl RunCtx {
+    /// A context at `config`, sweeping `threads` or the default counts.
+    pub fn new(config: HarnessConfig, threads: Option<usize>) -> RunCtx {
+        RunCtx {
+            config,
+            threads: threads.map_or_else(|| policy_grid::THREADS.to_vec(), |n| vec![n]),
+            grid: OnceCell::new(),
+        }
+    }
+
+    /// The shared model × query grid, measured once per context.
+    pub(crate) fn grid(&self) -> Result<&MeasuredGrid> {
+        if let Some(grid) = self.grid.get() {
+            return Ok(grid);
+        }
+        let grid = measure_grid(&self.config, &grid_models())?;
+        Ok(self.grid.get_or_init(|| grid))
+    }
+}
+
+/// One registry row: the experiment's canonical id, a one-line summary for
+/// `--list`, and its runner.
 #[derive(Clone, Copy, Debug)]
-pub struct ExperimentInfo {
+pub struct Experiment {
     /// Canonical id (`--only` accepts it with `-` or `_` separators).
     pub id: &'static str,
     /// One-line description.
     pub summary: &'static str,
+    /// Measures and renders the experiment.
+    pub run: fn(&RunCtx) -> Result<ExperimentReport>,
 }
 
-/// Every experiment, in paper order then extensions — the one table behind
-/// [`run_all`], `--only` dispatch and `--list`.
-pub const REGISTRY: &[ExperimentInfo] = &[
-    ExperimentInfo {
+/// Every experiment, in paper order then extensions.
+pub const REGISTRY: &[Experiment] = &[
+    Experiment {
         id: "table2",
         summary: "average tuple sizes, k, p, m per relation",
+        run: |cx| table2::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table3",
         summary: "analytical page-I/O estimates (Equations 2-8)",
+        run: |cx| Ok(table3::run(&cx.config)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table4",
         summary: "measured physical page I/Os per query x model",
+        run: |cx| Ok(table4::run(cx.grid()?)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table5",
         summary: "measured I/O calls per query x model",
+        run: |cx| Ok(table5::run(cx.grid()?)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table6",
         summary: "buffer fixes per query x model",
+        run: |cx| Ok(table6::run(cx.grid()?)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "fig5",
         summary: "object-size sweep (max sightseeings 0/15/30)",
+        run: |cx| fig5::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "fig6",
         summary: "caching vs database size",
+        run: |cx| fig6::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table7",
         summary: "data skew (probability 20%, fanout 8)",
+        run: |cx| table7::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "table8",
         summary: "overall qualitative ranking",
+        run: |cx| Ok(table8::run(cx.grid()?)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-timing",
         summary: "response-time estimates under Equation 1 weights",
+        run: |cx| Ok(ext_timing::run(cx.grid()?)),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-buffer",
         summary: "buffer capacity x replacement policy ablation",
+        run: |cx| policy_grid::ext_buffer(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-policy",
         summary: "replacement-policy deltas vs the LRU baseline",
+        run: |cx| policy_grid::ext_policy(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-concurrency",
         summary: "multi-client read/write serving over the sharded pool",
+        run: |cx| policy_grid::ext_concurrency(&cx.config, &cx.threads),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-distributed",
         summary: "shared-nothing distribution study (5.5) + routed cluster serving sweep",
+        run: |cx| policy_grid::ext_distributed(&cx.config, &cx.threads),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-cluster-baseline",
         summary: "deterministic cluster serving fingerprint",
+        run: |cx| policy_grid::cluster_baseline(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-clustering",
         summary: "heat-driven adaptive placement (reorganize on drift) vs the static layout",
+        run: |cx| ext_clustering::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-alignment",
         summary: "tuple-alignment ablation",
+        run: |cx| ext_alignment::run(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-workload",
         summary: "declarative non-paper workloads (static trio + drift scenarios)",
+        run: |cx| policy_grid::ext_workload(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-drift",
         summary: "drifting hot sets and phase changes vs the static baseline",
+        run: |cx| policy_grid::ext_drift(&cx.config),
     },
-    ExperimentInfo {
+    Experiment {
         id: "ext-durability",
         summary: "WAL commit durability: fsync mode x writer count",
+        run: |cx| ext_durability::run_with(&cx.config, &cx.threads),
     },
 ];
 
-/// Runs one experiment by id. `threads` is the client-count list for the
-/// concurrency sweep; `grid` caches the measured model × query grid shared
-/// by tables 4/5/6/8 and ext-timing (pass the same `&mut None` across
-/// calls to build it at most once). Ids accept `-` or `_` separators.
-pub fn run_one(
-    id: &str,
-    config: &HarnessConfig,
-    threads: &[usize],
-    grid: &mut Option<MeasuredGrid>,
-) -> Result<ExperimentReport> {
-    fn ensure_grid<'a>(
-        grid: &'a mut Option<MeasuredGrid>,
-        config: &HarnessConfig,
-    ) -> Result<&'a MeasuredGrid> {
-        if grid.is_none() {
-            *grid = Some(measure_grid(&config.dataset(), config, &grid_models())?);
-        }
-        Ok(grid.as_ref().expect("grid just built"))
-    }
+/// The registry row `id` names (`-` or `_` separators).
+pub(crate) fn find(id: &str) -> std::result::Result<&'static Experiment, String> {
     let canonical = id.replace('_', "-");
-    match canonical.as_str() {
-        "table2" => table2::run(config),
-        "table3" => Ok(table3::run(config)),
-        "table4" => Ok(table4::run(ensure_grid(grid, config)?)),
-        "table5" => Ok(table5::run(ensure_grid(grid, config)?)),
-        "table6" => Ok(table6::run(ensure_grid(grid, config)?)),
-        "fig5" => fig5::run(config),
-        "fig6" => fig6::run(config),
-        "table7" => table7::run(config),
-        "table8" => Ok(table8::run(ensure_grid(grid, config)?)),
-        "ext-timing" => Ok(ext_timing::run(ensure_grid(grid, config)?)),
-        "ext-buffer" => policy_grid::ext_buffer(config),
-        "ext-policy" => policy_grid::ext_policy(config),
-        "ext-concurrency" => policy_grid::ext_concurrency(config, threads),
-        "ext-distributed" => policy_grid::ext_distributed(config, threads),
-        "ext-cluster-baseline" => policy_grid::cluster_baseline(config),
-        "ext-clustering" => ext_clustering::run(config),
-        "ext-alignment" => ext_alignment::run(config),
-        "ext-workload" => policy_grid::ext_workload(config),
-        "ext-drift" => policy_grid::ext_drift(config),
-        "ext-durability" => ext_durability::run_with(config, threads),
-        other => Err(CoreError::NotFound {
-            what: format!("experiment '{other}' (run starfish_repro --list for valid ids)"),
-        }),
-    }
-}
-
-/// The largest cluster among the experiments `ids` that splits each node's
-/// buffer into `--threads` shards — `ext-distributed`'s serving sweep — or
-/// `None` when none does (what [`crate::runner::check_threads`] needs).
-pub fn sharded_cluster_nodes(ids: &[String]) -> Option<usize> {
-    let distributed = ids
-        .iter()
-        .any(|id| id.replace('_', "-") == "ext-distributed");
-    distributed.then(|| policy_grid::SWEEP_NODES.into_iter().max().unwrap_or(1))
-}
-
-/// Runs every experiment at the given scale, in [`REGISTRY`] order.
-pub fn run_all(config: &HarnessConfig) -> Result<Vec<ExperimentReport>> {
-    run_all_with(config, &policy_grid::THREADS)
-}
-
-/// [`run_all`] with an explicit client-count list for the concurrency
-/// sweep (`starfish_repro --threads N` passes `[N]`).
-pub fn run_all_with(
-    config: &HarnessConfig,
-    concurrency_threads: &[usize],
-) -> Result<Vec<ExperimentReport>> {
-    let mut grid = None;
-    REGISTRY
-        .iter()
-        .map(|e| run_one(e.id, config, concurrency_threads, &mut grid))
-        .collect()
+    (REGISTRY.iter().find(|e| e.id == canonical))
+        .ok_or_else(|| format!("no experiment '{id}' (run starfish_repro --list for the ids)"))
 }
 
 #[cfg(test)]
@@ -263,22 +249,17 @@ mod tests {
 
     #[test]
     fn registry_dispatch_knows_every_id() {
-        let config = HarnessConfig::fast();
-        let mut grid = None;
-        // Dispatch each grid-backed experiment through the registry path;
-        // the grid must be measured exactly once (cheap ids only, to keep
-        // the test fast).
-        for id in ["table4", "table5", "table8", "ext-timing"] {
-            let report = run_one(id, &config, &[1], &mut grid).unwrap();
-            assert_eq!(report.id.replace('_', "-"), id.replace('_', "-"));
+        // Run each grid-backed experiment through its registry row (cheap
+        // ids only, to keep the test fast); the grid is measured once.
+        let cx = RunCtx::new(HarnessConfig::fast(), Some(1));
+        for id in ["table4", "table5", "table8", "ext-timing", "ext_timing"] {
+            let report = (find(id).unwrap().run)(&cx).unwrap();
+            assert_eq!(report.id, id.replace('_', "-"));
         }
-        assert!(grid.is_some());
-        // Underscore aliases resolve to the same experiment.
-        let a = run_one("ext_timing", &config, &[1], &mut grid).unwrap();
-        assert_eq!(a.id, "ext-timing");
+        assert!(std::ptr::eq(cx.grid().unwrap(), cx.grid().unwrap()));
         // Unknown ids are a clean error naming --list.
-        let err = run_one("table99", &config, &[1], &mut grid).unwrap_err();
-        assert!(err.to_string().contains("--list"), "{err}");
+        let err = find("table99").unwrap_err();
+        assert!(err.contains("'table99'") && err.contains("--list"), "{err}");
     }
 
     #[test]
@@ -408,23 +389,18 @@ mod ext_workload {
 #[cfg(test)]
 mod ext_concurrency {
     mod tests {
-        use crate::experiments::policy_grid::ext_concurrency as run_with;
+        use crate::experiments::policy_grid::{ext_concurrency as run_with, DEPTHS};
         use crate::runner::HarnessConfig;
         use starfish_core::{ModelKind, PolicyKind};
         use starfish_workload::MixKind;
 
         #[test]
         fn sweep_covers_models_policies_mixes_and_client_counts() {
-            // Cap the engine sweep at depth 2 to keep the fast test fast.
-            let config = HarnessConfig {
-                queue_depth: Some(2),
-                ..HarnessConfig::fast()
-            };
-            let report = run_with(&config, &[1, 2]).unwrap();
+            let report = run_with(&HarnessConfig::fast(), &[1, 2]).unwrap();
             let models = ModelKind::all().len();
             let policies = PolicyKind::all().len();
             let mixes = MixKind::all().len();
-            let depths = 2; // DEPTHS capped at --queue-depth 2
+            let depths = DEPTHS.len();
             assert_eq!(
                 report.table.rows.len(),
                 models * policies * 2 + models * mixes * 2 + models * depths,

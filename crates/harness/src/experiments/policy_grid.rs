@@ -1123,16 +1123,14 @@ pub fn workload_sweep(
 /// Client counts `ext-concurrency` sweeps, and the default `--threads` list.
 pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Queue depths `ext-concurrency`'s batched-I/O sweep drives (capped by
-/// `--queue-depth`).
-const DEPTHS: [usize; 4] = [1, 2, 4, 8];
+/// Queue depths `ext-concurrency`'s batched-I/O sweep drives.
+pub(crate) const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 
 /// `ext-concurrency`: query 2b from each client count in `threads` sharing
 /// one pool of as many lock-striped shards — every model × policy, the
 /// 1-client LRU row replaying the serial run —, the mixed read/write
 /// request streams ([`MixKind`]) at `--policy`, and query 2b once more with
-/// the batched I/O engine on and clients = queue depth (1/2/4/8 up to
-/// `--queue-depth`).
+/// the batched I/O engine on and clients = queue depth (1/2/4/8).
 pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<ExperimentReport> {
     let clients = || threads.iter().map(|&n| n.max(1));
     let models = ModelKind::all();
@@ -1156,28 +1154,23 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
         .collect();
     let streams = Grid::measure(config, streams)?;
 
-    let depth_cap = config.queue_depth.unwrap_or(8);
-    let depths: Vec<usize> = DEPTHS.into_iter().filter(|&d| d <= depth_cap).collect();
     let batched_io = vec![named("2b batched-io", WorkloadSpec::q2b())];
     let mut batched = Axes::every_policy(batched_io, &models, |a| [a.model, a.serving, 0, 0]);
     batched.policies = vec![config.policy];
-    batched.servings = depths
-        .iter()
-        .map(|&clients| Serving::Shared { clients })
-        .collect();
+    batched.servings = DEPTHS.map(|clients| Serving::Shared { clients }).to_vec();
     batched.engine = IoEngineConfig::enabled();
     let batched = Grid::measure(config, batched)?;
 
     // The best depth >= 4 rows: wall-clock over depth 1, and disk read
     // calls under depth 1's — the coalescing win in the paper's currency.
-    let deep = || (batched.runs()).filter(|(at, ..)| depths[at.serving] >= 4);
+    let deep = || (batched.runs()).filter(|(at, ..)| DEPTHS[at.serving] >= 4);
     let best_speedup = best(deep().filter_map(|(at, ..)| Some((at, batched.speedup(at)?))));
     let best_call_cut = best(deep().filter_map(|(at, _, run)| {
         let base = batched.run(At { serving: 0, ..at })?.snapshot.read_calls;
         let cut = 100.0 * (1.0 - run.snapshot.read_calls as f64 / base as f64);
         (base > 0).then_some((at, cut))
     }));
-    let row = |at: At| (models[at.model], depths[at.serving]);
+    let row = |at: At| (models[at.model], DEPTHS[at.serving]);
 
     let mut notes = vec![
         format!(
@@ -1224,7 +1217,7 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
         format!(
             "batched-I/O rows (2b batched-io) rerun the read sweep with the \
              pool's submission/completion engine enabled and client count = \
-             queue depth (swept {depths:?}; cap with --queue-depth); \
+             queue depth (swept {DEPTHS:?}); \
              batch/coalesced = engine read calls / pages delivered through \
              multi-page coalesced runs, max qd = submission-queue high-water \
              mark; at depth 1 every batch is a solo one-page read and the \
@@ -1233,18 +1226,13 @@ pub fn ext_concurrency(config: &HarnessConfig, threads: &[usize]) -> Result<Expe
     ];
     // The "best …" notes name a wall-clock or schedule-dependent winner.
     let first_best = notes.len();
-    notes.push(match best_speedup {
-        Some((at, s)) => {
-            let (kind, d) = row(at);
-            format!(
-                "best batched-I/O throughput at depth >= 4: {s:.2}x over depth 1 \
-                 ({kind}, depth {d}) — wall-clock, hardware-dependent"
-            )
-        }
-        None => "no depth >= 4 in this sweep (raise --queue-depth to measure \
-                 the coalescing throughput win)"
-            .to_string(),
-    });
+    if let Some((at, s)) = best_speedup {
+        let (kind, d) = row(at);
+        notes.push(format!(
+            "best batched-I/O throughput at depth >= 4: {s:.2}x over depth 1 \
+             ({kind}, depth {d}) — wall-clock, hardware-dependent"
+        ));
+    }
     if let Some((at, cut)) = best_call_cut {
         let (kind, d) = row(at);
         notes.push(format!(
@@ -1568,7 +1556,7 @@ pub fn cluster_baseline(config: &HarnessConfig) -> Result<ExperimentReport> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::runner::measure_grid_on;
+    use crate::runner::measure_grid;
     use starfish_workload::PlanOutcome;
 
     /// One preset at `--fast`, by report name: its report, checked to have
@@ -1632,7 +1620,7 @@ pub(crate) mod tests {
             .iter()
             .any(|n| n.contains("verified identical")));
         let cfg = HarnessConfig::fast();
-        let grid = measure_grid_on(&generate(&cfg.dataset()), &cfg, &[ModelKind::Dsm]).unwrap();
+        let grid = measure_grid(&cfg, &[ModelKind::Dsm]).unwrap();
         let q2b = grid.cell(ModelKind::Dsm, QueryId::Q2b).unwrap();
         let dsm = &report.table.rows[0];
         assert_eq!(

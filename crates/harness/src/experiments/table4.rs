@@ -58,7 +58,7 @@ mod tests {
     #[test]
     fn renders_grid_with_paper_shapes() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
+        let grid = measure_grid(&config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 5);
 

@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn calls_never_exceed_pages() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
+        let grid = measure_grid(&config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 5);
         for (_, cells) in &grid.rows {
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn direct_models_move_multiple_pages_per_call() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &[ModelKind::Dsm]).unwrap();
+        let grid = measure_grid(&config, &[ModelKind::Dsm]).unwrap();
         let c = grid.cell(ModelKind::Dsm, QueryId::Q1a).unwrap();
         let pages_per_call = c.pages_per_unit() / c.calls_per_unit();
         assert!(

@@ -55,7 +55,7 @@ mod tests {
     #[test]
     fn nsm_burns_the_most_fixes_on_navigation() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
+        let grid = measure_grid(&config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 5);
         let fixes = |m| grid.cell(m, QueryId::Q2b).unwrap().fixes_per_unit();

@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn overall_ranking_matches_paper_conclusion() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &grid_models()).unwrap();
+        let grid = measure_grid(&config, &grid_models()).unwrap();
         let report = run(&grid);
         assert_eq!(report.table.rows.len(), 4);
         // The paper's headline conclusions:

@@ -31,13 +31,18 @@
 //! [`HarnessConfig`], the model × query [`MeasuredGrid`] behind Tables 4–6
 //! and [`runner::measure`] — one measured run of a declarative spec on a
 //! fresh store, served as [`runner::Serving`] says (serial, shared pool,
-//! request stream, serial or routed cluster). The `starfish_repro` binary runs the experiments
-//! (`--only`, `--list`) or one spec (`--workload`, with `--threads`,
-//! `--sweep` and `--nodes` choosing the serving).
+//! request stream, serial or routed cluster).
+//!
+//! The `starfish_repro` binary runs the experiments (`--only`, `--list`)
+//! or one spec (`--workload`, with `--threads`, `--sweep` and `--nodes`
+//! choosing the serving). Its flags are one table in [`cli`], read in one
+//! pass by [`cli::Cli::parse`]; each [`experiments::REGISTRY`] row carries
+//! its runner, given an [`experiments::RunCtx`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod paper;
 pub mod report;

@@ -1,9 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 
-use serde::Serialize;
-
 /// A rendered table: headers plus string rows.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Table {
     /// Column headers.
     pub headers: Vec<String>,
@@ -100,7 +98,7 @@ impl Table {
 }
 
 /// A complete experiment report.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ExperimentReport {
     /// Short id (`"table4"`, `"fig6"`, …).
     pub id: String,
@@ -128,30 +126,23 @@ impl ExperimentReport {
 
     /// Renders the full report as plain text.
     pub fn render(&self) -> String {
-        let mut out = format!("## {} — {}\n\n", self.id, self.title);
-        out.push_str(&self.table.render());
-        if !self.notes.is_empty() {
-            out.push('\n');
-            for n in &self.notes {
-                out.push_str("  * ");
-                out.push_str(n);
-                out.push('\n');
-            }
-        }
-        out
+        self.render_as("##", self.table.render(), "  * ")
     }
 
     /// Renders the full report as markdown.
     pub fn render_markdown(&self) -> String {
-        let mut out = format!("### {} — {}\n\n", self.id, self.title);
-        out.push_str(&self.table.render_markdown());
+        self.render_as("###", self.table.render_markdown(), "* ")
+    }
+
+    /// The title under `heading`, the rendered `table`, then one `bullet`
+    /// line per note.
+    fn render_as(&self, heading: &str, table: String, bullet: &str) -> String {
+        let mut out = format!("{heading} {} — {}\n\n{table}", self.id, self.title);
         if !self.notes.is_empty() {
             out.push('\n');
-            for n in &self.notes {
-                out.push_str("* ");
-                out.push_str(n);
-                out.push('\n');
-            }
+        }
+        for note in &self.notes {
+            out += &format!("{bullet}{note}\n");
         }
         out
     }
@@ -162,8 +153,7 @@ impl ExperimentReport {
     /// baseline format, so an unpinned cell or note prints as `null`: two
     /// runs of one commit print the same bytes. The structure is emitted by
     /// hand (it is one flat object); string escaping is the local
-    /// `json_str`, and the `serde` derives remain available for downstream
-    /// serializers.
+    /// `json_str`.
     pub fn render_json(&self) -> String {
         let value = |text: &str, pinned: bool| match pinned {
             true => json_str(text),

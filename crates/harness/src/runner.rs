@@ -1,10 +1,9 @@
-//! Shared measurement machinery: the harness configuration and its CLI
-//! parsers, the model × query grid that Tables 4–6 render
+//! Shared measurement machinery: the harness configuration, the model ×
+//! query grid that Tables 4–6 render
 //! ([`measure_grid`]), and the one measured run of a declarative spec
 //! under a chosen serving ([`measure`]).
 
 use crate::Result;
-use serde::Serialize;
 use starfish_core::{
     make_shared_store, make_store, ComplexObjectStore, FsyncMode, IoEngineConfig, ModelKind,
     PartitionedStore, Placement, PolicyKind, StoreConfig,
@@ -12,13 +11,11 @@ use starfish_core::{
 use starfish_cost::QueryId;
 use starfish_nf2::station::Station;
 use starfish_pagestore::{BufferStats, IoSnapshot};
-use starfish_workload::{
-    generate, DatasetParams, DatasetStats, Executor, PlanOutcome, PlanRun, WorkloadSpec,
-};
+use starfish_workload::{generate, DatasetParams, Executor, PlanOutcome, PlanRun, WorkloadSpec};
 use std::time::Duration;
 
 /// Configuration for the experiment harness.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HarnessConfig {
     /// Objects in the default dataset (paper: 1500).
     pub n_objects: usize,
@@ -35,10 +32,6 @@ pub struct HarnessConfig {
     /// that mode (the CLI's `--fsync`). Every other experiment runs with
     /// the WAL off and ignores this.
     pub fsync: Option<FsyncMode>,
-    /// Cap on the queue depths the concurrency experiment's batched-I/O
-    /// sweep drives (`None` = the default cap of 8; the CLI's
-    /// `--queue-depth`). Every other experiment ignores this.
-    pub queue_depth: Option<usize>,
 }
 
 impl Default for HarnessConfig {
@@ -50,7 +43,6 @@ impl Default for HarnessConfig {
             dataset_seed: 4242,
             query_seed: 1993,
             fsync: None,
-            queue_depth: None,
         }
     }
 }
@@ -95,83 +87,13 @@ pub(crate) fn store_config_for(policy: PolicyKind, buffer_pages: usize) -> Store
     StoreConfig::with_buffer_pages(buffer_pages).policy(policy)
 }
 
-/// The `starfish_repro` flags, each with whether it takes a value.
-const FLAGS: [(&str, bool); 15] = [
-    ("--fast", false),
-    ("--only", true),
-    ("--markdown", false),
-    ("--json", false),
-    ("--seed", true),
-    ("--policy", true),
-    ("--threads", true),
-    ("--fsync", true),
-    ("--queue-depth", true),
-    ("--workload", true),
-    ("--sweep", false),
-    ("--nodes", true),
-    ("--list", false),
-    ("--help", false),
-    ("-h", false),
-];
-
-/// Checks that every argument is a known flag or the value of one. A
-/// misspelt flag, a stray positional, or both output formats at once is an
-/// error naming it; a flag's value is its own parser's to judge.
-pub fn check_args(args: &[String]) -> std::result::Result<(), String> {
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    if has("--json") && has("--markdown") {
-        return Err("--json and --markdown are two output formats: pick one".into());
-    }
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match FLAGS.iter().find(|(flag, _)| flag == arg) {
-            Some((_, true)) => _ = args.next(),
-            Some((_, false)) => {}
-            None if arg.starts_with('-') => {
-                return Err(format!("unknown flag '{arg}' (see --help)"))
-            }
-            None => return Err(format!("unexpected argument '{arg}' (see --help)")),
-        }
-    }
-    Ok(())
-}
-
-/// Parses the positive-integer value of `flag` out of a CLI argument list:
-/// `Ok(None)` when the flag is absent, `Ok(Some(n))` for a valid
-/// `<flag> n`, and `Err` with a user-facing message (`what` names the
-/// value) when it is missing, non-numeric or **zero**.
-fn parse_positive(
-    args: &[String],
-    flag: &str,
-    what: &str,
-) -> std::result::Result<Option<usize>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    let needs = format!("{flag} needs {what} >= 1");
-    match args.get(i + 1).map(|s| s.parse::<usize>()) {
-        Some(Ok(n)) if n >= 1 => Ok(Some(n)),
-        Some(Ok(_)) => Err(format!("{needs} (got 0)")),
-        Some(Err(_)) => Err(format!("{needs} (got '{}')", args[i + 1])),
-        None => Err(needs),
-    }
-}
-
-/// Parses `--threads n` (absent: callers sweep the default client counts).
-/// Zero is a clean CLI error: zero clients cannot serve anything, and
-/// letting it through used to reach `SharedBufferPool::new(_, _, 0)`'s
-/// "need at least one shard" panic deep in the stack.
-pub fn parse_threads(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    parse_positive(args, "--threads", "a client count")
-}
-
 /// Checks a `--threads` count against the buffer it is split over: each
 /// client of the shared surface, and each queue worker of a cluster node,
 /// gets a lock-striped shard of at least one page. So the count may not
 /// exceed the pages of the smallest buffer the run shards: the whole
 /// buffer, or one node's share when `nodes` is the largest cluster the
 /// count is applied to, as the pool's constructor requires.
-pub fn check_threads(
+pub(crate) fn check_threads(
     threads: Option<usize>,
     config: &HarnessConfig,
     nodes: Option<usize>,
@@ -192,71 +114,11 @@ pub fn check_threads(
     }
 }
 
-/// Parses `--nodes n` (absent: workload runs use the single-store
-/// surfaces). A zero-node cluster can own no object.
-pub fn parse_nodes(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    parse_positive(args, "--nodes", "a node count")
-}
-
-/// Parses `--queue-depth n` (absent: the concurrency experiment sweeps up
-/// to its default depth cap). A zero-depth queue can hold no request.
-pub fn parse_queue_depth(args: &[String]) -> std::result::Result<Option<usize>, String> {
-    parse_positive(args, "--queue-depth", "a depth")
-}
-
-/// Parses `--seed n` (absent: the configuration's default dataset seed).
-/// Any `u64` is a valid seed, 0 included; a malformed or missing value used
-/// to run silently with the default seed.
-pub fn parse_seed(args: &[String]) -> std::result::Result<Option<u64>, String> {
-    let Some(i) = args.iter().position(|a| a == "--seed") else {
-        return Ok(None);
-    };
-    match args.get(i + 1).map(|s| s.parse::<u64>()) {
-        Some(Ok(seed)) => Ok(Some(seed)),
-        Some(Err(_)) => Err(format!(
-            "--seed needs an unsigned integer (got '{}')",
-            args[i + 1]
-        )),
-        None => Err("--seed needs an unsigned integer".into()),
-    }
-}
-
-/// Parses `--only id[,id…]` (absent: the whole suite). A trailing `--only`
-/// used to run the whole suite silently.
-pub fn parse_only(args: &[String]) -> std::result::Result<Option<Vec<String>>, String> {
-    let Some(i) = args.iter().position(|a| a == "--only") else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(ids) => Ok(Some(
-            ids.split(',').map(|id| id.trim().to_string()).collect(),
-        )),
-        None => Err("--only needs a comma-separated list of experiment ids (see --list)".into()),
-    }
-}
-
-/// Parses the `--fsync` argument out of a CLI argument list.
-///
-/// Returns `Ok(None)` when the flag is absent (the durability experiment
-/// sweeps both modes), `Ok(Some(mode))` for a valid `--fsync per|group`,
-/// and `Err` with a user-facing message otherwise.
-pub fn parse_fsync(args: &[String]) -> std::result::Result<Option<FsyncMode>, String> {
-    let Some(i) = args.iter().position(|a| a == "--fsync") else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(s) => s.parse::<FsyncMode>().map(Some),
-        None => Err("--fsync needs a mode: per or group".into()),
-    }
-}
-
 /// The measured model × query grid behind Tables 4–6.
 #[derive(Clone, Debug)]
 pub struct MeasuredGrid {
     /// Configuration used.
     pub config: HarnessConfig,
-    /// Observed dataset statistics.
-    pub stats: DatasetStats,
     /// Rows: one per model, cells in [`QueryId::all`] order — the run,
     /// or `None` where the model does not support the query.
     pub rows: Vec<(ModelKind, [Option<PlanRun>; 7])>,
@@ -287,27 +149,12 @@ pub fn load_store(
 }
 
 /// Runs every query of the benchmark against every model in `models` on the
-/// dataset described by `params`.
-pub fn measure_grid(
-    params: &DatasetParams,
-    config: &HarnessConfig,
-    models: &[ModelKind],
-) -> Result<MeasuredGrid> {
-    measure_grid_on(&generate(params), config, models)
-}
-
-/// [`measure_grid`] over an already-generated dataset — use this when
-/// measuring the same database under several configurations (e.g. the
-/// policy sweep) to avoid regenerating it per run.
-pub fn measure_grid_on(
-    db: &[Station],
-    config: &HarnessConfig,
-    models: &[ModelKind],
-) -> Result<MeasuredGrid> {
-    let stats = DatasetStats::compute(db);
+/// dataset `config` describes.
+pub fn measure_grid(config: &HarnessConfig, models: &[ModelKind]) -> Result<MeasuredGrid> {
+    let db = generate(&config.dataset());
     let mut rows = Vec::with_capacity(models.len());
     for &kind in models {
-        let (mut store, exec) = load_store(kind, db, config)?;
+        let (mut store, exec) = load_store(kind, &db, config)?;
         let mut cells: [Option<PlanRun>; 7] = Default::default();
         for (i, q) in QueryId::all().into_iter().enumerate() {
             if let PlanOutcome::Measured(run) =
@@ -320,7 +167,6 @@ pub fn measure_grid_on(
     }
     Ok(MeasuredGrid {
         config: *config,
-        stats,
         rows,
     })
 }
@@ -528,7 +374,7 @@ mod tests {
     #[test]
     fn fast_grid_measures_all_models() {
         let config = HarnessConfig::fast();
-        let grid = measure_grid(&config.dataset(), &config, &ModelKind::measured_models()).unwrap();
+        let grid = measure_grid(&config, &ModelKind::measured_models()).unwrap();
         assert_eq!(grid.rows.len(), 4);
         // NSM has no q1a; everything else is measured.
         let missing: usize = grid
@@ -543,106 +389,6 @@ mod tests {
         let dnsm = grid.cell(ModelKind::DasdbsNsm, QueryId::Q2a).unwrap();
         let (dsm, dnsm) = (dsm.pages_per_unit(), dnsm.pages_per_unit());
         assert!(dsm > dnsm, "{dsm} vs {dnsm}");
-    }
-
-    /// The bracketed groups of `text`, each split into words: the synopsis
-    /// `[--seed N] [--only <id>[,<id>…]]` gives `--seed N` and
-    /// `--only <id>[,<id>…]`.
-    fn bracketed(text: &str) -> Vec<Vec<String>> {
-        let (mut groups, mut group, mut depth) = (Vec::new(), String::new(), 0);
-        for c in text.chars() {
-            match c {
-                '[' if depth == 0 => depth = 1,
-                ']' if depth == 1 => {
-                    groups.push(group.split_whitespace().map(String::from).collect());
-                    (group, depth) = (String::new(), 0);
-                }
-                _ if depth > 0 => {
-                    depth += usize::from(c == '[');
-                    depth -= usize::from(c == ']');
-                    group.push(c);
-                }
-                _ => {}
-            }
-        }
-        groups
-    }
-
-    #[test]
-    fn check_args_accepts_every_documented_flag_and_ci_command() {
-        let header: Vec<&str> = include_str!("bin/starfish_repro.rs")
-            .lines()
-            .filter_map(|l| l.strip_prefix("//!"))
-            .collect();
-        let synopsis = bracketed(&header.join("\n"));
-        assert!(synopsis.len() >= 12, "{synopsis:?}");
-        for group in &synopsis {
-            assert_eq!(check_args(group), Ok(()), "documented: {group:?}");
-        }
-        // Every flag the header mentions is one the check knows.
-        let words = header.iter().flat_map(|l| l.split_whitespace());
-        for word in words.filter(|w| w.starts_with("--")) {
-            let flag = word.trim_end_matches(|c: char| !c.is_ascii_alphabetic());
-            assert!(FLAGS.iter().any(|(f, _)| *f == flag), "{word}");
-        }
-        let ci = include_str!("../../../.github/workflows/ci.yml");
-        let runs: Vec<&str> = (ci.lines())
-            .filter_map(|l| l.split_once("starfish_repro -- ").map(|(_, rest)| rest))
-            .collect();
-        assert!(runs.len() >= 20, "{runs:?}");
-        for run in runs {
-            let command = run.split(['|', '>']).next().unwrap();
-            let args: Vec<String> = command.split_whitespace().map(String::from).collect();
-            assert_eq!(check_args(&args), Ok(()), "ci.yml: {run}");
-        }
-    }
-
-    #[test]
-    fn check_args_names_a_misspelt_flag_or_stray_argument() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let err = check_args(&args(&["--fast", "--only", "table3", "--thread", "4"]));
-        assert_eq!(err, Err("unknown flag '--thread' (see --help)".into()));
-        let err = check_args(&args(&["--fast", "--sweeep"])).unwrap_err();
-        assert!(
-            err.contains("'--sweeep'") && err.contains("--help"),
-            "{err}"
-        );
-        let err = check_args(&args(&["--fast", "table3"])).unwrap_err();
-        assert!(err.contains("'table3'") && err.contains("--help"), "{err}");
-        // A value that looks like a flag is the flag's own parser's business.
-        assert_eq!(check_args(&args(&["--seed", "-1", "--threads"])), Ok(()));
-    }
-
-    #[test]
-    fn check_args_rejects_two_output_formats() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        let err = check_args(&args(&["--fast", "--json", "--markdown"])).unwrap_err();
-        assert!(
-            err.contains("--json") && err.contains("--markdown"),
-            "{err}"
-        );
-        assert_eq!(
-            check_args(&args(&["--markdown", "--only", "table3"])),
-            Ok(())
-        );
-        assert_eq!(check_args(&args(&["--json", "--only", "table3"])), Ok(()));
-    }
-
-    #[test]
-    fn parse_threads_accepts_positive_counts_only() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_threads(&args(&["--fast"])), Ok(None));
-        assert_eq!(parse_threads(&args(&["--threads", "4"])), Ok(Some(4)));
-        assert_eq!(
-            parse_threads(&args(&["--fast", "--threads", "1"])),
-            Ok(Some(1))
-        );
-        // Zero clients is a clean CLI error, not a downstream panic.
-        let err = parse_threads(&args(&["--threads", "0"])).unwrap_err();
-        assert!(err.contains(">= 1"), "{err}");
-        assert!(parse_threads(&args(&["--threads"])).is_err());
-        assert!(parse_threads(&args(&["--threads", "many"])).is_err());
-        assert!(parse_threads(&args(&["--threads", "-2"])).is_err());
     }
 
     #[test]
@@ -665,81 +411,105 @@ mod tests {
         );
     }
 
+    /// The `starfish_repro` command line `line`, parsed.
+    fn cli(line: &str) -> std::result::Result<crate::cli::Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        crate::cli::Cli::parse(&args)
+    }
+
+    #[test]
+    fn check_args_names_a_misspelt_flag_or_stray_argument() {
+        let err = cli("--fast --only table3 --thread 4").unwrap_err();
+        assert_eq!(err, "'--thread' is not a flag (see --help)");
+        let err = cli("--fast --sweeep").unwrap_err();
+        assert!(
+            err.contains("'--sweeep'") && err.contains("--help"),
+            "{err}"
+        );
+        let err = cli("--fast table3").unwrap_err();
+        assert!(err.contains("'table3'") && err.contains("--help"), "{err}");
+        // A value that looks like a flag is the missing value of the flag
+        // before it, not a flag of its own.
+        let err = cli("--seed -1 --threads").unwrap_err();
+        assert!(err.starts_with("--seed needs a value"), "{err}");
+    }
+
+    #[test]
+    fn check_args_rejects_two_output_formats() {
+        let err = cli("--fast --json --markdown").unwrap_err();
+        assert!(
+            err.contains("--json") && err.contains("--markdown"),
+            "{err}"
+        );
+        assert!(cli("--markdown --only table3").unwrap().markdown);
+        assert!(cli("--json --only table3").unwrap().json);
+    }
+
+    #[test]
+    fn parse_threads_accepts_positive_counts_only() {
+        assert_eq!(cli("--fast").unwrap().threads, None);
+        assert_eq!(cli("--threads 4").unwrap().threads, Some(4));
+        assert_eq!(cli("--fast --threads 1").unwrap().threads, Some(1));
+        // Zero clients is a clean CLI error, not a downstream panic.
+        let err = cli("--threads 0").unwrap_err();
+        assert!(err.contains(">= 1"), "{err}");
+        assert!(cli("--threads").is_err());
+        assert!(cli("--threads many").is_err());
+        assert!(cli("--threads -2").is_err());
+    }
+
     #[test]
     fn parse_seed_accepts_any_u64_and_rejects_the_rest() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_seed(&args(&["--fast"])), Ok(None));
-        assert_eq!(parse_seed(&args(&["--seed", "7"])), Ok(Some(7)));
-        assert_eq!(
-            parse_seed(&args(&["--seed", "0"])),
-            Ok(Some(0)),
-            "0 is valid"
-        );
-        let err = parse_seed(&args(&["--seed", "abc"])).unwrap_err();
-        assert!(err.contains("'abc'"), "{err}");
-        assert!(parse_seed(&args(&["--fast", "--seed"])).is_err());
-        assert!(parse_seed(&args(&["--seed", "-1"])).is_err());
+        let seed = |line: &str| cli(line).map(|c| c.config.dataset_seed);
+        assert_eq!(seed("--fast"), Ok(HarnessConfig::default().dataset_seed));
+        assert_eq!(seed("--seed 7"), Ok(7));
+        assert_eq!(seed("--seed 0"), Ok(0), "0 is valid");
+        assert_eq!(seed(&format!("--seed {}", u64::MAX)), Ok(u64::MAX));
+        let err = seed("--seed abc").unwrap_err();
+        assert!(err.contains("--seed abc"), "{err}");
+        assert!(seed("--fast --seed").is_err());
+        assert!(seed("--seed -1").is_err());
     }
 
     #[test]
     fn parse_only_needs_a_value() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_only(&args(&["--fast"])), Ok(None));
-        assert_eq!(
-            parse_only(&args(&["--only", "table4, table5"])),
-            Ok(Some(vec!["table4".to_string(), "table5".to_string()]))
-        );
-        let err = parse_only(&args(&["--fast", "--only"])).unwrap_err();
-        assert!(err.contains("--list"), "{err}");
+        let ids = |line: &str| {
+            let experiments = cli(line).unwrap().experiments;
+            experiments.iter().map(|e| e.id).collect::<Vec<_>>()
+        };
+        assert_eq!(ids("--fast").len(), crate::experiments::REGISTRY.len());
+        let spaced = ["--only".to_string(), "table4, table5".to_string()];
+        let experiments = crate::cli::Cli::parse(&spaced).unwrap().experiments;
+        let spaced: Vec<&str> = experiments.iter().map(|e| e.id).collect();
+        assert_eq!(spaced, ["table4", "table5"]);
+        assert_eq!(ids("--only table5,table4"), ["table5", "table4"]);
+        let err = cli("--fast --only").unwrap_err();
+        assert!(err.starts_with("--only needs a value"), "{err}");
     }
 
     #[test]
     fn parse_nodes_accepts_positive_counts_only() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_nodes(&args(&["--fast"])), Ok(None));
-        assert_eq!(parse_nodes(&args(&["--nodes", "3"])), Ok(Some(3)));
-        assert_eq!(parse_nodes(&args(&["--fast", "--nodes", "1"])), Ok(Some(1)));
-        let err = parse_nodes(&args(&["--nodes", "0"])).unwrap_err();
+        let sweep = "--workload hot-set --sweep";
+        let nodes = |n: &str| cli(&format!("{sweep} --nodes {n}")).map(|c| c.nodes);
+        assert_eq!(cli(sweep).unwrap().nodes, None);
+        assert_eq!(nodes("3"), Ok(Some(3)));
+        assert_eq!(nodes("1"), Ok(Some(1)));
+        let err = nodes("0").unwrap_err();
         assert!(err.contains(">= 1"), "{err}");
-        assert!(parse_nodes(&args(&["--nodes"])).is_err());
-        assert!(parse_nodes(&args(&["--nodes", "all"])).is_err());
-        assert!(parse_nodes(&args(&["--nodes", "-3"])).is_err());
-    }
-
-    #[test]
-    fn parse_queue_depth_accepts_positive_depths_only() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_queue_depth(&args(&["--fast"])), Ok(None));
-        assert_eq!(
-            parse_queue_depth(&args(&["--queue-depth", "8"])),
-            Ok(Some(8))
-        );
-        assert_eq!(
-            parse_queue_depth(&args(&["--fast", "--queue-depth", "1"])),
-            Ok(Some(1))
-        );
-        let err = parse_queue_depth(&args(&["--queue-depth", "0"])).unwrap_err();
-        assert!(err.contains(">= 1"), "{err}");
-        assert!(parse_queue_depth(&args(&["--queue-depth"])).is_err());
-        assert!(parse_queue_depth(&args(&["--queue-depth", "deep"])).is_err());
-        assert!(parse_queue_depth(&args(&["--queue-depth", "-4"])).is_err());
+        assert!(nodes("").is_err());
+        assert!(nodes("all").is_err());
+        assert!(nodes("-3").is_err());
     }
 
     #[test]
     fn parse_fsync_accepts_known_modes_only() {
-        let args = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_fsync(&args(&["--fast"])), Ok(None));
-        assert_eq!(
-            parse_fsync(&args(&["--fsync", "per"])),
-            Ok(Some(FsyncMode::PerCommit))
-        );
-        assert_eq!(
-            parse_fsync(&args(&["--fast", "--fsync", "group"])),
-            Ok(Some(FsyncMode::Group))
-        );
-        let err = parse_fsync(&args(&["--fsync", "always"])).unwrap_err();
+        let fsync = |line: &str| cli(line).map(|c| c.config.fsync);
+        assert_eq!(fsync("--fast"), Ok(None));
+        assert_eq!(fsync("--fsync per"), Ok(Some(FsyncMode::PerCommit)));
+        assert_eq!(fsync("--fast --fsync group"), Ok(Some(FsyncMode::Group)));
+        let err = fsync("--fsync always").unwrap_err();
         assert!(err.contains("fsync mode"), "{err}");
-        assert!(parse_fsync(&args(&["--fsync"])).is_err());
+        assert!(fsync("--fsync").is_err());
     }
 
     #[test]
