@@ -8,7 +8,9 @@
 //!   retrieval/navigation operations (`shared_get_by_oid`,
 //!   `shared_children_of`, `shared_root_records`) that N threads can call
 //!   concurrently over one store (implemented once for all five models,
-//!   beside the `&mut` surface, in `store.rs`);
+//!   beside the `&mut` surface, in `store.rs` — the trait's only
+//!   implementation: a [`PartitionedStore`](crate::PartitionedStore) is a
+//!   routing table over such stores, not a store of this kind itself);
 //! * [`make_shared_store`] builds any of the five storage models over a
 //!   lock-striped [`SharedBufferPool`](starfish_pagestore::SharedBufferPool)
 //!   with K shards.
@@ -43,7 +45,8 @@ use starfish_pagestore::{BufferStats, SharedPoolHandle};
 /// A storage model whose retrieval/navigation surface can be shared across
 /// threads (`&self`), on top of the usual exclusive surface.
 ///
-/// Every model built by [`make_shared_store`] implements it; the `&self`
+/// Every model built by [`make_shared_store`] implements it, through the
+/// one impl for `Store<M, SharedPoolHandle>`; the `&self`
 /// methods answer exactly like their `&mut` counterparts
 /// ([`ComplexObjectStore::get_by_oid`], [`ComplexObjectStore::children_of`],
 /// [`ComplexObjectStore::root_records`]) and count fixes identically. That

@@ -18,28 +18,25 @@
 //! Every node is a [`ConcurrentObjectStore`] over its own sharded
 //! [`SharedBufferPool`](starfish_pagestore::SharedBufferPool) (optionally
 //! with a per-node WAL and batched I/O engine — whatever the
-//! [`StoreConfig`] carries applies to each node). The cluster itself
-//! implements both surfaces:
+//! [`StoreConfig`] carries applies to each node). The cluster itself is a
+//! routing table with one surface, the serial [`ComplexObjectStore`]: each
+//! op routes to its owner and runs to completion there — with one shard
+//! per node this replays the paper's serial measurements counter for
+//! counter; cross-node ops (scans, flushes) fan out and merge in ascending
+//! node order, so answers are deterministic.
 //!
-//! * the serial [`ComplexObjectStore`] methods route each op to its owner
-//!   and run it to completion — with one shard per node this replays the
-//!   paper's serial measurements counter for counter;
-//! * the `&self` [`ConcurrentObjectStore`] methods do the same routing but
-//!   are callable from N client threads at once; cross-node ops (scans,
-//!   flushes) fan out and merge in ascending node order, so answers are
-//!   deterministic.
-//!
-//! [`with_cluster_router`] adds the serving topology on top: one job
-//! queue and one pool of scoped worker threads **per node**. The whole
-//! protocol is [`ClusterRouter::on_node`] — run this closure against node
-//! *n*'s store on one of its workers and hand back its typed result
-//! ([`Pending`]) — so a routed op is the `shared_*` call it is on a single
-//! store, made on the owner's worker; [`ClusterRouter::owner`] names that
-//! node. Lock order is unchanged (gate → shards ascending → disk → log,
-//! per node); the queue and result-slot mutexes are client-side and are
-//! never held across a store call (a worker pops a job, releases the
-//! queue, then runs it), so they sit outside (above) the per-node order
-//! and cannot participate in a cycle.
+//! Concurrent serving goes through the router, not through the cluster:
+//! [`with_cluster_router`] adds one job queue and one pool of scoped
+//! worker threads **per node**. The whole protocol is
+//! [`ClusterRouter::on_node`] — run this closure against node *n*'s store
+//! on one of its workers and hand back its typed result ([`Pending`]) —
+//! so a routed op is the `shared_*` call it is on a single store, made on
+//! the owner's worker; [`ClusterRouter::owner`] names that node. Lock
+//! order is unchanged (gate → shards ascending → disk → log, per node);
+//! the queue and result-slot mutexes are client-side and are never held
+//! across a store call (a worker pops a job, releases the queue, then runs
+//! it), so they sit outside (above) the per-node order and cannot
+//! participate in a cycle.
 
 use crate::concurrent::{make_shared_store, ConcurrentObjectStore};
 use crate::traits::{ComplexObjectStore, ObjRef, RelationInfo, RootPatch};
@@ -156,6 +153,14 @@ impl PartitionedStore {
             .copied()
             .ok_or_else(|| self.unknown_object(r.oid))
     }
+
+    /// Cold restart of every node (each pool quiesces its own writers).
+    fn clear_node_caches(&self) -> Result<()> {
+        for n in &self.nodes {
+            n.shared_clear_cache()?;
+        }
+        Ok(())
+    }
 }
 
 impl ComplexObjectStore for PartitionedStore {
@@ -194,40 +199,76 @@ impl ComplexObjectStore for PartitionedStore {
         self.refs.len()
     }
 
-    // The serial surface routes exactly like the shared one — one code
-    // path, so serial runs and 1-client routed runs are the same ops in
-    // the same order.
+    // Each op is the owner's `&self` call a routed job would make, so
+    // serial runs and 1-client routed runs are the same ops in the same
+    // order.
 
     fn get_by_oid(&mut self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        self.shared_get_by_oid(oid, proj)
+        let (node, local) = self.local(&ObjRef { oid, key: 0 })?;
+        self.nodes[node].shared_get_by_oid(local.oid, proj)
     }
 
     fn get_by_key(&mut self, key: Key, proj: &Projection) -> Result<Tuple> {
-        self.shared_get_by_key(key, proj)
+        self.nodes[self.node_of_key(key)?].shared_get_by_key(key, proj)
     }
 
     fn scan_all(&mut self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        self.shared_scan_all(f)
+        // Fan out (each node scans once, ascending node order), then emit
+        // in global object order — the deterministic cross-node merge.
+        let n = self.nodes.len();
+        let mut per_node: Vec<Vec<Tuple>> = Vec::with_capacity(n);
+        for store in &self.nodes {
+            let mut acc = Vec::new();
+            store.shared_scan_all(&mut |t| acc.push(t.clone()))?;
+            per_node.push(acc);
+        }
+        let mut cursors = vec![0usize; n];
+        for &(node, _) in &self.locate {
+            let t = &per_node[node][cursors[node]];
+            cursors[node] += 1;
+            f(t);
+        }
+        Ok(())
     }
 
     fn children_of(&mut self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        self.shared_children_of(refs)
+        // Route each object to its owner, preserving input order — in a
+        // shared-nothing cluster every object access is a per-node request.
+        let mut out = Vec::new();
+        for r in refs {
+            let (node, local) = self.local(r)?;
+            out.extend(self.nodes[node].shared_children_of(&[local])?);
+        }
+        Ok(out)
     }
 
     fn root_records(&mut self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        self.shared_root_records(refs)
+        refs.iter()
+            .map(|r| {
+                let (node, local) = self.local(r)?;
+                let mut rec = self.nodes[node].shared_root_records(&[local])?;
+                rec.pop().ok_or_else(|| self.unknown_object(r.oid))
+            })
+            .collect()
     }
 
     fn update_roots(&mut self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        self.shared_update_roots(refs, patch)
+        for r in refs {
+            let (node, local) = self.local(r)?;
+            self.nodes[node].shared_update_roots(&[local], patch)?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.shared_flush()
+        for n in &self.nodes {
+            n.shared_flush()?;
+        }
+        Ok(())
     }
 
     fn clear_cache(&mut self) -> Result<()> {
-        self.shared_clear_cache()
+        self.clear_node_caches()
     }
 
     fn reset_stats(&mut self) {
@@ -280,104 +321,6 @@ impl ComplexObjectStore for PartitionedStore {
         self.nodes
             .iter()
             .fold(0u64, |acc, n| acc.rotate_left(1) ^ n.disk_checksum())
-    }
-}
-
-impl ConcurrentObjectStore for PartitionedStore {
-    fn shared_get_by_oid(&self, oid: Oid, proj: &Projection) -> Result<Tuple> {
-        let (node, local) = self.local(&ObjRef { oid, key: 0 })?;
-        self.nodes[node].shared_get_by_oid(local.oid, proj)
-    }
-
-    fn shared_get_by_key(&self, key: Key, proj: &Projection) -> Result<Tuple> {
-        self.nodes[self.node_of_key(key)?].shared_get_by_key(key, proj)
-    }
-
-    fn shared_scan_all(&self, f: &mut dyn FnMut(&Tuple)) -> Result<()> {
-        // Fan out (each node scans once, ascending node order), then emit
-        // in global object order — the deterministic cross-node merge.
-        let n = self.nodes.len();
-        let mut per_node: Vec<Vec<Tuple>> = Vec::with_capacity(n);
-        for store in &self.nodes {
-            let mut acc = Vec::new();
-            store.shared_scan_all(&mut |t| acc.push(t.clone()))?;
-            per_node.push(acc);
-        }
-        let mut cursors = vec![0usize; n];
-        for &(node, _) in &self.locate {
-            let t = &per_node[node][cursors[node]];
-            cursors[node] += 1;
-            f(t);
-        }
-        Ok(())
-    }
-
-    fn shared_children_of(&self, refs: &[ObjRef]) -> Result<Vec<ObjRef>> {
-        // Route each object to its owner, preserving input order — in a
-        // shared-nothing cluster every object access is a per-node request.
-        let mut out = Vec::new();
-        for r in refs {
-            let (node, local) = self.local(r)?;
-            out.extend(self.nodes[node].shared_children_of(&[local])?);
-        }
-        Ok(out)
-    }
-
-    fn shared_root_records(&self, refs: &[ObjRef]) -> Result<Vec<Tuple>> {
-        refs.iter()
-            .map(|r| {
-                let (node, local) = self.local(r)?;
-                let mut rec = self.nodes[node].shared_root_records(&[local])?;
-                rec.pop().ok_or_else(|| self.unknown_object(r.oid))
-            })
-            .collect()
-    }
-
-    fn shared_update_roots(&self, refs: &[ObjRef], patch: &RootPatch) -> Result<()> {
-        for r in refs {
-            let (node, local) = self.local(r)?;
-            self.nodes[node].shared_update_roots(&[local], patch)?;
-        }
-        Ok(())
-    }
-
-    fn shared_flush(&self) -> Result<()> {
-        for n in &self.nodes {
-            n.shared_flush()?;
-        }
-        Ok(())
-    }
-
-    fn shared_clear_cache(&self) -> Result<()> {
-        for n in &self.nodes {
-            n.shared_clear_cache()?;
-        }
-        Ok(())
-    }
-
-    fn shard_stats(&self) -> Vec<BufferStats> {
-        // Ascending node order, each node's shards in shard order.
-        self.nodes.iter().flat_map(|n| n.shard_stats()).collect()
-    }
-
-    fn simulate_crash(&self) {
-        for n in &self.nodes {
-            n.simulate_crash();
-        }
-    }
-
-    fn recover(&self) -> Result<usize> {
-        let mut replayed = 0;
-        for n in &self.nodes {
-            replayed += n.recover()?;
-        }
-        Ok(replayed)
-    }
-
-    fn damage_log_tail(&self, bytes: u32) {
-        for n in &self.nodes {
-            n.damage_log_tail(bytes);
-        }
     }
 }
 
@@ -616,7 +559,7 @@ impl<'a> ClusterRouter<'a> {
     /// pool quiesces its own writers, so this is safe while jobs are in
     /// flight — they just go cold.
     pub fn clear_cache_all(&self) -> Result<()> {
-        self.cluster.shared_clear_cache()
+        self.cluster.clear_node_caches()
     }
 
     /// Per-node queue high-water marks (ascending node order) — how many
@@ -843,22 +786,6 @@ mod tests {
         assert!(msg.contains("object #99"), "missing oid: {msg}");
         assert!(msg.contains("3 nodes"), "missing node count: {msg}");
         assert!(msg.contains("10 objects"), "missing object count: {msg}");
-    }
-
-    /// The shared surface answers exactly like the serial one, from plain
-    /// `&self` (as N client threads would call it).
-    #[test]
-    fn shared_surface_matches_serial_routing() {
-        let mut part = cluster(ModelKind::DasdbsNsm, 3);
-        let refs = part.refs.clone();
-        let serial_children = part.children_of(&refs).unwrap();
-        let serial_roots = part.root_records(&refs).unwrap();
-        let shared = &part;
-        assert_eq!(shared.shared_children_of(&refs).unwrap(), serial_children);
-        assert_eq!(shared.shared_root_records(&refs).unwrap(), serial_roots);
-        let mut n = 0usize;
-        shared.shared_scan_all(&mut |_| n += 1).unwrap();
-        assert_eq!(n, 10);
     }
 
     /// Routed dispatch: answers come back from the owning nodes whatever

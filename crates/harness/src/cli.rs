@@ -150,7 +150,9 @@ impl Cli {
     /// a flag comes at most once, and its value may not start with `-`.
     /// The error, a usage error, names the argument at fault; it is also
     /// one for two output formats, `--sweep` or `--nodes` without what they
-    /// need, and a `--threads` count larger than the buffer it shards.
+    /// need, a flag the chosen mode ignores (`--only` or `--fsync` with
+    /// `--workload`, `--fsync` without `ext-durability`), and a `--threads`
+    /// count larger than the buffer it shards.
     pub fn parse(args: &[String]) -> Result<Cli, String> {
         let experiments = experiments::REGISTRY.iter().collect();
         let mut cli = Cli {
@@ -182,6 +184,16 @@ impl Cli {
         }
         if cli.sweep && cli.workload.is_none() || cli.nodes.is_some() && !cli.sweep {
             return Err("--nodes needs --sweep, which needs --workload <spec>".into());
+        }
+        // A flag the chosen mode would ignore is a misuse, not a no-op.
+        let given = |name| seen.contains(&name);
+        for other in ["--only", "--fsync"] {
+            if given(other) && given("--workload") {
+                return Err(format!("{other} and --workload: it runs no experiment"));
+            }
+        }
+        if given("--fsync") && !cli.experiments.iter().any(|e| e.id == "ext-durability") {
+            return Err("--fsync sets ext-durability's flush mode: add it to --only".into());
         }
         // ext-distributed's serving sweep shards each node's buffer too.
         let sharded =
@@ -307,9 +319,9 @@ mod tests {
                 );
             }
         }
-        let cli = parse("--fast --only table4,ext_timing --seed 0 --fsync per").unwrap();
+        let cli = parse("--fast --only table4,ext_durability --seed 0 --fsync per").unwrap();
         let ids: Vec<&str> = cli.experiments.iter().map(|e| e.id).collect();
-        assert_eq!(ids, ["table4", "ext-timing"]);
+        assert_eq!(ids, ["table4", "ext-durability"]);
         assert_eq!((cli.config.n_objects, cli.config.dataset_seed), (300, 0));
         assert_eq!(cli.config.fsync, Some(starfish_core::FsyncMode::PerCommit));
         let cli = parse("--workload hot-set --sweep --threads 4 --nodes 3 --policy clock").unwrap();
@@ -345,6 +357,9 @@ mod tests {
                 "--fast --threads 81 --workload hot-set --sweep --nodes 3",
                 "80-page",
             ),
+            ("--workload hot-set --only table2", "--only and --workload"),
+            ("--workload hot-set --fsync group", "--fsync and --workload"),
+            ("--fast --only table2 --fsync group", "add it to --only"),
         ] {
             let err = parse(line).unwrap_err();
             assert!(err.contains(names), "{line}: {err}");

@@ -182,19 +182,6 @@ impl IoSnapshot {
         self.heat_records += s.heat_records;
         self.heat_decays += s.heat_decays;
     }
-
-    /// Per-loop normalization, e.g. for queries 2b/3b ("normalizing the
-    /// results to a value per loop").
-    pub fn per_loop(&self, loops: u64) -> PerLoop {
-        let l = loops.max(1) as f64;
-        PerLoop {
-            pages_read: self.pages_read as f64 / l,
-            pages_written: self.pages_written as f64 / l,
-            pages_io: self.pages_io() as f64 / l,
-            io_calls: self.io_calls() as f64 / l,
-            fixes: self.fixes as f64 / l,
-        }
-    }
 }
 
 impl Sub for IoSnapshot {
@@ -233,21 +220,6 @@ impl Sub for IoSnapshot {
             heat_decays: self.heat_decays.saturating_sub(rhs.heat_decays),
         }
     }
-}
-
-/// Per-loop normalized measurements (floating point).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PerLoop {
-    /// Pages read per loop.
-    pub pages_read: f64,
-    /// Pages written per loop.
-    pub pages_written: f64,
-    /// Pages read+written per loop.
-    pub pages_io: f64,
-    /// I/O calls per loop.
-    pub io_calls: f64,
-    /// Buffer fixes per loop.
-    pub fixes: f64,
 }
 
 #[cfg(test)]
@@ -359,20 +331,5 @@ mod tests {
         assert_eq!(total.batched_read_calls, 3);
         assert_eq!(total.coalesced_pages, 7);
         assert_eq!(total.max_queue_depth, 5, "high-water keeps the max");
-    }
-
-    #[test]
-    fn per_loop_normalizes() {
-        let s = IoSnapshot {
-            pages_read: 300,
-            fixes: 900,
-            ..Default::default()
-        };
-        let p = s.per_loop(300);
-        assert_eq!(p.pages_read, 1.0);
-        assert_eq!(p.fixes, 3.0);
-        // Guard against division by zero.
-        let p0 = s.per_loop(0);
-        assert_eq!(p0.pages_read, 300.0);
     }
 }

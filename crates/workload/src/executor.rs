@@ -1912,20 +1912,22 @@ pub(crate) mod tests {
         // Refs interleaved across 3 nodes, duplicates included, and the
         // empty step: the per-node batches are dealt back element for
         // element into what the cluster's own routing answers.
-        let (cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 3);
+        let (mut cluster, exec) = small_cluster(ModelKind::DasdbsNsm, 3);
         let r = exec.refs();
         let interleaved = [r[4], r[0], r[5], r[4], r[2], r[1], r[0], r[9], r[4]];
+        let steps = [&interleaved[..], &[]];
+        let want: Vec<_> = steps
+            .iter()
+            .map(|refs| {
+                let children = cluster.children_of(refs).unwrap();
+                (children, cluster.root_records(refs).unwrap())
+            })
+            .collect();
         with_cluster_router(&cluster, 2, |router| {
             let mut surf = RoutedSurface(router);
-            for refs in [&interleaved[..], &[]] {
-                assert_eq!(
-                    surf.children_of(refs).unwrap(),
-                    cluster.shared_children_of(refs).unwrap()
-                );
-                assert_eq!(
-                    surf.root_records(refs).unwrap(),
-                    cluster.shared_root_records(refs).unwrap()
-                );
+            for (refs, (children, roots)) in steps.iter().zip(&want) {
+                assert_eq!(&surf.children_of(refs).unwrap(), children);
+                assert_eq!(&surf.root_records(refs).unwrap(), roots);
             }
         });
     }
