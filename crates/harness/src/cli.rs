@@ -151,8 +151,9 @@ impl Cli {
     /// The error, a usage error, names the argument at fault; it is also
     /// one for two output formats, `--sweep` or `--nodes` without what they
     /// need, a flag the chosen mode ignores (`--only` or `--fsync` with
-    /// `--workload`, `--fsync` without `ext-durability`), and a `--threads`
-    /// count larger than the buffer it shards.
+    /// `--workload`, `--policy` with `--sweep`, `--fsync` without
+    /// `ext-durability`), and a `--threads` count larger than the buffer
+    /// it shards.
     pub fn parse(args: &[String]) -> Result<Cli, String> {
         let experiments = experiments::REGISTRY.iter().collect();
         let mut cli = Cli {
@@ -191,6 +192,9 @@ impl Cli {
             if given(other) && given("--workload") {
                 return Err(format!("{other} and --workload: it runs no experiment"));
             }
+        }
+        if given("--policy") && cli.sweep {
+            return Err("--policy and --sweep: the sweep crosses every policy".into());
         }
         if given("--fsync") && !cli.experiments.iter().any(|e| e.id == "ext-durability") {
             return Err("--fsync sets ext-durability's flush mode: add it to --only".into());
@@ -324,9 +328,10 @@ mod tests {
         assert_eq!(ids, ["table4", "ext-durability"]);
         assert_eq!((cli.config.n_objects, cli.config.dataset_seed), (300, 0));
         assert_eq!(cli.config.fsync, Some(starfish_core::FsyncMode::PerCommit));
-        let cli = parse("--workload hot-set --sweep --threads 4 --nodes 3 --policy clock").unwrap();
+        let cli = parse("--workload hot-set --sweep --threads 4 --nodes 3").unwrap();
         let got = (cli.workload.as_deref(), cli.sweep, cli.threads, cli.nodes);
         assert_eq!(got, (Some("hot-set"), true, Some(4), Some(3)));
+        let cli = parse("--workload hot-set --policy clock").unwrap();
         assert_eq!(cli.config.policy, starfish_core::PolicyKind::Clock);
         // Each misuse, and the argument its message names. A misspelt flag,
         // a stray argument and two output formats have tests of their own
@@ -359,6 +364,10 @@ mod tests {
             ),
             ("--workload hot-set --only table2", "--only and --workload"),
             ("--workload hot-set --fsync group", "--fsync and --workload"),
+            (
+                "--fast --workload hot-set --sweep --policy clock",
+                "--policy and --sweep",
+            ),
             ("--fast --only table2 --fsync group", "add it to --only"),
         ] {
             let err = parse(line).unwrap_err();

@@ -9,7 +9,7 @@
 //! layout on and measures what the waste costs each model.
 
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::HarnessConfig;
+use crate::runner::{HarnessConfig, QUERY_SEED};
 use crate::Result;
 use starfish_core::{make_store, ModelKind, StoreConfig};
 use starfish_cost::QueryId;
@@ -39,7 +39,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
             };
             let mut store = make_store(kind, store_config);
             let refs = store.load(&db)?;
-            let exec = Executor::new(refs, config.query_seed);
+            let exec = Executor::new(refs, QUERY_SEED);
             let mut cells = Vec::new();
             for q in QUERIES {
                 let outcome = exec.run(store.as_mut(), &WorkloadSpec::for_query(q))?;

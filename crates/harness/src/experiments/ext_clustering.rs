@@ -11,22 +11,18 @@
 //! win, the predicted win, whether the pass fired, and whether prediction
 //! and measurement agree in sign — the property the trigger relies on.
 
+use crate::experiments::variant_of;
 use crate::report::{fmt_pages, ExperimentReport, Table};
-use crate::runner::HarnessConfig;
+use crate::runner::{HarnessConfig, QUERY_SEED};
 use crate::Result;
 use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats, HEAT_DECAY_EVERY};
 use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext};
 use starfish_workload::{generate, lower_spec, Executor, PlanOutcome, WorkloadSpec};
 
-/// Models swept, paired with their cost-model variant. One model per
-/// placement family: whole-object extents (DSM), page-sharing relations
-/// with direct addresses (NSM+index), nested relations behind the
-/// transformation table (DASDBS-NSM).
-pub const MODELS: [(ModelKind, ModelVariant); 3] = [
-    (ModelKind::Dsm, ModelVariant::Dsm),
-    (ModelKind::NsmIndexed, ModelVariant::NsmIndexed),
-    (ModelKind::DasdbsNsm, ModelVariant::DasdbsNsm),
-];
+/// Models swept, one per placement family: whole-object extents (DSM),
+/// page-sharing relations with direct addresses (NSM+index), nested
+/// relations behind the transformation table (DASDBS-NSM).
+pub const MODELS: [ModelKind; 3] = [ModelKind::Dsm, ModelKind::NsmIndexed, ModelKind::DasdbsNsm];
 
 /// Minimum predicted page-read win (pages per unit) before the
 /// reorganization pass is allowed to run. It covers two costs the raw win
@@ -87,7 +83,6 @@ fn predicted_reads(
 /// optional reorganization, phase B over the identical tape.
 fn run_cell(
     kind: ModelKind,
-    variant: ModelVariant,
     inputs: &EstimatorInputs,
     config: &HarnessConfig,
     db: &[starfish_nf2::station::Station],
@@ -95,7 +90,7 @@ fn run_cell(
 ) -> Result<AdaptCell> {
     let mut store = make_store(kind, config.store_config().heat(HeatConfig::enabled()));
     let refs = store.load(db)?;
-    let exec = Executor::new(refs, config.query_seed);
+    let exec = Executor::new(refs, QUERY_SEED);
 
     let PlanOutcome::Measured(before) = exec.run(store.as_mut(), spec)? else {
         unreachable!("drift scenarios avoid model-specific ops");
@@ -105,7 +100,7 @@ fn run_cell(
     let stats: PlacementStats = store.placement_stats()?;
     let pred = |span: u32| {
         predicted_reads(
-            variant,
+            variant_of(kind),
             inputs,
             config.buffer_pages,
             span,
@@ -181,10 +176,10 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
     let mut agreed = 0usize;
     let mut total = 0usize;
     for spec in &scenarios {
-        for &(kind, variant) in &MODELS {
+        for &kind in &MODELS {
             for &policy in &policies {
                 let cfg = HarnessConfig { policy, ..config };
-                let cell = run_cell(kind, variant, &inputs, &cfg, &db, spec)?;
+                let cell = run_cell(kind, &inputs, &cfg, &db, spec)?;
                 total += 1;
                 fired += cell.reorganized as usize;
                 agreed += cell.agrees() as usize;

@@ -3,20 +3,18 @@
 //! (§5.4; loops = size/5; the paper's x-axis is logarithmic, 100…1500
 //! objects; buffer fixed at 1200 pages).
 
+use crate::experiments::variant_of;
 use crate::paper::FIG6_ANCHORS;
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{load_store, HarnessConfig};
 use crate::Result;
 use starfish_core::ModelKind;
-use starfish_cost::{estimate, EstimatorInputs, ModelVariant, QueryId};
+use starfish_cost::{estimate, EstimatorInputs, QueryId};
 use starfish_workload::{generate, WorkloadSpec};
 
 /// Models plotted in Figure 6.
-pub const FIG6_MODELS: [(ModelKind, ModelVariant); 3] = [
-    (ModelKind::Dsm, ModelVariant::Dsm),
-    (ModelKind::DasdbsDsm, ModelVariant::DasdbsDsm),
-    (ModelKind::DasdbsNsm, ModelVariant::DasdbsNsm),
-];
+pub const FIG6_MODELS: [ModelKind; 3] =
+    [ModelKind::Dsm, ModelKind::DasdbsDsm, ModelKind::DasdbsNsm];
 
 /// One point of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -44,7 +42,8 @@ pub fn sweep_sizes(config: &HarnessConfig) -> Vec<usize> {
 pub fn sweep(config: &HarnessConfig) -> Result<Vec<(ModelKind, Vec<Fig6Point>)>> {
     let sizes = sweep_sizes(config);
     let mut out = Vec::new();
-    for (kind, variant) in FIG6_MODELS {
+    for kind in FIG6_MODELS {
+        let variant = variant_of(kind);
         let mut points = Vec::new();
         for &n in &sizes {
             let params = config.dataset().with_objects(n);

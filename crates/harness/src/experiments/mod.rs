@@ -30,7 +30,7 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure_grid, HarnessConfig, MeasuredGrid};
 use crate::Result;
 use starfish_core::ModelKind;
-use starfish_cost::QueryId;
+use starfish_cost::{ModelVariant, QueryId};
 use starfish_workload::PlanRun;
 use std::cell::OnceCell;
 
@@ -44,6 +44,19 @@ pub fn grid_models() -> Vec<ModelKind> {
         ModelKind::NsmIndexed,
         ModelKind::DasdbsNsm,
     ]
+}
+
+/// The cost-model variant that prices each measured model. The primed
+/// (no-waste) variants don't arise: the estimators price the layouts the
+/// harness builds.
+pub(crate) fn variant_of(kind: ModelKind) -> ModelVariant {
+    match kind {
+        ModelKind::Dsm => ModelVariant::Dsm,
+        ModelKind::DasdbsDsm => ModelVariant::DasdbsDsm,
+        ModelKind::Nsm => ModelVariant::Nsm,
+        ModelKind::NsmIndexed => ModelVariant::NsmIndexed,
+        ModelKind::DasdbsNsm => ModelVariant::DasdbsNsm,
+    }
 }
 
 /// The model × query table of Tables 4, 5 and 6: one row per measured

@@ -33,11 +33,12 @@
 //! routed cluster: the serially-driven cluster of its node count — must
 //! also replay it; the oracle is measured, not shown.
 
+use crate::experiments::variant_of;
 use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure, HarnessConfig, Measurement, Serving};
 use crate::Result;
 use starfish_core::{IoEngineConfig, ModelKind, PolicyKind};
-use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext, QueryId};
+use starfish_cost::{estimate_plan, EstimatorInputs, PlanContext, QueryId};
 use starfish_nf2::station::Station;
 use starfish_workload::{generate, lower_spec, DatasetParams, MixKind, PlanRun, WorkloadSpec};
 
@@ -707,19 +708,6 @@ fn render(
         table,
         notes,
         unpinned_notes: Vec::new(),
-    }
-}
-
-/// The cost-model variant that prices each measured model. The primed
-/// (no-waste) variants don't arise: the walker prices the layouts the
-/// harness builds.
-fn variant_of(kind: ModelKind) -> ModelVariant {
-    match kind {
-        ModelKind::Dsm => ModelVariant::Dsm,
-        ModelKind::DasdbsDsm => ModelVariant::DasdbsDsm,
-        ModelKind::Nsm => ModelVariant::Nsm,
-        ModelKind::NsmIndexed => ModelVariant::NsmIndexed,
-        ModelKind::DasdbsNsm => ModelVariant::DasdbsNsm,
     }
 }
 

@@ -14,6 +14,9 @@ use starfish_pagestore::{BufferStats, IoSnapshot};
 use starfish_workload::{generate, DatasetParams, Executor, PlanOutcome, PlanRun, WorkloadSpec};
 use std::time::Duration;
 
+/// The query-sequence seed every measured run draws its picks from.
+pub const QUERY_SEED: u64 = 1993;
+
 /// Configuration for the experiment harness.
 #[derive(Clone, Copy, Debug)]
 pub struct HarnessConfig {
@@ -25,8 +28,6 @@ pub struct HarnessConfig {
     pub policy: PolicyKind,
     /// Dataset seed.
     pub dataset_seed: u64,
-    /// Query-sequence seed.
-    pub query_seed: u64,
     /// WAL fsync mode restriction for the durability experiment: `None`
     /// sweeps both per-commit and group commit, `Some(mode)` measures only
     /// that mode (the CLI's `--fsync`). Every other experiment runs with
@@ -41,7 +42,6 @@ impl Default for HarnessConfig {
             buffer_pages: 1200,
             policy: PolicyKind::Lru,
             dataset_seed: 4242,
-            query_seed: 1993,
             fsync: None,
         }
     }
@@ -145,7 +145,7 @@ pub fn load_store(
 ) -> Result<(Box<dyn ComplexObjectStore>, Executor)> {
     let mut store = make_store(kind, config.store_config());
     let refs = store.load(db)?;
-    Ok((store, Executor::new(refs, config.query_seed)))
+    Ok((store, Executor::new(refs, QUERY_SEED)))
 }
 
 /// Runs every query of the benchmark against every model in `models` on the
@@ -304,7 +304,7 @@ pub fn measure(
     serving: Serving,
     engine: IoEngineConfig,
 ) -> Result<Measurement> {
-    let seed = config.query_seed;
+    let seed = QUERY_SEED;
     match serving {
         Serving::Serial => {
             let mut store = make_store(kind, config.store_config().io_engine(engine));

@@ -601,76 +601,29 @@ impl WorkloadSpec {
     }
 
     // ---- shipped non-paper scenarios ---------------------------------------
+    //
+    // Each scenario is defined once, by its file under `examples/workloads/`
+    // (the same file `--workload examples/workloads/<name>.json` reads).
 
     /// Deep navigation: 4 reference hops instead of the paper's 2 — the
     /// regime where the normalized models' per-hop relation scans compound.
     pub fn deep_nav() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "deep-nav".into(),
-            description: "objects/10 loops of 4-hop navigation (paper stops at 2 hops)".into(),
-            stream: 11,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![Op::Loop {
-                count: Count::ObjectsOver(10),
-                body: vec![
-                    Op::PickRandom { n: 1 },
-                    Op::NavigateChildren { depth: 4 },
-                    Op::FetchRoots,
-                ],
-            }],
-        }
+        Self::shipped_file(include_str!("../../../examples/workloads/deep_nav.json"))
     }
 
     /// Hot-set skew: 90% of the navigation roots come from a 16-object hot
     /// set — the caching regime the paper's uniform picks never exercise.
     pub fn hot_set() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "hot-set".into(),
-            description: "objects/5 navigation loops, 90% of roots from a 16-object hot set".into(),
-            stream: 12,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![Op::Loop {
-                count: Count::ObjectsOver(5),
-                body: vec![
-                    Op::PickSkewed {
-                        hot: 16,
-                        pct_hot: 90,
-                        drift: None,
-                    },
-                    Op::NavigateChildren { depth: 2 },
-                    Op::FetchRoots,
-                ],
-            }],
-        }
+        Self::shipped_file(include_str!("../../../examples/workloads/hot_set.json"))
     }
 
     /// Scan-then-update: a full relation scan that warms the buffer,
     /// followed by single-hop update loops — adversarial for LRU (the scan
     /// floods the buffer) and the shape of a batch job behind OLTP traffic.
     pub fn scan_then_update() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "scan-then-update".into(),
-            description: "full scan, then 24 loops of 1-hop navigation updating the children"
-                .into(),
-            stream: 13,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![
-                Op::ScanAll,
-                Op::Loop {
-                    count: Count::Fixed(24),
-                    body: vec![
-                        Op::PickRandom { n: 1 },
-                        Op::NavigateChildren { depth: 1 },
-                        Op::UpdateRoots {
-                            patch: PatchSpec::Prefixed("batch".into()),
-                        },
-                    ],
-                },
-            ],
-        }
+        Self::shipped_file(include_str!(
+            "../../../examples/workloads/scan_then_update.json"
+        ))
     }
 
     /// Gradual drift: the hot-set workload with a window that slides 4
@@ -678,30 +631,9 @@ impl WorkloadSpec {
     /// migrated across 120 objects, the DOEF "moving window" regime where
     /// recency-based policies must keep re-learning the working set.
     pub fn drift_gradual() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "drift-gradual".into(),
-            description: "120 navigation loops, 90% of roots from a 16-object hot window \
-                          sliding 4 objects every 4 loops"
-                .into(),
-            stream: 14,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![Op::Loop {
-                count: Count::Fixed(120),
-                body: vec![
-                    Op::PickSkewed {
-                        hot: 16,
-                        pct_hot: 90,
-                        drift: Some(Drift {
-                            shift: 4,
-                            period: 4,
-                        }),
-                    },
-                    Op::NavigateChildren { depth: 2 },
-                    Op::FetchRoots,
-                ],
-            }],
-        }
+        Self::shipped_file(include_str!(
+            "../../../examples/workloads/drift_gradual.json"
+        ))
     }
 
     /// Sudden shift: the hot window jumps 137 objects every 60 loops —
@@ -709,30 +641,9 @@ impl WorkloadSpec {
     /// regime where a policy that over-commits to the old hot set pays for
     /// the whole next phase.
     pub fn drift_sudden() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "drift-sudden".into(),
-            description: "120 navigation loops, the 16-object hot window jumping 137 \
-                          objects every 60 loops"
-                .into(),
-            stream: 15,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![Op::Loop {
-                count: Count::Fixed(120),
-                body: vec![
-                    Op::PickSkewed {
-                        hot: 16,
-                        pct_hot: 90,
-                        drift: Some(Drift {
-                            shift: 137,
-                            period: 60,
-                        }),
-                    },
-                    Op::NavigateChildren { depth: 2 },
-                    Op::FetchRoots,
-                ],
-            }],
-        }
+        Self::shipped_file(include_str!(
+            "../../../examples/workloads/drift_sudden.json"
+        ))
     }
 
     /// Periodic cycling: a `phase` op rotating through three pick
@@ -740,38 +651,15 @@ impl WorkloadSpec {
     /// set — so the buffer alternates between cacheable and scan-like
     /// regimes six times per run.
     pub fn drift_cycle() -> WorkloadSpec {
-        WorkloadSpec {
-            name: "drift-cycle".into(),
-            description: "120 navigation loops cycling every 20 loops between a tight hot \
-                          set, uniform picks and a wide warm set"
-                .into(),
-            stream: 16,
-            unit: NormUnit::Loops,
-            mix: None,
-            ops: vec![Op::Loop {
-                count: Count::Fixed(120),
-                body: vec![
-                    Op::Phase {
-                        every: 20,
-                        picks: vec![
-                            Op::PickSkewed {
-                                hot: 16,
-                                pct_hot: 90,
-                                drift: None,
-                            },
-                            Op::PickRandom { n: 1 },
-                            Op::PickSkewed {
-                                hot: 48,
-                                pct_hot: 70,
-                                drift: None,
-                            },
-                        ],
-                    },
-                    Op::NavigateChildren { depth: 2 },
-                    Op::FetchRoots,
-                ],
-            }],
-        }
+        Self::shipped_file(include_str!("../../../examples/workloads/drift_cycle.json"))
+    }
+
+    /// A shipped scenario's file, parsed.
+    fn shipped_file(json: &str) -> WorkloadSpec {
+        Self::from_json(json).expect(
+            "every file in examples/workloads/ parses \
+             (plan::tests::every_file_in_examples_workloads_is_a_shipped_spec)",
+        )
     }
 
     /// The shipped non-paper scenarios, in `ext-workload` sweep order: the
@@ -1224,6 +1112,33 @@ mod tests {
         }
         for m in MixKind::all() {
             WorkloadSpec::mixed(m).validate().unwrap();
+        }
+    }
+
+    /// The shipped scenarios are their files: `examples/workloads/` holds
+    /// exactly one `<name>.json` per spec of [`WorkloadSpec::shipped`], in
+    /// that order, and nothing else — so no file there goes unread.
+    #[test]
+    fn every_file_in_examples_workloads_is_a_shipped_spec() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/workloads");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.ends_with(".json"))
+            .collect();
+        files.sort();
+        let shipped = WorkloadSpec::shipped();
+        let file_of = |s: &WorkloadSpec| format!("{}.json", s.name.replace('-', "_"));
+        let mut want: Vec<String> = shipped.iter().map(file_of).collect();
+        want.sort();
+        assert_eq!(
+            files, want,
+            "examples/workloads/ vs WorkloadSpec::shipped()"
+        );
+        for spec in shipped {
+            let path = format!("{dir}/{}", file_of(&spec));
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(WorkloadSpec::from_json(&text), Ok(spec), "{path}");
         }
     }
 

@@ -1,7 +1,6 @@
-//! One-off: dump per-(model, query) IoSnapshot counters as Rust constants.
-//! Used to (re)generate the golden tables in `tests/golden_lru.rs` (full
-//! counters, both scales) and `tests/golden_io_calls.rs` (Table-5-style
-//! `io_calls`, fast scale).
+//! Dumps per-(model, query) IoSnapshot counters as Rust constants: the
+//! golden table of `tests/common/golden.rs` (`GOLDEN_FAST`, `GOLDEN_PAPER`).
+//! Run with `cargo run --release --example golden_dump`.
 
 use starfish::core::{make_store, ModelKind, StoreConfig};
 use starfish::cost::QueryId;
@@ -10,7 +9,7 @@ use starfish::workload::{generate, DatasetParams, Executor, WorkloadSpec};
 
 /// One `("model", "query", Some(<cell>))` row per model × query at the
 /// given scale, `None` where the model does not support the query.
-fn dump(title: &str, n_objects: usize, buffer_pages: usize, cell: fn(&IoSnapshot) -> String) {
+fn dump(title: &str, n_objects: usize, buffer_pages: usize) {
     println!("// {title} ({n_objects} objects, {buffer_pages}-page buffer)");
     let db = generate(&DatasetParams {
         n_objects,
@@ -26,7 +25,7 @@ fn dump(title: &str, n_objects: usize, buffer_pages: usize, cell: fn(&IoSnapshot
                 .run(store.as_mut(), &WorkloadSpec::for_query(q))
                 .unwrap();
             let cell = match outcome.run() {
-                Some(m) => format!("Some({})", cell(&m.snapshot)),
+                Some(m) => format!("Some({})", counters(&m.snapshot)),
                 None => "None".to_string(),
             };
             println!("(\"{}\", \"{}\", {cell}),", kind.paper_name(), q.label());
@@ -34,19 +33,13 @@ fn dump(title: &str, n_objects: usize, buffer_pages: usize, cell: fn(&IoSnapshot
     }
 }
 
-/// `(read_calls, pages_read, write_calls, pages_written, fixes)` for
-/// `tests/golden_lru.rs`.
+/// `(read_calls, pages_read, write_calls, pages_written, fixes)`.
 fn counters(s: &IoSnapshot) -> String {
     let (rc, pr, wc, pw) = (s.read_calls, s.pages_read, s.write_calls, s.pages_written);
     format!("({rc}, {pr}, {wc}, {pw}, {})", s.fixes)
 }
 
 fn main() {
-    dump("scale: fast", 300, 240, counters);
-    dump("scale: paper", 1500, 1200, counters);
-    // The Table-5-style call counts (`read_calls + write_calls`) for
-    // `tests/golden_io_calls.rs`.
-    dump("io_calls at scale: fast", 300, 240, |s| {
-        s.io_calls().to_string()
-    });
+    dump("scale: fast", 300, 240);
+    dump("scale: paper", 1500, 1200);
 }

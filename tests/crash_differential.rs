@@ -20,8 +20,8 @@
 //!    returns, and recovery alone (no flush ever ran) reproduces the
 //!    serial disk image.
 //! 3. **WAL-off golden identity**: with the WAL disabled (the default),
-//!    the shared pool reproduces the golden I/O-call table of
-//!    `tests/golden_io_calls.rs` counter for counter, reports all-zero log
+//!    the shared pool reproduces the golden I/O calls of
+//!    `tests/common/golden.rs` counter for counter, reports all-zero log
 //!    counters, and recovers zero pages — the durability plumbing is
 //!    byte-invisible until switched on.
 //! 4. **Torn log tail**: after a crash, tear an arbitrary number of bytes
@@ -47,7 +47,7 @@ use std::thread;
 
 #[path = "common/golden.rs"]
 mod golden;
-use golden::golden_io_calls;
+use golden::{golden, GOLDEN_FAST};
 
 const N_OBJECTS: usize = 60;
 /// Small enough that update working sets overflow it, so evictions write
@@ -327,7 +327,7 @@ fn wal_off_shared_pool_matches_golden_io_calls() {
                 }
                 PlanOutcome::Unsupported => None,
             };
-            let expect = golden_io_calls(kind, q);
+            let expect = golden(GOLDEN_FAST, kind, q).map(|(rc, _, wc, _, _)| rc + wc);
             if got != expect {
                 mismatches.push(format!("{kind}/{q}: golden {expect:?}, run {got:?}"));
             }

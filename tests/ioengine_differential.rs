@@ -25,7 +25,7 @@ use starfish::workload::generate;
 
 #[path = "common/golden.rs"]
 mod golden;
-use golden::golden_io_calls;
+use golden::{golden, GOLDEN_FAST};
 
 fn dataset() -> Vec<Station> {
     generate(&DatasetParams {
@@ -77,7 +77,7 @@ fn engine_on_single_client_matches_golden_io_calls() {
                 }
                 PlanOutcome::Unsupported => None,
             };
-            let expect = golden_io_calls(kind, q);
+            let expect = golden(GOLDEN_FAST, kind, q).map(|(rc, _, wc, _, _)| rc + wc);
             if got != expect {
                 mismatches.push(format!("{kind}/{q}: golden {expect:?}, run {got:?}"));
             }
