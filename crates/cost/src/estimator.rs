@@ -149,10 +149,11 @@ pub fn estimate(
 /// Like [`estimate`] but amortizing the loop queries (2b/3b) over an
 /// explicit `loops` count instead of [`QueryId::loops`]'s Table 3 default.
 ///
-/// This is what the workload plan-walker ([`crate::planwalk`]) uses: a
-/// `WorkloadSpec` navigates some arbitrary number of times, and Equation
-/// 8's distinct-object amortization depends on that count. With
-/// `loops = query.loops(n)` this is exactly [`estimate`].
+/// This is what the workload plan-walker
+/// (`starfish_workload::estimate_plan`) uses: a `WorkloadSpec` navigates
+/// some arbitrary number of times, and Equation 8's distinct-object
+/// amortization depends on that count. With `loops = query.loops(n)` this
+/// is exactly [`estimate`].
 pub fn estimate_loops(
     variant: ModelVariant,
     query: QueryId,

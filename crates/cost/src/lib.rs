@@ -27,7 +27,6 @@
 pub mod cache;
 pub mod estimator;
 pub mod formulas;
-pub mod planwalk;
 pub mod profile;
 pub mod timing;
 
@@ -35,7 +34,6 @@ pub use cache::{fig6_curves, CacheCurve};
 pub use estimator::{
     estimate, estimate_loops, table3, CostRow, EstimatorInputs, ModelVariant, QueryCost,
 };
-pub use planwalk::{estimate_plan, HotInfo, PlanContext, PlanEstimate, PlanOp};
 pub use profile::{BenchProfile, RelParams, Table2Analytic};
 pub use timing::CostWeights;
 

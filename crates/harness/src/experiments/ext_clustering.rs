@@ -6,7 +6,8 @@
 //! plan-walker prices the tape with the hot span *as placed* versus *as
 //! packed* ([`starfish_core::PlacementStats`]), and only when the
 //! predicted page-read win clears [`REORG_WIN_THRESHOLD`] does the store
-//! run its online reorganization pass before phase B replays the tape.
+//! run its reorganization pass (the single-writer `&mut`
+//! `ComplexObjectStore::reorganize`) before phase B replays the tape.
 //! Reported per row: measured reads/unit before and after, the measured
 //! win, the predicted win, whether the pass fired, and whether prediction
 //! and measurement agree in sign — the property the trigger relies on.
@@ -16,8 +17,10 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{HarnessConfig, QUERY_SEED};
 use crate::Result;
 use starfish_core::{make_store, HeatConfig, ModelKind, PlacementStats, HEAT_DECAY_EVERY};
-use starfish_cost::{estimate_plan, EstimatorInputs, ModelVariant, PlanContext};
-use starfish_workload::{generate, lower_spec, Executor, PlanOutcome, WorkloadSpec};
+use starfish_cost::EstimatorInputs;
+use starfish_workload::{
+    estimate_plan, generate, Executor, PlanContext, PlanOutcome, WorkloadSpec,
+};
 
 /// Models swept, one per placement family: whole-object extents (DSM),
 /// page-sharing relations with direct addresses (NSM+index), nested
@@ -58,27 +61,6 @@ impl AdaptCell {
     }
 }
 
-/// Prices `spec`'s tape under `variant` with the hot span at `span` pages,
-/// returning expected page reads per unit. `None` where the model cannot
-/// price the plan (no such row is swept here, but the walker's contract
-/// allows it).
-fn predicted_reads(
-    variant: ModelVariant,
-    inputs: &EstimatorInputs,
-    buffer_pages: usize,
-    span: u32,
-    spec: &WorkloadSpec,
-    n_objects: usize,
-    units: u64,
-) -> Option<f64> {
-    let ctx = PlanContext {
-        buffer_pages: buffer_pages as f64,
-        hot_span_pages: Some(span as f64),
-    };
-    let ops = lower_spec(spec, n_objects);
-    estimate_plan(variant, inputs, &ctx, &ops).map(|est| est.pages_read / units.max(1) as f64)
-}
-
 /// Runs one (model, policy, scenario) cell: phase A, trigger decision,
 /// optional reorganization, phase B over the identical tape.
 fn run_cell(
@@ -98,16 +80,16 @@ fn run_cell(
     let reads_before = before.snapshot.pages_read as f64 / before.units.max(1) as f64;
 
     let stats: PlacementStats = store.placement_stats()?;
+    // Expected page reads per unit with the hot span at `span` pages;
+    // `None` where the model cannot price the plan (no such row is swept
+    // here, but the walker's contract allows it).
     let pred = |span: u32| {
-        predicted_reads(
-            variant_of(kind),
-            inputs,
-            config.buffer_pages,
-            span,
-            spec,
-            exec.n_objects(),
-            before.units,
-        )
+        let ctx = PlanContext {
+            buffer_pages: config.buffer_pages as f64,
+            hot_span_pages: Some(span as f64),
+        };
+        let est = estimate_plan(variant_of(kind), inputs, &ctx, spec);
+        est.map(|est| est.pages_read / before.units.max(1) as f64)
     };
     let predicted_win = match (pred(stats.hot_pages), pred(stats.hot_packed_pages)) {
         (Some(b), Some(a)) => b - a,
@@ -228,7 +210,7 @@ pub fn run(config: &HarnessConfig) -> Result<ExperimentReport> {
 
     Ok(ExperimentReport {
         id: "ext-clustering".into(),
-        title: "Extension — adaptive placement (heat-tracked online reclustering)".into(),
+        title: "Extension — adaptive placement (heat-tracked offline reclustering)".into(),
         table,
         notes,
         unpinned_notes: Vec::new(),

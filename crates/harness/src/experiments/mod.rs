@@ -313,6 +313,45 @@ mod tests {
             );
         }
     }
+
+    /// Every `pred pg/u` cell of the fingerprint's `ext-workload` line,
+    /// recomputed through the walker at `HarnessConfig::fast()`: the
+    /// predicted numbers are checked by `cargo test`, not only by CI's
+    /// fingerprint diff.
+    #[test]
+    fn the_walker_reproduces_every_ext_workload_prediction() {
+        use starfish_cost::EstimatorInputs;
+        use starfish_workload::{estimate_plan, PlanContext, WorkloadSpec};
+        let line = (include_str!("../../../../FINGERPRINT.json").lines())
+            .find(|line| line.starts_with(r#"{"id":"ext-workload","#))
+            .expect("the fingerprint has an ext-workload line");
+        let report = serde_json::from_str(line).unwrap();
+        let strings = |v: &serde_json::Value| -> Vec<String> {
+            let cells = v.as_array().unwrap().iter();
+            cells.map(|c| c.as_str().unwrap().to_string()).collect()
+        };
+        let headers = strings(report.get("headers").unwrap());
+        let col = |name: &str| headers.iter().position(|h| h == name).unwrap();
+        let (scenario, model, pred) = (col("SCENARIO"), col("MODEL"), col("pred pg/u"));
+        let config = HarnessConfig::fast();
+        let inputs = EstimatorInputs::new(config.dataset().profile());
+        let ctx = PlanContext {
+            buffer_pages: config.buffer_pages as f64,
+            hot_span_pages: None,
+        };
+        let rows = report.get("rows").and_then(|r| r.as_array()).unwrap();
+        assert_eq!(rows.len(), 150, "6 scenarios × 5 models × 5 policies");
+        for row in rows.iter().map(strings) {
+            let spec = WorkloadSpec::builtin(&row[scenario]).unwrap();
+            let kind = (ModelKind::all().into_iter())
+                .find(|k| k.paper_name() == row[model])
+                .unwrap();
+            let est = estimate_plan(variant_of(kind), &inputs, &ctx, &spec);
+            let per_unit = est.map(|est| est.total() / spec.units(config.n_objects) as f64);
+            let shown = per_unit.map_or_else(|| "-".to_string(), fmt_pages);
+            assert_eq!(shown, row[pred], "{row:?}");
+        }
+    }
 }
 
 // Each policy-grid preset's tests sit under the experiment id it serves

@@ -38,9 +38,11 @@ use crate::report::{fmt_pages, ExperimentReport, Table};
 use crate::runner::{measure, HarnessConfig, Measurement, Serving};
 use crate::Result;
 use starfish_core::{IoEngineConfig, ModelKind, PolicyKind};
-use starfish_cost::{estimate_plan, EstimatorInputs, PlanContext, QueryId};
+use starfish_cost::{EstimatorInputs, QueryId};
 use starfish_nf2::station::Station;
-use starfish_workload::{generate, lower_spec, DatasetParams, MixKind, PlanRun, WorkloadSpec};
+use starfish_workload::{
+    estimate_plan, generate, DatasetParams, MixKind, PlanContext, PlanRun, WorkloadSpec,
+};
 
 /// A point of the spec axis: a spec and the database it runs on. Rows
 /// show the spec's name.
@@ -184,7 +186,7 @@ enum Col {
     /// Spec `i`'s reads with their [`Col::VsLru`] in parentheses: the specs
     /// become columns, one row per point of the other axes.
     ReadsVsLru(usize),
-    /// The plan-walker's pages per unit ([`predicted_pages`]).
+    /// The plan-walker's pages per unit ([`estimate_plan`]).
     Predicted,
     /// Units served per second (wall-clock).
     Rate,
@@ -615,9 +617,17 @@ impl Grid {
                 })
             }
             Col::Predicted => {
+                // Uniform Table 3 pricing, no placement feedback; `-` where
+                // the model cannot price an op of the plan.
                 let (spec, model) = (&axes.specs[at.spec].spec, axes.models[at.model]);
-                let pages = predicted_pages(&self.config, spec, model, self.buffer_pages(at));
-                pages.map_or_else(dash, fmt_pages)
+                let inputs = EstimatorInputs::new(self.config.dataset().profile());
+                let ctx = PlanContext {
+                    buffer_pages: self.buffer_pages(at) as f64,
+                    hot_span_pages: None,
+                };
+                let est = estimate_plan(variant_of(model), &inputs, &ctx, spec);
+                let units = spec.units(self.config.n_objects) as f64;
+                est.map_or_else(dash, |est| fmt_pages(est.total() / units))
             }
             Col::Rate => on_run(at, &|m, _| m.units_per_sec().map_or_else(dash, fmt_pages)),
             Col::Speedup => (self.speedup(at)).map_or_else(dash, |s| format!("{s:.2}x")),
@@ -709,27 +719,6 @@ fn render(
         notes,
         unpinned_notes: Vec::new(),
     }
-}
-
-/// Expected page I/Os per unit for `spec` under `kind` with a buffer of
-/// `buffer_pages`, from the cost model's plan-walker (uniform Table 3
-/// pricing — no placement feedback), or `None` where the model cannot
-/// price an op of the plan: the same rows the executor reports as
-/// unsupported.
-fn predicted_pages(
-    config: &HarnessConfig,
-    spec: &WorkloadSpec,
-    kind: ModelKind,
-    buffer_pages: usize,
-) -> Option<f64> {
-    let inputs = EstimatorInputs::new(config.dataset().profile());
-    let ctx = PlanContext {
-        buffer_pages: buffer_pages as f64,
-        hot_span_pages: None,
-    };
-    let ops = lower_spec(spec, config.n_objects);
-    estimate_plan(variant_of(kind), &inputs, &ctx, &ops)
-        .map(|est| est.total() / spec.units(config.n_objects) as f64)
 }
 
 /// `ext-policy`: queries 1a–3b under every policy × every model, page
@@ -976,10 +965,10 @@ pub fn ext_workload(config: &HarnessConfig) -> Result<ExperimentReport> {
          scan-then-update shows the scan-flood regime LRU-2 was built for"
             .to_string(),
         "pred pg/u is the cost plan-walker's expected page I/Os per unit \
-         (lower_spec → estimate_plan, uniform Table 3 pricing, no placement \
-         feedback) — compare against the measured pages/u column; '-' marks \
-         plans the model cannot price, the same rows the executor reports \
-         as unsupported"
+         (estimate_plan over the spec's ops, uniform Table 3 pricing, no \
+         placement feedback) — compare against the measured pages/u \
+         column; '-' marks plans the model cannot price, the same rows the \
+         executor reports as unsupported"
             .to_string(),
         grid.contract_note(
             "determinism check passed: units, per-hop navigation cardinalities, \

@@ -27,7 +27,11 @@
 //!   in the same vocabulary: [`PlanOutcome`] / [`PlanRun`] (counter
 //!   deltas, units, per-hop navigation counts, the per-unit ratios of
 //!   Tables 4–6) and, for the multi-client modes, one [`UnitObservation`]
-//!   per unit in plan order.
+//!   per unit in plan order;
+//! * [`estimate_plan`] is the plan-walker: it prices a spec's expected
+//!   page I/Os from the Table 3 estimators of `starfish-cost`, op by op,
+//!   with a hot-span miss model for skewed picks (the `pred pg/u` column
+//!   of the workload reports and the reclustering trigger).
 //!
 //! Randomness is fully deterministic: the dataset comes from
 //! [`DatasetParams::seed`], and each spec's random object sequence comes
@@ -37,17 +41,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod estimate;
 mod executor;
 mod generator;
-mod lower;
 mod plan;
 mod stats;
 
+pub use estimate::{estimate_plan, PlanContext, PlanEstimate};
 pub use executor::{
     ClusterRun, ConcurrentPlanRun, Executor, MixedRun, PlanOutcome, PlanRun, UnitObservation,
 };
 pub use generator::{generate, DatasetParams};
-pub use lower::lower_spec;
 pub use plan::{
     Count, Drift, MixKind, NormUnit, Op, PatchSpec, ProjSpec, WorkloadSpec, Q1A_SAMPLE,
 };

@@ -963,12 +963,17 @@ impl Op {
             }
             "navigate_children" => {
                 keys(&["op", "depth"])?;
+                let depth = v
+                    .get("depth")
+                    .and_then(Value::as_u64)
+                    .ok_or("navigate_children needs \"depth\"")?;
+                // Range-check before the u32 cast: 2^32 + 2 must be an
+                // error, not a silent truncation to 2.
+                if depth > 8 {
+                    return Err("navigate_children depth > 8 explodes exponentially".into());
+                }
                 Ok(Op::NavigateChildren {
-                    depth: v
-                        .get("depth")
-                        .and_then(Value::as_u64)
-                        .ok_or("navigate_children needs \"depth\"")?
-                        as u32,
+                    depth: depth as u32,
                 })
             }
             "fetch_roots" => {
@@ -1213,6 +1218,12 @@ mod tests {
             .contains("unknown op"));
         let bad_depth = r#"{"name":"x","stream":9,"ops":[{"op":"navigate_children","depth":40}]}"#;
         assert!(WorkloadSpec::from_json(bad_depth)
+            .unwrap_err()
+            .contains("depth"));
+        // 2^32 + 2 as u32 would be 2 — a valid-looking depth.
+        let wrapped =
+            r#"{"name":"x","stream":9,"ops":[{"op":"navigate_children","depth":4294967298}]}"#;
+        assert!(WorkloadSpec::from_json(wrapped)
             .unwrap_err()
             .contains("depth"));
     }

@@ -16,11 +16,12 @@
 //!   for multi-client serving, [`core::ConcurrentObjectStore`]; the
 //!   shared-nothing [`core::PartitionedStore`] with its per-node job
 //!   queues; heat-driven re-placement;
-//! * [`cost`] — the analytical disk-I/O cost model (Equations 1–8) and the
-//!   plan-walker that prices declarative plans with it;
+//! * [`cost`] — the analytical disk-I/O cost model (Equations 1–8, Table 3,
+//!   Figure 6);
 //! * [`workload`] — the benchmark generator and the declarative workload
 //!   layer: the `WorkloadSpec` AccessPlan IR (queries 1a–3b are built-in
-//!   specs) and the `Executor`, the one way to run a plan — `run`
+//!   specs), the plan-walker `estimate_plan` that prices a spec with the
+//!   cost model, and the `Executor`, the one way to run a plan — `run`
 //!   (serial, the paper's protocol), `run_concurrent` (client threads over
 //!   the shared surface), `run_cluster` (the routed cluster) and
 //!   `run_stream` (a racing read/write request mix);
