@@ -27,8 +27,8 @@ use crate::traits::{
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::Station;
 use starfish_nf2::{
-    decode, decode_projected_at, encode, encode_with_layout, AttrDef, AttrType, Key, Oid,
-    Projection, RelSchema, Tuple, Value,
+    decode, decode_projected_at, decode_tuple_at, encode, encode_with_layout, AttrDef, AttrType,
+    Key, Oid, Projection, RelSchema, Tuple, Value,
 };
 use starfish_pagestore::{BufferPool, HeapFile, PageCache, PageId, Rid, SimDisk};
 use std::collections::HashMap;
@@ -208,17 +208,21 @@ impl DnsmState {
 
 impl DasdbsNsmModel {
     /// Reads and reassembles one full object through the transformation
-    /// table: four addressed tuple reads (the paper's query-1a path).
+    /// table: four addressed tuple reads (the paper's query-1a path), each
+    /// decoded where its pages are.
     fn materialize(&self, at: &DnsmState, pool: &mut impl PageCache, key: Key) -> Result<Tuple> {
         let e = at.entry(key)?;
-        let root_bytes = at.station.read(pool, e.station)?;
-        let root = decode(&root_bytes, &self.schemas[STATION])?;
-        let p_bytes = at.platform.read_full(pool, e.ordinal)?;
-        let platforms = decode(&p_bytes, &self.schemas[PLATFORM])?;
-        let c_bytes = at.connection.read_full(pool, e.ordinal)?;
-        let connections = decode(&c_bytes, &self.schemas[CONNECTION])?;
-        let s_bytes = at.sightseeing.read_full(pool, e.ordinal)?;
-        let seeings = decode(&s_bytes, &self.schemas[SIGHTSEEING])?;
+        let schemas = &self.schemas;
+        let root = at
+            .station
+            .with_record(pool, e.station, |b| decode(b, &schemas[STATION]))??;
+        let mut nested = |rel: usize| {
+            let file = at.nested()[rel - PLATFORM];
+            file.visit_full(pool, e.ordinal, |b| decode_tuple_at(b, &schemas[rel], 0))
+        };
+        let platforms = nested(PLATFORM)??;
+        let connections = nested(CONNECTION)??;
+        let seeings = nested(SIGHTSEEING)??;
         Ok(assemble(&root, &platforms, &connections, &seeings))
     }
 }
@@ -422,8 +426,9 @@ impl Model for DasdbsNsmModel {
         let mut out = Vec::new();
         for r in refs {
             let e = at.entry(r.key)?;
-            let bytes = at.connection.read_full(pool, e.ordinal)?;
-            let t = decode_projected_at(&bytes, &self.schemas[CONNECTION], 0, &self.navigation)?;
+            let t = at.connection.visit_full(pool, e.ordinal, |b| {
+                decode_projected_at(b, &self.schemas[CONNECTION], 0, &self.navigation)
+            })??;
             if let Some(Value::Rel(groups)) = t.attr(1) {
                 for g in groups {
                     if let Some(Value::Rel(cs)) = g.attr(1) {
@@ -450,8 +455,9 @@ impl Model for DasdbsNsmModel {
         let schema = &self.schemas[STATION];
         refs.iter()
             .map(|r| {
-                let bytes = at.station.read(pool, at.entry(r.key)?.station)?;
-                Ok(station_tuple(&decode(&bytes, schema)?, vec![], vec![]))
+                let rid = at.entry(r.key)?.station;
+                let root = at.station.with_record(pool, rid, |b| decode(b, schema))??;
+                Ok(station_tuple(&root, vec![], vec![]))
             })
             .collect()
     }

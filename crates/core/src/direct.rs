@@ -19,7 +19,9 @@
 //! access path fetched, either model decodes only what the query projects
 //! ([`decode_projected_at`] walks the encoding's own directory), so CPU and
 //! allocation follow the answer while pages, calls and fixes follow the
-//! paper.
+//! paper. A read decodes where the pages are ([`ObjectFile::visit_full`],
+//! [`ObjectFile::visit_projected`]): when the object is resident nothing
+//! is copied, whatever the size of the object.
 
 use crate::object_file::ObjectFile;
 use crate::placement::{self, HeatRanking, ObjectHeat};
@@ -28,8 +30,8 @@ use crate::traits::{overwrite_str, peek_int, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
-    decode, decode_projected_at, encode_with_layout, validate_at, Key, Oid, Projection, RelSchema,
-    Tuple,
+    decode, decode_projected_at, encode_with_layout, validate_at, Key, Oid, Paged, Projection,
+    RelSchema, Tuple,
 };
 use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
@@ -90,39 +92,22 @@ fn ord_of(file: &ObjectFile, oid: Oid) -> Result<usize> {
 }
 
 impl DirectModel {
-    /// Reads the bytes of object `ord` that `proj` needs using the model's
-    /// access path — the one read primitive every retrieval is built from.
-    /// The buffer is full-length and valid at least where
-    /// [`decode_projected_at`] reads under `proj`.
+    /// Reads object `ord` under `proj` using the model's access path — DSM
+    /// visits every page of the object, DASDBS-DSM (for a proper
+    /// projection) the header and then the data pages the projection
+    /// needs — and decodes, where the pages are, the projection and
+    /// nothing else. The one read primitive every retrieval is built from.
     ///
-    /// No latch: each visit to the pool is one [`PageCache::read_runs`]
-    /// call, and the pool hands its sink one consistent image of the pages
-    /// it reads — a concurrent writer replacing the object, whose exclusive
+    /// No latch: each visit to the pool is one [`PageCache::visit_runs`]
+    /// call, and the pool hands over one consistent image of the pages it
+    /// reads — a concurrent writer replacing the object, whose exclusive
     /// group covers the whole extent, is seen entirely or not at all.
     /// DSM's whole-object read is one visit. DASDBS-DSM's projected read
-    /// visits the header, then each run of the data ranges it names, which
-    /// is consistent because header pages never change after load and the
+    /// visits the header, then the data ranges it names, which is
+    /// consistent because header pages never change after load and the
     /// name a writer changes is read in one visit
     /// ([`ObjectFile::read_projected`]). Heap residents are single-page and
     /// atomic under the pool's shard mutex.
-    fn read_bytes(
-        &self,
-        file: &ObjectFile,
-        pool: &mut impl PageCache,
-        ord: usize,
-        proj: &Projection,
-    ) -> Result<Vec<u8>> {
-        if self.partial && !proj.is_all() {
-            file.read_projected(pool, ord, proj)
-        } else {
-            // DSM (or a full-projection read): every page of the object.
-            file.read_full(pool, ord)
-        }
-    }
-
-    /// Reads object `ord` under `proj`: [`read_bytes`](Self::read_bytes),
-    /// then — on the private copy it returns — the directory walk that
-    /// decodes the projection and nothing else.
     fn read_object(
         &self,
         file: &ObjectFile,
@@ -130,8 +115,12 @@ impl DirectModel {
         ord: usize,
         proj: &Projection,
     ) -> Result<Tuple> {
-        let bytes = self.read_bytes(file, pool, ord, proj)?;
-        Ok(decode_projected_at(&bytes, &self.schema, 0, proj)?)
+        let decode = |bytes: &Paged<'_>| decode_projected_at(bytes, &self.schema, 0, proj);
+        Ok(if self.partial && !proj.is_all() {
+            file.visit_projected(pool, ord, proj, decode)??
+        } else {
+            file.visit_full(pool, ord, decode)??
+        })
     }
 
     /// DSM update path: replace the entire nested tuple, read-modify-write
@@ -155,7 +144,7 @@ impl DirectModel {
     ) -> Result<()> {
         let pages = file.latch_pages_of(ord)?;
         let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
-            let mut bytes = self.read_bytes(file, pool, ord, &Projection::All)?;
+            let mut bytes = file.read_full(pool, ord)?;
             validate_at(&bytes, &self.schema, 0)?;
             overwrite_str(&mut bytes, attr::NAME, &patch.new_name)?;
             file.rewrite_full(pool, ord, &bytes)
@@ -234,8 +223,9 @@ impl Model for DirectModel {
     }
 
     /// Value selection without an index: set-oriented scan reading every
-    /// object (Table 3: query 1b costs the whole relation), peeking each
-    /// one's `Key` and materializing only the last match.
+    /// whole object (Table 3: query 1b costs the whole relation), peeking
+    /// each one's `Key` and decoding the projection of a match where it
+    /// lies; the last match is the answer.
     fn get_by_key(
         &self,
         at: &DirectPlacement,
@@ -245,13 +235,13 @@ impl Model for DirectModel {
     ) -> Result<Tuple> {
         let mut found = None;
         for ord in 0..at.file.len() {
-            let bytes = self.read_bytes(&at.file, pool, ord, &Projection::All)?;
-            if peek_int(&bytes, attr::KEY)? == key {
-                found = Some(bytes);
-            }
+            let matched = at.file.visit_full(pool, ord, |bytes| {
+                let hit = peek_int(bytes, attr::KEY)? == key;
+                Ok::<_, CoreError>(hit.then(|| decode_projected_at(bytes, &self.schema, 0, proj)))
+            })??;
+            found = matched.or(found);
         }
-        let bytes = found.ok_or_else(|| CoreError::no_such_key(key))?;
-        Ok(decode_projected_at(&bytes, &self.schema, 0, proj)?)
+        Ok(found.ok_or_else(|| CoreError::no_such_key(key))??)
     }
 
     fn scan_all(

@@ -305,10 +305,7 @@ fn read_rids(
     rids: &[Rid],
 ) -> Result<Vec<Tuple>> {
     rids.iter()
-        .map(|rid| {
-            let bytes = file.read(pool, *rid)?;
-            Ok(decode(&bytes, schema)?)
-        })
+        .map(|rid| Ok(file.with_record(pool, *rid, |b| decode(b, schema))??))
         .collect()
 }
 
@@ -350,7 +347,7 @@ impl NsmModel {
                 .get(&key)
                 .and_then(|r| r.station)
                 .ok_or_else(|| CoreError::no_such_key(key))?;
-            decode(&state.station.read(pool, rid)?, &schemas[STATION])?
+            (state.station).with_record(pool, rid, |b| decode(b, &schemas[STATION]))??
         };
         let (platforms, connections, sightseeings) = if self.indexed {
             let rids = state.index.get(&key).cloned().unwrap_or_default();
@@ -678,7 +675,7 @@ impl Model for NsmModel {
                         .get(&r.key)
                         .and_then(|x| x.station)
                         .ok_or_else(|| CoreError::no_such_key(r.key))?;
-                    let t = decode(&at.station.read(pool, rid)?, schema)?;
+                    let t = at.station.with_record(pool, rid, |b| decode(b, schema))??;
                     Ok(station_tuple(&t, vec![], vec![]))
                 })
                 .collect()

@@ -8,9 +8,9 @@
 //! (whose nested `Sightseeing` tuples can exceed a page).
 
 use crate::{CoreError, Result};
-use starfish_nf2::{Projection, TupleLayout};
+use starfish_nf2::{Paged, Projection, TupleLayout};
 use starfish_pagestore::{
-    HeapFile, PageCache, PageId, Rid, SpannedRecord, SpannedStore, EFFECTIVE_PAGE_SIZE,
+    Content, HeapFile, PageCache, PageId, Rid, SpannedRecord, SpannedStore, EFFECTIVE_PAGE_SIZE,
     SLOT_ENTRY_SIZE,
 };
 use std::ops::Range;
@@ -270,10 +270,62 @@ impl ObjectFile {
         Some(pages as f64 / self.spanned_count as f64)
     }
 
-    /// Reads the whole object: header pages then all data pages for spanned
-    /// residents (the DSM access path — "the pages that store the tuple will
-    /// not be shared by other tuples" and are all retrieved), or the single
-    /// shared page for heap residents.
+    /// Runs `f` over the whole object's bytes where they are — the DSM
+    /// access path: header pages then all data pages for spanned residents
+    /// ("the pages that store the tuple will not be shared by other tuples"
+    /// and are all retrieved, [`SpannedStore::visit_full`]), or the record
+    /// on its shared page for heap residents ([`HeapFile::with_record`]).
+    /// Nothing is copied when the pages are resident; `f` then runs while
+    /// they are fixed — on a shared pool, under the shard mutexes of the
+    /// visit.
+    pub fn visit_full<R>(
+        &self,
+        pool: &mut impl PageCache,
+        ord: usize,
+        f: impl FnOnce(&Paged<'_>) -> R,
+    ) -> Result<R> {
+        match self.addr(ord)? {
+            ObjAddr::Heap(rid) => Ok(self.heap.with_record(pool, rid, |b| with_whole(b, f))?),
+            ObjAddr::Spanned(rec) => {
+                let plan = self.plan_of(ord);
+                let decode = |content: Content<'_>| with_paged(&content, plan, f);
+                Ok(SpannedStore::visit_full(pool, &rec, plan, decode)?)
+            }
+        }
+    }
+
+    /// Runs `f` over the bytes `proj` needs, where they are — the
+    /// DASDBS-DSM access path: the header pages in one visit, whose
+    /// serialized layout gives the byte ranges (read in place), then the
+    /// covering data pages in a second ([`SpannedStore::visit_data_ranges`];
+    /// a data page not fetched shows as zeros). Heap residents run `f` over
+    /// the record as [`Self::visit_full`] does. Why the two visits need no
+    /// latch is on [`Self::read_projected`].
+    pub fn visit_projected<R>(
+        &self,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+        f: impl FnOnce(&Paged<'_>) -> R,
+    ) -> Result<R> {
+        let rec = match self.addr(ord)? {
+            ObjAddr::Heap(_) => return self.visit_full(pool, ord, f),
+            ObjAddr::Spanned(rec) => rec,
+        };
+        let header = |content: Content<'_>| {
+            with_paged(&content, None, |layout| proj.byte_ranges_from_bytes(layout))
+        };
+        let ranges = SpannedStore::visit_header(pool, &rec, header)??;
+        let plan = self.plan_of(ord);
+        let decode = |content: Content<'_>| with_paged(&content, plan, f);
+        Ok(SpannedStore::visit_data_ranges(
+            pool, &rec, plan, &ranges, decode,
+        )?)
+    }
+
+    /// Reads the whole object into a fresh buffer: what [`Self::visit_full`]
+    /// reads, copied — for the callers that change the bytes or keep them
+    /// (DSM's replace-tuple, a rebuild).
     pub fn read_full(&self, pool: &mut impl PageCache, ord: usize) -> Result<Vec<u8>> {
         match self.addr(ord)? {
             ObjAddr::Heap(rid) => Ok(self.heap.read(pool, rid)?),
@@ -283,19 +335,20 @@ impl ObjectFile {
         }
     }
 
-    /// Reads only the pages `proj` needs (the DASDBS-DSM access path):
-    /// header pages first, whose serialized layout gives the byte ranges,
-    /// then the covering data pages. Returns a full-length buffer valid at
-    /// least in those ranges — what [`starfish_nf2::decode_projected_at`]
-    /// reads under `proj`.
+    /// Reads only the pages `proj` needs (the DASDBS-DSM access path of
+    /// [`Self::visit_projected`]) into a fresh buffer: full-length, valid at
+    /// least in the ranges the header gave — what
+    /// [`starfish_nf2::decode_projected_at`] reads under `proj`. The
+    /// `change attribute` update patches its copy.
     ///
     /// Heap residents come back whole — they occupy one shared page, so
     /// there is nothing to save (§5.3: small objects "do not have separate
     /// header and data pages any longer").
     ///
-    /// A spanned read visits the pool once for the header and once per run
-    /// of wanted data pages, each visit one consistent image
-    /// ([`PageCache::read_runs`]). It needs no latch across the visits:
+    /// A spanned read visits the pool once for the header and once for the
+    /// runs of wanted data pages (one group per run), each visit one
+    /// consistent image ([`PageCache::visit_runs`]). It needs no latch
+    /// across the two visits:
     ///
     /// * **header pages never change after load** — [`Self::rewrite_full`]
     ///   re-dirties them with their own bytes (same size, same structure),
@@ -304,9 +357,9 @@ impl ObjectFile {
     ///   projected attributes whatever a writer did since;
     /// * the one range a DASDBS-DSM writer changes, `Name`, lies in the
     ///   root tuple's first two hundred bytes, on data page 0 or pages 0–1.
-    ///   Every projection reads the root directory at byte 0, so the first
-    ///   run starts at page 0, and a run is cut only at a gap or after 32
-    ///   pages: the name is read in one visit — old or new, never a mix.
+    ///   Every projection reads the root directory at byte 0, so the name
+    ///   is among the data pages of the second visit — old or new, never a
+    ///   mix.
     pub fn read_projected(
         &self,
         pool: &mut impl PageCache,
@@ -368,6 +421,26 @@ impl ObjectFile {
                 )?)
             }
         }
+    }
+}
+
+/// Runs `f` over contiguous bytes (a heap record, a copied object) as a
+/// one-piece [`Paged`] source.
+fn with_whole<R>(bytes: &[u8], f: impl FnOnce(&Paged<'_>) -> R) -> R {
+    f(&Paged::packed(&[bytes], bytes.len().max(1)))
+}
+
+/// Runs `f` over a spanned visit's content as a [`Paged`] source: the pages
+/// laid out by the object's page plan (`None`: packed), or the copy.
+fn with_paged<R>(
+    content: &Content<'_>,
+    plan: Option<&[u32]>,
+    f: impl FnOnce(&Paged<'_>) -> R,
+) -> R {
+    match (content, plan) {
+        (Content::Pages(pieces), None) => f(&Paged::packed(pieces, EFFECTIVE_PAGE_SIZE)),
+        (Content::Pages(pieces), Some(starts)) => f(&Paged::planned(pieces, starts)),
+        (Content::Copied(bytes), _) => with_whole(bytes, f),
     }
 }
 

@@ -1,7 +1,7 @@
 use crate::placement::{PlacementStats, ReorgReport};
 use crate::{ModelKind, Result};
 use starfish_nf2::station::Station;
-use starfish_nf2::{AttrType, Key, Oid, Projection, Tuple, Value};
+use starfish_nf2::{AttrType, ByteSource, Key, Oid, Projection, Tuple, Value};
 use starfish_pagestore::{BufferStats, IoSnapshot};
 use std::ops::Range;
 
@@ -171,13 +171,17 @@ pub(crate) fn key_of_oid(refs: &[ObjRef], oid: Oid) -> crate::Result<Key> {
 /// at the offset the tuple's own directory gives, touching nothing else.
 /// For `INT`/`LINK` attributes this allocates nothing, so it is safe inside
 /// a page closure.
-pub(crate) fn peek_attr(bytes: &[u8], attr: usize, ty: &AttrType) -> Result<Value> {
+pub(crate) fn peek_attr<S: ByteSource + ?Sized>(
+    bytes: &S,
+    attr: usize,
+    ty: &AttrType,
+) -> Result<Value> {
     let at = starfish_nf2::attr_offset(bytes, 0, attr)?;
     Ok(starfish_nf2::decode_attr(bytes, ty, at)?)
 }
 
 /// [`peek_attr`] of an `INT` attribute (the keys and counters).
-pub(crate) fn peek_int(bytes: &[u8], attr: usize) -> Result<i32> {
+pub(crate) fn peek_int<S: ByteSource + ?Sized>(bytes: &S, attr: usize) -> Result<i32> {
     Ok(peek_attr(bytes, attr, &AttrType::Int)?
         .as_int()
         .expect("decode_attr(Int) yields Int"))

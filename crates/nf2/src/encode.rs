@@ -49,7 +49,9 @@
 
 use crate::layout::{AttrLayout, TupleLayout};
 use crate::path::neutral_value;
-use crate::{overhead, AttrType, Nf2Error, Oid, Projection, RelSchema, Result, Tuple, Value};
+use crate::{
+    overhead, AttrType, ByteSource, Nf2Error, Oid, Projection, RelSchema, Result, Tuple, Value,
+};
 
 const MAGIC: u16 = 0x4E32;
 const VERSION: u16 = 1;
@@ -169,8 +171,13 @@ pub fn decode(bytes: &[u8], schema: &RelSchema) -> Result<Tuple> {
     decode_tuple_at(bytes, schema, 0)
 }
 
-/// Decodes a tuple encoded at absolute offset `start` of `bytes`.
-pub fn decode_tuple_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<Tuple> {
+/// Decodes a tuple encoded at absolute offset `start` of `bytes` — one
+/// buffer or the pages of one ([`ByteSource`]).
+pub fn decode_tuple_at<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+) -> Result<Tuple> {
     check_header(bytes, schema, start)?;
     let mut values = Vec::with_capacity(schema.arity());
     for (i, def) in schema.attrs.iter().enumerate() {
@@ -187,7 +194,11 @@ pub fn decode_tuple_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result
 ///
 /// This is what an in-place update runs before it patches bytes it read, so
 /// a damaged object is refused wherever a full decode refused it.
-pub fn validate_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()> {
+pub fn validate_at<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+) -> Result<()> {
     check_header(bytes, schema, start)?;
     for (i, def) in schema.attrs.iter().enumerate() {
         let at = directory_entry(bytes, start, i)?;
@@ -196,7 +207,7 @@ pub fn validate_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()>
                 get_u32(bytes, at)?;
             }
             AttrType::Str => {
-                str_at(bytes, at)?;
+                bytes.str_value(at)?;
             }
             AttrType::Rel(sub) => {
                 for t in subtuple_offsets(bytes, at)? {
@@ -211,7 +222,7 @@ pub fn validate_at(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()>
 /// Checks the header of the tuple at `start`: magic, version, and an
 /// attribute count equal to `schema`'s arity — what every decoder verifies
 /// of each tuple it enters before trusting that tuple's offset table.
-fn check_header(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()> {
+fn check_header<S: ByteSource + ?Sized>(bytes: &S, schema: &RelSchema, start: usize) -> Result<()> {
     let magic = get_u16(bytes, start)?;
     if magic != MAGIC {
         return Err(Nf2Error::Corrupt {
@@ -242,7 +253,7 @@ fn check_header(bytes: &[u8], schema: &RelSchema, start: usize) -> Result<()> {
 /// Absolute offset of attribute `attr` of the tuple at `start`, read from
 /// the tuple's offset table. The caller has checked `attr` against the
 /// tuple's arity.
-fn directory_entry(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
+fn directory_entry<S: ByteSource + ?Sized>(bytes: &S, start: usize, attr: usize) -> Result<usize> {
     let rel = get_u32(
         bytes,
         start + overhead::TUPLE_HEADER + overhead::PER_ATTR * attr,
@@ -257,7 +268,7 @@ fn directory_entry(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
 /// Only the attribute count is consulted (an `attr` beyond it is
 /// [`Nf2Error::BadProjection`]); magic and version are the business of the
 /// decoders that take a schema.
-pub fn attr_offset(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
+pub fn attr_offset<S: ByteSource + ?Sized>(bytes: &S, start: usize, attr: usize) -> Result<usize> {
     let nattrs = get_u16(bytes, start.saturating_add(4))? as usize;
     if attr >= nattrs {
         return Err(Nf2Error::BadProjection {
@@ -273,11 +284,15 @@ pub fn attr_offset(bytes: &[u8], start: usize, attr: usize) -> Result<usize> {
 /// This is the primitive of *partial* object reads: at the offset the
 /// tuple's directory gives (see [`attr_offset`]), any attribute can be
 /// decoded without touching (or having fetched) the rest of the object.
-pub fn decode_attr(bytes: &[u8], ty: &AttrType, start: usize) -> Result<Value> {
+pub fn decode_attr<S: ByteSource + ?Sized>(
+    bytes: &S,
+    ty: &AttrType,
+    start: usize,
+) -> Result<Value> {
     match ty {
         AttrType::Int => Ok(Value::Int(get_u32(bytes, start)? as i32)),
         AttrType::Link => Ok(Value::Link(Oid(get_u32(bytes, start)?))),
-        AttrType::Str => Ok(Value::Str(str_at(bytes, start)?.to_owned())),
+        AttrType::Str => Ok(Value::Str(bytes.str_value(start)?.into_owned())),
         AttrType::Rel(sub) => decode_rel(bytes, start, |at| decode_tuple_at(bytes, sub, at)),
     }
 }
@@ -306,13 +321,13 @@ pub fn str_at(bytes: &[u8], start: usize) -> Result<&str> {
 /// from its address table. The count comes straight from the bytes, so it
 /// is bounded by the address-table entries the buffer can still hold before
 /// anything trusts it — in particular before a caller reserves for it.
-fn subtuple_offsets(
-    bytes: &[u8],
+fn subtuple_offsets<S: ByteSource + ?Sized>(
+    bytes: &S,
     start: usize,
 ) -> Result<impl ExactSizeIterator<Item = Result<usize>> + '_> {
     let count = get_u32(bytes, start)? as usize;
     let table = start.saturating_add(overhead::SUBREL_HEADER);
-    if count > bytes.len().saturating_sub(table) / overhead::PER_SUBTUPLE {
+    if count > bytes.byte_len().saturating_sub(table) / overhead::PER_SUBTUPLE {
         return Err(Nf2Error::Corrupt {
             offset: start,
             detail: format!("sub-relation of {count} tuples truncated"),
@@ -326,8 +341,8 @@ fn subtuple_offsets(
 
 /// Decodes the sub-relation at `start`: each sub-tuple through `tuple_at`
 /// at the offset the address table gives.
-fn decode_rel(
-    bytes: &[u8],
+fn decode_rel<S: ByteSource + ?Sized>(
+    bytes: &S,
     start: usize,
     mut tuple_at: impl FnMut(usize) -> Result<Tuple>,
 ) -> Result<Value> {
@@ -354,14 +369,15 @@ pub fn decode_projected(
 /// Decodes only the projected parts of the tuple encoded at absolute offset
 /// `start`, by walking the encoding's own directory.
 ///
-/// `bytes` must contain valid data at least in the byte ranges
+/// `bytes` — one buffer or the pages of one ([`ByteSource`]) — must
+/// contain valid data at least in the byte ranges
 /// [`Projection::byte_ranges`] gives for the object — everything else may
 /// be unfetched (zero-filled) without affecting the result. Unprojected
 /// attributes are filled with neutral placeholders, as in
 /// [`Projection::apply`]. See the `encode` module docs for what a projected
 /// read validates.
-pub fn decode_projected_at(
-    bytes: &[u8],
+pub fn decode_projected_at<S: ByteSource + ?Sized>(
+    bytes: &S,
     schema: &RelSchema,
     start: usize,
     projection: &Projection,
@@ -395,18 +411,18 @@ fn get(bytes: &[u8], at: usize, len: usize) -> Option<&[u8]> {
     bytes.get(at..at.checked_add(len)?)
 }
 
-fn get_u16(bytes: &[u8], at: usize) -> Result<u16> {
-    get(bytes, at, 2)
-        .map(|s| u16::from_le_bytes(s.try_into().expect("2-byte slice")))
+pub(crate) fn get_u16<S: ByteSource + ?Sized>(bytes: &S, at: usize) -> Result<u16> {
+    (bytes.array_at(at))
+        .map(u16::from_le_bytes)
         .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u16)".into(),
         })
 }
 
-fn get_u32(bytes: &[u8], at: usize) -> Result<u32> {
-    get(bytes, at, 4)
-        .map(|s| u32::from_le_bytes(s.try_into().expect("4-byte slice")))
+fn get_u32<S: ByteSource + ?Sized>(bytes: &S, at: usize) -> Result<u32> {
+    (bytes.array_at(at))
+        .map(u32::from_le_bytes)
         .ok_or_else(|| Nf2Error::Corrupt {
             offset: at,
             detail: "truncated (u32)".into(),

@@ -1,4 +1,4 @@
-use crate::{Nf2Error, Result};
+use crate::{ByteSource, Nf2Error, Result};
 use std::ops::Range;
 
 /// Byte-range metadata for one encoded tuple.
@@ -89,7 +89,7 @@ impl TupleLayout {
         Self::read(&mut LayoutReader::new(bytes))
     }
 
-    fn read(r: &mut LayoutReader) -> Result<Self> {
+    fn read(r: &mut LayoutReader<[u8]>) -> Result<Self> {
         let start = r.u32()?;
         let len = r.u32()?;
         let nattrs = r.attr_count()?;
@@ -128,29 +128,29 @@ const MIN_ATTR_BYTES: usize = 4 + 4 + 4;
 
 /// Sequential reader over [`TupleLayout::to_bytes`] output: what
 /// [`TupleLayout::from_bytes`] builds the tree with, and what
-/// [`crate::Projection::byte_ranges_from_bytes`] walks without building it.
-pub(crate) struct LayoutReader<'a> {
-    bytes: &'a [u8],
+/// [`crate::Projection::byte_ranges_from_bytes`] walks without building it,
+/// over one buffer or over the header pages in place ([`ByteSource`]).
+pub(crate) struct LayoutReader<'a, S: ByteSource + ?Sized> {
+    bytes: &'a S,
     /// Offset of the next unread byte.
     pub(crate) pos: usize,
 }
 
-impl<'a> LayoutReader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+impl<'a, S: ByteSource + ?Sized> LayoutReader<'a, S> {
+    pub(crate) fn new(bytes: &'a S) -> Self {
         LayoutReader { bytes, pos: 0 }
     }
 
     fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
         let s = self
-            .pos
-            .checked_add(N)
-            .and_then(|end| self.bytes.get(self.pos..end))
+            .bytes
+            .array_at(self.pos)
             .ok_or_else(|| Nf2Error::Corrupt {
                 offset: self.pos,
                 detail: format!("truncated layout (u{})", 8 * N),
             })?;
         self.pos += N;
-        Ok(s.try_into().expect("N-byte slice"))
+        Ok(s)
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32> {
@@ -169,7 +169,7 @@ impl<'a> LayoutReader<'a> {
     /// `min_bytes` each the rest of the buffer can hold — so a corrupt
     /// count is an error, never a reservation.
     fn bounded(&self, count: usize, min_bytes: usize) -> Result<usize> {
-        if count > self.bytes.len().saturating_sub(self.pos) / min_bytes {
+        if count > self.bytes.byte_len().saturating_sub(self.pos) / min_bytes {
             return Err(Nf2Error::Corrupt {
                 offset: self.pos,
                 detail: format!("layout count {count} exceeds the remaining bytes"),
@@ -217,18 +217,19 @@ impl<'a> LayoutReader<'a> {
 ///
 /// Used when translating a projection into the page set to fetch: adjacent
 /// attribute ranges coalesce so contiguous regions become single multi-page
-/// I/O calls, as in DASDBS.
+/// I/O calls, as in DASDBS. Merges in place: the result is the input
+/// vector.
 pub fn merge_ranges(mut ranges: Vec<Range<u32>>) -> Vec<Range<u32>> {
     ranges.retain(|r| r.end > r.start);
-    ranges.sort_by_key(|r| (r.start, r.end));
-    let mut out: Vec<Range<u32>> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        match out.last_mut() {
-            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
-            _ => out.push(r),
+    ranges.sort_unstable_by_key(|r| (r.start, r.end));
+    ranges.dedup_by(|r, last| {
+        let joins = r.start <= last.end;
+        if joins {
+            last.end = last.end.max(r.end);
         }
-    }
-    out
+        joins
+    });
+    ranges
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ mod layout;
 mod oid;
 mod path;
 mod schema;
+mod source;
 pub mod station;
 mod value;
 
@@ -60,6 +61,7 @@ pub use layout::{AttrLayout, TupleLayout};
 pub use oid::{Key, Oid};
 pub use path::Projection;
 pub use schema::{AttrDef, AttrType, RelSchema};
+pub use source::{ByteSource, Paged};
 pub use value::{Tuple, Value};
 
 /// Result alias used throughout the crate.

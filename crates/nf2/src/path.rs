@@ -1,5 +1,5 @@
 use crate::layout::{merge_ranges, LayoutReader};
-use crate::{AttrType, Nf2Error, RelSchema, Result, Tuple, TupleLayout, Value};
+use crate::{AttrType, ByteSource, Nf2Error, RelSchema, Result, Tuple, TupleLayout, Value};
 use std::ops::Range;
 
 /// Which parts of a complex object a query needs.
@@ -114,16 +114,25 @@ impl Projection {
     /// layout ([`TupleLayout::to_bytes`] output, i.e. the content of an
     /// object's header pages) without building the tree: unprojected
     /// subtrees are skipped by advancing the read position only. Returns
-    /// exactly `self.byte_ranges(&TupleLayout::from_bytes(layout)?)`.
-    pub fn byte_ranges_from_bytes(&self, layout: &[u8]) -> Result<Vec<Range<u32>>> {
-        let mut ranges = Vec::new();
+    /// exactly `self.byte_ranges(&TupleLayout::from_bytes(layout)?)`. The
+    /// layout may be one buffer or the header pages it is stored on
+    /// ([`ByteSource`]).
+    pub fn byte_ranges_from_bytes<S: ByteSource + ?Sized>(
+        &self,
+        layout: &S,
+    ) -> Result<Vec<Range<u32>>> {
+        let mut ranges = Vec::with_capacity(RANGES_BEFORE_GROWING);
         self.collect_serialized(&mut LayoutReader::new(layout), &mut ranges)?;
         Ok(merge_ranges(ranges))
     }
 
     /// [`Projection::collect_ranges`] over the serialized tuple layout at
     /// the reader's position, which it leaves just past that tuple.
-    fn collect_serialized(&self, r: &mut LayoutReader, out: &mut Vec<Range<u32>>) -> Result<()> {
+    fn collect_serialized<S: ByteSource + ?Sized>(
+        &self,
+        r: &mut LayoutReader<S>,
+        out: &mut Vec<Range<u32>>,
+    ) -> Result<()> {
         let start = r.u32()?;
         let end = start.saturating_add(r.u32()?);
         let nattrs = r.attr_count()?;
@@ -190,6 +199,10 @@ impl Projection {
         }
     }
 }
+
+/// Ranges the header cursor holds before its list grows: a root record
+/// names five.
+const RANGES_BEFORE_GROWING: usize = 16;
 
 pub(crate) fn neutral_value(ty: &AttrType) -> Value {
     match ty {

@@ -9,7 +9,9 @@
 //! Truncated input is an error (or, where the walk never reaches the cut,
 //! the right answer), never a panic. [`validate_at`] — the check an
 //! in-place update runs — agrees with the full decode on damaged input too:
-//! same verdict, same error.
+//! same verdict, same error. And every decoder reads the pages of a buffer
+//! ([`Paged`], packed or cut at arbitrary starts) as it reads the buffer:
+//! same tuple or same error, truncated and corrupted input included.
 
 use proptest::prelude::*;
 use starfish_nf2::station::{
@@ -18,7 +20,7 @@ use starfish_nf2::station::{
 };
 use starfish_nf2::{
     decode, decode_projected, decode_projected_at, decode_tuple_at, encode_with_layout,
-    validate_at, AttrType, Nf2Error, Oid, Projection, RelSchema, TupleLayout,
+    validate_at, AttrType, Nf2Error, Oid, Paged, Projection, RelSchema, TupleLayout,
 };
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -243,4 +245,114 @@ fn validate_at_refuses_a_corrupt_subrelation_count() {
     let err = validate_at(&bytes, &schema, 0).unwrap_err();
     assert!(matches!(err, Nf2Error::Corrupt { .. }), "{err:?}");
     assert_eq!(Err(err), decode(&bytes, &schema).map(drop));
+}
+
+/// `bytes` cut before each of `cuts` (ascending, inside it): the pieces and
+/// the start of each.
+fn split<'a>(bytes: &'a [u8], cuts: &[usize]) -> (Vec<&'a [u8]>, Vec<u32>) {
+    let starts: Vec<usize> = std::iter::once(0).chain(cuts.iter().copied()).collect();
+    let ends = starts.iter().skip(1).copied().chain([bytes.len()]);
+    let pieces = starts
+        .iter()
+        .zip(ends)
+        .map(|(&a, b)| &bytes[a..b])
+        .collect();
+    (pieces, starts.into_iter().map(|s| s as u32).collect())
+}
+
+/// Page splits of a `len`-byte buffer drawn from `bits`: a packed stride,
+/// and the ascending cuts of an explicit plan (any byte may start a piece,
+/// so values straddle cuts everywhere).
+fn splits(len: usize, bits: &mut u64) -> (usize, Vec<usize>) {
+    let stride = 1 + draw(bits, len as u64 + 1) as usize;
+    let mut cuts: Vec<usize> = (0..draw(bits, 12))
+        .filter(|_| len > 1)
+        .map(|_| 1 + draw(bits, len as u64 - 1) as usize)
+        .collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    (stride, cuts)
+}
+
+/// Every decoder over `bytes` and over its pages, packed by `stride` and
+/// planned at `cuts`: the same tuple or the same error, and the same
+/// verdict from `validate_at`.
+fn paged_agrees(
+    bytes: &[u8],
+    schema: &RelSchema,
+    projs: &[Projection],
+    (stride, cuts): &(usize, Vec<usize>),
+) -> Result<(), TestCaseError> {
+    let packed: Vec<&[u8]> = bytes.chunks(*stride).collect();
+    let (planned, starts) = split(bytes, cuts);
+    for paged in [
+        Paged::packed(&packed, *stride),
+        Paged::planned(&planned, &starts),
+    ] {
+        prop_assert_eq!(
+            decode_tuple_at(&paged, schema, 0),
+            decode_tuple_at(bytes, schema, 0)
+        );
+        prop_assert_eq!(
+            validate_at(&paged, schema, 0),
+            validate_at(bytes, schema, 0)
+        );
+        for proj in projs {
+            prop_assert_eq!(
+                decode_projected_at(&paged, schema, 0, proj),
+                decode_projected_at(bytes, schema, 0, proj)
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whole, truncated and bit-flipped stations, each cut into pages every
+    /// way `bits` draws: the decoders cannot tell the pages from the buffer.
+    #[test]
+    fn paged_sources_decode_as_the_buffer_does(s in arb_station(), mut bits in any::<u64>()) {
+        let schema = station_schema();
+        let (bytes, _) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+        let projs = projections(&schema, bits);
+        for _ in 0..4 {
+            paged_agrees(&bytes, &schema, &projs, &splits(bytes.len(), &mut bits))?;
+        }
+        for _ in 0..8 {
+            let cut = draw(&mut bits, bytes.len() as u64) as usize;
+            paged_agrees(&bytes[..cut], &schema, &projs, &splits(cut, &mut bits))?;
+        }
+        for _ in 0..16 {
+            let mut flipped = bytes.clone();
+            for _ in 0..=draw(&mut bits, 3) {
+                let at = draw(&mut bits, bytes.len() as u64) as usize;
+                flipped[at] ^= 1 << draw(&mut bits, 8);
+            }
+            paged_agrees(&flipped, &schema, &projs, &splits(bytes.len(), &mut bits))?;
+        }
+    }
+
+    /// The header cursor reads a layout's pages as it reads the layout:
+    /// the same ranges, or an error for a truncated one.
+    #[test]
+    fn the_header_cursor_reads_pages_as_it_reads_the_buffer(
+        s in arb_station(),
+        mut bits in any::<u64>(),
+    ) {
+        let schema = station_schema();
+        let (_, layout) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+        let header = layout.to_bytes();
+        for proj in projections(&schema, bits) {
+            let cut = draw(&mut bits, header.len() as u64 + 1) as usize;
+            let header = &header[..cut];
+            let (stride, cuts) = splits(header.len(), &mut bits);
+            let packed: Vec<&[u8]> = header.chunks(stride).collect();
+            let (planned, starts) = split(header, &cuts);
+            let expect = proj.byte_ranges_from_bytes(header);
+            prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::packed(&packed, stride)), &expect);
+            prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::planned(&planned, &starts)), &expect);
+        }
+    }
 }

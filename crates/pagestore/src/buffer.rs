@@ -10,13 +10,17 @@
 //! * [`prefetch_run`] — the residency scan that extends each missing run;
 //! * [`load_run`] — make room in each owning core → one read call → insert
 //!   the frames (a fix miss is a run of one);
-//! * [`flush_all`] / [`flush_dirty_runs`] — the grouped dirty-page flush.
+//! * [`flush_all`] / [`flush_dirty_runs`] — the grouped dirty-page flush;
+//! * [`read_runs`] / [`lend_resident`] — one visit, copied page by page or,
+//!   when every page is resident, lent frame by frame.
 //!
 //! [`BufferPool`] calls them with its single core and `|_| 0`; the sharded
 //! [`crate::SharedBufferPool`] with the cores of the shard guards it holds.
 //! Both call one device, [`SimDisk`], so they differ only in locking.
 
+use crate::cache::{self, run_pages};
 use crate::disk::DiskOps;
+use crate::fx::FxHashMap;
 use crate::heat::{HeatConfig, HeatTracker};
 use crate::ioengine::IoEngineConfig;
 use crate::latch::{distinct_pids, LatchMode};
@@ -25,7 +29,6 @@ use crate::stats::{BufferStats, IoSnapshot};
 use crate::wal::WalConfig;
 use crate::DEFAULT_BUFFER_PAGES;
 use crate::{PageCache, PageId, Result, SimDisk, StoreError, PAGE_SIZE};
-use std::collections::HashMap;
 
 /// Maximum pages per grouped I/O call — the one cap of the call grouper
 /// (`page_runs`): flush and recovery writes, and the read engine's
@@ -37,6 +40,10 @@ use std::collections::HashMap;
 /// (§5.2). We cap grouped write runs at 32 pages so flush-time call counts
 /// land in the same regime instead of degenerating into one giant call.
 pub const MAX_PAGES_PER_WRITE_CALL: u32 = 32;
+
+/// The most pages one visit lends its frames for ([`lend_resident`]); a
+/// longer visit copies. A spanned station reads about four.
+pub(crate) const LEND_MAX: usize = 32;
 
 /// Buffer-pool construction parameters: capacity plus replacement policy.
 ///
@@ -152,7 +159,7 @@ pub(crate) struct PoolCore {
     #[allow(clippy::vec_box)]
     spare: Vec<Box<[u8; PAGE_SIZE]>>,
     /// Resident-page table: page id → slot index.
-    table: HashMap<PageId, usize>,
+    table: FxHashMap<PageId, usize>,
     policy: Box<dyn ReplacementPolicy>,
     pub(crate) stats: BufferStats,
     /// Per-page heat counters; `None` while tracking is disabled.
@@ -167,7 +174,7 @@ impl PoolCore {
             frames: Vec::with_capacity(capacity.min(1 << 20)),
             free: Vec::new(),
             spare: Vec::new(),
-            table: HashMap::with_capacity(capacity.min(1 << 20)),
+            table: FxHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             policy: policy.build(),
             stats: BufferStats::default(),
             heat: None,
@@ -250,15 +257,14 @@ impl PoolCore {
         pid: PageId,
         dirty: bool,
     ) -> Result<usize> {
-        self.stats.fixes += 1;
-        self.record_heat(pid);
         let slot = match self.table.get(&pid) {
             Some(&slot) => {
-                self.stats.hits += 1;
-                self.policy.on_access(slot);
+                self.fix_resident(pid, slot);
                 slot
             }
             None => {
+                self.stats.fixes += 1;
+                self.record_heat(pid);
                 self.stats.misses += 1;
                 load_run(&mut [&mut *self], |_| 0, disk, pid, 1)?;
                 self.table[&pid]
@@ -268,6 +274,16 @@ impl PoolCore {
             self.frame_mut(slot).dirty = true;
         }
         Ok(slot)
+    }
+
+    /// The counted fix of resident `pid` in `slot`: a hit, with its heat
+    /// record and its policy access — all of [`PoolCore::fix`] but the
+    /// table lookup.
+    fn fix_resident(&mut self, pid: PageId, slot: usize) {
+        self.stats.fixes += 1;
+        self.record_heat(pid);
+        self.stats.hits += 1;
+        self.policy.on_access(slot);
     }
 
     /// Counts a fix that the batched I/O engine satisfied: the access
@@ -457,6 +473,69 @@ pub(crate) fn prefetch_run<D: DiskOps>(
     Ok(())
 }
 
+/// [`PageCache::read_runs`] over held cores: per group, [`prefetch_run`]
+/// per run, then [`PoolCore::fix`] per page, each page handed to `sink` —
+/// the calls the provided body makes one at a time, for a pool that holds
+/// its cores for the whole visit (the shared pool's lock session).
+pub(crate) fn read_runs<D: DiskOps>(
+    cores: &mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    disk: &mut D,
+    groups: &[&[(PageId, u32)]],
+    mut sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+) -> Result<()> {
+    for group in groups {
+        for &(first, n) in *group {
+            prefetch_run(cores, &owner, disk, first, n)?;
+        }
+        for pid in run_pages(group) {
+            let core = &mut *cores[owner(pid)];
+            let slot = core.fix(disk, pid, false)?;
+            sink(pid, &core.frame(slot).data);
+        }
+    }
+    Ok(())
+}
+
+/// The all-hit visit of [`PageCache::visit_runs`]: if every page of
+/// `groups` is resident in its owning core, and there are at most
+/// [`LEND_MAX`], makes the events [`read_runs`] would make — per group, a
+/// policy access per page for the prefetch, then a counted hit per page —
+/// from one table lookup per page, fills `frames` with the pages' frames in
+/// visit order and returns how many. `None`, before any event, otherwise:
+/// under MRU, FIFO, Clock or LRU-2 a miss may evict a page the visit has
+/// already fixed, so a visit that misses must copy.
+pub(crate) fn lend_resident<'c>(
+    cores: &'c mut [&mut PoolCore],
+    owner: impl Fn(PageId) -> usize,
+    groups: &[&[(PageId, u32)]],
+    frames: &mut [&'c [u8; PAGE_SIZE]; LEND_MAX],
+) -> Option<usize> {
+    let mut slots = [(0usize, 0usize); LEND_MAX];
+    let mut n = 0;
+    for pid in groups.iter().flat_map(|group| run_pages(group)) {
+        let c = owner(pid);
+        *slots.get_mut(n)? = (c, cores[c].slot_of(pid)?);
+        n += 1;
+    }
+    let mut at = 0;
+    for group in groups {
+        let in_group = &slots[at..at + run_pages(group).count()];
+        for &(c, slot) in in_group {
+            cores[c].policy.on_access(slot);
+        }
+        for (pid, &(c, slot)) in run_pages(group).zip(in_group) {
+            cores[c].fix_resident(pid, slot);
+        }
+        at += in_group.len();
+    }
+    let cores: &'c [&mut PoolCore] = cores;
+    for (frame, &(c, slot)) in frames.iter_mut().zip(&slots[..n]) {
+        *frame = &cores[c].frame(slot).data;
+    }
+    Some(n)
+}
+
 /// Evicts in each owning core until its share of `pids` (none resident)
 /// fits. Evictions of dirty victims write through `disk`.
 pub(crate) fn make_room_for<D: DiskOps>(
@@ -627,6 +706,22 @@ impl PageCache for BufferPool {
     ) -> Result<R> {
         let slot = self.core.fix(&mut self.disk, pid, true)?;
         Ok(f(&mut self.core.frame_mut(slot).data))
+    }
+
+    /// Lends the frames when every page of the visit is resident
+    /// (`buffer::lend_resident`); copies through the provided `read_runs`
+    /// otherwise.
+    fn visit_runs<R>(
+        &mut self,
+        groups: &[&[(PageId, u32)]],
+        copy: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+        lend: impl FnOnce(&[&[u8; PAGE_SIZE]]) -> R,
+    ) -> Result<Option<R>> {
+        let mut frames = [&cache::ZERO_PAGE; LEND_MAX];
+        match lend_resident(&mut [&mut self.core], |_| 0, groups, &mut frames) {
+            Some(n) => Ok(Some(lend(&frames[..n]))),
+            None => self.read_runs(groups, copy).map(|()| None),
+        }
     }
 
     /// One read call per maximal contiguous missing sub-run — the DASDBS

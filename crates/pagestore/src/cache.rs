@@ -17,6 +17,15 @@
 //! call sites compile unchanged; the shared handle satisfies them through
 //! interior mutability (its `&mut` receivers never actually need the
 //! exclusivity).
+//!
+//! A multi-page read is one *visit* to the pool, in two spellings with the
+//! same calls, fixes and policy events: [`PageCache::read_runs`] hands each
+//! page to a sink in turn, and [`PageCache::visit_runs`] hands all of them
+//! to one closure at once. Both pools **lend their frames** to a visit
+//! whose pages are all resident, so a reader decodes where the pages are
+//! instead of copying them first; a visit with a miss, and every visit of a
+//! pool that keeps the provided body (a decorator, the shared pool with its
+//! read engine on), copies.
 
 use crate::latch::LatchMode;
 use crate::stats::{BufferStats, IoSnapshot};
@@ -49,6 +58,10 @@ pub(crate) fn read_runs_per_call<P: PageCache + ?Sized>(
     }
     Ok(())
 }
+
+/// A page of zeros: what a lent-frame array holds before it is filled, and
+/// what a ranged spanned read shows for a data page it did not fetch.
+pub(crate) static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// Runs `f`, then `release` on every exit path — a panic in `f` is re-raised
 /// after it. The body of [`PageCache::with_latched`], whichever way the
@@ -114,6 +127,28 @@ pub trait PageCache {
         sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
     ) -> Result<()> {
         read_runs_per_call(self, groups, sink)
+    }
+
+    /// The visit [`read_runs`](PageCache::read_runs) makes — the same calls,
+    /// fixes and policy events — where the pool may **lend its frames**:
+    /// `Some` of what `lend` returned, given every page of the visit at
+    /// once, in visit order; or `None` when the pages went to `copy` one
+    /// by one, as `read_runs` hands them to its sink.
+    ///
+    /// This provided body always copies: it is `read_runs(groups, copy)`.
+    /// [`crate::BufferPool`] and the shared pool lend when every page of
+    /// the visit is resident (and there are at most 32): one table lookup
+    /// per page, the same events in the same order, and `lend` runs on the
+    /// frames themselves — on the shared pool under the shard mutexes of
+    /// the visit. A visit with any miss is found out before any event and
+    /// copies, so a miss never evicts a page the visit has already fixed.
+    fn visit_runs<R>(
+        &mut self,
+        groups: &[&[(PageId, u32)]],
+        copy: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+        _lend: impl FnOnce(&[&[u8; PAGE_SIZE]]) -> R,
+    ) -> Result<Option<R>> {
+        self.read_runs(groups, copy).map(|()| None)
     }
 
     /// Fixes and pins `pid`; pinned frames are never eviction victims.

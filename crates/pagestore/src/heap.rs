@@ -10,6 +10,12 @@
 //! Scans fetch one page per I/O call, matching DASDBS's observed behaviour
 //! for the normalized models ("NSM even reads only a single page per
 //! retrieval call", §6).
+//!
+//! A record is read where it lies: [`HeapFile::with_record`] and
+//! [`HeapFile::scan`] hand the record's bytes on the fixed page to a
+//! closure, and every storage model decodes its heap-resident tuples there.
+//! [`HeapFile::read`] copies, for the callers that change or keep the bytes
+//! (a root update, a rebuild).
 
 use crate::{slotted, PageCache, PageId, Result, StoreError, PAGE_SIZE};
 
@@ -110,8 +116,12 @@ impl HeapFile {
     /// Passes the record at `rid` to `f` in place (one page fix, no copy).
     ///
     /// `f` runs while the page is fixed — on a shared pool, under its
-    /// shard's mutex — so it must stay short: extract fixed-size fields
-    /// there, copy out with [`HeapFile::read`] for anything heavier.
+    /// shard's mutex, which every other client fixing a page of that shard
+    /// waits for. What runs there today is a decode of one record: a
+    /// normalized tuple, or a heap-resident station's projection (a
+    /// sub-microsecond walk that allocates only the tuple it returns). Do
+    /// not wait, lock or do I/O in `f`; copy out with [`HeapFile::read`]
+    /// for anything longer.
     pub fn with_record<R>(
         &self,
         pool: &mut impl PageCache,

@@ -16,8 +16,8 @@
 //! Decay is driven by access *counts*, not wall-clock time, so identical
 //! access sequences produce identical heat maps.
 
+use crate::fx::FxHashMap;
 use crate::PageId;
-use std::collections::HashMap;
 
 /// Recorded accesses between decay sweeps (counters halve each sweep).
 pub const HEAT_DECAY_EVERY: u64 = 8192;
@@ -54,7 +54,7 @@ impl HeatConfig {
 /// Per-page access counters with count-driven exponential decay.
 #[derive(Debug)]
 pub(crate) struct HeatTracker {
-    counts: HashMap<PageId, u64>,
+    counts: FxHashMap<PageId, u64>,
     decay_every: u64,
     since_decay: u64,
 }
@@ -62,7 +62,7 @@ pub(crate) struct HeatTracker {
 impl HeatTracker {
     pub(crate) fn new(config: HeatConfig) -> HeatTracker {
         HeatTracker {
-            counts: HashMap::new(),
+            counts: FxHashMap::default(),
             decay_every: config.decay_every,
             since_decay: 0,
         }

@@ -106,8 +106,8 @@
 //! pool with the batched read engine on, which counts one shared group per
 //! spanned read visit.
 
+use crate::fx::FxHashMap;
 use crate::PageId;
-use std::collections::HashMap;
 use std::thread::{self, ThreadId};
 
 /// How a page is latched: shared (concurrent readers) or exclusive (one
@@ -133,7 +133,7 @@ struct LatchEntry {
 /// residency. All methods are called under the owning shard's mutex.
 #[derive(Debug, Default)]
 pub(crate) struct LatchTable {
-    entries: HashMap<PageId, LatchEntry>,
+    entries: FxHashMap<PageId, LatchEntry>,
 }
 
 impl LatchTable {

@@ -71,6 +71,7 @@ mod buffer;
 mod cache;
 mod disk;
 mod error;
+mod fx;
 mod heap;
 mod heat;
 mod ioengine;
@@ -92,7 +93,7 @@ pub use ioengine::IoEngineConfig;
 pub use latch::LatchMode;
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use shared::{SharedBufferPool, SharedPoolHandle};
-pub use spanned::{SpannedRecord, SpannedStore};
+pub use spanned::{Content, SpannedRecord, SpannedStore};
 pub use stats::{BufferStats, DiskStats, IoSnapshot};
 pub use wal::{FsyncMode, WalConfig, WalStats};
 

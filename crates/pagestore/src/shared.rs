@@ -851,38 +851,63 @@ impl SharedBufferPool {
     fn read_runs(
         &self,
         groups: &[&[(PageId, u32)]],
-        mut sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+        sink: impl FnMut(PageId, &[u8; PAGE_SIZE]),
     ) -> Result<()> {
+        let (involved, mut guards) = self.session(groups);
+        let owner = |pid| owner_pos(&involved, self.shard_of(pid));
+        buffer::read_runs(
+            &mut cores_of(&mut guards),
+            owner,
+            &mut &self.disk,
+            groups,
+            sink,
+        )
+    }
+
+    /// [`PageCache::visit_runs`] in one lock session: the frames lent to
+    /// `lend` under the session's shard mutexes when every page is resident
+    /// (`buffer::lend_resident`), else [`Self::read_runs`]'s calls to
+    /// `copy`, in the same session.
+    fn visit_runs<R>(
+        &self,
+        groups: &[&[(PageId, u32)]],
+        copy: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+        lend: impl FnOnce(&[&[u8; PAGE_SIZE]]) -> R,
+    ) -> Result<Option<R>> {
+        let (involved, mut guards) = self.session(groups);
+        let owner = |pid| owner_pos(&involved, self.shard_of(pid));
+        let mut cores = cores_of(&mut guards);
+        let mut frames = [&cache::ZERO_PAGE; buffer::LEND_MAX];
+        if let Some(n) = buffer::lend_resident(&mut cores, owner, groups, &mut frames) {
+            return Ok(Some(lend(&frames[..n])));
+        }
+        buffer::read_runs(&mut cores, owner, &mut &self.disk, groups, copy).map(|()| None)
+    }
+
+    /// The lock session of one visit: the shards of every page of every
+    /// group locked once, ascending, with no foreign exclusive latch on any
+    /// of its pages (see [`Self::read_runs`]). Returns the involved shards
+    /// and their guards, as [`Self::lock_involved`] does.
+    fn session(
+        &self,
+        groups: &[&[(PageId, u32)]],
+    ) -> (Vec<usize>, Vec<MutexGuard<'_, ShardState>>) {
         debug_assert!(self.engine.is_none(), "an engine miss drops its mutex");
         let pages = || groups.iter().flat_map(|group| run_pages(group));
-        let (involved, mut guards) = loop {
+        loop {
             let (involved, guards) = self.lock_involved(pages());
             let blocked = pages().find(|&pid| {
                 let st = &guards[owner_pos(&involved, self.shard_of(pid))];
                 st.latches.blocks(pid, false)
             });
             match blocked {
-                None => break (involved, guards),
+                None => return (involved, guards),
                 Some(pid) => {
                     drop(guards);
                     drop(self.lock_for(pid, false));
                 }
             }
-        };
-        let mut cores = cores_of(&mut guards);
-        let owner = |pid| owner_pos(&involved, self.shard_of(pid));
-        let disk = &mut &self.disk;
-        for group in groups {
-            for &(first, n) in *group {
-                buffer::prefetch_run(&mut cores, owner, disk, first, n)?;
-            }
-            for pid in run_pages(group) {
-                let core = &mut *cores[owner(pid)];
-                let slot = core.fix(disk, pid, false)?;
-                sink(pid, &core.frame(slot).data);
-            }
         }
-        Ok(())
     }
 
     /// Issues a content-free write call of `n` contiguous pages (DASDBS
@@ -1224,6 +1249,20 @@ impl PageCache for SharedPoolHandle {
             });
         }
         self.pool.read_runs(groups, sink)
+    }
+
+    /// The shared pool's lending visit; with the batched read engine on,
+    /// the copy through the per-call path above.
+    fn visit_runs<R>(
+        &mut self,
+        groups: &[&[(PageId, u32)]],
+        copy: impl FnMut(PageId, &[u8; PAGE_SIZE]),
+        lend: impl FnOnce(&[&[u8; PAGE_SIZE]]) -> R,
+    ) -> Result<Option<R>> {
+        if self.pool.io_engine_enabled() {
+            return self.read_runs(groups, copy).map(|()| None);
+        }
+        self.pool.visit_runs(groups, copy, lend)
     }
 
     fn pin(&mut self, pid: PageId) -> Result<()> {

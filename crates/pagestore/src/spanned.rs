@@ -14,8 +14,14 @@
 //! for the additional header pages (if any), and one per contiguous run of
 //! requested data pages — which is why the paper measures ≈2 pages per read
 //! call for the direct models (§5.2). Every read hands its runs to the pool
-//! in one [`PageCache::read_runs`] visit (header runs and data run of a
-//! whole-object read together), from the stack.
+//! in one [`PageCache::visit_runs`] visit (header runs and data run of a
+//! whole-object read together; the wanted data runs of a ranged read as
+//! one group each), and its caller gets the content of each page in place:
+//! [`SpannedStore::visit_header`], [`SpannedStore::visit_full`] and
+//! [`SpannedStore::visit_data_ranges`]. When every page is resident the
+//! pool lends its frames and nothing is copied. The `read_*` forms copy
+//! that content into one buffer, for the callers that change or keep it
+//! (an update, a rebuild).
 //!
 //! *Which data page holds byte `b`* is answered in exactly one place, the
 //! private page plan below: packed (a page every `EFFECTIVE_PAGE_SIZE`
@@ -26,9 +32,12 @@
 //! `plan: Option<&[u32]>`. Runs of wanted pages are formed by the pools' one
 //! call grouper (`buffer::page_runs`).
 
-use crate::buffer::page_runs;
+use crate::buffer::{page_runs, LEND_MAX};
+use crate::cache::ZERO_PAGE;
 use crate::slotted::{self, PageKind};
-use crate::{PageCache, PageId, Result, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_HEADER_SIZE};
+use crate::{
+    PageCache, PageId, Result, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE,
+};
 use std::ops::Range;
 
 /// Handle to a stored spanned record.
@@ -144,6 +153,48 @@ impl<'a> PagePlan<'a> {
     }
 }
 
+/// The content a spanned visit shows: in place where the pool lent its
+/// frames, else the copy the visit made.
+pub enum Content<'a> {
+    /// The content of each page, in order, on the pool's frames.
+    Pages(&'a [&'a [u8]]),
+    /// The whole content, copied out of the pool.
+    Copied(Vec<u8>),
+}
+
+impl Content<'_> {
+    /// The content in one buffer: the copy, or the pages concatenated.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Content::Pages(pieces) => pieces.concat(),
+            Content::Copied(bytes) => bytes,
+        }
+    }
+}
+
+/// Takes the closure a visit runs once, on whichever path it took.
+fn once<F>(f: &mut Option<F>) -> F {
+    f.take().expect("a visit shows its content once")
+}
+
+/// Runs `f` over the `n` pieces `piece` gives, in order — on the stack
+/// when a visit could have lent them ([`LEND_MAX`] pages), else in a
+/// vector.
+fn with_pieces<'p, R>(
+    n: usize,
+    mut piece: impl FnMut(usize) -> &'p [u8],
+    f: impl FnOnce(&[&'p [u8]]) -> R,
+) -> R {
+    if n > LEND_MAX {
+        return f(&(0..n).map(piece).collect::<Vec<_>>());
+    }
+    let mut pieces: [&[u8]; LEND_MAX] = [&[]; LEND_MAX];
+    for (i, p) in pieces[..n].iter_mut().enumerate() {
+        *p = piece(i);
+    }
+    f(&pieces[..n])
+}
+
 /// Storage for spanned records over a buffer pool.
 ///
 /// Stateless: all state lives in the pool/disk, in the returned
@@ -204,12 +255,9 @@ impl SpannedStore {
         Ok(())
     }
 
-    /// Copies the content of `page`, the `i`-th page from the plan's first,
-    /// to where `plan` places it in `out`.
-    fn copy_out(plan: PagePlan, i: u32, page: &[u8], out: &mut [u8]) {
-        let on_page = plan.bounds(i as usize);
-        let content = &page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + on_page.len()];
-        out[on_page].copy_from_slice(content);
+    /// The content bytes of `page`, the `i`-th page of `plan`.
+    fn content<'p>(plan: PagePlan, i: usize, page: &'p [u8; PAGE_SIZE]) -> &'p [u8] {
+        &page[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + plan.bounds(i).len()]
     }
 
     /// The header's read calls as DASDBS makes them: one for the root page
@@ -224,69 +272,86 @@ impl SpannedStore {
         (rec.data_first(), plan.pages())
     }
 
-    /// Reads the header (object directory) bytes.
+    /// Copies the content of `page`, the `i`-th page of `plan`, to where
+    /// `plan` places it in `out` — zero-filled to the plan's length first.
+    fn copy_out(plan: PagePlan, i: u32, page: &[u8; PAGE_SIZE], out: &mut Vec<u8>) {
+        out.resize(plan.len, 0);
+        let on_page = plan.bounds(i as usize);
+        out[on_page].copy_from_slice(Self::content(plan, i as usize, page));
+    }
+
+    /// Visits the header (object directory): the content of each header
+    /// page in place, or the header copied (the header is packed, a page
+    /// every [`EFFECTIVE_PAGE_SIZE`] bytes).
     ///
     /// I/O calls as in DASDBS: one for the root page, one for the additional
     /// header pages if any. Fixes every header page.
-    pub fn read_header(pool: &mut impl PageCache, rec: &SpannedRecord) -> Result<Vec<u8>> {
+    pub fn visit_header<R>(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        f: impl FnOnce(Content<'_>) -> R,
+    ) -> Result<R> {
         let plan = PagePlan::new(None, rec.header_len as usize);
-        let mut out = vec![0u8; plan.len];
         let runs = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
-        pool.read_runs(&[runs], |pid, page| {
-            Self::copy_out(plan, pid.0 - rec.first.0, page, &mut out)
-        })?;
-        Ok(out)
+        let mut out = Vec::new();
+        let mut f = Some(f);
+        let lent = pool.visit_runs(
+            &[runs],
+            |pid, page| Self::copy_out(plan, pid.0 - rec.first.0, page, &mut out),
+            |frames| {
+                let piece = |i| Self::content(plan, i, frames[i]);
+                with_pieces(frames.len(), piece, |p| once(&mut f)(Content::Pages(p)))
+            },
+        )?;
+        Ok(lent.unwrap_or_else(|| once(&mut f)(Content::Copied(out))))
     }
 
-    /// Reads the full data content (one call per contiguous uncached run).
-    /// Fixes every data page.
-    pub fn read_data(
+    /// Visits the whole object — the header runs and the data run in one
+    /// visit to the pool, what [`Self::visit_header`] followed by a read of
+    /// every data page would read, call for call and fix for fix — and
+    /// hands `f` the data content laid out by `plan`: each data page's in
+    /// place, or all of it copied. The header pages are fetched and fixed
+    /// (the structure is read with the tuple) but not shown: the caller
+    /// decodes by schema.
+    pub fn visit_full<R>(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
-    ) -> Result<Vec<u8>> {
+        f: impl FnOnce(Content<'_>) -> R,
+    ) -> Result<R> {
         let plan = PagePlan::new(plan, rec.data_len as usize);
-        let mut out = vec![0u8; plan.len];
-        let data_first = rec.data_first();
-        pool.read_runs(&[&[Self::data_run(rec, plan)]], |pid, page| {
-            Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
-        })?;
-        Ok(out)
-    }
-
-    /// Reads the whole object — what [`Self::read_header`] followed by
-    /// [`Self::read_data`] read, call for call and fix for fix, in one visit
-    /// to the pool — and returns the data content. The header pages are
-    /// fetched and fixed (the structure is read with the tuple) but their
-    /// bytes are not copied: the caller decodes by schema.
-    pub fn read_full(
-        pool: &mut impl PageCache,
-        rec: &SpannedRecord,
-        plan: Option<&[u32]>,
-    ) -> Result<Vec<u8>> {
-        let plan = PagePlan::new(plan, rec.data_len as usize);
-        let mut out = vec![0u8; plan.len];
-        let data_first = rec.data_first();
         let header = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
-        pool.read_runs(&[header, &[Self::data_run(rec, plan)]], |pid, page| {
-            if pid >= data_first {
-                Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
-            }
-        })?;
-        Ok(out)
+        let data_first = rec.data_first();
+        let mut out = Vec::new();
+        let mut f = Some(f);
+        let lent = pool.visit_runs(
+            &[header, &[Self::data_run(rec, plan)]],
+            |pid, page| {
+                if pid >= data_first {
+                    Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
+                }
+            },
+            |frames| {
+                let data = &frames[rec.header_pages as usize..];
+                let piece = |i| Self::content(plan, i, data[i]);
+                with_pieces(data.len(), piece, |p| once(&mut f)(Content::Pages(p)))
+            },
+        )?;
+        Ok(lent.unwrap_or_else(|| once(&mut f)(Content::Copied(out))))
     }
 
-    /// Reads only the data pages covering `ranges` (sorted, disjoint byte
-    /// ranges of the data content), returning a **full-length buffer** in
-    /// which only the requested ranges are guaranteed valid. Unrequested
-    /// pages are not fetched — the DASDBS-DSM partial read (§3.2) — and an
-    /// empty range requests none.
-    pub fn read_data_ranges(
+    /// Visits only the data pages covering `ranges` (sorted, disjoint byte
+    /// ranges of the data content) — the DASDBS-DSM partial read (§3.2) —
+    /// in one visit with one group per run of wanted pages, and hands `f`
+    /// the full-length content, valid at least in the requested ranges: a
+    /// data page not fetched shows as zeros. An empty range wants no page.
+    pub fn visit_data_ranges<R>(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
         ranges: &[Range<u32>],
-    ) -> Result<Vec<u8>> {
+        f: impl FnOnce(Content<'_>) -> R,
+    ) -> Result<R> {
         let plan = PagePlan::new(plan, rec.data_len as usize);
         let mut wanted = vec![false; rec.data_pages as usize];
         for r in ranges {
@@ -297,19 +362,55 @@ impl SpannedStore {
             }
             wanted[plan.pages_of(r)].fill(true);
         }
-        let mut out = vec![0u8; plan.len];
-        // Each run of wanted pages is prefetched (one call if cold), then
-        // fixed and copied, before the next run.
         let data_first = rec.data_first();
         let wanted_pids = (0..rec.data_pages)
             .filter(|&i| wanted[i as usize])
             .map(|i| data_first.offset(i));
-        for run in page_runs(wanted_pids) {
-            pool.read_runs(&[&[run]], |pid, page| {
-                Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
-            })?;
-        }
-        Ok(out)
+        let runs: Vec<(PageId, u32)> = page_runs(wanted_pids).collect();
+        let groups: Vec<&[(PageId, u32)]> = runs.chunks(1).collect();
+        let mut out = Vec::new();
+        let mut f = Some(f);
+        let lent = pool.visit_runs(
+            &groups,
+            |pid, page| Self::copy_out(plan, pid.0 - data_first.0, page, &mut out),
+            |frames| {
+                let mut fetched = frames.iter();
+                let piece = |i: usize| match wanted[i] {
+                    true => Self::content(plan, i, fetched.next().expect("a wanted page")),
+                    false => &ZERO_PAGE[..plan.bounds(i).len()],
+                };
+                with_pieces(wanted.len(), piece, |p| once(&mut f)(Content::Pages(p)))
+            },
+        )?;
+        Ok(lent.unwrap_or_else(|| {
+            out.resize(plan.len, 0); // also when no page was wanted
+            once(&mut f)(Content::Copied(out))
+        }))
+    }
+
+    /// [`Self::visit_header`] into one buffer.
+    pub fn read_header(pool: &mut impl PageCache, rec: &SpannedRecord) -> Result<Vec<u8>> {
+        Self::visit_header(pool, rec, |c| c.into_vec())
+    }
+
+    /// [`Self::visit_full`] into one buffer: the data content.
+    pub fn read_full(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        plan: Option<&[u32]>,
+    ) -> Result<Vec<u8>> {
+        Self::visit_full(pool, rec, plan, |c| c.into_vec())
+    }
+
+    /// [`Self::visit_data_ranges`] into one buffer: full-length, and valid
+    /// at least in the requested ranges.
+    pub fn read_data_ranges(
+        pool: &mut impl PageCache,
+        rec: &SpannedRecord,
+        plan: Option<&[u32]>,
+        ranges: &[Range<u32>],
+    ) -> Result<Vec<u8>> {
+        Self::visit_data_ranges(pool, rec, plan, ranges, |c| c.into_vec())
     }
 
     /// Replaces the record in place with same-length data under the same
@@ -399,7 +500,7 @@ mod tests {
         assert_eq!(rec.total_pages(), 4);
         p.clear_cache().unwrap();
         assert_eq!(SpannedStore::read_header(&mut p, &rec).unwrap(), header);
-        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), data);
+        assert_eq!(SpannedStore::read_full(&mut p, &rec, None).unwrap(), data);
     }
 
     #[test]
@@ -410,17 +511,16 @@ mod tests {
         let rec = SpannedStore::store(&mut p, &bytes(50, 1), &bytes(4500, 2), None).unwrap();
         p.clear_cache().unwrap();
         p.reset_stats();
-        SpannedStore::read_header(&mut p, &rec).unwrap();
-        SpannedStore::read_data(&mut p, &rec, None).unwrap();
+        SpannedStore::read_full(&mut p, &rec, None).unwrap();
         let s = p.snapshot();
         assert_eq!(s.read_calls, 2);
         assert_eq!(s.pages_read, 4);
         assert_eq!(s.fixes, 4);
     }
 
-    /// The one-visit whole-object read is the header read followed by the
-    /// data read — same calls, fixes and evictions — also with several
-    /// header pages and a buffer smaller than the object.
+    /// The one-visit whole-object read is the header read followed by a
+    /// read of every data page — same calls, fixes and evictions — also
+    /// with several header pages and a buffer smaller than the object.
     #[test]
     fn read_full_is_read_header_then_read_data() {
         for (header_len, capacity) in [(50, 256), (3000, 256), (5000, 3)] {
@@ -438,7 +538,9 @@ mod tests {
             }
             for round in 0..2 {
                 SpannedStore::read_header(&mut by_part, &rec).unwrap();
-                let expect = SpannedStore::read_data(&mut by_part, &rec, None).unwrap();
+                let every_byte = [0..data.len() as u32];
+                let expect =
+                    SpannedStore::read_data_ranges(&mut by_part, &rec, None, &every_byte).unwrap();
                 let got = SpannedStore::read_full(&mut whole, &rec, None).unwrap();
                 assert_eq!(got, expect);
                 assert_eq!(got, data);
@@ -509,7 +611,7 @@ mod tests {
         let new = bytes(3000, 99);
         SpannedStore::rewrite(&mut p, &rec, None, &new).unwrap();
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), new);
+        assert_eq!(SpannedStore::read_full(&mut p, &rec, None).unwrap(), new);
         // Length changes are rejected.
         assert!(SpannedStore::rewrite(&mut p, &rec, None, &bytes(2999, 0)).is_err());
     }
@@ -527,7 +629,7 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.fixes, 1, "only the covering page is touched");
         p.clear_cache().unwrap();
-        let out = SpannedStore::read_data(&mut p, &rec, None).unwrap();
+        let out = SpannedStore::read_full(&mut p, &rec, None).unwrap();
         assert_eq!(&out[at as usize..at as usize + 50], &patch[..]);
         assert_eq!(&out[..at as usize], &data[..at as usize]);
     }
@@ -542,7 +644,7 @@ mod tests {
         let rec = SpannedStore::store(&mut p, &bytes(20, 0), &data, plan).unwrap();
         assert_eq!(rec.data_pages, 3, "the plan dictates the page count");
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec, plan).unwrap(), data);
+        assert_eq!(SpannedStore::read_full(&mut p, &rec, plan).unwrap(), data);
         // Range reads honour the plan: bytes 1000..1500 live on page 1 only.
         p.clear_cache().unwrap();
         p.reset_stats();
@@ -566,13 +668,13 @@ mod tests {
         let new = bytes(2500, 77);
         SpannedStore::rewrite(&mut p, &rec, plan, &new).unwrap();
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec, plan).unwrap(), new);
+        assert_eq!(SpannedStore::read_full(&mut p, &rec, plan).unwrap(), new);
         // Patch within page 2.
         p.reset_stats();
         SpannedStore::write_data_range(&mut p, &rec, plan, 1900..1950, &[9u8; 50]).unwrap();
         assert_eq!(p.snapshot().fixes, 1, "one covering page");
         p.clear_cache().unwrap();
-        let out = SpannedStore::read_data(&mut p, &rec, plan).unwrap();
+        let out = SpannedStore::read_full(&mut p, &rec, plan).unwrap();
         assert_eq!(&out[1900..1950], &[9u8; 50]);
         assert_eq!(&out[..1900], &new[..1900]);
     }
@@ -601,8 +703,8 @@ mod tests {
         assert_eq!(packed.data_pages, mapped.data_pages);
         p.clear_cache().unwrap();
         assert_eq!(
-            SpannedStore::read_data(&mut p, &packed, None).unwrap(),
-            SpannedStore::read_data(&mut p, &mapped, Some(&starts)).unwrap()
+            SpannedStore::read_full(&mut p, &packed, None).unwrap(),
+            SpannedStore::read_full(&mut p, &mapped, Some(&starts)).unwrap()
         );
     }
 

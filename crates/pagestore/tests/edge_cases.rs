@@ -123,7 +123,7 @@ fn spanned_zero_header_and_tiny_data() {
     p.clear_cache().unwrap();
     assert_eq!(SpannedStore::read_header(&mut p, &rec).unwrap(), vec![7]);
     assert_eq!(
-        SpannedStore::read_data(&mut p, &rec, None).unwrap(),
+        SpannedStore::read_full(&mut p, &rec, None).unwrap(),
         vec![9]
     );
 }
@@ -141,7 +141,7 @@ fn spanned_exact_page_boundary_sizes() {
         let expect_pages = data_len.div_ceil(EFFECTIVE_PAGE_SIZE) as u32;
         assert_eq!(rec.data_pages, expect_pages, "len {data_len}");
         p.clear_cache().unwrap();
-        assert_eq!(SpannedStore::read_data(&mut p, &rec, None).unwrap(), data);
+        assert_eq!(SpannedStore::read_full(&mut p, &rec, None).unwrap(), data);
     }
 }
 
@@ -169,7 +169,7 @@ fn interleaved_files_do_not_corrupt_each_other() {
     assert_eq!(fa.read(&mut p, ra[1]).unwrap(), vec![5u8; 700]);
     assert_eq!(fb.read(&mut p, rb[0]).unwrap(), vec![4u8; 700]);
     assert_eq!(
-        SpannedStore::read_data(&mut p, &rec, None).unwrap(),
+        SpannedStore::read_full(&mut p, &rec, None).unwrap(),
         vec![6u8; 4000]
     );
 }

@@ -39,7 +39,7 @@ fn exercise_plan(
     let rec = SpannedStore::store(&mut pool, &[7; 40], data, plan).unwrap();
     pool.clear_cache().unwrap();
     prop_assert_eq!(
-        &SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        &SpannedStore::read_full(&mut pool, &rec, plan).unwrap(),
         data
     );
     pool.clear_cache().unwrap();
@@ -55,14 +55,14 @@ fn exercise_plan(
     }
     pool.clear_cache().unwrap();
     prop_assert_eq!(
-        SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        SpannedStore::read_full(&mut pool, &rec, plan).unwrap(),
         expect.clone()
     );
     expect.reverse();
     SpannedStore::rewrite(&mut pool, &rec, plan, &expect).unwrap();
     pool.clear_cache().unwrap();
     prop_assert_eq!(
-        SpannedStore::read_data(&mut pool, &rec, plan).unwrap(),
+        SpannedStore::read_full(&mut pool, &rec, plan).unwrap(),
         expect
     );
     Ok((pool.disk_checksum(), pool.snapshot()))
@@ -191,7 +191,7 @@ proptest! {
         prop_assert_eq!(rec.data_pages, (dlen.div_ceil(EFFECTIVE_PAGE_SIZE)).max(1) as u32);
         pool.clear_cache().unwrap();
         prop_assert_eq!(SpannedStore::read_header(&mut pool, &rec).unwrap(), header);
-        prop_assert_eq!(SpannedStore::read_data(&mut pool, &rec, None).unwrap(), data.clone());
+        prop_assert_eq!(SpannedStore::read_full(&mut pool, &rec, None).unwrap(), data.clone());
         // A random sub-range read returns the right bytes.
         let lo = (dlen / 3) as u32;
         let hi = (dlen - dlen / 4).max(dlen / 3 + 1) as u32;

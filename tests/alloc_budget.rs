@@ -16,10 +16,10 @@
 //! * a resident heap scan on the exclusive pool allocates nothing: records
 //!   go to the callback straight from the page;
 //! * a resident spanned read, made with no latch as the direct models make
-//!   it, allocates the buffers it hands back and nothing for the page runs
-//!   it asks the pool for — on `BufferPool`, and on the one-shard
-//!   `SharedPoolHandle` plus the three short lists one lock session keeps
-//!   (shards, guards, cores);
+//!   it, decodes where the pages are: the whole-object read allocates
+//!   nothing, the projected read only its range list and its run lists —
+//!   on `BufferPool`, and on the one-shard `SharedPoolHandle` plus the
+//!   three short lists one lock session keeps (shards, guards, cores);
 //! * a root update — DSM's replace-tuple, a normalized root-record patch —
 //!   allocates a constant number of blocks, whatever the object holds;
 //! * with the write-ahead log on, what logging adds to an update is the
@@ -33,7 +33,7 @@ use starfish::core::{
 use starfish::nf2::station::{
     proj_root_record, station_schema, Connection, Platform, Sightseeing, Station,
 };
-use starfish::nf2::{decode, encode, encode_with_layout, Oid, Tuple, Value};
+use starfish::nf2::{decode, encode, encode_with_layout, ByteSource, Oid, Paged, Tuple, Value};
 use starfish::pagestore::{
     BufferConfig, BufferPool, HeapFile, PageCache, SharedPoolHandle, SimDisk, PAGE_SIZE,
 };
@@ -171,14 +171,16 @@ fn dsm_navigation_allocates_per_child_not_per_sightseeing() {
     };
     let small = count(&mut store, refs[0]);
     let large = count(&mut store, refs[1]);
-    // Eight times the sightseeings, the same two children: the header and
-    // data buffers grow, the number of allocations does not.
+    // Eight times the sightseeings, the same two children: the object is
+    // decoded where its pages are, and the number of allocations does not
+    // grow. Before the resident frames were lent, the copy of the object's
+    // data was one allocation more: 9.
     assert_eq!(
         small, large,
         "allocations must not depend on the Sightseeing count"
     );
     assert!(
-        small <= 24,
+        small <= 8,
         "navigating to 2 children allocated {small} times"
     );
 }
@@ -241,7 +243,8 @@ fn a_miss_on_a_full_exclusive_pool_allocates_nothing() {
 
 /// Allocations of one buffer-resident whole-object read and one projected
 /// read of a spanned object, with no latch around them — as the direct
-/// models read it: each visit to the pool is one consistent image.
+/// models read it: each visit to the pool is one consistent image, and the
+/// bytes are read where the pages are.
 fn resident_spanned_reads(pool: &mut impl PageCache) -> (u64, u64) {
     let (bytes, layout) =
         encode_with_layout(&station(7, 12).to_tuple(), &station_schema()).unwrap();
@@ -251,21 +254,23 @@ fn resident_spanned_reads(pool: &mut impl PageCache) -> (u64, u64) {
     };
     assert!(rec.data_pages >= 3, "several data pages: {rec:?}");
     let proj = proj_root_record();
+    // What the reader looks at: the content length and the last byte.
+    let last = |b: &Paged<'_>| (b.byte_len(), b.array_at::<1>(b.byte_len() - 1));
     let mut read = |full: bool| {
         allocations(|| {
             if full {
-                file.read_full(pool, 0)
+                file.visit_full(pool, 0, last)
             } else {
-                file.read_projected(pool, 0, &proj)
+                file.visit_projected(pool, 0, &proj, last)
             }
             .unwrap()
         })
     };
     read(true); // make the object buffer-resident
-    let (full, data) = read(true);
-    assert_eq!(data, bytes);
-    let (projected, sparse) = read(false);
-    assert_eq!(sparse.len(), bytes.len());
+    let (full, seen) = read(true);
+    assert_eq!(seen, (bytes.len(), Some([bytes[bytes.len() - 1]])));
+    let (projected, (len, _)) = read(false);
+    assert_eq!(len, bytes.len());
     (full, projected)
 }
 
@@ -277,13 +282,15 @@ const SESSION_LISTS: u64 = 3;
 #[test]
 fn resident_spanned_reads_allocate_what_they_return() {
     let (full, projected) = resident_spanned_reads(&mut BufferPool::new(SimDisk::new(), 64));
-    // The whole-object read returns the data buffer; the header pages are
-    // fixed, not copied, and the three runs it reads travel on the stack.
-    assert_eq!(full, 1, "whole-object read");
-    // The projected read needs the header's bytes to find its ranges: the
-    // header buffer, the range list (grown twice, then merged), the
-    // wanted-page map and the buffer it returns.
-    assert_eq!(projected, 6, "projected read");
+    // The whole-object read lends the reader the resident frames: nothing
+    // is copied, and the three runs it reads travel on the stack. Before,
+    // it returned a copy of the data: 1 allocation.
+    assert_eq!(full, 0, "whole-object read");
+    // The projected read finds its ranges on the header pages in place:
+    // the range list, the wanted-page map, the runs and the groups of its
+    // one data visit. Before, it copied the header and returned a copy of
+    // the data (the range list grown twice, then merged): 6 allocations.
+    assert_eq!(projected, 4, "projected read");
 
     // One shard: the same reads through one lock session per visit — one
     // for the whole object; for the projection one for the header and one
