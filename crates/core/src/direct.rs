@@ -17,18 +17,19 @@
 //!
 //! What is read and what is *decoded* are separate: from the bytes its
 //! access path fetched, either model decodes only what the query projects
-//! ([`decode_projected_at`] walks the encoding's own directory), so CPU and
-//! allocation follow the answer while pages, calls and fixes follow the
-//! paper. A read decodes where the pages are ([`ObjectFile::visit_full`],
-//! [`ObjectFile::visit_projected`]): when the object is resident nothing
-//! is copied, whatever the size of the object.
+//! ([`decode_projected_at`] walks the encoding's own directory; navigation
+//! reads just the references, where they lie, with [`child_refs_at`]), so
+//! CPU and allocation follow the answer while pages, calls and fixes follow
+//! the paper. A read decodes where the pages are
+//! ([`ObjectFile::visit_full`], [`ObjectFile::visit_projected`]): when the
+//! object is resident nothing is copied, whatever the size of the object.
 
 use crate::object_file::ObjectFile;
 use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{commit_or_abort, Model, Store};
 use crate::traits::{overwrite_str, peek_int, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
-use starfish_nf2::station::{attr, child_refs, proj_navigation, proj_root_record, Station};
+use starfish_nf2::station::{attr, child_refs_at, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
     decode, decode_projected_at, encode_with_layout, validate_at, Key, Oid, Paged, Projection,
     RelSchema, Tuple,
@@ -116,11 +117,25 @@ impl DirectModel {
         proj: &Projection,
     ) -> Result<Tuple> {
         let decode = |bytes: &Paged<'_>| decode_projected_at(bytes, &self.schema, 0, proj);
-        Ok(if self.partial && !proj.is_all() {
-            file.visit_projected(pool, ord, proj, decode)??
+        Ok(self.visit_object(file, pool, ord, proj, decode)??)
+    }
+
+    /// Runs `f` over the bytes of object `ord` that the model's access path
+    /// reads for `proj`, where they are: [`Self::read_object`]'s read, with
+    /// `f` in place of the decode.
+    fn visit_object<R>(
+        &self,
+        file: &ObjectFile,
+        pool: &mut impl PageCache,
+        ord: usize,
+        proj: &Projection,
+        f: impl FnOnce(&Paged<'_>) -> R,
+    ) -> Result<R> {
+        if self.partial && !proj.is_all() {
+            file.visit_projected(pool, ord, proj, f)
         } else {
-            file.visit_full(pool, ord, decode)??
-        })
+            file.visit_full(pool, ord, f)
+        }
     }
 
     /// DSM update path: replace the entire nested tuple, read-modify-write
@@ -266,12 +281,12 @@ impl Model for DirectModel {
         let mut out = Vec::new();
         for r in refs {
             let ord = ord_of(&at.file, r.oid)?;
-            let t = self.read_object(&at.file, pool, ord, &self.navigation)?;
-            out.extend(
-                child_refs(&t)
-                    .into_iter()
-                    .map(|(key, oid)| ObjRef { oid, key }),
-            );
+            let walk = |bytes: &Paged<'_>| {
+                child_refs_at(bytes, &self.schema, 0, |key, oid| {
+                    out.push(ObjRef { oid, key })
+                })
+            };
+            self.visit_object(&at.file, pool, ord, &self.navigation, walk)??;
         }
         Ok(out)
     }

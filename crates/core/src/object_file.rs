@@ -296,11 +296,12 @@ impl ObjectFile {
 
     /// Runs `f` over the bytes `proj` needs, where they are — the
     /// DASDBS-DSM access path: the header pages in one visit, whose
-    /// serialized layout gives the byte ranges (read in place), then the
-    /// covering data pages in a second ([`SpannedStore::visit_data_ranges`];
-    /// a data page not fetched shows as zeros). Heap residents run `f` over
-    /// the record as [`Self::visit_full`] does. Why the two visits need no
-    /// latch is on [`Self::read_projected`].
+    /// serialized layout gives the byte ranges (read in place: a header on
+    /// one page, or copied, as one slice), then the covering data pages in
+    /// a second ([`SpannedStore::visit_data_ranges`]; a data page not
+    /// fetched shows as zeros). Heap residents run `f` over the record as
+    /// [`Self::visit_full`] does. Why the two visits need no latch is on
+    /// [`Self::read_projected`].
     pub fn visit_projected<R>(
         &self,
         pool: &mut impl PageCache,
@@ -312,8 +313,12 @@ impl ObjectFile {
             ObjAddr::Heap(_) => return self.visit_full(pool, ord, f),
             ObjAddr::Spanned(rec) => rec,
         };
-        let header = |content: Content<'_>| {
-            with_paged(&content, None, |layout| proj.byte_ranges_from_bytes(layout))
+        let header = |content: Content<'_>| match content {
+            Content::Pages(&[page]) => proj.byte_ranges_from_bytes(page),
+            Content::Pages(pages) => {
+                proj.byte_ranges_from_bytes(&Paged::packed(pages, EFFECTIVE_PAGE_SIZE))
+            }
+            Content::Copied(bytes) => proj.byte_ranges_from_bytes(bytes.as_slice()),
         };
         let ranges = SpannedStore::visit_header(pool, &rec, header)??;
         let plan = self.plan_of(ord);

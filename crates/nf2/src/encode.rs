@@ -46,11 +46,20 @@
 //! [`validate_at`] is the full decode with nothing built: the same checks,
 //! the same order, the same errors. An update that patches bytes in place
 //! runs it first, so it refuses exactly the objects a decode would.
+//!
+//! Navigation needs only the references, so it walks no further than they
+//! are: [`crate::station::child_refs_at`] is the walk this decoder makes
+//! under [`crate::station::proj_navigation`] — into each `Platform`, into
+//! each of its `Connection`s, reading `KeyConnection` and `OidConnection`
+//! where they lie — with every check in the same order and the same `Ok`
+//! or the same `Err`, but it hands each reference to its caller instead of
+//! building the projected tuple.
 
 use crate::layout::{AttrLayout, TupleLayout};
 use crate::path::neutral_value;
 use crate::{
-    overhead, AttrType, ByteSource, Nf2Error, Oid, Projection, RelSchema, Result, Tuple, Value,
+    overhead, AttrDef, AttrType, ByteSource, Nf2Error, Oid, Projection, RelSchema, Result, Tuple,
+    Value,
 };
 
 const MAGIC: u16 = 0x4E32;
@@ -222,7 +231,11 @@ pub fn validate_at<S: ByteSource + ?Sized>(
 /// Checks the header of the tuple at `start`: magic, version, and an
 /// attribute count equal to `schema`'s arity — what every decoder verifies
 /// of each tuple it enters before trusting that tuple's offset table.
-fn check_header<S: ByteSource + ?Sized>(bytes: &S, schema: &RelSchema, start: usize) -> Result<()> {
+pub(crate) fn check_header<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+) -> Result<()> {
     let magic = get_u16(bytes, start)?;
     if magic != MAGIC {
         return Err(Nf2Error::Corrupt {
@@ -253,7 +266,11 @@ fn check_header<S: ByteSource + ?Sized>(bytes: &S, schema: &RelSchema, start: us
 /// Absolute offset of attribute `attr` of the tuple at `start`, read from
 /// the tuple's offset table. The caller has checked `attr` against the
 /// tuple's arity.
-fn directory_entry<S: ByteSource + ?Sized>(bytes: &S, start: usize, attr: usize) -> Result<usize> {
+pub(crate) fn directory_entry<S: ByteSource + ?Sized>(
+    bytes: &S,
+    start: usize,
+    attr: usize,
+) -> Result<usize> {
     let rel = get_u32(
         bytes,
         start + overhead::TUPLE_HEADER + overhead::PER_ATTR * attr,
@@ -321,7 +338,7 @@ pub fn str_at(bytes: &[u8], start: usize) -> Result<&str> {
 /// from its address table. The count comes straight from the bytes, so it
 /// is bounded by the address-table entries the buffer can still hold before
 /// anything trusts it — in particular before a caller reserves for it.
-fn subtuple_offsets<S: ByteSource + ?Sized>(
+pub(crate) fn subtuple_offsets<S: ByteSource + ?Sized>(
     bytes: &S,
     start: usize,
 ) -> Result<impl ExactSizeIterator<Item = Result<usize>> + '_> {
@@ -388,13 +405,7 @@ pub fn decode_projected_at<S: ByteSource + ?Sized>(
     check_header(bytes, schema, start)?;
     let mut values: Vec<Value> = schema.attrs.iter().map(|a| neutral_value(&a.ty)).collect();
     for (i, sub) in attrs {
-        let def = schema
-            .attrs
-            .get(*i)
-            .ok_or_else(|| Nf2Error::BadProjection {
-                attr: *i,
-                available: schema.arity(),
-            })?;
+        let def = projected_attr(schema, *i)?;
         let at = directory_entry(bytes, start, *i)?;
         values[*i] = match &def.ty {
             AttrType::Rel(s) if !sub.is_all() => {
@@ -404,6 +415,16 @@ pub fn decode_projected_at<S: ByteSource + ?Sized>(
         };
     }
     Ok(Tuple::new(values))
+}
+
+/// The definition of attribute `i` a projection names, or
+/// [`Nf2Error::BadProjection`] past `schema`'s arity.
+#[inline]
+pub(crate) fn projected_attr(schema: &RelSchema, i: usize) -> Result<&AttrDef> {
+    schema.attrs.get(i).ok_or_else(|| Nf2Error::BadProjection {
+        attr: i,
+        available: schema.arity(),
+    })
 }
 
 /// `len` bytes at `at`, or `None` past the end of `bytes`.

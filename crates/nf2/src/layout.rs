@@ -86,21 +86,25 @@ impl TupleLayout {
 
     /// Deserializes a layout previously produced by [`TupleLayout::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::read(&mut LayoutReader::new(bytes))
+        Ok(Self::read(bytes, 0)?.0)
     }
 
-    fn read(r: &mut LayoutReader<[u8]>) -> Result<Self> {
-        let start = r.u32()?;
-        let len = r.u32()?;
-        let nattrs = r.attr_count()?;
+    /// The tuple layout serialized at `pos`, and the offset past it.
+    fn read(bytes: &[u8], pos: usize) -> Step<(Self, usize)> {
+        let start = u32_at(bytes, pos)?;
+        let len = u32_at(bytes, pos + 4)?;
+        let (nattrs, mut pos) = attr_count_at(bytes, pos + 8)?;
         let mut attrs = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            let a_start = r.u32()?;
-            let a_len = r.u32()?;
-            let ntuples = r.tuple_count()?;
+            let a_start = u32_at(bytes, pos)?;
+            let a_len = u32_at(bytes, pos + 4)?;
+            let (ntuples, first_tuple) = tuple_count_at(bytes, pos + 8)?;
+            pos = first_tuple;
             let mut tuples = Vec::with_capacity(ntuples);
             for _ in 0..ntuples {
-                tuples.push(Self::read(r)?);
+                let (tuple, next) = Self::read(bytes, pos)?;
+                tuples.push(tuple);
+                pos = next;
             }
             attrs.push(AttrLayout {
                 start: a_start,
@@ -108,7 +112,7 @@ impl TupleLayout {
                 tuples,
             });
         }
-        Ok(TupleLayout { start, len, attrs })
+        Ok((TupleLayout { start, len, attrs }, pos))
     }
 }
 
@@ -126,91 +130,140 @@ const MIN_TUPLE_BYTES: usize = 4 + 4 + 2;
 /// and tuple count.
 const MIN_ATTR_BYTES: usize = 4 + 4 + 4;
 
-/// Sequential reader over [`TupleLayout::to_bytes`] output: what
-/// [`TupleLayout::from_bytes`] builds the tree with, and what
-/// [`crate::Projection::byte_ranges_from_bytes`] walks without building it,
-/// over one buffer or over the header pages in place ([`ByteSource`]).
-pub(crate) struct LayoutReader<'a, S: ByteSource + ?Sized> {
-    bytes: &'a S,
-    /// Offset of the next unread byte.
-    pub(crate) pos: usize,
+// The header cursor: reads over `TupleLayout::to_bytes` output, one buffer
+// or the header pages in place (`ByteSource`) — what
+// `TupleLayout::from_bytes` builds the tree with, and what
+// `Projection::byte_ranges_from_bytes` walks without building it.
+//
+// It is one tight walk. The position is passed and returned by value, so
+// it stays in a register. Every read, count and skip returns a `Step`: its
+// fault is a small `Copy` value (the offset and what was being read), and
+// the `Nf2Error` is built from it once, on the cold path, where the walk
+// hands it to its caller. Each count is bounded by the bytes left
+// before anything trusts it, and a skip reads every count it passes — it
+// only does not descend into an attribute with no tuples — so the cursor
+// refuses exactly the serializations the tree parser refuses, at the same
+// offset with the same text.
+
+/// Where and why the header cursor stopped.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fault {
+    offset: usize,
+    kind: FaultKind,
 }
 
-impl<'a, S: ByteSource + ?Sized> LayoutReader<'a, S> {
-    pub(crate) fn new(bytes: &'a S) -> Self {
-        LayoutReader { bytes, pos: 0 }
-    }
+#[derive(Clone, Copy, Debug)]
+enum FaultKind {
+    /// A value of this many bits runs past the end.
+    Truncated(u8),
+    /// A count larger than the bytes left can hold.
+    Count(u32),
+}
 
-    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let s = self
-            .bytes
-            .array_at(self.pos)
-            .ok_or_else(|| Nf2Error::Corrupt {
-                offset: self.pos,
-                detail: format!("truncated layout (u{})", 8 * N),
-            })?;
-        self.pos += N;
-        Ok(s)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        self.take().map(u32::from_le_bytes)
-    }
-
-    /// The next `u32` without consuming it.
-    pub(crate) fn peek_u32(&mut self) -> Result<u32> {
-        let at = self.pos;
-        let v = self.u32();
-        self.pos = at;
-        v
-    }
-
-    /// A count read from the bytes, bounded by how many items of at least
-    /// `min_bytes` each the rest of the buffer can hold — so a corrupt
-    /// count is an error, never a reservation.
-    fn bounded(&self, count: usize, min_bytes: usize) -> Result<usize> {
-        if count > self.bytes.byte_len().saturating_sub(self.pos) / min_bytes {
-            return Err(Nf2Error::Corrupt {
-                offset: self.pos,
-                detail: format!("layout count {count} exceeds the remaining bytes"),
-            });
+impl From<Fault> for Nf2Error {
+    #[cold]
+    #[inline(never)]
+    fn from(fault: Fault) -> Self {
+        let detail = match fault.kind {
+            FaultKind::Truncated(bits) => format!("truncated layout (u{bits})"),
+            FaultKind::Count(n) => format!("layout count {n} exceeds the remaining bytes"),
+        };
+        Nf2Error::Corrupt {
+            offset: fault.offset,
+            detail,
         }
-        Ok(count)
     }
+}
 
-    /// The attribute count that ends a tuple's fixed part.
-    pub(crate) fn attr_count(&mut self) -> Result<usize> {
-        let n = u16::from_le_bytes(self.take()?) as usize;
-        self.bounded(n, MIN_ATTR_BYTES)
-    }
+/// What a header cursor step gives: a value, or where and why it failed.
+pub(crate) type Step<T> = std::result::Result<T, Fault>;
 
-    /// The sub-tuple count that ends an attribute's fixed part.
-    pub(crate) fn tuple_count(&mut self) -> Result<usize> {
-        let n = self.u32()? as usize;
-        self.bounded(n, MIN_TUPLE_BYTES)
-    }
+/// The `N` bytes at `at`.
+#[inline(always)]
+fn array_at<S: ByteSource + ?Sized, const N: usize>(bytes: &S, at: usize) -> Step<[u8; N]> {
+    bytes.array_at(at).ok_or(Fault {
+        offset: at,
+        kind: FaultKind::Truncated(8 * N as u8),
+    })
+}
 
-    /// Advances past `ntuples` serialized tuple layouts, reading only
-    /// their counts.
-    pub(crate) fn skip_tuples(&mut self, ntuples: usize) -> Result<()> {
-        for _ in 0..ntuples {
-            self.pos = self.pos.saturating_add(8); // start + len
-            let nattrs = self.attr_count()?;
-            self.skip_attrs(nattrs)?;
-        }
-        Ok(())
-    }
+/// The `u32` at `at`: a start or a length.
+#[inline(always)]
+pub(crate) fn u32_at<S: ByteSource + ?Sized>(bytes: &S, at: usize) -> Step<u32> {
+    array_at(bytes, at).map(u32::from_le_bytes)
+}
 
-    /// Advances past `nattrs` serialized attribute layouts (the rest of a
-    /// tuple whose fixed part has been read).
-    pub(crate) fn skip_attrs(&mut self, nattrs: usize) -> Result<()> {
-        for _ in 0..nattrs {
-            self.pos = self.pos.saturating_add(8); // start + len
-            let ntuples = self.tuple_count()?;
-            self.skip_tuples(ntuples)?;
-        }
-        Ok(())
+/// The `u16` attribute count at `at` that ends a tuple's fixed part, and
+/// the offset past it ([`bounded`]).
+#[inline(always)]
+pub(crate) fn attr_count_at<S: ByteSource + ?Sized>(bytes: &S, at: usize) -> Step<(usize, usize)> {
+    let n = u16::from_le_bytes(array_at(bytes, at)?);
+    bounded(bytes, n.into(), at + 2, MIN_ATTR_BYTES)
+}
+
+/// The `u32` tuple count at `at` that ends an attribute's fixed part, and
+/// the offset past it ([`bounded`]).
+#[inline(always)]
+pub(crate) fn tuple_count_at<S: ByteSource + ?Sized>(bytes: &S, at: usize) -> Step<(usize, usize)> {
+    let n = u32::from_le_bytes(array_at(bytes, at)?);
+    bounded(bytes, n, at + 4, MIN_TUPLE_BYTES)
+}
+
+/// `(count, after)`, if the bytes from `after` on can hold `count` items of
+/// at least `min_bytes` each — so a corrupt count is an error, never a
+/// reservation.
+#[inline(always)]
+fn bounded<S: ByteSource + ?Sized>(
+    bytes: &S,
+    count: u32,
+    after: usize,
+    min_bytes: usize,
+) -> Step<(usize, usize)> {
+    // `count > left / min_bytes`, without the division.
+    let left = bytes.byte_len().saturating_sub(after) as u64;
+    if u64::from(count) * min_bytes as u64 > left {
+        return Err(Fault {
+            offset: after,
+            kind: FaultKind::Count(count),
+        });
     }
+    Ok((count as usize, after))
+}
+
+// A read is bounds-checked before the position moves past it, and the walk
+// steps at most 8 bytes past a checked read before the next one, so the
+// position stays within 8 bytes of the end of the bytes and the additions
+// cannot overflow.
+
+/// The offset past `ntuples` serialized tuple layouts from `pos`.
+pub(crate) fn skip_tuples<S: ByteSource + ?Sized>(
+    bytes: &S,
+    mut pos: usize,
+    ntuples: usize,
+) -> Step<usize> {
+    for _ in 0..ntuples {
+        let (nattrs, after) = attr_count_at(bytes, pos + 8)?; // past start + len
+        pos = skip_attrs(bytes, after, nattrs)?;
+    }
+    Ok(pos)
+}
+
+/// The offset past `nattrs` serialized attribute layouts from `pos` (the
+/// rest of a tuple whose fixed part has been read); an attribute with no
+/// tuples is not descended into.
+pub(crate) fn skip_attrs<S: ByteSource + ?Sized>(
+    bytes: &S,
+    mut pos: usize,
+    nattrs: usize,
+) -> Step<usize> {
+    for _ in 0..nattrs {
+        let (ntuples, after) = tuple_count_at(bytes, pos + 8)?; // past start + len
+        pos = match ntuples {
+            0 => after,
+            n => skip_tuples(bytes, after, n)?,
+        };
+    }
+    Ok(pos)
 }
 
 /// Merges overlapping or adjacent byte ranges into a minimal sorted set.

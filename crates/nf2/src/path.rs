@@ -1,4 +1,6 @@
-use crate::layout::{merge_ranges, LayoutReader};
+use crate::layout::{
+    attr_count_at, merge_ranges, skip_attrs, skip_tuples, tuple_count_at, u32_at, Step,
+};
 use crate::{AttrType, ByteSource, Nf2Error, RelSchema, Result, Tuple, TupleLayout, Value};
 use std::ops::Range;
 
@@ -122,53 +124,59 @@ impl Projection {
         layout: &S,
     ) -> Result<Vec<Range<u32>>> {
         let mut ranges = Vec::with_capacity(RANGES_BEFORE_GROWING);
-        self.collect_serialized(&mut LayoutReader::new(layout), &mut ranges)?;
+        self.collect_serialized(layout, 0, &mut ranges)?;
         Ok(merge_ranges(ranges))
     }
 
-    /// [`Projection::collect_ranges`] over the serialized tuple layout at
-    /// the reader's position, which it leaves just past that tuple.
+    /// [`Projection::collect_ranges`] over the tuple layout serialized at
+    /// `pos`; returns the offset just past it.
     fn collect_serialized<S: ByteSource + ?Sized>(
         &self,
-        r: &mut LayoutReader<S>,
+        bytes: &S,
+        pos: usize,
         out: &mut Vec<Range<u32>>,
-    ) -> Result<()> {
-        let start = r.u32()?;
-        let end = start.saturating_add(r.u32()?);
-        let nattrs = r.attr_count()?;
+    ) -> Step<usize> {
+        let start = u32_at(bytes, pos)?;
+        let end = start.saturating_add(u32_at(bytes, pos + 4)?);
+        let (nattrs, mut pos) = attr_count_at(bytes, pos + 8)?;
         let Projection::Attrs(attrs) = self else {
-            out.push(start..end);
-            return r.skip_attrs(nattrs);
+            push_range(out, start..end);
+            return skip_attrs(bytes, pos, nattrs);
         };
         // The header range ends at the first attribute, whose start is next.
-        out.push(start..if nattrs == 0 { end } else { r.peek_u32()? });
+        let header_end = if nattrs == 0 {
+            end
+        } else {
+            u32_at(bytes, pos)?
+        };
+        push_range(out, start..header_end);
         for k in 0..nattrs {
-            let a_start = r.u32()?;
-            let a_end = a_start.saturating_add(r.u32()?);
-            let ntuples = r.tuple_count()?;
-            let first_tuple = r.pos;
+            let a_start = u32_at(bytes, pos)?;
+            let a_end = a_start.saturating_add(u32_at(bytes, pos + 4)?);
+            let (ntuples, first_tuple) = tuple_count_at(bytes, pos + 8)?;
             let mut walked = false;
+            // A repeated index walks the same sub-tuples again.
             for (_, sub) in attrs.iter().filter(|(i, _)| *i == k) {
-                // A repeated index walks the same sub-tuples again.
-                r.pos = first_tuple;
                 walked = true;
-                if sub.is_all() || ntuples == 0 {
-                    out.push(a_start..a_end);
-                    r.skip_tuples(ntuples)?;
+                pos = if sub.is_all() || ntuples == 0 {
+                    push_range(out, a_start..a_end);
+                    skip_tuples(bytes, first_tuple, ntuples)?
                 } else {
                     // Sub-relation header + address table, up to the first
                     // sub-tuple (whose start is next), then each sub-tuple.
-                    out.push(a_start..r.peek_u32()?);
+                    push_range(out, a_start..u32_at(bytes, first_tuple)?);
+                    let mut at = first_tuple;
                     for _ in 0..ntuples {
-                        sub.collect_serialized(r, out)?;
+                        at = sub.collect_serialized(bytes, at, out)?;
                     }
-                }
+                    at
+                };
             }
             if !walked {
-                r.skip_tuples(ntuples)?;
+                pos = skip_tuples(bytes, first_tuple, ntuples)?;
             }
         }
-        Ok(())
+        Ok(pos)
     }
 
     /// Applies the projection to a decoded tuple, replacing unprojected
@@ -201,8 +209,22 @@ impl Projection {
 }
 
 /// Ranges the header cursor holds before its list grows: a root record
-/// names five.
+/// names one, the navigation projection about a dozen.
 const RANGES_BEFORE_GROWING: usize = 16;
+
+/// Adds `r` to the cursor's ranges, joined to the last one where it starts
+/// inside or just after it — the cursor names ranges mostly in byte order,
+/// so its list stays short. [`merge_ranges`] still makes the result
+/// canonical.
+#[inline(always)]
+fn push_range(out: &mut Vec<Range<u32>>, r: Range<u32>) {
+    match out.last_mut() {
+        Some(last) if last.start <= r.start && r.start <= last.end => {
+            last.end = last.end.max(r.end)
+        }
+        _ => out.push(r),
+    }
+}
 
 pub(crate) fn neutral_value(ty: &AttrType) -> Value {
     match ty {

@@ -11,7 +11,11 @@
 //!                   History: STR, Remarks: STR )} )}
 //! ```
 
-use crate::{AttrDef, AttrType, Key, Nf2Error, Oid, Projection, RelSchema, Result, Tuple, Value};
+use crate::encode::{check_header, directory_entry, projected_attr, subtuple_offsets};
+use crate::{
+    decode_attr, AttrDef, AttrType, ByteSource, Key, Nf2Error, Oid, Projection, RelSchema, Result,
+    Tuple, Value,
+};
 
 /// Attribute indices of the root `Station` relation.
 pub mod attr {
@@ -161,26 +165,75 @@ pub fn proj_navigation() -> Projection {
     ])
 }
 
-/// Extracts the child OIDs (and their keys) referenced by a station tuple.
+/// Hands `f` each `(KeyConnection, OidConnection)` of the station encoded
+/// at absolute offset `start` of `bytes` — one buffer or the pages of one
+/// ([`ByteSource`]) — in order, read where the references lie: the walk
+/// [`crate::decode_projected_at`] makes under [`proj_navigation`], with
+/// the same checks in the same order and the same `Ok` or the same `Err`,
+/// and nothing built. `bytes` needs valid data only in the ranges
+/// [`Projection::byte_ranges`] gives for that projection.
 ///
-/// Works on full tuples and on tuples read under [`proj_navigation`].
-pub fn child_refs(station: &Tuple) -> Vec<(Key, Oid)> {
-    let mut out = Vec::new();
-    if let Some(Value::Rel(platforms)) = station.attr(attr::PLATFORM) {
-        for p in platforms {
-            if let Some(Value::Rel(conns)) = p.attr(attr::platform::CONNECTION) {
-                for c in conns {
-                    if let (Some(Value::Int(k)), Some(Value::Link(oid))) = (
-                        c.attr(attr::connection::KEY_CONNECTION),
-                        c.attr(attr::connection::OID_CONNECTION),
-                    ) {
-                        out.push((*k, *oid));
-                    }
-                }
+/// A connection whose two attributes are not `INT` and `LINK` under
+/// `schema` is checked as the decoder checks it and handed to no one. On an
+/// `Err`, `f` may have seen the references before the fault.
+pub fn child_refs_at<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+    mut f: impl FnMut(Key, Oid),
+) -> Result<()> {
+    use attr::{connection as ca, platform as pa};
+    check_header(bytes, schema, start)?;
+    projected_value(bytes, schema, start, attr::KEY)?;
+    let Some((platform, at)) = projected_rel(bytes, schema, start, attr::PLATFORM)? else {
+        return Ok(());
+    };
+    for p in subtuple_offsets(bytes, at)? {
+        let p = p?;
+        check_header(bytes, platform, p)?;
+        let Some((connection, at)) = projected_rel(bytes, platform, p, pa::CONNECTION)? else {
+            continue;
+        };
+        for c in subtuple_offsets(bytes, at)? {
+            let c = c?;
+            check_header(bytes, connection, c)?;
+            let key = projected_value(bytes, connection, c, ca::KEY_CONNECTION)?;
+            let oid = projected_value(bytes, connection, c, ca::OID_CONNECTION)?;
+            if let (Value::Int(key), Value::Link(oid)) = (key, oid) {
+                f(key, oid);
             }
         }
     }
-    out
+    Ok(())
+}
+
+/// Attribute `i` of the tuple at `start`, projected whole: decoded as
+/// [`crate::decode_projected_at`] decodes it.
+fn projected_value<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+    i: usize,
+) -> Result<Value> {
+    let def = projected_attr(schema, i)?;
+    decode_attr(bytes, &def.ty, directory_entry(bytes, start, i)?)
+}
+
+/// Attribute `i` of the tuple at `start`, under a sub-projection: its
+/// sub-schema and offset when it is relation-valued; any other value is
+/// decoded (and so checked) and gives `None`, as the decoder would.
+fn projected_rel<'s, S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &'s RelSchema,
+    start: usize,
+    i: usize,
+) -> Result<Option<(&'s RelSchema, usize)>> {
+    let def = projected_attr(schema, i)?;
+    let at = directory_entry(bytes, start, i)?;
+    match &def.ty {
+        AttrType::Rel(sub) => Ok(Some((sub, at))),
+        ty => decode_attr(bytes, ty, at).map(|_| None),
+    }
 }
 
 /// A strongly-typed `Connection` sub-object.
@@ -492,13 +545,19 @@ mod tests {
         assert_eq!(t.attr(attr::NO_SEEING).unwrap().as_int(), Some(1));
     }
 
+    /// The references of an encoding, in order.
+    fn refs_at(bytes: &[u8]) -> Result<Vec<(Key, Oid)>> {
+        let mut out = Vec::new();
+        child_refs_at(bytes, &station_schema(), 0, |k, o| out.push((k, o)))?;
+        Ok(out)
+    }
+
     #[test]
     fn child_refs_from_tuple_and_typed_agree() {
         let st = sample_station();
-        let from_typed = st.child_refs();
-        let from_tuple = child_refs(&st.to_tuple());
-        assert_eq!(from_typed, from_tuple);
-        assert_eq!(from_typed, vec![(55, Oid(55)), (56, Oid(56))]);
+        let bytes = encode(&st.to_tuple(), &station_schema()).unwrap();
+        assert_eq!(refs_at(&bytes).unwrap(), st.child_refs());
+        assert_eq!(st.child_refs(), vec![(55, Oid(55)), (56, Oid(56))]);
     }
 
     #[test]
@@ -508,7 +567,6 @@ mod tests {
         let proj = proj_navigation();
         proj.validate(&station_schema()).unwrap();
         let projected = proj.apply(&t, &station_schema());
-        assert_eq!(child_refs(&projected), st.child_refs());
         assert!(projected
             .attr(attr::SIGHTSEEING)
             .unwrap()
@@ -526,6 +584,13 @@ mod tests {
             "navigation must not touch sightseeing bytes: {ranges:?} vs start {ss_start}"
         );
         assert!(bytes.len() as u32 > ss_start);
+        // And the references are read from those ranges alone.
+        let mut sparse = vec![0; bytes.len()];
+        for r in ranges {
+            let r = r.start as usize..r.end as usize;
+            sparse[r.clone()].copy_from_slice(&bytes[r]);
+        }
+        assert_eq!(refs_at(&sparse).unwrap(), st.child_refs());
     }
 
     #[test]

@@ -11,16 +11,20 @@
 //! in-place update runs — agrees with the full decode on damaged input too:
 //! same verdict, same error. And every decoder reads the pages of a buffer
 //! ([`Paged`], packed or cut at arbitrary starts) as it reads the buffer:
-//! same tuple or same error, truncated and corrupted input included.
+//! same tuple or same error, truncated and corrupted input included. The
+//! header cursor accepts exactly what the tree parser accepts, and the
+//! navigation's reference walk [`child_refs_at`] answers as the navigation
+//! decode does.
 
 use proptest::prelude::*;
 use starfish_nf2::station::{
-    attr, proj_navigation, proj_root_record, station_schema, Connection, Platform, Sightseeing,
-    Station,
+    attr, child_refs_at, proj_navigation, proj_root_record, station_schema, Connection, Platform,
+    Sightseeing, Station,
 };
 use starfish_nf2::{
     decode, decode_projected, decode_projected_at, decode_tuple_at, encode_with_layout,
-    validate_at, AttrType, Nf2Error, Oid, Paged, Projection, RelSchema, TupleLayout,
+    validate_at, AttrType, ByteSource, Key, Nf2Error, Oid, Paged, Projection, RelSchema, Tuple,
+    TupleLayout, Value,
 };
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -167,6 +171,103 @@ proptest! {
             }
         }
     }
+}
+
+/// `header` with the byte at `at` flipped by a mask drawn from `bits`.
+fn flip_byte(header: &[u8], at: usize, bits: &mut u64) -> Vec<u8> {
+    let mut flipped = header.to_vec();
+    flipped[at] ^= 1 + draw(bits, 255) as u8;
+    flipped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The header cursor accepts exactly the serializations the tree parser
+    /// accepts, and names the tree's ranges: on every cut and on a flip of
+    /// every single byte of a generated header, under the projections the
+    /// stores read with.
+    #[test]
+    fn the_header_cursor_accepts_what_the_tree_parser_accepts(
+        s in arb_station(),
+        mut bits in any::<u64>(),
+    ) {
+        let schema = station_schema();
+        let (_, layout) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+        let header = layout.to_bytes();
+        let projs = [Projection::All, proj_navigation(), proj_root_record()];
+        let check = |h: &[u8]| -> Result<(), TestCaseError> {
+            let tree = TupleLayout::from_bytes(h);
+            for proj in &projs {
+                let cursor = proj.byte_ranges_from_bytes(h);
+                match &tree {
+                    Ok(tree) => prop_assert_eq!(cursor, Ok(proj.byte_ranges(tree))),
+                    Err(_) => prop_assert!(cursor.is_err(), "{:?} accepted {:?}", proj, h),
+                }
+            }
+            Ok(())
+        };
+        for cut in 0..=header.len() {
+            check(&header[..cut])?;
+        }
+        for at in 0..header.len() {
+            check(&flip_byte(&header, at, &mut bits))?;
+        }
+    }
+}
+
+/// Each error of the header cursor, with its offset and text: a value cut
+/// short (`u32` and `u16`), and a count larger than the bytes left can hold.
+#[test]
+fn the_header_cursor_names_where_and_why_it_failed() {
+    fn corrupt<T>(offset: usize, detail: &str) -> Result<T, Nf2Error> {
+        Err(Nf2Error::Corrupt {
+            offset,
+            detail: detail.into(),
+        })
+    }
+    let schema = station_schema();
+    let s = Station {
+        key: 7,
+        name: "n".into(),
+        platforms: vec![Platform {
+            platform_nr: 1,
+            no_line: 0,
+            ticket_code: 2,
+            information: "i".into(),
+            connections: vec![],
+        }],
+        sightseeings: vec![],
+    };
+    let (_, layout) = encode_with_layout(&s.to_tuple(), &schema).unwrap();
+    let header = layout.to_bytes();
+    // A tuple: start u32, len u32, attribute count u16; an attribute:
+    // start u32, len u32, tuple count u32.
+    let mut attrs = header.clone();
+    attrs[8..10].copy_from_slice(&u16::MAX.to_le_bytes());
+    let platform = 10 + 12 * attr::PLATFORM;
+    let mut tuples = header.clone();
+    tuples[platform + 8..platform + 12].copy_from_slice(&1000u32.to_le_bytes());
+    for proj in [Projection::All, proj_navigation(), proj_root_record()] {
+        let ranges = |h: &[u8]| proj.byte_ranges_from_bytes(h);
+        assert_eq!(ranges(&header[..3]), corrupt(0, "truncated layout (u32)"));
+        assert_eq!(ranges(&header[..9]), corrupt(8, "truncated layout (u16)"));
+        assert_eq!(
+            ranges(&attrs),
+            corrupt(10, "layout count 65535 exceeds the remaining bytes")
+        );
+        assert_eq!(
+            ranges(&tuples),
+            corrupt(
+                platform + 12,
+                "layout count 1000 exceeds the remaining bytes"
+            )
+        );
+    }
+    assert_eq!(
+        TupleLayout::from_bytes(&header[..9]),
+        corrupt(8, "truncated layout (u16)")
+    );
 }
 
 proptest! {
@@ -353,6 +454,69 @@ proptest! {
             let expect = proj.byte_ranges_from_bytes(header);
             prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::packed(&packed, stride)), &expect);
             prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::planned(&planned, &starts)), &expect);
+        }
+    }
+}
+
+/// The references a station tuple decoded under [`proj_navigation`] holds.
+fn refs_of(t: &Tuple) -> Vec<(Key, Oid)> {
+    let rel = |v: &Value| v.as_rel().expect("a relation").to_vec();
+    let mut out = Vec::new();
+    for p in rel(&t.values[attr::PLATFORM]) {
+        for c in rel(&p.values[attr::platform::CONNECTION]) {
+            let key = c.values[attr::connection::KEY_CONNECTION].as_int();
+            let oid = c.values[attr::connection::OID_CONNECTION].as_link();
+            out.push((key.expect("an INT"), oid.expect("a LINK")));
+        }
+    }
+    out
+}
+
+/// [`child_refs_at`] over `bytes` and the navigation decode over it: the
+/// same references or the same error.
+fn refs_agree<S: ByteSource + ?Sized>(bytes: &S) -> Result<(), TestCaseError> {
+    let schema = station_schema();
+    let mut refs = Vec::new();
+    let walked = child_refs_at(bytes, &schema, 0, |k, o| refs.push((k, o))).map(|()| refs);
+    let decoded = decode_projected_at(bytes, &schema, 0, &proj_navigation());
+    prop_assert_eq!(walked, decoded.map(|t| refs_of(&t)));
+    Ok(())
+}
+
+/// [`refs_agree`] over `bytes` and over its pages, packed and planned as
+/// `bits` draws them.
+fn refs_agree_paged(bytes: &[u8], bits: &mut u64) -> Result<(), TestCaseError> {
+    refs_agree(bytes)?;
+    let (stride, cuts) = splits(bytes.len(), bits);
+    let packed: Vec<&[u8]> = bytes.chunks(stride).collect();
+    let (planned, starts) = split(bytes, &cuts);
+    refs_agree(&Paged::packed(&packed, stride))?;
+    refs_agree(&Paged::planned(&planned, &starts))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Navigation reads the references where they lie: on a whole station,
+    /// on every cut and with every single bit flipped, over the buffer and
+    /// over its pages, the walk gives the references of the navigation
+    /// decode or its error.
+    #[test]
+    fn the_reference_walk_answers_as_the_navigation_decode(
+        s in arb_station(),
+        mut bits in any::<u64>(),
+    ) {
+        let (bytes, _) = encode_with_layout(&s.to_tuple(), &station_schema()).unwrap();
+        refs_agree_paged(&bytes, &mut bits)?;
+        for cut in 0..bytes.len() {
+            refs_agree_paged(&bytes[..cut], &mut bits)?;
+        }
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                refs_agree_paged(&flipped, &mut bits)?;
+            }
         }
     }
 }

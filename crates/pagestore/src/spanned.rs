@@ -177,22 +177,33 @@ fn once<F>(f: &mut Option<F>) -> F {
     f.take().expect("a visit shows its content once")
 }
 
-/// Runs `f` over the `n` pieces `piece` gives, in order — on the stack
-/// when a visit could have lent them ([`LEND_MAX`] pages), else in a
-/// vector.
+/// Runs `f` over what `items` yields — at most `max` items, one per page of
+/// a visit — in order: on the stack when a visit could have lent that many
+/// pages ([`LEND_MAX`]), else in a vector. `fill` pads the stack array.
+fn on_stack<T: Copy, R>(
+    max: usize,
+    fill: T,
+    items: impl Iterator<Item = T>,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    if max > LEND_MAX {
+        return f(&mut items.collect::<Vec<_>>());
+    }
+    let mut buf = [fill; LEND_MAX];
+    let mut n = 0;
+    for (slot, item) in buf.iter_mut().zip(items) {
+        (*slot, n) = (item, n + 1);
+    }
+    f(&mut buf[..n])
+}
+
+/// Runs `f` over the `n` pieces `piece` gives, in order ([`on_stack`]).
 fn with_pieces<'p, R>(
     n: usize,
-    mut piece: impl FnMut(usize) -> &'p [u8],
+    piece: impl FnMut(usize) -> &'p [u8],
     f: impl FnOnce(&[&'p [u8]]) -> R,
 ) -> R {
-    if n > LEND_MAX {
-        return f(&(0..n).map(piece).collect::<Vec<_>>());
-    }
-    let mut pieces: [&[u8]; LEND_MAX] = [&[]; LEND_MAX];
-    for (i, p) in pieces[..n].iter_mut().enumerate() {
-        *p = piece(i);
-    }
-    f(&pieces[..n])
+    on_stack(n, &[][..], (0..n).map(piece), |pieces| f(pieces))
 }
 
 /// Storage for spanned records over a buffer pool.
@@ -353,39 +364,49 @@ impl SpannedStore {
         f: impl FnOnce(Content<'_>) -> R,
     ) -> Result<R> {
         let plan = PagePlan::new(plan, rec.data_len as usize);
-        let mut wanted = vec![false; rec.data_pages as usize];
-        for r in ranges {
-            if r.end > rec.data_len {
-                return Err(StoreError::Corrupt {
-                    detail: format!("range {r:?} beyond data length {}", rec.data_len),
-                });
-            }
-            wanted[plan.pages_of(r)].fill(true);
-        }
+        let n = rec.data_pages as usize;
         let data_first = rec.data_first();
-        let wanted_pids = (0..rec.data_pages)
-            .filter(|&i| wanted[i as usize])
-            .map(|i| data_first.offset(i));
-        let runs: Vec<(PageId, u32)> = page_runs(wanted_pids).collect();
-        let groups: Vec<&[(PageId, u32)]> = runs.chunks(1).collect();
-        let mut out = Vec::new();
-        let mut f = Some(f);
-        let lent = pool.visit_runs(
-            &groups,
-            |pid, page| Self::copy_out(plan, pid.0 - data_first.0, page, &mut out),
-            |frames| {
-                let mut fetched = frames.iter();
-                let piece = |i: usize| match wanted[i] {
-                    true => Self::content(plan, i, fetched.next().expect("a wanted page")),
-                    false => &ZERO_PAGE[..plan.bounds(i).len()],
-                };
-                with_pieces(wanted.len(), piece, |p| once(&mut f)(Content::Pages(p)))
-            },
-        )?;
-        Ok(lent.unwrap_or_else(|| {
-            out.resize(plan.len, 0); // also when no page was wanted
-            once(&mut f)(Content::Copied(out))
-        }))
+        // The wanted-page map, the runs and the groups: each at most a
+        // page's worth of entries, so on the stack for an object a visit
+        // could lend.
+        on_stack(n, false, (0..n).map(|_| false), |wanted| {
+            for r in ranges {
+                if r.end > rec.data_len {
+                    return Err(StoreError::Corrupt {
+                        detail: format!("range {r:?} beyond data length {}", rec.data_len),
+                    });
+                }
+                wanted[plan.pages_of(r)].fill(true);
+            }
+            let wanted = &*wanted;
+            let pids = (0..n)
+                .filter(|&i| wanted[i])
+                .map(|i| data_first.offset(i as u32));
+            on_stack(n, (data_first, 0), page_runs(pids), |runs| {
+                on_stack(n, &[][..], runs.chunks(1), |groups| {
+                    let mut out = Vec::new();
+                    let mut f = Some(f);
+                    let lent = pool.visit_runs(
+                        groups,
+                        |pid, page| Self::copy_out(plan, pid.0 - data_first.0, page, &mut out),
+                        |frames| {
+                            let mut fetched = frames.iter();
+                            let piece = |i: usize| match wanted[i] {
+                                true => {
+                                    Self::content(plan, i, fetched.next().expect("a wanted page"))
+                                }
+                                false => &ZERO_PAGE[..plan.bounds(i).len()],
+                            };
+                            with_pieces(n, piece, |p| once(&mut f)(Content::Pages(p)))
+                        },
+                    )?;
+                    Ok(lent.unwrap_or_else(|| {
+                        out.resize(plan.len, 0); // also when no page was wanted
+                        once(&mut f)(Content::Copied(out))
+                    }))
+                })
+            })
+        })
     }
 
     /// [`Self::visit_header`] into one buffer.

@@ -8,8 +8,9 @@
 //! * a successful `decode` performs no more allocations than the `String`s
 //!   and `Vec`s of the tuple it returns — in particular none for error
 //!   values that are never raised;
-//! * DSM `children_of` on a buffer-resident object allocates O(children),
-//!   whatever the size of the `Sightseeing` relation it reads past;
+//! * DSM and DASDBS-DSM `children_of` on a buffer-resident object
+//!   allocate O(children), whatever the size of the `Sightseeing` relation
+//!   they read past;
 //! * a resident prefetch plus a fix on the exclusive `BufferPool` allocates
 //!   nothing at all, and neither does a miss once the pool is full (the
 //!   victim's page buffer is the loaded page's);
@@ -17,9 +18,9 @@
 //!   go to the callback straight from the page;
 //! * a resident spanned read, made with no latch as the direct models make
 //!   it, decodes where the pages are: the whole-object read allocates
-//!   nothing, the projected read only its range list and its run lists —
-//!   on `BufferPool`, and on the one-shard `SharedPoolHandle` plus the
-//!   three short lists one lock session keeps (shards, guards, cores);
+//!   nothing, the projected read only its range list — on `BufferPool`,
+//!   and on the one-shard `SharedPoolHandle` plus the three short lists
+//!   one lock session keeps (shards, guards, cores);
 //! * a root update — DSM's replace-tuple, a normalized root-record patch —
 //!   allocates a constant number of blocks, whatever the object holds;
 //! * with the write-ahead log on, what logging adds to an update is the
@@ -159,28 +160,51 @@ fn station(key: i32, n_seeing: usize) -> Station {
     }
 }
 
-#[test]
-fn dsm_navigation_allocates_per_child_not_per_sightseeing() {
-    let mut store = DirectStore::new(false, StoreConfig::default());
+/// Allocations of one `children_of` on each of two buffer-resident
+/// objects with two children: five and forty sightseeings.
+fn navigation_allocations(partial: bool) -> (u64, u64) {
+    let mut store = DirectStore::new(partial, StoreConfig::default());
     let refs = store.load(&[station(100, 5), station(101, 40)]).unwrap();
-    let count = |store: &mut DirectStore, r: ObjRef| {
+    let mut count = |r: ObjRef| {
         store.children_of(&[r]).unwrap(); // make the object buffer-resident
         let (n, children) = allocations(|| store.children_of(&[r]).unwrap());
         assert_eq!(children.len(), 2);
         n
     };
-    let small = count(&mut store, refs[0]);
-    let large = count(&mut store, refs[1]);
-    // Eight times the sightseeings, the same two children: the object is
-    // decoded where its pages are, and the number of allocations does not
-    // grow. Before the resident frames were lent, the copy of the object's
-    // data was one allocation more: 9.
+    (count(refs[0]), count(refs[1]))
+}
+
+#[test]
+fn dsm_navigation_allocates_per_child_not_per_sightseeing() {
+    let (small, large) = navigation_allocations(false);
+    // Eight times the sightseeings, the same two children: the references
+    // are read where the object's pages are, and the number of allocations
+    // does not grow. Only the list of children allocates. Before the
+    // resident frames were lent, the copy of the object's data was one
+    // allocation more: 9; before the references were read in place, the
+    // navigation tuple they were taken from made 8.
     assert_eq!(
         small, large,
         "allocations must not depend on the Sightseeing count"
     );
     assert!(
-        small <= 8,
+        small <= 1,
+        "navigating to 2 children allocated {small} times"
+    );
+}
+
+#[test]
+fn dasdbs_dsm_navigation_allocates_per_child_not_per_sightseeing() {
+    let (small, large) = navigation_allocations(true);
+    // The list of children and the byte ranges the header gives. Before
+    // the references were read in place and the data visit kept its lists
+    // on the stack, the navigation tuple and those lists made 12.
+    assert_eq!(
+        small, large,
+        "allocations must not depend on the Sightseeing count"
+    );
+    assert!(
+        small <= 2,
         "navigating to 2 children allocated {small} times"
     );
 }
@@ -286,11 +310,13 @@ fn resident_spanned_reads_allocate_what_they_return() {
     // is copied, and the three runs it reads travel on the stack. Before,
     // it returned a copy of the data: 1 allocation.
     assert_eq!(full, 0, "whole-object read");
-    // The projected read finds its ranges on the header pages in place:
-    // the range list, the wanted-page map, the runs and the groups of its
-    // one data visit. Before, it copied the header and returned a copy of
-    // the data (the range list grown twice, then merged): 6 allocations.
-    assert_eq!(projected, 4, "projected read");
+    // The projected read finds its ranges on the header pages in place,
+    // and its one data visit keeps the wanted-page map, the runs and the
+    // groups on the stack: only the range list is allocated. Before, the
+    // data visit allocated those three lists: 4 allocations; before that,
+    // the read copied the header and returned a copy of the data (the
+    // range list grown twice, then merged): 6.
+    assert_eq!(projected, 1, "projected read");
 
     // One shard: the same reads through one lock session per visit — one
     // for the whole object; for the projection one for the header and one
