@@ -23,16 +23,19 @@
 //! the paper. A read decodes where the pages are
 //! ([`ObjectFile::visit_full`], [`ObjectFile::visit_projected`]): when the
 //! object is resident nothing is copied, whatever the size of the object.
+//! A scan (query 1c) decodes every object into the one tuple it keeps
+//! ([`decode_tuple_into`]): each object is decoded and checked whole, and
+//! its strings and sub-relations reuse the storage of the one before.
 
 use crate::object_file::ObjectFile;
 use crate::placement::{self, HeatRanking, ObjectHeat};
 use crate::store::{commit_or_abort, Model, Store};
-use crate::traits::{overwrite_str, peek_int, ObjRef, RelationInfo, RootPatch};
+use crate::traits::{overwrite_str, peek_int, str_body, ObjRef, RelationInfo, RootPatch};
 use crate::{CoreError, ModelKind, Result, StoreConfig};
 use starfish_nf2::station::{attr, child_refs_at, proj_navigation, proj_root_record, Station};
 use starfish_nf2::{
-    decode, decode_projected_at, encode_with_layout, validate_at, Key, Oid, Paged, Projection,
-    RelSchema, Tuple,
+    decode, decode_projected_at, decode_tuple_into, encode_with_layout, validate_at, Key, Oid,
+    Paged, Projection, RelSchema, Tuple,
 };
 use starfish_pagestore::{BufferPool, LatchMode, PageCache, PageId, SimDisk};
 use std::collections::HashMap;
@@ -107,7 +110,7 @@ impl DirectModel {
     /// visits the header, then the data ranges it names, which is
     /// consistent because header pages never change after load and the
     /// name a writer changes is read in one visit
-    /// ([`ObjectFile::read_projected`]). Heap residents are single-page and
+    /// ([`ObjectFile::visit_projected`]). Heap residents are single-page and
     /// atomic under the pool's shard mutex.
     fn read_object(
         &self,
@@ -185,10 +188,11 @@ impl DirectModel {
         let res = pool.with_latched(&pages, LatchMode::Exclusive, |pool| {
             let name_proj = Projection::Attrs(vec![(attr::NAME, Projection::All)]);
             // Only the name's range was fetched: no whole-object validation.
-            let mut bytes = file.read_projected(pool, ord, &name_proj)?;
-            let name = overwrite_str(&mut bytes, attr::NAME, &patch.new_name)?;
+            let new = &patch.new_name;
+            let body = |bytes: &Paged<'_>| str_body(bytes, attr::NAME, new.len());
+            let name = file.visit_projected(pool, ord, &name_proj, body)??;
             let range = name.start as u32..name.end as u32;
-            file.patch_range(pool, ord, range, &bytes[name])?;
+            file.patch_range(pool, ord, range, new.as_bytes())?;
             // The page pool: every change-attribute operation allocates a pool
             // "of which all pages are written ... even though the page pool is
             // only a single page in size" (§5.3).
@@ -259,6 +263,9 @@ impl Model for DirectModel {
         Ok(found.ok_or_else(|| CoreError::no_such_key(key))??)
     }
 
+    /// Query 1c: every whole object, decoded where its pages are into one
+    /// tuple the scan keeps ([`decode_tuple_into`]), so an object allocates
+    /// only what it holds beyond every object before it.
     fn scan_all(
         &self,
         at: &DirectPlacement,
@@ -266,8 +273,11 @@ impl Model for DirectModel {
         _objects: &[ObjRef],
         f: &mut dyn FnMut(&Tuple),
     ) -> Result<()> {
+        let mut tuple = Tuple::default();
         for ord in 0..at.file.len() {
-            f(&self.read_object(&at.file, pool, ord, &Projection::All)?);
+            let decode = |bytes: &Paged<'_>| decode_tuple_into(bytes, &self.schema, 0, &mut tuple);
+            at.file.visit_full(pool, ord, decode)??;
+            f(&tuple);
         }
         Ok(())
     }

@@ -300,8 +300,23 @@ impl ObjectFile {
     /// one page, or copied, as one slice), then the covering data pages in
     /// a second ([`SpannedStore::visit_data_ranges`]; a data page not
     /// fetched shows as zeros). Heap residents run `f` over the record as
-    /// [`Self::visit_full`] does. Why the two visits need no latch is on
-    /// [`Self::read_projected`].
+    /// [`Self::visit_full`] does — they occupy one shared page, so there is
+    /// nothing to save (§5.3: small objects "do not have separate header
+    /// and data pages any longer").
+    ///
+    /// Each of the two visits is one consistent image
+    /// ([`PageCache::visit_runs`]), and no latch is needed across them:
+    ///
+    /// * **header pages never change after load** — [`Self::rewrite_full`]
+    ///   re-dirties them with their own bytes (same size, same structure),
+    ///   [`Self::patch_range`] touches data pages only, and reorganization
+    ///   writes fresh extents — so the ranges the header gave hold the
+    ///   projected attributes whatever a writer did since;
+    /// * the one range a DASDBS-DSM writer changes, `Name`, lies in the
+    ///   root tuple's first two hundred bytes, on data page 0 or pages 0–1.
+    ///   Every projection reads the root directory at byte 0, so the name
+    ///   is among the data pages of the second visit — old or new, never a
+    ///   mix.
     pub fn visit_projected<R>(
         &self,
         pool: &mut impl PageCache,
@@ -318,7 +333,7 @@ impl ObjectFile {
             Content::Pages(pages) => {
                 proj.byte_ranges_from_bytes(&Paged::packed(pages, EFFECTIVE_PAGE_SIZE))
             }
-            Content::Copied(bytes) => proj.byte_ranges_from_bytes(bytes.as_slice()),
+            Content::Copied(bytes) => proj.byte_ranges_from_bytes(bytes),
         };
         let ranges = SpannedStore::visit_header(pool, &rec, header)??;
         let plan = self.plan_of(ord);
@@ -337,48 +352,6 @@ impl ObjectFile {
             // DSM materializes the whole object: structure + all data, in
             // one visit to the pool.
             ObjAddr::Spanned(rec) => Ok(SpannedStore::read_full(pool, &rec, self.plan_of(ord))?),
-        }
-    }
-
-    /// Reads only the pages `proj` needs (the DASDBS-DSM access path of
-    /// [`Self::visit_projected`]) into a fresh buffer: full-length, valid at
-    /// least in the ranges the header gave — what
-    /// [`starfish_nf2::decode_projected_at`] reads under `proj`. The
-    /// `change attribute` update patches its copy.
-    ///
-    /// Heap residents come back whole — they occupy one shared page, so
-    /// there is nothing to save (§5.3: small objects "do not have separate
-    /// header and data pages any longer").
-    ///
-    /// A spanned read visits the pool once for the header and once for the
-    /// runs of wanted data pages (one group per run), each visit one
-    /// consistent image ([`PageCache::visit_runs`]). It needs no latch
-    /// across the two visits:
-    ///
-    /// * **header pages never change after load** — [`Self::rewrite_full`]
-    ///   re-dirties them with their own bytes (same size, same structure),
-    ///   [`Self::patch_range`] touches data pages only, and reorganization
-    ///   writes fresh extents — so the ranges the header gave hold the
-    ///   projected attributes whatever a writer did since;
-    /// * the one range a DASDBS-DSM writer changes, `Name`, lies in the
-    ///   root tuple's first two hundred bytes, on data page 0 or pages 0–1.
-    ///   Every projection reads the root directory at byte 0, so the name
-    ///   is among the data pages of the second visit — old or new, never a
-    ///   mix.
-    pub fn read_projected(
-        &self,
-        pool: &mut impl PageCache,
-        ord: usize,
-        proj: &Projection,
-    ) -> Result<Vec<u8>> {
-        match self.addr(ord)? {
-            ObjAddr::Heap(rid) => Ok(self.heap.read(pool, rid)?),
-            ObjAddr::Spanned(rec) => {
-                let header = SpannedStore::read_header(pool, &rec)?;
-                let ranges = proj.byte_ranges_from_bytes(&header)?;
-                let plan = self.plan_of(ord);
-                Ok(SpannedStore::read_data_ranges(pool, &rec, plan, &ranges)?)
-            }
         }
     }
 
@@ -508,7 +481,7 @@ fn collect_units(layout: &TupleLayout, units: &mut Vec<(u32, u32)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starfish_nf2::{encode_with_layout, station::station_schema, station::Station};
+    use starfish_nf2::{encode_with_layout, station::station_schema, station::Station, ByteSource};
     use starfish_pagestore::{BufferPool, SimDisk};
 
     fn pool() -> BufferPool {
@@ -588,18 +561,20 @@ mod tests {
 
         p.clear_cache().unwrap();
         p.reset_stats();
-        let sparse = f.read_projected(&mut p, 0, &proj_root_record()).unwrap();
+        let proj = proj_root_record();
+        let decode = |sparse: &Paged<'_>| {
+            let t = starfish_nf2::decode_projected_at(sparse, &station_schema(), 0, &proj);
+            (sparse.byte_len(), t)
+        };
+        let (len, t) = f.visit_projected(&mut p, 0, &proj, decode).unwrap();
         let proj_pages = p.snapshot().pages_read;
         assert!(
             proj_pages < full_pages,
             "projection must fetch fewer pages ({proj_pages} vs {full_pages})"
         );
-        // The sparse buffer decodes the root record correctly.
-        assert_eq!(sparse.len(), objs[0].0.len());
-        let t =
-            starfish_nf2::decode_projected_at(&sparse, &station_schema(), 0, &proj_root_record())
-                .unwrap();
-        assert_eq!(t.attr(0).unwrap().as_int(), Some(7));
+        // The sparse content decodes the root record correctly.
+        assert_eq!(len, objs[0].0.len());
+        assert_eq!(t.unwrap().attr(0).unwrap().as_int(), Some(7));
     }
 
     #[test]

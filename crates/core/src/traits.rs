@@ -187,22 +187,32 @@ pub(crate) fn peek_int<S: ByteSource + ?Sized>(bytes: &S, attr: usize) -> Result
         .expect("decode_attr(Int) yields Int"))
 }
 
-/// Overwrites `STR` attribute `attr` of the tuple encoded in `bytes` with
-/// `new`, in place, at the offset the tuple's own directory gives — the
-/// root update of every model. The stored string must be valid and have
-/// `new`'s byte length (updates preserve structure, §2.2), else
-/// [`crate::CoreError::size_changed`] and `bytes` is untouched. Returns
-/// the encoded attribute's byte range (length prefix included), the
-/// footprint a `change attribute` writes back.
-pub(crate) fn overwrite_str(bytes: &mut [u8], attr: usize, new: &str) -> Result<Range<usize>> {
+/// The body of `STR` attribute `attr` of the tuple encoded in `bytes`
+/// (after its length prefix), found where the tuple's own directory says
+/// it is: the bytes a root update overwrites. The stored string must be
+/// valid and `len` bytes long (updates preserve structure, §2.2), else
+/// [`crate::CoreError::size_changed`].
+pub(crate) fn str_body<S: ByteSource + ?Sized>(
+    bytes: &S,
+    attr: usize,
+    len: usize,
+) -> Result<Range<usize>> {
     let at = starfish_nf2::attr_offset(bytes, 0, attr)?;
-    let old = starfish_nf2::str_at(bytes, at)?.len();
-    if old != new.len() {
-        return Err(crate::CoreError::size_changed(old, new.len()));
+    let old = bytes.str_value(at)?.len();
+    if old != len {
+        return Err(crate::CoreError::size_changed(old, len));
     }
     let body = at + starfish_nf2::overhead::PER_STRING;
-    bytes[body..body + old].copy_from_slice(new.as_bytes());
-    Ok(at..body + old)
+    Ok(body..body + old)
+}
+
+/// Overwrites `STR` attribute `attr` of the tuple encoded in `bytes` with
+/// `new`, in place ([`str_body`]) — the root update of every model that
+/// patches a copy. On an error `bytes` is untouched.
+pub(crate) fn overwrite_str(bytes: &mut [u8], attr: usize, new: &str) -> Result<()> {
+    let body = str_body(&*bytes, attr, new.len())?;
+    bytes[body].copy_from_slice(new.as_bytes());
+    Ok(())
 }
 
 /// Indices of the four relations of the normalized models in schema order:

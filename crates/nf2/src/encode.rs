@@ -196,6 +196,63 @@ pub fn decode_tuple_at<S: ByteSource + ?Sized>(
     Ok(Tuple::new(values))
 }
 
+/// [`decode_tuple_at`] into `target`, reusing its storage: the value
+/// vector, each `STR` slot's `String` and each sub-relation's vector (cut
+/// to the new count, each remaining sub-tuple decoded into in turn). A slot
+/// holding another variant is replaced, and a slot `target` lacks is
+/// decoded fresh, with exactly the capacity it needs. The checks are
+/// [`decode_tuple_at`]'s, in the same order: `Ok` exactly when it is `Ok`,
+/// and then `target` equals its tuple; else the same error, and `target`
+/// holds a partial decode.
+///
+/// A scan that decodes every object into one tuple allocates only where an
+/// object holds more, or longer strings, than any before it.
+pub fn decode_tuple_into<S: ByteSource + ?Sized>(
+    bytes: &S,
+    schema: &RelSchema,
+    start: usize,
+    target: &mut Tuple,
+) -> Result<()> {
+    check_header(bytes, schema, start)?;
+    let values = &mut target.values;
+    values.truncate(schema.arity());
+    values.reserve_exact(schema.arity() - values.len());
+    for (i, def) in schema.attrs.iter().enumerate() {
+        let at = directory_entry(bytes, start, i)?;
+        match values.get_mut(i) {
+            Some(slot) => decode_attr_into(bytes, &def.ty, at, slot)?,
+            None => values.push(decode_attr(bytes, &def.ty, at)?),
+        }
+    }
+    Ok(())
+}
+
+/// [`decode_attr`] into `slot`, reusing its `String` or its sub-tuples
+/// where it holds the same variant ([`decode_tuple_into`]).
+fn decode_attr_into<S: ByteSource + ?Sized>(
+    bytes: &S,
+    ty: &AttrType,
+    start: usize,
+    slot: &mut Value,
+) -> Result<()> {
+    match (ty, &mut *slot) {
+        (AttrType::Str, Value::Str(s)) => bytes.str_into(start, s)?,
+        (AttrType::Rel(sub), Value::Rel(ts)) => {
+            let offsets = subtuple_offsets(bytes, start)?;
+            ts.truncate(offsets.len());
+            ts.reserve_exact(offsets.len() - ts.len());
+            for (k, at) in offsets.enumerate() {
+                match ts.get_mut(k) {
+                    Some(t) => decode_tuple_into(bytes, sub, at?, t)?,
+                    None => ts.push(decode_tuple_at(bytes, sub, at?)?),
+                }
+            }
+        }
+        _ => *slot = decode_attr(bytes, ty, start)?,
+    }
+    Ok(())
+}
+
 /// Checks the tuple encoded at absolute offset `start` of `bytes` as
 /// [`decode_tuple_at`] decodes it — every check, in the same order, failing
 /// with the same error — and builds nothing: `validate_at` is `Ok` exactly

@@ -54,7 +54,7 @@ mod value;
 
 pub use encode::{
     attr_offset, decode, decode_attr, decode_projected, decode_projected_at, decode_tuple_at,
-    encode, encode_with_layout, encoded_len, str_at, validate_at,
+    decode_tuple_into, encode, encode_with_layout, encoded_len, str_at, validate_at,
 };
 pub use error::Nf2Error;
 pub use layout::{AttrLayout, TupleLayout};

@@ -31,6 +31,15 @@ pub trait ByteSource {
     /// The `STR` value at `at`, with [`crate::str_at`]'s checks and errors:
     /// borrowed where its bytes lie in one piece.
     fn str_value(&self, at: usize) -> Result<Cow<'_, str>>;
+
+    /// [`Self::str_value`] into `out`, replacing what it held and reusing
+    /// its storage. On an error `out`'s content is unspecified.
+    fn str_into(&self, at: usize, out: &mut String) -> Result<()> {
+        let value = self.str_value(at)?;
+        out.clear();
+        out.push_str(&value);
+        Ok(())
+    }
 }
 
 impl<T: AsRef<[u8]> + ?Sized> ByteSource for T {
@@ -198,20 +207,54 @@ impl ByteSource for Paged<'_> {
         let len = crate::encode::get_u16(self, at)? as usize;
         let bytes = self
             .bytes(at.saturating_add(overhead::PER_STRING), len)
-            .ok_or_else(|| Nf2Error::Corrupt {
-                offset: at,
-                detail: format!("string of length {len} truncated"),
-            })?;
+            .ok_or_else(|| truncated(at, len))?;
         let s = match bytes {
             Cow::Borrowed(b) => std::str::from_utf8(b).map(Cow::Borrowed),
             Cow::Owned(v) => String::from_utf8(v)
                 .map(Cow::Owned)
                 .map_err(|e| e.utf8_error()),
         };
-        s.map_err(|e| Nf2Error::Corrupt {
-            offset: at + overhead::PER_STRING,
-            detail: format!("invalid utf-8: {e}"),
-        })
+        s.map_err(|e| invalid_utf8(at, e))
+    }
+
+    /// A value that straddles pieces is assembled in `out`'s storage, not
+    /// in a fresh buffer.
+    fn str_into(&self, at: usize, out: &mut String) -> Result<()> {
+        let len = crate::encode::get_u16(self, at)? as usize;
+        let body = at.saturating_add(overhead::PER_STRING);
+        if body.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(truncated(at, len));
+        }
+        let mut bytes = std::mem::take(out).into_bytes();
+        bytes.clear();
+        match self.in_last(body, len) {
+            Some(s) => bytes.extend_from_slice(s),
+            None if len == 0 => {}
+            None => {
+                bytes.resize(len, 0);
+                self.assemble(body, &mut bytes);
+            }
+        }
+        *out = String::from_utf8(bytes).map_err(|e| invalid_utf8(at, e.utf8_error()))?;
+        Ok(())
+    }
+}
+
+/// [`ByteSource::str_value`]'s error for a string of `len` bytes at `at`
+/// that runs past the end.
+fn truncated(at: usize, len: usize) -> Nf2Error {
+    Nf2Error::Corrupt {
+        offset: at,
+        detail: format!("string of length {len} truncated"),
+    }
+}
+
+/// [`ByteSource::str_value`]'s error for the string at `at` whose bytes are
+/// not UTF-8.
+fn invalid_utf8(at: usize, e: std::str::Utf8Error) -> Nf2Error {
+    Nf2Error::Corrupt {
+        offset: at + overhead::PER_STRING,
+        detail: format!("invalid utf-8: {e}"),
     }
 }
 

@@ -14,7 +14,8 @@
 //! same tuple or same error, truncated and corrupted input included. The
 //! header cursor accepts exactly what the tree parser accepts, and the
 //! navigation's reference walk [`child_refs_at`] answers as the navigation
-//! decode does.
+//! decode does. A scan's [`decode_tuple_into`], decoding into a tuple some
+//! other station left, answers as a fresh [`decode_tuple_at`] does.
 
 use proptest::prelude::*;
 use starfish_nf2::station::{
@@ -22,9 +23,9 @@ use starfish_nf2::station::{
     Sightseeing, Station,
 };
 use starfish_nf2::{
-    decode, decode_projected, decode_projected_at, decode_tuple_at, encode_with_layout,
-    validate_at, AttrType, ByteSource, Key, Nf2Error, Oid, Paged, Projection, RelSchema, Tuple,
-    TupleLayout, Value,
+    decode, decode_projected, decode_projected_at, decode_tuple_at, decode_tuple_into,
+    encode_with_layout, validate_at, AttrType, ByteSource, Key, Nf2Error, Oid, Paged, Projection,
+    RelSchema, Tuple, TupleLayout, Value,
 };
 
 fn arb_string() -> impl Strategy<Value = String> {
@@ -454,6 +455,133 @@ proptest! {
             let expect = proj.byte_ranges_from_bytes(header);
             prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::packed(&packed, stride)), &expect);
             prop_assert_eq!(&proj.byte_ranges_from_bytes(&Paged::planned(&planned, &starts)), &expect);
+        }
+    }
+}
+
+/// Tuples a decode into must leave nothing of: `other`'s station grown to
+/// more platforms, connections and sightseeings than `s` has (its strings
+/// longer than any drawn), shrunk to fewer, and decoded under
+/// [`proj_navigation`] (placeholders where the projection drops), plus a
+/// tuple one attribute too long whose every slot holds another variant.
+fn leftovers(s: &Station, other: &Station) -> Vec<Tuple> {
+    let schema = station_schema();
+    let long = "w".repeat(40);
+    let connection = Connection {
+        line_nr: 1,
+        key_connection: 2,
+        oid_connection: Oid(3),
+        departure_times: long.clone(),
+    };
+    let platform = Platform {
+        platform_nr: 4,
+        no_line: 0,
+        ticket_code: 5,
+        information: long.clone(),
+        connections: vec![],
+    };
+    let sightseeing = Sightseeing {
+        seeing_nr: 6,
+        description: long.clone(),
+        location: long.clone(),
+        history: long.clone(),
+        remarks: long.clone(),
+    };
+    let mut more = other.clone();
+    more.name = long.clone();
+    let most = |p: &Platform| p.connections.len();
+    let connections = s.platforms.iter().map(most).max().unwrap_or(0) + 1;
+    more.platforms.resize(s.platforms.len() + 1, platform);
+    for p in &mut more.platforms {
+        p.connections.resize(connections, connection.clone());
+    }
+    more.sightseeings
+        .resize(s.sightseeings.len() + 1, sightseeing);
+    let mut fewer = other.clone();
+    fewer
+        .platforms
+        .truncate(s.platforms.len().saturating_sub(1));
+    for p in &mut fewer.platforms {
+        p.connections.truncate(1);
+    }
+    fewer
+        .sightseeings
+        .truncate(s.sightseeings.len().saturating_sub(1));
+    let (other_bytes, _) = encode_with_layout(&other.to_tuple(), &schema).unwrap();
+    let projected = decode_projected_at(&other_bytes, &schema, 0, &proj_navigation()).unwrap();
+    let swapped = (0..=schema.arity())
+        .map(|i| match i % 3 {
+            0 => Value::Str(long.clone()),
+            1 => Value::Rel(vec![Tuple::new(vec![Value::Int(7)])]),
+            _ => Value::Int(8),
+        })
+        .collect();
+    vec![
+        more.to_tuple(),
+        fewer.to_tuple(),
+        projected,
+        Tuple::new(swapped),
+    ]
+}
+
+/// [`decode_tuple_into`] over `bytes` into a copy of each of `leftovers`:
+/// `expect` — the buffer's [`decode_tuple_at`] — every time.
+fn decode_into_agrees<S: ByteSource + ?Sized>(
+    bytes: &S,
+    leftovers: &[Tuple],
+    expect: &Result<Tuple, Nf2Error>,
+) -> Result<(), TestCaseError> {
+    let schema = station_schema();
+    for leftover in leftovers {
+        let mut target = leftover.clone();
+        let got = decode_tuple_into(bytes, &schema, 0, &mut target).map(|()| target);
+        prop_assert_eq!(&got, expect);
+    }
+    Ok(())
+}
+
+/// [`decode_into_agrees`] over `bytes` and over its pages, packed and
+/// planned as `bits` draws them.
+fn decode_into_agrees_paged(
+    bytes: &[u8],
+    leftovers: &[Tuple],
+    bits: &mut u64,
+) -> Result<(), TestCaseError> {
+    let expect = decode_tuple_at(bytes, &station_schema(), 0);
+    decode_into_agrees(bytes, leftovers, &expect)?;
+    let (stride, cuts) = splits(bytes.len(), bits);
+    let packed: Vec<&[u8]> = bytes.chunks(stride).collect();
+    let (planned, starts) = split(bytes, &cuts);
+    decode_into_agrees(&Paged::packed(&packed, stride), leftovers, &expect)?;
+    decode_into_agrees(&Paged::planned(&planned, &starts), leftovers, &expect)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A scan decodes every object into the tuple the one before left: on
+    /// a whole station, on every cut and with every single bit flipped,
+    /// over the buffer and over its pages, and into a tuple left over from
+    /// a larger station, a smaller one, a projected decode and another
+    /// shape, the decode into gives the fresh decode's tuple or its error.
+    #[test]
+    fn decode_into_a_leftover_tuple_answers_as_a_fresh_decode(
+        s in arb_station(),
+        other in arb_station(),
+        mut bits in any::<u64>(),
+    ) {
+        let (bytes, _) = encode_with_layout(&s.to_tuple(), &station_schema()).unwrap();
+        let leftovers = leftovers(&s, &other);
+        decode_into_agrees_paged(&bytes, &leftovers, &mut bits)?;
+        for cut in 0..bytes.len() {
+            decode_into_agrees_paged(&bytes[..cut], &leftovers, &mut bits)?;
+        }
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                decode_into_agrees_paged(&flipped, &leftovers, &mut bits)?;
+            }
         }
     }
 }

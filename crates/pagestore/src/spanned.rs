@@ -38,6 +38,7 @@ use crate::slotted::{self, PageKind};
 use crate::{
     PageCache, PageId, Result, StoreError, EFFECTIVE_PAGE_SIZE, PAGE_HEADER_SIZE, PAGE_SIZE,
 };
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Handle to a stored spanned record.
@@ -158,18 +159,37 @@ impl<'a> PagePlan<'a> {
 pub enum Content<'a> {
     /// The content of each page, in order, on the pool's frames.
     Pages(&'a [&'a [u8]]),
-    /// The whole content, copied out of the pool.
-    Copied(Vec<u8>),
+    /// The whole content, copied out of the pool into the thread's copy
+    /// buffer (lent for the visit only).
+    Copied(&'a [u8]),
 }
 
 impl Content<'_> {
-    /// The content in one buffer: the copy, or the pages concatenated.
+    /// The content in one fresh buffer: the pages concatenated, or the copy
+    /// copied.
     pub fn into_vec(self) -> Vec<u8> {
         match self {
             Content::Pages(pieces) => pieces.concat(),
-            Content::Copied(bytes) => bytes,
+            Content::Copied(bytes) => bytes.to_vec(),
         }
     }
+}
+
+thread_local! {
+    /// The buffer this thread's copying visits fill: grown to the largest
+    /// content the thread has copied, and reused. A visit that copies takes
+    /// it out (emptied) and puts it back once the caller's closure has run,
+    /// so it needs no lock: only this thread sees it, and only for one
+    /// visit. A visit nested in that closure finds it taken and starts a
+    /// new one; a visit that lends its frames never touches it.
+    static COPY_BUFFER: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// This thread's copy buffer, taken out and emptied.
+fn take_copy_buffer() -> Vec<u8> {
+    let mut out = COPY_BUFFER.take();
+    out.clear();
+    out
 }
 
 /// Takes the closure a visit runs once, on whichever path it took.
@@ -283,12 +303,41 @@ impl SpannedStore {
         (rec.data_first(), plan.pages())
     }
 
-    /// Copies the content of `page`, the `i`-th page of `plan`, to where
-    /// `plan` places it in `out` — zero-filled to the plan's length first.
-    fn copy_out(plan: PagePlan, i: u32, page: &[u8; PAGE_SIZE], out: &mut Vec<u8>) {
-        out.resize(plan.len, 0);
-        let on_page = plan.bounds(i as usize);
-        out[on_page].copy_from_slice(Self::content(plan, i as usize, page));
+    /// One visit to the pool of `groups`, showing `f` the content `plan`
+    /// lays out: on the frames, as `lend` hands them to `f`, where the pool
+    /// lends them; else copied into this thread's copy buffer — each page
+    /// `place` maps to a page of `plan` (`None`: fetched, not shown) to
+    /// where `plan` puts it, over zeros, so a page not fetched reads as
+    /// zeros.
+    fn visit<F: FnOnce(Content<'_>) -> R, R>(
+        pool: &mut impl PageCache,
+        groups: &[&[(PageId, u32)]],
+        plan: PagePlan,
+        place: impl Fn(PageId) -> Option<usize>,
+        lend: impl FnOnce(&[&[u8; PAGE_SIZE]], F) -> R,
+        f: F,
+    ) -> Result<R> {
+        let mut f = Some(f);
+        let mut out = None;
+        let lent = pool.visit_runs(
+            groups,
+            |pid, page| {
+                if let Some(i) = place(pid) {
+                    let out = out.get_or_insert_with(take_copy_buffer);
+                    out.resize(plan.len, 0);
+                    out[plan.bounds(i)].copy_from_slice(Self::content(plan, i, page));
+                }
+            },
+            |frames| lend(frames, once(&mut f)),
+        )?;
+        if let Some(r) = lent {
+            return Ok(r);
+        }
+        let mut out = out.unwrap_or_else(take_copy_buffer);
+        out.resize(plan.len, 0); // also when no page was shown
+        let r = once(&mut f)(Content::Copied(&out));
+        COPY_BUFFER.set(out);
+        Ok(r)
     }
 
     /// Visits the header (object directory): the content of each header
@@ -297,24 +346,19 @@ impl SpannedStore {
     ///
     /// I/O calls as in DASDBS: one for the root page, one for the additional
     /// header pages if any. Fixes every header page.
-    pub fn visit_header<R>(
+    pub fn visit_header<F: FnOnce(Content<'_>) -> R, R>(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
-        f: impl FnOnce(Content<'_>) -> R,
+        f: F,
     ) -> Result<R> {
         let plan = PagePlan::new(None, rec.header_len as usize);
         let runs = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
-        let mut out = Vec::new();
-        let mut f = Some(f);
-        let lent = pool.visit_runs(
-            &[runs],
-            |pid, page| Self::copy_out(plan, pid.0 - rec.first.0, page, &mut out),
-            |frames| {
-                let piece = |i| Self::content(plan, i, frames[i]);
-                with_pieces(frames.len(), piece, |p| once(&mut f)(Content::Pages(p)))
-            },
-        )?;
-        Ok(lent.unwrap_or_else(|| once(&mut f)(Content::Copied(out))))
+        let place = |pid: PageId| Some((pid.0 - rec.first.0) as usize);
+        let lend = |frames: &[&[u8; PAGE_SIZE]], f: F| {
+            let piece = |i| Self::content(plan, i, frames[i]);
+            with_pieces(frames.len(), piece, |p| f(Content::Pages(p)))
+        };
+        Self::visit(pool, &[runs], plan, place, lend, f)
     }
 
     /// Visits the whole object — the header runs and the data run in one
@@ -324,31 +368,23 @@ impl SpannedStore {
     /// place, or all of it copied. The header pages are fetched and fixed
     /// (the structure is read with the tuple) but not shown: the caller
     /// decodes by schema.
-    pub fn visit_full<R>(
+    pub fn visit_full<F: FnOnce(Content<'_>) -> R, R>(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
-        f: impl FnOnce(Content<'_>) -> R,
+        f: F,
     ) -> Result<R> {
         let plan = PagePlan::new(plan, rec.data_len as usize);
         let header = &Self::header_runs(rec)[..rec.header_pages.min(2) as usize];
         let data_first = rec.data_first();
-        let mut out = Vec::new();
-        let mut f = Some(f);
-        let lent = pool.visit_runs(
-            &[header, &[Self::data_run(rec, plan)]],
-            |pid, page| {
-                if pid >= data_first {
-                    Self::copy_out(plan, pid.0 - data_first.0, page, &mut out)
-                }
-            },
-            |frames| {
-                let data = &frames[rec.header_pages as usize..];
-                let piece = |i| Self::content(plan, i, data[i]);
-                with_pieces(data.len(), piece, |p| once(&mut f)(Content::Pages(p)))
-            },
-        )?;
-        Ok(lent.unwrap_or_else(|| once(&mut f)(Content::Copied(out))))
+        let place = |pid: PageId| (pid >= data_first).then(|| (pid.0 - data_first.0) as usize);
+        let lend = |frames: &[&[u8; PAGE_SIZE]], f: F| {
+            let data = &frames[rec.header_pages as usize..];
+            let piece = |i| Self::content(plan, i, data[i]);
+            with_pieces(data.len(), piece, |p| f(Content::Pages(p)))
+        };
+        let groups = [header, &[Self::data_run(rec, plan)]];
+        Self::visit(pool, &groups, plan, place, lend, f)
     }
 
     /// Visits only the data pages covering `ranges` (sorted, disjoint byte
@@ -356,12 +392,12 @@ impl SpannedStore {
     /// in one visit with one group per run of wanted pages, and hands `f`
     /// the full-length content, valid at least in the requested ranges: a
     /// data page not fetched shows as zeros. An empty range wants no page.
-    pub fn visit_data_ranges<R>(
+    pub fn visit_data_ranges<F: FnOnce(Content<'_>) -> R, R>(
         pool: &mut impl PageCache,
         rec: &SpannedRecord,
         plan: Option<&[u32]>,
         ranges: &[Range<u32>],
-        f: impl FnOnce(Content<'_>) -> R,
+        f: F,
     ) -> Result<R> {
         let plan = PagePlan::new(plan, rec.data_len as usize);
         let n = rec.data_pages as usize;
@@ -382,28 +418,18 @@ impl SpannedStore {
             let pids = (0..n)
                 .filter(|&i| wanted[i])
                 .map(|i| data_first.offset(i as u32));
+            let place = |pid: PageId| Some((pid.0 - data_first.0) as usize);
+            let lend = |frames: &[&[u8; PAGE_SIZE]], f: F| {
+                let mut fetched = frames.iter();
+                let piece = |i: usize| match wanted[i] {
+                    true => Self::content(plan, i, fetched.next().expect("a wanted page")),
+                    false => &ZERO_PAGE[..plan.bounds(i).len()],
+                };
+                with_pieces(n, piece, |p| f(Content::Pages(p)))
+            };
             on_stack(n, (data_first, 0), page_runs(pids), |runs| {
                 on_stack(n, &[][..], runs.chunks(1), |groups| {
-                    let mut out = Vec::new();
-                    let mut f = Some(f);
-                    let lent = pool.visit_runs(
-                        groups,
-                        |pid, page| Self::copy_out(plan, pid.0 - data_first.0, page, &mut out),
-                        |frames| {
-                            let mut fetched = frames.iter();
-                            let piece = |i: usize| match wanted[i] {
-                                true => {
-                                    Self::content(plan, i, fetched.next().expect("a wanted page"))
-                                }
-                                false => &ZERO_PAGE[..plan.bounds(i).len()],
-                            };
-                            with_pieces(n, piece, |p| once(&mut f)(Content::Pages(p)))
-                        },
-                    )?;
-                    Ok(lent.unwrap_or_else(|| {
-                        out.resize(plan.len, 0); // also when no page was wanted
-                        once(&mut f)(Content::Copied(out))
-                    }))
+                    Self::visit(pool, groups, plan, place, lend, f)
                 })
             })
         })
@@ -572,6 +598,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A visit that misses copies into the thread's reused buffer, and
+    /// shows nothing an earlier visit left there: after a cold whole read
+    /// of a larger record, a cold ranged read of a smaller one is exactly
+    /// its length, and every page it did not fetch reads as zeros.
+    #[test]
+    fn a_reused_copy_buffer_shows_nothing_of_an_earlier_visit() {
+        let mut p = pool();
+        let (large, small) = (bytes(6 * EFFECTIVE_PAGE_SIZE, 9), bytes(4000, 3));
+        let large_rec = SpannedStore::store(&mut p, &[1], &large, None).unwrap();
+        let small_rec = SpannedStore::store(&mut p, &[2], &small, None).unwrap();
+        assert_eq!(small_rec.data_pages, 2);
+        p.clear_cache().unwrap();
+        let copied = |c: Content<'_>| match c {
+            Content::Copied(b) => b.to_vec(),
+            Content::Pages(_) => panic!("a cold visit copies"),
+        };
+        let whole = SpannedStore::visit_full(&mut p, &large_rec, None, copied).unwrap();
+        assert_eq!(whole, large);
+        let at = EFFECTIVE_PAGE_SIZE as u32 + 10; // on data page 1 only
+        let out = SpannedStore::visit_data_ranges(&mut p, &small_rec, None, &[at..at + 5], copied)
+            .unwrap();
+        assert_eq!(out.len(), small.len());
+        assert_eq!(&out[EFFECTIVE_PAGE_SIZE..], &small[EFFECTIVE_PAGE_SIZE..]);
+        assert!(
+            out[..EFFECTIVE_PAGE_SIZE].iter().all(|&b| b == 0),
+            "data page 0 was not fetched"
+        );
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //!   nothing, the projected read only its range list — on `BufferPool`,
 //!   and on the one-shard `SharedPoolHandle` plus the three short lists
 //!   one lock session keeps (shards, guards, cores);
+//! * a resident scan of DSM or DASDBS-DSM (query 1c) decodes every object
+//!   into one tuple: scanning twice as many same-shaped objects allocates
+//!   no block more, the first object's tuple being all there is;
+//! * a cold whole-object spanned read on a full exclusive pool allocates
+//!   nothing once the thread's copy buffer has grown: the miss loads into
+//!   a victim's page buffer, and the copy goes to the buffer the thread
+//!   reuses;
 //! * a root update — DSM's replace-tuple, a normalized root-record patch —
 //!   allocates a constant number of blocks, whatever the object holds;
 //! * with the write-ahead log on, what logging adds to an update is the
@@ -36,7 +43,8 @@ use starfish::nf2::station::{
 };
 use starfish::nf2::{decode, encode, encode_with_layout, ByteSource, Oid, Paged, Tuple, Value};
 use starfish::pagestore::{
-    BufferConfig, BufferPool, HeapFile, PageCache, SharedPoolHandle, SimDisk, PAGE_SIZE,
+    BufferConfig, BufferPool, Content, HeapFile, PageCache, SharedPoolHandle, SimDisk,
+    SpannedStore, PAGE_SIZE,
 };
 use starfish::prelude::DatasetParams;
 use starfish::workload::generate;
@@ -333,6 +341,65 @@ fn resident_spanned_reads_allocate_what_they_return() {
         projected + 2 * SESSION_LISTS,
         "projected read, shared"
     );
+}
+
+/// Allocations of one resident `scan_all` over `n` twelve-sightseeing
+/// stations, and the blocks the first object's tuple owns.
+fn scan_allocations(partial: bool, n: i32) -> (u64, u64) {
+    let mut store = DirectStore::new(partial, StoreConfig::default());
+    store
+        .load(&(0..n).map(|k| station(k, 12)).collect::<Vec<_>>())
+        .unwrap();
+    // Make every object resident, and count the first tuple's blocks.
+    let mut first = None;
+    store
+        .scan_all(&mut |t| _ = first.get_or_insert_with(|| owned_blocks(t)))
+        .unwrap();
+    let mut keys = 0;
+    let (allocated, ()) = allocations(|| store.scan_all(&mut |_| keys += 1).unwrap());
+    assert_eq!(keys, n);
+    (allocated, first.expect("a scanned object"))
+}
+
+/// Query 1c decodes every object into the one tuple the scan keeps: the
+/// second and every later object of the same shape reuse the first one's
+/// strings and vectors. Before, each object was decoded into a fresh
+/// tuple, and a scan allocated a tuple's 71 blocks once per object: 284
+/// times for four objects, 568 for eight.
+#[test]
+fn a_resident_direct_scan_allocates_for_the_first_object_only() {
+    for partial in [false, true] {
+        let (four, blocks) = scan_allocations(partial, 4);
+        let (eight, _) = scan_allocations(partial, 8);
+        assert_eq!(four, eight, "partial: {partial}: 4 and 8 objects");
+        assert_eq!(four, blocks, "partial: {partial}: the first tuple's blocks");
+    }
+}
+
+/// A whole-object read that misses on a full exclusive pool copies into
+/// the buffer its thread reuses, and the misses load into victims' page
+/// buffers: once the copy buffer has grown, nothing is allocated. Before,
+/// every such read allocated its copy.
+#[test]
+fn a_cold_spanned_read_on_a_full_exclusive_pool_allocates_nothing() {
+    let (data, other) = (vec![7u8; 9000], vec![8u8; 9000]);
+    let mut pool = BufferPool::new(SimDisk::new(), 6);
+    let rec = SpannedStore::store(&mut pool, &[1], &data, None).unwrap();
+    let evictor = SpannedStore::store(&mut pool, &[2], &other, None).unwrap();
+    assert!(rec.total_pages() + evictor.total_pages() > 6);
+    // The last byte of the data, and whether the visit copied it.
+    let last = |c: Content<'_>| match c {
+        Content::Copied(b) => (b.len(), b[b.len() - 1], true),
+        Content::Pages(p) => (0, p[p.len() - 1][0], false),
+    };
+    let read = |pool: &mut BufferPool| {
+        SpannedStore::visit_full(pool, &evictor, None, last).unwrap(); // evicts `rec`
+        allocations(|| SpannedStore::visit_full(pool, &rec, None, last).unwrap())
+    };
+    read(&mut pool); // the pool's lists and the copy buffer reach their size
+    let (n, seen) = read(&mut pool);
+    assert_eq!(seen, (data.len(), 7, true), "a cold read copies");
+    assert_eq!(n, 0, "a cold whole-object read allocated {n} times");
 }
 
 /// `station(key, 0)` with a platform of sixteen connections: no
